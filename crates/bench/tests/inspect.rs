@@ -1,0 +1,108 @@
+//! `smartmem-cli inspect` end to end: a trace written by `trace --out`
+//! reads back, summarizes, and passes its injected-vs-observed fault
+//! cross-check; a trace with one detection removed fails it.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_smartmem-cli"))
+        .args(args)
+        .output()
+        .expect("smartmem-cli runs")
+}
+
+fn stdout(o: &Output) -> String {
+    String::from_utf8_lossy(&o.stdout).into_owned()
+}
+
+/// A trace file in the temp directory, removed on drop.
+struct TempTrace(PathBuf);
+
+impl Drop for TempTrace {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
+
+/// Record `scenario` under `policy` and `chaos` at scale 0.01, seed 42.
+fn trace(name: &str, scenario: &str, policy: &str, chaos: &str) -> TempTrace {
+    let t = TempTrace(std::env::temp_dir().join(format!(
+        "smartmem-inspect-{}-{name}.jsonl",
+        std::process::id()
+    )));
+    let out = t.0.to_str().expect("temp path is UTF-8");
+    let o = cli(&[
+        "trace", scenario, policy, "--scale", "0.01", "--seed", "42", "--chaos", chaos, "--out",
+        out,
+    ]);
+    assert!(o.status.success(), "trace failed:\n{}", stdout(&o));
+    assert!(stdout(&o).contains("replay: PASS"), "{}", stdout(&o));
+    t
+}
+
+/// `inspect` on `path`: exit status and stdout.
+fn inspect(path: &Path) -> (bool, String) {
+    let o = cli(&["inspect", path.to_str().expect("temp path is UTF-8")]);
+    (o.status.success(), stdout(&o))
+}
+
+#[test]
+fn inspect_passes_a_bitrot_trace() {
+    let t = trace("bitrot", "scenario1", "greedy", "bitrot");
+    let (ok, text) = inspect(&t.0);
+    assert!(ok, "inspect failed:\n{text}");
+    assert!(!text.contains("MISMATCH"), "{text}");
+    let line = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("corruption:"))
+        .unwrap_or_else(|| panic!("no data-plane corruption line:\n{text}"));
+    // "corruption: injected N (bitflip B + torn T), detected N  OK"
+    let count = |key: &str| -> u64 {
+        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
+        line[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("count after {key} in {line}"))
+    };
+    assert!(count("injected ") > 0, "bitrot must inject: {line}");
+    assert_eq!(count("injected "), count("detected "), "{line}");
+    assert!(line.ends_with("OK"), "{line}");
+}
+
+#[test]
+fn inspect_passes_a_sample_loss_trace() {
+    let t = trace("sample-loss", "scenario2", "smart-alloc:2", "sample-loss");
+    let (ok, text) = inspect(&t.0);
+    assert!(ok, "inspect failed:\n{text}");
+    assert!(!text.contains("MISMATCH"), "{text}");
+    let drops = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("sample_drop"))
+        .unwrap_or_else(|| panic!("no sample_drop row:\n{text}"));
+    let cols: Vec<&str> = drops.split_whitespace().collect();
+    assert_eq!(cols.len(), 4, "kind, injected, observed, verdict: {drops}");
+    assert_ne!(cols[1], "0", "sample-loss must drop samples: {drops}");
+    assert_eq!(cols[1], cols[2], "{drops}");
+}
+
+#[test]
+fn inspect_flags_a_removed_corruption_detection() {
+    let t = trace("bitrot-tampered", "scenario1", "greedy", "bitrot");
+    let text = std::fs::read_to_string(&t.0).unwrap();
+    let cut = text
+        .lines()
+        .position(|l| l.contains("\"kind\":\"corrupt_detected\""))
+        .expect("bitrot trace has detections");
+    let tampered: String = text
+        .lines()
+        .enumerate()
+        .filter(|&(i, _)| i != cut)
+        .map(|(_, l)| format!("{l}\n"))
+        .collect();
+    std::fs::write(&t.0, tampered).unwrap();
+    let (ok, text) = inspect(&t.0);
+    assert!(!ok, "inspect must fail on a missing detection:\n{text}");
+    assert!(text.contains("MISMATCH"), "{text}");
+}

@@ -601,8 +601,47 @@ fn trace_schema_golden_covers_every_event_kind() {
                 downtime: 5_702_400,
             },
         ),
+        (
+            Some(1),
+            Subsystem::Tmem,
+            Payload::Put {
+                pool: 0,
+                result: PutResult::RejectIo,
+                used: 10,
+                target: 100,
+            },
+        ),
+        (
+            Some(2),
+            Subsystem::Tmem,
+            Payload::DataPurge { pool: 1, pages: 3 },
+        ),
+        (
+            None,
+            Subsystem::Tmem,
+            Payload::Scrub {
+                checked: 64,
+                corrupt: 2,
+                quarantined: 1,
+            },
+        ),
     ];
-    for (i, (vm, sub, payload)) in evs.into_iter().enumerate() {
+    // The data-plane fault kinds, in declaration order after the
+    // control-plane ones above.
+    let evs = evs.into_iter().chain(
+        [
+            FaultKind::PageBitflip,
+            FaultKind::TornWrite,
+            FaultKind::EphemeralLoss,
+            FaultKind::PutIoFail,
+            FaultKind::BrownoutReject,
+            FaultKind::BrownoutTick,
+            FaultKind::CorruptDetected,
+            FaultKind::CorruptRecovered,
+        ]
+        .map(|kind| (Some(1), Subsystem::Fault, Payload::Fault { kind })),
+    );
+    for (i, (vm, sub, payload)) in evs.enumerate() {
         tracer.set_now(SimTime(i as u64 * 1_000));
         tracer.emit(|| (vm, sub, payload));
     }
