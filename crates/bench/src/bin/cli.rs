@@ -80,11 +80,11 @@ use scenarios::config::RunConfig;
 use scenarios::dsl;
 use scenarios::figures;
 use scenarios::report;
+use scenarios::trace_check;
 use scenarios::runner::{
     run_cluster, run_scenario, run_spec, ClusterConfig, ClusterResult, RunResult,
 };
 use scenarios::spec::{build_scenario, FleetParams, ScenarioKind};
-use sim_core::faults::{NetlinkFate, SampleFate};
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
 };
@@ -875,7 +875,7 @@ fn trace_cmd(kind: ScenarioKind, policy: PolicyKind, a: &Args) -> Result<(), Str
         m.mm_decisions, m.faults_injected
     );
 
-    match scenarios::trace_check::verify(&r) {
+    match trace_check::verify(&r) {
         Ok(rep) if rep.ok() => {
             println!(
                 "replay: PASS — {} checks over {} events re-derived the live accounting",
@@ -951,7 +951,7 @@ fn trace_cluster_cmd(
             data.dropped_oldest
         );
     }
-    match scenarios::trace_check::verify_cluster(&cr.host_results) {
+    match trace_check::verify_cluster(&cr.host_results) {
         Ok(rep) if rep.ok() => {
             println!(
                 "replay: PASS — {} checks over {} events re-derived the live accounting",
@@ -1155,177 +1155,59 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         println!("  events and fault events are not both guaranteed present");
         return Ok(());
     }
-    let mut injected: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let mut observed: std::collections::BTreeMap<&'static str, u64> =
-        std::collections::BTreeMap::new();
-    let kinds = [
-        "sample_drop",
-        "sample_delay",
-        "sample_dup",
-        "netlink_drop",
-        "netlink_reorder",
-        "hypercall_fail",
-        "mm_crash",
-    ];
-    for k in kinds {
-        injected.insert(k, 0);
-        observed.insert(k, 0);
-    }
-    // Data-plane tallies, cross-checked as *pairings* rather than per-kind
-    // (a bit flip is observed as a later CorruptDetected, not as itself).
-    let mut bitflips = 0u64;
-    let mut torn = 0u64;
-    let mut eph_losses = 0u64;
-    let mut io_fails = 0u64;
-    let mut brownout_rejects = 0u64;
-    let mut brownout_ticks = 0u64;
-    let mut detected = 0u64;
-    let mut recovered = 0u64;
-    let mut reject_io_puts = 0u64;
-    let mut scrub_passes = 0u64;
-    let mut quarantined = 0u64;
-    for ev in &t.events {
-        match &ev.payload {
-            Payload::Fault { kind } => {
-                let k = match kind {
-                    FaultKind::SampleDrop => "sample_drop",
-                    FaultKind::SampleDelay => "sample_delay",
-                    FaultKind::SampleDuplicate => "sample_dup",
-                    FaultKind::NetlinkDrop => "netlink_drop",
-                    FaultKind::NetlinkReorder => "netlink_reorder",
-                    FaultKind::HypercallFail => "hypercall_fail",
-                    FaultKind::MmCrash => "mm_crash",
-                    FaultKind::PageBitflip => {
-                        bitflips += 1;
-                        continue;
-                    }
-                    FaultKind::TornWrite => {
-                        torn += 1;
-                        continue;
-                    }
-                    FaultKind::EphemeralLoss => {
-                        eph_losses += 1;
-                        continue;
-                    }
-                    FaultKind::PutIoFail => {
-                        io_fails += 1;
-                        continue;
-                    }
-                    FaultKind::BrownoutReject => {
-                        brownout_rejects += 1;
-                        continue;
-                    }
-                    FaultKind::BrownoutTick => {
-                        brownout_ticks += 1;
-                        continue;
-                    }
-                    FaultKind::CorruptDetected => {
-                        detected += 1;
-                        continue;
-                    }
-                    FaultKind::CorruptRecovered => {
-                        recovered += 1;
-                        continue;
-                    }
-                };
-                *injected.get_mut(k).expect("seeded") += 1;
-            }
-            Payload::Put {
-                result: PutResult::RejectIo,
-                ..
-            } => reject_io_puts += 1,
-            Payload::Scrub { quarantined: q, .. } => {
-                scrub_passes += 1;
-                quarantined += q;
-            }
-            Payload::VirqSample { fate, .. } => match fate {
-                SampleFate::Drop => *observed.get_mut("sample_drop").expect("seeded") += 1,
-                SampleFate::Delay => *observed.get_mut("sample_delay").expect("seeded") += 1,
-                SampleFate::Duplicate => *observed.get_mut("sample_dup").expect("seeded") += 1,
-                SampleFate::Deliver => {}
-            },
-            Payload::NetlinkStats { fate, .. } => match fate {
-                NetlinkFate::Drop => *observed.get_mut("netlink_drop").expect("seeded") += 1,
-                NetlinkFate::Reorder => *observed.get_mut("netlink_reorder").expect("seeded") += 1,
-                NetlinkFate::Deliver => {}
-            },
-            Payload::RelayPush { outcome, .. } => {
-                // Every failed hypercall attempt surfaces as a parked or
-                // abandoned push; successes and supersedes do not.
-                if matches!(
-                    outcome,
-                    trace::PushOutcome::Parked | trace::PushOutcome::Abandoned
-                ) {
-                    *observed.get_mut("hypercall_fail").expect("seeded") += 1;
-                }
-            }
-            Payload::MmCrash { .. } => *observed.get_mut("mm_crash").expect("seeded") += 1,
-            _ => {}
-        }
-    }
+    let fold = trace_check::fold_faults(&t.events);
     let mut mismatched = 0u64;
+    let mut verdict = |ok: bool| {
+        if ok {
+            "OK"
+        } else {
+            mismatched += 1;
+            "MISMATCH"
+        }
+    };
     println!(
         "  {:<16} {:>9} {:>9}  verdict",
         "kind", "injected", "observed"
     );
-    for k in kinds {
-        let (i, o) = (injected[k], observed[k]);
-        let verdict = if i == o {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
-        println!("  {k:<16} {i:>9} {o:>9}  {verdict}");
+    for kind in FaultKind::ALL {
+        if let Some(o) = fold.observed(kind) {
+            let i = fold.injected(kind);
+            println!("  {:<16} {i:>9} {o:>9}  {}", kind.as_str(), verdict(i == o));
+        }
     }
-    let data_active = bitflips
-        + torn
-        + eph_losses
-        + io_fails
-        + brownout_rejects
-        + brownout_ticks
-        + detected
-        + recovered
-        + scrub_passes
-        > 0;
+    // Data-plane faults pair with later events rather than with a fate of
+    // their own: a corruption with its detection (get/flush/reclaim/scrub),
+    // a put I/O failure or brownout rejection with a `reject_io` put.
+    let l = &fold.ledger;
+    let data_active = l.scrub_passes > 0
+        || FaultKind::ALL
+            .iter()
+            .any(|&k| fold.observed(k).is_none() && fold.injected(k) > 0);
     if data_active {
-        // Data-plane pairings: an injected corruption is observed as a
-        // later detection (get/flush/reclaim/scrub), an injected put I/O
-        // failure or brownout rejection as a `reject_io` put result.
         println!("-- data-plane integrity cross-check --");
-        let corrupt_injected = bitflips + torn;
-        let verdict = if detected == corrupt_injected {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
+        let (bitflips, torn) = (l.bitflips_injected, l.torn_writes_injected);
+        let detected = l.corruptions_detected;
         println!(
-            "  corruption: injected {corrupt_injected} (bitflip {bitflips} + torn {torn}), \
-             detected {detected}  {verdict}"
+            "  corruption: injected {} (bitflip {bitflips} + torn {torn}), \
+             detected {detected}  {}",
+            bitflips + torn,
+            verdict(detected == bitflips + torn)
         );
-        let io_injected = io_fails + brownout_rejects;
-        let verdict = if reject_io_puts == io_injected {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
+        let (io_fails, rejects) = (l.put_io_failures_injected, l.brownout_rejections);
         println!(
-            "  put I/O: injected {io_fails} + brownout-rejected {brownout_rejects}, \
-             reject_io puts {reject_io_puts}  {verdict}"
+            "  put I/O: injected {io_fails} + brownout-rejected {rejects}, \
+             reject_io puts {}  {}",
+            fold.reject_io_puts,
+            verdict(fold.reject_io_puts == io_fails + rejects)
         );
-        let verdict = if recovered <= detected {
-            "OK"
-        } else {
-            mismatched += 1;
-            "MISMATCH"
-        };
-        println!("  recovery: {recovered} of {detected} detections recovered in-guest  {verdict}");
+        let recovered = l.corruptions_recovered;
         println!(
-            "  losses={eph_losses} brownout_ticks={brownout_ticks} \
-             scrubs={scrub_passes} quarantined_objects={quarantined}"
+            "  recovery: {recovered} of {detected} detections recovered in-guest  {}",
+            verdict(recovered <= detected)
+        );
+        println!(
+            "  losses={} brownout_ticks={} scrubs={} quarantined_objects={}",
+            l.ephemeral_losses_injected, l.brownout_ticks, l.scrub_passes, l.objects_quarantined
         );
     }
     if mismatched > 0 {

@@ -46,77 +46,23 @@ pub struct ChaosProfile {
     pub profile: FaultProfile,
 }
 
-/// The shipped chaos profiles, in report order.
-///
-/// * `sample-loss` — up to 50% of an interval's stats flow lost before the
-///   MM sees it (30% VIRQ drop + 20% netlink drop), plus light delay,
-///   duplication and reordering. Exercises gap detection, duplicate
-///   discard and the hypervisor's stale-target TTL fallback.
-/// * `flaky-hypercalls` — 25% of `SetTargets` pushes fail. Exercises the
-///   dom0 relay's retry-with-backoff and push supersession.
-/// * `mm-crash` — the MM process dies after its 5th cycle and the watchdog
-///   restarts it 3 intervals later. Exercises state rebuild from the next
-///   sample window and the TTL fallback while the MM is down.
-/// * `bitrot` — 2% of admitted puts are bit-flipped and 1% land torn, with
-///   the pool scrubber sweeping every 5 intervals. Exercises end-to-end
-///   page integrity: every corruption must be *detected* (never returned
-///   as wrong bytes) and either recovered by the guest's bounded
-///   retry/requeue path or quarantined by the scrubber. The profile also
-///   sets a 5% ephemeral loss rate so any future ephemeral (cleancache)
-///   traffic degrades to clean misses; frontswap-only scenarios draw it
-///   zero times.
-/// * `backend-brownout` — 5% of persistent puts fail with an injected I/O
-///   error, and every 20 intervals the backend goes dark for 4, rejecting
-///   all puts. Exercises the guest's disk fallback under a flaky/stalling
-///   backend: the failure mode is slowdown, never corruption.
+/// The shipped chaos profiles, in report order: `sample-loss`,
+/// `flaky-hypercalls`, `mm-crash`, `bitrot`, `backend-brownout`. Each is
+/// defined once, in `scenarios/chaos/<name>.toml` (embedded at compile
+/// time), whose header says what the profile exercises.
 pub fn shipped_profiles() -> Vec<ChaosProfile> {
-    vec![
-        ChaosProfile {
-            name: "sample-loss".to_string(),
-            profile: FaultProfile {
-                virq_drop: 0.30,
-                virq_delay: 0.05,
-                virq_duplicate: 0.05,
-                netlink_drop: 0.20,
-                netlink_reorder: 0.05,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "flaky-hypercalls".to_string(),
-            profile: FaultProfile {
-                hypercall_fail: 0.25,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "mm-crash".to_string(),
-            profile: FaultProfile {
-                mm_crash_at_cycle: Some(5),
-                mm_restart_after: 3,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "bitrot".to_string(),
-            profile: FaultProfile {
-                page_bitflip: 0.02,
-                torn_write: 0.01,
-                ephemeral_loss: 0.05,
-                scrub_every: 5,
-                ..FaultProfile::none()
-            },
-        },
-        ChaosProfile {
-            name: "backend-brownout".to_string(),
-            profile: FaultProfile {
-                put_io_fail: 0.05,
-                brownout_every: 20,
-                brownout_for: 4,
-                ..FaultProfile::none()
-            },
-        },
+    [
+        include_str!("../../../scenarios/chaos/sample-loss.toml"),
+        include_str!("../../../scenarios/chaos/flaky-hypercalls.toml"),
+        include_str!("../../../scenarios/chaos/mm-crash.toml"),
+        include_str!("../../../scenarios/chaos/bitrot.toml"),
+        include_str!("../../../scenarios/chaos/backend-brownout.toml"),
     ]
+    .into_iter()
+    .map(|src| {
+        crate::dsl::parse_chaos_src(src).unwrap_or_else(|e| panic!("shipped chaos profile: {e}"))
+    })
+    .collect()
 }
 
 /// The policies the chaos suite sweeps: every managed policy of the paper
@@ -465,5 +411,29 @@ impl ChaosReport {
             ));
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shipped_profiles_keep_their_names_and_order() {
+        let profiles = shipped_profiles();
+        let names: Vec<&str> = profiles.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "sample-loss",
+                "flaky-hypercalls",
+                "mm-crash",
+                "bitrot",
+                "backend-brownout"
+            ]
+        );
+        for p in &profiles {
+            assert!(!p.profile.is_disabled(), "{} injects nothing", p.name);
+        }
     }
 }

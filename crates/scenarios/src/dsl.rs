@@ -8,9 +8,10 @@
 //! with programs and start rules, tmem capacity, cross-VM milestone
 //! triggers — or, alternatively, a `[fleet]` cell by its
 //! [`FleetParams`]. Sizes (`"512MiB"`) and durations (`"30s"`) are scaled
-//! by the active [`RunConfig`] exactly like the built-in constructors, so
-//! a shipped file parses to *the same spec* as its Rust constructor at
-//! every scale (pinned by the differential tests).
+//! by the active [`RunConfig`]. The shipped Table II files are the only
+//! definition of those scenarios: [`build_scenario`] embeds and parses
+//! them, so `run usemem` and `run-file scenarios/usemem.toml` are the same
+//! experiment.
 //!
 //! ```toml
 //! version = 1
@@ -43,7 +44,9 @@
 //!
 //! **Chaos files** name a [`FaultProfile`] field-by-field (the schema *is*
 //! [`FaultProfile::PROB_FIELDS`] plus the crash pair and the data-plane
-//! interval knobs `brownout_every` / `brownout_for` / `scrub_every`).
+//! interval knobs `brownout_every` / `brownout_for` / `scrub_every`). The
+//! shipped profiles are `scenarios/chaos/*.toml`, embedded by
+//! [`shipped_profiles`].
 //!
 //! **Manifests** declare a sweep as axes that expand to a deterministic
 //! permutation matrix, scenario-major to rep-minor ([`expand_cells`]);
@@ -735,7 +738,6 @@ fn vm_scenario(doc: &toml::Document, cfg: &RunConfig) -> Result<ScenarioSpec, St
     };
 
     Ok(ScenarioSpec {
-        kind: None,
         name,
         tmem_bytes,
         vms,
@@ -835,16 +837,6 @@ pub fn parse_chaos_src(src: &str) -> Result<ChaosProfile, String> {
         .map_err(|e| format!("line {}: [chaos]: {e}", t.line))?;
     r.finish()?;
     Ok(ChaosProfile { name, profile })
-}
-
-/// Render a profile back to file form (round-trips through
-/// [`parse_chaos_src`]).
-pub fn chaos_to_toml(p: &ChaosProfile) -> String {
-    format!(
-        "version = {FORMAT_VERSION}\n\n[chaos]\nname = \"{}\"\n{}",
-        p.name,
-        p.profile.to_toml()
-    )
 }
 
 /// Resolve a chaos axis entry: `none`/`off`/`baseline` → no faults, a
@@ -1063,7 +1055,6 @@ program = ["run usemem 8MiB 8MiB 48MiB 2"]
         )
         .unwrap();
         assert_eq!(doc.spec.name, "mini");
-        assert_eq!(doc.spec.kind, None);
         assert_eq!(doc.spec.tmem_bytes, 64 << 20);
         assert_eq!(doc.spec.vms.len(), 2);
         assert_eq!(doc.spec.vms[1].config.name, "VM2");
@@ -1281,16 +1272,6 @@ program = ["run usemem paper"]
         ] {
             let e = parse_scenario_src(src, &cfg()).unwrap_err();
             assert!(e.contains(needle), "for {src:?}:\n  got: {e}");
-        }
-    }
-
-    #[test]
-    fn chaos_files_round_trip_shipped_profiles() {
-        for p in shipped_profiles() {
-            let rendered = chaos_to_toml(&p);
-            let parsed = parse_chaos_src(&rendered).unwrap();
-            assert_eq!(parsed.name, p.name, "\n{rendered}");
-            assert_eq!(parsed.profile, p.profile, "\n{rendered}");
         }
     }
 

@@ -4,7 +4,10 @@
 //! parameters and a per-VM *program* (a sequence of workload runs and
 //! sleeps), plus start rules (fixed times or cross-VM milestone triggers)
 //! and an optional global stop trigger — everything Table II specifies,
-//! scaled by the run configuration.
+//! scaled by the run configuration. The four are defined once, in
+//! `scenarios/{scenario1,scenario2,usemem,scenario3}.toml`;
+//! [`build_scenario`] embeds those files and parses them with
+//! [`crate::dsl`].
 //!
 //! [`ScenarioKind::Scenario5`] goes beyond the paper: a parameterized
 //! fleet of 8–128 identical VMs with staggered arrivals and a mixed
@@ -217,12 +220,8 @@ pub struct VmSpec {
 /// A fully-specified scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Built-in identity, when this spec corresponds to one of the
-    /// enumerable scenario kinds; `None` for custom scenarios loaded from
-    /// `.toml` files ([`crate::dsl`]).
-    pub kind: Option<ScenarioKind>,
-    /// Report name — `kind.name()` for built-ins, the file's declared name
-    /// for custom scenarios.
+    /// Report name: [`ScenarioKind::name`] for built-ins, the file's
+    /// declared name for scenarios loaded from `.toml` files.
     pub name: String,
     /// tmem capacity enabled on the node, in bytes (already scaled).
     pub tmem_bytes: u64,
@@ -319,13 +318,6 @@ impl ScenarioSpec {
     }
 }
 
-/// Paper-calibrated workload footprints (bytes, full scale). The CloudSuite
-/// runs must exceed their VM's RAM to create the memory pressure the paper
-/// engineers "for the benchmarks to work in a realistic setting".
-const INMEM_FOOTPRINT: u64 = 1280 << 20; // 1.25 GiB on a 1 GiB VM
-const GRAPH_FOOTPRINT: u64 = 896 << 20; // 896 MiB on a 512 MiB VM
-
-const GIB: u64 = 1 << 30;
 const MIB: u64 = 1 << 20;
 
 /// The `alloc:<MiB>` milestone label usemem emits for its `k`-th block
@@ -388,151 +380,28 @@ fn build_fleet(p: FleetParams, cfg: &RunConfig) -> ScenarioSpec {
             }
         })
         .collect();
-    let kind = ScenarioKind::Scenario5(p);
     ScenarioSpec {
-        name: kind.name(),
-        kind: Some(kind),
+        name: ScenarioKind::Scenario5(p).name(),
         tmem_bytes: (u64::from(n) * fp / 4).max(4 * 4096),
         vms,
         stop_all_on: None,
     }
 }
 
-/// Build a scenario spec from Table II (scaled by `cfg`) or a fleet cell
-/// (sized by its own [`FleetParams`]).
+/// Build a scenario spec: a Table II scenario from its shipped definition
+/// in `scenarios/*.toml` (embedded at compile time, scaled by `cfg`), or a
+/// fleet cell sized by its own [`FleetParams`].
 pub fn build_scenario(kind: ScenarioKind, cfg: &RunConfig) -> ScenarioSpec {
-    match kind {
-        ScenarioKind::Scenario5(p) => build_fleet(p, cfg),
-        ScenarioKind::Scenario1 => {
-            // "All VMs execute in-memory-analytics once simultaneously,
-            // sleep for 5 seconds and execute it again."
-            let sleep = cfg.scale_time(SimDuration::from_secs(5));
-            let footprint = cfg.scale_bytes(INMEM_FOOTPRINT);
-            let vms = (0..3)
-                .map(|i| VmSpec {
-                    config: VmConfig::new(
-                        VmId(i as u32 + 1),
-                        format!("VM{}", i + 1),
-                        cfg.scale_bytes(GIB),
-                        1,
-                    ),
-                    program: vec![
-                        ProgramStep::Run(WorkloadSpec::InMem(
-                            InMemoryAnalyticsConfig::with_footprint(footprint, 0),
-                        )),
-                        ProgramStep::Sleep(sleep),
-                        ProgramStep::Run(WorkloadSpec::InMem(
-                            InMemoryAnalyticsConfig::with_footprint(footprint, 0),
-                        )),
-                    ],
-                    start: StartRule::At(SimDuration::ZERO),
-                })
-                .collect();
-            ScenarioSpec {
-                name: kind.name(),
-                kind: Some(kind),
-                tmem_bytes: cfg.scale_bytes(GIB),
-                vms,
-                stop_all_on: None,
-            }
-        }
-        ScenarioKind::Scenario2 => {
-            // "The first two VMs launch the benchmarks simultaneously, and
-            // the third one launches it 30 seconds later."
-            let stagger = cfg.scale_time(SimDuration::from_secs(30));
-            let footprint = cfg.scale_bytes(GRAPH_FOOTPRINT);
-            let vms = (0..3)
-                .map(|i| VmSpec {
-                    config: VmConfig::new(
-                        VmId(i as u32 + 1),
-                        format!("VM{}", i + 1),
-                        cfg.scale_bytes(512 * MIB),
-                        1,
-                    ),
-                    program: vec![ProgramStep::Run(WorkloadSpec::Graph(
-                        GraphAnalyticsConfig::with_footprint(footprint, 0),
-                    ))],
-                    start: StartRule::At(if i < 2 { SimDuration::ZERO } else { stagger }),
-                })
-                .collect();
-            ScenarioSpec {
-                name: kind.name(),
-                kind: Some(kind),
-                tmem_bytes: cfg.scale_bytes(GIB),
-                vms,
-                stop_all_on: None,
-            }
-        }
-        ScenarioKind::UsememScenario => {
-            // "VM1 and VM2 start executing usemem simultaneously, and VM3
-            // starts when VM1 and VM2 attempt to allocate 640MB... they are
-            // stopped simultaneously when VM3 attempts to allocate 768MB."
-            let ucfg = UsememConfig::paper(cfg.scale);
-            let start_vm3 = usemem_alloc_label(&ucfg, 5); // 640 MB = 5th block
-            let stop_all = usemem_alloc_label(&ucfg, 6); // 768 MB = 6th block
-            let vms = (0..3)
-                .map(|i| VmSpec {
-                    config: VmConfig::new(
-                        VmId(i as u32 + 1),
-                        format!("VM{}", i + 1),
-                        cfg.scale_bytes(512 * MIB),
-                        1,
-                    ),
-                    program: vec![ProgramStep::Run(WorkloadSpec::Usemem(ucfg))],
-                    start: if i < 2 {
-                        StartRule::At(SimDuration::ZERO)
-                    } else {
-                        StartRule::OnMilestonesAll(vec![
-                            (0, start_vm3.clone()),
-                            (1, start_vm3.clone()),
-                        ])
-                    },
-                })
-                .collect();
-            ScenarioSpec {
-                name: kind.name(),
-                kind: Some(kind),
-                tmem_bytes: cfg.scale_bytes(384 * MIB),
-                vms,
-                stop_all_on: Some((2, stop_all)),
-            }
-        }
-        ScenarioKind::Scenario3 => {
-            // "VM1 and VM2 execute graph-analytics and VM3 executes
-            // in-memory-analytics... VM3 launches 30 seconds later."
-            let stagger = cfg.scale_time(SimDuration::from_secs(30));
-            let graph_fp = cfg.scale_bytes(GRAPH_FOOTPRINT);
-            let inmem_fp = cfg.scale_bytes(INMEM_FOOTPRINT);
-            let mut vms: Vec<VmSpec> = (0..2)
-                .map(|i| VmSpec {
-                    config: VmConfig::new(
-                        VmId(i as u32 + 1),
-                        format!("VM{}", i + 1),
-                        cfg.scale_bytes(512 * MIB),
-                        1,
-                    ),
-                    program: vec![ProgramStep::Run(WorkloadSpec::Graph(
-                        GraphAnalyticsConfig::with_footprint(graph_fp, 0),
-                    ))],
-                    start: StartRule::At(SimDuration::ZERO),
-                })
-                .collect();
-            vms.push(VmSpec {
-                config: VmConfig::new(VmId(3), "VM3", cfg.scale_bytes(GIB), 1),
-                program: vec![ProgramStep::Run(WorkloadSpec::InMem(
-                    InMemoryAnalyticsConfig::with_footprint(inmem_fp, 0),
-                ))],
-                start: StartRule::At(stagger),
-            });
-            ScenarioSpec {
-                name: kind.name(),
-                kind: Some(kind),
-                tmem_bytes: cfg.scale_bytes(GIB),
-                vms,
-                stop_all_on: None,
-            }
-        }
-    }
+    let src = match kind {
+        ScenarioKind::Scenario5(p) => return build_fleet(p, cfg),
+        ScenarioKind::Scenario1 => include_str!("../../../scenarios/scenario1.toml"),
+        ScenarioKind::Scenario2 => include_str!("../../../scenarios/scenario2.toml"),
+        ScenarioKind::UsememScenario => include_str!("../../../scenarios/usemem.toml"),
+        ScenarioKind::Scenario3 => include_str!("../../../scenarios/scenario3.toml"),
+    };
+    crate::dsl::parse_scenario_src(src, cfg)
+        .unwrap_or_else(|e| panic!("shipped {}.toml: {e}", kind.name()))
+        .spec
 }
 
 #[cfg(test)]
@@ -546,11 +415,23 @@ mod tests {
         }
     }
 
+    /// The memory scales the embedded definitions are checked at. 0.37 is
+    /// deliberately awkward: `scale_bytes` page rounding and
+    /// `UsememConfig::paper`'s MiB-granular scaling both bite there.
+    const SCALES: [f64; 4] = [1.0, 0.125, 0.37, 0.01];
+
     #[test]
     fn every_scenario_deploys_three_vms() {
-        for kind in ScenarioKind::ALL {
-            let spec = build_scenario(kind, &cfg());
-            assert_eq!(spec.vms.len(), 3, "{kind:?}");
+        for scale in SCALES {
+            let cfg = RunConfig {
+                scale,
+                ..RunConfig::default()
+            };
+            for kind in ScenarioKind::ALL {
+                let spec = build_scenario(kind, &cfg);
+                assert_eq!(spec.vms.len(), 3, "{kind:?} at scale {scale}");
+                assert_eq!(spec.name, kind.name());
+            }
         }
     }
 
@@ -622,9 +503,15 @@ mod tests {
 
     #[test]
     fn builtin_scenarios_validate_cleanly() {
-        for kind in ScenarioKind::ALL {
-            let spec = build_scenario(kind, &cfg());
-            assert!(spec.validate().is_ok(), "{kind:?}");
+        for scale in SCALES {
+            let cfg = RunConfig {
+                scale,
+                ..RunConfig::default()
+            };
+            for kind in ScenarioKind::ALL {
+                let spec = build_scenario(kind, &cfg);
+                assert!(spec.validate().is_ok(), "{kind:?} at scale {scale}");
+            }
         }
     }
 
@@ -769,18 +656,31 @@ mod tests {
 
     #[test]
     fn footprints_exceed_vm_ram() {
-        // The pressure precondition of the whole evaluation.
-        let spec = build_scenario(ScenarioKind::Scenario1, &cfg());
-        if let ProgramStep::Run(WorkloadSpec::InMem(c)) = &spec.vms[0].program[0] {
-            assert!(c.footprint_bytes() > spec.vms[0].config.ram_bytes);
-        } else {
-            panic!("scenario1 VM1 must run in-memory-analytics");
-        }
-        let spec2 = build_scenario(ScenarioKind::Scenario2, &cfg());
-        if let ProgramStep::Run(WorkloadSpec::Graph(c)) = &spec2.vms[0].program[0] {
-            assert!(c.footprint_bytes() > spec2.vms[0].config.ram_bytes);
-        } else {
-            panic!("scenario2 VM1 must run graph-analytics");
+        // The pressure precondition of the whole evaluation: every
+        // workload run needs more memory than its VM has.
+        for scale in SCALES {
+            let cfg = RunConfig {
+                scale,
+                ..RunConfig::default()
+            };
+            for kind in ScenarioKind::ALL {
+                for vm in build_scenario(kind, &cfg).vms {
+                    let ram = vm.config.ram_bytes;
+                    for step in &vm.program {
+                        let footprint = match step {
+                            ProgramStep::Run(WorkloadSpec::InMem(c)) => c.footprint_bytes(),
+                            ProgramStep::Run(WorkloadSpec::Graph(c)) => c.footprint_bytes(),
+                            ProgramStep::Run(WorkloadSpec::Usemem(c)) => c.max_bytes,
+                            _ => continue,
+                        };
+                        assert!(
+                            footprint > ram,
+                            "{kind:?} {} at scale {scale}: {footprint} <= {ram}",
+                            vm.config.name
+                        );
+                    }
+                }
+            }
         }
     }
 }

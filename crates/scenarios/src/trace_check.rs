@@ -39,12 +39,174 @@
 //!   the old push's attempt count without making a new attempt), MM
 //!   crash/restart/discard events, and sequence gaps re-derived with the
 //!   MM's own rule: a fresh snapshot's `seq_in` more than one above the
-//!   previous one is a gap, and a crash resets the high-water mark.
+//!   previous one is a gap, and a crash resets the high-water mark. This
+//!   fold is [`fold_faults`], which works on events alone, so `inspect`
+//!   cross-checks a JSONL trace by the same rules.
+//! * fault pairing: every control-plane `Fault` event must match the fate
+//!   it caused — a dropped/delayed/duplicated sample, a dropped/reordered
+//!   netlink message, a parked or abandoned push, an MM crash.
 
 use crate::runner::RunResult;
 use sim_core::faults::{FaultLedger, NetlinkFate, SampleFate};
-use sim_core::trace::{FaultKind, Payload, PushOutcome, PutResult};
+use sim_core::trace::{FaultKind, Payload, PushOutcome, PutResult, TraceEvent};
 use std::collections::BTreeMap;
+
+/// What a trace's events alone say about its run's faults: the
+/// [`FaultLedger`] re-derived from sample and netlink fates, relay push
+/// outcomes, MM, interval, scrub and migration events and the data-plane
+/// `Fault` events, plus every `Fault` event counted by kind, so that the
+/// injected side of each fault can be paired with what it caused.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct FaultFold {
+    /// The ledger as the event stream implies it.
+    pub ledger: FaultLedger,
+    /// `Fault` events per kind, in [`FaultKind::ALL`] order.
+    pub injected: [u64; FaultKind::ALL.len()],
+    /// Push attempts that ended parked or abandoned: one per failed
+    /// `SetTargets` hypercall.
+    pub failed_pushes: u64,
+    /// Puts rejected with `reject_io`: one per injected put I/O failure
+    /// or brownout rejection.
+    pub reject_io_puts: u64,
+}
+
+impl FaultFold {
+    /// `Fault` events of `kind`.
+    pub fn injected(&self, kind: FaultKind) -> u64 {
+        self.injected[kind as usize]
+    }
+
+    /// What a control-plane fault of `kind` is observed as elsewhere in
+    /// the stream: the sample or netlink fate it assigned, the failed push
+    /// attempt, the MM crash. Each must equal [`Self::injected`]. `None`
+    /// for data-plane kinds, which surface later as detections and
+    /// `reject_io` puts instead.
+    pub fn observed(&self, kind: FaultKind) -> Option<u64> {
+        let l = &self.ledger;
+        Some(match kind {
+            FaultKind::SampleDrop => l.samples_dropped,
+            FaultKind::SampleDelay => l.samples_delayed,
+            FaultKind::SampleDuplicate => l.samples_duplicated,
+            FaultKind::NetlinkDrop => l.netlink_dropped,
+            FaultKind::NetlinkReorder => l.netlink_reordered,
+            FaultKind::HypercallFail => self.failed_pushes,
+            FaultKind::MmCrash => l.mm_crashes,
+            _ => return None,
+        })
+    }
+}
+
+/// Fold a trace's events into a [`FaultFold`] (see the module docs for the
+/// ledger rules).
+pub fn fold_faults(events: &[TraceEvent]) -> FaultFold {
+    let mut fold = FaultFold::default();
+    let led = &mut fold.ledger;
+    // MM snapshot-sequence high-water mark (None after a crash, like the
+    // rebuilt StatsHistory).
+    let mut last_seq: Option<u64> = None;
+    for ev in events {
+        match &ev.payload {
+            Payload::Put {
+                result: PutResult::RejectIo,
+                ..
+            } => fold.reject_io_puts += 1,
+            Payload::VirqSample { fate, .. } => match fate {
+                SampleFate::Deliver => led.samples_delivered += 1,
+                SampleFate::Drop => led.samples_dropped += 1,
+                SampleFate::Delay => led.samples_delayed += 1,
+                SampleFate::Duplicate => led.samples_duplicated += 1,
+            },
+            Payload::IntervalClose { stale, ok, .. } => {
+                led.invariant_checks += 1;
+                if *stale {
+                    led.stale_intervals += 1;
+                }
+                if !*ok {
+                    led.invariant_violations += 1;
+                }
+            }
+            Payload::NetlinkStats { fate, .. } => match fate {
+                NetlinkFate::Deliver => {}
+                NetlinkFate::Drop => led.netlink_dropped += 1,
+                NetlinkFate::Reorder => led.netlink_reordered += 1,
+            },
+            Payload::RelayPush {
+                attempt, outcome, ..
+            } => {
+                // Superseding re-reports the old push's attempt count
+                // without making a new attempt, so it is never a retry.
+                if *attempt >= 2 && *outcome != PushOutcome::Superseded {
+                    led.hypercall_retries += 1;
+                }
+                match outcome {
+                    PushOutcome::Abandoned => led.hypercalls_abandoned += 1,
+                    PushOutcome::Superseded => led.hypercalls_superseded += 1,
+                    PushOutcome::Landed | PushOutcome::Parked => {}
+                }
+                if matches!(outcome, PushOutcome::Parked | PushOutcome::Abandoned) {
+                    fold.failed_pushes += 1;
+                }
+            }
+            Payload::MmDecision { seq_in, .. } => {
+                if let Some(last) = last_seq {
+                    if *seq_in > last + 1 {
+                        led.seq_gaps += 1;
+                    }
+                }
+                last_seq = Some(*seq_in);
+            }
+            Payload::MmDiscard { .. } => led.snapshots_discarded += 1,
+            Payload::MmCrash { .. } => {
+                led.mm_crashes += 1;
+                last_seq = None;
+            }
+            Payload::MmRestart => led.mm_restarts += 1,
+            Payload::Fault { kind } => {
+                fold.injected[*kind as usize] += 1;
+                match kind {
+                    FaultKind::HypercallFail => led.hypercalls_failed += 1,
+                    FaultKind::PageBitflip => led.bitflips_injected += 1,
+                    FaultKind::TornWrite => led.torn_writes_injected += 1,
+                    FaultKind::EphemeralLoss => led.ephemeral_losses_injected += 1,
+                    FaultKind::PutIoFail => led.put_io_failures_injected += 1,
+                    FaultKind::BrownoutReject => led.brownout_rejections += 1,
+                    FaultKind::BrownoutTick => led.brownout_ticks += 1,
+                    FaultKind::CorruptDetected => led.corruptions_detected += 1,
+                    FaultKind::CorruptRecovered => led.corruptions_recovered += 1,
+                    // Counted from the fates and MM events they caused.
+                    FaultKind::SampleDrop
+                    | FaultKind::SampleDelay
+                    | FaultKind::SampleDuplicate
+                    | FaultKind::NetlinkDrop
+                    | FaultKind::NetlinkReorder
+                    | FaultKind::MmCrash => {}
+                }
+            }
+            Payload::Scrub {
+                checked,
+                quarantined,
+                ..
+            } => {
+                led.scrub_passes += 1;
+                led.scrub_pages_checked += checked;
+                led.objects_quarantined += quarantined;
+            }
+            Payload::MigrateOut {
+                pages, far, purged, ..
+            } => {
+                led.migrations_out += 1;
+                led.migrate_pages += pages + far;
+                led.migrate_purged += purged;
+            }
+            Payload::MigrateIn { spilled, .. } => {
+                led.migrations_in += 1;
+                led.migrate_spilled += spilled;
+            }
+            _ => {}
+        }
+    }
+    fold
+}
 
 /// Outcome of one replay verification.
 #[derive(Debug, Clone, Default)]
@@ -165,10 +327,7 @@ fn replay_one(
     for vr in &result.vm_results {
         vms.insert(vr.vm_id.0, VmReplay::default());
     }
-    let mut led = FaultLedger::default();
-    // MM snapshot-sequence high-water mark (None after a crash, like the
-    // rebuilt StatsHistory).
-    let mut last_seq: Option<u64> = None;
+    let fold = fold_faults(&trace.events);
     let mut interval_idx = 0usize;
     let series = result.series.as_ref();
 
@@ -188,7 +347,6 @@ fn replay_one(
     let mut relay_retries = 0u64;
     let mut mm_decisions = 0u64;
     let mut mm_sent = 0u64;
-    let mut faults_injected = 0u64;
 
     // Pool kinds learned from `PoolCreate` events. The kernel admission
     // counters (`evictions_to_tmem`, `failed_puts`, `tmem_faults`,
@@ -262,24 +420,8 @@ fn replay_one(
                 vm.reclaimed += pages;
                 vm.occupancy -= *pages as i64;
             }
-            Payload::TargetsApplied { .. } => {}
-            Payload::VirqSample { fate, .. } => {
-                virq_samples += 1;
-                match fate {
-                    SampleFate::Deliver => led.samples_delivered += 1,
-                    SampleFate::Drop => led.samples_dropped += 1,
-                    SampleFate::Delay => led.samples_delayed += 1,
-                    SampleFate::Duplicate => led.samples_duplicated += 1,
-                }
-            }
-            Payload::IntervalClose { stale, ok, .. } => {
-                led.invariant_checks += 1;
-                if *stale {
-                    led.stale_intervals += 1;
-                }
-                if !*ok {
-                    led.invariant_violations += 1;
-                }
+            Payload::VirqSample { .. } => virq_samples += 1,
+            Payload::IntervalClose { .. } => {
                 if let Some(series) = series {
                     for (i, vr) in result.vm_results.iter().enumerate() {
                         report.checks += 1;
@@ -299,62 +441,18 @@ fn replay_one(
                 }
                 interval_idx += 1;
             }
-            Payload::NetlinkStats { fate, .. } => match fate {
-                NetlinkFate::Deliver => {}
-                NetlinkFate::Drop => led.netlink_dropped += 1,
-                NetlinkFate::Reorder => led.netlink_reordered += 1,
-            },
             Payload::RelayEnqueue { .. } => relay_enqueued += 1,
             Payload::RelayShed { .. } => relay_shed += 1,
-            Payload::RelayPush {
-                attempt, outcome, ..
-            } => {
+            Payload::RelayPush { attempt, .. } => {
                 relay_pushes += 1;
                 if *attempt >= 2 {
                     relay_retries += 1;
-                    if *outcome != PushOutcome::Superseded {
-                        led.hypercall_retries += 1;
-                    }
-                }
-                // A first-attempt Superseded marker never made attempt ≥ 2,
-                // so the retry exclusion above is the only special case.
-                match outcome {
-                    PushOutcome::Abandoned => led.hypercalls_abandoned += 1,
-                    PushOutcome::Superseded => led.hypercalls_superseded += 1,
-                    PushOutcome::Landed | PushOutcome::Parked => {}
                 }
             }
-            Payload::MmDecision { seq_in, sent, .. } => {
+            Payload::MmDecision { sent, .. } => {
                 mm_decisions += 1;
                 if *sent {
                     mm_sent += 1;
-                }
-                if let Some(last) = last_seq {
-                    if *seq_in > last + 1 {
-                        led.seq_gaps += 1;
-                    }
-                }
-                last_seq = Some(*seq_in);
-            }
-            Payload::MmDiscard { .. } => led.snapshots_discarded += 1,
-            Payload::MmCrash { .. } => {
-                led.mm_crashes += 1;
-                last_seq = None;
-            }
-            Payload::MmRestart => led.mm_restarts += 1,
-            Payload::Fault { kind } => {
-                faults_injected += 1;
-                match kind {
-                    FaultKind::HypercallFail => led.hypercalls_failed += 1,
-                    FaultKind::PageBitflip => led.bitflips_injected += 1,
-                    FaultKind::TornWrite => led.torn_writes_injected += 1,
-                    FaultKind::EphemeralLoss => led.ephemeral_losses_injected += 1,
-                    FaultKind::PutIoFail => led.put_io_failures_injected += 1,
-                    FaultKind::BrownoutReject => led.brownout_rejections += 1,
-                    FaultKind::BrownoutTick => led.brownout_ticks += 1,
-                    FaultKind::CorruptDetected => led.corruptions_detected += 1,
-                    FaultKind::CorruptRecovered => led.corruptions_recovered += 1,
-                    _ => {}
                 }
             }
             // A silent occupancy drop: an injected ephemeral loss, a corrupt
@@ -363,15 +461,6 @@ fn replay_one(
             // hypercall, so only occupancy moves.
             Payload::DataPurge { pages, .. } => {
                 vms.entry(ev.vm.unwrap_or(0)).or_default().occupancy -= *pages as i64;
-            }
-            Payload::Scrub {
-                checked,
-                quarantined,
-                ..
-            } => {
-                led.scrub_passes += 1;
-                led.scrub_pages_checked += checked;
-                led.objects_quarantined += quarantined;
             }
             // A far hit: the paired `Get` event carried `hit: true,
             // freed: false`, so only the far occupancy moves here.
@@ -387,9 +476,6 @@ fn replay_one(
                 let vm = vms.entry(ev.vm.unwrap_or(0)).or_default();
                 vm.occupancy -= (*pages + *purged) as i64;
                 vm.far_occ -= *far as i64;
-                led.migrations_out += 1;
-                led.migrate_pages += pages + far;
-                led.migrate_purged += purged;
             }
             Payload::MigrateIn {
                 pages,
@@ -403,10 +489,9 @@ fn replay_one(
                 // (pages pushed back to the swap device), which bumps the
                 // kernel's reclaimed_pages without a `Reclaim` event.
                 vm.reclaimed += spilled;
-                led.migrations_in += 1;
-                led.migrate_spilled += spilled;
             }
-            Payload::MigrateDone { .. } => {}
+            // Ledger-only events: see `fold_faults`.
+            _ => {}
         }
     }
 
@@ -457,7 +542,19 @@ fn replay_one(
             );
         }
     }
+    // Every control-plane fault event against the fate it caused.
+    for kind in FaultKind::ALL {
+        if let Some(observed) = fold.observed(kind) {
+            check(
+                report,
+                &format!("fault {} vs observed", kind.as_str()),
+                fold.injected(kind),
+                observed,
+            );
+        }
+    }
     // The whole fault ledger, field by field.
+    let led = &fold.ledger;
     let lf = &result.faults;
     let ledger_fields: [(&str, u64, u64); 33] = [
         (
@@ -611,7 +708,7 @@ fn replay_one(
     check(
         report,
         "metrics.faults_injected",
-        faults_injected,
+        fold.injected.iter().sum::<u64>(),
         m.faults_injected,
     );
     // One latency sample per put; one depth sample per enqueue.

@@ -1,25 +1,22 @@
-//! The declarative DSL is pinned to the Rust constructors.
+//! The declarative DSL: shipped files, strict rejection, sweep expansion.
 //!
-//! The shipped `scenarios/*.toml` files are not merely "similar" to the
-//! built-in Table II constructors — they are differentially tested to
-//! produce **exactly** the same [`ScenarioSpec`], at every memory scale,
-//! so `run-file scenarios/usemem.toml` and `run usemem` are the same
-//! experiment by construction. Chaos-profile files round-trip against the
-//! shipped profiles the same way. The rejection table pins the parser's
-//! strictness: malformed input fails with a line- and field-anchored
-//! error, never a panic and never a silently-defaulted value. A property
-//! test pins manifest expansion as the exact permutation matrix.
+//! The shipped `scenarios/*.toml` and `scenarios/chaos/*.toml` files are
+//! the only definitions of the Table II scenarios and the chaos profiles
+//! (`build_scenario` and `shipped_profiles` embed them), so these tests
+//! cover what only the files on disk can show: the fleet file routes
+//! through the fleet constructor, the manifest and `[run]` directives
+//! parse as written. The rejection table pins the parser's strictness:
+//! malformed input fails with a line- and field-anchored error, never a
+//! panic and never a silently-defaulted value. A property test pins
+//! manifest expansion as the exact permutation matrix.
 
 use proptest::prelude::*;
-use scenarios::chaos::shipped_profiles;
 use scenarios::config::RunConfig;
 use scenarios::dsl::{
-    self, expand_cells, load_manifest, load_scenario, parse_chaos_src, parse_manifest_src,
+    expand_cells, load_manifest, load_scenario, parse_chaos_src, parse_manifest_src,
     parse_scenario_src, CellId,
 };
-use scenarios::spec::{
-    build_scenario, Arrival, FleetParams, ScenarioKind, ScenarioSpec, WorkloadMix,
-};
+use scenarios::spec::{build_scenario, Arrival, FleetParams, ScenarioKind, WorkloadMix};
 use scenarios::PolicyKind;
 use std::path::PathBuf;
 
@@ -36,37 +33,8 @@ fn cfg(scale: f64) -> RunConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Differential round-trips: shipped files == constructors.
+// Shipped files on disk.
 // ---------------------------------------------------------------------------
-
-#[test]
-fn shipped_vm_scenarios_equal_constructor_specs_at_every_scale() {
-    let pairs = [
-        ("scenario1.toml", ScenarioKind::Scenario1),
-        ("scenario2.toml", ScenarioKind::Scenario2),
-        ("usemem.toml", ScenarioKind::UsememScenario),
-        ("scenario3.toml", ScenarioKind::Scenario3),
-    ];
-    // 0.37 is deliberately awkward: scale_bytes page-rounding and
-    // UsememConfig::paper's MiB-granular scaling diverge from naive
-    // multiplication there, so a DSL shortcut would be caught.
-    for scale in [1.0, 0.125, 0.37] {
-        let cfg = cfg(scale);
-        for (file, kind) in pairs {
-            let doc = load_scenario(&shipped_dir().join(file), &cfg).unwrap();
-            // DSL-built specs carry no ScenarioKind (they are not a
-            // built-in); everything else must match exactly.
-            let expected = ScenarioSpec {
-                kind: None,
-                ..build_scenario(kind, &cfg)
-            };
-            assert_eq!(
-                doc.spec, expected,
-                "{file} at scale {scale} diverges from its constructor"
-            );
-        }
-    }
-}
 
 #[test]
 fn shipped_fleet_scenario_equals_constructor_spec() {
@@ -78,29 +46,8 @@ fn shipped_fleet_scenario_equals_constructor_spec() {
         mix: WorkloadMix::Balanced,
         arrival: Arrival::Staggered { gap_ms: 250 },
     });
-    // [fleet] files route through build_scenario, so the kind survives.
+    // [fleet] files route through the fleet constructor.
     assert_eq!(doc.spec, build_scenario(kind, &cfg));
-}
-
-#[test]
-fn shipped_chaos_files_equal_shipped_profiles() {
-    for profile in shipped_profiles() {
-        let path = shipped_dir().join(format!("chaos/{}.toml", profile.name));
-        let src =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let parsed = parse_chaos_src(&src).unwrap();
-        assert_eq!(
-            parsed,
-            profile,
-            "{} diverges from the shipped profile",
-            path.display()
-        );
-        // And the renderer round-trips it.
-        assert_eq!(
-            parse_chaos_src(&dsl::chaos_to_toml(&profile)).unwrap(),
-            profile
-        );
-    }
 }
 
 #[test]

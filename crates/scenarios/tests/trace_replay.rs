@@ -240,7 +240,8 @@ fn check_golden(name: &str, actual: &str) {
 
 /// A synthetic trace with one event of every payload variant (and every
 /// enum label), serialized and compared byte-exactly. This is the schema
-/// contract: any change to the wire form shows up here first.
+/// contract: any change to the wire form shows up here first, and a
+/// variant or label added to a table without a golden line fails here.
 #[test]
 fn trace_schema_golden_covers_every_event_kind() {
     assert_eq!(
@@ -654,8 +655,81 @@ fn trace_schema_golden_covers_every_event_kind() {
     };
     let text = data.to_jsonl(&header, None);
     assert!(text.starts_with("{\"schema\":\"smartmem-trace\",\"version\":1,"));
-    TraceData::parse_jsonl(&text).expect("golden trace must parse");
+    let parsed = TraceData::parse_jsonl(&text).expect("golden trace must parse");
+    assert_eq!(
+        parsed.events, data.events,
+        "the golden round-trips losslessly"
+    );
     check_golden("trace_schema_v1.jsonl", &text);
+
+    // Every label of every label table, and every event kind, appears.
+    let evs = &parsed.events;
+    fn covers<T: PartialEq + std::fmt::Debug>(table: &str, all: &[T], seen: Vec<T>) {
+        for v in all {
+            assert!(seen.contains(v), "the schema golden has no {table} {v:?}");
+        }
+    }
+    covers(
+        "event kind",
+        &Payload::LABELS,
+        evs.iter().map(|e| e.payload.label()).collect(),
+    );
+    covers(
+        "subsystem",
+        &Subsystem::ALL,
+        evs.iter().map(|e| e.subsystem).collect(),
+    );
+    let payloads = || evs.iter().map(|e| &e.payload);
+    covers(
+        "put result",
+        &PutResult::ALL,
+        payloads()
+            .filter_map(|p| match p {
+                Payload::Put { result, .. } => Some(*result),
+                _ => None,
+            })
+            .collect(),
+    );
+    covers(
+        "push outcome",
+        &PushOutcome::ALL,
+        payloads()
+            .filter_map(|p| match p {
+                Payload::RelayPush { outcome, .. } => Some(*outcome),
+                _ => None,
+            })
+            .collect(),
+    );
+    covers(
+        "fault kind",
+        &FaultKind::ALL,
+        payloads()
+            .filter_map(|p| match p {
+                Payload::Fault { kind } => Some(*kind),
+                _ => None,
+            })
+            .collect(),
+    );
+    covers(
+        "sample fate",
+        &SampleFate::ALL,
+        payloads()
+            .filter_map(|p| match p {
+                Payload::VirqSample { fate, .. } => Some(*fate),
+                _ => None,
+            })
+            .collect(),
+    );
+    covers(
+        "netlink fate",
+        &NetlinkFate::ALL,
+        payloads()
+            .filter_map(|p| match p {
+                Payload::NetlinkStats { fate, .. } => Some(*fate),
+                _ => None,
+            })
+            .collect(),
+    );
 }
 
 /// One real (small, filtered) run pinned byte-exactly: Scenario 1 under

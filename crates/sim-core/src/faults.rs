@@ -17,7 +17,7 @@
 //! runs byte-identical to a build without the injector.
 
 use crate::rng::SplitMix64;
-use crate::trace::{FaultKind, Payload, Subsystem, Tracer};
+use crate::trace::{labelled_enum, FaultKind, Payload, Subsystem, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// Probabilities and schedules for control-plane faults.
@@ -201,9 +201,9 @@ impl FaultProfile {
 
     /// The per-message probability fields, in declaration order. These
     /// names are the schema of on-disk chaos-profile files: the scenario
-    /// DSL reads and writes profiles through [`FaultProfile::prob`] /
-    /// [`FaultProfile::set_prob`], so a field added here is automatically
-    /// legal in `.toml` profiles (and anything else is rejected by name).
+    /// DSL reads profiles through [`FaultProfile::set_prob`], so a field
+    /// added here is automatically legal in `.toml` profiles (and anything
+    /// else is rejected by name).
     pub const PROB_FIELDS: [&'static str; 10] = [
         "virq_drop",
         "virq_delay",
@@ -216,23 +216,6 @@ impl FaultProfile {
         "ephemeral_loss",
         "put_io_fail",
     ];
-
-    /// Read a probability field by its schema name.
-    pub fn prob(&self, field: &str) -> Option<f64> {
-        match field {
-            "virq_drop" => Some(self.virq_drop),
-            "virq_delay" => Some(self.virq_delay),
-            "virq_duplicate" => Some(self.virq_duplicate),
-            "netlink_drop" => Some(self.netlink_drop),
-            "netlink_reorder" => Some(self.netlink_reorder),
-            "hypercall_fail" => Some(self.hypercall_fail),
-            "page_bitflip" => Some(self.page_bitflip),
-            "torn_write" => Some(self.torn_write),
-            "ephemeral_loss" => Some(self.ephemeral_loss),
-            "put_io_fail" => Some(self.put_io_fail),
-            _ => None,
-        }
-    }
 
     /// Set a probability field by its schema name. Rejects unknown names
     /// (listing the legal ones) and out-of-range values; cross-field
@@ -266,55 +249,34 @@ impl FaultProfile {
         *slot = value;
         Ok(())
     }
+}
 
-    /// Render the profile as the body of an on-disk chaos file: one
-    /// `key = value` line per non-default field, schema names throughout.
-    /// The output round-trips through the scenario DSL's chaos parser.
-    pub fn to_toml(&self) -> String {
-        let mut out = String::new();
-        for field in Self::PROB_FIELDS {
-            let p = self.prob(field).expect("every schema field is readable");
-            if p != 0.0 {
-                out.push_str(&format!("{field} = {p}\n"));
-            }
-        }
-        if let Some(cycle) = self.mm_crash_at_cycle {
-            out.push_str(&format!("mm_crash_at_cycle = {cycle}\n"));
-            out.push_str(&format!("mm_restart_after = {}\n", self.mm_restart_after));
-        }
-        if self.brownout_every > 0 {
-            out.push_str(&format!("brownout_every = {}\n", self.brownout_every));
-            out.push_str(&format!("brownout_for = {}\n", self.brownout_for));
-        }
-        if self.scrub_every > 0 {
-            out.push_str(&format!("scrub_every = {}\n", self.scrub_every));
-        }
-        out
+labelled_enum! {
+    /// What happens to one VIRQ statistics sample.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SampleFate as "sample fate" {
+        /// Delivered normally.
+        Deliver => "deliver",
+        /// Lost; dom0 never sees this interval's sample.
+        Drop => "drop",
+        /// Held back one interval and delivered behind the next sample.
+        Delay => "delay",
+        /// Delivered twice (retransmission glitch).
+        Duplicate => "dup",
     }
 }
 
-/// What happens to one VIRQ statistics sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SampleFate {
-    /// Delivered normally.
-    Deliver,
-    /// Lost; dom0 never sees this interval's sample.
-    Drop,
-    /// Held back one interval and delivered behind the next sample.
-    Delay,
-    /// Delivered twice (retransmission glitch).
-    Duplicate,
-}
-
-/// What happens to one netlink stats message (dom0 → MM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetlinkFate {
-    /// Delivered normally.
-    Deliver,
-    /// Lost in the socket; the MM never sees it.
-    Drop,
-    /// Deferred behind the next message (reordering).
-    Reorder,
+labelled_enum! {
+    /// What happens to one netlink stats message (dom0 → MM).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum NetlinkFate as "netlink fate" {
+        /// Delivered normally.
+        Deliver => "deliver",
+        /// Lost in the socket; the MM never sees it.
+        Drop => "drop",
+        /// Deferred behind the next message (reordering).
+        Reorder => "reorder",
+    }
 }
 
 /// Running totals of injected faults and degradation events for one run.
@@ -809,38 +771,39 @@ mod tests {
 
     #[test]
     fn prob_fields_cover_every_probability() {
+        // Each schema name sets its own field: distinct values by position
+        // land exactly where the struct literal says.
         let mut p = FaultProfile::none();
         for (i, field) in FaultProfile::PROB_FIELDS.iter().enumerate() {
-            assert_eq!(p.prob(field), Some(0.0));
-            let v = (i + 1) as f64 / 100.0;
-            p.set_prob(field, v).unwrap();
-            assert_eq!(p.prob(field), Some(v));
+            p.set_prob(field, (i + 1) as f64 / 100.0).unwrap();
         }
-        assert_eq!(p.prob("mm_crash_at_cycle"), None, "not a probability");
+        assert_eq!(
+            p,
+            FaultProfile {
+                virq_drop: 0.01,
+                virq_delay: 0.02,
+                virq_duplicate: 0.03,
+                netlink_drop: 0.04,
+                netlink_reorder: 0.05,
+                hypercall_fail: 0.06,
+                page_bitflip: 0.07,
+                torn_write: 0.08,
+                ephemeral_loss: 0.09,
+                put_io_fail: 0.10,
+                ..FaultProfile::none()
+            }
+        );
+        let err = p.set_prob("mm_crash_at_cycle", 0.1).unwrap_err();
+        assert!(
+            err.contains("unknown fault field"),
+            "not a probability: {err}"
+        );
         let err = p.set_prob("virq_flood", 0.1).unwrap_err();
         assert!(err.contains("unknown fault field"), "{err}");
         assert!(err.contains("virq_drop"), "should list known fields: {err}");
         let err = p.set_prob("virq_drop", 1.5).unwrap_err();
         assert!(err.contains("outside [0, 1]"), "{err}");
         assert!(p.set_prob("virq_drop", f64::NAN).is_err());
-    }
-
-    #[test]
-    fn to_toml_names_match_schema_and_skip_defaults() {
-        assert_eq!(FaultProfile::none().to_toml(), "");
-        let p = FaultProfile {
-            virq_drop: 0.30,
-            netlink_drop: 0.20,
-            mm_crash_at_cycle: Some(5),
-            mm_restart_after: 3,
-            ..FaultProfile::none()
-        };
-        let toml = p.to_toml();
-        assert_eq!(
-            toml,
-            "virq_drop = 0.3\nnetlink_drop = 0.2\n\
-             mm_crash_at_cycle = 5\nmm_restart_after = 3\n"
-        );
     }
 
     #[test]
@@ -863,23 +826,6 @@ mod tests {
         p = FaultProfile::none();
         p.brownout_for = 2;
         assert!(p.validate().unwrap_err().contains("brownout_every"));
-    }
-
-    #[test]
-    fn data_plane_to_toml_round_trip_fields() {
-        let p = FaultProfile {
-            page_bitflip: 0.02,
-            put_io_fail: 0.05,
-            brownout_every: 20,
-            brownout_for: 4,
-            scrub_every: 5,
-            ..FaultProfile::none()
-        };
-        assert_eq!(
-            p.to_toml(),
-            "page_bitflip = 0.02\nput_io_fail = 0.05\n\
-             brownout_every = 20\nbrownout_for = 4\nscrub_every = 5\n"
-        );
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! closure that would build the event is never called, so disabled runs
 //! stay byte-identical to a build without the recorder.
 //!
-//! The schema is a load-bearing contract: `scenarios::trace_check` re-derives
-//! tmem occupancy and the fault ledger purely from the event stream and
-//! asserts they match the live accounting, and a golden JSONL file pins the
+//! The schema is declared once: `payload_table!` lists every [`Payload`]
+//! variant with its JSONL label, field keys and docs, and `labelled_enum!`
+//! gives each enum carried in a payload one two-way label table. The JSONL
+//! writer and parser are generated from those tables. The schema is a
+//! load-bearing contract: `scenarios::trace_check` re-derives tmem
+//! occupancy and the fault ledger purely from the event stream and asserts
+//! they match the live accounting, and a golden JSONL file pins the
 //! serialized form byte-exactly.
 
 use crate::cost::CostModel;
@@ -62,84 +66,100 @@ impl Default for TraceConfig {
     }
 }
 
-/// Which layer of the stack emitted an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Subsystem {
-    /// The tmem datapath (put/get/flush/evict/reclaim).
-    Tmem,
-    /// Hypervisor control state (target-vector application).
-    Hypervisor,
-    /// Per-second VIRQ sampling (sample fates, interval closes).
-    Virq,
-    /// The dom0 TKM netlink relay (enqueue/shed/push/retry).
-    Relay,
-    /// The user-space Memory Manager (decisions, discards, crashes).
-    Mm,
-    /// The fault-injection layer (one event per injected fault).
-    Fault,
-    /// The fleet layer (far-memory tier traffic, VM migrations).
-    Fleet,
-}
-
-impl Subsystem {
-    /// Stable lower-case label used in the JSONL form and `--filter`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Subsystem::Tmem => "tmem",
-            Subsystem::Hypervisor => "hyp",
-            Subsystem::Virq => "virq",
-            Subsystem::Relay => "relay",
-            Subsystem::Mm => "mm",
-            Subsystem::Fault => "fault",
-            Subsystem::Fleet => "fleet",
+/// Declares a fieldless enum together with its two-way label table: each
+/// variant's doc comment and its JSONL label sit side by side, and `ALL`,
+/// `as_str`, `from_label` and the JSONL field codec are generated from the
+/// one list. `$what` names the enum in parse errors.
+macro_rules! labelled_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident as $what:literal {
+            $( $(#[$vmeta:meta])* $variant:ident => $label:literal, )*
         }
-    }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $( $(#[$vmeta])* $variant, )*
+        }
 
-    /// Inverse of [`Subsystem::as_str`].
-    pub fn from_label(s: &str) -> Option<Self> {
-        Some(match s {
-            "tmem" => Subsystem::Tmem,
-            "hyp" => Subsystem::Hypervisor,
-            "virq" => Subsystem::Virq,
-            "relay" => Subsystem::Relay,
-            "mm" => Subsystem::Mm,
-            "fault" => Subsystem::Fault,
-            "fleet" => Subsystem::Fleet,
-            _ => return None,
-        })
-    }
+        impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: [$name; [$($label),*].len()] = [$($name::$variant),*];
 
-    /// All subsystems, in schema order.
-    pub const ALL: [Subsystem; 7] = [
-        Subsystem::Tmem,
-        Subsystem::Hypervisor,
-        Subsystem::Virq,
-        Subsystem::Relay,
-        Subsystem::Mm,
-        Subsystem::Fault,
-        Subsystem::Fleet,
-    ];
+            /// Stable label used in the JSONL form.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( $name::$variant => $label, )*
+                }
+            }
+
+            /// Inverse of [`Self::as_str`].
+            pub fn from_label(s: &str) -> Option<Self> {
+                match s {
+                    $( $label => Some($name::$variant), )*
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::trace::Field for $name {
+            fn encode(&self, out: &mut String) {
+                out.push('"');
+                out.push_str(self.as_str());
+                out.push('"');
+            }
+
+            fn decode(v: &$crate::trace::Json) -> Result<Self, String> {
+                let s = <String as $crate::trace::Field>::decode(v)?;
+                Self::from_label(&s).ok_or_else(|| format!("unknown {} '{s}'", $what))
+            }
+        }
+    };
+}
+pub(crate) use labelled_enum;
+
+labelled_enum! {
+    /// Which layer of the stack emitted an event.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum Subsystem as "subsystem" {
+        /// The tmem datapath (put/get/flush/evict/reclaim).
+        Tmem => "tmem",
+        /// Hypervisor control state (target-vector application).
+        Hypervisor => "hyp",
+        /// Per-second VIRQ sampling (sample fates, interval closes).
+        Virq => "virq",
+        /// The dom0 TKM netlink relay (enqueue/shed/push/retry).
+        Relay => "relay",
+        /// The user-space Memory Manager (decisions, discards, crashes).
+        Mm => "mm",
+        /// The fault-injection layer (one event per injected fault).
+        Fault => "fault",
+        /// The fleet layer (far-memory tier traffic, VM migrations).
+        Fleet => "fleet",
+    }
 }
 
-/// Outcome of one tmem put as seen by the admission path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PutResult {
-    /// Stored into a free frame.
-    Stored,
-    /// Overwrote an existing copy of the same key (no frame consumed).
-    Replaced,
-    /// Stored after evicting an ephemeral victim page.
-    StoredEvict,
-    /// Rejected by Algorithm 1: `tmem_used >= mm_target`.
-    RejectTarget,
-    /// Admitted by the target check but no free frame existed.
-    RejectCapacity,
-    /// Admitted by the target check but rejected by the data-fault layer
-    /// (injected I/O failure or backend brownout window).
-    RejectIo,
-    /// Admitted by the target check, found local tmem full, and spilled
-    /// into the far-memory tier instead. No local frame consumed.
-    StoredFar,
+labelled_enum! {
+    /// Outcome of one tmem put as seen by the admission path.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum PutResult as "put result" {
+        /// Stored into a free frame.
+        Stored => "stored",
+        /// Overwrote an existing copy of the same key (no frame consumed).
+        Replaced => "replaced",
+        /// Stored after evicting an ephemeral victim page.
+        StoredEvict => "stored_evict",
+        /// Rejected by Algorithm 1: `tmem_used >= mm_target`.
+        RejectTarget => "reject_target",
+        /// Admitted by the target check but no free frame existed.
+        RejectCapacity => "reject_cap",
+        /// Admitted by the target check but rejected by the data-fault layer
+        /// (injected I/O failure or backend brownout window).
+        RejectIo => "reject_io",
+        /// Admitted by the target check, found local tmem full, and spilled
+        /// into the far-memory tier instead. No local frame consumed.
+        StoredFar => "stored_far",
+    }
 }
 
 impl PutResult {
@@ -155,194 +175,131 @@ impl PutResult {
     pub fn consumed_frame(self) -> bool {
         matches!(self, PutResult::Stored | PutResult::StoredEvict)
     }
+}
 
-    fn as_str(self) -> &'static str {
-        match self {
-            PutResult::Stored => "stored",
-            PutResult::Replaced => "replaced",
-            PutResult::StoredEvict => "stored_evict",
-            PutResult::RejectTarget => "reject_target",
-            PutResult::RejectCapacity => "reject_cap",
-            PutResult::RejectIo => "reject_io",
-            PutResult::StoredFar => "stored_far",
+labelled_enum! {
+    /// Outcome of one `SetTargets` push attempt through the dom0 relay.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum PushOutcome as "push outcome" {
+        /// The hypercall went through (fresh or stale-rejected — see the
+        /// separate `TargetsApplied` event for which).
+        Landed => "landed",
+        /// The hypercall failed; the push is parked for backoff retry.
+        Parked => "parked",
+        /// A parked push was replaced by a newer target vector.
+        Superseded => "superseded",
+        /// The retry budget was exhausted; the push is dropped.
+        Abandoned => "abandoned",
+    }
+}
+
+labelled_enum! {
+    /// One injected fault, as decided by the fault layer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FaultKind as "fault kind" {
+        /// A VIRQ sample was dropped.
+        SampleDrop => "sample_drop",
+        /// A VIRQ sample was delayed one interval.
+        SampleDelay => "sample_delay",
+        /// A VIRQ sample was duplicated.
+        SampleDuplicate => "sample_dup",
+        /// A netlink stats message was lost.
+        NetlinkDrop => "netlink_drop",
+        /// A netlink stats message was reordered.
+        NetlinkReorder => "netlink_reorder",
+        /// A `SetTargets` hypercall failed.
+        HypercallFail => "hypercall_fail",
+        /// The MM process crashed.
+        MmCrash => "mm_crash",
+        /// A stored page's contents were bit-flipped.
+        PageBitflip => "page_bitflip",
+        /// A put landed torn (contents do not match the integrity summary).
+        TornWrite => "torn_write",
+        /// An ephemeral page was silently dropped after a successful put.
+        EphemeralLoss => "ephemeral_loss",
+        /// A persistent put failed with an injected backend I/O error.
+        PutIoFail => "put_io_fail",
+        /// A put was rejected inside a backend brownout window.
+        BrownoutReject => "brownout_reject",
+        /// One sampling interval spent inside a brownout window.
+        BrownoutTick => "brownout_tick",
+        /// A checksum mismatch was detected (first detection of that page).
+        CorruptDetected => "corrupt_detected",
+        /// The guest recovered from a detected corruption (clean miss or
+        /// retry/requeue rebuild).
+        CorruptRecovered => "corrupt_recovered",
+    }
+}
+
+/// The JSONL key of a payload field: its name, unless the table renames it.
+macro_rules! field_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Declares [`Payload`] from one table: each variant's doc comment, its
+/// JSONL `ev` label and its fields (keyed by field name, or by the
+/// `as "key"` rename) appear once, and the JSONL writer and parser are
+/// generated from the table.
+macro_rules! payload_table {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident => $label:literal $({
+            $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )*
+        })?,
+    )*) => {
+        /// The typed body of one trace event.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Payload {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $ty, )* })?, )*
         }
-    }
 
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "stored" => PutResult::Stored,
-            "replaced" => PutResult::Replaced,
-            "stored_evict" => PutResult::StoredEvict,
-            "reject_target" => PutResult::RejectTarget,
-            "reject_cap" => PutResult::RejectCapacity,
-            "reject_io" => PutResult::RejectIo,
-            "stored_far" => PutResult::StoredFar,
-            _ => return None,
-        })
-    }
-}
+        impl Payload {
+            /// Every `ev` label, in declaration order.
+            pub const LABELS: [&'static str; [$($label),*].len()] = [$($label),*];
 
-/// Outcome of one `SetTargets` push attempt through the dom0 relay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
-    /// The hypercall went through (fresh or stale-rejected — see the
-    /// separate `TargetsApplied` event for which).
-    Landed,
-    /// The hypercall failed; the push is parked for backoff retry.
-    Parked,
-    /// A parked push was replaced by a newer target vector.
-    Superseded,
-    /// The retry budget was exhausted; the push is dropped.
-    Abandoned,
-}
+            /// The event's `ev` label in the JSONL form.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $( Payload::$variant { .. } => $label, )*
+                }
+            }
 
-impl PushOutcome {
-    fn as_str(self) -> &'static str {
-        match self {
-            PushOutcome::Landed => "landed",
-            PushOutcome::Parked => "parked",
-            PushOutcome::Superseded => "superseded",
-            PushOutcome::Abandoned => "abandoned",
+            /// Append the payload's fields as `,"key":value` pairs.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $( Payload::$variant $({ $($field),* })? => {
+                        $($( $field.write_field(field_key!($field $($key)?), out); )*)?
+                    } )*
+                }
+            }
+
+            /// Rebuild the payload whose `ev` label is `label`.
+            fn read_fields(label: &str, obj: &[(String, Json)]) -> Result<Self, String> {
+                Ok(match label {
+                    $( $label => Payload::$variant $({
+                        $( $field: Field::read_field(obj, field_key!($field $($key)?))?, )*
+                    })?, )*
+                    other => return Err(format!("unknown event kind '{other}'")),
+                })
+            }
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "landed" => PushOutcome::Landed,
-            "parked" => PushOutcome::Parked,
-            "superseded" => PushOutcome::Superseded,
-            "abandoned" => PushOutcome::Abandoned,
-            _ => return None,
-        })
-    }
+    };
 }
 
-/// One injected fault, as decided by the fault layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// A VIRQ sample was dropped.
-    SampleDrop,
-    /// A VIRQ sample was delayed one interval.
-    SampleDelay,
-    /// A VIRQ sample was duplicated.
-    SampleDuplicate,
-    /// A netlink stats message was lost.
-    NetlinkDrop,
-    /// A netlink stats message was reordered.
-    NetlinkReorder,
-    /// A `SetTargets` hypercall failed.
-    HypercallFail,
-    /// The MM process crashed.
-    MmCrash,
-    /// A stored page's contents were bit-flipped.
-    PageBitflip,
-    /// A put landed torn (contents do not match the integrity summary).
-    TornWrite,
-    /// An ephemeral page was silently dropped after a successful put.
-    EphemeralLoss,
-    /// A persistent put failed with an injected backend I/O error.
-    PutIoFail,
-    /// A put was rejected inside a backend brownout window.
-    BrownoutReject,
-    /// One sampling interval spent inside a brownout window.
-    BrownoutTick,
-    /// A checksum mismatch was detected (first detection of that page).
-    CorruptDetected,
-    /// The guest recovered from a detected corruption (clean miss or
-    /// retry/requeue rebuild).
-    CorruptRecovered,
-}
-
-impl FaultKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            FaultKind::SampleDrop => "sample_drop",
-            FaultKind::SampleDelay => "sample_delay",
-            FaultKind::SampleDuplicate => "sample_dup",
-            FaultKind::NetlinkDrop => "netlink_drop",
-            FaultKind::NetlinkReorder => "netlink_reorder",
-            FaultKind::HypercallFail => "hypercall_fail",
-            FaultKind::MmCrash => "mm_crash",
-            FaultKind::PageBitflip => "page_bitflip",
-            FaultKind::TornWrite => "torn_write",
-            FaultKind::EphemeralLoss => "ephemeral_loss",
-            FaultKind::PutIoFail => "put_io_fail",
-            FaultKind::BrownoutReject => "brownout_reject",
-            FaultKind::BrownoutTick => "brownout_tick",
-            FaultKind::CorruptDetected => "corrupt_detected",
-            FaultKind::CorruptRecovered => "corrupt_recovered",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "sample_drop" => FaultKind::SampleDrop,
-            "sample_delay" => FaultKind::SampleDelay,
-            "sample_dup" => FaultKind::SampleDuplicate,
-            "netlink_drop" => FaultKind::NetlinkDrop,
-            "netlink_reorder" => FaultKind::NetlinkReorder,
-            "hypercall_fail" => FaultKind::HypercallFail,
-            "mm_crash" => FaultKind::MmCrash,
-            "page_bitflip" => FaultKind::PageBitflip,
-            "torn_write" => FaultKind::TornWrite,
-            "ephemeral_loss" => FaultKind::EphemeralLoss,
-            "put_io_fail" => FaultKind::PutIoFail,
-            "brownout_reject" => FaultKind::BrownoutReject,
-            "brownout_tick" => FaultKind::BrownoutTick,
-            "corrupt_detected" => FaultKind::CorruptDetected,
-            "corrupt_recovered" => FaultKind::CorruptRecovered,
-            _ => return None,
-        })
-    }
-}
-
-fn sample_fate_str(f: SampleFate) -> &'static str {
-    match f {
-        SampleFate::Deliver => "deliver",
-        SampleFate::Drop => "drop",
-        SampleFate::Delay => "delay",
-        SampleFate::Duplicate => "dup",
-    }
-}
-
-fn sample_fate_from_str(s: &str) -> Option<SampleFate> {
-    Some(match s {
-        "deliver" => SampleFate::Deliver,
-        "drop" => SampleFate::Drop,
-        "delay" => SampleFate::Delay,
-        "dup" => SampleFate::Duplicate,
-        _ => return None,
-    })
-}
-
-fn netlink_fate_str(f: NetlinkFate) -> &'static str {
-    match f {
-        NetlinkFate::Deliver => "deliver",
-        NetlinkFate::Drop => "drop",
-        NetlinkFate::Reorder => "reorder",
-    }
-}
-
-fn netlink_fate_from_str(s: &str) -> Option<NetlinkFate> {
-    Some(match s {
-        "deliver" => NetlinkFate::Deliver,
-        "drop" => NetlinkFate::Drop,
-        "reorder" => NetlinkFate::Reorder,
-        _ => return None,
-    })
-}
-
-/// The typed body of one trace event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
+payload_table! {
     /// One tmem put with its Algorithm 1 admission operands: `used` and
     /// `target` are the values of `tmem_used` and `mm_target` the admission
     /// check compared (after any stale-target fallback).
-    Put {
+    Put => "put" {
         /// Pool the put targeted.
         pool: u32,
         /// Admission/storage outcome.
-        result: PutResult,
+        result as "res": PutResult,
         /// `tmem_used` operand of the admission check.
         used: u64,
         /// Effective `mm_target` operand of the admission check.
@@ -351,12 +308,12 @@ pub enum Payload {
     /// An ephemeral page was evicted to make room (the event's `vm` is the
     /// *victim* owner; the beneficiary emits a `Put` with
     /// [`PutResult::StoredEvict`]).
-    Evict {
+    Evict => "evict" {
         /// Pool the victim page belonged to.
         pool: u32,
     },
     /// One tmem get.
-    Get {
+    Get => "get" {
         /// Pool queried.
         pool: u32,
         /// Whether the page was present.
@@ -365,7 +322,7 @@ pub enum Payload {
         freed: bool,
     },
     /// One flush (single page).
-    Flush {
+    Flush => "flush" {
         /// Pool flushed.
         pool: u32,
         /// Frames actually freed (0 when the page was absent).
@@ -374,7 +331,7 @@ pub enum Payload {
     /// A tmem pool was created. Makes the trace self-describing: replay
     /// learns each pool's kind here, so ephemeral (cleancache) traffic can
     /// be told apart from frontswap traffic without out-of-band context.
-    PoolCreate {
+    PoolCreate => "pool_create" {
         /// Pool created.
         pool: u32,
         /// True for ephemeral (cleancache) pools, false for persistent
@@ -382,7 +339,7 @@ pub enum Payload {
         ephemeral: bool,
     },
     /// A whole object or pool was destroyed.
-    PoolDestroy {
+    PoolDestroy => "pool_destroy" {
         /// Pool destroyed.
         pool: u32,
         /// Frames freed.
@@ -390,14 +347,14 @@ pub enum Payload {
     },
     /// The hypervisor reclaimed over-target persistent pages back to the
     /// guest (they fall through to disk).
-    Reclaim {
+    Reclaim => "reclaim" {
         /// Pool reclaimed from.
         pool: u32,
         /// Frames reclaimed.
         pages: u64,
     },
     /// A `SetTargets` hypercall reached the hypervisor.
-    TargetsApplied {
+    TargetsApplied => "targets_applied" {
         /// Push sequence number.
         seq: u64,
         /// Entries in the target vector.
@@ -406,7 +363,7 @@ pub enum Payload {
         applied: bool,
     },
     /// The hypervisor emitted a VIRQ statistics sample with this fate.
-    VirqSample {
+    VirqSample => "sample" {
         /// Sample sequence number.
         seq: u64,
         /// Fate assigned by the fault layer.
@@ -415,7 +372,7 @@ pub enum Payload {
     /// One sampling interval closed (after MM drive, reclaim and the
     /// accounting invariant check). The `k`-th `IntervalClose` aligns with
     /// the `k`-th point of every recorded time-series.
-    IntervalClose {
+    IntervalClose => "interval" {
         /// Sample sequence number of the interval.
         seq: u64,
         /// Whether the hypervisor spent this interval in stale-target
@@ -426,26 +383,26 @@ pub enum Payload {
     },
     /// A netlink stats message crossed (or failed to cross) the dom0 → MM
     /// edge.
-    NetlinkStats {
+    NetlinkStats => "stats_msg" {
         /// Sample sequence number carried by the message.
         seq: u64,
         /// Fate assigned by the fault layer.
         fate: NetlinkFate,
     },
     /// The relay enqueued a stats message for the MM.
-    RelayEnqueue {
+    RelayEnqueue => "enqueue" {
         /// Sample sequence number.
         seq: u64,
         /// Queue depth after the enqueue.
         depth: u64,
     },
     /// The relay shed its oldest queued message at capacity.
-    RelayShed {
+    RelayShed => "shed" {
         /// Sample sequence number of the shed (oldest) message.
         seq: u64,
     },
     /// One `SetTargets` push attempt through the relay.
-    RelayPush {
+    RelayPush => "push" {
         /// Push sequence number.
         seq: u64,
         /// Attempt number (1 = first try; ≥ 2 = backoff retry).
@@ -454,7 +411,7 @@ pub enum Payload {
         outcome: PushOutcome,
     },
     /// The MM processed one fresh snapshot and decided.
-    MmDecision {
+    MmDecision => "decision" {
         /// Sequence of the snapshot consumed.
         seq_in: u64,
         /// Push sequence assigned (0 when not sent).
@@ -471,19 +428,19 @@ pub enum Payload {
         rescale: Option<(u64, u64)>,
     },
     /// The MM discarded a duplicate/stale snapshot idempotently.
-    MmDiscard {
+    MmDiscard => "discard" {
         /// Sequence of the discarded snapshot.
         seq_in: u64,
     },
     /// The MM process crashed.
-    MmCrash {
+    MmCrash => "crash" {
         /// MM cycle count at the crash.
         cycle: u64,
     },
     /// The watchdog restarted a crashed MM.
-    MmRestart,
+    MmRestart => "restart",
     /// The fault layer injected a fault.
-    Fault {
+    Fault => "fault" {
         /// Which fault fired.
         kind: FaultKind,
     },
@@ -491,14 +448,14 @@ pub enum Payload {
     /// a corrupt ephemeral page dropped on get, a corrupt persistent
     /// victim dropped during reclaim, or a scrubber quarantine). The
     /// event's `vm` is the owner whose occupancy shrank.
-    DataPurge {
+    DataPurge => "data_purge" {
         /// Pool the pages were removed from.
         pool: u32,
         /// Frames freed.
         pages: u64,
     },
     /// One pool-scrubber pass completed (node-wide).
-    Scrub {
+    Scrub => "scrub" {
         /// Pages checksum-verified.
         checked: u64,
         /// Corrupt pages found by this pass.
@@ -510,12 +467,12 @@ pub enum Payload {
     /// (the far copy is consumed — exclusive read). Emitted in addition
     /// to the `Get` event, which reports `freed: false` because no
     /// *local* frame was released.
-    FarGet {
+    FarGet => "far_get" {
         /// Pool the far copy belonged to.
         pool: u32,
     },
     /// Far-tier entries were purged by a flush/destroy of their pool.
-    FarFlush {
+    FarFlush => "far_flush" {
         /// Pool flushed.
         pool: u32,
         /// Far entries removed.
@@ -523,7 +480,7 @@ pub enum Payload {
     },
     /// A VM began migrating off this host. Emitted on the *source* host's
     /// trace; the pages named here leave this host's accounting.
-    MigrateOut {
+    MigrateOut => "migrate_out" {
         /// Clean local tmem pages exported.
         pages: u64,
         /// Far-tier entries exported.
@@ -536,7 +493,7 @@ pub enum Payload {
     /// A migrating VM landed on this host. Emitted on the *destination*
     /// host's trace. `pages + far + spilled` equals the source's
     /// `pages + far` — conservation, checked by replay.
-    MigrateIn {
+    MigrateIn => "migrate_in" {
         /// Pages stored into the destination's local tmem.
         pages: u64,
         /// Entries stored into the destination's far tier.
@@ -546,7 +503,7 @@ pub enum Payload {
         spilled: u64,
     },
     /// A migrated VM resumed on its destination host.
-    MigrateDone {
+    MigrateDone => "migrate_done" {
         /// Pause-to-resume downtime in sim-nanoseconds.
         downtime: u64,
     },
@@ -891,10 +848,10 @@ impl TraceData {
             .next()
             .ok_or_else(|| "empty trace: missing header line".to_string())?;
         let header = parse_json_object(first).map_err(|e| format!("header: {e}"))?;
-        if get_str(&header, "schema")? != "smartmem-trace" {
+        if String::read_field(&header, "schema")? != "smartmem-trace" {
             return Err("header: not a smartmem-trace file".into());
         }
-        let version = get_u64(&header, "version")? as u32;
+        let version = u32::read_field(&header, "version")?;
         if version != TRACE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported trace schema version {version} (expected {TRACE_SCHEMA_VERSION})"
@@ -910,21 +867,19 @@ impl TraceData {
         }
         Ok(ParsedTrace {
             version,
-            scenario: get_str(&header, "scenario")?.to_string(),
-            policy: get_str(&header, "policy")?.to_string(),
-            seed: get_u64(&header, "seed")?,
-            dropped_oldest: get_u64(&header, "dropped")?,
-            filter: find(&header, "filter").map(|v| match v {
-                Json::S(s) => s.clone(),
-                other => format!("{other:?}"),
-            }),
+            scenario: Field::read_field(&header, "scenario")?,
+            policy: Field::read_field(&header, "policy")?,
+            seed: Field::read_field(&header, "seed")?,
+            dropped_oldest: Field::read_field(&header, "dropped")?,
+            filter: Field::read_field(&header, "filter")?,
             events,
         })
     }
 }
 
 // ---------------------------------------------------------------------------
-// JSONL writing
+// JSONL codec: the envelope here, the payload keys in `payload_table!`, and
+// one `Field` impl per value type, shared by the writer and the parser.
 // ---------------------------------------------------------------------------
 
 fn json_string(s: &str) -> String {
@@ -949,192 +904,167 @@ fn json_string(s: &str) -> String {
 
 fn write_event(out: &mut String, ev: &TraceEvent) {
     let _ = write!(out, "{{\"t\":{}", ev.at.as_nanos());
-    if let Some(vm) = ev.vm {
-        let _ = write!(out, ",\"vm\":{vm}");
-    }
-    let _ = write!(out, ",\"sub\":\"{}\"", ev.subsystem.as_str());
-    match &ev.payload {
-        Payload::Put {
-            pool,
-            result,
-            used,
-            target,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"put\",\"pool\":{pool},\"res\":\"{}\",\"used\":{used},\"target\":{target}",
-                result.as_str()
-            );
-        }
-        Payload::Evict { pool } => {
-            let _ = write!(out, ",\"ev\":\"evict\",\"pool\":{pool}");
-        }
-        Payload::Get { pool, hit, freed } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"get\",\"pool\":{pool},\"hit\":{hit},\"freed\":{freed}"
-            );
-        }
-        Payload::Flush { pool, pages } => {
-            let _ = write!(out, ",\"ev\":\"flush\",\"pool\":{pool},\"pages\":{pages}");
-        }
-        Payload::PoolCreate { pool, ephemeral } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"pool_create\",\"pool\":{pool},\"ephemeral\":{ephemeral}"
-            );
-        }
-        Payload::PoolDestroy { pool, pages } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"pool_destroy\",\"pool\":{pool},\"pages\":{pages}"
-            );
-        }
-        Payload::Reclaim { pool, pages } => {
-            let _ = write!(out, ",\"ev\":\"reclaim\",\"pool\":{pool},\"pages\":{pages}");
-        }
-        Payload::TargetsApplied {
-            seq,
-            entries,
-            applied,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"targets_applied\",\"seq\":{seq},\"entries\":{entries},\"applied\":{applied}"
-            );
-        }
-        Payload::VirqSample { seq, fate } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"sample\",\"seq\":{seq},\"fate\":\"{}\"",
-                sample_fate_str(*fate)
-            );
-        }
-        Payload::IntervalClose { seq, stale, ok } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"interval\",\"seq\":{seq},\"stale\":{stale},\"ok\":{ok}"
-            );
-        }
-        Payload::NetlinkStats { seq, fate } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"stats_msg\",\"seq\":{seq},\"fate\":\"{}\"",
-                netlink_fate_str(*fate)
-            );
-        }
-        Payload::RelayEnqueue { seq, depth } => {
-            let _ = write!(out, ",\"ev\":\"enqueue\",\"seq\":{seq},\"depth\":{depth}");
-        }
-        Payload::RelayShed { seq } => {
-            let _ = write!(out, ",\"ev\":\"shed\",\"seq\":{seq}");
-        }
-        Payload::RelayPush {
-            seq,
-            attempt,
-            outcome,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"push\",\"seq\":{seq},\"attempt\":{attempt},\"outcome\":\"{}\"",
-                outcome.as_str()
-            );
-        }
-        Payload::MmDecision {
-            seq_in,
-            push_seq,
-            sent,
-            warming,
-            targets,
-            rescale,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"decision\",\"seq_in\":{seq_in},\"push_seq\":{push_seq},\"sent\":{sent},\"warming\":{warming},\"targets\":["
-            );
-            for (i, (vm, tgt)) in targets.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{vm},{tgt}]");
-            }
-            out.push(']');
-            if let Some((sum, cap)) = rescale {
-                let _ = write!(out, ",\"rescale\":[{sum},{cap}]");
-            }
-        }
-        Payload::MmDiscard { seq_in } => {
-            let _ = write!(out, ",\"ev\":\"discard\",\"seq_in\":{seq_in}");
-        }
-        Payload::MmCrash { cycle } => {
-            let _ = write!(out, ",\"ev\":\"crash\",\"cycle\":{cycle}");
-        }
-        Payload::MmRestart => {
-            out.push_str(",\"ev\":\"restart\"");
-        }
-        Payload::Fault { kind } => {
-            let _ = write!(out, ",\"ev\":\"fault\",\"kind\":\"{}\"", kind.as_str());
-        }
-        Payload::DataPurge { pool, pages } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"data_purge\",\"pool\":{pool},\"pages\":{pages}"
-            );
-        }
-        Payload::Scrub {
-            checked,
-            corrupt,
-            quarantined,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"scrub\",\"checked\":{checked},\"corrupt\":{corrupt},\"quarantined\":{quarantined}"
-            );
-        }
-        Payload::FarGet { pool } => {
-            let _ = write!(out, ",\"ev\":\"far_get\",\"pool\":{pool}");
-        }
-        Payload::FarFlush { pool, pages } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"far_flush\",\"pool\":{pool},\"pages\":{pages}"
-            );
-        }
-        Payload::MigrateOut {
-            pages,
-            far,
-            purged,
-            ram,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"migrate_out\",\"pages\":{pages},\"far\":{far},\"purged\":{purged},\"ram\":{ram}"
-            );
-        }
-        Payload::MigrateIn {
-            pages,
-            far,
-            spilled,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"migrate_in\",\"pages\":{pages},\"far\":{far},\"spilled\":{spilled}"
-            );
-        }
-        Payload::MigrateDone { downtime } => {
-            let _ = write!(out, ",\"ev\":\"migrate_done\",\"downtime\":{downtime}");
-        }
-    }
+    ev.vm.write_field("vm", out);
+    ev.subsystem.write_field("sub", out);
+    let _ = write!(out, ",\"ev\":\"{}\"", ev.payload.label());
+    ev.payload.write_fields(out);
     out.push('}');
 }
 
+/// A value carried under one key of a trace JSONL object: how it is
+/// written, and how it is read back.
+pub(crate) trait Field: Sized {
+    /// Append the JSON value.
+    fn encode(&self, out: &mut String);
+
+    /// Read the JSON value back.
+    fn decode(v: &Json) -> Result<Self, String>;
+
+    /// Append `,"key":value`.
+    fn write_field(&self, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":");
+        self.encode(out);
+    }
+
+    /// Read the value stored under `key`.
+    fn read_field(obj: &[(String, Json)], key: &str) -> Result<Self, String> {
+        let v = find(obj, key).ok_or_else(|| format!("missing field '{key}'"))?;
+        Self::decode(v).map_err(|e| format!("field '{key}': {e}"))
+    }
+}
+
+impl Field for u64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::U(n) => Ok(*n),
+            other => Err(format!("expected an integer, got {other:?}")),
+        }
+    }
+}
+
+impl Field for u32 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        let n = u64::decode(v)?;
+        u32::try_from(n).map_err(|_| format!("{n} does not fit in 32 bits"))
+    }
+}
+
+impl Field for bool {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::B(b) => Ok(*b),
+            other => Err(format!("expected a bool, got {other:?}")),
+        }
+    }
+}
+
+impl Field for String {
+    fn encode(&self, out: &mut String) {
+        out.push_str(&json_string(self));
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::S(s) => Ok(s.clone()),
+            other => Err(format!("expected a string, got {other:?}")),
+        }
+    }
+}
+
+/// `[a, b]`.
+impl<A: Field, B: Field> Field for (A, B) {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        self.0.encode(out);
+        out.push(',');
+        self.1.encode(out);
+        out.push(']');
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::A(pair) if pair.len() == 2 => Ok((A::decode(&pair[0])?, B::decode(&pair[1])?)),
+            other => Err(format!("expected a [a, b] pair, got {other:?}")),
+        }
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.encode(out);
+        }
+        out.push(']');
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::A(items) => items.iter().map(T::decode).collect(),
+            other => Err(format!("expected an array, got {other:?}")),
+        }
+    }
+}
+
+/// An optional field: written only when present, absent when read back
+/// without its key.
+impl<T: Field> Field for Option<T> {
+    fn encode(&self, out: &mut String) {
+        match self {
+            Some(v) => v.encode(out),
+            None => out.push_str("null"),
+        }
+    }
+
+    fn decode(v: &Json) -> Result<Self, String> {
+        T::decode(v).map(Some)
+    }
+
+    fn write_field(&self, key: &str, out: &mut String) {
+        if let Some(v) = self {
+            v.write_field(key, out);
+        }
+    }
+
+    fn read_field(obj: &[(String, Json)], key: &str) -> Result<Self, String> {
+        match find(obj, key) {
+            Some(_) => T::read_field(obj, key).map(Some),
+            None => Ok(None),
+        }
+    }
+}
+
+fn event_from_fields(obj: &[(String, Json)]) -> Result<TraceEvent, String> {
+    Ok(TraceEvent {
+        at: SimTime(u64::read_field(obj, "t")?),
+        vm: Field::read_field(obj, "vm")?,
+        subsystem: Field::read_field(obj, "sub")?,
+        payload: Payload::read_fields(&String::read_field(obj, "ev")?, obj)?,
+    })
+}
+
 // ---------------------------------------------------------------------------
-// JSONL parsing (hand-rolled: the vendored serde is a no-op stub)
+// JSON parsing (hand-rolled: the vendored serde is a no-op stub)
 // ---------------------------------------------------------------------------
 
 /// Minimal JSON value for the flat objects the trace format uses.
 #[derive(Debug, Clone, PartialEq)]
-enum Json {
+pub(crate) enum Json {
     U(u64),
     B(bool),
     S(String),
@@ -1320,203 +1250,6 @@ fn parse_json_object(line: &str) -> Result<Vec<(String, Json)>, String> {
 
 fn find<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn get_u64(fields: &[(String, Json)], key: &str) -> Result<u64, String> {
-    match find(fields, key) {
-        Some(Json::U(n)) => Ok(*n),
-        Some(other) => Err(format!("field '{key}' is not an integer: {other:?}")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn get_bool(fields: &[(String, Json)], key: &str) -> Result<bool, String> {
-    match find(fields, key) {
-        Some(Json::B(b)) => Ok(*b),
-        Some(other) => Err(format!("field '{key}' is not a bool: {other:?}")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn get_str<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a str, String> {
-    match find(fields, key) {
-        Some(Json::S(s)) => Ok(s),
-        Some(other) => Err(format!("field '{key}' is not a string: {other:?}")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn event_from_fields(obj: &[(String, Json)]) -> Result<TraceEvent, String> {
-    let at = SimTime(get_u64(obj, "t")?);
-    let vm = match find(obj, "vm") {
-        Some(Json::U(n)) => Some(*n as u32),
-        Some(other) => return Err(format!("field 'vm' is not an integer: {other:?}")),
-        None => None,
-    };
-    let sub = get_str(obj, "sub")?;
-    let subsystem =
-        Subsystem::from_label(sub).ok_or_else(|| format!("unknown subsystem '{sub}'"))?;
-    let ev = get_str(obj, "ev")?;
-    let payload = match ev {
-        "put" => {
-            let res = get_str(obj, "res")?;
-            Payload::Put {
-                pool: get_u64(obj, "pool")? as u32,
-                result: PutResult::from_str(res)
-                    .ok_or_else(|| format!("unknown put result '{res}'"))?,
-                used: get_u64(obj, "used")?,
-                target: get_u64(obj, "target")?,
-            }
-        }
-        "evict" => Payload::Evict {
-            pool: get_u64(obj, "pool")? as u32,
-        },
-        "get" => Payload::Get {
-            pool: get_u64(obj, "pool")? as u32,
-            hit: get_bool(obj, "hit")?,
-            freed: get_bool(obj, "freed")?,
-        },
-        "flush" => Payload::Flush {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "pool_create" => Payload::PoolCreate {
-            pool: get_u64(obj, "pool")? as u32,
-            ephemeral: get_bool(obj, "ephemeral")?,
-        },
-        "pool_destroy" => Payload::PoolDestroy {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "reclaim" => Payload::Reclaim {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "targets_applied" => Payload::TargetsApplied {
-            seq: get_u64(obj, "seq")?,
-            entries: get_u64(obj, "entries")? as u32,
-            applied: get_bool(obj, "applied")?,
-        },
-        "sample" => {
-            let fate = get_str(obj, "fate")?;
-            Payload::VirqSample {
-                seq: get_u64(obj, "seq")?,
-                fate: sample_fate_from_str(fate)
-                    .ok_or_else(|| format!("unknown sample fate '{fate}'"))?,
-            }
-        }
-        "interval" => Payload::IntervalClose {
-            seq: get_u64(obj, "seq")?,
-            stale: get_bool(obj, "stale")?,
-            ok: get_bool(obj, "ok")?,
-        },
-        "stats_msg" => {
-            let fate = get_str(obj, "fate")?;
-            Payload::NetlinkStats {
-                seq: get_u64(obj, "seq")?,
-                fate: netlink_fate_from_str(fate)
-                    .ok_or_else(|| format!("unknown netlink fate '{fate}'"))?,
-            }
-        }
-        "enqueue" => Payload::RelayEnqueue {
-            seq: get_u64(obj, "seq")?,
-            depth: get_u64(obj, "depth")?,
-        },
-        "shed" => Payload::RelayShed {
-            seq: get_u64(obj, "seq")?,
-        },
-        "push" => {
-            let outcome = get_str(obj, "outcome")?;
-            Payload::RelayPush {
-                seq: get_u64(obj, "seq")?,
-                attempt: get_u64(obj, "attempt")? as u32,
-                outcome: PushOutcome::from_str(outcome)
-                    .ok_or_else(|| format!("unknown push outcome '{outcome}'"))?,
-            }
-        }
-        "decision" => {
-            let targets = match find(obj, "targets") {
-                Some(Json::A(items)) => items
-                    .iter()
-                    .map(|item| match item {
-                        Json::A(pair) => match pair.as_slice() {
-                            [Json::U(vm), Json::U(tgt)] => Ok((*vm as u32, *tgt)),
-                            _ => Err("target entry is not a [vm, target] pair".to_string()),
-                        },
-                        _ => Err("target entry is not an array".to_string()),
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                _ => return Err("missing or malformed 'targets'".into()),
-            };
-            let rescale = match find(obj, "rescale") {
-                Some(Json::A(pair)) => match pair.as_slice() {
-                    [Json::U(sum), Json::U(cap)] => Some((*sum, *cap)),
-                    _ => return Err("'rescale' is not a [sum, cap] pair".into()),
-                },
-                Some(_) => return Err("'rescale' is not an array".into()),
-                None => None,
-            };
-            Payload::MmDecision {
-                seq_in: get_u64(obj, "seq_in")?,
-                push_seq: get_u64(obj, "push_seq")?,
-                sent: get_bool(obj, "sent")?,
-                warming: get_bool(obj, "warming")?,
-                targets,
-                rescale,
-            }
-        }
-        "discard" => Payload::MmDiscard {
-            seq_in: get_u64(obj, "seq_in")?,
-        },
-        "crash" => Payload::MmCrash {
-            cycle: get_u64(obj, "cycle")?,
-        },
-        "restart" => Payload::MmRestart,
-        "fault" => {
-            let kind = get_str(obj, "kind")?;
-            Payload::Fault {
-                kind: FaultKind::from_str(kind)
-                    .ok_or_else(|| format!("unknown fault kind '{kind}'"))?,
-            }
-        }
-        "data_purge" => Payload::DataPurge {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "scrub" => Payload::Scrub {
-            checked: get_u64(obj, "checked")?,
-            corrupt: get_u64(obj, "corrupt")?,
-            quarantined: get_u64(obj, "quarantined")?,
-        },
-        "far_get" => Payload::FarGet {
-            pool: get_u64(obj, "pool")? as u32,
-        },
-        "far_flush" => Payload::FarFlush {
-            pool: get_u64(obj, "pool")? as u32,
-            pages: get_u64(obj, "pages")?,
-        },
-        "migrate_out" => Payload::MigrateOut {
-            pages: get_u64(obj, "pages")?,
-            far: get_u64(obj, "far")?,
-            purged: get_u64(obj, "purged")?,
-            ram: get_u64(obj, "ram")?,
-        },
-        "migrate_in" => Payload::MigrateIn {
-            pages: get_u64(obj, "pages")?,
-            far: get_u64(obj, "far")?,
-            spilled: get_u64(obj, "spilled")?,
-        },
-        "migrate_done" => Payload::MigrateDone {
-            downtime: get_u64(obj, "downtime")?,
-        },
-        other => return Err(format!("unknown event kind '{other}'")),
-    };
-    Ok(TraceEvent {
-        at,
-        vm,
-        subsystem,
-        payload,
-    })
 }
 
 /// Parse a `--filter subsys=a,b` value (the part after `subsys=`) into a
@@ -1759,6 +1492,78 @@ mod tests {
         assert!(TraceData::parse_jsonl(&wrong_version)
             .unwrap_err()
             .contains("version"));
+    }
+
+    #[test]
+    fn label_tables_are_two_way_and_unique() {
+        fn check<T: Copy + PartialEq + std::fmt::Debug>(
+            all: &[T],
+            as_str: fn(T) -> &'static str,
+            from_label: fn(&str) -> Option<T>,
+        ) {
+            for (i, &v) in all.iter().enumerate() {
+                assert_eq!(from_label(as_str(v)), Some(v));
+                assert!(!all[..i].iter().any(|&w| as_str(w) == as_str(v)));
+            }
+            assert_eq!(from_label("bogus"), None);
+        }
+        check(&Subsystem::ALL, Subsystem::as_str, Subsystem::from_label);
+        check(&PutResult::ALL, PutResult::as_str, PutResult::from_label);
+        check(
+            &PushOutcome::ALL,
+            PushOutcome::as_str,
+            PushOutcome::from_label,
+        );
+        check(&FaultKind::ALL, FaultKind::as_str, FaultKind::from_label);
+        check(&SampleFate::ALL, SampleFate::as_str, SampleFate::from_label);
+        check(
+            &NetlinkFate::ALL,
+            NetlinkFate::as_str,
+            NetlinkFate::from_label,
+        );
+        for (i, label) in Payload::LABELS.iter().enumerate() {
+            assert!(!Payload::LABELS[..i].contains(label), "{label}");
+        }
+    }
+
+    #[test]
+    fn parser_names_the_bad_field() {
+        let header = "{\"schema\":\"smartmem-trace\",\"version\":1,\"scenario\":\"s\",\
+                      \"policy\":\"p\",\"seed\":0,\"dropped\":0}\n";
+        for (event, want) in [
+            (
+                "{\"t\":0,\"sub\":\"tmem\",\"ev\":\"put\",\"pool\":0,\"res\":\"bogus\",\"used\":1,\"target\":1}",
+                "line 2: field 'res': unknown put result 'bogus'",
+            ),
+            (
+                "{\"t\":0,\"sub\":\"tmem\",\"ev\":\"put\",\"pool\":0,\"res\":\"stored\",\"target\":1}",
+                "line 2: missing field 'used'",
+            ),
+            (
+                "{\"t\":0,\"sub\":\"tmem\",\"ev\":\"evict\",\"pool\":4294967296}",
+                "field 'pool': 4294967296 does not fit in 32 bits",
+            ),
+            (
+                "{\"t\":0,\"sub\":\"tmem\",\"ev\":\"get\",\"pool\":0,\"hit\":1,\"freed\":false}",
+                "field 'hit': expected a bool",
+            ),
+            (
+                "{\"t\":0,\"sub\":\"mm\",\"ev\":\"decision\",\"seq_in\":1,\"push_seq\":0,\
+                 \"sent\":false,\"warming\":false,\"targets\":[[1]]}",
+                "field 'targets': expected a [a, b] pair",
+            ),
+            (
+                "{\"t\":0,\"sub\":\"disk\",\"ev\":\"restart\"}",
+                "field 'sub': unknown subsystem 'disk'",
+            ),
+            (
+                "{\"t\":0,\"sub\":\"mm\",\"ev\":\"nap\"}",
+                "unknown event kind 'nap'",
+            ),
+        ] {
+            let err = TraceData::parse_jsonl(&format!("{header}{event}\n")).unwrap_err();
+            assert!(err.contains(want), "for {event}:\n  got: {err}");
+        }
     }
 
     #[test]
