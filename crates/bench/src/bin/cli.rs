@@ -80,11 +80,11 @@ use scenarios::config::RunConfig;
 use scenarios::dsl;
 use scenarios::figures;
 use scenarios::report;
-use scenarios::trace_check;
 use scenarios::runner::{
     run_cluster, run_scenario, run_spec, ClusterConfig, ClusterResult, RunResult,
 };
 use scenarios::spec::{build_scenario, FleetParams, ScenarioKind};
+use scenarios::trace_check;
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
 };
