@@ -3,8 +3,9 @@
 //! which is kept in-tree precisely to be this baseline.
 //!
 //! The `smartmem-cli bench-parallel` harness runs the same put/get shape
-//! and records the measured ratio in `BENCH_parallel.json`; this target is
-//! the interactive/criterion view of the same comparison.
+//! and records the measured ratio under the `micro` key of
+//! `BENCH_scaling.json`; this target is the interactive/criterion view of
+//! the same comparison.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;

@@ -28,7 +28,7 @@
 //! writes host 0 to FILE and host N to `FILE.hostN`. Scenario files can
 //! declare richer topologies (interconnect preset, far tier, scheduler
 //! thresholds) in a `[cluster]` table; `bench-cluster` sweeps hosts×VMs
-//! cells and records the fleet metrics in `BENCH_fleet.json`.
+//! cells and records the fleet metrics in `BENCH_cluster.json`.
 //!
 //! Policies: `no-tmem`, `greedy`, `static-alloc`, `reconf-static`,
 //! `smart-alloc:<P>` (e.g. `smart-alloc:0.75`), `predictive`.
@@ -696,7 +696,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
 
 /// `bench-cluster`: the multi-host fleet cells — wall-clock, peak RSS and
 /// the fleet metrics (migrations, downtime, cross-host traffic, stranded
-/// memory) over hosts×VMs topologies, recorded in `BENCH_fleet.json`.
+/// memory) over hosts×VMs topologies, recorded in `BENCH_cluster.json`.
 /// Every cell runs the fleet scheduler at its default tunables with a
 /// per-host far tier sized to a quarter of the host's tmem shard.
 fn bench_cluster(a: &Args) -> Result<(), String> {
@@ -792,7 +792,7 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
     );
     let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
     std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_fleet.json");
+    let path = dir.join("BENCH_cluster.json");
     std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
     println!("perf record: {}", path.display());
     Ok(())

@@ -24,13 +24,11 @@
 //! `send_to_hypervisor` behaviour: target vectors identical to the last
 //! transmission are suppressed to avoid needless communication.
 
-pub mod balloon;
 pub mod fleet;
 pub mod history;
 pub mod mm;
 pub mod policy;
 
-pub use balloon::{BalloonAdvice, BalloonConfig, BalloonManager};
 pub use fleet::{FleetConfig, FleetManager, HostLoad, MigrationPlan, VmPlacement};
 pub use history::{SeqObservation, StatsHistory};
 pub use mm::{MemoryManager, REBUILD_WINDOW};

@@ -746,8 +746,7 @@ fn vm_scenario(doc: &toml::Document, cfg: &RunConfig) -> Result<ScenarioSpec, St
 }
 
 /// Parse a scenario file from source. Sizes and durations are scaled by
-/// `cfg` (like the built-in constructors) unless the file opts out with
-/// `scaled = false`. The spec is fully validated; all errors are
+/// `cfg` unless the file opts out with `scaled = false`. The spec is fully validated; all errors are
 /// line-anchored.
 pub fn parse_scenario_src(src: &str, cfg: &RunConfig) -> Result<ScenarioDoc, String> {
     let doc = toml::parse(src)?;

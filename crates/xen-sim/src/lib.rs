@@ -16,14 +16,12 @@
 //! diagram (Fig. 2).
 
 pub mod host;
-pub mod hypercall;
 pub mod hypervisor;
 pub mod sched;
 pub mod virq;
 pub mod vm;
 
 pub use host::{FarConfig, FarTier};
-pub use hypercall::{HypercallKind, TmemOp};
 pub use hypervisor::{GetOutcome, Hypervisor};
 pub use sched::CpuModel;
 pub use virq::SamplingVirq;
