@@ -353,62 +353,28 @@ impl ChaosReport {
     /// consumer selecting the historical columns by position still reads
     /// the same values.
     pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "scenario,policy,profile,worst_ratio,end_s,injected,samples_dropped,\
-             samples_delayed,samples_duplicated,netlink_dropped,netlink_reordered,\
-             hypercalls_failed,hypercall_retries,hypercalls_abandoned,\
-             hypercalls_superseded,mm_crashes,mm_restarts,seq_gaps,\
-             snapshots_discarded,stale_intervals,invariant_checks,\
-             invariant_violations,bitflips_injected,torn_writes_injected,\
-             ephemeral_losses_injected,put_io_failures_injected,\
-             brownout_rejections,brownout_ticks,corruptions_detected,\
-             corruptions_recovered,objects_quarantined,scrub_passes,\
-             scrub_pages_checked,migrations_out,migrations_in,migrate_pages,\
-             migrate_purged,migrate_spilled\n",
-        );
+        let mut out = String::from("scenario,policy,profile,worst_ratio,end_s,injected");
+        // Every ledger counter but `samples_delivered`, in declaration order.
+        for (name, _) in FaultLedger::default().fields().into_iter().skip(1) {
+            out.push(',');
+            out.push_str(name);
+        }
+        out.push('\n');
         for c in &self.cells {
             let l = &c.ledger;
             out.push_str(&format!(
-                "{},{},{},{:.6},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                "{},{},{},{:.6},{:.6},{}",
                 c.scenario,
                 c.policy,
                 c.profile,
                 c.worst_ratio(),
                 c.end_s,
                 l.injected(),
-                l.samples_dropped,
-                l.samples_delayed,
-                l.samples_duplicated,
-                l.netlink_dropped,
-                l.netlink_reordered,
-                l.hypercalls_failed,
-                l.hypercall_retries,
-                l.hypercalls_abandoned,
-                l.hypercalls_superseded,
-                l.mm_crashes,
-                l.mm_restarts,
-                l.seq_gaps,
-                l.snapshots_discarded,
-                l.stale_intervals,
-                l.invariant_checks,
-                l.invariant_violations,
-                l.bitflips_injected,
-                l.torn_writes_injected,
-                l.ephemeral_losses_injected,
-                l.put_io_failures_injected,
-                l.brownout_rejections,
-                l.brownout_ticks,
-                l.corruptions_detected,
-                l.corruptions_recovered,
-                l.objects_quarantined,
-                l.scrub_passes,
-                l.scrub_pages_checked,
-                l.migrations_out,
-                l.migrations_in,
-                l.migrate_pages,
-                l.migrate_purged,
-                l.migrate_spilled,
             ));
+            for (_, v) in l.fields().into_iter().skip(1) {
+                out.push_str(&format!(",{v}"));
+            }
+            out.push('\n');
         }
         out
     }

@@ -415,23 +415,28 @@ mod tests {
         }
     }
 
-    /// The memory scales the embedded definitions are checked at. 0.37 is
-    /// deliberately awkward: `scale_bytes` page rounding and
-    /// `UsememConfig::paper`'s MiB-granular scaling both bite there.
-    const SCALES: [f64; 4] = [1.0, 0.125, 0.37, 0.01];
+    /// Every Table II scenario, built from its embedded definition at
+    /// 1.0, 0.125, 0.37 and 0.01. 0.37 is deliberately awkward:
+    /// `scale_bytes` page rounding and `UsememConfig::paper`'s
+    /// MiB-granular scaling both bite there.
+    fn builtins_at_every_scale() -> Vec<(f64, ScenarioKind, ScenarioSpec)> {
+        [1.0, 0.125, 0.37, 0.01]
+            .into_iter()
+            .flat_map(|scale| {
+                let cfg = RunConfig {
+                    scale,
+                    ..RunConfig::default()
+                };
+                ScenarioKind::ALL.map(|kind| (scale, kind, build_scenario(kind, &cfg)))
+            })
+            .collect()
+    }
 
     #[test]
     fn every_scenario_deploys_three_vms() {
-        for scale in SCALES {
-            let cfg = RunConfig {
-                scale,
-                ..RunConfig::default()
-            };
-            for kind in ScenarioKind::ALL {
-                let spec = build_scenario(kind, &cfg);
-                assert_eq!(spec.vms.len(), 3, "{kind:?} at scale {scale}");
-                assert_eq!(spec.name, kind.name());
-            }
+        for (scale, kind, spec) in builtins_at_every_scale() {
+            assert_eq!(spec.vms.len(), 3, "{kind:?} at scale {scale}");
+            assert_eq!(spec.name, kind.name());
         }
     }
 
@@ -503,15 +508,8 @@ mod tests {
 
     #[test]
     fn builtin_scenarios_validate_cleanly() {
-        for scale in SCALES {
-            let cfg = RunConfig {
-                scale,
-                ..RunConfig::default()
-            };
-            for kind in ScenarioKind::ALL {
-                let spec = build_scenario(kind, &cfg);
-                assert!(spec.validate().is_ok(), "{kind:?} at scale {scale}");
-            }
+        for (scale, kind, spec) in builtins_at_every_scale() {
+            assert!(spec.validate().is_ok(), "{kind:?} at scale {scale}");
         }
     }
 
@@ -658,27 +656,21 @@ mod tests {
     fn footprints_exceed_vm_ram() {
         // The pressure precondition of the whole evaluation: every
         // workload run needs more memory than its VM has.
-        for scale in SCALES {
-            let cfg = RunConfig {
-                scale,
-                ..RunConfig::default()
-            };
-            for kind in ScenarioKind::ALL {
-                for vm in build_scenario(kind, &cfg).vms {
-                    let ram = vm.config.ram_bytes;
-                    for step in &vm.program {
-                        let footprint = match step {
-                            ProgramStep::Run(WorkloadSpec::InMem(c)) => c.footprint_bytes(),
-                            ProgramStep::Run(WorkloadSpec::Graph(c)) => c.footprint_bytes(),
-                            ProgramStep::Run(WorkloadSpec::Usemem(c)) => c.max_bytes,
-                            _ => continue,
-                        };
-                        assert!(
-                            footprint > ram,
-                            "{kind:?} {} at scale {scale}: {footprint} <= {ram}",
-                            vm.config.name
-                        );
-                    }
+        for (scale, kind, spec) in builtins_at_every_scale() {
+            for vm in &spec.vms {
+                let ram = vm.config.ram_bytes;
+                for step in &vm.program {
+                    let footprint = match step {
+                        ProgramStep::Run(WorkloadSpec::InMem(c)) => c.footprint_bytes(),
+                        ProgramStep::Run(WorkloadSpec::Graph(c)) => c.footprint_bytes(),
+                        ProgramStep::Run(WorkloadSpec::Usemem(c)) => c.max_bytes,
+                        _ => continue,
+                    };
+                    assert!(
+                        footprint > ram,
+                        "{kind:?} {} at scale {scale}: {footprint} <= {ram}",
+                        vm.config.name
+                    );
                 }
             }
         }

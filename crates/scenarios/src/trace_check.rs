@@ -61,7 +61,7 @@ pub struct FaultFold {
     /// The ledger as the event stream implies it.
     pub ledger: FaultLedger,
     /// `Fault` events per kind, in [`FaultKind::ALL`] order.
-    pub injected: [u64; FaultKind::ALL.len()],
+    injected: [u64; FaultKind::ALL.len()],
     /// Push attempts that ended parked or abandoned: one per failed
     /// `SetTargets` hypercall.
     pub failed_pushes: u64,
@@ -357,10 +357,11 @@ fn replay_one(
 
     for ev in &trace.events {
         match &ev.payload {
-            Payload::PoolCreate { pool, ephemeral } => {
-                if *ephemeral {
-                    ephemeral_pools.insert(*pool);
-                }
+            Payload::PoolCreate {
+                pool,
+                ephemeral: true,
+            } => {
+                ephemeral_pools.insert(*pool);
             }
             Payload::Put {
                 pool, result: r, ..
@@ -554,120 +555,9 @@ fn replay_one(
         }
     }
     // The whole fault ledger, field by field.
-    let led = &fold.ledger;
-    let lf = &result.faults;
-    let ledger_fields: [(&str, u64, u64); 33] = [
-        (
-            "samples_delivered",
-            led.samples_delivered,
-            lf.samples_delivered,
-        ),
-        ("samples_dropped", led.samples_dropped, lf.samples_dropped),
-        ("samples_delayed", led.samples_delayed, lf.samples_delayed),
-        (
-            "samples_duplicated",
-            led.samples_duplicated,
-            lf.samples_duplicated,
-        ),
-        ("netlink_dropped", led.netlink_dropped, lf.netlink_dropped),
-        (
-            "netlink_reordered",
-            led.netlink_reordered,
-            lf.netlink_reordered,
-        ),
-        (
-            "hypercalls_failed",
-            led.hypercalls_failed,
-            lf.hypercalls_failed,
-        ),
-        (
-            "hypercall_retries",
-            led.hypercall_retries,
-            lf.hypercall_retries,
-        ),
-        (
-            "hypercalls_abandoned",
-            led.hypercalls_abandoned,
-            lf.hypercalls_abandoned,
-        ),
-        (
-            "hypercalls_superseded",
-            led.hypercalls_superseded,
-            lf.hypercalls_superseded,
-        ),
-        ("mm_crashes", led.mm_crashes, lf.mm_crashes),
-        ("mm_restarts", led.mm_restarts, lf.mm_restarts),
-        ("seq_gaps", led.seq_gaps, lf.seq_gaps),
-        (
-            "snapshots_discarded",
-            led.snapshots_discarded,
-            lf.snapshots_discarded,
-        ),
-        ("stale_intervals", led.stale_intervals, lf.stale_intervals),
-        (
-            "invariant_checks",
-            led.invariant_checks,
-            lf.invariant_checks,
-        ),
-        (
-            "invariant_violations",
-            led.invariant_violations,
-            lf.invariant_violations,
-        ),
-        (
-            "bitflips_injected",
-            led.bitflips_injected,
-            lf.bitflips_injected,
-        ),
-        (
-            "torn_writes_injected",
-            led.torn_writes_injected,
-            lf.torn_writes_injected,
-        ),
-        (
-            "ephemeral_losses_injected",
-            led.ephemeral_losses_injected,
-            lf.ephemeral_losses_injected,
-        ),
-        (
-            "put_io_failures_injected",
-            led.put_io_failures_injected,
-            lf.put_io_failures_injected,
-        ),
-        (
-            "brownout_rejections",
-            led.brownout_rejections,
-            lf.brownout_rejections,
-        ),
-        ("brownout_ticks", led.brownout_ticks, lf.brownout_ticks),
-        (
-            "corruptions_detected",
-            led.corruptions_detected,
-            lf.corruptions_detected,
-        ),
-        (
-            "corruptions_recovered",
-            led.corruptions_recovered,
-            lf.corruptions_recovered,
-        ),
-        (
-            "objects_quarantined",
-            led.objects_quarantined,
-            lf.objects_quarantined,
-        ),
-        ("scrub_passes", led.scrub_passes, lf.scrub_passes),
-        (
-            "scrub_pages_checked",
-            led.scrub_pages_checked,
-            lf.scrub_pages_checked,
-        ),
-        ("migrations_out", led.migrations_out, lf.migrations_out),
-        ("migrations_in", led.migrations_in, lf.migrations_in),
-        ("migrate_pages", led.migrate_pages, lf.migrate_pages),
-        ("migrate_purged", led.migrate_purged, lf.migrate_purged),
-        ("migrate_spilled", led.migrate_spilled, lf.migrate_spilled),
-    ];
-    for (name, replayed, live) in ledger_fields {
+    for ((name, replayed), (_, live)) in
+        fold.ledger.fields().into_iter().zip(result.faults.fields())
+    {
         check(report, &format!("ledger.{name}"), replayed, live);
     }
     // The metrics registry must agree with a plain recount of the events.

@@ -362,6 +362,46 @@ pub struct FaultLedger {
 }
 
 impl FaultLedger {
+    /// Every counter with its field name, in declaration order: the one
+    /// list the chaos CSV columns and the replay verifier walk.
+    pub fn fields(&self) -> [(&'static str, u64); 33] {
+        [
+            ("samples_delivered", self.samples_delivered),
+            ("samples_dropped", self.samples_dropped),
+            ("samples_delayed", self.samples_delayed),
+            ("samples_duplicated", self.samples_duplicated),
+            ("netlink_dropped", self.netlink_dropped),
+            ("netlink_reordered", self.netlink_reordered),
+            ("hypercalls_failed", self.hypercalls_failed),
+            ("hypercall_retries", self.hypercall_retries),
+            ("hypercalls_abandoned", self.hypercalls_abandoned),
+            ("hypercalls_superseded", self.hypercalls_superseded),
+            ("mm_crashes", self.mm_crashes),
+            ("mm_restarts", self.mm_restarts),
+            ("seq_gaps", self.seq_gaps),
+            ("snapshots_discarded", self.snapshots_discarded),
+            ("stale_intervals", self.stale_intervals),
+            ("invariant_checks", self.invariant_checks),
+            ("invariant_violations", self.invariant_violations),
+            ("bitflips_injected", self.bitflips_injected),
+            ("torn_writes_injected", self.torn_writes_injected),
+            ("ephemeral_losses_injected", self.ephemeral_losses_injected),
+            ("put_io_failures_injected", self.put_io_failures_injected),
+            ("brownout_rejections", self.brownout_rejections),
+            ("brownout_ticks", self.brownout_ticks),
+            ("corruptions_detected", self.corruptions_detected),
+            ("corruptions_recovered", self.corruptions_recovered),
+            ("objects_quarantined", self.objects_quarantined),
+            ("scrub_passes", self.scrub_passes),
+            ("scrub_pages_checked", self.scrub_pages_checked),
+            ("migrations_out", self.migrations_out),
+            ("migrations_in", self.migrations_in),
+            ("migrate_pages", self.migrate_pages),
+            ("migrate_purged", self.migrate_purged),
+            ("migrate_spilled", self.migrate_spilled),
+        ]
+    }
+
     /// Total faults injected at any edge (not counting degradation
     /// bookkeeping like retries or stale intervals).
     pub fn injected(&self) -> u64 {
