@@ -14,9 +14,15 @@
 //!
 //! Anything order-sensitive must still sort before iterating; determinism
 //! of the *hash* keeps mistakes reproducible, not correct.
+//!
+//! [`LeafMap`] is the index for *dense* `u32` keys — a tmem object's page
+//! indexes, a guest's swap slots. Neighbouring keys share a 64-entry leaf,
+//! so a run of keys costs one hash probe per leaf instead of one per key.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 /// Multiplier from the Fx hash (Firefox/rustc): a 64-bit odd constant with
 /// good bit dispersion under multiplication.
@@ -92,6 +98,237 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` with the Fx hasher.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+
+/// Key bits resolved inside a leaf: `key >> LEAF_BITS` finds the leaf,
+/// the low bits the entry.
+const LEAF_BITS: u32 = 6;
+const LEAF_LEN: usize = 1 << LEAF_BITS;
+const LEAF_MASK: u32 = LEAF_LEN as u32 - 1;
+
+/// Marks a vacant leaf entry; [`LeafMap`] never stores it as a value.
+const VACANT: u32 = u32::MAX;
+
+/// 64 consecutive keys' values, [`VACANT`] where absent.
+#[derive(Debug, Clone)]
+struct Leaf {
+    vals: [u32; LEAF_LEN],
+    /// Entries that are not vacant; the leaf is released at zero.
+    live: u32,
+}
+
+impl Leaf {
+    fn boxed() -> Box<Leaf> {
+        Box::new(Leaf {
+            vals: [VACANT; LEAF_LEN],
+            live: 0,
+        })
+    }
+
+    /// `(key, value)` for the occupied entries at positions `lo..hi`,
+    /// ascending; `base` is the leaf's first key.
+    fn entries(&self, base: u32, lo: usize, hi: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (lo..hi).filter_map(move |i| {
+            let v = self.vals[i];
+            (v != VACANT).then_some((base | i as u32, v))
+        })
+    }
+}
+
+/// A `u32 → u32` map for dense keys: 64-entry leaves of values, found
+/// through an [`FxHashMap`] keyed by `key >> 6`.
+///
+/// A full leaf stores a value in 4 bytes, against 8 bytes plus control and
+/// load-factor slack per entry of a hash map, and an ascending run of keys
+/// walks one leaf's array. A leaf is released as soon as it empties, so
+/// every leaf holds at least one key: an isolated key costs a whole leaf
+/// (~260 B), which is why the map suits dense keys only. Values must not
+/// be `u32::MAX`, which marks a vacant entry.
+///
+/// Iteration visits leaves in hash order and each leaf in ascending key
+/// order; [`LeafMap::range`] is fully ascending. Both are deterministic.
+#[derive(Debug, Clone, Default)]
+pub struct LeafMap {
+    leaves: FxHashMap<u32, Box<Leaf>>,
+    len: usize,
+}
+
+/// Result of [`LeafMap::entry`]: the value already stored, or a handle
+/// that stores one without probing again.
+#[derive(Debug)]
+pub enum LeafEntry<'a> {
+    /// The key holds this value.
+    Occupied(u32),
+    /// The key is vacant.
+    Vacant(VacantLeafEntry<'a>),
+}
+
+/// A vacant key, ready for [`VacantLeafEntry::insert`]. Dropping it
+/// leaves the map unchanged.
+#[derive(Debug)]
+pub struct VacantLeafEntry<'a> {
+    leaf: VacantLeaf<'a>,
+    pos: usize,
+    len: &'a mut usize,
+}
+
+#[derive(Debug)]
+enum VacantLeaf<'a> {
+    /// The key's leaf exists; the entry is vacant.
+    Existing(&'a mut Leaf),
+    /// The key's leaf does not exist yet.
+    New(std::collections::hash_map::VacantEntry<'a, u32, Box<Leaf>>),
+}
+
+impl VacantLeafEntry<'_> {
+    /// Store `value` at the vacant key.
+    #[inline]
+    pub fn insert(self, value: u32) {
+        assert_ne!(value, VACANT, "LeafMap cannot store u32::MAX");
+        let leaf = match self.leaf {
+            VacantLeaf::Existing(leaf) => leaf,
+            VacantLeaf::New(v) => v.insert(Leaf::boxed()),
+        };
+        leaf.vals[self.pos] = value;
+        leaf.live += 1;
+        *self.len += 1;
+    }
+}
+
+impl LeafMap {
+    /// An empty map.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of keys stored.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if no key is stored.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Leaves currently held: one per distinct `key >> 6` among the keys
+    /// stored, since an emptied leaf is released at once.
+    pub fn leaf_count(&self) -> usize {
+        self.leaves.len()
+    }
+
+    /// The value stored at `key`.
+    #[inline]
+    pub fn get(&self, key: u32) -> Option<u32> {
+        let v = self.leaves.get(&(key >> LEAF_BITS))?.vals[(key & LEAF_MASK) as usize];
+        (v != VACANT).then_some(v)
+    }
+
+    /// True if `key` holds a value.
+    #[inline]
+    pub fn contains_key(&self, key: u32) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Store `value` at `key`, returning the value it replaced.
+    ///
+    /// # Panics
+    /// If `value` is `u32::MAX`.
+    #[inline]
+    pub fn insert(&mut self, key: u32, value: u32) -> Option<u32> {
+        assert_ne!(value, VACANT, "LeafMap cannot store u32::MAX");
+        let leaf = self
+            .leaves
+            .entry(key >> LEAF_BITS)
+            .or_insert_with(Leaf::boxed);
+        let old = std::mem::replace(&mut leaf.vals[(key & LEAF_MASK) as usize], value);
+        if old != VACANT {
+            return Some(old);
+        }
+        leaf.live += 1;
+        self.len += 1;
+        None
+    }
+
+    /// The value at `key`, or a handle to store one: one probe resolves
+    /// replace-versus-insert.
+    #[inline]
+    pub fn entry(&mut self, key: u32) -> LeafEntry<'_> {
+        let pos = (key & LEAF_MASK) as usize;
+        let leaf = match self.leaves.entry(key >> LEAF_BITS) {
+            Entry::Occupied(o) => {
+                let leaf = o.into_mut();
+                let v = leaf.vals[pos];
+                if v != VACANT {
+                    return LeafEntry::Occupied(v);
+                }
+                VacantLeaf::Existing(leaf)
+            }
+            Entry::Vacant(v) => VacantLeaf::New(v),
+        };
+        LeafEntry::Vacant(VacantLeafEntry {
+            leaf,
+            pos,
+            len: &mut self.len,
+        })
+    }
+
+    /// Remove `key`, returning its value; releases the leaf if it empties.
+    #[inline]
+    pub fn remove(&mut self, key: u32) -> Option<u32> {
+        let lk = key >> LEAF_BITS;
+        let leaf = self.leaves.get_mut(&lk)?;
+        let old = std::mem::replace(&mut leaf.vals[(key & LEAF_MASK) as usize], VACANT);
+        if old == VACANT {
+            return None;
+        }
+        leaf.live -= 1;
+        if leaf.live == 0 {
+            self.leaves.remove(&lk);
+        }
+        self.len -= 1;
+        Some(old)
+    }
+
+    /// Every `(key, value)`: leaves in hash order, keys ascending within a
+    /// leaf.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.leaves
+            .iter()
+            .flat_map(|(&lk, leaf)| leaf.entries(lk << LEAF_BITS, 0, LEAF_LEN))
+    }
+
+    /// The `(key, value)` pairs with keys in `keys`, in ascending key
+    /// order. Probes each leaf the range overlaps once.
+    pub fn range(&self, keys: Range<u32>) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let Range { start, end } = keys;
+        let leaf_keys = (start < end).then(|| start >> LEAF_BITS..=(end - 1) >> LEAF_BITS);
+        leaf_keys.into_iter().flatten().flat_map(move |lk| {
+            // The range's part of this leaf; `base < end` by construction.
+            let base = lk << LEAF_BITS;
+            let lo = (start.max(base) - base) as usize;
+            let hi = (end - base).min(LEAF_LEN as u32) as usize;
+            self.leaves
+                .get(&lk)
+                .into_iter()
+                .flat_map(move |leaf| leaf.entries(base, lo, hi))
+        })
+    }
+
+    /// Remove every entry, yielding `(key, value)` in [`LeafMap::iter`]
+    /// order. The leaf index keeps its capacity.
+    pub fn drain(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.len = 0;
+        self.leaves.drain().flat_map(|(lk, leaf)| {
+            let base = lk << LEAF_BITS;
+            (0..LEAF_LEN).filter_map(move |i| {
+                let v = leaf.vals[i];
+                (v != VACANT).then_some((base | i as u32, v))
+            })
+        })
+    }
+}
 
 #[cfg(test)]
 mod tests {
