@@ -28,6 +28,7 @@ use crate::addr::VirtPage;
 use crate::machine::Machine;
 use serde::{Deserialize, Serialize};
 use tmem::error::ReturnCode;
+use tmem::fastmap::LeafMap;
 use tmem::key::{ObjectId, PageIndex, PoolId, VmId};
 use tmem::page::Fingerprint;
 use xen_sim::GetOutcome;
@@ -326,8 +327,13 @@ pub struct GuestKernel {
     /// Swap-slot allocator cursor (monotonic; slots model eviction-order
     /// physical adjacency, not reuse).
     next_slot: u64,
-    /// Live slots → virtual page, ordered, for slot-window read-ahead.
-    slot_to_page: std::collections::BTreeMap<u32, u32>,
+    /// Live slots → virtual page, for slot-window read-ahead. Slots are
+    /// handed out in eviction order and freed as pages are rewritten, so
+    /// live slots form dense runs: a [`LeafMap`] keeps them in 64-slot
+    /// leaves, and its ascending `range` scan yields the read-ahead window
+    /// in slot order. Page numbers stay below [`NIL`], so no value is the
+    /// map's `u32::MAX` vacancy marker.
+    slot_to_page: LeafMap,
     /// One past the last slot read from disk — a fault starting here is a
     /// sequential stream continuation.
     next_seq_slot: u64,
@@ -353,7 +359,7 @@ impl GuestKernel {
             free_count: n_frames,
             clock_hand: 0,
             next_slot: 0,
-            slot_to_page: std::collections::BTreeMap::new(),
+            slot_to_page: LeafMap::new(),
             next_seq_slot: u64::MAX,
             next_seq_vpage: u64::MAX,
             stats: KernelStats::default(),
@@ -494,7 +500,7 @@ impl GuestKernel {
                     // Slots end below `NO_SLOT`, so saturating keeps the
                     // window exact.
                     let room = (window - batch.len() as u64) as u32;
-                    for (&s, &bvp) in self.slot_to_page.range(slot + 1..slot.saturating_add(room)) {
+                    for (s, bvp) in self.slot_to_page.range(slot + 1..slot.saturating_add(room)) {
                         let bvp = u64::from(bvp);
                         if self.pages.loc(bvp as usize) == PageLoc::OnDisk && !batch.contains(&bvp)
                         {
@@ -663,7 +669,7 @@ impl GuestKernel {
     fn release_slot(&mut self, vp: usize) {
         let slot = self.pages[vp].slot;
         if slot != NO_SLOT {
-            self.slot_to_page.remove(&slot);
+            self.slot_to_page.remove(slot);
             self.pages[vp].slot = NO_SLOT;
         }
     }
@@ -925,6 +931,42 @@ mod tests {
         let mut b3 = big_budget();
         k.touch(base.offset(1), false, &mut rig.step(&mut b3));
         assert_eq!(k.stats().disk_faults, before + 1, "no extra disk fault");
+    }
+
+    #[test]
+    fn slot_readahead_crosses_a_leaf_boundary() {
+        // Write only the even pages: with 8 frames and every put refused,
+        // eviction is FIFO and gives page 2j swap slot j. Odd pages stay
+        // untouched, so the virtual-adjacency scan stops at once and only
+        // the slot scan can read ahead.
+        let (mut rig, mut k) = Rig::new(100, 0);
+        let base = k.alloc(160);
+        let mut b = big_budget();
+        for i in 0..74 {
+            k.touch(base.offset(2 * i), true, &mut rig.step(&mut b));
+        }
+        assert_eq!(k.stats().evictions_to_disk, 66, "slots 0..66 in use");
+        for j in [61, 62, 63, 64, 65] {
+            assert_eq!(k.pages[2 * j].slot, j as u32);
+        }
+        // Fault page 124 (slot 62). The window of readahead_pages = 4 scans
+        // slots 63..65, across the leaf boundary at slot 64: pages 126 and
+        // 128, neither a virtual neighbour of 124.
+        assert_eq!(k.pages.loc(125), PageLoc::Untouched);
+        let before = *k.stats();
+        k.touch(base.offset(124), false, &mut rig.step(&mut b));
+        assert_eq!(k.stats().disk_faults, before.disk_faults + 1);
+        assert_eq!(k.stats().readahead_pages, before.readahead_pages + 2);
+        for vp in [124, 126, 128] {
+            assert!(
+                matches!(k.pages.loc(vp), PageLoc::Resident(_)),
+                "page {vp} read in"
+            );
+        }
+        // Slots 61 and 65 lie outside the window.
+        for vp in [122, 130] {
+            assert_eq!(k.pages.loc(vp), PageLoc::OnDisk, "page {vp} left on disk");
+        }
     }
 
     #[test]

@@ -20,24 +20,35 @@
 //!
 //! # Datapath layout
 //!
-//! Pages live in per-object Fx-hashed `PageIndex → slot` maps, reached
-//! through a small `ObjectId → object slot` map with an MRU-object cache on
-//! the pool: runs of operations against one object (the dominant guest
-//! pattern — kernels walk an object's pages in order) skip the outer lookup
-//! entirely and pay a single probe of a small, cache-warm map. This
-//! replaces both the original nested `BTreeMap<ObjectId, BTreeMap<..>>`
-//! layout (kept as [`crate::reference::ReferenceBackend`] for differential
-//! testing and as the bench baseline) and the flat
-//! `(ObjectId, PageIndex) → payload` map of the first datapath round,
-//! whose `flush_object` cold path was a full-pool scan + sort.
+//! Each object's pages live in a [`LeafMap`] from `PageIndex` to arena
+//! slot: 64-entry leaves of 4-byte slot numbers, found through an
+//! Fx-hashed map keyed by `index >> 6`. This mirrors Xen's tmem, which
+//! keeps an object's pages in a radix tree keyed by page index. The keys
+//! are dense — frontswap's index is the swap offset, cleancache's the file
+//! offset, and a kernel evicts and faults runs of neighbouring pages — so
+//! a leaf is shared by up to 64 stored pages: a page costs 4 bytes of
+//! index plus a share of its leaf, and a run of operations on neighbouring
+//! indexes re-probes one small leaf table instead of missing the cache
+//! once per page in a hash map with one entry per page. Leaves are
+//! released as soon as they empty.
+//!
+//! Objects are reached through a small `ObjectId → object slot` map with
+//! an MRU-object cache on the pool: runs of operations against one object
+//! (the dominant guest pattern) skip the outer lookup entirely. This
+//! replaces the original nested `BTreeMap<ObjectId, BTreeMap<..>>` layout
+//! (kept as [`crate::reference::ReferenceBackend`] for differential
+//! testing and as the bench baseline), the flat `(ObjectId, PageIndex) →
+//! payload` map of the first datapath round, whose `flush_object` cold
+//! path was a full-pool scan + sort, and the per-object hash map of one
+//! entry per page that followed it.
 //!
 //! `flush_object` and `destroy_pool` are O(pages actually present): they
-//! drain the object's own map and park its storage (capacity intact) on a
-//! per-pool free list, so object churn reuses warm maps instead of
-//! reallocating. Removal order within an object is hash-map order, not
+//! drain the object's own index and park it (leaf table capacity intact)
+//! on a per-pool free list, so object churn reuses warm storage instead of
+//! reallocating. Removal order within an object is leaf-table order, not
 //! sorted — it is unobservable (`flush_object` returns only a count) and
 //! still deterministic, since FxHash is unseeded. Payloads themselves sit
-//! in a [`PageArena`] slab addressed by slot handles, which keeps map
+//! in a [`PageArena`] slab addressed by slot handles, which keeps index
 //! entries small and lets put/flush churn reuse freed payload slots
 //! instead of calling the allocator. Pool lookup is an array index (pool
 //! ids are allocated sequentially and never reused) and per-VM accounting
@@ -77,7 +88,7 @@
 //! detection, generic over any payload type.
 
 use crate::error::TmemError;
-use crate::fastmap::FxHashMap;
+use crate::fastmap::{FxHashMap, LeafEntry, LeafMap};
 use crate::key::{ObjectId, PageIndex, PoolId, TmemKey, VmId};
 use crate::page::{PageArena, PagePayload, SlotHandle};
 use std::collections::hash_map::Entry;
@@ -126,8 +137,8 @@ pub enum PutOutcome {
     StoredFar,
 }
 
-/// One object's pages: index → payload slot.
-type ObjectPages = FxHashMap<PageIndex, SlotHandle>;
+/// One object's pages: index → payload slot number ([`SlotHandle`]).
+type ObjectPages = LeafMap;
 
 /// What [`TmemBackend::export_pool`] hands the migration path: the
 /// surviving pages in `(object, index)` order, plus the number of corrupt
@@ -193,9 +204,9 @@ struct Pool {
     kind: PoolKind,
     /// Live objects → index into `obj_slots`.
     objects: FxHashMap<ObjectId, u32>,
-    /// Per-object page maps, indexed by object slot. Emptied maps are
-    /// parked on `free_objs` with their capacity intact, so object churn
-    /// reuses warm storage.
+    /// Per-object page indexes, indexed by object slot. Emptied indexes
+    /// are parked on `free_objs` with their leaf tables' capacity intact,
+    /// so object churn reuses warm storage.
     obj_slots: Vec<ObjectPages>,
     free_objs: Vec<u32>,
     /// Most-recently-used object: consecutive operations on one object (the
@@ -284,7 +295,7 @@ impl Pool {
     fn contains_key(&self, object: ObjectId, index: PageIndex) -> bool {
         self.objects
             .get(&object)
-            .is_some_and(|&s| self.obj_slots[s as usize].contains_key(&index))
+            .is_some_and(|&s| self.obj_slots[s as usize].contains_key(index))
     }
 
     fn page_count(&self) -> u64 {
@@ -321,7 +332,7 @@ impl Pool {
                     s
                 }
             };
-            slot.is_some_and(|s| obj_slots[s as usize].contains_key(&i))
+            slot.is_some_and(|s| obj_slots[s as usize].contains_key(i))
         });
     }
 }
@@ -496,24 +507,24 @@ impl<P: PagePayload> TmemBackend<P> {
         let owner_slot = pool.owner_slot;
 
         if used < self.capacity {
-            // Fast path: one inner-map probe resolves replace-vs-insert.
+            // Fast path: one index probe resolves replace-vs-insert.
             let s = pool.obj_slot_or_create(object);
             match pool.obj_slots[s as usize].entry(index) {
-                Entry::Occupied(e) => {
-                    let slot = *e.get();
-                    *self.arena.get_mut(slot) = StoredPage {
+                LeafEntry::Occupied(slot) => {
+                    *self.arena.get_mut(SlotHandle(slot)) = StoredPage {
                         payload,
                         sum,
                         flagged: false,
                     };
                     return Ok(PutOutcome::Replaced);
                 }
-                Entry::Vacant(v) => {
-                    v.insert(self.arena.alloc(StoredPage {
+                LeafEntry::Vacant(v) => {
+                    let slot = self.arena.alloc(StoredPage {
                         payload,
                         sum,
                         flagged: false,
-                    }));
+                    });
+                    v.insert(slot.0);
                 }
             }
             pool.page_count += 1;
@@ -555,8 +566,8 @@ impl<P: PagePayload> TmemBackend<P> {
         let owner_slot = pool.owner_slot;
         // Replacement in place still needs no frame.
         if let Some(s) = pool.obj_slot(object) {
-            if let Some(&slot) = pool.obj_slots[s as usize].get(&index) {
-                *self.arena.get_mut(slot) = StoredPage {
+            if let Some(slot) = pool.obj_slots[s as usize].get(index) {
+                *self.arena.get_mut(SlotHandle(slot)) = StoredPage {
                     payload,
                     sum,
                     flagged: false,
@@ -578,7 +589,7 @@ impl<P: PagePayload> TmemBackend<P> {
         });
         let pool = self.pool_mut(pool_id).expect("pool checked above");
         let s = pool.obj_slot_or_create(object);
-        pool.obj_slots[s as usize].insert(index, slot);
+        pool.obj_slots[s as usize].insert(index, slot.0);
         pool.page_count += 1;
         if kind == PoolKind::Persistent {
             pool.maybe_compact();
@@ -627,9 +638,10 @@ impl<P: PagePayload> TmemBackend<P> {
         };
         match pool.kind {
             PoolKind::Ephemeral => {
-                let Some(&slot) = pool.obj_slots[s as usize].get(&index) else {
+                let Some(slot) = pool.obj_slots[s as usize].get(index) else {
                     return Err(TmemError::NoSuchPage);
                 };
+                let slot = SlotHandle(slot);
                 let e = self.arena.get(slot);
                 if e.payload.checksum() == e.sum {
                     return Ok(e.payload.clone());
@@ -639,9 +651,10 @@ impl<P: PagePayload> TmemBackend<P> {
             PoolKind::Persistent => {
                 let owner_slot = pool.owner_slot;
                 let inner = &mut pool.obj_slots[s as usize];
-                let Some(&slot) = inner.get(&index) else {
+                let Some(slot) = inner.get(index) else {
                     return Err(TmemError::NoSuchPage);
                 };
+                let slot = SlotHandle(slot);
                 let e = self.arena.get_mut(slot);
                 if e.payload.checksum() != e.sum {
                     // Correct-or-error: the page stays so retries observe
@@ -652,7 +665,7 @@ impl<P: PagePayload> TmemBackend<P> {
                     }
                     return Err(TmemError::Corrupt);
                 }
-                inner.remove(&index);
+                inner.remove(index);
                 if inner.is_empty() {
                     pool.retire_object(object, s);
                 }
@@ -709,14 +722,14 @@ impl<P: PagePayload> TmemBackend<P> {
         let owner_slot = pool.owner_slot;
         let kind = pool.kind;
         let inner = &mut pool.obj_slots[s as usize];
-        let Some(slot) = inner.remove(&index) else {
+        let Some(slot) = inner.remove(index) else {
             return Ok(false);
         };
         if inner.is_empty() {
             pool.retire_object(object, s);
         }
         pool.page_count -= 1;
-        let sp = self.arena.free(slot);
+        let sp = self.arena.free(SlotHandle(slot));
         if !sp.flagged && sp.payload.checksum() != sp.sum {
             // The flush itself is what the caller asked for, but the
             // corruption it surfaced must still be counted as detected.
@@ -733,8 +746,8 @@ impl<P: PagePayload> TmemBackend<P> {
     /// Invalidate every page of an object. Returns the number of pages
     /// removed.
     ///
-    /// Drains the object's own page map — O(pages in the object), not a
-    /// scan of the pool — and parks the map's storage for reuse.
+    /// Drains the object's own page index — O(pages in the object), not a
+    /// scan of the pool — and parks the index for reuse.
     pub fn flush_object(&mut self, pool_id: PoolId, object: ObjectId) -> Result<u64, TmemError> {
         let Some(pool) = self
             .pools
@@ -751,7 +764,7 @@ impl<P: PagePayload> TmemBackend<P> {
         let inner = &mut pool.obj_slots[s as usize];
         let n = inner.len() as u64;
         for (_, slot) in inner.drain() {
-            let sp = self.arena.free(slot);
+            let sp = self.arena.free(SlotHandle(slot));
             if !sp.flagged && sp.payload.checksum() != sp.sum {
                 self.integrity.detections += 1;
             }
@@ -778,8 +791,8 @@ impl<P: PagePayload> TmemBackend<P> {
         self.live_pools -= 1;
         let n = pool.page_count();
         for inner in &pool.obj_slots {
-            for &slot in inner.values() {
-                let sp = self.arena.free(slot);
+            for (_, slot) in inner.iter() {
+                let sp = self.arena.free(SlotHandle(slot));
                 if !sp.flagged && sp.payload.checksum() != sp.sum {
                     self.integrity.detections += 1;
                 }
@@ -795,7 +808,7 @@ impl<P: PagePayload> TmemBackend<P> {
 
     /// Remove a pool wholesale and hand back its verified contents — the
     /// migration export path. Returns the surviving pages in `(object,
-    /// index)` order (deterministic regardless of hash-map layout) plus the
+    /// index)` order (deterministic regardless of index layout) plus the
     /// number of corrupt pages found and purged at the boundary: a page
     /// failing its recorded checksum is *never* exported, because the
     /// destination would re-checksum the wrong bytes at import and launder
@@ -813,8 +826,8 @@ impl<P: PagePayload> TmemBackend<P> {
         let mut out = Vec::with_capacity(n as usize);
         let mut purged = 0u64;
         for (&obj, &s) in pool.objects.iter() {
-            for (&idx, &slot) in pool.obj_slots[s as usize].iter() {
-                let sp = self.arena.free(slot);
+            for (idx, slot) in pool.obj_slots[s as usize].iter() {
+                let sp = self.arena.free(SlotHandle(slot));
                 if sp.payload.checksum() == sp.sum {
                     out.push((obj, idx, sp.payload));
                 } else {
@@ -883,10 +896,11 @@ impl<P: PagePayload> TmemBackend<P> {
     /// caller-owned buffer — the per-interval reclaim trickle reuses one
     /// buffer across VMs and intervals instead of allocating per call.
     ///
-    /// Victims are verified before delivery: a corrupt page is flushed but
-    /// **withheld** from the output (writing it to the owner's swap device
-    /// would persist wrong bytes), counted in
-    /// [`IntegrityCounters::corrupt_dropped`].
+    /// Each victim is removed with one index lookup and verified as it
+    /// leaves: a corrupt page is dropped but **withheld** from the output
+    /// (writing it to the owner's swap device would persist wrong bytes),
+    /// counted in [`IntegrityCounters::corrupt_dropped`] and, unless
+    /// already flagged, as a detection.
     pub fn reclaim_oldest_persistent_into(
         &mut self,
         pool_id: PoolId,
@@ -895,7 +909,11 @@ impl<P: PagePayload> TmemBackend<P> {
     ) {
         let start = out.len();
         while ((out.len() - start) as u64) < max {
-            let Some(pool) = self.pool_mut(pool_id) else {
+            let Some(pool) = self
+                .pools
+                .get_mut(pool_id.0 as usize)
+                .and_then(Option::as_mut)
+            else {
                 break;
             };
             debug_assert_eq!(pool.kind, PoolKind::Persistent);
@@ -904,28 +922,30 @@ impl<P: PagePayload> TmemBackend<P> {
             };
             // Lazy validation: the entry may have been consumed by an
             // exclusive get or flush already (a tombstone).
-            if let Some(corrupt) = self.page_corrupt(pool_id, obj, idx) {
-                // flush_page counts the detection if this page's corruption
-                // was not already flagged.
-                self.flush_page(pool_id, obj, idx)
-                    .expect("pool existed a moment ago");
-                if corrupt {
-                    self.integrity.corrupt_dropped += 1;
-                } else {
-                    out.push((obj, idx));
+            let Some(s) = pool.obj_slot(obj) else {
+                continue;
+            };
+            let inner = &mut pool.obj_slots[s as usize];
+            let Some(slot) = inner.remove(idx) else {
+                continue;
+            };
+            if inner.is_empty() {
+                pool.retire_object(obj, s);
+            }
+            pool.page_count -= 1;
+            let owner_slot = pool.owner_slot;
+            let sp = self.arena.free(SlotHandle(slot));
+            self.used -= 1;
+            self.debit_one(owner_slot);
+            if sp.payload.checksum() == sp.sum {
+                out.push((obj, idx));
+            } else {
+                if !sp.flagged {
+                    self.integrity.detections += 1;
                 }
+                self.integrity.corrupt_dropped += 1;
             }
         }
-    }
-
-    /// Verify one page in place: `None` if the key holds no page, otherwise
-    /// whether its contents fail the recorded checksum.
-    fn page_corrupt(&self, pool_id: PoolId, object: ObjectId, index: PageIndex) -> Option<bool> {
-        let p = self.pool(pool_id)?;
-        let &s = p.objects.get(&object)?;
-        let &slot = p.obj_slots[s as usize].get(&index)?;
-        let e = self.arena.get(slot);
-        Some(e.payload.checksum() != e.sum)
     }
 
     /// Drop the oldest still-present ephemeral page; returns its key.
@@ -1012,10 +1032,10 @@ impl<P: PagePayload> TmemBackend<P> {
         let Some(s) = pool.obj_slot(object) else {
             return false;
         };
-        let Some(&slot) = pool.obj_slots[s as usize].get(&index) else {
+        let Some(slot) = pool.obj_slots[s as usize].get(index) else {
             return false;
         };
-        let e = self.arena.get_mut(slot);
+        let e = self.arena.get_mut(SlotHandle(slot));
         let Some((_, donor)) = self.donors.iter().find(|(ds, _)| *ds != e.sum) else {
             return false;
         };
@@ -1029,7 +1049,7 @@ impl<P: PagePayload> TmemBackend<P> {
     /// at least one corrupt page, and audit the accounting invariants.
     ///
     /// Quarantine runs in (pool id, object id) order, so the victim stream
-    /// is independent of hash-map iteration order and pinned by tests.
+    /// is independent of index iteration order and pinned by tests.
     /// Quarantining the whole object mirrors real scrubbers distrusting the
     /// blast radius of detected media errors, and keeps the guest's
     /// recovery story uniform: every page of the object becomes a miss /
@@ -1044,9 +1064,9 @@ impl<P: PagePayload> TmemBackend<P> {
             let Some(pool) = pool.as_ref() else { continue };
             for (&obj, &s) in pool.objects.iter() {
                 let mut corrupt_here = false;
-                for &slot in pool.obj_slots[s as usize].values() {
+                for (_, slot) in pool.obj_slots[s as usize].iter() {
                     pages_checked += 1;
-                    let e = arena.get_mut(slot);
+                    let e = arena.get_mut(SlotHandle(slot));
                     if e.payload.checksum() != e.sum {
                         corrupt_pages += 1;
                         corrupt_here = true;
@@ -1504,6 +1524,29 @@ mod tests {
         assert!(!b.contains(pool, ObjectId(1), 0));
         assert_eq!(b.integrity().detections, 1);
         assert_eq!(b.integrity().corrupt_dropped, 1);
+        assert!(accounting_consistent(&b));
+    }
+
+    #[test]
+    fn reclaim_counts_an_already_detected_victim_once() {
+        let (mut b, pool) = persistent_pool(8);
+        b.arm_corruption();
+        b.put(pool, ObjectId(1), 63, PageBuf::filled(1)).unwrap();
+        b.put(pool, ObjectId(1), 64, PageBuf::filled(2)).unwrap();
+        assert!(b.corrupt_page(pool, ObjectId(1), 63));
+        // A get detects (and flags) the corruption first.
+        assert_eq!(b.get(pool, ObjectId(1), 63), Err(TmemError::Corrupt));
+        assert_eq!(b.integrity().detections, 1);
+        let victims = b.reclaim_oldest_persistent(pool, 8);
+        assert_eq!(victims, vec![(ObjectId(1), 64)]);
+        assert_eq!(
+            b.integrity(),
+            IntegrityCounters {
+                detections: 1,
+                corrupt_dropped: 1
+            }
+        );
+        assert_eq!(b.used(), 0);
         assert!(accounting_consistent(&b));
     }
 

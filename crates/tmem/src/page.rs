@@ -91,11 +91,11 @@ impl Default for PageBuf {
 
 /// Handle to a page slot inside a [`PageArena`].
 ///
-/// The backend's flat key map stores these 4-byte handles instead of the
-/// payloads themselves, so map entries stay small and payload storage is
-/// stable (never moved by a rehash).
+/// The backend's per-object page indexes store these handles as plain
+/// 4-byte values instead of the payloads themselves, so index entries stay
+/// small and payload storage is stable (never moved by index growth).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SlotHandle(u32);
+pub struct SlotHandle(pub(crate) u32);
 
 /// Slab of page payload slots with a free list.
 ///

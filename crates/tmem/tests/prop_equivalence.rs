@@ -76,6 +76,40 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     weighted_op_strategy(8, 4, 3, 2, 2, 1)
 }
 
+/// Spread the 16 page indexes across the leaf boundaries at 64, 128, 192
+/// and 256 of the backend's per-object index (64-entry leaves), so one
+/// object spans leaves that fill, empty and are released.
+fn across_leaves(op: Op) -> Op {
+    const SPREAD: [u8; 16] = [
+        0, 1, 62, 63, 64, 65, 126, 127, 128, 129, 190, 191, 192, 193, 254, 255,
+    ];
+    let spread = |idx: u8| SPREAD[idx as usize];
+    match op {
+        Op::Put {
+            pool,
+            obj,
+            idx,
+            val,
+        } => Op::Put {
+            pool,
+            obj,
+            idx: spread(idx),
+            val,
+        },
+        Op::Get { pool, obj, idx } => Op::Get {
+            pool,
+            obj,
+            idx: spread(idx),
+        },
+        Op::FlushPage { pool, obj, idx } => Op::FlushPage {
+            pool,
+            obj,
+            idx: spread(idx),
+        },
+        other => other,
+    }
+}
+
 /// Drive one operation sequence through both backends in lockstep,
 /// asserting every observable agrees after every step. With
 /// `recreate_destroyed`, a destroyed pool is immediately re-created (in
@@ -236,6 +270,16 @@ proptest! {
         capacity in 1u64..24,
     ) {
         drive_lockstep(ops, capacity, true)?;
+    }
+
+    /// Objects whose pages straddle leaf boundaries of the per-object
+    /// index: puts, gets, flushes and reclaim create and release leaves.
+    #[test]
+    fn objects_spanning_leaves_match_reference(
+        ops in proptest::collection::vec(op_strategy().prop_map(across_leaves), 1..160),
+        capacity in 1u64..24,
+    ) {
+        drive_lockstep(ops, capacity, false)?;
     }
 
     /// Robustness satellite: the backends stay in lockstep when a random
