@@ -17,7 +17,9 @@
 //!
 //! [`LeafMap`] is the index for *dense* `u32` keys — a tmem object's page
 //! indexes, a guest's swap slots. Neighbouring keys share a 64-entry leaf,
-//! so a run of keys costs one hash probe per leaf instead of one per key.
+//! so a key costs about 4 bytes and the table of leaves, probed on every
+//! access, is up to 64 times smaller than a hash map with one entry per
+//! key and stays cache-warm.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -316,8 +318,8 @@ impl LeafMap {
         })
     }
 
-    /// Remove every entry, yielding `(key, value)` in [`LeafMap::iter`]
-    /// order. The leaf index keeps its capacity.
+    /// Remove every entry, yielding each `(key, value)`. The leaf table
+    /// keeps its capacity.
     pub fn drain(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.len = 0;
         self.leaves.drain().flat_map(|(lk, leaf)| {
