@@ -88,7 +88,7 @@
 //! detection, generic over any payload type.
 
 use crate::error::TmemError;
-use crate::fastmap::{FxHashMap, LeafEntry, LeafMap};
+use crate::fastmap::{FxHashMap, LeafMap};
 use crate::key::{ObjectId, PageIndex, PoolId, TmemKey, VmId};
 use crate::page::{PageArena, PagePayload, SlotHandle};
 use std::collections::hash_map::Entry;
@@ -507,26 +507,24 @@ impl<P: PagePayload> TmemBackend<P> {
         let owner_slot = pool.owner_slot;
 
         if used < self.capacity {
-            // Fast path: one index probe resolves replace-vs-insert.
+            // Fast path: a free frame is available, so the put succeeds
+            // either in place or in a fresh arena slot.
             let s = pool.obj_slot_or_create(object);
-            match pool.obj_slots[s as usize].entry(index) {
-                LeafEntry::Occupied(slot) => {
-                    *self.arena.get_mut(SlotHandle(slot)) = StoredPage {
-                        payload,
-                        sum,
-                        flagged: false,
-                    };
-                    return Ok(PutOutcome::Replaced);
-                }
-                LeafEntry::Vacant(v) => {
-                    let slot = self.arena.alloc(StoredPage {
-                        payload,
-                        sum,
-                        flagged: false,
-                    });
-                    v.insert(slot.0);
-                }
+            let inner = &mut pool.obj_slots[s as usize];
+            if let Some(slot) = inner.get(index) {
+                *self.arena.get_mut(SlotHandle(slot)) = StoredPage {
+                    payload,
+                    sum,
+                    flagged: false,
+                };
+                return Ok(PutOutcome::Replaced);
             }
+            let slot = self.arena.alloc(StoredPage {
+                payload,
+                sum,
+                flagged: false,
+            });
+            inner.insert(index, slot.0);
             pool.page_count += 1;
             match kind {
                 PoolKind::Persistent => {

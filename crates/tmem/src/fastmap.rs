@@ -21,7 +21,6 @@
 //! access, is up to 64 times smaller than a hash map with one entry per
 //! key and stays cache-warm.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -111,7 +110,7 @@ const LEAF_MASK: u32 = LEAF_LEN as u32 - 1;
 const VACANT: u32 = u32::MAX;
 
 /// 64 consecutive keys' values, [`VACANT`] where absent.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Leaf {
     vals: [u32; LEAF_LEN],
     /// Entries that are not vacant; the leaf is released at zero.
@@ -148,52 +147,10 @@ impl Leaf {
 ///
 /// Iteration visits leaves in hash order and each leaf in ascending key
 /// order; [`LeafMap::range`] is fully ascending. Both are deterministic.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct LeafMap {
     leaves: FxHashMap<u32, Box<Leaf>>,
     len: usize,
-}
-
-/// Result of [`LeafMap::entry`]: the value already stored, or a handle
-/// that stores one without probing again.
-#[derive(Debug)]
-pub enum LeafEntry<'a> {
-    /// The key holds this value.
-    Occupied(u32),
-    /// The key is vacant.
-    Vacant(VacantLeafEntry<'a>),
-}
-
-/// A vacant key, ready for [`VacantLeafEntry::insert`]. Dropping it
-/// leaves the map unchanged.
-#[derive(Debug)]
-pub struct VacantLeafEntry<'a> {
-    leaf: VacantLeaf<'a>,
-    pos: usize,
-    len: &'a mut usize,
-}
-
-#[derive(Debug)]
-enum VacantLeaf<'a> {
-    /// The key's leaf exists; the entry is vacant.
-    Existing(&'a mut Leaf),
-    /// The key's leaf does not exist yet.
-    New(std::collections::hash_map::VacantEntry<'a, u32, Box<Leaf>>),
-}
-
-impl VacantLeafEntry<'_> {
-    /// Store `value` at the vacant key.
-    #[inline]
-    pub fn insert(self, value: u32) {
-        assert_ne!(value, VACANT, "LeafMap cannot store u32::MAX");
-        let leaf = match self.leaf {
-            VacantLeaf::Existing(leaf) => leaf,
-            VacantLeaf::New(v) => v.insert(Leaf::boxed()),
-        };
-        leaf.vals[self.pos] = value;
-        leaf.live += 1;
-        *self.len += 1;
-    }
 }
 
 impl LeafMap {
@@ -251,29 +208,6 @@ impl LeafMap {
         leaf.live += 1;
         self.len += 1;
         None
-    }
-
-    /// The value at `key`, or a handle to store one: one probe resolves
-    /// replace-versus-insert.
-    #[inline]
-    pub fn entry(&mut self, key: u32) -> LeafEntry<'_> {
-        let pos = (key & LEAF_MASK) as usize;
-        let leaf = match self.leaves.entry(key >> LEAF_BITS) {
-            Entry::Occupied(o) => {
-                let leaf = o.into_mut();
-                let v = leaf.vals[pos];
-                if v != VACANT {
-                    return LeafEntry::Occupied(v);
-                }
-                VacantLeaf::Existing(leaf)
-            }
-            Entry::Vacant(v) => VacantLeaf::New(v),
-        };
-        LeafEntry::Vacant(VacantLeafEntry {
-            leaf,
-            pos,
-            len: &mut self.len,
-        })
     }
 
     /// Remove `key`, returning its value; releases the leaf if it empties.

@@ -37,6 +37,6 @@ pub use backend::{
     IntegrityCounters, PoolKind, PutOutcome, QuarantinedObject, ScrubReport, TmemBackend,
 };
 pub use error::{ReturnCode, TmemError};
-pub use fastmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, LeafMap};
+pub use fastmap::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use key::{ObjectId, PageIndex, PoolId, TmemKey, VmId};
 pub use page::{Fingerprint, PageBuf, PAGE_SIZE};

@@ -1,7 +1,7 @@
 //! Differential property test: [`tmem::fastmap::LeafMap`] must behave as
 //! a `BTreeMap<u32, u32>`.
 //!
-//! Random insert, replace, remove, get and window-scan sequences run
+//! Random insert, replace, remove, get, window-scan and drain sequences run
 //! against both maps in lockstep. Keys cluster on either side of leaf
 //! boundaries (`64k - 1`, `64k`, `64k + 1`) and in the last leaves below
 //! `u32::MAX`, where the leaf arithmetic can overflow. After every step the
@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use tmem::fastmap::{LeafEntry, LeafMap};
+use tmem::fastmap::LeafMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -19,8 +19,6 @@ enum Op {
     Insert(u32, u32),
     /// `insert` at the `n`-th stored key (mod len): always a replacement.
     Replace(u16, u32),
-    /// `entry`, inserting when vacant.
-    Entry(u32, u32),
     Remove(u32),
     Get(u32),
     /// `range(lo..lo + width)`, saturating at `u32::MAX`.
@@ -50,7 +48,6 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         6 => (key(), value()).prop_map(|(k, v)| Op::Insert(k, v)),
         2 => (any::<u16>(), value()).prop_map(|(n, v)| Op::Replace(n, v)),
-        3 => (key(), value()).prop_map(|(k, v)| Op::Entry(k, v)),
         4 => key().prop_map(Op::Remove),
         2 => key().prop_map(Op::Get),
         2 => (key(), 0..140u8).prop_map(|(k, w)| Op::Scan(k, w)),
@@ -97,14 +94,6 @@ fn run(ops: &[Op]) -> Result<(), TestCaseError> {
                     prop_assert_eq!(map.insert(k, v), old);
                 }
             }
-            Op::Entry(k, v) => match map.entry(k) {
-                LeafEntry::Occupied(got) => prop_assert_eq!(Some(got), model.get(&k).copied()),
-                LeafEntry::Vacant(e) => {
-                    prop_assert!(!model.contains_key(&k), "key {} reported vacant", k);
-                    e.insert(v);
-                    model.insert(k, v);
-                }
-            },
             Op::Remove(k) => {
                 prop_assert_eq!(map.remove(k), model.remove(&k));
                 prop_assert_eq!(map.get(k), None);
@@ -168,20 +157,4 @@ proptest! {
 #[should_panic(expected = "u32::MAX")]
 fn storing_the_vacant_marker_panics() {
     LeafMap::new().insert(7, u32::MAX);
-}
-
-#[test]
-#[should_panic(expected = "u32::MAX")]
-fn storing_the_vacant_marker_through_an_entry_panics() {
-    let mut map = LeafMap::new();
-    if let LeafEntry::Vacant(e) = map.entry(7) {
-        e.insert(u32::MAX);
-    }
-}
-
-#[test]
-fn dropped_vacant_entry_leaves_no_leaf_behind() {
-    let mut map = LeafMap::new();
-    assert!(matches!(map.entry(1 << 20), LeafEntry::Vacant(_)));
-    assert_eq!((map.len(), map.leaf_count()), (0, 0));
 }
