@@ -18,10 +18,10 @@
 //! * a **cleancache** front-end over ephemeral pools (the second tmem mode,
 //!   implemented as the paper describes it even though the evaluation uses
 //!   frontswap only),
-//! * [`paged::PagedSpan`] and [`paged::PagedVec`] — arrays whose element
-//!   accesses are routed through the simulated paging layer, so workloads
-//!   compute real results while generating faithful page-reference
-//!   streams; a span holds no host data, a vector adds the values.
+//! * [`paged::PagedSpan`] — arrays whose element accesses are routed
+//!   through the simulated paging layer. A span holds no element values:
+//!   workloads generate the application's page-reference stream, not its
+//!   arithmetic.
 //!
 //! Every operation charges simulated time to a [`budget::StepBudget`] using
 //! the experiment's [`sim_core::CostModel`].
@@ -40,5 +40,5 @@ pub use budget::StepBudget;
 pub use disk::SharedDisk;
 pub use kernel::{GuestConfig, GuestKernel, KernelStats};
 pub use machine::Machine;
-pub use paged::{PagedSpan, PagedVec};
+pub use paged::PagedSpan;
 pub use tkm::{Dom0Tkm, GuestTkm};

@@ -1,19 +1,13 @@
 //! Arrays routed through the simulated paging layer.
 //!
-//! Workloads compute *real* results (PageRank iterations, ALS updates,
-//! usemem checksums), but every element access first touches the guest
-//! virtual page(s) holding that element, driving faults, frontswap
-//! puts/gets and disk I/O exactly as the real application would.
-//!
-//! Two shapes share one addressing scheme:
-//!
-//! * [`PagedSpan`] — guest pages and nothing else. The workload keeps the
-//!   one host copy of the values (a synthesized dataset it reads back, or
-//!   values it can recompute) and the span only generates the page
-//!   references. Read-only inputs, write-once staging heaps and usemem
-//!   blocks use spans, so no simulated page is backed by two host copies.
-//! * [`PagedVec`] — a span plus a host `Vec<T>`, for values the workload
-//!   computes and reads back (factor rows, PageRank generations).
+//! A [`PagedSpan`] is guest address space and nothing else: reading or
+//! writing element `i` touches the guest virtual page(s) holding it,
+//! driving faults, frontswap puts/gets and disk I/O exactly as the real
+//! application's access would. The span stores no element values. The
+//! workloads are data-oblivious — their control flow follows the shape of
+//! their input (rating and graph structure, block sizes), never the values
+//! they compute — so the page-reference stream is all the simulation
+//! needs, and no simulated page is backed by a host copy of its contents.
 //!
 //! The `stride` parameter decouples *logical* element size from *memory*
 //! footprint: CloudSuite's workloads run on Spark, whose JVM object overhead
@@ -122,78 +116,6 @@ impl Drop for PagedSpan {
     }
 }
 
-/// A fixed-length typed array backed by simulated guest pages: a
-/// [`PagedSpan`] plus the host copy of the element values.
-#[derive(Debug)]
-pub struct PagedVec<T> {
-    span: PagedSpan,
-    data: Vec<T>,
-}
-
-impl<T: Clone + Default> PagedVec<T> {
-    /// Allocate `len` elements, each occupying `stride` bytes of guest
-    /// address space (see [`PagedSpan::new`]). Initializes host data to
-    /// `T::default()` — the guest pages themselves stay untouched until
-    /// accessed.
-    pub fn new(kernel: &mut GuestKernel, len: usize, stride: usize) -> Self {
-        PagedVec {
-            span: PagedSpan::new(kernel, len, stride),
-            data: vec![T::default(); len],
-        }
-    }
-
-    /// Pages of guest address space needed for `len` elements of `stride`
-    /// bytes.
-    pub fn footprint_pages(len: usize, stride: usize) -> u64 {
-        PagedSpan::footprint_pages(len, stride)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True when the vector holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Guest pages this vector occupies.
-    pub fn pages(&self) -> u64 {
-        self.span.pages()
-    }
-
-    /// First guest page of element `i`.
-    pub fn page_of(&self, i: usize) -> VirtPage {
-        self.span.page_of(i)
-    }
-
-    /// Read element `i`, touching its page(s).
-    pub fn get(&self, i: usize, kernel: &mut GuestKernel, m: &mut Machine<'_>) -> T {
-        self.span.read(i, kernel, m);
-        self.data[i].clone()
-    }
-
-    /// Write element `i`, touching its page(s) for writing.
-    pub fn set(&mut self, i: usize, v: T, kernel: &mut GuestKernel, m: &mut Machine<'_>) {
-        self.span.write(i, kernel, m);
-        self.data[i] = v;
-    }
-
-    /// Read element `i` without simulating the memory access. For
-    /// *verification only* (e.g. checking PageRank convergence after the
-    /// run); using it inside a workload would hide references from the
-    /// simulation.
-    pub fn peek(&self, i: usize) -> &T {
-        &self.data[i]
-    }
-
-    /// Release the underlying guest pages (see [`PagedSpan::free`]).
-    pub fn free(self, kernel: &mut GuestKernel, m: &mut Machine<'_>) {
-        self.span.free(kernel, m);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,67 +171,47 @@ mod tests {
 
     #[test]
     fn footprint_rounds_up() {
-        assert_eq!(PagedVec::<u64>::footprint_pages(1, 8), 1);
-        assert_eq!(PagedVec::<u64>::footprint_pages(512, 8), 1);
-        assert_eq!(PagedVec::<u64>::footprint_pages(513, 8), 2);
-        assert_eq!(PagedVec::<u64>::footprint_pages(100, 4096), 100);
-    }
-
-    #[test]
-    fn values_survive_paging_pressure() {
-        let mut r = rig(8);
-        let mut b = StepBudget::new(SimDuration::from_secs(3600));
-        // 32 pages of u64s with one element per page: 4× RAM.
-        let mut v: PagedVec<u64> = PagedVec::new(&mut r.kernel, 32, PAGE_SIZE);
-        for i in 0..32 {
-            let mut m = machine!(r, &mut b);
-            v.set(i, i as u64 * 100, &mut r.kernel, &mut m);
-        }
-        for i in 0..32 {
-            let mut m = machine!(r, &mut b);
-            assert_eq!(v.get(i, &mut r.kernel, &mut m), i as u64 * 100);
-        }
-        assert!(r.kernel.stats().evictions_to_tmem > 0, "pressure happened");
-        let mut m = machine!(r, &mut b);
-        v.free(&mut r.kernel, &mut m);
-        assert_eq!(r.hyp.tmem_used_by(VmId(1)), 0);
+        assert_eq!(PagedSpan::footprint_pages(1, 8), 1);
+        assert_eq!(PagedSpan::footprint_pages(512, 8), 1);
+        assert_eq!(PagedSpan::footprint_pages(513, 8), 2);
+        assert_eq!(PagedSpan::footprint_pages(100, 4096), 100);
     }
 
     #[test]
     fn stride_inflates_footprint() {
         let mut r = rig(64);
         // 100 logical u32s at 256 bytes/element → 7 pages, not 1.
-        let v: PagedVec<u32> = PagedVec::new(&mut r.kernel, 100, 256);
-        assert_eq!(v.pages(), 7);
-        assert_eq!(v.page_of(0), v.page_of(15), "16 elements share a page");
-        assert_ne!(v.page_of(0), v.page_of(16));
+        let s = PagedSpan::new(&mut r.kernel, 100, 256);
+        assert_eq!(s.pages(), 7);
+        assert_eq!(s.page_of(0), s.page_of(15), "16 elements share a page");
+        assert_ne!(s.page_of(0), s.page_of(16));
         let mut b = StepBudget::new(SimDuration::from_secs(3600));
         let mut m = machine!(r, &mut b);
-        v.free(&mut r.kernel, &mut m);
+        s.free(&mut r.kernel, &mut m);
     }
 
     #[test]
     fn straddling_elements_touch_both_pages() {
         let mut r = rig(64);
         // 3000-byte elements: element 1 spans pages 0 and 1.
-        let mut v: PagedVec<u8> = PagedVec::new(&mut r.kernel, 4, 3000);
+        let s = PagedSpan::new(&mut r.kernel, 4, 3000);
         let mut b = StepBudget::new(SimDuration::from_secs(3600));
         {
             let mut m = machine!(r, &mut b);
-            v.set(1, 7, &mut r.kernel, &mut m);
+            s.write(1, &mut r.kernel, &mut m);
         }
         assert_eq!(r.kernel.stats().minor_faults, 2, "two pages faulted");
         let mut m = machine!(r, &mut b);
-        v.free(&mut r.kernel, &mut m);
+        s.free(&mut r.kernel, &mut m);
     }
 
     #[test]
     #[should_panic(expected = "out of bounds")]
     fn out_of_bounds_panics() {
         let mut r = rig(8);
-        let v: PagedVec<u64> = PagedVec::new(&mut r.kernel, 4, 8);
+        let s = PagedSpan::new(&mut r.kernel, 4, 8);
         let mut b = StepBudget::new(SimDuration::from_secs(1));
         let mut m = machine!(r, &mut b);
-        let _ = v.get(4, &mut r.kernel, &mut m);
+        s.read(4, &mut r.kernel, &mut m);
     }
 }

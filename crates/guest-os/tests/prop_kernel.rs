@@ -101,59 +101,4 @@ proptest! {
         prop_assert_eq!(hyp.tmem_used_by(VmId(1)), 0);
         prop_assert_eq!(hyp.node_info().free_tmem, tmem_pages);
     }
-
-    /// Values written through PagedVec survive arbitrary interleavings of
-    /// pressure (reads return the last write, bit-exact).
-    #[test]
-    fn paged_vec_is_a_faithful_array(
-        writes in proptest::collection::vec((0..32usize, any::<u64>()), 1..100),
-        ram_pages in 4u64..16,
-        tmem_pages in 0u64..16,
-    ) {
-        use guest_os::paged::PagedVec;
-        let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(tmem_pages, tmem_pages);
-        hyp.register_vm(VmConfig::new(VmId(1), "VM1", ram_pages * 4096, 1));
-        let pool = hyp.new_pool(VmId(1), PoolKind::Persistent).unwrap();
-        let mut kernel = GuestKernel::new(GuestConfig {
-            vm: VmId(1),
-            ram_pages,
-            os_reserved_pages: 2,
-            readahead_pages: 4,
-            frontswap_enabled: true,
-        });
-        kernel.attach_frontswap(pool);
-        let mut disk = SharedDisk::default();
-        let cost = CostModel::hdd();
-
-        // One element per page to maximize paging churn.
-        let mut v: PagedVec<u64> = PagedVec::new(&mut kernel, 32, 4096);
-        let mut model = [0u64; 32];
-        for (i, val) in writes {
-            let mut budget = StepBudget::new(SimDuration::from_secs(3600));
-            let mut m = Machine {
-                hyp: &mut hyp,
-                disk: &mut disk,
-                cost: &cost,
-                now: SimTime::ZERO,
-                budget: &mut budget,
-            };
-            v.set(i, val, &mut kernel, &mut m);
-            model[i] = val;
-            // Read a pseudo-random other element and check it.
-            let j = (i * 7 + 3) % 32;
-            prop_assert_eq!(v.get(j, &mut kernel, &mut m), model[j]);
-        }
-        let mut budget = StepBudget::new(SimDuration::from_secs(3600));
-        let mut m = Machine {
-            hyp: &mut hyp,
-            disk: &mut disk,
-            cost: &cost,
-            now: SimTime::ZERO,
-            budget: &mut budget,
-        };
-        for (i, &expect) in model.iter().enumerate() {
-            prop_assert_eq!(v.get(i, &mut kernel, &mut m), expect);
-        }
-        v.free(&mut kernel, &mut m);
-    }
 }

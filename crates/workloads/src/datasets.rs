@@ -4,9 +4,10 @@
 //! statistically similar synthetic ones (see DESIGN.md §2):
 //!
 //! * **MovieLens-shaped ratings** (Harper & Konstan) for
-//!   in-memory-analytics: `(user, item, rating)` triples where item
-//!   popularity follows a Zipf law — the skew that makes some factor rows
-//!   hot — and users rate in bursts.
+//!   in-memory-analytics: `(user, item)` pairs where item popularity
+//!   follows a Zipf law — the skew that makes some factor rows hot — and
+//!   users rate in bursts. The rating values are not kept: the workload
+//!   is data-oblivious, so only who rated what shapes its page references.
 //! * **soc-twitter-follows-shaped graph** (Rossi & Ahmed) for
 //!   graph-analytics: a Chung–Lu style power-law multigraph, degree
 //!   exponent ≈ 2, stored as an edge list for CSR assembly.
@@ -15,15 +16,13 @@
 
 use sim_core::rng::SplitMix64;
 
-/// A synthetic rating triple.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// A synthetic rating: who rated what.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Rating {
     /// User index in `[0, n_users)`.
     pub user: u32,
     /// Item index in `[0, n_items)`.
     pub item: u32,
-    /// Rating value in `[0.5, 5.0]`.
-    pub value: f32,
 }
 
 /// Zipf-ish sampler over `[0, n)` via the inverse-power method: cheap,
@@ -49,11 +48,10 @@ pub fn movielens_ratings(seed: u64, n_users: u32, n_items: u32, n_ratings: usize
         let burst = 1 + rng.next_below(16) as usize;
         for _ in 0..burst.min(n_ratings - out.len()) {
             let item = zipf_sample(&mut rng, n_items, 1.1);
-            // Ratings cluster around per-item "quality" plus user noise.
-            let quality = 2.5 + 2.0 * ((item as f64 * 0.61803).fract() - 0.5);
-            let noise = rng.next_f64() * 2.0 - 1.0;
-            let value = (quality + noise).clamp(0.5, 5.0) as f32;
-            out.push(Rating { user, item, value });
+            // The rating value's user-noise draw: the value is not kept,
+            // but the draw keeps the (user, item) stream unchanged.
+            rng.next();
+            out.push(Rating { user, item });
         }
     }
     out
@@ -113,7 +111,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 1000);
         assert!(a.iter().all(|r| r.user < 100 && r.item < 50));
-        assert!(a.iter().all(|r| (0.5..=5.0).contains(&r.value)));
     }
 
     #[test]
