@@ -27,18 +27,37 @@ pub struct Rating {
 
 /// Zipf-ish sampler over `[0, n)` via the inverse-power method: cheap,
 /// deterministic and heavy enough in the head to create hot items.
-fn zipf_sample(rng: &mut SplitMix64, n: u32, skew: f64) -> u32 {
-    debug_assert!(n > 0);
-    let u = rng.next_f64().max(1e-12);
-    // Inverse CDF of a continuous power-law on [1, n].
-    let x = ((n as f64).powf(1.0 - skew) * u + (1.0 - u)).powf(1.0 / (1.0 - skew));
-    (x as u32).min(n - 1)
+struct Zipf {
+    n: u32,
+    /// `n^(1 - skew)`.
+    head: f64,
+    /// `1 / (1 - skew)`.
+    exp: f64,
+}
+
+impl Zipf {
+    fn new(n: u32, skew: f64) -> Self {
+        assert!(n > 0);
+        Zipf {
+            n,
+            head: (n as f64).powf(1.0 - skew),
+            exp: 1.0 / (1.0 - skew),
+        }
+    }
+
+    fn sample(&self, rng: &mut SplitMix64) -> u32 {
+        let u = rng.next_f64().max(1e-12);
+        // Inverse CDF of a continuous power-law on [1, n].
+        let x = (self.head * u + (1.0 - u)).powf(self.exp);
+        (x as u32).min(self.n - 1)
+    }
 }
 
 /// Generate `n_ratings` MovieLens-shaped ratings.
 pub fn movielens_ratings(seed: u64, n_users: u32, n_items: u32, n_ratings: usize) -> Vec<Rating> {
     assert!(n_users > 0 && n_items > 0);
     let mut rng = SplitMix64::new(seed).derive("movielens");
+    let items = Zipf::new(n_items, 1.1);
     let mut out = Vec::with_capacity(n_ratings);
     // Users rate in bursts: pick a user, emit a geometric burst of ratings
     // over Zipf-popular items. This clusters a user's ratings together in
@@ -47,7 +66,7 @@ pub fn movielens_ratings(seed: u64, n_users: u32, n_items: u32, n_ratings: usize
         let user = rng.next_below(u64::from(n_users)) as u32;
         let burst = 1 + rng.next_below(16) as usize;
         for _ in 0..burst.min(n_ratings - out.len()) {
-            let item = zipf_sample(&mut rng, n_items, 1.1);
+            let item = items.sample(&mut rng);
             // The rating value's user-noise draw: the value is not kept,
             // but the draw keeps the (user, item) stream unchanged.
             rng.next();
@@ -63,13 +82,14 @@ pub fn movielens_ratings(seed: u64, n_users: u32, n_items: u32, n_ratings: usize
 pub fn powerlaw_edges(seed: u64, n_nodes: u32, n_edges: usize) -> Vec<(u32, u32)> {
     assert!(n_nodes > 1);
     let mut rng = SplitMix64::new(seed).derive("powerlaw-graph");
+    // Sources are mildly skewed (active followers), destinations heavily
+    // skewed (celebrity accounts) — the soc-twitter-follows shape.
+    let srcs = Zipf::new(n_nodes, 1.05);
+    let dsts = Zipf::new(n_nodes, 1.8);
     let mut out = Vec::with_capacity(n_edges);
     for _ in 0..n_edges {
-        // Sources are mildly skewed (active followers), destinations
-        // heavily skewed (celebrity accounts) — the soc-twitter-follows
-        // shape.
-        let src = zipf_sample(&mut rng, n_nodes, 1.05);
-        let mut dst = zipf_sample(&mut rng, n_nodes, 1.8);
+        let src = srcs.sample(&mut rng);
+        let mut dst = dsts.sample(&mut rng);
         if dst == src {
             dst = (dst + 1) % n_nodes;
         }
@@ -162,8 +182,43 @@ mod tests {
     #[test]
     fn zipf_sampler_stays_in_bounds() {
         let mut rng = SplitMix64::new(11);
+        let z = Zipf::new(37, 1.5);
         for _ in 0..10_000 {
-            assert!(zipf_sample(&mut rng, 37, 1.5) < 37);
+            assert!(z.sample(&mut rng) < 37);
         }
+    }
+
+    #[test]
+    fn zipf_sampler_matches_the_per_draw_formula() {
+        // The sampler computes `n^(1 - skew)` and `1 / (1 - skew)` once per
+        // generator; recomputing them on every draw must give bit-identical
+        // samples.
+        fn per_draw(rng: &mut SplitMix64, n: u32, skew: f64) -> u32 {
+            let u = rng.next_f64().max(1e-12);
+            let x = ((n as f64).powf(1.0 - skew) * u + (1.0 - u)).powf(1.0 / (1.0 - skew));
+            (x as u32).min(n - 1)
+        }
+        for (n, skew) in [
+            (1, 1.1),
+            (37, 1.5),
+            (500, 1.1),
+            (10_000, 1.05),
+            (10_000, 1.8),
+        ] {
+            let z = Zipf::new(n, skew);
+            let (mut a, mut b) = (SplitMix64::new(42), SplitMix64::new(42));
+            for _ in 0..10_000 {
+                assert_eq!(
+                    z.sample(&mut a),
+                    per_draw(&mut b, n, skew),
+                    "n={n} skew={skew}"
+                );
+            }
+        }
+        // A few draws pinned outright.
+        let mut rng = SplitMix64::new(42);
+        let z = Zipf::new(10_000, 1.05);
+        let got: Vec<u32> = (0..8).map(|_| z.sample(&mut rng)).collect();
+        assert_eq!(got, [598, 3, 8, 15, 1, 2265, 5, 1101]);
     }
 }
