@@ -285,6 +285,9 @@ struct VmRuntime {
     /// Instant the current sleep's `Wake` was scheduled for; lets a
     /// migration that swallows the wake re-issue it on arrival.
     wake_at: Option<SimTime>,
+    /// Due instant of the VM's queued `Step`, `None` once it has been
+    /// dispatched. A VM runs one step chain: see [`Runner::schedule_step`].
+    step_at: Option<SimTime>,
     /// State to restore at `MigrateDone` (`Running` or `Sleeping`).
     resume_after_migration: Option<VmState>,
     prog_idx: usize,
@@ -477,6 +480,7 @@ pub fn run_cluster(
             state: VmState::NotStarted,
             host: h,
             wake_at: None,
+            step_at: None,
             resume_after_migration: None,
             prog_idx: 0,
             run_counter: 0,
@@ -611,6 +615,7 @@ impl Runner {
                         }
                     }
                     Event::Step(i) => {
+                        self.vms[i].step_at = None;
                         if self.vms[i].state == VmState::Running {
                             self.step_vm(i, now);
                         }
@@ -664,7 +669,7 @@ impl Runner {
                 });
                 rt.workload = Some(workload);
                 self.set_state(i, VmState::Running);
-                self.queue.schedule_at(now, Event::Step(i));
+                self.schedule_step(i, now);
             }
             ProgramStep::Sleep(d) => {
                 self.vms[i].wake_at = Some(now + d);
@@ -740,10 +745,20 @@ impl Runner {
                 rt.workload = None;
                 self.start_next(i, t_end);
             }
-            StepOutcome::Runnable => {
-                self.queue.schedule_at(t_end, Event::Step(i));
-            }
+            StepOutcome::Runnable => self.schedule_step(i, t_end),
         }
+    }
+
+    /// Queue VM `i`'s next quantum at `at`. Each VM runs exactly one step
+    /// chain, so no other `Step` of it may be queued: a second chain would
+    /// run the VM twice as fast as its vCPU allows.
+    fn schedule_step(&mut self, i: usize, at: SimTime) {
+        let queued = self.vms[i].step_at.replace(at);
+        assert!(
+            queued.is_none(),
+            "vm{i} already has a step queued at {queued:?}; another at {at} forks its chain"
+        );
+        self.queue.schedule_at(at, Event::Step(i));
     }
 
     /// Start any milestone-triggered VM whose requirements are now met.
@@ -1150,7 +1165,12 @@ impl Runner {
         {
             VmState::Running => {
                 self.set_state(i, VmState::Running);
-                self.queue.schedule_at(now, Event::Step(i));
+                // A step blocked on disk I/O can outlast the transfer: it
+                // is still queued and continues the chain when due. A step
+                // that came due in flight was ignored; re-issue it.
+                if self.vms[i].step_at.is_none() {
+                    self.schedule_step(i, now);
+                }
             }
             VmState::Sleeping => {
                 self.set_state(i, VmState::Sleeping);
