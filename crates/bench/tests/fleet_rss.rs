@@ -1,12 +1,13 @@
-//! Peak-RSS guard for the fleet family: host memory must stay sub-linear
-//! in the *simulated* footprint. Four designs keep it there: 8-byte
+//! Peak-RSS guards for the fleet family: host memory must stay sub-linear
+//! in the *simulated* footprint. Five designs keep it there: 8-byte
 //! fingerprints instead of 4 KiB page bodies in tmem, data-less paged
-//! spans (usemem stores no word per page), a packed guest page table
-//! (12 bytes per page, 4 per RAM frame, free list included), and leaf
-//! indexes for tmem object pages and live swap slots (~4 bytes per dense
-//! key). This test pins them with a hard budget so a payload, page-table,
-//! index or accounting regression cannot silently grow host memory per
-//! simulated page.
+//! spans (no simulated page has a host copy of its contents), value-free
+//! workloads (no factor row, rank or usemem word is computed or stored),
+//! a packed guest page table (12 bytes per page, 4 per RAM frame, free
+//! list included), and leaf indexes for tmem object pages and live swap
+//! slots (~4 bytes per dense key). These tests pin them with hard budgets
+//! so a payload, page-table, index, workload or accounting regression
+//! cannot silently grow host memory per simulated page.
 
 use scenarios::config::RunConfig;
 use scenarios::runner::run_scenario;
@@ -14,6 +15,10 @@ use scenarios::spec::{Arrival, FleetParams, ScenarioKind, WorkloadMix};
 use scenarios::PolicyKind;
 use sim_core::time::SimDuration;
 use smartmem_bench::measure::{measure, peak_rss_kb};
+use std::process::Command;
+
+/// Set in the child process that runs one guard's cell.
+const CHILD_ENV: &str = "FLEET_RSS_CHILD";
 
 /// `MemAvailable` from `/proc/meminfo`, in KiB.
 fn mem_available_kb() -> Option<u64> {
@@ -22,19 +27,26 @@ fn mem_available_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// 64 VMs × 512 MiB = 32 GiB of simulated footprint must fit in 432 MiB of
-/// host memory, 1/76 of it. Measured on Linux x86-64: 285 MiB in a release
-/// build (debug builds read the same within a few MiB). The budget leaves
-/// ~50% slack for allocator and platform variance, yet fails 24-byte
-/// page-table entries, a free-frame list and a host word per usemem page
-/// (583 MiB), let alone stored page bodies. One hash-map entry per stored
-/// page and per live swap slot instead of the leaf indexes measured
-/// 336 MiB.
-const HOST_BUDGET_KIB: u64 = 432 * 1024;
+/// Run guard `test`'s cell in a process of its own. `VmHWM` is per
+/// process and the tests of one binary run in one process, concurrently,
+/// so each guard re-runs this test binary filtered to itself.
+fn in_own_process(test: &str, body: impl FnOnce()) {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        body();
+        return;
+    }
+    let exe = std::env::current_exe().expect("the test binary's own path");
+    let status = Command::new(exe)
+        .args([test, "--exact", "--ignored", "--nocapture"])
+        .env(CHILD_ENV, "1")
+        .status()
+        .expect("re-run the test binary");
+    assert!(status.success(), "{test} failed in its own process");
+}
 
-#[test]
-#[ignore = "64-VM x 32 GiB cell (~1.5 min); CI runs the slow suite via --ignored"]
-fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
+/// Run `params` until `max_sim_time` and assert the process's peak RSS
+/// stays under `budget_kib`.
+fn assert_peak_rss_under(params: FleetParams, max_sim_time: SimDuration, budget_kib: u64) {
     // Early skip on small hosts (e.g. a laptop running the slow suite):
     // the point is the budget assertion, not an OOM kill.
     match mem_available_kb() {
@@ -52,27 +64,14 @@ fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
             return;
         }
     }
-
-    // The paging mix keeps every simulated byte data-oblivious (usemem
-    // blocks are pure page-index state; no workload materializes
-    // footprint-sized host data the way in-memory-analytics' rating table
-    // does), so host RSS measures the simulator, not the workload corpus.
-    let params = FleetParams {
-        vms: 64,
-        footprint_mb: 512,
-        mix: WorkloadMix::Paging,
-        arrival: Arrival::Staggered { gap_ms: 250 },
-    };
-    // Peak RSS is reached once every VM's block is resident; truncating
-    // the tail of the run bounds test time without moving the peak.
     let cfg = RunConfig {
         seed: 42,
-        max_sim_time: SimDuration::from_secs(1800),
+        max_sim_time,
         ..RunConfig::default()
     };
     let m = measure(|| run_scenario(ScenarioKind::Scenario5(params), PolicyKind::Greedy, &cfg));
     let peak = peak_rss_kb().expect("Linux host (meminfo was readable above)");
-    let simulated_kib = 64u64 * 512 * 1024;
+    let simulated_kib = u64::from(params.vms) * u64::from(params.footprint_mb) * 1024;
     eprintln!(
         "peak RSS {} MiB for {} MiB of simulated footprint",
         peak / 1024,
@@ -84,11 +83,67 @@ fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
         m.value.events
     );
     assert!(
-        peak < HOST_BUDGET_KIB,
+        peak < budget_kib,
         "peak RSS {} MiB breaches the {} MiB budget for {} MiB of simulated \
          footprint — host memory per simulated page grew",
         peak / 1024,
-        HOST_BUDGET_KIB / 1024,
+        budget_kib / 1024,
         simulated_kib / 1024,
     );
+}
+
+/// 64 VMs × 512 MiB = 32 GiB of simulated footprint must fit in 432 MiB of
+/// host memory, 1/76 of it. Measured on Linux x86-64: 285 MiB in a release
+/// build (debug builds read the same within a few MiB). The budget leaves
+/// ~50% slack for allocator and platform variance, yet fails 24-byte
+/// page-table entries, a free-frame list and a host word per usemem page
+/// (583 MiB), let alone stored page bodies. One hash-map entry per stored
+/// page and per live swap slot instead of the leaf indexes measured
+/// 336 MiB.
+const PAGING_BUDGET_KIB: u64 = 432 * 1024;
+
+#[test]
+#[ignore = "64-VM x 32 GiB cell (~1.5 min); CI runs the slow suite via --ignored"]
+fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
+    in_own_process("fleet_64vm_32gib_footprint_stays_under_host_budget", || {
+        // The paging mix keeps every simulated byte data-oblivious (usemem
+        // blocks are pure page-index state; no workload materializes
+        // footprint-sized host data the way in-memory-analytics' rating
+        // structure does), so host RSS measures the simulator, not the
+        // workload corpus. Peak RSS is reached once every VM's block is
+        // resident; truncating the tail of the run bounds test time
+        // without moving the peak.
+        let params = FleetParams {
+            vms: 64,
+            footprint_mb: 512,
+            mix: WorkloadMix::Paging,
+            arrival: Arrival::Staggered { gap_ms: 250 },
+        };
+        assert_peak_rss_under(params, SimDuration::from_secs(1800), PAGING_BUDGET_KIB);
+    });
+}
+
+/// 16 in-memory-analytics VMs × 256 MiB = 4 GiB of simulated footprint
+/// must fit in 460 MiB of host memory. Measured on Linux x86-64: 308 MiB
+/// in a release build, nearly all of it the rating structure the
+/// workloads replay (8 bytes per rating, ~18 MiB per VM). The budget
+/// leaves ~50% slack, yet fails workloads that also keep each rating's
+/// value and compute 32-byte factor rows in host memory (738 MiB).
+const ANALYTICS_BUDGET_KIB: u64 = 460 * 1024;
+
+#[test]
+#[ignore = "16-VM analytics cell (~1 min); CI runs the slow suite via --ignored"]
+fn fleet_16vm_analytics_stays_under_host_budget() {
+    in_own_process("fleet_16vm_analytics_stays_under_host_budget", || {
+        // Every VM has built its rating set and initialized its factor
+        // rows well before the cutoff (the whole run reads within 1% of
+        // it), so truncating the ~420 s run keeps the peak.
+        let params = FleetParams {
+            vms: 16,
+            footprint_mb: 256,
+            mix: WorkloadMix::Analytics,
+            arrival: Arrival::Staggered { gap_ms: 250 },
+        };
+        assert_peak_rss_under(params, SimDuration::from_secs(120), ANALYTICS_BUDGET_KIB);
+    });
 }
