@@ -10,13 +10,19 @@
 //!   1 GB, then keep traversing until stopped.
 //! * [`inmem::InMemoryAnalytics`] — stand-in for CloudSuite's
 //!   in-memory-analytics (Spark ALS collaborative filtering over
-//!   MovieLens): a real stochastic-gradient matrix-factorization
-//!   recommender over a synthetic MovieLens-shaped rating set, executed on
-//!   paged arrays ([`guest_os::PagedSpan`], [`guest_os::PagedVec`]) so
-//!   every rating scan and factor update drives the simulated paging layer.
+//!   MovieLens): the memory behaviour of a stochastic-gradient
+//!   matrix-factorization recommender over a synthetic MovieLens-shaped
+//!   rating set, on paged arrays ([`guest_os::PagedSpan`]) so every rating
+//!   scan and factor update drives the simulated paging layer.
 //! * [`graph::GraphAnalytics`] — stand-in for CloudSuite's graph-analytics
-//!   (GraphX PageRank over `soc-twitter-follows`): real PageRank over a
-//!   synthetic power-law graph in CSR form.
+//!   (GraphX PageRank over `soc-twitter-follows`): PageRank's memory
+//!   behaviour over a synthetic power-law graph in CSR form.
+//!
+//! The workloads are data-oblivious (fixed epochs and iterations, no
+//! convergence tests), so each one reproduces the application's
+//! page-reference stream and compute charges, not its arithmetic: no
+//! factor, rank or usemem word is ever computed or stored. The paper's
+//! metrics — running time and tmem occupancy — depend only on that stream.
 //!
 //! Workloads are resumable state machines: the scenario event loop calls
 //! [`traits::Workload::step`] with a time budget; the workload issues
