@@ -37,9 +37,11 @@
 //! `BENCH_fleet.json`: wall-clock and peak RSS versus VM count, with
 //! per-VM occupancy/slowdown figures. `--scale` sizes the per-VM footprint
 //! off the 512 MiB headline cell (default 0.125 → 64 MiB — a smoke pass;
-//! use `--scale 1` for the headline numbers). The simulation itself always
-//! runs at time scale 1 (1 s sampling), because fleet cells are not
-//! resized by `RunConfig::scale`.
+//! use `--scale 1` for the headline numbers). `--scale` resizes nothing
+//! else: `bench-fleet` and `bench-cluster` run every cell at the default
+//! `RunConfig` scale 0.125, whose time scale samples every 125 ms and
+//! staggers the 250 ms arrival gap to 31.25 ms; both print the effective
+//! interval and gap and record them in their JSON `config`.
 //!
 //! `--jobs N` sets the number of worker threads the experiment grids fan
 //! out over (default: all available cores). Output is byte-identical at
@@ -83,8 +85,9 @@ use scenarios::report;
 use scenarios::runner::{
     run_cluster, run_scenario, run_spec, ClusterConfig, ClusterResult, RunResult,
 };
-use scenarios::spec::{build_scenario, FleetParams, ScenarioKind};
+use scenarios::spec::{build_scenario, Arrival, FleetParams, ScenarioKind};
 use scenarios::trace_check;
+use sim_core::time::SimDuration;
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
 };
@@ -550,6 +553,23 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The time base of the `bench-fleet` and `bench-cluster` cells under
+/// `cfg`: the default cell's arrival gap, and the sampling interval and
+/// gap after time scaling, as a header phrase and as JSON `config` fields.
+fn fleet_time_base(cfg: &RunConfig) -> (String, String) {
+    let gap_ms = match FleetParams::default().arrival {
+        Arrival::Staggered { gap_ms } => gap_ms,
+        Arrival::Simultaneous => 0,
+    };
+    let ms = |d: SimDuration| d.as_nanos() as f64 / 1e6;
+    let sampling = ms(cfg.sampling_interval());
+    let gap = ms(cfg.scale_time(SimDuration::from_millis(u64::from(gap_ms))));
+    (
+        format!("arrivals {gap} ms apart ({gap_ms} ms gap, time-scaled), sampling every {sampling} ms"),
+        format!("\"arrival_gap_ms\": {gap_ms}, \"effective_gap_ms\": {gap}, \"sampling_ms\": {sampling}"),
+    )
+}
+
 /// `bench-fleet`: wall-clock and peak RSS versus VM count over the fleet
 /// scenario family (8/16/32/64 VMs), with per-VM occupancy/slowdown
 /// figures. Writes `BENCH_fleet.json`.
@@ -557,9 +577,9 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     use smartmem_bench::measure::measure;
 
     // Fleet cells are not resized by `RunConfig::scale` (their size is
-    // explicit in `FleetParams`), so the run config keeps the default
-    // scale 1.0 — one-second sampling — and `--scale` instead sizes the
-    // per-VM footprint off the 512 MiB headline cell.
+    // explicit in `FleetParams`), so `--scale` instead sizes the per-VM
+    // footprint off the 512 MiB headline cell. The run config keeps the
+    // default scale 0.125, and with it the time scale: 125 ms sampling.
     let footprint_mb = ((512.0 * a.scale).round() as u32).max(8);
     let policy = PolicyKind::SmartAlloc { p: 2.0 };
     let cfg = RunConfig {
@@ -568,11 +588,12 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
         ..RunConfig::default()
     };
     cfg.validate()?;
+    let (time_line, time_json) = fleet_time_base(&cfg);
 
     println!("== bench-fleet — wall-clock and peak RSS vs VM count ==");
     println!(
-        "footprint {footprint_mb} MiB/VM, balanced mix, 250 ms staggered arrivals, \
-         policy smart-alloc:2"
+        "footprint {footprint_mb} MiB/VM, balanced mix, {}, policy smart-alloc:2",
+        time_line
     );
     println!(
         "(peak RSS is the process high-water mark, so cells run in ascending order \
@@ -676,7 +697,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     let json = format!(
         "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
          \"footprint_mb\": {footprint_mb}, \"seed\": {}, \"jobs\": {}, \
-         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": 250 }},\n  \
+         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", {} }},\n  \
          \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
          in ascending VM order, so each reading is the peak through that cell\",\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
@@ -684,6 +705,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
         a.scale,
         a.seed,
         a.jobs,
+        time_json,
         cells_json.join(",\n")
     );
     let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
@@ -710,12 +732,13 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
         ..RunConfig::default()
     };
     cfg.validate()?;
+    let (time_line, time_json) = fleet_time_base(&cfg);
 
     println!("== bench-cluster — fleet metrics vs hosts x VMs ==");
     println!(
-        "footprint {footprint_mb} MiB/VM, balanced mix, 250 ms staggered arrivals, \
-         policy smart-alloc:2, datacenter interconnect, migration on, \
-         far tier = 1/4 of each host's shard"
+        "footprint {footprint_mb} MiB/VM, balanced mix, {}, policy smart-alloc:2, \
+         datacenter interconnect, migration on, far tier = 1/4 of each host's shard",
+        time_line
     );
 
     let mut cells_json = Vec::new();
@@ -778,7 +801,7 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
     let json = format!(
         "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
          \"footprint_mb\": {footprint_mb}, \"seed\": {}, \"jobs\": {}, \
-         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": 250, \
+         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", {}, \
          \"net\": \"datacenter\", \"migration\": \"default\", \
          \"far\": \"quarter-shard\" }},\n  \
          \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
@@ -788,6 +811,7 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
         a.scale,
         a.seed,
         a.jobs,
+        time_json,
         cells_json.join(",\n")
     );
     let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
@@ -1537,7 +1561,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenarios::spec::{Arrival, WorkloadMix};
+    use scenarios::spec::WorkloadMix;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()

@@ -56,8 +56,8 @@ const NO_SLOT: u32 = u32::MAX;
 /// so a stuck-corrupt page costs O(1) hypercalls per fault, never a loop.
 pub const TMEM_GET_RETRIES: u32 = 2;
 
-/// Bits of a packed entry holding a frame or virtual page number; the
-/// bits above hold a location tag ([`PageMeta`]) or frame state
+/// Bits of a packed word holding a frame or virtual page number; the bits
+/// above hold a location tag ([`PageLoc::encode`]) or frame state
 /// ([`Frame`]).
 const INDEX_BITS: u32 = 28;
 const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
@@ -67,36 +67,12 @@ const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
 /// and owns fewer than 2^28 frames (1 TiB each).
 const NIL: u32 = INDEX_MASK;
 
-/// One page-table entry, packed into 12 bytes: the location tag in the
-/// bits of `loc` above [`INDEX_BITS`] (with the frame number below them
-/// when resident), the content version and the swap slot.
-#[derive(Debug, Clone, Copy)]
-struct PageMeta {
-    loc: u32,
-    /// Content version; bumps on the first write after each load so stale
-    /// backing copies are detectable.
-    version: u32,
-    /// Swap slot holding this page's disk copy (`NO_SLOT` when none).
-    /// Slots are allocated in eviction order, as Linux's swap allocator
-    /// does, so temporally-clustered evictions are physically adjacent.
-    slot: u32,
-}
-
-impl PageMeta {
-    const UNTOUCHED: PageMeta = PageMeta {
-        loc: 0,
-        version: 0,
-        slot: NO_SLOT,
-    };
-    const FREED: PageMeta = PageMeta {
-        loc: PageMeta::encode(PageLoc::Freed),
-        version: 0,
-        slot: NO_SLOT,
-    };
-
+impl PageLoc {
+    /// Pack into one word: the tag above [`INDEX_BITS`], with the frame
+    /// number below it when resident.
     #[inline]
-    const fn encode(loc: PageLoc) -> u32 {
-        match loc {
+    const fn encode(self) -> u32 {
+        match self {
             PageLoc::Untouched => 0,
             PageLoc::Resident(f) => {
                 debug_assert!(f <= INDEX_MASK, "frame number out of range");
@@ -109,39 +85,62 @@ impl PageMeta {
     }
 
     #[inline]
-    fn loc(&self) -> PageLoc {
-        match self.loc >> INDEX_BITS {
+    fn decode(word: u32) -> PageLoc {
+        match word >> INDEX_BITS {
             0 => PageLoc::Untouched,
-            1 => PageLoc::Resident(self.loc & INDEX_MASK),
+            1 => PageLoc::Resident(word & INDEX_MASK),
             2 => PageLoc::InTmem,
             3 => PageLoc::OnDisk,
             _ => PageLoc::Freed,
         }
     }
-
-    #[inline]
-    fn set_loc(&mut self, loc: PageLoc) {
-        self.loc = PageMeta::encode(loc);
-    }
 }
 
-/// The guest page table: one [`PageMeta`] per allocated virtual page,
-/// indexed by virtual page number. Allocation only appends (page numbers
-/// are never reused, so tmem keys and content fingerprints stay unique),
-/// but the entries of a fully freed prefix are dropped: the table holds
-/// the live address space, not every page the guest ever allocated.
+/// The cold half of a page-table entry, 8 bytes: what only faults,
+/// evictions and first writes read.
+#[derive(Debug, Clone, Copy)]
+struct PageMeta {
+    /// Content version; bumps on the first write after each load so stale
+    /// backing copies are detectable.
+    version: u32,
+    /// Swap slot holding this page's disk copy (`NO_SLOT` when none).
+    /// Slots are allocated in eviction order, as Linux's swap allocator
+    /// does, so temporally-clustered evictions are physically adjacent.
+    slot: u32,
+}
+
+/// The guest page table, indexed by virtual page number and split by
+/// temperature: `locs` holds each page's packed [`PageLoc`] word, the only
+/// part a resident touch reads, and `meta` its [`PageMeta`]; 12 bytes per
+/// page in all. Allocation only appends (page numbers are never reused, so
+/// tmem keys and content fingerprints stay unique), but the entries of a
+/// fully freed prefix are dropped: the table holds the live address space,
+/// not every page the guest ever allocated.
 #[derive(Debug, Default)]
 struct PageTable {
-    /// Virtual page number of `entries[0]`; every page below it is freed.
+    /// Virtual page number of `locs[0]` and `meta[0]`; every page below it
+    /// is freed.
     first: usize,
-    entries: Vec<PageMeta>,
+    locs: Vec<u32>,
+    meta: Vec<PageMeta>,
 }
 
 impl PageTable {
     /// One past the highest allocated virtual page.
     #[inline]
     fn len(&self) -> usize {
-        self.first + self.entries.len()
+        self.first + self.locs.len()
+    }
+
+    /// Append `n` untouched pages.
+    fn extend(&mut self, n: usize) {
+        self.locs
+            .extend(std::iter::repeat_n(PageLoc::Untouched.encode(), n));
+        let fresh = PageMeta {
+            version: 0,
+            slot: NO_SLOT,
+        };
+        self.meta.extend(std::iter::repeat_n(fresh, n));
     }
 
     /// Where page `vp` (below [`PageTable::len`]) lives; dropped pages
@@ -149,19 +148,35 @@ impl PageTable {
     #[inline]
     fn loc(&self, vp: usize) -> PageLoc {
         // A dropped page wraps to an index past the end.
-        self.entries
+        self.locs
             .get(vp.wrapping_sub(self.first))
-            .map_or(PageLoc::Freed, PageMeta::loc)
+            .map_or(PageLoc::Freed, |&w| PageLoc::decode(w))
+    }
+
+    #[inline]
+    fn set_loc(&mut self, vp: usize, loc: PageLoc) {
+        self.locs[vp - self.first] = loc.encode();
+    }
+
+    /// The frame of page `vp` if it is resident, else `None` (also for a
+    /// dropped page or one past the end).
+    #[inline]
+    fn frame_of(&self, vp: usize) -> Option<u32> {
+        match self.loc(vp) {
+            PageLoc::Resident(f) => Some(f),
+            _ => None,
+        }
     }
 
     /// Drop the entries of the freed pages at the front of the table.
     fn trim(&mut self) {
         let dead = self
-            .entries
+            .locs
             .iter()
-            .take_while(|p| p.loc() == PageLoc::Freed)
+            .take_while(|&&w| PageLoc::decode(w) == PageLoc::Freed)
             .count();
-        self.entries.drain(..dead);
+        self.locs.drain(..dead);
+        self.meta.drain(..dead);
         self.first += dead;
     }
 }
@@ -171,14 +186,14 @@ impl std::ops::Index<usize> for PageTable {
 
     #[inline]
     fn index(&self, vp: usize) -> &PageMeta {
-        &self.entries[vp - self.first]
+        &self.meta[vp - self.first]
     }
 }
 
 impl std::ops::IndexMut<usize> for PageTable {
     #[inline]
     fn index_mut(&mut self, vp: usize) -> &mut PageMeta {
-        &mut self.entries[vp - self.first]
+        &mut self.meta[vp - self.first]
     }
 }
 
@@ -339,6 +354,9 @@ pub struct GuestKernel {
     next_seq_slot: u64,
     /// One past the last virtual page read from disk (VMA stream).
     next_seq_vpage: u64,
+    /// The pages of the disk read in progress: the faulted page, then its
+    /// read-ahead. Kept between faults so a fault allocates nothing.
+    readahead: Vec<u64>,
     stats: KernelStats,
 }
 
@@ -362,6 +380,7 @@ impl GuestKernel {
             slot_to_page: LeafMap::new(),
             next_seq_slot: u64::MAX,
             next_seq_vpage: u64::MAX,
+            readahead: Vec::with_capacity(config.readahead_pages as usize),
             stats: KernelStats::default(),
         }
     }
@@ -398,16 +417,40 @@ impl GuestKernel {
             base + len <= u64::from(NIL),
             "guest address space exhausted: {len} more pages after {base}"
         );
-        self.pages.entries.extend(std::iter::repeat_n(
-            PageMeta::UNTOUCHED,
-            usize::try_from(len).expect("allocation fits usize"),
-        ));
+        self.pages
+            .extend(usize::try_from(len).expect("allocation fits usize"));
         VirtPage(base)
     }
 
-    /// Touch one page (read or write), driving the full fault/swap
-    /// datapath and charging the step budget.
+    /// Touch one page (read or write), charging the step budget.
+    ///
+    /// Two tiers, as on real hardware, where only a page fault enters the
+    /// guest kernel (paper Fig. 1). A hit, a resident page whose frame is
+    /// live and already dirty if this touch writes, costs one RAM touch and
+    /// sets the clock PFRA's referenced bit; it reads one word of the page
+    /// table and is inlined into the workload's loop. Every other touch
+    /// goes out of line to [`GuestKernel::touch_slow`].
+    #[inline]
     pub fn touch(&mut self, page: VirtPage, write: bool, m: &mut Machine<'_>) {
+        let resident = usize::try_from(page.0)
+            .ok()
+            .and_then(|vp| self.pages.frame_of(vp));
+        if let Some(frame) = resident.and_then(|f| self.frames.get_mut(f as usize)) {
+            if !frame.is_free() && (!write || frame.has(Frame::DIRTY)) {
+                m.budget.charge_compute(m.cost.ram_page_touch);
+                frame.set(Frame::REFERENCED, true);
+                return;
+            }
+        }
+        self.touch_slow(page, write, m);
+    }
+
+    /// The full fault/swap datapath behind [`GuestKernel::touch`]: every
+    /// touch but a hit, with every check of the touch path. A resident
+    /// page lands here on its first write (or with a free frame, which
+    /// panics).
+    #[inline(never)]
+    fn touch_slow(&mut self, page: VirtPage, write: bool, m: &mut Machine<'_>) {
         let vp = usize::try_from(page.0).expect("page index fits usize");
         assert!(vp < self.pages.len(), "touch of unallocated page {page}");
         match self.pages.loc(vp) {
@@ -486,7 +529,9 @@ impl GuestKernel {
                 let slot = self.pages[vp].slot;
                 debug_assert_ne!(slot, NO_SLOT, "on-disk page without a slot");
                 let window = u64::from(self.config.readahead_pages);
-                let mut batch: Vec<u64> = vec![vp as u64];
+                let mut batch = std::mem::take(&mut self.readahead);
+                batch.clear();
+                batch.push(vp as u64);
                 let mut next = vp as u64 + 1;
                 while (batch.len() as u64) < window
                     && (next as usize) < self.pages.len()
@@ -501,8 +546,13 @@ impl GuestKernel {
                     // window exact.
                     let room = (window - batch.len() as u64) as u32;
                     for (s, bvp) in self.slot_to_page.range(slot + 1..slot.saturating_add(room)) {
+                        // The VMA scan added exactly `vp..next`. A page
+                        // holds at most one slot, so the slot scan yields
+                        // each page at most once.
+                        debug_assert_eq!(self.pages[bvp as usize].slot, s, "one slot per page");
                         let bvp = u64::from(bvp);
-                        if self.pages.loc(bvp as usize) == PageLoc::OnDisk && !batch.contains(&bvp)
+                        if self.pages.loc(bvp as usize) == PageLoc::OnDisk
+                            && !(vp as u64..next).contains(&bvp)
                         {
                             batch.push(bvp);
                             last_slot = s;
@@ -544,6 +594,7 @@ impl GuestKernel {
                         self.release_slot(bvp as usize);
                     }
                 }
+                self.readahead = batch;
             }
             PageLoc::Freed => panic!("touch of freed page {page}"),
         }
@@ -589,7 +640,7 @@ impl GuestKernel {
             PageLoc::Freed => panic!("double free of page vp{vp:#x}"),
         }
         self.release_slot(vp);
-        self.pages[vp] = PageMeta::FREED;
+        self.pages.set_loc(vp, PageLoc::Freed);
     }
 
     /// The hypervisor slow-reclaimed these tmem pages and wrote them to
@@ -606,7 +657,7 @@ impl GuestKernel {
                 "hypervisor reclaimed a page the guest does not have in tmem"
             );
             self.assign_slot(vp);
-            self.pages[vp].set_loc(PageLoc::OnDisk);
+            self.pages.set_loc(vp, PageLoc::OnDisk);
             self.stats.reclaimed_pages += 1;
         }
     }
@@ -699,7 +750,7 @@ impl GuestKernel {
 
     fn install(&mut self, vp: usize, f: u32, dirty: bool, disk_copy: bool) {
         self.frames[f as usize] = Frame::new(vp, dirty, disk_copy);
-        self.pages[vp].set_loc(PageLoc::Resident(f));
+        self.pages.set_loc(vp, PageLoc::Resident(f));
     }
 
     /// Get a free frame, evicting a victim if necessary.
@@ -756,7 +807,7 @@ impl GuestKernel {
             // mapping was retained by the swap cache).
             debug_assert_ne!(self.pages[vp].slot, NO_SLOT);
             self.stats.evictions_free += 1;
-            self.pages[vp].set_loc(PageLoc::OnDisk);
+            self.pages.set_loc(vp, PageLoc::OnDisk);
             self.frames[f as usize] = Frame::EMPTY;
             return;
         }
@@ -778,7 +829,7 @@ impl GuestKernel {
                         m.budget.charge_compute(m.cost.tmem_hypercall);
                     }
                     self.stats.evictions_to_tmem += 1;
-                    self.pages[vp].set_loc(PageLoc::InTmem);
+                    self.pages.set_loc(vp, PageLoc::InTmem);
                     self.frames[f as usize] = Frame::EMPTY;
                     return;
                 }
@@ -799,7 +850,7 @@ impl GuestKernel {
         self.release_slot(vp);
         self.assign_slot(vp);
         self.stats.evictions_to_disk += 1;
-        self.pages[vp].set_loc(PageLoc::OnDisk);
+        self.pages.set_loc(vp, PageLoc::OnDisk);
         self.frames[f as usize] = Frame::EMPTY;
     }
 }
@@ -967,6 +1018,25 @@ mod tests {
         for vp in [122, 130] {
             assert_eq!(k.pages.loc(vp), PageLoc::OnDisk, "page {vp} left on disk");
         }
+    }
+
+    #[test]
+    fn readahead_reads_a_page_once_when_both_scans_find_it() {
+        // Evict pages 0 and 1 to slots 0 and 1 (every put refused, page 2
+        // never touched).
+        let (mut rig, mut k) = Rig::new(100, 0);
+        let base = k.alloc(12);
+        let mut b = big_budget();
+        for i in [0, 1, 3, 4, 5, 6, 7, 8, 9, 10] {
+            k.touch(base.offset(i), true, &mut rig.step(&mut b));
+        }
+        assert_eq!((k.pages[0].slot, k.pages[1].slot), (0, 1));
+        // Faulting page 0 reads page 1 by virtual adjacency; the slot scan
+        // then finds page 1 again, at slot 1.
+        let before = *k.stats();
+        k.touch(base, false, &mut rig.step(&mut b));
+        assert_eq!(k.stats().readahead_pages, before.readahead_pages + 1);
+        assert!(matches!(k.pages.loc(1), PageLoc::Resident(_)));
     }
 
     #[test]
@@ -1156,7 +1226,13 @@ mod tests {
 
     #[test]
     fn page_table_entries_stay_packed() {
-        assert_eq!(std::mem::size_of::<PageMeta>(), 12);
+        // A hit reads one 4-byte location word; version and swap slot sit
+        // in the second array, 12 bytes per page in all.
+        let (_rig, mut k) = Rig::new(100, 100);
+        k.alloc(3);
+        assert_eq!((k.pages.locs.len(), k.pages.meta.len()), (3, 3));
+        assert_eq!(std::mem::size_of_val(&k.pages.locs[0]), 4);
+        assert_eq!(std::mem::size_of::<PageMeta>(), 8);
         assert_eq!(std::mem::size_of::<Frame>(), 4);
         for loc in [
             PageLoc::Untouched,
@@ -1166,10 +1242,15 @@ mod tests {
             PageLoc::OnDisk,
             PageLoc::Freed,
         ] {
-            let mut p = PageMeta::UNTOUCHED;
-            p.set_loc(loc);
-            assert_eq!(p.loc(), loc);
+            k.pages.set_loc(1, loc);
+            assert_eq!(k.pages.loc(1), loc);
+            let frame = match loc {
+                PageLoc::Resident(f) => Some(f),
+                _ => None,
+            };
+            assert_eq!(k.pages.frame_of(1), frame);
         }
+        assert_eq!(k.pages.frame_of(3), None, "past the end");
         let top = NIL as usize - 1;
         let f = Frame::new(top, true, true);
         assert!(!f.is_free(), "the highest page never reads as a free frame");
@@ -1178,6 +1259,62 @@ mod tests {
         let free = Frame::free(top as u32);
         assert!(free.is_free() && !free.has(Frame::REFERENCED));
         assert_eq!(free.index(), top as u32);
+    }
+
+    #[test]
+    #[should_panic(expected = "touch of unallocated page")]
+    fn touching_past_the_end_panics() {
+        let (mut rig, mut k) = Rig::new(100, 100);
+        let base = k.alloc(4);
+        let mut b = big_budget();
+        for i in 0..4 {
+            k.touch(base.offset(i), true, &mut rig.step(&mut b));
+        }
+        k.touch(base.offset(4), false, &mut rig.step(&mut b));
+    }
+
+    #[test]
+    fn a_read_hit_gives_its_page_a_second_chance() {
+        let (mut rig, mut k) = Rig::new(100, 100);
+        let base = k.alloc(10);
+        let mut b = big_budget();
+        for i in 0..8 {
+            k.touch(base.offset(i), true, &mut rig.step(&mut b));
+        }
+        // Page 8 finds no free frame: the clock sweep clears every
+        // referenced bit, comes round to frame 0 and evicts page 0.
+        k.touch(base.offset(8), true, &mut rig.step(&mut b));
+        assert_eq!(k.pages.loc(0), PageLoc::InTmem);
+        // A read hit marks page 1 referenced again, so page 9's sweep
+        // passes it over and takes page 2.
+        k.touch(base.offset(1), false, &mut rig.step(&mut b));
+        k.touch(base.offset(9), true, &mut rig.step(&mut b));
+        assert!(matches!(k.pages.loc(1), PageLoc::Resident(_)));
+        assert_eq!(k.pages.loc(2), PageLoc::InTmem);
+    }
+
+    #[test]
+    fn resident_hits_charge_one_ram_touch_each_and_count_nothing() {
+        let (mut rig, mut k) = Rig::new(100, 100);
+        let base = k.alloc(8);
+        let mut b = big_budget();
+        for i in 0..8 {
+            k.touch(base.offset(i), i % 2 == 0, &mut rig.step(&mut b));
+        }
+        let (stats, faults, compute) = (*k.stats(), b.faults, b.compute);
+        // 24 hits: reads of every page, and in the middle round writes of
+        // the dirty (even) ones.
+        for round in 0..3 {
+            for i in 0..8 {
+                let write = round == 1 && i % 2 == 0;
+                k.touch(base.offset(i), write, &mut rig.step(&mut b));
+            }
+        }
+        let touch = rig.cost.ram_page_touch.as_nanos();
+        assert_eq!(b.compute.as_nanos(), compute.as_nanos() + 24 * touch);
+        assert_eq!(*k.stats(), stats);
+        assert_eq!(b.faults, faults);
+        assert!(!b.blocked && b.io_wait == SimDuration::ZERO);
     }
 
     #[test]
@@ -1192,15 +1329,15 @@ mod tests {
         }
         // Freeing a later range keeps the table whole.
         k.free_range(b, 6, &mut rig.step(&mut bud));
-        assert_eq!((k.pages.first, k.pages.entries.len()), (0, 12));
+        assert_eq!((k.pages.first, k.pages.locs.len()), (0, 12));
         // Freeing the front drops every freed entry, but page numbers keep
         // growing: a new allocation never reuses a tmem key.
         k.free_range(a, 6, &mut rig.step(&mut bud));
-        assert_eq!((k.pages.first, k.pages.entries.len()), (12, 0));
+        assert_eq!((k.pages.first, k.pages.locs.len()), (12, 0));
         let c = k.alloc(4);
         assert_eq!(c, VirtPage(12));
         k.touch(c, true, &mut rig.step(&mut bud));
-        assert_eq!(k.pages.entries.len(), 4);
+        assert_eq!((k.pages.locs.len(), k.pages.meta.len()), (4, 4));
         assert_eq!(rig.hyp.tmem_used_by(VmId(1)), 0);
     }
 
