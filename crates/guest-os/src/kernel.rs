@@ -355,7 +355,9 @@ pub struct GuestKernel {
     /// One past the last virtual page read from disk (VMA stream).
     next_seq_vpage: u64,
     /// The pages of the disk read in progress: the faulted page, then its
-    /// read-ahead. Kept between faults so a fault allocates nothing.
+    /// read-ahead. Kept between faults, so only the first disk fault
+    /// allocates. (Allocating it at boot, between the kernel's large
+    /// arrays, raised the two-thread figure run's peak RSS.)
     readahead: Vec<u64>,
     stats: KernelStats,
 }
@@ -380,7 +382,7 @@ impl GuestKernel {
             slot_to_page: LeafMap::new(),
             next_seq_slot: u64::MAX,
             next_seq_vpage: u64::MAX,
-            readahead: Vec::with_capacity(config.readahead_pages as usize),
+            readahead: Vec::new(),
             stats: KernelStats::default(),
         }
     }
