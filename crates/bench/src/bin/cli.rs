@@ -3,10 +3,10 @@
 //! ```text
 //! smartmem-cli table2 [--scale S]
 //! smartmem-cli fig <3|4|5|6|7|8|9|10> [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
-//! smartmem-cli all [--scale S] [--reps N] [--out DIR] [--jobs N]
+//! smartmem-cli all [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S]
 //! smartmem-cli chaos [--scale S] [--seed S] [--out DIR] [--jobs N] [--bound X]
-//! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
+//! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR]
 //! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli bench-cluster [--scale S] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli trace <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE] [--out trace.jsonl] [--filter subsys=a,b]
@@ -14,6 +14,8 @@
 //! smartmem-cli run-file <scenario.toml> [POLICY ...] [--scale S] [--seed S] [--reps N] [--chaos P]
 //! smartmem-cli sweep <manifest.toml> [--resume DIR] [--jobs N] [--stop-after N]
 //! ```
+//!
+//! A flag a command does not read is an error, not a silent no-op.
 //!
 //! `SCENARIO` is one of the Table II cells — `scenario1`, `scenario2`,
 //! `usemem`, `scenario3` — or a parameterized fleet cell:
@@ -61,11 +63,13 @@
 //! `run-file` runs a declarative scenario file (see `scenarios/*.toml` and
 //! EXPERIMENTS.md) under one or more policies; the file's `[run]` table
 //! supplies defaults for any flag or policy list not given on the command
-//! line. `sweep` expands a manifest's `scenarios × policies × chaos × reps`
-//! matrix and runs it with per-cell checkpointing: every finished cell is
-//! journaled, so a killed sweep rerun with the same `--resume DIR` picks up
-//! where it stopped and produces byte-identical outputs. `--stop-after N`
-//! caps how many cells one invocation runs (useful for exercising resume).
+//! line. `sweep` expands a manifest's `scenarios × policies × chaos ×
+//! overrides × reps` matrix (scale, seed and reps come from the manifest,
+//! not from flags) and runs it with per-cell checkpointing: every
+//! finished cell is journaled, so a killed sweep rerun with the same
+//! `--resume DIR` picks up where it stopped and produces byte-identical
+//! outputs. `--stop-after N` caps how many cells one invocation runs
+//! (useful for exercising resume).
 //!
 //! `trace` runs one cell with the flight recorder attached, replays the
 //! event stream through the [`scenarios::trace_check`] verifier, prints
@@ -114,7 +118,24 @@ struct Args {
     stop_after: Option<usize>,
 }
 
-fn parse_flags(rest: &[String]) -> Result<Args, String> {
+/// The flags each command reads; [`parse_flags`] rejects any other.
+fn command_flags(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "table2" => &["--scale"],
+        "fig" | "all" => &["--scale", "--reps", "--seed", "--out", "--jobs"],
+        "run" => &["--scale", "--seed"],
+        "chaos" => &["--scale", "--seed", "--out", "--jobs", "--bound"],
+        "bench-parallel" => &["--scale", "--reps", "--seed", "--out"],
+        "bench-fleet" | "bench-cluster" => &["--scale", "--seed", "--out", "--jobs"],
+        "trace" => &["--scale", "--seed", "--chaos", "--out", "--filter"],
+        "run-file" => &["--scale", "--seed", "--reps", "--chaos"],
+        "sweep" => &["--resume", "--out", "--jobs", "--stop-after"],
+        _ => &[],
+    }
+}
+
+fn parse_flags(cmd: &str, rest: &[String]) -> Result<Args, String> {
+    let accepted = command_flags(cmd);
     let mut args = Args {
         scale: 0.125,
         reps: 3,
@@ -129,6 +150,17 @@ fn parse_flags(rest: &[String]) -> Result<Args, String> {
     };
     let mut it = rest.iter();
     while let Some(flag) = it.next() {
+        if !accepted.contains(&flag.as_str()) {
+            let hint = if cmd == "sweep" {
+                "; the manifest's [sweep] table sets scale, seed and reps"
+            } else {
+                ""
+            };
+            return Err(format!(
+                "{cmd} does not take {flag} (it reads {}){hint}",
+                accepted.join(" ")
+            ));
+        }
         let mut value = || {
             it.next()
                 .cloned()
@@ -386,7 +418,7 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
 
     println!("== bench-parallel — datapath + engine perf record ==");
 
-    // --- Micros: fast datapath vs seed BTreeMap reference, three ops ---
+    // --- Micros: fast datapath vs seed BTreeMap reference, four ops ---
     // One macro instantiation per backend type (the two backends share
     // their method surface but no trait); each expansion yields one
     // state-owning round closure per op, which the paired harness then
@@ -464,20 +496,38 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
                 (n, t.elapsed())
             };
 
-            (put_get, flush_object, destroy_pool)
+            // ephemeral: an over-capacity cleancache stream — past the
+            // 1024-frame budget every put of a fresh key evicts the oldest
+            // page through the FIFO candidate queue.
+            let mut b4 = <$Backend>::new(1024);
+            let pool4 = b4.new_pool(VmId(1), PoolKind::Ephemeral).unwrap();
+            let mut next_key = 0u64;
+            let ephemeral = move || {
+                let t = std::time::Instant::now();
+                for k in next_key..next_key + ROUND_PAGES {
+                    b4.put(pool4, ObjectId(k % 4), k as u32, Fingerprint(k))
+                        .unwrap();
+                }
+                next_key += ROUND_PAGES;
+                (ROUND_PAGES, t.elapsed())
+            };
+
+            (put_get, flush_object, destroy_pool, ephemeral)
         }};
     }
 
-    let (f_pg, f_fl, f_dp) = micro_rounds!(TmemBackend<Fingerprint>);
-    let (r_pg, r_fl, r_dp) = micro_rounds!(ReferenceBackend<Fingerprint>);
+    let (f_pg, f_fl, f_dp, f_eph) = micro_rounds!(TmemBackend<Fingerprint>);
+    let (r_pg, r_fl, r_dp, r_eph) = micro_rounds!(ReferenceBackend<Fingerprint>);
     let (fast_pg, ref_pg) = paired_micro_ops_per_s(f_pg, r_pg, min_time);
     let (fast_fl, ref_fl) = paired_micro_ops_per_s(f_fl, r_fl, min_time);
     let (fast_dp, ref_dp) = paired_micro_ops_per_s(f_dp, r_dp, min_time);
+    let (fast_eph, ref_eph) = paired_micro_ops_per_s(f_eph, r_eph, min_time);
 
     let micros = [
         ("put_get", fast_pg, ref_pg),
         ("flush_object", fast_fl, ref_fl),
         ("destroy_pool", fast_dp, ref_dp),
+        ("ephemeral", fast_eph, ref_eph),
     ];
     for (name, fast, reference) in micros {
         println!(
@@ -534,9 +584,11 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
         .join(",\n");
     let json = format!(
         "{{\n  \"host\": {{ \"available_cores\": {cores} }},\n  \"config\": {{ \"scale\": {}, \
-         \"reps\": {}, \"seed\": {} }},\n  \"micro\": {{\n    \"workload\": \"sliding-window \
-         churn on a long-lived backend ({OBJECTS} objects x {PAGES} pages in flight, \
-         put fresh / get oldest), fast/reference rounds interleaved so host noise \
+         \"reps\": {}, \"seed\": {} }},\n  \"micro\": {{\n    \"workload\": \"long-lived backends; \
+         put_get: sliding-window churn ({OBJECTS} objects x {PAGES} pages in flight, \
+         put fresh / get oldest); flush_object, destroy_pool: {ROUND_PAGES} pages \
+         filled untimed; ephemeral: {ROUND_PAGES} fresh puts into a 1024-frame \
+         ephemeral pool; fast/reference rounds interleaved so host noise \
          cancels out of the ratio\",\n\
          {micro_json}\n  }},\n  \"jobs_scaling\": {{\n    \"valid\": {scaling_valid},\n    \
          \"warning\": \"{warning}\",\n    \"entries\": [\n{entries_json}\n    ]\n  }}\n}}\n",
@@ -1434,7 +1486,7 @@ fn sweep_cmd(path: &Path, a: &Args) -> Result<(), String> {
 fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
     match cmd {
         "table2" => {
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             let cfg = run_config(&a)?;
             println!("== Table II — scenarios (scale {}) ==", a.scale);
             for (name, rows) in figures::table2_rows(&cfg) {
@@ -1448,11 +1500,11 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "fig" => {
             let (n, rest) = rest.split_first().ok_or("fig needs a number (3-10)")?;
             let n: u32 = n.parse().map_err(|e| format!("figure number: {e}"))?;
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             figure(n, &a)
         }
         "all" => {
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             for n in [3, 4, 5, 6, 7, 8, 9, 10] {
                 figure(n, &a)?;
                 println!();
@@ -1460,19 +1512,19 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             Ok(())
         }
         "bench-parallel" => {
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             bench_parallel(&a)
         }
         "bench-fleet" => {
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             bench_fleet(&a)
         }
         "bench-cluster" => {
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             bench_cluster(&a)
         }
         "chaos" => {
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             let cfg = run_config(&a)?;
             let report = chaos::run_chaos(
                 &cfg,
@@ -1507,7 +1559,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             let (policy, rest) = rest.split_first().ok_or("trace needs a policy")?;
             let (kind, hosts) = parse_scenario_cluster(scenario)?;
             let policy = parse_policy(policy)?;
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             if hosts > 1 {
                 trace_cluster_cmd(kind, hosts, policy, &a)
             } else {
@@ -1523,14 +1575,14 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
                 .position(|s| s.starts_with("--"))
                 .unwrap_or(rest.len());
             let (policies, flags) = rest.split_at(split);
-            let a = parse_flags(flags)?;
+            let a = parse_flags(cmd, flags)?;
             run_file_cmd(Path::new(file), policies, flags, &a)
         }
         "sweep" => {
             let (file, rest) = rest
                 .split_first()
                 .ok_or("sweep needs a manifest .toml file")?;
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             sweep_cmd(Path::new(file), &a)
         }
         "inspect" => match rest {
@@ -1543,7 +1595,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             let (policy, rest) = rest.split_first().ok_or("run needs a policy")?;
             let (kind, hosts) = parse_scenario_cluster(scenario)?;
             let policy = parse_policy(policy)?;
-            let a = parse_flags(rest)?;
+            let a = parse_flags(cmd, rest)?;
             let cfg = run_config(&a)?;
             if hosts > 1 {
                 let spec = cluster_spec(kind, hosts, &cfg);
@@ -1573,7 +1625,7 @@ mod tests {
 
     #[test]
     fn flags_parse_with_defaults() {
-        let a = parse_flags(&args(&[])).unwrap();
+        let a = parse_flags("fig", &args(&[])).unwrap();
         assert_eq!(a.scale, 0.125);
         assert_eq!(a.reps, 3);
         assert_eq!(a.seed, 42);
@@ -1583,9 +1635,12 @@ mod tests {
 
     #[test]
     fn flags_parse_all_values() {
-        let a = parse_flags(&args(&[
-            "--scale", "0.5", "--reps", "5", "--seed", "7", "--out", "/tmp/x", "--jobs", "3",
-        ]))
+        let a = parse_flags(
+            "fig",
+            &args(&[
+                "--scale", "0.5", "--reps", "5", "--seed", "7", "--out", "/tmp/x", "--jobs", "3",
+            ]),
+        )
         .unwrap();
         assert_eq!(a.scale, 0.5);
         assert_eq!(a.reps, 5);
@@ -1596,55 +1651,89 @@ mod tests {
 
     #[test]
     fn unknown_flag_is_an_error() {
-        assert!(parse_flags(&args(&["--bogus"])).is_err());
-        assert!(parse_flags(&args(&["--scale"])).is_err(), "missing value");
+        assert!(parse_flags("fig", &args(&["--bogus"])).is_err());
+        assert!(
+            parse_flags("fig", &args(&["--scale"])).is_err(),
+            "missing value"
+        );
+        // Every command rejects a flag it would ignore, naming both.
+        for (cmd, reads, ignores) in [
+            ("table2", "--scale", "--seed"),
+            ("fig", "--reps", "--chaos"),
+            ("all", "--jobs", "--bound"),
+            ("run", "--seed", "--chaos"),
+            ("chaos", "--bound", "--reps"),
+            ("bench-parallel", "--reps", "--jobs"),
+            ("bench-fleet", "--jobs", "--reps"),
+            ("bench-cluster", "--seed", "--reps"),
+            ("trace", "--filter", "--jobs"),
+            ("run-file", "--chaos", "--out"),
+            ("sweep", "--stop-after", "--scale"),
+        ] {
+            let value = |flag: &str| match flag {
+                "--chaos" => "bitrot",
+                "--filter" => "subsys=tmem",
+                _ => "2",
+            };
+            assert!(
+                parse_flags(cmd, &args(&[reads, value(reads)])).is_ok(),
+                "{cmd} should take {reads}"
+            );
+            let err = parse_flags(cmd, &args(&[ignores, value(ignores)])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{cmd} does not take {ignores}")),
+                "{err}"
+            );
+        }
+        let err = parse_flags("sweep", &args(&["--scale", "0.01"])).unwrap_err();
+        assert!(err.contains("[sweep] table sets scale"), "{err}");
     }
 
     #[test]
     fn zero_jobs_is_rejected_with_guidance() {
-        let err = parse_flags(&args(&["--jobs", "0"])).unwrap_err();
+        let err = parse_flags("fig", &args(&["--jobs", "0"])).unwrap_err();
         assert!(err.contains("at least 1"), "unhelpful message: {err}");
-        assert!(parse_flags(&args(&["--jobs", "x"])).is_err());
+        assert!(parse_flags("fig", &args(&["--jobs", "x"])).is_err());
     }
 
     #[test]
     fn degenerate_scale_reps_and_bound_are_rejected() {
-        assert!(parse_flags(&args(&["--scale", "0"]))
+        assert!(parse_flags("fig", &args(&["--scale", "0"]))
             .unwrap_err()
             .contains("positive"));
-        assert!(parse_flags(&args(&["--scale", "-1"])).is_err());
-        assert!(parse_flags(&args(&["--scale", "NaN"])).is_err());
-        assert!(parse_flags(&args(&["--reps", "0"]))
+        assert!(parse_flags("fig", &args(&["--scale", "-1"])).is_err());
+        assert!(parse_flags("fig", &args(&["--scale", "NaN"])).is_err());
+        assert!(parse_flags("fig", &args(&["--reps", "0"]))
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse_flags(&args(&["--bound", "0.5"]))
+        assert!(parse_flags("chaos", &args(&["--bound", "0.5"]))
             .unwrap_err()
             .contains(">= 1.0"));
-        assert!(parse_flags(&args(&["--bound", "inf"])).is_err());
+        assert!(parse_flags("chaos", &args(&["--bound", "inf"])).is_err());
     }
 
     #[test]
     fn chaos_flag_accepts_only_shipped_profiles() {
-        let a = parse_flags(&args(&["--chaos", "sample-loss"])).unwrap();
+        let a = parse_flags("trace", &args(&["--chaos", "sample-loss"])).unwrap();
         assert_eq!(a.chaos.map(|p| p.name).as_deref(), Some("sample-loss"));
-        let err = parse_flags(&args(&["--chaos", "meteor-strike"])).unwrap_err();
+        let err = parse_flags("trace", &args(&["--chaos", "meteor-strike"])).unwrap_err();
         assert!(err.contains("shipped:"), "unhelpful message: {err}");
     }
 
     #[test]
     fn filter_flag_parses_subsystem_lists() {
-        let a = parse_flags(&args(&["--filter", "subsys=tmem,mm"])).unwrap();
+        let a = parse_flags("trace", &args(&["--filter", "subsys=tmem,mm"])).unwrap();
         assert_eq!(a.filter, Some(vec![Subsystem::Tmem, Subsystem::Mm]));
-        let err = parse_flags(&args(&["--filter", "tmem"])).unwrap_err();
+        let err = parse_flags("trace", &args(&["--filter", "tmem"])).unwrap_err();
         assert!(err.contains("subsys="), "unhelpful message: {err}");
-        let err = parse_flags(&args(&["--filter", "subsys=warp"])).unwrap_err();
+        let err = parse_flags("trace", &args(&["--filter", "subsys=warp"])).unwrap_err();
         assert!(err.contains("unknown subsystem"), "{err}");
-        assert!(parse_flags(&args(&["--filter", "subsys="])).is_err());
+        assert!(parse_flags("trace", &args(&["--filter", "subsys="])).is_err());
     }
 
     #[test]
     fn run_config_is_validated() {
-        let a = parse_flags(&args(&["--scale", "0.25"])).unwrap();
+        let a = parse_flags("fig", &args(&["--scale", "0.25"])).unwrap();
         assert!(run_config(&a).is_ok());
     }
 
@@ -1736,7 +1825,7 @@ mod tests {
 
     #[test]
     fn figure_numbers_are_validated() {
-        let a = parse_flags(&args(&[])).unwrap();
+        let a = parse_flags("fig", &args(&[])).unwrap();
         assert!(figure(11, &a).is_err());
         assert!(figure(2, &a).is_err());
     }

@@ -1,64 +1,3 @@
-//! Shared plumbing for the benchmark harnesses.
-//!
-//! Every `cargo bench` target regenerates one table or figure of the paper
-//! (or an ablation around it). Scale and repetitions are tunable through
-//! environment variables so CI can run quick passes and a workstation can
-//! run paper-sized ones:
-//!
-//! * `SMARTMEM_BENCH_SCALE` — memory scale (default 0.125),
-//! * `SMARTMEM_BENCH_REPS` — repetitions per configuration (default 2;
-//!   the paper uses 5),
-//! * `SMARTMEM_BENCH_SEED` — root seed (default 42).
-
-use scenarios::config::RunConfig;
+//! Measurement plumbing for the `smartmem-cli` bench subcommands.
 
 pub mod measure;
-
-/// Benchmark run configuration from the environment.
-pub fn bench_config() -> RunConfig {
-    let scale = std::env::var("SMARTMEM_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.125);
-    let seed = std::env::var("SMARTMEM_BENCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
-    RunConfig {
-        scale,
-        seed,
-        ..RunConfig::default()
-    }
-}
-
-/// Repetitions per configuration.
-pub fn bench_reps() -> u64 {
-    std::env::var("SMARTMEM_BENCH_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
-/// Print the figure header used by every harness.
-pub fn banner(id: &str, what: &str) {
-    println!("================================================================");
-    println!("{id}: {what}");
-    println!(
-        "scale={} reps={} (env: SMARTMEM_BENCH_SCALE / SMARTMEM_BENCH_REPS)",
-        bench_config().scale,
-        bench_reps()
-    );
-    println!("================================================================");
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_sane() {
-        let cfg = bench_config();
-        assert!(cfg.scale > 0.0 && cfg.scale <= 1.0);
-        assert!(bench_reps() >= 1);
-    }
-}

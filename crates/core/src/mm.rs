@@ -39,7 +39,6 @@ pub struct MemoryManager {
     // chaos reports can show run-wide totals.
     discarded: u64,
     gaps_before_crashes: u64,
-    missed_before_crashes: u64,
     tracer: Tracer,
 }
 
@@ -59,7 +58,6 @@ impl MemoryManager {
             warmup_remaining: 0,
             discarded: 0,
             gaps_before_crashes: 0,
-            missed_before_crashes: 0,
             tracer: Tracer::disabled(),
         }
     }
@@ -180,7 +178,6 @@ impl MemoryManager {
             }
         }
         self.gaps_before_crashes += self.history.gaps();
-        self.missed_before_crashes += self.history.missed();
         self.history = StatsHistory::new(self.history_limit);
         self.last_sent = None;
         self.crashes += 1;
@@ -221,11 +218,6 @@ impl MemoryManager {
     /// Sequence gaps detected, run-wide (survives crashes).
     pub fn seq_gaps(&self) -> u64 {
         self.gaps_before_crashes + self.history.gaps()
-    }
-
-    /// Samples known missing across all gaps, run-wide (survives crashes).
-    pub fn samples_missed(&self) -> u64 {
-        self.missed_before_crashes + self.history.missed()
     }
 }
 

@@ -17,7 +17,7 @@
 //! The paper fixes the sampling interval at one second and leaves the
 //! threshold unspecified; [`SmartAllocConfig::threshold_pages`] defaults to
 //! one increment's worth of pages (`P`% of node tmem), the smallest value
-//! that prevents grow/shrink oscillation, and the ablation bench sweeps it.
+//! that prevents grow/shrink oscillation.
 
 use super::Policy;
 use serde::{Deserialize, Serialize};

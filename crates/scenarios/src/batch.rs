@@ -2,8 +2,10 @@
 //! checkpointing, survive interrupts, and resume without redoing work.
 //!
 //! A sweep is the matrix [`dsl::expand_cells`] builds from a manifest's
-//! axes. Each completed cell appends one self-verifying record to a
-//! journal (`journal.smj`) in the sweep directory:
+//! axes. A cell of the optional overrides axis runs, scenario build
+//! included, under the base configuration with that one field set. Each
+//! completed cell appends one self-verifying record to a journal
+//! (`journal.smj`) in the sweep directory:
 //!
 //! ```text
 //! SMJ1 <payload-len> <fnv1a-64-hex> <payload>
@@ -26,7 +28,7 @@
 //! resumed any number of times, at any `--jobs` count.
 
 use crate::config::RunConfig;
-use crate::dsl::{self, expand_cells, CellId, Manifest};
+use crate::dsl::{self, expand_cells, CellId, Manifest, Override};
 use crate::par::run_indexed;
 use crate::runner::{run_spec, RunResult};
 use crate::spec::{build_scenario, ScenarioSpec};
@@ -155,10 +157,14 @@ pub fn result_digest(r: &RunResult) -> u64 {
 pub struct SweepPlan {
     /// The manifest as parsed.
     pub manifest: Manifest,
-    /// Resolved scenario axis: `(label, spec)`, labels unique.
-    pub scenarios: Vec<(String, ScenarioSpec)>,
+    /// Resolved scenario axis: `(label, specs)`, labels unique, one spec
+    /// per [`SweepPlan::overrides`] entry (each built under its override).
+    pub scenarios: Vec<(String, Vec<ScenarioSpec>)>,
     /// Resolved chaos axis: `(label, profile)`, `None` = fault-free.
     pub chaos: Vec<(String, Option<FaultProfile>)>,
+    /// Resolved overrides axis: the manifest's entries, or `[None]` when
+    /// it has none.
+    pub overrides: Vec<Option<Override>>,
     /// Per-cell base configuration (manifest scale/seed; caller's jobs).
     pub cfg: RunConfig,
     /// FNV-1a digest over the manifest source and every referenced file.
@@ -172,21 +178,33 @@ impl SweepPlan {
             self.scenarios.len(),
             self.manifest.policies.len(),
             self.chaos.len(),
+            self.overrides.len(),
             self.manifest.reps,
         )
     }
 
-    /// The canonical `scenario/policy/chaos/repN` label of one cell — the
-    /// journal key and the per-cell seed-derivation label.
+    /// The canonical label of one cell — the journal key and the per-cell
+    /// seed-derivation label: `scenario/policy/chaos/repN`, with the
+    /// override inserted before the rep (`.../cost=ssd/rep0`) when the
+    /// manifest has an overrides axis.
     pub fn cell_label(&self, cell: CellId) -> String {
         format!(
-            "{}/{}/{}/rep{}",
+            "{}/{}/{}/{}rep{}",
             self.scenarios[cell.scenario].0,
             self.manifest.policies[cell.policy],
             self.chaos[cell.chaos].0,
+            self.overrides[cell.over].map_or_else(String::new, |o| format!("{o}/")),
             cell.rep
         )
     }
+}
+
+fn with_override(cfg: &RunConfig, o: Option<Override>) -> RunConfig {
+    let mut cfg = cfg.clone();
+    if let Some(o) = o {
+        o.apply(&mut cfg);
+    }
+    cfg
 }
 
 fn label_ok(label: &str) -> Result<(), String> {
@@ -229,20 +247,30 @@ pub fn resolve_plan(
     let mut identity = String::new();
     let _ = write!(identity, "manifest\x1f{manifest_src}");
 
+    let overrides: Vec<Option<Override>> = if manifest.overrides.is_empty() {
+        vec![None]
+    } else {
+        manifest.overrides.iter().copied().map(Some).collect()
+    };
+    let configs: Vec<RunConfig> = overrides.iter().map(|&o| with_override(&cfg, o)).collect();
+
     let mut scenarios = Vec::with_capacity(manifest.scenarios.len());
     for entry in &manifest.scenarios {
-        let spec = if entry.ends_with(".toml") {
+        let specs = if entry.ends_with(".toml") {
             let path = dir.join(entry);
             let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
             let _ = write!(identity, "\x1fscenario\x1f{src}");
-            dsl::parse_scenario_src(&src, &cfg)
+            configs
+                .iter()
+                .map(|c| dsl::parse_scenario_src(&src, c).map(|doc| doc.spec))
+                .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| format!("{}: {e}", path.display()))?
-                .spec
         } else {
             let _ = write!(identity, "\x1fscenario\x1f{entry}");
-            build_scenario(dsl::parse_kind(entry)?, &cfg)
+            let kind = dsl::parse_kind(entry)?;
+            configs.iter().map(|c| build_scenario(kind, c)).collect()
         };
-        let label = spec.name.clone();
+        let label = specs[0].name.clone();
         label_ok(&label)?;
         if scenarios.iter().any(|(l, _)| l == &label) {
             return Err(format!(
@@ -250,7 +278,7 @@ pub fn resolve_plan(
                  journal cells would collide"
             ));
         }
-        scenarios.push((label, spec));
+        scenarios.push((label, specs));
     }
 
     let mut chaos = Vec::with_capacity(manifest.chaos.len());
@@ -280,6 +308,7 @@ pub fn resolve_plan(
         manifest,
         scenarios,
         chaos,
+        overrides,
         cfg,
     })
 }
@@ -296,6 +325,9 @@ pub struct CellRecord {
     pub policy: String,
     /// Chaos label (`baseline` when fault-free).
     pub chaos: String,
+    /// Override label (`cost=ssd`), empty when the manifest has no
+    /// overrides axis.
+    pub over: String,
     /// Repetition, 0-based.
     pub rep: u32,
     /// [`result_digest`] of the cell's `RunResult`.
@@ -357,10 +389,17 @@ fn unframe(line: &str) -> Result<&str, String> {
     Ok(payload)
 }
 
+/// An override is a 17th, trailing field, so a cell without one encodes
+/// as the 16-field records existing journals hold.
 fn encode_cell(c: &CellRecord) -> String {
     let vm_ns: Vec<String> = c.vm_ns.iter().map(u64::to_string).collect();
+    let over = if c.over.is_empty() {
+        String::new()
+    } else {
+        format!("\t{}", c.over)
+    };
     format!(
-        "cell\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+        "cell\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}{over}",
         c.index,
         c.scenario,
         c.policy,
@@ -381,7 +420,7 @@ fn encode_cell(c: &CellRecord) -> String {
 
 fn decode_cell(payload: &str) -> Result<CellRecord, String> {
     let f: Vec<&str> = payload.split('\t').collect();
-    if f.len() != 16 || f[0] != "cell" {
+    if !matches!(f.len(), 16 | 17) || f[0] != "cell" {
         return Err(format!("malformed cell record ({} fields)", f.len()));
     }
     let int = |s: &str, what: &str| -> Result<u64, String> {
@@ -392,6 +431,7 @@ fn decode_cell(payload: &str) -> Result<CellRecord, String> {
         scenario: f[2].to_string(),
         policy: f[3].to_string(),
         chaos: f[4].to_string(),
+        over: f.get(16).map_or_else(String::new, |s| s.to_string()),
         rep: int(f[5], "rep")? as u32,
         digest: u64::from_str_radix(f[6], 16).map_err(|_| format!("bad digest '{}'", f[6]))?,
         end_ns: int(f[7], "end_ns")?,
@@ -598,19 +638,21 @@ pub fn run_sweep(
 }
 
 fn run_cell(plan: &SweepPlan, index: usize, cell: CellId) -> CellRecord {
-    let (scenario_label, spec) = &plan.scenarios[cell.scenario];
+    let (scenario_label, specs) = &plan.scenarios[cell.scenario];
     let policy = plan.manifest.policies[cell.policy];
     let (chaos_label, faults) = &plan.chaos[cell.chaos];
+    let over = plan.overrides[cell.over];
     let label = plan.cell_label(cell);
-    let mut cfg = plan.cfg.clone();
+    let mut cfg = with_override(&plan.cfg, over);
     cfg.seed = SplitMix64::new(plan.cfg.seed).derive(&label).next();
     cfg.faults = faults.clone().unwrap_or_else(FaultProfile::none);
-    let r = run_spec(spec.clone(), policy, &cfg);
+    let r = run_spec(specs[cell.over].clone(), policy, &cfg);
     CellRecord {
         index,
         scenario: scenario_label.clone(),
         policy: policy.to_string(),
         chaos: chaos_label.clone(),
+        over: over.map_or_else(String::new, |o| o.to_string()),
         rep: cell.rep,
         digest: result_digest(&r),
         end_ns: r.end_time.as_nanos(),
@@ -633,8 +675,13 @@ fn run_cell(plan: &SweepPlan, index: usize, cell: CellId) -> CellRecord {
 /// (nothing re-runs). Byte-identical for identical record sets.
 pub fn render_report(plan: &SweepPlan, out: &SweepOutcome) -> String {
     let m = &plan.manifest;
+    let overrides = if m.overrides.is_empty() {
+        String::new()
+    } else {
+        format!(" x {} overrides", m.overrides.len())
+    };
     let mut s = format!(
-        "sweep {} ({} cells: {} scenarios x {} policies x {} chaos x {} reps, \
+        "sweep {} ({} cells: {} scenarios x {} policies x {} chaos{overrides} x {} reps, \
          scale {}, seed {})\n",
         m.name,
         out.total,
@@ -645,17 +692,14 @@ pub fn render_report(plan: &SweepPlan, out: &SweepOutcome) -> String {
         m.scale,
         m.seed,
     );
+    let cells = plan.cells();
     for rec in &out.records {
         let vm_total: u64 = rec.vm_ns.iter().sum();
         let _ = writeln!(
             s,
-            "[{:>3}] {}/{}/{}/rep{}: end={:.6}s vm_time={:.6}s events={} \
-             injected={} digest={:016x}",
+            "[{:>3}] {}: end={:.6}s vm_time={:.6}s events={} injected={} digest={:016x}",
             rec.index,
-            rec.scenario,
-            rec.policy,
-            rec.chaos,
-            rec.rep,
+            plan.cell_label(cells[rec.index]),
             rec.end_ns as f64 / 1e9,
             vm_total as f64 / 1e9,
             rec.events,
@@ -673,21 +717,23 @@ pub fn render_report(plan: &SweepPlan, out: &SweepOutcome) -> String {
     s
 }
 
-/// Render the per-cell CSV from journaled records.
+/// Render the per-cell CSV from journaled records. The `override` column
+/// is empty when the manifest has no overrides axis.
 pub fn render_csv(out: &SweepOutcome) -> String {
     let mut s = String::from(
-        "index,scenario,policy,chaos,rep,digest,end_s,vm_time_s,events,mm_cycles,\
+        "index,scenario,policy,chaos,override,rep,digest,end_s,vm_time_s,events,mm_cycles,\
          mm_transmissions,disk_reads,disk_writes,injected,invariant_violations\n",
     );
     for rec in &out.records {
         let vm_total: u64 = rec.vm_ns.iter().sum();
         let _ = writeln!(
             s,
-            "{},{},{},{},{},{:016x},{:.6},{:.6},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{:016x},{:.6},{:.6},{},{},{},{},{},{},{}",
             rec.index,
             rec.scenario,
             rec.policy,
             rec.chaos,
+            rec.over,
             rec.rep,
             rec.digest,
             rec.end_ns as f64 / 1e9,
@@ -760,6 +806,7 @@ mod tests {
             scenario: "scenario1".into(),
             policy: "smart-alloc(2%)".into(),
             chaos: "sample-loss".into(),
+            over: String::new(),
             rep: 3,
             digest: 0xdead_beef_0123_4567,
             end_ns: 12_345_678_901,
@@ -776,9 +823,21 @@ mod tests {
 
         let empty_vms = CellRecord {
             vm_ns: Vec::new(),
-            ..rec
+            ..rec.clone()
         };
         assert_eq!(decode_cell(&encode_cell(&empty_vms)).unwrap(), empty_vms);
+
+        // Only an override cell carries the 17th field.
+        assert_eq!(encode_cell(&rec).split('\t').count(), 16);
+        let with_override = CellRecord {
+            over: "time_scale=0.5".into(),
+            ..rec
+        };
+        assert_eq!(encode_cell(&with_override).split('\t').count(), 17);
+        assert_eq!(
+            decode_cell(&encode_cell(&with_override)).unwrap(),
+            with_override
+        );
     }
 
     #[test]
@@ -794,6 +853,7 @@ mod tests {
             scenario: "s".into(),
             policy: "p".into(),
             chaos: "c".into(),
+            over: String::new(),
             rep: 0,
             digest: 1,
             end_ns: 2,

@@ -50,7 +50,10 @@
 //!
 //! **Manifests** declare a sweep as axes that expand to a deterministic
 //! permutation matrix, scenario-major to rep-minor ([`expand_cells`]);
-//! the batch driver ([`crate::batch`]) journals one record per cell.
+//! the batch driver ([`crate::batch`]) journals one record per cell. An
+//! optional `overrides` axis sets one [`RunConfig`] field per entry
+//! ([`Override`]), for the ablations that vary the swap device, the
+//! sampling interval or the slow-reclaim rate.
 //!
 //! Validation is strict: unknown tables and fields, bad literals,
 //! duplicate axis entries and unsatisfiable milestone references are all
@@ -64,6 +67,7 @@ use crate::spec::{
     ScenarioSpec, StartRule, VmSpec, WorkloadMix, WorkloadSpec,
 };
 use crate::toml::{self, Table, TableReader, Value};
+use sim_core::cost::CostModel;
 use sim_core::faults::FaultProfile;
 use sim_core::netmodel::NetModel;
 use sim_core::time::SimDuration;
@@ -881,6 +885,10 @@ pub struct Manifest {
     /// Chaos axis entries ([`resolve_chaos`] vocabulary). Defaults to
     /// `["none"]`.
     pub chaos: Vec<String>,
+    /// Overrides axis; empty when the manifest has none, in which case
+    /// every cell runs the base configuration and its label has no
+    /// override part.
+    pub overrides: Vec<Override>,
     /// Repetitions per (scenario, policy, chaos) cell.
     pub reps: u32,
     /// Base seed; each cell derives its own.
@@ -940,6 +948,22 @@ pub fn parse_manifest_src(src: &str) -> Result<Manifest, String> {
         }
         None => vec!["none".to_string()],
     };
+    let mut overrides = Vec::new();
+    if let Some(entries) = r.opt_str_array("overrides")? {
+        if entries.is_empty() {
+            return Err(r.field_err(
+                "overrides",
+                "overrides axis is empty (omit it to run the base configuration)",
+            ));
+        }
+        for e in &entries {
+            let o = Override::parse(e).map_err(|msg| r.field_err("overrides", msg))?;
+            if overrides.contains(&o) {
+                return Err(r.field_err("overrides", format!("duplicate override '{e}'")));
+            }
+            overrides.push(o);
+        }
+    }
     let reps = match r.opt_u64("reps")? {
         Some(0) => return Err(r.field_err("reps", "must be at least 1")),
         Some(n) => u32::try_from(n).map_err(|_| r.field_err("reps", "too large"))?,
@@ -962,6 +986,7 @@ pub fn parse_manifest_src(src: &str) -> Result<Manifest, String> {
         scenarios,
         policies,
         chaos,
+        overrides,
         reps,
         seed,
         scale,
@@ -974,6 +999,91 @@ pub fn load_manifest(path: &Path) -> Result<Manifest, String> {
     parse_manifest_src(&src).map_err(|e| format!("{}: {e}", path.display()))
 }
 
+/// A named latency preset.
+type CostPreset = (&'static str, fn() -> CostModel);
+
+/// The swap-device presets a `cost=` override names.
+const COST_PRESETS: [CostPreset; 3] = [
+    ("hdd", CostModel::hdd),
+    ("ssd", CostModel::ssd),
+    ("nvm", CostModel::nvm),
+];
+
+/// One `overrides` axis entry: a single [`RunConfig`] field set for the
+/// whole cell, its scenario build included. Displays as the canonical
+/// `key=value` it parses from, which is also its cell-label component.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Override {
+    /// `cost=hdd|ssd|nvm`: the [`RunConfig::cost`] preset.
+    Cost(&'static str),
+    /// `time_scale=<x>`: [`RunConfig::time_scale`], `x > 0`.
+    TimeScale(f64),
+    /// `reclaim_frac_per_interval=<f>`:
+    /// [`RunConfig::reclaim_frac_per_interval`], `f` in [0, 1].
+    ReclaimFrac(f64),
+}
+
+impl Override {
+    /// Parse one `key=value` entry; values out of [`RunConfig::validate`]'s
+    /// range are rejected here, not when the cell runs.
+    pub fn parse(entry: &str) -> Result<Self, String> {
+        let (key, value) = entry
+            .split_once('=')
+            .ok_or_else(|| format!("override '{entry}' is not key=value"))?;
+        let number = || {
+            value
+                .parse::<f64>()
+                .map_err(|_| format!("{key}: '{value}' is not a number"))
+        };
+        let o = match key {
+            "cost" => Override::Cost(
+                COST_PRESETS
+                    .iter()
+                    .find(|(name, _)| *name == value)
+                    .ok_or_else(|| format!("unknown cost preset '{value}' (use hdd, ssd or nvm)"))?
+                    .0,
+            ),
+            "time_scale" => Override::TimeScale(number()?),
+            "reclaim_frac_per_interval" => Override::ReclaimFrac(number()?),
+            _ => {
+                return Err(format!(
+                    "unknown override key '{key}' (use cost, time_scale or \
+                     reclaim_frac_per_interval)"
+                ))
+            }
+        };
+        let mut cfg = RunConfig::default();
+        o.apply(&mut cfg);
+        cfg.validate()?;
+        Ok(o)
+    }
+
+    /// Set this override's field in `cfg`.
+    pub fn apply(&self, cfg: &mut RunConfig) {
+        match *self {
+            Override::Cost(name) => {
+                let (_, preset) = COST_PRESETS
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .expect("Override::Cost holds a COST_PRESETS name");
+                cfg.cost = preset();
+            }
+            Override::TimeScale(x) => cfg.time_scale = Some(x),
+            Override::ReclaimFrac(f) => cfg.reclaim_frac_per_interval = f,
+        }
+    }
+}
+
+impl std::fmt::Display for Override {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Override::Cost(name) => write!(f, "cost={name}"),
+            Override::TimeScale(x) => write!(f, "time_scale={x}"),
+            Override::ReclaimFrac(x) => write!(f, "reclaim_frac_per_interval={x}"),
+        }
+    }
+}
+
 /// One cell of the expanded sweep matrix: indices into the manifest's
 /// axes plus the repetition number (0-based).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -984,25 +1094,38 @@ pub struct CellId {
     pub policy: usize,
     /// Chaos axis index.
     pub chaos: usize,
+    /// Overrides axis index (0 when the manifest has none).
+    pub over: usize,
     /// Repetition, 0-based.
     pub rep: u32,
 }
 
 /// Expand axis lengths to the full permutation matrix, scenario-major /
-/// policy / chaos / rep-minor. The ordering is the journal's cell
-/// numbering, so it must never change behind a format-version bump.
-pub fn expand_cells(scenarios: usize, policies: usize, chaos: usize, reps: u32) -> Vec<CellId> {
-    let mut cells = Vec::with_capacity(scenarios * policies * chaos * reps as usize);
+/// policy / chaos / overrides / rep-minor. The ordering is the journal's
+/// cell numbering, so it must never change behind a format-version bump;
+/// with one overrides entry it equals the four-axis numbering, which
+/// keeps journals of manifests without the axis valid.
+pub fn expand_cells(
+    scenarios: usize,
+    policies: usize,
+    chaos: usize,
+    overrides: usize,
+    reps: u32,
+) -> Vec<CellId> {
+    let mut cells = Vec::with_capacity(scenarios * policies * chaos * overrides * reps as usize);
     for scenario in 0..scenarios {
         for policy in 0..policies {
             for c in 0..chaos {
-                for rep in 0..reps {
-                    cells.push(CellId {
-                        scenario,
-                        policy,
-                        chaos: c,
-                        rep,
-                    });
+                for over in 0..overrides {
+                    for rep in 0..reps {
+                        cells.push(CellId {
+                            scenario,
+                            policy,
+                            chaos: c,
+                            over,
+                            rep,
+                        });
+                    }
                 }
             }
         }
@@ -1327,7 +1450,7 @@ scale = 0.05
 
     #[test]
     fn expansion_is_the_full_ordered_matrix() {
-        let cells = expand_cells(2, 3, 2, 2);
+        let cells = expand_cells(2, 3, 2, 1, 2);
         assert_eq!(cells.len(), 24);
         let mut sorted = cells.clone();
         sorted.sort();
@@ -1340,6 +1463,7 @@ scale = 0.05
                 scenario: 0,
                 policy: 0,
                 chaos: 0,
+                over: 0,
                 rep: 0
             }
         );

@@ -5,12 +5,14 @@
 //! (`build_scenario` and `shipped_profiles` embed them), so these tests
 //! cover what only the files on disk can show: the fleet file routes
 //! through the fleet constructor, the manifest and `[run]` directives
-//! parse as written. The rejection table pins the parser's strictness:
-//! malformed input fails with a line- and field-anchored error, never a
-//! panic and never a silently-defaulted value. A property test pins
-//! manifest expansion as the exact permutation matrix.
+//! parse as written, and every shipped ablation manifest resolves. The
+//! rejection table pins the parser's strictness: malformed input fails
+//! with a line- and field-anchored error, never a panic and never a
+//! silently-defaulted value. A property test pins manifest expansion as
+//! the exact permutation matrix.
 
 use proptest::prelude::*;
+use scenarios::batch;
 use scenarios::config::RunConfig;
 use scenarios::dsl::{
     expand_cells, load_manifest, load_scenario, parse_chaos_src, parse_manifest_src,
@@ -61,6 +63,22 @@ fn shipped_manifest_parses_to_the_expected_axes() {
     );
     assert_eq!(m.chaos, ["none", "chaos/sample-loss.toml"]);
     assert_eq!((m.reps, m.seed, m.scale), (1, 42, 0.125));
+}
+
+#[test]
+fn shipped_ablation_manifests_parse_and_resolve() {
+    let dir = shipped_dir().join("ablations");
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "toml"))
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 5, "one manifest per ablation: {names:?}");
+    for path in names {
+        let plan = batch::load_plan(&path, 1).unwrap_or_else(|e| panic!("{e}"));
+        assert!(!plan.cells().is_empty(), "{}", path.display());
+    }
 }
 
 #[test]
@@ -220,34 +238,95 @@ fn fleet_and_chaos_rejection_table() {
 fn manifest_rejection_table() {
     let valid =
         "version = 1\n\n[sweep]\nname = \"s\"\nscenarios = [\"usemem\"]\npolicies = [\"greedy\"]\n";
-    for (from, to, want) in [
+    // Appending after the policies line puts an overrides entry on line 7.
+    let overrides = |axis: &str| format!("policies = [\"greedy\"]\noverrides = {axis}");
+    for (from, to, want, line) in [
         (
             "policies = [\"greedy\"]",
-            "policies = [\"greedy\", \"greedy\"]",
+            "policies = [\"greedy\", \"greedy\"]".to_string(),
             "duplicate policy 'greedy'",
+            6,
         ),
         (
             "policies = [\"greedy\"]",
-            "policies = []",
+            "policies = []".to_string(),
             "policy axis is empty",
+            6,
         ),
         (
             "scenarios = [\"usemem\"]",
-            "scenarios = [\"usemem\", \"scenario9\"]",
+            "scenarios = [\"usemem\", \"scenario9\"]".to_string(),
             "unknown scenario 'scenario9'",
+            5,
         ),
         (
             "name = \"s\"",
-            "name = \"s\"\nreps = 0",
+            "name = \"s\"\nreps = 0".to_string(),
             "must be at least 1",
+            5,
         ),
         (
             "name = \"s\"",
-            "name = \"s\"\nscale = -2.0",
+            "name = \"s\"\nscale = -2.0".to_string(),
             "positive finite",
+            5,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"quantum=2ms\"]"),
+            "unknown override key 'quantum'",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"ssd\"]"),
+            "not key=value",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"cost=tape\"]"),
+            "unknown cost preset 'tape'",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"time_scale=0\"]"),
+            "time_scale must be a positive finite number",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"time_scale=-0.5\"]"),
+            "time_scale must be a positive finite number",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"reclaim_frac_per_interval=1.5\"]"),
+            "reclaim_frac_per_interval must lie in [0, 1]",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"reclaim_frac_per_interval=-0.1\"]"),
+            "reclaim_frac_per_interval must lie in [0, 1]",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[\"cost=ssd\", \"time_scale=0.5\", \"cost=ssd\"]"),
+            "duplicate override 'cost=ssd'",
+            7,
+        ),
+        (
+            "policies = [\"greedy\"]",
+            overrides("[]"),
+            "overrides axis is empty",
+            7,
         ),
     ] {
-        let src = valid.replacen(from, to, 1);
+        let src = valid.replacen(from, &to, 1);
         assert_ne!(src, valid, "mutation '{to}' did not apply");
         let err = parse_manifest_src(&src).expect_err(&format!("should reject: {to}"));
         assert!(
@@ -255,8 +334,8 @@ fn manifest_rejection_table() {
             "error for '{to}' should mention '{want}': {err}"
         );
         assert!(
-            err.contains("line "),
-            "error for '{to}' should be line-anchored: {err}"
+            err.starts_with(&format!("line {line}:")),
+            "error for '{to}' should be anchored at line {line}: {err}"
         );
     }
 }
@@ -279,12 +358,13 @@ proptest! {
         s in 1usize..7,
         p in 1usize..7,
         c in 1usize..5,
+        o in 1usize..5,
         r in 1u32..5,
     ) {
-        let cells = expand_cells(s, p, c, r);
-        prop_assert_eq!(cells.len(), s * p * c * r as usize);
+        let cells = expand_cells(s, p, c, o, r);
+        prop_assert_eq!(cells.len(), s * p * c * o * r as usize);
         prop_assert!(cells.iter().all(|cell| {
-            cell.scenario < s && cell.policy < p && cell.chaos < c && cell.rep < r
+            cell.scenario < s && cell.policy < p && cell.chaos < c && cell.over < o && cell.rep < r
         }));
         prop_assert!(
             cells.windows(2).all(|w| w[0] < w[1]),
@@ -300,18 +380,21 @@ proptest! {
         s in 1usize..6,
         p in 1usize..6,
         c in 1usize..4,
+        o in 1usize..4,
         r in 2u32..5,
         keep_s in 1usize..6,
+        keep_o in 1usize..4,
         keep_r in 1u32..5,
     ) {
         let keep_s = keep_s.min(s);
+        let keep_o = keep_o.min(o);
         let keep_r = keep_r.min(r);
-        let full = expand_cells(s, p, c, r);
+        let full = expand_cells(s, p, c, o, r);
         let filtered: Vec<CellId> = full
             .iter()
             .copied()
-            .filter(|cell| cell.scenario < keep_s && cell.rep < keep_r)
+            .filter(|cell| cell.scenario < keep_s && cell.over < keep_o && cell.rep < keep_r)
             .collect();
-        prop_assert_eq!(filtered, expand_cells(keep_s, p, c, keep_r));
+        prop_assert_eq!(filtered, expand_cells(keep_s, p, c, keep_o, keep_r));
     }
 }

@@ -9,9 +9,14 @@
 //! compare bytes. The journal-corruption tests tear records mid-write,
 //! flip payload bytes and append garbage, and check every damaged record
 //! is detected (length/digest), warned about, and simply re-run — while
-//! a journal from a *different* sweep is refused outright.
+//! a journal from a *different* sweep is refused outright. An overrides
+//! cell is pinned against a direct run under its configuration.
 
 use scenarios::batch::{self, SweepOutcome, JOURNAL_FILE};
+use scenarios::config::RunConfig;
+use scenarios::runner::run_spec;
+use scenarios::{dsl, PolicyKind};
+use sim_core::rng::SplitMix64;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -269,4 +274,69 @@ fn journal_from_a_different_sweep_is_refused() {
     let edited = batch::load_plan(&scratch.manifest(), 1).unwrap();
     let err = batch::run_sweep(&edited, &dir, None).unwrap_err();
     assert!(err.contains("different sweep"), "{err}");
+}
+
+/// A scenario whose build depends on the time scale: VM2's start delay
+/// and sleep are scaled by it.
+const STAGGERED_SCENARIO: &str = r#"
+version = 1
+
+[scenario]
+name = "staggered"
+tmem = "64MiB"
+
+[[vm]]
+ram = "32MiB"
+program = ["run usemem 8MiB 8MiB 32MiB 2"]
+
+[[vm]]
+ram = "32MiB"
+start = "2s"
+program = ["sleep 1s", "run usemem 8MiB 8MiB 32MiB 2"]
+"#;
+
+/// An overrides cell is `run_spec` under the base configuration with that
+/// one field set — scenario build included — and the seed its label
+/// derives.
+#[test]
+fn an_override_cell_equals_a_direct_run_under_its_config() {
+    let scratch = Scratch::new("override");
+    fs::write(scratch.root.join("staggered.toml"), STAGGERED_SCENARIO).unwrap();
+    fs::write(
+        scratch.root.join("over.toml"),
+        "version = 1\n[sweep]\nname = \"over\"\nscenarios = [\"staggered.toml\"]\n\
+         policies = [\"greedy\"]\noverrides = [\"cost=ssd\", \"time_scale=0.5\"]\n\
+         seed = 7\nscale = 0.01\n",
+    )
+    .unwrap();
+    let plan = batch::load_plan(&scratch.root.join("over.toml"), 1).unwrap();
+    let out = batch::run_sweep(&plan, &scratch.dir("sweep"), None).unwrap();
+    assert_eq!(out.total, 2);
+    let rec = &out.records[1];
+    assert_eq!(rec.over, "time_scale=0.5");
+
+    let cfg = RunConfig {
+        scale: 0.01,
+        time_scale: Some(0.5),
+        seed: SplitMix64::new(7)
+            .derive("staggered/greedy/baseline/time_scale=0.5/rep0")
+            .next(),
+        ..RunConfig::default()
+    };
+    let run = |build: &RunConfig| {
+        let spec = dsl::parse_scenario_src(STAGGERED_SCENARIO, build)
+            .unwrap()
+            .spec;
+        batch::result_digest(&run_spec(spec, PolicyKind::Greedy, &cfg))
+    };
+    assert_eq!(rec.digest, run(&cfg));
+    let base_build = RunConfig {
+        time_scale: None,
+        ..cfg.clone()
+    };
+    assert_ne!(
+        rec.digest,
+        run(&base_build),
+        "the override must reach the scenario build, not only the run"
+    );
 }

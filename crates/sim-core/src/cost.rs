@@ -9,8 +9,9 @@
 //! between a tmem hypercall (~µs) and a disk access (~ms), which is the
 //! mechanism behind every result in the paper.
 //!
-//! All fields are public and the presets are plain constructors, so
-//! sensitivity benches can sweep them (see `bench/benches/ablation_disk.rs`).
+//! All fields are public and the presets are plain constructors; a sweep
+//! manifest's `cost=hdd|ssd|nvm` override picks a preset per cell (see
+//! `scenarios/ablations/disk.toml`).
 
 use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};

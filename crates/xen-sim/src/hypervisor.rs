@@ -131,11 +131,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.far.as_ref().map_or(0, |f| f.used())
     }
 
-    /// Far-tier capacity in pages (0 without one).
-    pub fn far_capacity(&self) -> u64 {
-        self.far.as_ref().map_or(0, |f| f.capacity())
-    }
-
     /// Far-tier pages held for `vm` (0 without a tier).
     pub fn far_used_by(&self, vm: VmId) -> u64 {
         self.far.as_ref().map_or(0, |f| f.used_by(vm))
@@ -1020,12 +1015,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.targets_clamped
     }
 
-    /// Override the staleness TTL (sampling intervals). Tests and chaos
-    /// profiles use this; the default is [`DEFAULT_TARGET_TTL`].
-    pub fn set_target_ttl(&mut self, ttl: u64) {
-        self.target_ttl = ttl;
-    }
-
     /// Close the sampling interval and produce the sequence-stamped
     /// `memstats` snapshot that the VIRQ delivers to the privileged domain.
     pub fn sample(&mut self, at: SimTime) -> StatsMsg {
@@ -1062,11 +1051,6 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Pages of tmem currently used by a VM (figure recorders).
     pub fn tmem_used_by(&self, vm: VmId) -> u64 {
         self.backend.used_by(vm)
-    }
-
-    /// Registered VM configurations.
-    pub fn vm_configs(&self) -> impl Iterator<Item = &VmConfig> {
-        self.vms.values()
     }
 
     /// Read-only access to the backend (tests, invariant checks).

@@ -24,7 +24,6 @@ pub mod vm;
 pub use host::{FarConfig, FarTier};
 pub use hypervisor::{GetOutcome, Hypervisor};
 pub use sched::CpuModel;
-pub use virq::SamplingVirq;
 pub use vm::VmConfig;
 
 pub use tmem::key::VmId;

@@ -1,68 +1,15 @@
-//! The sampling VIRQ.
+//! The sampling VIRQ's sample channel.
 //!
 //! Paper §III-B: "The hypervisor gathers and monitors all the memory
 //! utilization behavior and sends it to the TKM in the privileged domain via
 //! a virtual interrupt request (VIRQ). This VIRQ is sent to the TKM every
-//! second." This module is the timer bookkeeping for that recurring
-//! interrupt; the scenario event loop asks it when the next interrupt is due
-//! and calls [`crate::Hypervisor::sample`] at that instant.
+//! second." The runner schedules that interrupt every
+//! `RunConfig::sampling_interval` and calls [`crate::Hypervisor::sample`]
+//! when it fires; [`SampleChannel`] carries each snapshot from there to the
+//! privileged domain.
 
-use serde::{Deserialize, Serialize};
 use sim_core::faults::SampleFate;
-use sim_core::time::{SimDuration, SimTime};
 use tmem::stats::StatsMsg;
-
-/// Recurring sampling-interrupt schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SamplingVirq {
-    period: SimDuration,
-    next_due: SimTime,
-    fired: u64,
-}
-
-impl SamplingVirq {
-    /// A VIRQ firing every `period`, first at `period` after time zero.
-    pub fn new(period: SimDuration) -> Self {
-        assert!(
-            period > SimDuration::ZERO,
-            "sampling period must be positive"
-        );
-        SamplingVirq {
-            period,
-            next_due: SimTime::ZERO + period,
-            fired: 0,
-        }
-    }
-
-    /// The paper's fixed one-second interval.
-    pub fn paper_default() -> Self {
-        SamplingVirq::new(SimDuration::from_secs(1))
-    }
-
-    /// Instant of the next interrupt.
-    pub fn next_due(&self) -> SimTime {
-        self.next_due
-    }
-
-    /// Sampling period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
-    /// Number of interrupts fired so far.
-    pub fn fired(&self) -> u64 {
-        self.fired
-    }
-
-    /// Mark the interrupt fired and advance the schedule. `now` must be the
-    /// due instant (the event loop pops the event at exactly that time).
-    pub fn fire(&mut self, now: SimTime) -> SimTime {
-        debug_assert_eq!(now, self.next_due, "VIRQ fired off schedule");
-        self.fired += 1;
-        self.next_due = now + self.period;
-        self.next_due
-    }
-}
 
 /// The VIRQ → dom0 sample channel, with fault-fate application.
 ///
@@ -144,23 +91,6 @@ mod tests {
                 vms: Vec::new(),
             },
         }
-    }
-
-    #[test]
-    fn fires_every_period() {
-        let mut v = SamplingVirq::paper_default();
-        assert_eq!(v.next_due(), SimTime::from_secs(1));
-        let next = v.fire(SimTime::from_secs(1));
-        assert_eq!(next, SimTime::from_secs(2));
-        assert_eq!(v.fired(), 1);
-        v.fire(SimTime::from_secs(2));
-        assert_eq!(v.next_due(), SimTime::from_secs(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_period_rejected() {
-        SamplingVirq::new(SimDuration::ZERO);
     }
 
     #[test]
