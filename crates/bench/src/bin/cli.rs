@@ -262,7 +262,8 @@ fn parse_scenario_cluster(s: &str) -> Result<(ScenarioKind, usize), String> {
 /// The topology a bare `fleet:<hosts>x<vms>` CLI cell runs: sharded pools
 /// on the datacenter interconnect with the fleet scheduler at its default
 /// tunables and no far tier. Files wanting presets/far/thresholds declare
-/// a `[cluster]` table instead.
+/// a `[cluster]` table instead. With one host the scheduler never runs,
+/// so this is the plain host [`run_spec`] uses.
 fn default_cluster(hosts: usize) -> ClusterConfig {
     ClusterConfig {
         hosts,
@@ -874,10 +875,12 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `trace`: run one (scenario × policy) cell with the flight recorder
-/// attached, replay-verify the event stream against the live accounting,
-/// print the metrics registry, and (with `--out`) write the JSONL trace.
-fn trace_cmd(kind: ScenarioKind, policy: PolicyKind, a: &Args) -> Result<(), String> {
+/// `trace`: run one (scenario × policy) cell with every host's flight
+/// recorder attached, replay-verify the event streams against the live
+/// accounting (migration events included), print the metrics registry of
+/// a single host or the fleet report of a cluster, and (with `--out FILE`)
+/// write host 0's JSONL to FILE and host N's to `FILE.hostN`.
+fn trace_cmd(kind: ScenarioKind, hosts: usize, policy: PolicyKind, a: &Args) -> Result<(), String> {
     if a.filter.is_some() && a.out.is_none() {
         return Err(
             "--filter only shapes the JSONL written by --out; add --out FILE (the \
@@ -893,21 +896,95 @@ fn trace_cmd(kind: ScenarioKind, policy: PolicyKind, a: &Args) -> Result<(), Str
     if let Some(p) = &a.chaos {
         cfg.faults = p.profile.clone();
     }
-    let r = run_scenario(kind, policy, &cfg);
-    let data = r
-        .trace
-        .as_ref()
-        .expect("trace was configured, so the runner extracts one");
-
-    let m = &data.metrics;
+    let spec = cluster_spec(kind, hosts, &cfg);
+    let cr = run_cluster(spec, policy, &cfg, &default_cluster(hosts));
+    let head = &cr.host_results[0];
+    let topology = if hosts > 1 {
+        format!("{hosts} hosts, ")
+    } else {
+        String::new()
+    };
     println!(
-        "== trace {} / {} (scale {}, seed {}, chaos {}) ==",
-        r.scenario,
-        r.policy,
+        "== trace {} / {} ({topology}scale {}, seed {}, chaos {}) ==",
+        head.scenario,
+        head.policy,
         a.scale,
         a.seed,
         a.chaos.as_ref().map_or("off", |p| p.name.as_str()),
     );
+    let traces: Vec<&TraceData> = cr
+        .host_results
+        .iter()
+        .map(|r| {
+            r.trace
+                .as_ref()
+                .expect("trace was configured, so every host extracts one")
+        })
+        .collect();
+    if hosts == 1 {
+        print_trace_metrics(traces[0]);
+    } else {
+        for (h, data) in traces.iter().enumerate() {
+            println!(
+                "host {h}: {} events recorded, {} dropped",
+                data.events.len(),
+                data.dropped_oldest
+            );
+        }
+    }
+
+    match trace_check::verify_cluster(&cr.host_results) {
+        Ok(rep) if rep.ok() => {
+            println!(
+                "replay: PASS — {} checks over {} events re-derived the live accounting",
+                rep.checks, rep.events
+            );
+        }
+        Ok(rep) => {
+            for mi in &rep.mismatches {
+                eprintln!("replay mismatch: {mi}");
+            }
+            return Err(format!(
+                "replay verification failed: {} mismatch(es) in {} checks",
+                rep.mismatches.len(),
+                rep.checks
+            ));
+        }
+        Err(e) => return Err(format!("replay verification unavailable: {e}")),
+    }
+    if hosts > 1 {
+        print!("{}", report::render_fleet(&cr));
+    }
+
+    if let Some(path) = &a.out {
+        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
+        }
+        for (h, (r, data)) in cr.host_results.iter().zip(&traces).enumerate() {
+            let header = TraceHeader {
+                scenario: r.scenario.clone(),
+                policy: r.policy.clone(),
+                seed: a.seed,
+                filter: None,
+            };
+            let jsonl = data.to_jsonl(&header, a.filter.as_deref());
+            let written = jsonl.lines().count().saturating_sub(1);
+            let host_path = if h == 0 {
+                path.clone()
+            } else {
+                PathBuf::from(format!("{}.host{h}", path.display()))
+            };
+            std::fs::write(&host_path, &jsonl)
+                .map_err(|e| format!("writing {}: {e}", host_path.display()))?;
+            println!("trace: {} ({written} events)", host_path.display());
+        }
+    }
+    Ok(())
+}
+
+/// A single host's trace summary: ring occupancy and the metrics registry.
+fn print_trace_metrics(data: &TraceData) {
+    let m = &data.metrics;
     println!(
         "events: {} recorded, {} dropped (ring capacity {})",
         data.events.len(),
@@ -950,128 +1027,6 @@ fn trace_cmd(kind: ScenarioKind, policy: PolicyKind, a: &Args) -> Result<(), Str
         "mm: decisions={}  faults injected={}",
         m.mm_decisions, m.faults_injected
     );
-
-    match trace_check::verify(&r) {
-        Ok(rep) if rep.ok() => {
-            println!(
-                "replay: PASS — {} checks over {} events re-derived the live accounting",
-                rep.checks, rep.events
-            );
-        }
-        Ok(rep) => {
-            for mi in &rep.mismatches {
-                eprintln!("replay mismatch: {mi}");
-            }
-            return Err(format!(
-                "replay verification failed: {} mismatch(es) in {} checks",
-                rep.mismatches.len(),
-                rep.checks
-            ));
-        }
-        Err(e) => return Err(format!("replay verification unavailable: {e}")),
-    }
-
-    if let Some(path) = &a.out {
-        let header = TraceHeader {
-            scenario: r.scenario.clone(),
-            policy: r.policy.clone(),
-            seed: a.seed,
-            filter: None,
-        };
-        let jsonl = data.to_jsonl(&header, a.filter.as_deref());
-        let written = jsonl.lines().count().saturating_sub(1);
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        std::fs::write(path, &jsonl).map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("trace: {} ({written} events)", path.display());
-    }
-    Ok(())
-}
-
-/// `trace` for a multi-host cell: run the cluster with every host's
-/// flight recorder attached, replay-verify the merged streams (migration
-/// events included), print the fleet report, and (with `--out FILE`)
-/// write host 0's JSONL to FILE and host N's to `FILE.hostN`.
-fn trace_cluster_cmd(
-    kind: ScenarioKind,
-    hosts: usize,
-    policy: PolicyKind,
-    a: &Args,
-) -> Result<(), String> {
-    let mut cfg = run_config(a)?;
-    cfg.record_series = true;
-    cfg.trace = Some(TraceConfig::default());
-    if let Some(p) = &a.chaos {
-        cfg.faults = p.profile.clone();
-    }
-    let spec = cluster_spec(kind, hosts, &cfg);
-    let cr = run_cluster(spec, policy, &cfg, &default_cluster(hosts));
-    let head = &cr.host_results[0];
-    println!(
-        "== trace {} / {} ({hosts} hosts, scale {}, seed {}, chaos {}) ==",
-        head.scenario,
-        head.policy,
-        a.scale,
-        a.seed,
-        a.chaos.as_ref().map_or("off", |p| p.name.as_str()),
-    );
-    for (h, r) in cr.host_results.iter().enumerate() {
-        let data = r
-            .trace
-            .as_ref()
-            .expect("trace was configured, so every host extracts one");
-        println!(
-            "host {h}: {} events recorded, {} dropped",
-            data.events.len(),
-            data.dropped_oldest
-        );
-    }
-    match trace_check::verify_cluster(&cr.host_results) {
-        Ok(rep) if rep.ok() => {
-            println!(
-                "replay: PASS — {} checks over {} events re-derived the live accounting",
-                rep.checks, rep.events
-            );
-        }
-        Ok(rep) => {
-            for mi in &rep.mismatches {
-                eprintln!("replay mismatch: {mi}");
-            }
-            return Err(format!(
-                "replay verification failed: {} mismatch(es) in {} checks",
-                rep.mismatches.len(),
-                rep.checks
-            ));
-        }
-        Err(e) => return Err(format!("replay verification unavailable: {e}")),
-    }
-    print!("{}", report::render_fleet(&cr));
-    if let Some(path) = &a.out {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        }
-        for (h, r) in cr.host_results.iter().enumerate() {
-            let data = r.trace.as_ref().expect("extracted above");
-            let header = TraceHeader {
-                scenario: r.scenario.clone(),
-                policy: r.policy.clone(),
-                seed: a.seed,
-                filter: None,
-            };
-            let jsonl = data.to_jsonl(&header, a.filter.as_deref());
-            let written = jsonl.lines().count().saturating_sub(1);
-            let host_path = if h == 0 {
-                path.clone()
-            } else {
-                PathBuf::from(format!("{}.host{h}", path.display()))
-            };
-            std::fs::write(&host_path, &jsonl)
-                .map_err(|e| format!("writing {}: {e}", host_path.display()))?;
-            println!("trace: {} ({written} events)", host_path.display());
-        }
-    }
-    Ok(())
 }
 
 /// Per-VM admission/datapath counters accumulated by `inspect`.
@@ -1560,11 +1515,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             let (kind, hosts) = parse_scenario_cluster(scenario)?;
             let policy = parse_policy(policy)?;
             let a = parse_flags(cmd, rest)?;
-            if hosts > 1 {
-                trace_cluster_cmd(kind, hosts, policy, &a)
-            } else {
-                trace_cmd(kind, policy, &a)
-            }
+            trace_cmd(kind, hosts, policy, &a)
         }
         "run-file" => {
             let (file, rest) = rest

@@ -1,6 +1,8 @@
 //! `smartmem-cli inspect` end to end: a trace written by `trace --out`
 //! reads back, summarizes, and passes its injected-vs-observed fault
-//! cross-check; a trace with one detection removed fails it.
+//! cross-check; a trace with one detection removed fails it. `trace`
+//! itself refuses `--filter` without `--out` on one host and on a
+//! cluster alike.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -105,4 +107,24 @@ fn inspect_flags_a_removed_corruption_detection() {
     let (ok, text) = inspect(&t.0);
     assert!(!ok, "inspect must fail on a missing detection:\n{text}");
     assert!(text.contains("MISMATCH"), "{text}");
+}
+
+#[test]
+fn trace_refuses_filter_without_out_on_a_cluster_cell_too() {
+    let refused = |scenario: &str| {
+        let o = cli(&[
+            "trace",
+            scenario,
+            "smart-alloc:2",
+            "--seed",
+            "42",
+            "--filter",
+            "subsys=tmem",
+        ]);
+        assert!(!o.status.success(), "{scenario} must exit non-zero");
+        String::from_utf8_lossy(&o.stderr).into_owned()
+    };
+    let single = refused("fleet:4:8");
+    assert!(single.contains("add --out FILE"), "{single}");
+    assert_eq!(refused("fleet:2x4:8"), single, "one guard, one message");
 }

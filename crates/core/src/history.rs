@@ -1,15 +1,14 @@
 //! Bounded statistics history.
 //!
 //! The MM "keeps track of this information across time, generating a
-//! history of how the VMs use tmem" (paper §III-D). The paper's three
-//! policies only need the latest snapshot (the cumulative counters carry
-//! the relevant past), but the history is the extension point for the
-//! "more sophisticated tmem memory policies" the conclusion calls for —
-//! e.g. demand prediction over a window. It also powers report generation.
+//! history of how the VMs use tmem" (paper §III-D). Nothing reads the
+//! window: `Policy::compute` sees one snapshot, and the paper's policies
+//! need only that (the cumulative counters carry the relevant past). The
+//! window stays only so that `MemoryManager::{new, from_kind}` keep their
+//! `history_limit` parameter. What the MM uses here is the sequence
+//! classification ([`StatsHistory::observe`]) and its gap count.
 
 use std::collections::VecDeque;
-use tmem::fastmap::FxHashMap;
-use tmem::key::VmId;
 use tmem::stats::MemStats;
 
 /// Classification of an incoming snapshot's sequence number against the
@@ -33,14 +32,6 @@ pub struct StatsHistory {
     limit: usize,
     last_seq: Option<u64>,
     gaps: u64,
-    missed: u64,
-    /// Per-VM `(intervals present, failed-put sum)` over the retained
-    /// window, maintained incrementally on push/evict. Each update touches
-    /// only the VMs that appear in the snapshot crossing the window edge,
-    /// so windowed queries stay O(1) however many VMs or intervals the
-    /// history holds — at fleet scale a rescan would be O(window × VMs)
-    /// per interval.
-    failed_puts_agg: FxHashMap<VmId, (u64, u64)>,
 }
 
 impl StatsHistory {
@@ -51,8 +42,6 @@ impl StatsHistory {
             limit,
             last_seq: None,
             gaps: 0,
-            missed: 0,
-            failed_puts_agg: FxHashMap::default(),
         }
     }
 
@@ -68,7 +57,6 @@ impl StatsHistory {
             Some(last) => {
                 if seq > last + 1 {
                     self.gaps += 1;
-                    self.missed += seq - last - 1;
                 }
                 self.last_seq = Some(seq);
                 SeqObservation::Fresh
@@ -90,34 +78,13 @@ impl StatsHistory {
         self.gaps
     }
 
-    /// Total samples known missing across all gaps.
-    pub fn missed(&self) -> u64 {
-        self.missed
-    }
-
-    /// Append a snapshot, evicting the oldest beyond the limit. Windowed
-    /// aggregates are updated for exactly the VMs present in the incoming
-    /// (and, at capacity, the evicted) snapshot.
+    /// Append a snapshot, evicting the oldest beyond the limit.
     pub fn push(&mut self, stats: MemStats) {
         if self.limit == 0 {
             return;
         }
         if self.window.len() == self.limit {
-            let old = self.window.pop_front().expect("len == limit > 0");
-            for v in &old.vms {
-                if let Some(e) = self.failed_puts_agg.get_mut(&v.vm_id) {
-                    e.0 -= 1;
-                    e.1 -= v.failed_puts();
-                    if e.0 == 0 {
-                        self.failed_puts_agg.remove(&v.vm_id);
-                    }
-                }
-            }
-        }
-        for v in &stats.vms {
-            let e = self.failed_puts_agg.entry(v.vm_id).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += v.failed_puts();
+            self.window.pop_front();
         }
         self.window.push_back(stats);
     }
@@ -141,43 +108,23 @@ impl StatsHistory {
     pub fn latest(&self) -> Option<&MemStats> {
         self.window.back()
     }
-
-    /// Mean failed puts per interval for `vm` over the retained window —
-    /// the kind of windowed signal a predictive policy would use. O(1):
-    /// served from the incrementally-maintained aggregate, bit-identical
-    /// to a window rescan (same integer sum over the same count).
-    pub fn mean_failed_puts(&self, vm: VmId) -> Option<f64> {
-        self.failed_puts_agg
-            .get(&vm)
-            .map(|&(n, sum)| sum as f64 / n as f64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sim_core::time::SimTime;
-    use tmem::stats::{NodeInfo, VmStat};
+    use tmem::stats::NodeInfo;
 
-    fn snap(t: u64, failed: u64) -> MemStats {
+    fn snap(t: u64) -> MemStats {
         MemStats {
             at: SimTime::from_secs(t),
             node: NodeInfo {
                 total_tmem: 100,
                 free_tmem: 100,
-                vm_count: 1,
+                vm_count: 0,
             },
-            vms: vec![VmStat {
-                vm_id: VmId(1),
-                puts_total: failed,
-                puts_succ: 0,
-                gets_total: 0,
-                gets_succ: 0,
-                flushes: 0,
-                tmem_used: 0,
-                mm_target: 0,
-                cumul_puts_failed: failed,
-            }],
+            vms: Vec::new(),
         }
     }
 
@@ -185,7 +132,7 @@ mod tests {
     fn bounded_fifo() {
         let mut h = StatsHistory::new(3);
         for t in 0..5 {
-            h.push(snap(t, 0));
+            h.push(snap(t));
         }
         assert_eq!(h.len(), 3);
         assert_eq!(h.iter().next().unwrap().at, SimTime::from_secs(2));
@@ -195,7 +142,7 @@ mod tests {
     #[test]
     fn zero_limit_disables_retention() {
         let mut h = StatsHistory::new(0);
-        h.push(snap(0, 0));
+        h.push(snap(0));
         assert!(h.is_empty());
         assert!(h.latest().is_none());
     }
@@ -208,36 +155,9 @@ mod tests {
         assert_eq!(h.observe(2), SeqObservation::Duplicate);
         assert_eq!(h.observe(1), SeqObservation::Stale);
         assert_eq!(h.gaps(), 0);
-        // Samples 3 and 4 lost: one gap, two missed.
+        // Samples 3 and 4 lost: one gap.
         assert_eq!(h.observe(5), SeqObservation::Fresh);
         assert_eq!(h.gaps(), 1);
-        assert_eq!(h.missed(), 2);
         assert_eq!(h.last_seq(), Some(5));
-    }
-
-    #[test]
-    fn mean_failed_puts_over_window() {
-        let mut h = StatsHistory::new(10);
-        for f in [2, 4, 6] {
-            h.push(snap(f, f));
-        }
-        assert_eq!(h.mean_failed_puts(VmId(1)), Some(4.0));
-        assert_eq!(h.mean_failed_puts(VmId(9)), None, "unknown VM");
-    }
-
-    #[test]
-    fn mean_failed_puts_tracks_evictions() {
-        let mut h = StatsHistory::new(2);
-        for f in [2, 4, 6] {
-            h.push(snap(f, f));
-        }
-        // Window is [4, 6]: the evicted snapshot (2) must leave the mean.
-        assert_eq!(h.mean_failed_puts(VmId(1)), Some(5.0));
-        // Evict everything mentioning VmId(1): aggregate entry must vanish.
-        let mut empty = snap(9, 0);
-        empty.vms.clear();
-        h.push(empty.clone());
-        h.push(empty);
-        assert_eq!(h.mean_failed_puts(VmId(1)), None);
     }
 }

@@ -33,7 +33,6 @@ pub struct MemoryManager {
     cycles: u64,
     transmissions: u64,
     push_seq: u64,
-    crashes: u64,
     warmup_remaining: u64,
     // Harness observability, not process state: these survive crashes so
     // chaos reports can show run-wide totals.
@@ -54,7 +53,6 @@ impl MemoryManager {
             cycles: 0,
             transmissions: 0,
             push_seq: 0,
-            crashes: 0,
             warmup_remaining: 0,
             discarded: 0,
             gaps_before_crashes: 0,
@@ -180,7 +178,6 @@ impl MemoryManager {
         self.gaps_before_crashes += self.history.gaps();
         self.history = StatsHistory::new(self.history_limit);
         self.last_sent = None;
-        self.crashes += 1;
         self.warmup_remaining = REBUILD_WINDOW;
     }
 
@@ -197,11 +194,6 @@ impl MemoryManager {
     /// Target transmissions actually sent (≤ cycles thanks to suppression).
     pub fn transmissions(&self) -> u64 {
         self.transmissions
-    }
-
-    /// Crash episodes this MM has been through.
-    pub fn crashes(&self) -> u64 {
-        self.crashes
     }
 
     /// Whether the MM is inside its post-restart rebuild window.
@@ -328,7 +320,6 @@ mod tests {
         // A gap (3, 4 lost) is fresh and counted.
         assert!(mm.on_stats(&stats(5, 3, 0)).is_none(), "same targets");
         assert_eq!(mm.history().gaps(), 1);
-        assert_eq!(mm.history().missed(), 2);
     }
 
     #[test]
@@ -339,7 +330,6 @@ mod tests {
         assert!(mm.on_stats(&stats(2, 3, 0)).is_none(), "suppressed");
 
         mm.crash();
-        assert_eq!(mm.crashes(), 1);
         assert!(mm.warming_up());
         assert!(mm.history().is_empty(), "history lost");
         // REBUILD_WINDOW snapshots re-seed state without transmission...

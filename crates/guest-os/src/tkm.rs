@@ -89,7 +89,7 @@ impl PendingPush {
     }
 }
 
-/// Privileged-domain TKM relay with netlink-style message accounting.
+/// Privileged-domain TKM relay between the VIRQ and the user-space MM.
 ///
 /// The stats path is a bounded queue (depth [`NETLINK_QUEUE_DEPTH`]) with a
 /// one-slot reorder buffer: a `Reorder` fate holds the message back until
@@ -102,11 +102,6 @@ pub struct Dom0Tkm {
     queue: VecDeque<StatsMsg>,
     held: Option<StatsMsg>,
     pending: Option<PendingPush>,
-    stats_msgs: u64,
-    stats_bytes: u64,
-    stats_shed: u64,
-    target_msgs: u64,
-    target_entries: u64,
     tracer: Tracer,
 }
 
@@ -126,11 +121,6 @@ impl Dom0Tkm {
     /// queue it for the user-space MM (netlink send), applying the
     /// message's fault fate.
     pub fn deliver_stats(&mut self, msg: StatsMsg, fate: NetlinkFate) {
-        self.stats_msgs += 1;
-        // Netlink message payload estimate: header + per-VM records. Used
-        // by the communication-overhead ablation. Counted even for dropped
-        // messages: the send side still pays for them.
-        self.stats_bytes += 32 + 64 * msg.stats.vms.len() as u64;
         self.tracer.emit(|| {
             (
                 None,
@@ -171,7 +161,6 @@ impl Dom0Tkm {
     fn enqueue(&mut self, msg: StatsMsg) {
         if self.queue.len() == NETLINK_QUEUE_DEPTH {
             let shed = self.queue.pop_front();
-            self.stats_shed += 1;
             self.tracer.emit(|| {
                 (
                     None,
@@ -213,8 +202,6 @@ impl Dom0Tkm {
         seq: u64,
         targets: &[MmTarget],
     ) -> bool {
-        self.target_msgs += 1;
-        self.target_entries += targets.len() as u64;
         if let Some(old) = self.pending.take() {
             inj.ledger_mut().hypercalls_superseded += 1;
             self.tracer.emit(|| {
@@ -337,31 +324,6 @@ impl Dom0Tkm {
     pub fn has_pending_push(&self) -> bool {
         self.pending.is_some()
     }
-
-    /// Number of statistics messages relayed to user space.
-    pub fn stats_msgs(&self) -> u64 {
-        self.stats_msgs
-    }
-
-    /// Estimated bytes of statistics traffic relayed.
-    pub fn stats_bytes(&self) -> u64 {
-        self.stats_bytes
-    }
-
-    /// Snapshots shed to overflow of the bounded netlink queue.
-    pub fn stats_shed(&self) -> u64 {
-        self.stats_shed
-    }
-
-    /// Number of `SetTargets` hypercalls issued on behalf of the MM.
-    pub fn target_msgs(&self) -> u64 {
-        self.target_msgs
-    }
-
-    /// Total target entries forwarded.
-    pub fn target_entries(&self) -> u64 {
-        self.target_entries
-    }
 }
 
 #[cfg(test)]
@@ -393,8 +355,6 @@ mod tests {
         let mut inj = FaultInjector::disabled();
         let snap = hyp.sample(SimTime::from_secs(1));
         relay.deliver_stats(snap, NetlinkFate::Deliver);
-        assert_eq!(relay.stats_msgs(), 1);
-        assert!(relay.stats_bytes() > 0);
         let got = relay.take_stats().expect("snapshot queued");
         assert_eq!(got.stats.vms.len(), 1);
         assert_eq!(got.seq, 1);
@@ -410,10 +370,7 @@ mod tests {
             }],
         );
         assert!(ok);
-        assert_eq!(relay.target_msgs(), 1);
-        assert_eq!(relay.target_entries(), 1);
         assert_eq!(hyp.target_of(VmId(1)), Some(7));
-        assert_eq!(hyp.set_target_calls(), 1);
     }
 
     #[test]
@@ -431,7 +388,6 @@ mod tests {
             relay.take_stats().is_none(),
             "dropped message never arrives"
         );
-        assert_eq!(relay.stats_msgs(), 1, "send side still counted it");
 
         // Reordered: 2 is parked, 3 arrives first, then 2 flushes behind it.
         relay.deliver_stats(s2, NetlinkFate::Reorder);
@@ -450,7 +406,6 @@ mod tests {
             let s = hyp.sample(SimTime::from_secs(sec));
             relay.deliver_stats(s, NetlinkFate::Deliver);
         }
-        assert_eq!(relay.stats_shed(), 2);
         // Only the newest NETLINK_QUEUE_DEPTH survive.
         assert_eq!(relay.take_stats().map(|m| m.seq), Some(3));
         assert_eq!(relay.take_stats().map(|m| m.seq), Some(4));
@@ -628,7 +583,6 @@ mod tests {
             depths.iter().all(|&d| d <= NETLINK_QUEUE_DEPTH as u64),
             "queue depth never exceeds capacity: {depths:?}"
         );
-        assert_eq!(relay.stats_shed(), 2);
         assert_eq!(relay.take_stats().map(|m| m.seq), Some(3));
         assert_eq!(relay.take_stats().map(|m| m.seq), Some(4));
     }

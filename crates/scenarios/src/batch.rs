@@ -216,6 +216,19 @@ fn label_ok(label: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// A sweep cell runs on one host and its journal record holds one host's
+/// result, so a scenario file with a `[cluster]` table is refused rather
+/// than run on one host under its multi-host name.
+fn reject_cluster(src: &str) -> Result<(), String> {
+    match crate::toml::parse(src)?.table("cluster") {
+        Some(t) => Err(format!(
+            "line {}: [cluster]: sweep cells run on one host; run a cluster file with run-file",
+            t.line
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Load a manifest from `path` and resolve every axis. `jobs` is the
 /// parallelism the sweep will run with (execution-only: it never affects
 /// results).
@@ -264,6 +277,7 @@ pub fn resolve_plan(
                 .iter()
                 .map(|c| dsl::parse_scenario_src(&src, c).map(|doc| doc.spec))
                 .collect::<Result<Vec<_>, _>>()
+                .and_then(|specs| reject_cluster(&src).map(|()| specs))
                 .map_err(|e| format!("{}: {e}", path.display()))?
         } else {
             let _ = write!(identity, "\x1fscenario\x1f{entry}");

@@ -22,13 +22,6 @@ pub struct RunConfig {
     pub cost: CostModel,
     /// Compute quantum per VM execution step.
     pub quantum: SimDuration,
-    /// Fraction of guest RAM reserved by the OS (kernel, daemons, page
-    /// cache floor) and unavailable to the workload.
-    pub os_reserve_frac: f64,
-    /// Swap-in read-ahead window, pages.
-    pub readahead_pages: u32,
-    /// Physical cores available to guest vCPUs (paper testbed: 2).
-    pub cores: u32,
     /// Fraction of the node's tmem the hypervisor may slow-reclaim from
     /// each over-target VM per sampling interval (paper §III-B: "the
     /// hypervisor can reclaim tmem pages from a VM very slowly").
@@ -101,13 +94,6 @@ impl RunConfig {
         if self.quantum <= SimDuration::ZERO {
             return Err("quantum must be a positive duration".into());
         }
-        if !(0.0..1.0).contains(&self.os_reserve_frac) {
-            return Err(format!(
-                "os_reserve_frac must lie in [0, 1), got {} (1.0 would leave \
-                 the workload no memory at all)",
-                self.os_reserve_frac
-            ));
-        }
         if !(0.0..=1.0).contains(&self.reclaim_frac_per_interval)
             || self.reclaim_frac_per_interval.is_nan()
         {
@@ -139,9 +125,6 @@ impl Default for RunConfig {
             seed: 42,
             cost: CostModel::hdd(),
             quantum: SimDuration::from_millis(1),
-            os_reserve_frac: 0.20,
-            readahead_pages: 32,
-            cores: 2,
             reclaim_frac_per_interval: 0.02,
             record_series: false,
             max_sim_time: SimDuration::from_secs(20_000),
@@ -204,7 +187,6 @@ mod tests {
         assert!(bad(|c| c.time_scale = Some(-1.0)).contains("time_scale"));
         assert!(bad(|c| c.jobs = 0).contains("jobs"));
         assert!(bad(|c| c.quantum = SimDuration::ZERO).contains("quantum"));
-        assert!(bad(|c| c.os_reserve_frac = 1.0).contains("os_reserve_frac"));
         assert!(bad(|c| c.reclaim_frac_per_interval = 2.0).contains("reclaim"));
         assert!(bad(|c| c.max_sim_time = SimDuration::ZERO).contains("max_sim_time"));
         assert!(bad(|c| c.faults.virq_drop = 7.0).contains("fault"));

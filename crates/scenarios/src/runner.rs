@@ -53,6 +53,13 @@ use xen_sim::hypervisor::Hypervisor;
 use xen_sim::sched::CpuModel;
 use xen_sim::virq::SampleChannel;
 
+/// Fraction of guest RAM reserved by the OS (kernel, daemons, page cache
+/// floor) and unavailable to the workload.
+const OS_RESERVE_FRAC: f64 = 0.20;
+
+/// Swap-in read-ahead window, pages.
+const READAHEAD_PAGES: u32 = 32;
+
 /// Lifecycle of a VM's program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VmState {
@@ -441,7 +448,7 @@ pub fn run_cluster(
             disk: SharedDisk::default(),
             dom0,
             mm,
-            cpu: CpuModel::new(cfg.cores),
+            cpu: CpuModel::default(),
             injector,
             sample_chan: SampleChannel::new(),
             virq_buf: Vec::new(),
@@ -456,12 +463,12 @@ pub fn run_cluster(
         let h = i % nhosts;
         hosts[h].hyp.register_vm(vm_spec.config.clone());
         let ram_pages = vm_spec.config.ram_pages();
-        let os_reserved = ((ram_pages as f64 * cfg.os_reserve_frac) as u64).max(2);
+        let os_reserved = ((ram_pages as f64 * OS_RESERVE_FRAC) as u64).max(2);
         let mut kernel = GuestKernel::new(GuestConfig {
             vm: vm_spec.config.id,
             ram_pages,
             os_reserved_pages: os_reserved,
-            readahead_pages: cfg.readahead_pages,
+            readahead_pages: READAHEAD_PAGES,
             frontswap_enabled: frontswap,
         });
         let tkm = if frontswap {
@@ -1075,11 +1082,13 @@ impl Runner {
             led.migrate_pages += local_n + far_n;
             led.migrate_purged += purged;
         }
-        let vm_cfg = self.hosts[src]
+        assert!(
+            self.hosts[src].hyp.unregister_vm(vm),
+            "VM was registered on the source"
+        );
+        self.hosts[dst]
             .hyp
-            .unregister_vm(vm)
-            .expect("VM was registered on the source");
-        self.hosts[dst].hyp.register_vm(vm_cfg);
+            .register_vm(self.vms[i].spec.config.clone());
         let tkm = GuestTkm::init(&mut self.hosts[dst].hyp, vm, PoolKind::Persistent)
             .expect("fresh pool on the destination");
         let new_pool = tkm.pool();

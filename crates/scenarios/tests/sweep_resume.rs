@@ -10,7 +10,8 @@
 //! flip payload bytes and append garbage, and check every damaged record
 //! is detected (length/digest), warned about, and simply re-run — while
 //! a journal from a *different* sweep is refused outright. An overrides
-//! cell is pinned against a direct run under its configuration.
+//! cell is pinned against a direct run under its configuration, and a
+//! scenario file with a `[cluster]` table is refused.
 
 use scenarios::batch::{self, SweepOutcome, JOURNAL_FILE};
 use scenarios::config::RunConfig;
@@ -339,4 +340,25 @@ fn an_override_cell_equals_a_direct_run_under_its_config() {
         run(&base_build),
         "the override must reach the scenario build, not only the run"
     );
+}
+
+/// A scenario file with a `[cluster]` table would run on one host under
+/// its multi-host name; the plan refuses it, naming the file and the
+/// table's line.
+#[test]
+fn a_cluster_scenario_file_is_refused() {
+    let scratch = Scratch::new("cluster");
+    fs::write(
+        scratch.root.join("pair.toml"),
+        "version = 1\n[fleet]\nvms = 8\nfootprint_mb = 8\n\n[cluster]\nhosts = 2\nmigration = true\n",
+    )
+    .unwrap();
+    fs::write(
+        scratch.root.join("clustered.toml"),
+        "version = 1\n[sweep]\nname = \"clustered\"\nscenarios = [\"pair.toml\"]\n\
+         policies = [\"smart-alloc:2\"]\nscale = 0.125\n",
+    )
+    .unwrap();
+    let err = batch::load_plan(&scratch.root.join("clustered.toml"), 1).unwrap_err();
+    assert!(err.contains("pair.toml: line 6: [cluster]"), "{err}");
 }

@@ -48,7 +48,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
     now: SimTime,
     next_seq: u64,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -64,7 +63,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            popped: 0,
         }
     }
 
@@ -82,12 +80,6 @@ impl<E> EventQueue<E> {
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total number of events popped so far (for progress reporting and
-    /// runaway detection).
-    pub fn events_processed(&self) -> u64 {
-        self.popped
     }
 
     /// Schedule `event` at the absolute instant `due`.
@@ -116,7 +108,6 @@ impl<E> EventQueue<E> {
         let Reverse(s) = self.heap.pop()?;
         debug_assert!(s.due >= self.now, "event queue time went backwards");
         self.now = s.due;
-        self.popped += 1;
         Some((s.due, s.event))
     }
 
@@ -140,14 +131,12 @@ impl<E> EventQueue<E> {
         debug_assert!(first.due >= self.now, "event queue time went backwards");
         let due = first.due;
         self.now = due;
-        self.popped += 1;
         out.push(first.event);
         while let Some(Reverse(s)) = self.heap.peek() {
             if s.due != due {
                 break;
             }
             let Reverse(s) = self.heap.pop().expect("peeked just above");
-            self.popped += 1;
             out.push(s.event);
         }
         Some(due)
@@ -167,7 +156,6 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
         assert_eq!(q.now(), SimTime(30));
-        assert_eq!(q.events_processed(), 3);
     }
 
     #[test]
@@ -215,7 +203,6 @@ mod tests {
         batch.clear();
         assert_eq!(q.pop_batch(&mut batch), None);
         assert!(batch.is_empty());
-        assert_eq!(q.events_processed(), 3);
     }
 
     #[test]

@@ -13,14 +13,15 @@ use serde::{Deserialize, Serialize};
 use sim_core::metrics::Counter;
 use sim_core::time::SimTime;
 
-/// Per-VM state kept by the hypervisor (`vm_data_hyp[id]` in Table I), plus
-/// the cumulative counters the policies and figures need.
+/// Per-VM state kept by the hypervisor (`vm_data_hyp[id]` in Table I),
+/// plus the cumulative failed-put count Algorithm 3 reads. Table I's
+/// `tmem_used` is not stored here: the tmem backend owns it
+/// ([`TmemBackend::used_by`](crate::backend::TmemBackend::used_by)), and
+/// [`VmDataHyp::close_interval`] takes it at sample time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VmDataHyp {
     /// Identifier of the VM within Xen.
     pub vm_id: VmId,
-    /// Number of tmem pages currently used by the VM.
-    pub tmem_used: u64,
     /// Target number of pages allocated to the VM, as set by the MM.
     pub mm_target: u64,
     /// Puts issued in the current sampling interval (success or not).
@@ -37,8 +38,6 @@ pub struct VmDataHyp {
     /// (`reconf-static`) keys on this to decide whether a VM has ever been
     /// active on tmem.
     pub cumul_puts_failed: u64,
-    /// Cumulative successful puts since VM registration.
-    pub cumul_puts_succ: u64,
 }
 
 impl VmDataHyp {
@@ -49,7 +48,6 @@ impl VmDataHyp {
     pub fn new(vm_id: VmId, initial_target: u64) -> Self {
         VmDataHyp {
             vm_id,
-            tmem_used: 0,
             mm_target: initial_target,
             puts_total: Counter::default(),
             puts_succ: Counter::default(),
@@ -57,25 +55,19 @@ impl VmDataHyp {
             gets_succ: Counter::default(),
             flushes: Counter::default(),
             cumul_puts_failed: 0,
-            cumul_puts_succ: 0,
         }
     }
 
-    /// Failed puts in the current interval.
-    pub fn interval_failed_puts(&self) -> u64 {
-        self.puts_total.get() - self.puts_succ.get()
-    }
-
-    /// Close the sampling interval: snapshot the interval counters into a
-    /// [`VmStat`] and reset them.
-    pub fn close_interval(&mut self) -> VmStat {
+    /// Close the sampling interval: snapshot the interval counters, with
+    /// `tmem_used` (the pages the VM holds now), into a [`VmStat`] and
+    /// reset them.
+    pub fn close_interval(&mut self, tmem_used: u64) -> VmStat {
         let puts_total = self.puts_total.take();
         let puts_succ = self.puts_succ.take();
         let gets_total = self.gets_total.take();
         let gets_succ = self.gets_succ.take();
         let flushes = self.flushes.take();
         self.cumul_puts_failed += puts_total - puts_succ;
-        self.cumul_puts_succ += puts_succ;
         VmStat {
             vm_id: self.vm_id,
             puts_total,
@@ -83,7 +75,7 @@ impl VmDataHyp {
             gets_total,
             gets_succ,
             flushes,
-            tmem_used: self.tmem_used,
+            tmem_used,
             mm_target: self.mm_target,
             cumul_puts_failed: self.cumul_puts_failed,
         }
@@ -203,8 +195,7 @@ mod tests {
         d.gets_total.add(4);
         d.gets_succ.add(4);
         d.flushes.add(2);
-        d.tmem_used = 7;
-        let s = d.close_interval();
+        let s = d.close_interval(7);
         assert_eq!(s.puts_total, 10);
         assert_eq!(s.puts_succ, 7);
         assert_eq!(s.failed_puts(), 3);
@@ -214,17 +205,8 @@ mod tests {
         assert_eq!(d.puts_total.get(), 0);
         assert_eq!(d.cumul_puts_failed, 3);
         d.puts_total.add(1);
-        let s2 = d.close_interval();
+        let s2 = d.close_interval(7);
         assert_eq!(s2.cumul_puts_failed, 4);
-        assert_eq!(d.cumul_puts_succ, 7);
-    }
-
-    #[test]
-    fn interval_failed_puts_reads_live_counters() {
-        let mut d = VmDataHyp::new(VmId(1), 5);
-        d.puts_total.add(6);
-        d.puts_succ.add(2);
-        assert_eq!(d.interval_failed_puts(), 4);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! cannot acquire more pages until it releases enough or its target rises.
 //! Exclusive gets and flushes release pages; additionally the hypervisor
 //! "can reclaim tmem pages from a VM very slowly" (§III-B) — implemented as
-//! [`Hypervisor::reclaim_over_target`], a per-interval trickle of a VM's
+//! [`Hypervisor::reclaim_over_target_into`], a per-interval trickle of a VM's
 //! oldest persistent pages to its swap device while it exceeds its target.
 
 use crate::host::{FarConfig, FarTier};
@@ -63,13 +63,11 @@ pub enum GetOutcome<P> {
 pub struct Hypervisor<P> {
     backend: TmemBackend<P>,
     vm_data: BTreeMap<VmId, VmDataHyp>,
-    vms: BTreeMap<VmId, VmConfig>,
     /// Initial target handed to newly registered VMs. Greedy runs use the
     /// full node capacity ("VMs compete for tmem in a greedy way by
     /// default"); managed runs start VMs at the policy's choice (usually 0)
     /// until the first MM cycle installs real targets.
     default_initial_target: u64,
-    set_target_calls: u64,
     /// Monotonic sample counter; stamps every `sample()` snapshot.
     sample_seq: u64,
     /// Sample seq at which the MM last proved liveness (a target push or an
@@ -80,10 +78,6 @@ pub struct Hypervisor<P> {
     target_ttl: u64,
     /// Highest target-push sequence number applied (idempotence guard).
     last_target_seq: u64,
-    /// Pushes ignored because their seq was stale or duplicate.
-    stale_target_msgs: u64,
-    /// Target entries clamped down to node capacity on application.
-    targets_clamped: u64,
     /// Flight-recorder handle (disabled by default; one branch per op).
     tracer: Tracer,
     /// Data-plane fault layer. `None` (the default) keeps every datapath
@@ -104,15 +98,11 @@ impl<P: PagePayload> Hypervisor<P> {
         Hypervisor {
             backend: TmemBackend::new(tmem_pages),
             vm_data: BTreeMap::new(),
-            vms: BTreeMap::new(),
             default_initial_target,
-            set_target_calls: 0,
             sample_seq: 0,
             last_mm_refresh_seq: 0,
             target_ttl: DEFAULT_TARGET_TTL,
             last_target_seq: 0,
-            stale_target_msgs: 0,
-            targets_clamped: 0,
             tracer: Tracer::disabled(),
             data_faults: None,
             far: None,
@@ -239,7 +229,6 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Register a VM (domain creation). Idempotent per id.
     pub fn register_vm(&mut self, config: VmConfig) {
         let id = config.id;
-        self.vms.insert(id, config);
         self.vm_data
             .entry(id)
             .or_insert_with(|| VmDataHyp::new(id, self.default_initial_target));
@@ -248,16 +237,15 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Remove a VM from this host (outbound migration / domain teardown).
     /// The VM's pools must already be gone ([`Hypervisor::migrate_export`]
     /// or [`Hypervisor::destroy_pool`]); after this the host's samples and
-    /// `node_info.vm_count` no longer include the VM. Returns its config so
-    /// the destination host can re-register it.
-    pub fn unregister_vm(&mut self, vm: VmId) -> Option<VmConfig> {
+    /// `node_info.vm_count` no longer include the VM. Returns whether the VM
+    /// was registered here.
+    pub fn unregister_vm(&mut self, vm: VmId) -> bool {
         assert_eq!(
             self.backend.used_by(vm),
             0,
             "unregistering {vm} while it still holds tmem pages"
         );
-        self.vm_data.remove(&vm);
-        self.vms.remove(&vm)
+        self.vm_data.remove(&vm).is_some()
     }
 
     /// Live pools owned by `vm`, in pool-id order (see
@@ -324,7 +312,6 @@ impl<P: PagePayload> Hypervisor<P> {
         };
         let tmem_used = self.backend.used_by(owner);
         if tmem_used >= target {
-            data.tmem_used = tmem_used;
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
@@ -346,7 +333,6 @@ impl<P: PagePayload> Hypervisor<P> {
             Some(d) => {
                 if d.in_brownout() {
                     d.ledger_mut().brownout_rejections += 1;
-                    data.tmem_used = tmem_used;
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
@@ -380,7 +366,6 @@ impl<P: PagePayload> Hypervisor<P> {
         if fate == PutFate::IoFail {
             let d = self.data_faults.as_mut().expect("IoFail implies injector");
             d.ledger_mut().put_io_failures_injected += 1;
-            data.tmem_used = tmem_used;
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
@@ -417,14 +402,10 @@ impl<P: PagePayload> Hypervisor<P> {
             Ok(outcome) => {
                 // Lines 10-13.
                 data.puts_succ.incr();
-                data.tmem_used = self.backend.used_by(owner);
                 if let PutOutcome::StoredAfterEviction(victim) = outcome {
-                    // The evicted ephemeral page belonged to some VM whose
-                    // accounting must reflect the loss.
+                    // The evicted ephemeral page belonged to some VM; the
+                    // `Evict` event attributes the loss to it.
                     if let Some((victim_owner, _)) = self.backend.pool_info(victim.pool) {
-                        if let Some(v) = self.vm_data.get_mut(&victim_owner) {
-                            v.tmem_used = self.backend.used_by(victim_owner);
-                        }
                         self.tracer.emit(|| {
                             (
                                 Some(victim_owner.0),
@@ -463,7 +444,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 Ok(outcome)
             }
             Err(TmemError::NoCapacity) => {
-                data.tmem_used = tmem_used;
                 // Local tmem is full. A host with a far-memory tier spills
                 // persistent pages there instead of bouncing the guest to
                 // its swap disk; ephemeral pages are not worth fabric
@@ -471,10 +451,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 if let Some(p) = far_copy {
                     let far = self.far.as_mut().expect("far_copy implies a far tier");
                     if far.store(pool, owner, object, index, p) {
-                        let data = self
-                            .vm_data
-                            .get_mut(&owner)
-                            .expect("pool owner must be registered");
                         data.puts_succ.incr();
                         self.tracer.emit(|| {
                             (
@@ -550,9 +526,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 {
                     let d = self.data_faults.as_mut().expect("fate implies injector");
                     d.ledger_mut().ephemeral_losses_injected += 1;
-                    if let Some(v) = self.vm_data.get_mut(&owner) {
-                        v.tmem_used = self.backend.used_by(owner);
-                    }
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
@@ -608,16 +581,10 @@ impl<P: PagePayload> Hypervisor<P> {
         let out = match self.backend.get(pool, object, index) {
             Ok(p) => {
                 data.gets_succ.incr();
-                data.tmem_used = self.backend.used_by(owner);
                 GetOutcome::Hit(p)
             }
-            Err(TmemError::Corrupt) => {
-                if kind == PoolKind::Ephemeral {
-                    // The backend dropped the corrupt page.
-                    data.tmem_used = self.backend.used_by(owner);
-                }
-                GetOutcome::Corrupt
-            }
+            // An ephemeral pool has already dropped the corrupt page.
+            Err(TmemError::Corrupt) => GetOutcome::Corrupt,
             // A local miss may still be a far-tier hit: the page was
             // spilled at put time. Far hits are exclusive (the far copy is
             // removed) but free no *local* frame, so the Get event carries
@@ -706,10 +673,7 @@ impl<P: PagePayload> Hypervisor<P> {
         // quarantined) succeeds but removes nothing — the event must carry
         // the real page count or occupancy replay would double-count.
         let (code, removed) = match self.backend.flush_page(pool, object, index) {
-            Ok(removed) => {
-                data.tmem_used = self.backend.used_by(owner);
-                (ReturnCode::Success, removed)
-            }
+            Ok(removed) => (ReturnCode::Success, removed),
             Err(_) => (ReturnCode::Failure, false),
         };
         self.tracer.emit(|| {
@@ -756,7 +720,6 @@ impl<P: PagePayload> Hypervisor<P> {
             .expect("pool owner must be registered");
         data.flushes.incr();
         let freed = self.backend.flush_object(pool, object).unwrap_or(0);
-        data.tmem_used = self.backend.used_by(owner);
         self.tracer.emit(|| {
             (
                 Some(owner.0),
@@ -792,9 +755,6 @@ impl<P: PagePayload> Hypervisor<P> {
             return 0;
         };
         let freed = self.backend.destroy_pool(pool).unwrap_or(0);
-        if let Some(data) = self.vm_data.get_mut(&owner) {
-            data.tmem_used = self.backend.used_by(owner);
-        }
         self.tracer.emit(|| {
             (
                 Some(owner.0),
@@ -825,23 +785,12 @@ impl<P: PagePayload> Hypervisor<P> {
     }
 
     /// Slow reclaim (paper §III-B: "the hypervisor can reclaim tmem pages
-    /// from a VM very slowly"): if `vm` uses more tmem than its target,
-    /// remove up to `max_pages` of its **oldest** persistent pages and
-    /// return their keys. The caller (runner) writes them to the VM's swap
-    /// device and informs the guest kernel.
-    pub fn reclaim_over_target(
-        &mut self,
-        pool: PoolId,
-        max_pages: u64,
-    ) -> Vec<(ObjectId, PageIndex)> {
-        let mut out = Vec::new();
-        self.reclaim_over_target_into(pool, max_pages, &mut out);
-        out
-    }
-
-    /// [`Hypervisor::reclaim_over_target`] appending into a caller-owned
-    /// buffer. The runner calls this once per VM per sampling interval, so
-    /// at fleet scale (64+ VMs) reusing one buffer replaces thousands of
+    /// from a VM very slowly"): if the owner of `pool` uses more tmem than
+    /// its target, remove up to `max_pages` of its **oldest** persistent
+    /// pages and append their keys to `out`. The caller (runner) writes
+    /// them to the VM's swap device and informs the guest kernel. The
+    /// runner calls this once per VM per sampling interval, so at fleet
+    /// scale (64+ VMs) reusing one buffer replaces thousands of
     /// short-lived allocations per simulated second.
     pub fn reclaim_over_target_into(
         &mut self,
@@ -856,10 +805,6 @@ impl<P: PagePayload> Hypervisor<P> {
             return;
         }
         let target = self.effective_target(owner);
-        let data = self
-            .vm_data
-            .get_mut(&owner)
-            .expect("pool owner must be registered");
         let used = self.backend.used_by(owner);
         if used <= target {
             return;
@@ -869,7 +814,6 @@ impl<P: PagePayload> Hypervisor<P> {
         let dropped_before = self.backend.integrity().corrupt_dropped;
         self.backend
             .reclaim_oldest_persistent_into(pool, excess.min(max_pages), out);
-        data.tmem_used = self.backend.used_by(owner);
         let pages = (out.len() - start) as u64;
         if pages > 0 {
             self.tracer.emit(|| {
@@ -920,9 +864,7 @@ impl<P: PagePayload> Hypervisor<P> {
     /// (refreshes the staleness TTL). Per-VM targets above node capacity
     /// are clamped (no policy can meaningfully target more than the pool).
     pub fn apply_targets(&mut self, seq: u64, targets: &[MmTarget]) -> bool {
-        self.set_target_calls += 1;
         if seq <= self.last_target_seq {
-            self.stale_target_msgs += 1;
             self.tracer.emit(|| {
                 (
                     None,
@@ -940,9 +882,6 @@ impl<P: PagePayload> Hypervisor<P> {
         let capacity = self.backend.capacity();
         for t in targets {
             if let Some(data) = self.vm_data.get_mut(&t.vm_id) {
-                if t.mm_target > capacity {
-                    self.targets_clamped += 1;
-                }
                 data.mm_target = t.mm_target.min(capacity);
             }
         }
@@ -999,30 +938,16 @@ impl<P: PagePayload> Hypervisor<P> {
         }
     }
 
-    /// Number of `SetTargets` hypercalls received — the paper's policies
-    /// suppress no-change transmissions, which tests assert through this.
-    pub fn set_target_calls(&self) -> u64 {
-        self.set_target_calls
-    }
-
-    /// Pushes ignored as duplicate/stale by the idempotence guard.
-    pub fn stale_target_msgs(&self) -> u64 {
-        self.stale_target_msgs
-    }
-
-    /// Target entries clamped down to node capacity on application.
-    pub fn targets_clamped(&self) -> u64 {
-        self.targets_clamped
-    }
-
     /// Close the sampling interval and produce the sequence-stamped
     /// `memstats` snapshot that the VIRQ delivers to the privileged domain.
+    /// Each VM's `tmem_used` is read from the backend, which owns it.
     pub fn sample(&mut self, at: SimTime) -> StatsMsg {
         self.sample_seq += 1;
+        let backend = &self.backend;
         let vms: Vec<_> = self
             .vm_data
             .values_mut()
-            .map(|d| d.close_interval())
+            .map(|d| d.close_interval(backend.used_by(d.vm_id)))
             .collect();
         StatsMsg {
             seq: self.sample_seq,
@@ -1070,9 +995,6 @@ impl<P: PagePayload> Hypervisor<P> {
             "tmem accounting invariants violated during scrub"
         );
         for q in &report.quarantined {
-            if let Some(v) = self.vm_data.get_mut(&q.owner) {
-                v.tmem_used = self.backend.used_by(q.owner);
-            }
             let (owner, pool, pages) = (q.owner.0, q.pool.0, q.pages);
             self.tracer.emit(|| {
                 (
@@ -1124,9 +1046,6 @@ impl<P: PagePayload> Hypervisor<P> {
             "only persistent (frontswap) pools migrate"
         );
         let (local, purged) = self.backend.export_pool(pool).ok()?;
-        if let Some(data) = self.vm_data.get_mut(&owner) {
-            data.tmem_used = self.backend.used_by(owner);
-        }
         let far = self
             .far
             .as_mut()
@@ -1168,12 +1087,9 @@ impl<P: PagePayload> Hypervisor<P> {
                 Ok(PutOutcome::StoredAfterEviction(victim)) => {
                     // A crowded destination recycles an ephemeral victim to
                     // make room, exactly like a guest put would — mirror the
-                    // accounting and the `Evict` event so replay stays exact.
+                    // `Evict` event so replay stays exact.
                     stored += 1;
                     if let Some((victim_owner, _)) = self.backend.pool_info(victim.pool) {
-                        if let Some(v) = self.vm_data.get_mut(&victim_owner) {
-                            v.tmem_used = self.backend.used_by(victim_owner);
-                        }
                         self.tracer.emit(|| {
                             (
                                 Some(victim_owner.0),
@@ -1203,9 +1119,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 }
                 Err(e) => panic!("unexpected tmem backend error on import: {e}"),
             }
-        }
-        if let Some(data) = self.vm_data.get_mut(&owner) {
-            data.tmem_used = self.backend.used_by(owner);
         }
         ImportOutcome {
             stored,
@@ -1394,13 +1307,30 @@ mod tests {
 
     #[test]
     fn set_targets_ignores_unknown_vms() {
+        use sim_core::trace::Recorder;
         let (mut h, _) = hv(4, 4);
+        let tracer = Tracer::new(Recorder::new(16, None));
+        h.set_tracer(tracer.clone());
         h.set_targets(&[MmTarget {
             vm_id: VmId(99),
             mm_target: 1,
         }]);
         assert_eq!(h.target_of(VmId(99)), None);
-        assert_eq!(h.set_target_calls(), 1);
+        let applied: Vec<_> = tracer
+            .finish()
+            .expect("tracer enabled")
+            .events
+            .iter()
+            .filter_map(|e| match e.payload {
+                Payload::TargetsApplied {
+                    seq,
+                    entries,
+                    applied,
+                } => Some((seq, entries, applied)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(applied, [(1, 1, true)], "one push, received and applied");
     }
 
     #[test]

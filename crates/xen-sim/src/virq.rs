@@ -22,7 +22,6 @@ use tmem::stats::StatsMsg;
 #[derive(Debug, Default)]
 pub struct SampleChannel {
     delayed: Option<StatsMsg>,
-    delivered: u64,
 }
 
 impl SampleChannel {
@@ -45,7 +44,6 @@ impl SampleChannel {
     /// output batch (at most three messages) is appended to `out`, which
     /// the caller reuses across intervals.
     pub fn push_into(&mut self, msg: StatsMsg, fate: SampleFate, out: &mut Vec<StatsMsg>) {
-        let start = out.len();
         if let Some(old) = self.delayed.take() {
             out.push(old);
         }
@@ -58,12 +56,6 @@ impl SampleChannel {
                 out.push(msg);
             }
         }
-        self.delivered += (out.len() - start) as u64;
-    }
-
-    /// Messages delivered out of the channel so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// Whether a delayed sample is still buffered.
@@ -98,7 +90,6 @@ mod tests {
         let mut ch = SampleChannel::new();
         let out = ch.push(msg(1), SampleFate::Deliver);
         assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), [1]);
-        assert_eq!(ch.delivered(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use smartmem::policies::PolicyKind;
 use smartmem::scenarios::spec::{build_scenario, ScenarioKind};
-use smartmem::scenarios::{run_scenario, RunConfig};
+use smartmem::scenarios::RunConfig;
 
 fn main() {
     let policy = PolicyKind::SmartAlloc { p: 2.0 };
@@ -22,20 +22,13 @@ fn main() {
         "tmem factor", "mean run", "disk reads", "failed puts"
     );
 
-    // The scenario fixes tmem at 1 GB (scaled); emulate different node
-    // provisioning by scaling the whole experiment and the tmem knob via
-    // the memory scale of the scenario vs a reference.
+    let cfg = RunConfig {
+        scale: 0.08,
+        seed: 7,
+        ..RunConfig::default()
+    };
     for factor in [0.25, 0.5, 0.75, 1.0, 1.5, 2.0] {
-        let cfg = RunConfig {
-            scale: 0.08,
-            seed: 7,
-            ..RunConfig::default()
-        };
-        // Patch the built scenario's tmem by re-running with a custom
-        // spec is not exposed; instead exploit that tmem scales linearly
-        // with `scale` while VM memory does too — so emulate a smaller
-        // pool by running the scenario with `tmem_scale_hack`:
-        let r = run_scenario_with_tmem_factor(cfg, factor, policy);
+        let r = run_with(&cfg, factor, policy);
         let mean: f64 = {
             let all: Vec<f64> = r
                 .vm_results
@@ -67,16 +60,4 @@ fn run_with(cfg: &RunConfig, factor: f64, policy: PolicyKind) -> smartmem::scena
     let mut spec = build_scenario(ScenarioKind::Scenario1, cfg);
     spec.tmem_bytes = ((spec.tmem_bytes as f64 * factor) as u64 / 4096).max(4) * 4096;
     smartmem::scenarios::runner::run_spec(spec, policy, cfg)
-}
-
-fn run_scenario_with_tmem_factor(
-    cfg: RunConfig,
-    factor: f64,
-    policy: PolicyKind,
-) -> smartmem::scenarios::RunResult {
-    if (factor - 1.0).abs() < 1e-9 {
-        run_scenario(ScenarioKind::Scenario1, policy, &cfg)
-    } else {
-        run_with(&cfg, factor, policy)
-    }
 }
