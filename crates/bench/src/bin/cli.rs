@@ -7,8 +7,8 @@
 //! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S]
 //! smartmem-cli chaos [--scale S] [--seed S] [--out DIR] [--jobs N] [--bound X]
 //! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR]
-//! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR] [--jobs N]
-//! smartmem-cli bench-cluster [--scale S] [--seed S] [--out DIR] [--jobs N]
+//! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR]
+//! smartmem-cli bench-cluster [--scale S] [--seed S] [--out DIR]
 //! smartmem-cli trace <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE] [--out trace.jsonl] [--filter subsys=a,b]
 //! smartmem-cli inspect <trace.jsonl>
 //! smartmem-cli run-file <scenario.toml> [POLICY ...] [--scale S] [--seed S] [--reps N] [--chaos P]
@@ -25,7 +25,9 @@
 //! `run` and `trace` the VM count may be `<hosts>x<vms>` (`fleet:2x32`):
 //! the cell then runs as a multi-host cluster — tmem sharded across the
 //! hosts, the fleet scheduler migrating VMs at its default tunables —
-//! and prints the fleet report. `trace` on a cluster cell replay-verifies
+//! and prints the fleet report. A fleet cell's size is its name: `run`
+//! and `trace` refuse `--scale` on it (spell the per-VM footprint as
+//! `fleet:<vms>:<mb>` instead). `trace` on a cluster cell replay-verifies
 //! every host's stream (migration events included) and `--out FILE`
 //! writes host 0 to FILE and host N to `FILE.hostN`. Scenario files can
 //! declare richer topologies (interconnect preset, far tier, scheduler
@@ -126,7 +128,7 @@ fn command_flags(cmd: &str) -> &'static [&'static str] {
         "run" => &["--scale", "--seed"],
         "chaos" => &["--scale", "--seed", "--out", "--jobs", "--bound"],
         "bench-parallel" => &["--scale", "--reps", "--seed", "--out"],
-        "bench-fleet" | "bench-cluster" => &["--scale", "--seed", "--out", "--jobs"],
+        "bench-fleet" | "bench-cluster" => &["--scale", "--seed", "--out"],
         "trace" => &["--scale", "--seed", "--chaos", "--out", "--filter"],
         "run-file" => &["--scale", "--seed", "--reps", "--chaos"],
         "sweep" => &["--resume", "--out", "--jobs", "--stop-after"],
@@ -270,6 +272,26 @@ fn default_cluster(hosts: usize) -> ClusterConfig {
         migration: Some(FleetConfig::default()),
         ..ClusterConfig::default()
     }
+}
+
+/// Whether `flag` was given on the command line, as opposed to left at its
+/// default.
+fn flag_given(flags: &[String], flag: &str) -> bool {
+    flags.iter().any(|s| s == flag)
+}
+
+/// `run` and `trace` size a `fleet:` cell by its name: `--scale` would
+/// only rescale its time base, so an explicit `--scale` is refused with the
+/// spelling that does resize the cell.
+fn refuse_fleet_scale(cmd: &str, kind: ScenarioKind, flags: &[String]) -> Result<(), String> {
+    if matches!(kind, ScenarioKind::Scenario5(_)) && flag_given(flags, "--scale") {
+        return Err(format!(
+            "{cmd} does not take --scale on a fleet: cell (its size is in its name); \
+             set the per-VM footprint with fleet:<vms>:<mb>, e.g. fleet:8:16, or \
+             fleet:<hosts>x<vms>:<mb> for a cluster"
+        ));
+    }
+    Ok(())
 }
 
 /// Build the (renamed) spec for a cluster cell.
@@ -637,7 +659,6 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     let policy = PolicyKind::SmartAlloc { p: 2.0 };
     let cfg = RunConfig {
         seed: a.seed,
-        jobs: a.jobs,
         ..RunConfig::default()
     };
     cfg.validate()?;
@@ -749,7 +770,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
 
     let json = format!(
         "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
-         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \"jobs\": {}, \
+         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \
          \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", {} }},\n  \
          \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
          in ascending VM order, so each reading is the peak through that cell\",\n  \
@@ -757,7 +778,6 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
         scenarios::par::default_jobs(),
         a.scale,
         a.seed,
-        a.jobs,
         time_json,
         cells_json.join(",\n")
     );
@@ -781,7 +801,6 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
     let policy = PolicyKind::SmartAlloc { p: 2.0 };
     let cfg = RunConfig {
         seed: a.seed,
-        jobs: a.jobs,
         ..RunConfig::default()
     };
     cfg.validate()?;
@@ -853,7 +872,7 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
 
     let json = format!(
         "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
-         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \"jobs\": {}, \
+         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \
          \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", {}, \
          \"net\": \"datacenter\", \"migration\": \"default\", \
          \"far\": \"quarter-shard\" }},\n  \
@@ -863,7 +882,6 @@ fn bench_cluster(a: &Args) -> Result<(), String> {
         scenarios::par::default_jobs(),
         a.scale,
         a.seed,
-        a.jobs,
         time_json,
         cells_json.join(",\n")
     );
@@ -1325,22 +1343,21 @@ fn run_file_cmd(
     flags: &[String],
     a: &Args,
 ) -> Result<(), String> {
-    let flag_given = |f: &str| flags.iter().any(|s| s == f);
     // Parse once at the CLI config just to read the [run] directives, then
     // re-parse at the effective scale (the spec's sizes depend on it).
     let probe = dsl::load_scenario(path, &run_config(a)?)?;
     let run = probe.run;
-    let scale = if flag_given("--scale") {
+    let scale = if flag_given(flags, "--scale") {
         a.scale
     } else {
         run.scale.unwrap_or(a.scale)
     };
-    let seed = if flag_given("--seed") {
+    let seed = if flag_given(flags, "--seed") {
         a.seed
     } else {
         run.seed.unwrap_or(a.seed)
     };
-    let reps = if flag_given("--reps") {
+    let reps = if flag_given(flags, "--reps") {
         a.reps
     } else {
         u64::from(run.reps.unwrap_or(1))
@@ -1515,6 +1532,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             let (kind, hosts) = parse_scenario_cluster(scenario)?;
             let policy = parse_policy(policy)?;
             let a = parse_flags(cmd, rest)?;
+            refuse_fleet_scale(cmd, kind, rest)?;
             trace_cmd(kind, hosts, policy, &a)
         }
         "run-file" => {
@@ -1547,6 +1565,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             let (kind, hosts) = parse_scenario_cluster(scenario)?;
             let policy = parse_policy(policy)?;
             let a = parse_flags(cmd, rest)?;
+            refuse_fleet_scale(cmd, kind, rest)?;
             let cfg = run_config(&a)?;
             if hosts > 1 {
                 let spec = cluster_spec(kind, hosts, &cfg);
@@ -1615,8 +1634,8 @@ mod tests {
             ("run", "--seed", "--chaos"),
             ("chaos", "--bound", "--reps"),
             ("bench-parallel", "--reps", "--jobs"),
-            ("bench-fleet", "--jobs", "--reps"),
-            ("bench-cluster", "--seed", "--reps"),
+            ("bench-fleet", "--scale", "--jobs"),
+            ("bench-cluster", "--seed", "--jobs"),
             ("trace", "--filter", "--jobs"),
             ("run-file", "--chaos", "--out"),
             ("sweep", "--stop-after", "--scale"),

@@ -2,7 +2,7 @@
 //! reads back, summarizes, and passes its injected-vs-observed fault
 //! cross-check; a trace with one detection removed fails it. `trace`
 //! itself refuses `--filter` without `--out` on one host and on a
-//! cluster alike.
+//! cluster alike, and `run` and `trace` refuse `--scale` on a fleet cell.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -127,4 +127,18 @@ fn trace_refuses_filter_without_out_on_a_cluster_cell_too() {
     let single = refused("fleet:4:8");
     assert!(single.contains("add --out FILE"), "{single}");
     assert_eq!(refused("fleet:2x4:8"), single, "one guard, one message");
+}
+
+#[test]
+fn run_and_trace_refuse_scale_on_a_fleet_cell() {
+    for args in [
+        ["run", "fleet:8:16", "greedy", "--scale", "0.5"],
+        ["trace", "fleet:2x4:8", "smart-alloc:2", "--scale", "0.5"],
+    ] {
+        let o = cli(&args);
+        assert!(!o.status.success(), "{args:?} must exit non-zero");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains("--scale"), "{args:?}: {err}");
+        assert!(err.contains("fleet:<vms>:<mb>"), "{args:?}: {err}");
+    }
 }

@@ -1161,7 +1161,7 @@ mod tests {
         let (mut rig, mut k) = Rig::new(100, 100);
         let mut profile = sim_core::faults::FaultProfile::none();
         profile.page_bitflip = 1.0; // corrupt every admitted put (donor permitting)
-        rig.hyp.set_data_faults(&profile, 7);
+        rig.hyp.set_faults(&profile, 7);
         let base = k.alloc(12);
         let mut b = big_budget();
         for i in 0..12 {
@@ -1169,7 +1169,7 @@ mod tests {
         }
         assert_eq!(k.stats().evictions_to_tmem, 4);
         assert!(
-            rig.hyp.data_fault_ledger().unwrap().bitflips_injected >= 3,
+            rig.hyp.faults().ledger().bitflips_injected >= 3,
             "a donor exists from the second put on"
         );
         // Fault everything back in. Corrupted pages must come back through
@@ -1189,7 +1189,7 @@ mod tests {
             s.tmem_flushes, s.tmem_corrupt_faults,
             "each recovery flushes the poisoned copy exactly once"
         );
-        let ledger = rig.hyp.data_fault_ledger().unwrap();
+        let ledger = rig.hyp.faults().ledger();
         assert_eq!(ledger.corruptions_recovered, s.tmem_corrupt_faults);
         assert!(ledger.corruptions_detected >= s.tmem_corrupt_faults);
     }
@@ -1200,7 +1200,7 @@ mod tests {
         let mut profile = sim_core::faults::FaultProfile::none();
         profile.torn_write = 1.0;
         profile.scrub_every = 1;
-        rig.hyp.set_data_faults(&profile, 7);
+        rig.hyp.set_faults(&profile, 7);
         let base = k.alloc(12);
         let mut b = big_budget();
         for i in 0..12 {

@@ -14,7 +14,7 @@
 //!   ablation) can observe the traffic the paper describes.
 
 use sim_core::faults::{FaultInjector, NetlinkFate};
-use sim_core::trace::{Payload, PushOutcome, Subsystem, Tracer};
+use sim_core::trace::{Payload, PushOutcome, Tracer};
 use std::collections::VecDeque;
 use tmem::backend::PoolKind;
 use tmem::error::TmemError;
@@ -121,13 +121,8 @@ impl Dom0Tkm {
     /// queue it for the user-space MM (netlink send), applying the
     /// message's fault fate.
     pub fn deliver_stats(&mut self, msg: StatsMsg, fate: NetlinkFate) {
-        self.tracer.emit(|| {
-            (
-                None,
-                Subsystem::Relay,
-                Payload::NetlinkStats { seq: msg.seq, fate },
-            )
-        });
+        self.tracer
+            .emit(|| (None, Payload::NetlinkStats { seq: msg.seq, fate }));
         match fate {
             NetlinkFate::Drop => {}
             NetlinkFate::Reorder => {
@@ -164,7 +159,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayShed {
                         seq: shed.map(|m| m.seq).unwrap_or(0),
                     },
@@ -175,7 +169,6 @@ impl Dom0Tkm {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Relay,
                 Payload::RelayEnqueue {
                     seq: self.queue.back().map(|m| m.seq).unwrap_or(0),
                     depth: self.queue.len() as u64,
@@ -191,23 +184,22 @@ impl Dom0Tkm {
     }
 
     /// Forward target allocations from the MM to the hypervisor via the
-    /// custom `SetTargets` hypercall. On an injected failure the push is
-    /// parked for retry-with-backoff (see [`Dom0Tkm::tick_retries`]);
+    /// custom `SetTargets` hypercall. Whether the hypercall fails is the
+    /// hypervisor's fault injector's call; on an injected failure the push
+    /// is parked for retry-with-backoff (see [`Dom0Tkm::tick_retries`]);
     /// a push already pending is superseded. Returns whether the targets
     /// were installed immediately.
     pub fn forward_targets<P: PagePayload>(
         &mut self,
         hyp: &mut Hypervisor<P>,
-        inj: &mut FaultInjector,
         seq: u64,
         targets: &[MmTarget],
     ) -> bool {
         if let Some(old) = self.pending.take() {
-            inj.ledger_mut().hypercalls_superseded += 1;
+            hyp.faults_mut().ledger_mut().hypercalls_superseded += 1;
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq: old.msg.seq,
                         attempt: old.attempts,
@@ -216,7 +208,7 @@ impl Dom0Tkm {
                 )
             });
         }
-        if inj.hypercall_fails() {
+        if hyp.faults_mut().hypercall_fails() {
             self.pending = Some(PendingPush {
                 msg: TargetMsg {
                     seq,
@@ -228,7 +220,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq,
                         attempt: 1,
@@ -241,7 +232,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq,
                         attempt: 1,
@@ -259,11 +249,7 @@ impl Dom0Tkm {
     /// [`MAX_PUSH_ATTEMPTS`] total attempts — by then the target vector is
     /// several intervals stale and the hypervisor's own TTL fallback is the
     /// safer authority.
-    pub fn tick_retries<P: PagePayload>(
-        &mut self,
-        hyp: &mut Hypervisor<P>,
-        inj: &mut FaultInjector,
-    ) {
+    pub fn tick_retries<P: PagePayload>(&mut self, hyp: &mut Hypervisor<P>) {
         let Some(mut p) = self.pending.take() else {
             return;
         };
@@ -272,6 +258,7 @@ impl Dom0Tkm {
             self.pending = Some(p);
             return;
         }
+        let inj = hyp.faults_mut();
         inj.ledger_mut().hypercall_retries += 1;
         let attempt = p.attempts + 1;
         if inj.hypercall_fails() {
@@ -281,7 +268,6 @@ impl Dom0Tkm {
                 self.tracer.emit(|| {
                     (
                         None,
-                        Subsystem::Relay,
                         Payload::RelayPush {
                             seq: p.msg.seq,
                             attempt,
@@ -294,7 +280,6 @@ impl Dom0Tkm {
                 self.tracer.emit(|| {
                     (
                         None,
-                        Subsystem::Relay,
                         Payload::RelayPush {
                             seq: p.msg.seq,
                             attempt,
@@ -308,7 +293,6 @@ impl Dom0Tkm {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Relay,
                     Payload::RelayPush {
                         seq: p.msg.seq,
                         attempt,
@@ -329,6 +313,7 @@ impl Dom0Tkm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::faults::FaultProfile;
     use sim_core::time::SimTime;
     use tmem::page::Fingerprint;
     use xen_sim::vm::VmConfig;
@@ -347,12 +332,19 @@ mod tests {
         assert_eq!(hyp.backend().pool_count(), 0);
     }
 
+    /// A profile under which every `SetTargets` push fails.
+    fn always_fail() -> FaultProfile {
+        FaultProfile {
+            hypercall_fail: 1.0,
+            ..FaultProfile::none()
+        }
+    }
+
     #[test]
     fn dom0_relay_accounts_traffic() {
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
-        let mut inj = FaultInjector::disabled();
         let snap = hyp.sample(SimTime::from_secs(1));
         relay.deliver_stats(snap, NetlinkFate::Deliver);
         let got = relay.take_stats().expect("snapshot queued");
@@ -362,7 +354,6 @@ mod tests {
 
         let ok = relay.forward_targets(
             &mut hyp,
-            &mut inj,
             1,
             &[MmTarget {
                 vm_id: VmId(1),
@@ -414,64 +405,48 @@ mod tests {
 
     #[test]
     fn failed_push_retries_with_backoff_then_lands() {
-        use sim_core::faults::FaultProfile;
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
         // Always fail, so the initial push parks a retry...
-        let mut always = FaultInjector::new(
-            FaultProfile {
-                hypercall_fail: 1.0,
-                ..FaultProfile::none()
-            },
-            3,
-        );
+        hyp.set_faults(&always_fail(), 3);
         let targets = [MmTarget {
             vm_id: VmId(1),
             mm_target: 9,
         }];
         let initial = hyp.target_of(VmId(1));
-        assert!(!relay.forward_targets(&mut hyp, &mut always, 1, &targets));
+        assert!(!relay.forward_targets(&mut hyp, 1, &targets));
         assert!(relay.has_pending_push());
         assert_eq!(hyp.target_of(VmId(1)), initial, "nothing installed yet");
         // ...backoff of 1 interval, then retry under a clean injector lands.
-        let mut clean = FaultInjector::disabled();
-        relay.tick_retries(&mut hyp, &mut clean);
+        hyp.set_faults(&FaultProfile::none(), 0);
+        relay.tick_retries(&mut hyp);
         assert!(!relay.has_pending_push());
         assert_eq!(hyp.target_of(VmId(1)), Some(9));
-        assert_eq!(clean.ledger().hypercall_retries, 1);
+        assert_eq!(hyp.faults().ledger().hypercall_retries, 1);
     }
 
     #[test]
     fn push_abandoned_after_retry_budget() {
-        use sim_core::faults::FaultProfile;
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
-        let mut inj = FaultInjector::new(
-            FaultProfile {
-                hypercall_fail: 1.0,
-                ..FaultProfile::none()
-            },
-            3,
-        );
+        hyp.set_faults(&always_fail(), 3);
         let targets = [MmTarget {
             vm_id: VmId(1),
             mm_target: 9,
         }];
         let initial = hyp.target_of(VmId(1));
-        assert!(!relay.forward_targets(&mut hyp, &mut inj, 1, &targets));
+        assert!(!relay.forward_targets(&mut hyp, 1, &targets));
         // Backoffs are 1, 2, 4 intervals; drive enough ticks to exhaust the
         // budget of MAX_PUSH_ATTEMPTS total attempts.
         for _ in 0..16 {
-            relay.tick_retries(&mut hyp, &mut inj);
+            relay.tick_retries(&mut hyp);
         }
         assert!(!relay.has_pending_push(), "push abandoned");
-        assert_eq!(inj.ledger().hypercalls_abandoned, 1);
-        assert_eq!(
-            inj.ledger().hypercall_retries,
-            (MAX_PUSH_ATTEMPTS - 1) as u64
-        );
+        let ledger = hyp.faults().ledger();
+        assert_eq!(ledger.hypercalls_abandoned, 1);
+        assert_eq!(ledger.hypercall_retries, (MAX_PUSH_ATTEMPTS - 1) as u64);
         assert_eq!(hyp.target_of(VmId(1)), initial, "never installed");
     }
 
@@ -480,33 +455,26 @@ mod tests {
         // Backoffs of 1, 2 and 4 intervals after the 1st, 2nd and 3rd
         // failure put the retry attempts at ticks 1, 1+2=3 and 3+4=7; every
         // other tick must be a silent wait.
-        use sim_core::faults::FaultProfile;
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
-        let mut inj = FaultInjector::new(
-            FaultProfile {
-                hypercall_fail: 1.0,
-                ..FaultProfile::none()
-            },
-            3,
-        );
+        hyp.set_faults(&always_fail(), 3);
         let targets = [MmTarget {
             vm_id: VmId(1),
             mm_target: 9,
         }];
-        assert!(!relay.forward_targets(&mut hyp, &mut inj, 1, &targets));
+        assert!(!relay.forward_targets(&mut hyp, 1, &targets));
         let mut retries_at = Vec::new();
         for tick in 1..=8u64 {
-            let before = inj.ledger().hypercall_retries;
-            relay.tick_retries(&mut hyp, &mut inj);
-            if inj.ledger().hypercall_retries > before {
+            let before = hyp.faults().ledger().hypercall_retries;
+            relay.tick_retries(&mut hyp);
+            if hyp.faults().ledger().hypercall_retries > before {
                 retries_at.push(tick);
             }
         }
         assert_eq!(retries_at, vec![1, 3, 7], "1/2/4 backoff schedule");
         assert!(!relay.has_pending_push(), "abandoned on the 4th attempt");
-        assert_eq!(inj.ledger().hypercalls_abandoned, 1);
+        assert_eq!(hyp.faults().ledger().hypercalls_abandoned, 1);
     }
 
     #[test]
@@ -514,38 +482,32 @@ mod tests {
         // Two failures park the push mid-way through a 2-interval backoff;
         // a newer vector then supersedes it and gets its own fresh
         // 1-interval backoff rather than inheriting the old clock.
-        use sim_core::faults::FaultProfile;
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
-        let mut fail = FaultInjector::new(
-            FaultProfile {
-                hypercall_fail: 1.0,
-                ..FaultProfile::none()
-            },
-            3,
-        );
+        hyp.set_faults(&always_fail(), 3);
         let old = [MmTarget {
             vm_id: VmId(1),
             mm_target: 4,
         }];
-        assert!(!relay.forward_targets(&mut hyp, &mut fail, 1, &old));
-        relay.tick_retries(&mut hyp, &mut fail); // retry at tick 1 fails → wait 2
+        assert!(!relay.forward_targets(&mut hyp, 1, &old));
+        relay.tick_retries(&mut hyp); // retry at tick 1 fails → wait 2
         assert!(relay.has_pending_push());
 
         let new = [MmTarget {
             vm_id: VmId(1),
             mm_target: 8,
         }];
-        assert!(!relay.forward_targets(&mut hyp, &mut fail, 2, &new));
-        assert_eq!(fail.ledger().hypercalls_superseded, 1);
+        assert!(!relay.forward_targets(&mut hyp, 2, &new));
+        assert_eq!(hyp.faults().ledger().hypercalls_superseded, 1);
 
         // One tick suffices for the superseding push to retry (and land).
-        let mut clean = FaultInjector::disabled();
-        relay.tick_retries(&mut hyp, &mut clean);
+        // A clean injector starts a fresh ledger.
+        hyp.set_faults(&FaultProfile::none(), 0);
+        relay.tick_retries(&mut hyp);
         assert!(!relay.has_pending_push());
         assert_eq!(hyp.target_of(VmId(1)), Some(8), "newer vector won");
-        assert_eq!(clean.ledger().hypercall_retries, 1);
+        assert_eq!(hyp.faults().ledger().hypercall_retries, 1);
     }
 
     #[test]
@@ -589,31 +551,24 @@ mod tests {
 
     #[test]
     fn newer_push_supersedes_pending_retry() {
-        use sim_core::faults::FaultProfile;
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
-        let mut inj = FaultInjector::new(
-            FaultProfile {
-                hypercall_fail: 1.0,
-                ..FaultProfile::none()
-            },
-            3,
-        );
+        hyp.set_faults(&always_fail(), 3);
         let old = [MmTarget {
             vm_id: VmId(1),
             mm_target: 4,
         }];
-        assert!(!relay.forward_targets(&mut hyp, &mut inj, 1, &old));
+        assert!(!relay.forward_targets(&mut hyp, 1, &old));
         // A fresh vector arrives before the retry fires; it replaces the
         // stale pending push and (under a clean injector) lands directly.
         let new = [MmTarget {
             vm_id: VmId(1),
             mm_target: 8,
         }];
-        let mut clean = FaultInjector::disabled();
-        assert!(relay.forward_targets(&mut hyp, &mut clean, 2, &new));
-        assert_eq!(clean.ledger().hypercalls_superseded, 1);
+        hyp.set_faults(&FaultProfile::none(), 0);
+        assert!(relay.forward_targets(&mut hyp, 2, &new));
+        assert_eq!(hyp.faults().ledger().hypercalls_superseded, 1);
         assert!(!relay.has_pending_push());
         assert_eq!(hyp.target_of(VmId(1)), Some(8));
     }

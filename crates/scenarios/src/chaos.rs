@@ -95,11 +95,6 @@ pub struct ChaosCell {
     pub end_s: f64,
     /// Fault + degradation accounting.
     pub ledger: FaultLedger,
-    /// Replay-verifier mismatch count for this cell — `Some` only when the
-    /// run was traced (`RunConfig::trace`); `u64::MAX` flags a cell whose
-    /// trace was not verifiable at all (ring overflow). `None` leaves the
-    /// rendered report byte-identical to a build without the recorder.
-    pub replay_mismatches: Option<u64>,
 }
 
 impl ChaosCell {
@@ -164,22 +159,17 @@ pub fn run_chaos(
             .as_ref()
             .map(|p| p.profile.clone())
             .unwrap_or_else(FaultProfile::none);
-        let name = profile.map(|p| p.name);
-        let r = run_scenario(scenario, policy, &cell_cfg);
-        // With the flight recorder on, every cell replays its own trace:
-        // chaos runs are exactly where emission sites are easiest to get
-        // wrong (retries, supersedes, crashes), so verify them in place.
-        let replay = cell_cfg.trace.is_some().then(|| {
-            crate::trace_check::verify(&r).map_or(u64::MAX, |rep| rep.mismatches.len() as u64)
-        });
-        (name, replay, r)
+        (
+            profile.map(|p| p.name),
+            run_scenario(scenario, policy, &cell_cfg),
+        )
     });
 
     // Fold grid-order results into cells, computing ratios against each
     // (scenario, policy)'s baseline — always the first cell of its block.
     let mut cells = Vec::with_capacity(results.len());
     let mut baseline: Vec<f64> = Vec::new();
-    for (name, replay, r) in results {
+    for (name, r) in results {
         let times = vm_times_s(&r);
         let (profile, ratios) = match name {
             None => {
@@ -203,7 +193,6 @@ pub fn run_chaos(
             ratios,
             end_s: r.end_time.as_nanos() as f64 / 1e9,
             ledger: r.faults,
-            replay_mismatches: replay,
         });
     }
     ChaosReport { bound, cells }
@@ -227,15 +216,6 @@ impl ChaosReport {
             .sum()
     }
 
-    /// Total replay-verifier mismatches across traced cells (0 when
-    /// tracing was disabled).
-    pub fn replay_mismatches(&self) -> u64 {
-        self.cells
-            .iter()
-            .filter_map(|c| c.replay_mismatches)
-            .fold(0u64, u64::saturating_add)
-    }
-
     /// Injected page corruptions that no detection ever accounted for,
     /// across all cells (must be zero: the runner's final scrub sweeps
     /// whatever gets, flushes and reclaims did not already surface).
@@ -250,13 +230,11 @@ impl ChaosReport {
     }
 
     /// Whether every cell respects the bound, no invariant was ever
-    /// violated, every injected corruption was detected, and (when
-    /// traced) every cell's trace replayed exactly.
+    /// violated and every injected corruption was detected.
     pub fn passed(&self) -> bool {
         self.bound_violations().is_empty()
             && self.invariant_violations() == 0
             && self.undetected_corruptions() == 0
-            && self.replay_mismatches() == 0
     }
 
     /// Render the human-readable chaos report.
@@ -329,13 +307,6 @@ impl ChaosReport {
                     l.scrub_passes,
                     l.scrub_pages_checked,
                 ));
-            }
-            if let Some(n) = c.replay_mismatches {
-                out.push_str(&if n == u64::MAX {
-                    "  replay: UNVERIFIABLE (trace ring overflowed)\n".to_string()
-                } else {
-                    format!("  replay: {n} mismatches\n")
-                });
             }
         }
         out.push_str(&format!(

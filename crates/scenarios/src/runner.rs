@@ -33,12 +33,12 @@ use guest_os::kernel::{GuestConfig, GuestKernel, KernelStats};
 use guest_os::machine::Machine;
 use guest_os::tkm::{Dom0Tkm, GuestTkm};
 use sim_core::event::EventQueue;
-use sim_core::faults::{FaultInjector, FaultLedger};
+use sim_core::faults::FaultLedger;
 use sim_core::metrics::TimeSeries;
 use sim_core::netmodel::{Link, NetModel};
 use sim_core::rng::SplitMix64;
 use sim_core::time::{SimDuration, SimTime};
-use sim_core::trace::{Payload, Subsystem, TraceData, Tracer};
+use sim_core::trace::{Payload, TraceData, Tracer};
 use smartmem_core::fleet::{
     stranded_pages, FleetConfig, FleetManager, HostLoad, MigrationPlan, VmPlacement,
 };
@@ -304,16 +304,16 @@ struct VmRuntime {
     stopped_early: bool,
 }
 
-/// One host's private control plane: hypervisor, disk, dom0 relay, MM,
-/// CPU model, fault injector and flight recorder. The pre-cluster runner
-/// held these fields directly; a cluster run holds N of them.
+/// One host's private control plane: hypervisor (which owns the host's
+/// fault injector), disk, dom0 relay, MM, CPU model and flight recorder.
+/// The pre-cluster runner held these fields directly; a cluster run holds
+/// N of them.
 struct HostCtl {
     hyp: Hypervisor<Fingerprint>,
     disk: SharedDisk,
     dom0: Dom0Tkm,
     mm: Option<MemoryManager>,
     cpu: CpuModel,
-    injector: FaultInjector,
     sample_chan: SampleChannel,
     /// Reusable buffer for one interval's VIRQ → dom0 snapshot batch.
     virq_buf: Vec<tmem::stats::StatsMsg>,
@@ -326,7 +326,7 @@ struct HostCtl {
     /// O(VMs) rescan the hottest line of the whole loop.
     running_vcpus: u32,
     /// This host's flight recorder; clones of it live inside the host's
-    /// hypervisor, relay, MM and fault injector.
+    /// hypervisor (and its fault injector), relay and MM.
     tracer: Tracer,
 }
 
@@ -432,24 +432,21 @@ pub fn run_cluster(
         } else {
             SplitMix64::new(cfg.seed).derive(&format!("host{h}")).next()
         };
-        // Data-plane fault layer (page corruption, loss, put I/O failures,
-        // brownouts, scrubbing). A no-op — no injector installed, zero RNG
-        // drawn — unless the profile enables a data-plane fault.
-        hyp.set_data_faults(&cfg.faults, fault_seed);
+        // The host's one fault injector: control-plane fates for the VIRQ,
+        // relay and MM edges, data-plane fates for the tmem datapath. A
+        // disabled profile draws no RNG.
+        hyp.set_faults(&cfg.faults, fault_seed);
         if let Some(far) = cluster.far {
             hyp.set_far_tier(far);
         }
         let mut dom0 = Dom0Tkm::new();
         dom0.set_tracer(tracer.clone());
-        let mut injector = FaultInjector::new(cfg.faults.clone(), fault_seed);
-        injector.set_tracer(tracer.clone());
         hosts.push(HostCtl {
             hyp,
             disk: SharedDisk::default(),
             dom0,
             mm,
             cpu: CpuModel::default(),
-            injector,
             sample_chan: SampleChannel::new(),
             virq_buf: Vec::new(),
             mm_down_until: None,
@@ -824,30 +821,28 @@ impl Runner {
     fn drive_mm(host: &mut HostCtl, sampling: SimDuration, now: SimTime) {
         // The dom0 relay is kernel-side: its retry clock ticks every
         // interval even while the user-space MM is down.
-        host.dom0.tick_retries(&mut host.hyp, &mut host.injector);
+        host.dom0.tick_retries(&mut host.hyp);
         if let Some(t) = host.mm_down_until {
             if now < t {
                 // MM still down; snapshots queue (and shed) in the relay.
                 return;
             }
             host.mm_down_until = None;
-            host.injector.ledger_mut().mm_restarts += 1;
-            host.tracer
-                .emit(|| (None, Subsystem::Mm, Payload::MmRestart));
+            host.hyp.faults_mut().ledger_mut().mm_restarts += 1;
+            host.tracer.emit(|| (None, Payload::MmRestart));
         }
         let mm = host.mm.as_mut().expect("caller checked mm.is_some()");
         // Crash schedule keys on completed MM cycles, so a fixed
         // `mm_crash_at_cycle` hits the same policy state at any time scale.
-        if host.injector.mm_should_crash(mm.cycles()) {
+        if host.hyp.faults_mut().mm_should_crash(mm.cycles()) {
             mm.crash();
-            let downtime = sampling.as_nanos() * host.injector.profile().mm_restart_after;
+            let downtime = sampling.as_nanos() * host.hyp.faults().profile().mm_restart_after;
             host.mm_down_until = Some(now + SimDuration::from_nanos(downtime));
             return;
         }
         while let Some(snap) = host.dom0.take_stats() {
             if let Some((seq, targets)) = mm.on_stats(&snap) {
-                host.dom0
-                    .forward_targets(&mut host.hyp, &mut host.injector, seq, &targets);
+                host.dom0.forward_targets(&mut host.hyp, seq, &targets);
             }
             // The MM processed a snapshot: its liveness heartbeat refreshes
             // the hypervisor's target TTL even when the target vector was
@@ -898,20 +893,19 @@ impl Runner {
         } = self;
         let host = &mut hosts[h];
         // Advance the data-fault interval clock (brownout windows and scrub
-        // cadence are phrased in sampling intervals). No-op when the profile
-        // has no data-plane faults.
-        host.hyp.tick_data_faults();
+        // cadence are phrased in sampling intervals). Draws no RNG.
+        host.hyp.faults_mut().tick_interval();
         let msg = host.hyp.sample(now);
         let seq = msg.seq;
-        let fate = host.injector.sample_fate();
+        let fate = host.hyp.faults_mut().sample_fate();
         host.tracer
-            .emit(|| (None, Subsystem::Virq, Payload::VirqSample { seq, fate }));
+            .emit(|| (None, Payload::VirqSample { seq, fate }));
         // The channel's output batch is handed to the relay in one call —
         // the relay still draws a fault fate per logical message, so the
         // fault stream is that of message-at-a-time delivery.
         host.sample_chan.push_into(msg, fate, &mut host.virq_buf);
         host.dom0
-            .deliver_stats_batch(&mut host.virq_buf, &mut host.injector);
+            .deliver_stats_batch(&mut host.virq_buf, host.hyp.faults_mut());
         let mut stale = false;
         if host.mm.is_some() {
             Self::drive_mm(host, *sampling, now);
@@ -938,30 +932,25 @@ impl Runner {
             }
             stale = host.hyp.targets_stale();
             if stale {
-                host.injector.ledger_mut().stale_intervals += 1;
+                host.hyp.faults_mut().ledger_mut().stale_intervals += 1;
             }
         }
         // Periodic pool scrub: verify every stored checksum, quarantine
         // corrupt objects, and assert the accounting invariants from inside
         // the sweep. Runs before this interval's own invariant check so the
         // IntervalClose event reflects the post-scrub pool.
-        if host.hyp.data_scrub_due() {
+        if host.hyp.faults().scrub_due() {
             host.hyp.scrub();
         }
         // Accounting invariants must hold every interval, faults or not.
         let ok = tmem::backend::accounting_consistent(host.hyp.backend());
-        let ledger = host.injector.ledger_mut();
+        let ledger = host.hyp.faults_mut().ledger_mut();
         ledger.invariant_checks += 1;
         if !ok {
             ledger.invariant_violations += 1;
         }
-        host.tracer.emit(|| {
-            (
-                None,
-                Subsystem::Virq,
-                Payload::IntervalClose { seq, stale, ok },
-            )
-        });
+        host.tracer
+            .emit(|| (None, Payload::IntervalClose { seq, stale, ok }));
     }
 
     /// The fleet half of the VIRQ: pressure vectors, stranded-capacity
@@ -1068,7 +1057,6 @@ impl Runner {
             host.tracer.emit(|| {
                 (
                     Some(vm.0),
-                    Subsystem::Fleet,
                     Payload::MigrateOut {
                         pages: local_n,
                         far: far_n,
@@ -1077,7 +1065,7 @@ impl Runner {
                     },
                 )
             });
-            let led = host.injector.ledger_mut();
+            let led = host.hyp.faults_mut().ledger_mut();
             led.migrations_out += 1;
             led.migrate_pages += local_n + far_n;
             led.migrate_purged += purged;
@@ -1125,7 +1113,6 @@ impl Runner {
             host.tracer.emit(|| {
                 (
                     Some(vm.0),
-                    Subsystem::Fleet,
                     Payload::MigrateIn {
                         pages: outcome.stored,
                         far: outcome.stored_far,
@@ -1133,7 +1120,7 @@ impl Runner {
                     },
                 )
             });
-            let led = host.injector.ledger_mut();
+            let led = host.hyp.faults_mut().ledger_mut();
             led.migrations_in += 1;
             led.migrate_spilled += spilled_n;
         }
@@ -1161,7 +1148,6 @@ impl Runner {
         self.hosts[h].tracer.emit(|| {
             (
                 Some(vm.0),
-                Subsystem::Fleet,
                 Payload::MigrateDone {
                     downtime: downtime.as_nanos(),
                 },
@@ -1202,19 +1188,14 @@ impl Runner {
             // detected (and quarantined) before the ledger is sealed, so
             // every injected corruption ends the run as detected —
             // recovered or quarantined, never latent.
-            if host.hyp.data_fault_ledger().is_some() {
+            if host.hyp.faults().data_plane() {
                 host.hyp.scrub();
             }
             // Fold MM-side degradation bookkeeping into the ledger.
             if let Some(mm) = &host.mm {
-                let ledger = host.injector.ledger_mut();
+                let ledger = host.hyp.faults_mut().ledger_mut();
                 ledger.seq_gaps = mm.seq_gaps();
                 ledger.snapshots_discarded = mm.snapshots_discarded();
-            }
-            // Fold the hypervisor-side data-plane ledger into the run
-            // ledger.
-            if let Some(dl) = host.hyp.data_fault_ledger() {
-                dl.clone().fold_into(host.injector.ledger_mut());
             }
         }
         // Bucket VMs by the host they ended on, preserving global VM order
@@ -1272,7 +1253,7 @@ impl Runner {
                 end_time,
                 events: self.dispatched,
                 truncated: self.truncated,
-                faults: host.injector.into_ledger(),
+                faults: host.hyp.faults().ledger().clone(),
                 final_tmem_used,
                 final_far_used,
                 trace: host.tracer.finish(),

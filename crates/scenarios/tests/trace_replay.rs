@@ -203,7 +203,7 @@ fn write_filter_restricts_subsystems_and_is_recorded() {
     assert!(parsed
         .events
         .iter()
-        .all(|e| matches!(e.subsystem, Subsystem::Mm | Subsystem::Hypervisor)));
+        .all(|e| matches!(e.subsystem(), Subsystem::Mm | Subsystem::Hypervisor)));
     assert!(parsed.events.len() < data.events.len());
 }
 
@@ -249,10 +249,9 @@ fn trace_schema_golden_covers_every_event_kind() {
         "bump the golden file name with the schema"
     );
     let tracer = Tracer::new(Recorder::new(1024, Some(CostModel::hdd())));
-    let evs: Vec<(Option<u32>, Subsystem, Payload)> = vec![
+    let evs: Vec<(Option<u32>, Payload)> = vec![
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::Stored,
@@ -262,7 +261,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::Replaced,
@@ -272,7 +270,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 1,
                 result: PutResult::StoredEvict,
@@ -282,7 +279,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 1,
                 result: PutResult::RejectTarget,
@@ -292,7 +288,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 1,
                 result: PutResult::RejectCapacity,
@@ -300,10 +295,9 @@ fn trace_schema_golden_covers_every_event_kind() {
                 target: 100,
             },
         ),
-        (Some(1), Subsystem::Tmem, Payload::Evict { pool: 1 }),
+        (Some(1), Payload::Evict { pool: 1 }),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Get {
                 pool: 0,
                 hit: true,
@@ -312,31 +306,17 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Get {
                 pool: 1,
                 hit: false,
                 freed: false,
             },
         ),
-        (
-            Some(1),
-            Subsystem::Tmem,
-            Payload::Flush { pool: 0, pages: 1 },
-        ),
-        (
-            Some(1),
-            Subsystem::Tmem,
-            Payload::PoolDestroy { pool: 0, pages: 7 },
-        ),
-        (
-            Some(3),
-            Subsystem::Tmem,
-            Payload::Reclaim { pool: 2, pages: 4 },
-        ),
+        (Some(1), Payload::Flush { pool: 0, pages: 1 }),
+        (Some(1), Payload::PoolDestroy { pool: 0, pages: 7 }),
+        (Some(3), Payload::Reclaim { pool: 2, pages: 4 }),
         (
             None,
-            Subsystem::Hypervisor,
             Payload::TargetsApplied {
                 seq: 5,
                 entries: 3,
@@ -345,7 +325,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Hypervisor,
             Payload::TargetsApplied {
                 seq: 4,
                 entries: 3,
@@ -354,7 +333,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 6,
                 fate: SampleFate::Deliver,
@@ -362,7 +340,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 7,
                 fate: SampleFate::Drop,
@@ -370,7 +347,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 8,
                 fate: SampleFate::Delay,
@@ -378,7 +354,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::VirqSample {
                 seq: 9,
                 fate: SampleFate::Duplicate,
@@ -386,7 +361,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::IntervalClose {
                 seq: 6,
                 stale: false,
@@ -395,7 +369,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Virq,
             Payload::IntervalClose {
                 seq: 7,
                 stale: true,
@@ -404,7 +377,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::NetlinkStats {
                 seq: 6,
                 fate: NetlinkFate::Deliver,
@@ -412,7 +384,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::NetlinkStats {
                 seq: 7,
                 fate: NetlinkFate::Drop,
@@ -420,21 +391,15 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::NetlinkStats {
                 seq: 8,
                 fate: NetlinkFate::Reorder,
             },
         ),
+        (None, Payload::RelayEnqueue { seq: 6, depth: 2 }),
+        (None, Payload::RelayShed { seq: 5 }),
         (
             None,
-            Subsystem::Relay,
-            Payload::RelayEnqueue { seq: 6, depth: 2 },
-        ),
-        (None, Subsystem::Relay, Payload::RelayShed { seq: 5 }),
-        (
-            None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 1,
@@ -443,7 +408,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 2,
@@ -452,7 +416,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 3,
@@ -461,7 +424,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Relay,
             Payload::RelayPush {
                 seq: 5,
                 attempt: 4,
@@ -470,7 +432,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Mm,
             Payload::MmDecision {
                 seq_in: 6,
                 push_seq: 5,
@@ -482,7 +443,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             None,
-            Subsystem::Mm,
             Payload::MmDecision {
                 seq_in: 7,
                 push_seq: 0,
@@ -492,61 +452,53 @@ fn trace_schema_golden_covers_every_event_kind() {
                 rescale: None,
             },
         ),
-        (None, Subsystem::Mm, Payload::MmDiscard { seq_in: 6 }),
-        (None, Subsystem::Mm, Payload::MmCrash { cycle: 9 }),
-        (None, Subsystem::Mm, Payload::MmRestart),
+        (None, Payload::MmDiscard { seq_in: 6 }),
+        (None, Payload::MmCrash { cycle: 9 }),
+        (None, Payload::MmRestart),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::SampleDrop,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::SampleDelay,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::SampleDuplicate,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::NetlinkDrop,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::NetlinkReorder,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::HypercallFail,
             },
         ),
         (
             None,
-            Subsystem::Fault,
             Payload::Fault {
                 kind: FaultKind::MmCrash,
             },
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::PoolCreate {
                 pool: 0,
                 ephemeral: false,
@@ -554,7 +506,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::PoolCreate {
                 pool: 3,
                 ephemeral: true,
@@ -562,7 +513,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::StoredFar,
@@ -570,15 +520,10 @@ fn trace_schema_golden_covers_every_event_kind() {
                 target: 100,
             },
         ),
-        (Some(1), Subsystem::Tmem, Payload::FarGet { pool: 0 }),
-        (
-            Some(1),
-            Subsystem::Tmem,
-            Payload::FarFlush { pool: 0, pages: 3 },
-        ),
+        (Some(1), Payload::FarGet { pool: 0 }),
+        (Some(1), Payload::FarFlush { pool: 0, pages: 3 }),
         (
             Some(2),
-            Subsystem::Fleet,
             Payload::MigrateOut {
                 pages: 40,
                 far: 5,
@@ -588,7 +533,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Fleet,
             Payload::MigrateIn {
                 pages: 38,
                 far: 5,
@@ -597,14 +541,12 @@ fn trace_schema_golden_covers_every_event_kind() {
         ),
         (
             Some(2),
-            Subsystem::Fleet,
             Payload::MigrateDone {
                 downtime: 5_702_400,
             },
         ),
         (
             Some(1),
-            Subsystem::Tmem,
             Payload::Put {
                 pool: 0,
                 result: PutResult::RejectIo,
@@ -612,14 +554,9 @@ fn trace_schema_golden_covers_every_event_kind() {
                 target: 100,
             },
         ),
-        (
-            Some(2),
-            Subsystem::Tmem,
-            Payload::DataPurge { pool: 1, pages: 3 },
-        ),
+        (Some(2), Payload::DataPurge { pool: 1, pages: 3 }),
         (
             None,
-            Subsystem::Tmem,
             Payload::Scrub {
                 checked: 64,
                 corrupt: 2,
@@ -640,11 +577,11 @@ fn trace_schema_golden_covers_every_event_kind() {
             FaultKind::CorruptDetected,
             FaultKind::CorruptRecovered,
         ]
-        .map(|kind| (Some(1), Subsystem::Fault, Payload::Fault { kind })),
+        .map(|kind| (Some(1), Payload::Fault { kind })),
     );
-    for (i, (vm, sub, payload)) in evs.enumerate() {
+    for (i, (vm, payload)) in evs.enumerate() {
         tracer.set_now(SimTime(i as u64 * 1_000));
-        tracer.emit(|| (vm, sub, payload));
+        tracer.emit(|| (vm, payload));
     }
     let data = tracer.finish().unwrap();
     let header = TraceHeader {
@@ -677,7 +614,7 @@ fn trace_schema_golden_covers_every_event_kind() {
     covers(
         "subsystem",
         &Subsystem::ALL,
-        evs.iter().map(|e| e.subsystem).collect(),
+        evs.iter().map(|e| e.subsystem()).collect(),
     );
     let payloads = || evs.iter().map(|e| &e.payload);
     covers(

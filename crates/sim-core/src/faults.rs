@@ -1,26 +1,29 @@
-//! Deterministic, seed-driven control-plane fault injection.
+//! Deterministic, seed-driven fault injection: one injector per host.
 //!
 //! SmarTmem's control loop crosses three failure domains: the hypervisor's
 //! per-second VIRQ sampling, the dom0 TKM's netlink relay, and the
 //! user-space Memory Manager process. Each edge can lose, delay, duplicate
 //! or reorder its traffic, hypercall pushes can fail, and the MM can crash
-//! outright. This module centralizes *whether* each of those faults happens
-//! on a given message: the control-plane components consult a
-//! [`FaultInjector`] at every edge crossing and record the outcome in a
-//! [`FaultLedger`].
+//! outright. Below the control loop, the tmem datapath can corrupt, tear,
+//! lose or refuse stored pages. This module centralizes *whether* each of
+//! those faults happens: every host's hypervisor owns one
+//! [`FaultInjector`], which the control-plane edges and the datapath
+//! consult, and every injected fault is counted in its [`FaultLedger`] and
+//! traced by the one call [`FaultInjector::inject`].
 //!
-//! Determinism contract: an injector is seeded explicitly and draws from its
-//! own [`SplitMix64`] stream, independent of every workload stream, so a
-//! `(profile, seed)` pair replays the exact same fault schedule — the chaos
-//! determinism tests pin this down to report bytes. A disabled profile
-//! ([`FaultProfile::none`]) never alters any decision, keeping fault-free
-//! runs byte-identical to a build without the injector.
+//! Determinism contract: an injector is seeded explicitly and draws from
+//! two private [`SplitMix64`] streams, a control-plane and a data-plane
+//! one, independent of every workload stream, so a `(profile, seed)` pair
+//! replays the exact same fault schedule — the chaos determinism tests pin
+//! this down to report bytes. A disabled profile ([`FaultProfile::none`])
+//! never alters any decision, keeping fault-free runs byte-identical to a
+//! build without the injector.
 
 use crate::rng::SplitMix64;
-use crate::trace::{labelled_enum, FaultKind, Payload, Subsystem, Tracer};
+use crate::trace::{labelled_enum, FaultKind, Payload, Tracer};
 use serde::{Deserialize, Serialize};
 
-/// Probabilities and schedules for control-plane faults.
+/// Probabilities and schedules for control- and data-plane faults.
 ///
 /// All probabilities are per-message and must lie in `[0, 1]`. The default
 /// profile is fully disabled (all zero, no crash scheduled).
@@ -111,9 +114,8 @@ impl FaultProfile {
     }
 
     /// True when any data-plane machinery (corruption, loss, put I/O
-    /// failure, brownout windows or periodic scrubbing) is active. The
-    /// scenario runner attaches a [`DataFaultInjector`] to the hypervisor
-    /// exactly when this holds.
+    /// failure, brownout windows or periodic scrubbing) is active. Only
+    /// then does the hypervisor draw put fates or run the final scrub.
     pub fn has_data_plane(&self) -> bool {
         self.page_bitflip > 0.0
             || self.torn_write > 0.0
@@ -420,141 +422,7 @@ impl FaultLedger {
     }
 }
 
-/// The per-run fault decision engine: a profile, a private RNG stream and
-/// the ledger.
-#[derive(Debug, Clone)]
-pub struct FaultInjector {
-    profile: FaultProfile,
-    rng: SplitMix64,
-    ledger: FaultLedger,
-    crash_fired: bool,
-    tracer: Tracer,
-}
-
-impl FaultInjector {
-    /// An injector for `profile`, drawing from a stream seeded by `seed`.
-    pub fn new(profile: FaultProfile, seed: u64) -> Self {
-        FaultInjector {
-            profile,
-            rng: SplitMix64::new(seed).derive("faults"),
-            ledger: FaultLedger::default(),
-            crash_fired: false,
-            tracer: Tracer::disabled(),
-        }
-    }
-
-    /// Attach a flight-recorder handle; every injected fault then emits one
-    /// [`Payload::Fault`] event.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    fn trace_fault(&self, kind: FaultKind) {
-        self.tracer
-            .emit(|| (None, Subsystem::Fault, Payload::Fault { kind }));
-    }
-
-    /// An injector that never injects anything.
-    pub fn disabled() -> Self {
-        FaultInjector::new(FaultProfile::none(), 0)
-    }
-
-    /// The active profile.
-    pub fn profile(&self) -> &FaultProfile {
-        &self.profile
-    }
-
-    /// Decide the fate of one VIRQ statistics sample.
-    pub fn sample_fate(&mut self) -> SampleFate {
-        let p = &self.profile;
-        if p.virq_drop == 0.0 && p.virq_delay == 0.0 && p.virq_duplicate == 0.0 {
-            self.ledger.samples_delivered += 1;
-            return SampleFate::Deliver;
-        }
-        let x = self.rng.next_f64();
-        if x < p.virq_drop {
-            self.ledger.samples_dropped += 1;
-            self.trace_fault(FaultKind::SampleDrop);
-            SampleFate::Drop
-        } else if x < p.virq_drop + p.virq_delay {
-            self.ledger.samples_delayed += 1;
-            self.trace_fault(FaultKind::SampleDelay);
-            SampleFate::Delay
-        } else if x < p.virq_drop + p.virq_delay + p.virq_duplicate {
-            self.ledger.samples_duplicated += 1;
-            self.trace_fault(FaultKind::SampleDuplicate);
-            SampleFate::Duplicate
-        } else {
-            self.ledger.samples_delivered += 1;
-            SampleFate::Deliver
-        }
-    }
-
-    /// Decide the fate of one netlink stats message.
-    pub fn netlink_fate(&mut self) -> NetlinkFate {
-        let p = &self.profile;
-        if p.netlink_drop == 0.0 && p.netlink_reorder == 0.0 {
-            return NetlinkFate::Deliver;
-        }
-        let x = self.rng.next_f64();
-        if x < p.netlink_drop {
-            self.ledger.netlink_dropped += 1;
-            self.trace_fault(FaultKind::NetlinkDrop);
-            NetlinkFate::Drop
-        } else if x < p.netlink_drop + p.netlink_reorder {
-            self.ledger.netlink_reordered += 1;
-            self.trace_fault(FaultKind::NetlinkReorder);
-            NetlinkFate::Reorder
-        } else {
-            NetlinkFate::Deliver
-        }
-    }
-
-    /// Decide whether one `SetTargets` hypercall push fails.
-    pub fn hypercall_fails(&mut self) -> bool {
-        if self.profile.hypercall_fail == 0.0 {
-            return false;
-        }
-        let fails = self.rng.next_f64() < self.profile.hypercall_fail;
-        if fails {
-            self.ledger.hypercalls_failed += 1;
-            self.trace_fault(FaultKind::HypercallFail);
-        }
-        fails
-    }
-
-    /// Whether the MM should crash now, given it has completed `cycle`
-    /// processing cycles. Fires at most once per run.
-    pub fn mm_should_crash(&mut self, cycle: u64) -> bool {
-        match self.profile.mm_crash_at_cycle {
-            Some(at) if !self.crash_fired && cycle >= at => {
-                self.crash_fired = true;
-                self.ledger.mm_crashes += 1;
-                self.trace_fault(FaultKind::MmCrash);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Read access to the ledger.
-    pub fn ledger(&self) -> &FaultLedger {
-        &self.ledger
-    }
-
-    /// Mutable ledger access for components reporting observed degradation
-    /// events (retries, restarts, stale intervals, invariant checks).
-    pub fn ledger_mut(&mut self) -> &mut FaultLedger {
-        &mut self.ledger
-    }
-
-    /// Consume the injector, returning its final ledger.
-    pub fn into_ledger(self) -> FaultLedger {
-        self.ledger
-    }
-}
-
-/// The fate the data-plane injector assigns to one admitted tmem put.
+/// The fate the data plane assigns to one admitted tmem put.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PutFate {
     /// Stored intact.
@@ -569,80 +437,56 @@ pub enum PutFate {
     Lose,
 }
 
-/// Running totals of data-plane faults and the integrity machinery's
-/// responses, kept by the hypervisor alongside its [`DataFaultInjector`]
-/// and folded into the run's [`FaultLedger`] at scenario end.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DataFaultLedger {
-    /// Page bit flips injected.
-    pub bitflips_injected: u64,
-    /// Torn writes injected.
-    pub torn_writes_injected: u64,
-    /// Ephemeral pages silently dropped after a successful put.
-    pub ephemeral_losses_injected: u64,
-    /// Persistent puts failed with an injected I/O error.
-    pub put_io_failures_injected: u64,
-    /// Puts rejected inside a brownout window.
-    pub brownout_rejections: u64,
-    /// Sampling intervals spent inside a brownout window.
-    pub brownout_ticks: u64,
-    /// Checksum mismatches detected (once per corrupted page).
-    pub corruptions_detected: u64,
-    /// Detected corruptions the guest recovered from.
-    pub corruptions_recovered: u64,
-    /// Corrupt objects quarantined by the scrubber.
-    pub objects_quarantined: u64,
-    /// Scrubber passes completed.
-    pub scrub_passes: u64,
-    /// Pages checksum-verified by the scrubber.
-    pub scrub_pages_checked: u64,
-}
-
-impl DataFaultLedger {
-    /// Add the data-plane totals onto a run's [`FaultLedger`].
-    pub fn fold_into(&self, l: &mut FaultLedger) {
-        l.bitflips_injected += self.bitflips_injected;
-        l.torn_writes_injected += self.torn_writes_injected;
-        l.ephemeral_losses_injected += self.ephemeral_losses_injected;
-        l.put_io_failures_injected += self.put_io_failures_injected;
-        l.brownout_rejections += self.brownout_rejections;
-        l.brownout_ticks += self.brownout_ticks;
-        l.corruptions_detected += self.corruptions_detected;
-        l.corruptions_recovered += self.corruptions_recovered;
-        l.objects_quarantined += self.objects_quarantined;
-        l.scrub_passes += self.scrub_passes;
-        l.scrub_pages_checked += self.scrub_pages_checked;
-    }
-}
-
-/// The data-plane fault decision engine: a profile, a private RNG stream
-/// (independent of the control-plane injector's, so enabling data faults
-/// never perturbs a control-plane schedule) and the data-fault ledger.
+/// One host's fault decision engine: a profile, two private RNG streams
+/// and the ledger.
 ///
-/// The determinism contract matches [`FaultInjector`]'s: every decision
-/// method early-returns without touching the RNG when the probabilities it
-/// consults are all zero, and the brownout/scrub schedules are pure
-/// functions of the interval counter — so a profile with (say) only
-/// `scrub_every` set draws zero RNG and perturbs nothing.
+/// The control-plane stream (`"faults"`) decides sample, netlink and
+/// hypercall fates; the data-plane stream (`"data-faults"`) decides put
+/// fates, so enabling data faults never perturbs a control-plane schedule.
+/// Every decision early-returns without drawing when the probabilities it
+/// consults are all zero, and the brownout and scrub schedules are pure
+/// functions of the interval clock, so a profile with (say) only
+/// `scrub_every` set draws no RNG at all.
 #[derive(Debug, Clone)]
-pub struct DataFaultInjector {
+pub struct FaultInjector {
     profile: FaultProfile,
     rng: SplitMix64,
-    ledger: DataFaultLedger,
+    data_rng: SplitMix64,
+    /// [`FaultProfile::has_data_plane`], read once per tmem put.
+    data_plane: bool,
+    ledger: FaultLedger,
+    crash_fired: bool,
+    /// Sampling intervals closed: the brownout and scrub clock.
     intervals: u64,
+    tracer: Tracer,
 }
 
-impl DataFaultInjector {
-    /// An injector for `profile`, drawing from a `"data-faults"` stream
-    /// derived from `seed` (disjoint from the control-plane `"faults"`
-    /// stream).
+impl FaultInjector {
+    /// An injector for `profile`, drawing from `"faults"` and
+    /// `"data-faults"` streams derived from `seed`.
     pub fn new(profile: FaultProfile, seed: u64) -> Self {
-        DataFaultInjector {
+        let root = SplitMix64::new(seed);
+        FaultInjector {
+            data_plane: profile.has_data_plane(),
             profile,
-            rng: SplitMix64::new(seed).derive("data-faults"),
-            ledger: DataFaultLedger::default(),
+            rng: root.derive("faults"),
+            data_rng: root.derive("data-faults"),
+            ledger: FaultLedger::default(),
+            crash_fired: false,
             intervals: 0,
+            tracer: Tracer::disabled(),
         }
+    }
+
+    /// An injector that never injects anything.
+    pub fn disabled() -> Self {
+        FaultInjector::new(FaultProfile::none(), 0)
+    }
+
+    /// Attach a flight-recorder handle; every [`Self::inject`] then emits
+    /// one [`Payload::Fault`] event.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
     }
 
     /// The active profile.
@@ -650,54 +494,136 @@ impl DataFaultInjector {
         &self.profile
     }
 
-    /// Decide the fate of one admitted persistent put. Ledger counts are
-    /// the caller's job: a fate only counts once it is actually applied
-    /// (a put that then fails on capacity injected nothing).
-    pub fn persistent_put_fate(&mut self) -> PutFate {
+    /// Whether any data-plane machinery is active (see
+    /// [`FaultProfile::has_data_plane`]).
+    pub fn data_plane(&self) -> bool {
+        self.data_plane
+    }
+
+    /// Record one fault of `kind` attributed to `vm`: bump its ledger
+    /// counter and emit its `Fault` event. The one place either happens,
+    /// so the ledger and the trace cannot drift apart.
+    pub fn inject(&mut self, vm: Option<u32>, kind: FaultKind) {
+        let l = &mut self.ledger;
+        *match kind {
+            FaultKind::SampleDrop => &mut l.samples_dropped,
+            FaultKind::SampleDelay => &mut l.samples_delayed,
+            FaultKind::SampleDuplicate => &mut l.samples_duplicated,
+            FaultKind::NetlinkDrop => &mut l.netlink_dropped,
+            FaultKind::NetlinkReorder => &mut l.netlink_reordered,
+            FaultKind::HypercallFail => &mut l.hypercalls_failed,
+            FaultKind::MmCrash => &mut l.mm_crashes,
+            FaultKind::PageBitflip => &mut l.bitflips_injected,
+            FaultKind::TornWrite => &mut l.torn_writes_injected,
+            FaultKind::EphemeralLoss => &mut l.ephemeral_losses_injected,
+            FaultKind::PutIoFail => &mut l.put_io_failures_injected,
+            FaultKind::BrownoutReject => &mut l.brownout_rejections,
+            FaultKind::BrownoutTick => &mut l.brownout_ticks,
+            FaultKind::CorruptDetected => &mut l.corruptions_detected,
+            FaultKind::CorruptRecovered => &mut l.corruptions_recovered,
+        } += 1;
+        self.tracer.emit(|| (vm, Payload::Fault { kind }));
+    }
+
+    /// Decide the fate of one VIRQ statistics sample.
+    pub fn sample_fate(&mut self) -> SampleFate {
         let p = &self.profile;
-        if p.page_bitflip == 0.0 && p.torn_write == 0.0 && p.put_io_fail == 0.0 {
-            return PutFate::Deliver;
+        if p.virq_drop == 0.0 && p.virq_delay == 0.0 && p.virq_duplicate == 0.0 {
+            self.ledger.samples_delivered += 1;
+            return SampleFate::Deliver;
         }
         let x = self.rng.next_f64();
+        let (fate, kind) = if x < p.virq_drop {
+            (SampleFate::Drop, FaultKind::SampleDrop)
+        } else if x < p.virq_drop + p.virq_delay {
+            (SampleFate::Delay, FaultKind::SampleDelay)
+        } else if x < p.virq_drop + p.virq_delay + p.virq_duplicate {
+            (SampleFate::Duplicate, FaultKind::SampleDuplicate)
+        } else {
+            self.ledger.samples_delivered += 1;
+            return SampleFate::Deliver;
+        };
+        self.inject(None, kind);
+        fate
+    }
+
+    /// Decide the fate of one netlink stats message.
+    pub fn netlink_fate(&mut self) -> NetlinkFate {
+        let p = &self.profile;
+        if p.netlink_drop == 0.0 && p.netlink_reorder == 0.0 {
+            return NetlinkFate::Deliver;
+        }
+        let x = self.rng.next_f64();
+        let (fate, kind) = if x < p.netlink_drop {
+            (NetlinkFate::Drop, FaultKind::NetlinkDrop)
+        } else if x < p.netlink_drop + p.netlink_reorder {
+            (NetlinkFate::Reorder, FaultKind::NetlinkReorder)
+        } else {
+            return NetlinkFate::Deliver;
+        };
+        self.inject(None, kind);
+        fate
+    }
+
+    /// Decide whether one `SetTargets` hypercall push fails.
+    pub fn hypercall_fails(&mut self) -> bool {
+        if self.profile.hypercall_fail == 0.0 {
+            return false;
+        }
+        let fails = self.rng.next_f64() < self.profile.hypercall_fail;
+        if fails {
+            self.inject(None, FaultKind::HypercallFail);
+        }
+        fails
+    }
+
+    /// Whether the MM should crash now, given it has completed `cycle`
+    /// processing cycles. Fires at most once per run.
+    pub fn mm_should_crash(&mut self, cycle: u64) -> bool {
+        match self.profile.mm_crash_at_cycle {
+            Some(at) if !self.crash_fired && cycle >= at => {
+                self.crash_fired = true;
+                self.inject(None, FaultKind::MmCrash);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Decide the fate of one admitted put. A persistent put can fail with
+    /// an I/O error, an ephemeral one can be silently lost. The fate is not
+    /// counted here: it counts once the caller applies it (a put that then
+    /// fails on capacity injected nothing).
+    pub fn put_fate(&mut self, ephemeral: bool) -> PutFate {
+        let p = &self.profile;
+        let (third, fate) = if ephemeral {
+            (p.ephemeral_loss, PutFate::Lose)
+        } else {
+            (p.put_io_fail, PutFate::IoFail)
+        };
+        if p.page_bitflip == 0.0 && p.torn_write == 0.0 && third == 0.0 {
+            return PutFate::Deliver;
+        }
+        let x = self.data_rng.next_f64();
         if x < p.page_bitflip {
             PutFate::Bitflip
         } else if x < p.page_bitflip + p.torn_write {
             PutFate::Torn
-        } else if x < p.page_bitflip + p.torn_write + p.put_io_fail {
-            PutFate::IoFail
+        } else if x < p.page_bitflip + p.torn_write + third {
+            fate
         } else {
             PutFate::Deliver
         }
     }
 
-    /// Decide the fate of one admitted ephemeral put.
-    pub fn ephemeral_put_fate(&mut self) -> PutFate {
-        let p = &self.profile;
-        if p.page_bitflip == 0.0 && p.torn_write == 0.0 && p.ephemeral_loss == 0.0 {
-            return PutFate::Deliver;
-        }
-        let x = self.rng.next_f64();
-        if x < p.page_bitflip {
-            PutFate::Bitflip
-        } else if x < p.page_bitflip + p.torn_write {
-            PutFate::Torn
-        } else if x < p.page_bitflip + p.torn_write + p.ephemeral_loss {
-            PutFate::Lose
-        } else {
-            PutFate::Deliver
-        }
-    }
-
-    /// Close one sampling interval: advances the brownout/scrub clock and
-    /// returns whether the *new* interval sits inside a brownout window
-    /// (counting it in the ledger if so). Draws no RNG.
-    pub fn tick_interval(&mut self) -> bool {
+    /// Close one sampling interval: advance the brownout and scrub clock
+    /// and, when the new interval sits inside a brownout window, inject a
+    /// `BrownoutTick`. Draws no RNG.
+    pub fn tick_interval(&mut self) {
         self.intervals += 1;
-        let browned = self.in_brownout();
-        if browned {
-            self.ledger.brownout_ticks += 1;
+        if self.in_brownout() {
+            self.inject(None, FaultKind::BrownoutTick);
         }
-        browned
     }
 
     /// Whether the backend is currently inside a brownout window: the last
@@ -714,14 +640,16 @@ impl DataFaultInjector {
         every > 0 && self.intervals.is_multiple_of(every)
     }
 
-    /// Read access to the data-fault ledger.
-    pub fn ledger(&self) -> &DataFaultLedger {
+    /// Read access to the ledger.
+    pub fn ledger(&self) -> &FaultLedger {
         &self.ledger
     }
 
-    /// Mutable ledger access for the hypervisor's injection/detection/
-    /// recovery bookkeeping.
-    pub fn ledger_mut(&mut self) -> &mut DataFaultLedger {
+    /// Mutable ledger access for components reporting observed degradation
+    /// events (retries, restarts, stale intervals, invariant checks, scrub
+    /// passes, migrations). Injected fault kinds go through
+    /// [`Self::inject`].
+    pub fn ledger_mut(&mut self) -> &mut FaultLedger {
         &mut self.ledger
     }
 }
@@ -877,13 +805,13 @@ mod tests {
             put_io_fail: 0.1,
             ..FaultProfile::none()
         };
-        let mut a = DataFaultInjector::new(profile.clone(), 99);
-        let mut b = DataFaultInjector::new(profile, 99);
+        let mut a = FaultInjector::new(profile.clone(), 99);
+        let mut b = FaultInjector::new(profile, 99);
         let mut non_deliver = 0;
         for _ in 0..500 {
-            let (fa, fb) = (a.persistent_put_fate(), b.persistent_put_fate());
+            let (fa, fb) = (a.put_fate(false), b.put_fate(false));
             assert_eq!(fa, fb);
-            assert_eq!(a.ephemeral_put_fate(), b.ephemeral_put_fate());
+            assert_eq!(a.put_fate(true), b.put_fate(true));
             if fa != PutFate::Deliver {
                 non_deliver += 1;
             }
@@ -900,13 +828,17 @@ mod tests {
             scrub_every: 5,
             ..FaultProfile::none()
         };
-        let mut a = DataFaultInjector::new(profile.clone(), 7);
-        let b = DataFaultInjector::new(profile, 7);
+        let mut a = FaultInjector::new(profile.clone(), 7);
+        let b = FaultInjector::new(profile, 7);
+        assert!(a.data_plane());
         for _ in 0..1000 {
-            assert_eq!(a.persistent_put_fate(), PutFate::Deliver);
-            assert_eq!(a.ephemeral_put_fate(), PutFate::Deliver);
+            assert_eq!(a.put_fate(false), PutFate::Deliver);
+            assert_eq!(a.put_fate(true), PutFate::Deliver);
         }
-        assert_eq!(a.rng, b.rng, "zero-probability paths must not draw");
+        assert_eq!(
+            a.data_rng, b.data_rng,
+            "zero-probability paths must not draw"
+        );
         assert_eq!(a.ledger(), b.ledger());
     }
 
@@ -918,10 +850,11 @@ mod tests {
             put_io_fail: 0.0,
             ..FaultProfile::none()
         };
-        let mut inj = DataFaultInjector::new(profile, 0);
+        let mut inj = FaultInjector::new(profile, 0);
         let mut browned = Vec::new();
         for interval in 1..=20u64 {
-            if inj.tick_interval() {
+            inj.tick_interval();
+            if inj.in_brownout() {
                 browned.push(interval);
             }
         }
@@ -935,7 +868,7 @@ mod tests {
             scrub_every: 4,
             ..FaultProfile::none()
         };
-        let mut inj = DataFaultInjector::new(profile, 0);
+        let mut inj = FaultInjector::new(profile, 0);
         let due: Vec<u64> = (1..=12u64)
             .filter(|_| {
                 inj.tick_interval();
@@ -946,28 +879,37 @@ mod tests {
     }
 
     #[test]
-    fn data_ledger_folds_into_fault_ledger() {
-        let dl = DataFaultLedger {
-            bitflips_injected: 1,
-            torn_writes_injected: 2,
-            ephemeral_losses_injected: 3,
-            put_io_failures_injected: 4,
-            brownout_rejections: 5,
-            brownout_ticks: 6,
-            corruptions_detected: 7,
-            corruptions_recovered: 8,
-            objects_quarantined: 9,
-            scrub_passes: 10,
-            scrub_pages_checked: 11,
-        };
-        let mut l = FaultLedger::default();
-        dl.fold_into(&mut l);
-        assert_eq!(l.bitflips_injected, 1);
-        assert_eq!(l.put_io_failures_injected, 4);
-        assert_eq!(l.scrub_pages_checked, 11);
-        // Injected totals include every data-plane injection class but not
-        // the detection/recovery bookkeeping.
-        assert_eq!(l.injected(), 1 + 2 + 3 + 4 + 5);
+    fn inject_counts_and_traces_every_fault_kind_once() {
+        use crate::trace::Recorder;
+        let mut seen = Vec::new();
+        for kind in FaultKind::ALL {
+            let tracer = Tracer::new(Recorder::new(8, None));
+            let mut inj = FaultInjector::disabled();
+            inj.set_tracer(tracer.clone());
+            inj.inject(Some(3), kind);
+            // Exactly one counter moved, by one, and no other kind moves it.
+            let bumped: Vec<_> = inj
+                .ledger()
+                .fields()
+                .into_iter()
+                .filter(|&(_, v)| v > 0)
+                .collect();
+            assert_eq!(bumped.len(), 1, "{kind:?} bumped {bumped:?}");
+            assert_eq!(bumped[0].1, 1, "{kind:?}");
+            assert!(!seen.contains(&bumped[0].0), "{kind:?} shares a counter");
+            seen.push(bumped[0].0);
+            // Injected totals include every injection class but not the
+            // brownout clock or the detection/recovery bookkeeping.
+            let bookkeeping = matches!(
+                kind,
+                FaultKind::BrownoutTick | FaultKind::CorruptDetected | FaultKind::CorruptRecovered
+            );
+            assert_eq!(inj.ledger().injected(), u64::from(!bookkeeping), "{kind:?}");
+            let events = tracer.finish().unwrap().events;
+            assert_eq!(events.len(), 1, "{kind:?}");
+            assert_eq!(events[0].vm, Some(3));
+            assert_eq!(events[0].payload, Payload::Fault { kind });
+        }
     }
 
     #[test]

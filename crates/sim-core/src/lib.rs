@@ -12,9 +12,12 @@
 //!   (RAM touches, tmem hypercalls, disk accesses) into simulated time,
 //! * [`metrics`] — counters, time-series recorders and summary statistics
 //!   used to regenerate the paper's figures,
-//! * [`faults`] — deterministic, seed-driven control-plane fault injection
-//!   (dropped/delayed/duplicated samples, lost netlink messages, failed
-//!   hypercalls, MM crash schedules) consulted by the control-plane edges,
+//! * [`faults`] — deterministic, seed-driven fault injection: one
+//!   [`FaultInjector`] per host, with a control-plane stream (dropped,
+//!   delayed or duplicated samples, lost netlink messages, failed
+//!   hypercalls, MM crash schedules) and a data-plane stream (corrupted,
+//!   torn, lost or refused tmem puts), counting and tracing every injected
+//!   fault through one call,
 //! * [`trace`] — the flight recorder: a zero-cost-when-disabled structured
 //!   event layer every subsystem emits into, with a bounded ring buffer, a
 //!   metrics registry and a hand-rolled JSONL codec.

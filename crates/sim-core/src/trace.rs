@@ -11,23 +11,24 @@
 //!   rescale inputs,
 //! * fault layer: every injected fault.
 //!
-//! Events carry `(SimTime, vm, subsystem, payload)` and flow into a bounded
-//! ring buffer inside a [`Recorder`]; a [`TraceMetrics`] registry (counters
-//! plus [`Histogram`]s of put latency and relay queue depth) aggregates
-//! alongside. The handle every component holds is a [`Tracer`] — a cheap
-//! clone of an `Option<Rc<RefCell<Recorder>>>`. When tracing is disabled
-//! the option is `None` and [`Tracer::emit`] is a single branch: the
-//! closure that would build the event is never called, so disabled runs
-//! stay byte-identical to a build without the recorder.
+//! Events carry `(SimTime, vm, payload)`; the payload's kind fixes the
+//! emitting subsystem. They flow into a bounded ring buffer inside a
+//! [`Recorder`]; a [`TraceMetrics`] registry (counters plus [`Histogram`]s
+//! of put latency and relay queue depth) aggregates alongside. The handle
+//! every component holds is a [`Tracer`] — a cheap clone of an
+//! `Option<Rc<RefCell<Recorder>>>`. When tracing is disabled the option is
+//! `None` and [`Tracer::emit`] is a single branch: the closure that would
+//! build the event is never called, so disabled runs stay byte-identical
+//! to a build without the recorder.
 //!
 //! The schema is declared once: `payload_table!` lists every [`Payload`]
-//! variant with its JSONL label, field keys and docs, and `labelled_enum!`
-//! gives each enum carried in a payload one two-way label table. The JSONL
-//! writer and parser are generated from those tables. The schema is a
-//! load-bearing contract: `scenarios::trace_check` re-derives tmem
-//! occupancy and the fault ledger purely from the event stream and asserts
-//! they match the live accounting, and a golden JSONL file pins the
-//! serialized form byte-exactly.
+//! variant with its JSONL label, subsystem, field keys and docs, and
+//! `labelled_enum!` gives each enum carried in a payload one two-way label
+//! table. The JSONL writer and parser are generated from those tables. The
+//! schema is a load-bearing contract: `scenarios::trace_check` re-derives
+//! tmem occupancy and the fault ledger purely from the event stream and
+//! asserts they match the live accounting, and a golden JSONL file pins
+//! the serialized form byte-exactly.
 
 use crate::cost::CostModel;
 use crate::faults::{NetlinkFate, SampleFate};
@@ -134,7 +135,7 @@ labelled_enum! {
         Mm => "mm",
         /// The fault-injection layer (one event per injected fault).
         Fault => "fault",
-        /// The fleet layer (far-memory tier traffic, VM migrations).
+        /// The fleet layer (VM migrations between hosts).
         Fleet => "fleet",
     }
 }
@@ -242,13 +243,13 @@ macro_rules! field_key {
 }
 
 /// Declares [`Payload`] from one table: each variant's doc comment, its
-/// JSONL `ev` label and its fields (keyed by field name, or by the
-/// `as "key"` rename) appear once, and the JSONL writer and parser are
-/// generated from the table.
+/// JSONL `ev` label, the [`Subsystem`] that emits it and its fields (keyed
+/// by field name, or by the `as "key"` rename) appear once, and the JSONL
+/// writer and parser are generated from the table.
 macro_rules! payload_table {
     ($(
         $(#[$vmeta:meta])*
-        $variant:ident => $label:literal $({
+        $variant:ident => $label:literal in $sub:ident $({
             $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )*
         })?,
     )*) => {
@@ -266,6 +267,13 @@ macro_rules! payload_table {
             pub fn label(&self) -> &'static str {
                 match self {
                     $( Payload::$variant { .. } => $label, )*
+                }
+            }
+
+            /// The subsystem that emits this kind of event.
+            pub fn subsystem(&self) -> Subsystem {
+                match self {
+                    $( Payload::$variant { .. } => Subsystem::$sub, )*
                 }
             }
 
@@ -295,7 +303,7 @@ payload_table! {
     /// One tmem put with its Algorithm 1 admission operands: `used` and
     /// `target` are the values of `tmem_used` and `mm_target` the admission
     /// check compared (after any stale-target fallback).
-    Put => "put" {
+    Put => "put" in Tmem {
         /// Pool the put targeted.
         pool: u32,
         /// Admission/storage outcome.
@@ -308,12 +316,12 @@ payload_table! {
     /// An ephemeral page was evicted to make room (the event's `vm` is the
     /// *victim* owner; the beneficiary emits a `Put` with
     /// [`PutResult::StoredEvict`]).
-    Evict => "evict" {
+    Evict => "evict" in Tmem {
         /// Pool the victim page belonged to.
         pool: u32,
     },
     /// One tmem get.
-    Get => "get" {
+    Get => "get" in Tmem {
         /// Pool queried.
         pool: u32,
         /// Whether the page was present.
@@ -322,7 +330,7 @@ payload_table! {
         freed: bool,
     },
     /// One flush (single page).
-    Flush => "flush" {
+    Flush => "flush" in Tmem {
         /// Pool flushed.
         pool: u32,
         /// Frames actually freed (0 when the page was absent).
@@ -331,7 +339,7 @@ payload_table! {
     /// A tmem pool was created. Makes the trace self-describing: replay
     /// learns each pool's kind here, so ephemeral (cleancache) traffic can
     /// be told apart from frontswap traffic without out-of-band context.
-    PoolCreate => "pool_create" {
+    PoolCreate => "pool_create" in Tmem {
         /// Pool created.
         pool: u32,
         /// True for ephemeral (cleancache) pools, false for persistent
@@ -339,7 +347,7 @@ payload_table! {
         ephemeral: bool,
     },
     /// A whole object or pool was destroyed.
-    PoolDestroy => "pool_destroy" {
+    PoolDestroy => "pool_destroy" in Tmem {
         /// Pool destroyed.
         pool: u32,
         /// Frames freed.
@@ -347,14 +355,14 @@ payload_table! {
     },
     /// The hypervisor reclaimed over-target persistent pages back to the
     /// guest (they fall through to disk).
-    Reclaim => "reclaim" {
+    Reclaim => "reclaim" in Tmem {
         /// Pool reclaimed from.
         pool: u32,
         /// Frames reclaimed.
         pages: u64,
     },
     /// A `SetTargets` hypercall reached the hypervisor.
-    TargetsApplied => "targets_applied" {
+    TargetsApplied => "targets_applied" in Hypervisor {
         /// Push sequence number.
         seq: u64,
         /// Entries in the target vector.
@@ -363,7 +371,7 @@ payload_table! {
         applied: bool,
     },
     /// The hypervisor emitted a VIRQ statistics sample with this fate.
-    VirqSample => "sample" {
+    VirqSample => "sample" in Virq {
         /// Sample sequence number.
         seq: u64,
         /// Fate assigned by the fault layer.
@@ -372,7 +380,7 @@ payload_table! {
     /// One sampling interval closed (after MM drive, reclaim and the
     /// accounting invariant check). The `k`-th `IntervalClose` aligns with
     /// the `k`-th point of every recorded time-series.
-    IntervalClose => "interval" {
+    IntervalClose => "interval" in Virq {
         /// Sample sequence number of the interval.
         seq: u64,
         /// Whether the hypervisor spent this interval in stale-target
@@ -383,26 +391,26 @@ payload_table! {
     },
     /// A netlink stats message crossed (or failed to cross) the dom0 → MM
     /// edge.
-    NetlinkStats => "stats_msg" {
+    NetlinkStats => "stats_msg" in Relay {
         /// Sample sequence number carried by the message.
         seq: u64,
         /// Fate assigned by the fault layer.
         fate: NetlinkFate,
     },
     /// The relay enqueued a stats message for the MM.
-    RelayEnqueue => "enqueue" {
+    RelayEnqueue => "enqueue" in Relay {
         /// Sample sequence number.
         seq: u64,
         /// Queue depth after the enqueue.
         depth: u64,
     },
     /// The relay shed its oldest queued message at capacity.
-    RelayShed => "shed" {
+    RelayShed => "shed" in Relay {
         /// Sample sequence number of the shed (oldest) message.
         seq: u64,
     },
     /// One `SetTargets` push attempt through the relay.
-    RelayPush => "push" {
+    RelayPush => "push" in Relay {
         /// Push sequence number.
         seq: u64,
         /// Attempt number (1 = first try; ≥ 2 = backoff retry).
@@ -411,7 +419,7 @@ payload_table! {
         outcome: PushOutcome,
     },
     /// The MM processed one fresh snapshot and decided.
-    MmDecision => "decision" {
+    MmDecision => "decision" in Mm {
         /// Sequence of the snapshot consumed.
         seq_in: u64,
         /// Push sequence assigned (0 when not sent).
@@ -428,19 +436,19 @@ payload_table! {
         rescale: Option<(u64, u64)>,
     },
     /// The MM discarded a duplicate/stale snapshot idempotently.
-    MmDiscard => "discard" {
+    MmDiscard => "discard" in Mm {
         /// Sequence of the discarded snapshot.
         seq_in: u64,
     },
     /// The MM process crashed.
-    MmCrash => "crash" {
+    MmCrash => "crash" in Mm {
         /// MM cycle count at the crash.
         cycle: u64,
     },
     /// The watchdog restarted a crashed MM.
-    MmRestart => "restart",
+    MmRestart => "restart" in Mm,
     /// The fault layer injected a fault.
-    Fault => "fault" {
+    Fault => "fault" in Fault {
         /// Which fault fired.
         kind: FaultKind,
     },
@@ -448,14 +456,14 @@ payload_table! {
     /// a corrupt ephemeral page dropped on get, a corrupt persistent
     /// victim dropped during reclaim, or a scrubber quarantine). The
     /// event's `vm` is the owner whose occupancy shrank.
-    DataPurge => "data_purge" {
+    DataPurge => "data_purge" in Tmem {
         /// Pool the pages were removed from.
         pool: u32,
         /// Frames freed.
         pages: u64,
     },
     /// One pool-scrubber pass completed (node-wide).
-    Scrub => "scrub" {
+    Scrub => "scrub" in Tmem {
         /// Pages checksum-verified.
         checked: u64,
         /// Corrupt pages found by this pass.
@@ -467,12 +475,12 @@ payload_table! {
     /// (the far copy is consumed — exclusive read). Emitted in addition
     /// to the `Get` event, which reports `freed: false` because no
     /// *local* frame was released.
-    FarGet => "far_get" {
+    FarGet => "far_get" in Tmem {
         /// Pool the far copy belonged to.
         pool: u32,
     },
     /// Far-tier entries were purged by a flush/destroy of their pool.
-    FarFlush => "far_flush" {
+    FarFlush => "far_flush" in Tmem {
         /// Pool flushed.
         pool: u32,
         /// Far entries removed.
@@ -480,7 +488,7 @@ payload_table! {
     },
     /// A VM began migrating off this host. Emitted on the *source* host's
     /// trace; the pages named here leave this host's accounting.
-    MigrateOut => "migrate_out" {
+    MigrateOut => "migrate_out" in Fleet {
         /// Clean local tmem pages exported.
         pages: u64,
         /// Far-tier entries exported.
@@ -493,7 +501,7 @@ payload_table! {
     /// A migrating VM landed on this host. Emitted on the *destination*
     /// host's trace. `pages + far + spilled` equals the source's
     /// `pages + far` — conservation, checked by replay.
-    MigrateIn => "migrate_in" {
+    MigrateIn => "migrate_in" in Fleet {
         /// Pages stored into the destination's local tmem.
         pages: u64,
         /// Entries stored into the destination's far tier.
@@ -503,13 +511,13 @@ payload_table! {
         spilled: u64,
     },
     /// A migrated VM resumed on its destination host.
-    MigrateDone => "migrate_done" {
+    MigrateDone => "migrate_done" in Fleet {
         /// Pause-to-resume downtime in sim-nanoseconds.
         downtime: u64,
     },
 }
 
-/// One recorded event: `(SimTime, vm, subsystem, payload)`.
+/// One recorded event: `(SimTime, vm, payload)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Simulated instant of the event.
@@ -517,10 +525,15 @@ pub struct TraceEvent {
     /// VM the event is attributed to (`None` for node-wide control-plane
     /// events).
     pub vm: Option<u32>,
-    /// Emitting subsystem.
-    pub subsystem: Subsystem,
     /// Typed body.
     pub payload: Payload,
+}
+
+impl TraceEvent {
+    /// The emitting subsystem, fixed by the payload's kind.
+    pub fn subsystem(&self) -> Subsystem {
+        self.payload.subsystem()
+    }
 }
 
 /// Aggregated metrics registry, maintained by the [`Recorder`] as events
@@ -621,7 +634,7 @@ impl Recorder {
         }
     }
 
-    fn record(&mut self, vm: Option<u32>, subsystem: Subsystem, payload: Payload) {
+    fn record(&mut self, vm: Option<u32>, payload: Payload) {
         match &payload {
             Payload::Put { result, .. } => {
                 self.metrics.puts += 1;
@@ -684,7 +697,6 @@ impl Recorder {
         self.ring.push_back(TraceEvent {
             at: self.now,
             vm,
-            subsystem,
             payload,
         });
     }
@@ -729,14 +741,14 @@ impl Tracer {
         }
     }
 
-    /// Emit one event. The closure builds `(vm, subsystem, payload)` and is
-    /// only evaluated when tracing is enabled — call sites pay one branch
-    /// when disabled.
+    /// Emit one event. The closure builds `(vm, payload)` and is only
+    /// evaluated when tracing is enabled — call sites pay one branch when
+    /// disabled.
     #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> (Option<u32>, Subsystem, Payload)) {
+    pub fn emit(&self, f: impl FnOnce() -> (Option<u32>, Payload)) {
         if let Some(rec) = &self.0 {
-            let (vm, subsystem, payload) = f();
-            rec.borrow_mut().record(vm, subsystem, payload);
+            let (vm, payload) = f();
+            rec.borrow_mut().record(vm, payload);
         }
     }
 
@@ -829,7 +841,7 @@ impl TraceData {
         out.push_str("}\n");
         for ev in &self.events {
             if let Some(subs) = filter {
-                if !subs.contains(&ev.subsystem) {
+                if !subs.contains(&ev.subsystem()) {
                     continue;
                 }
             }
@@ -840,8 +852,9 @@ impl TraceData {
     }
 
     /// Parse a JSONL trace produced by [`TraceData::to_jsonl`]. Strict:
-    /// unknown schema names, versions, subsystems or event kinds are
-    /// errors, so schema drift is caught at the boundary.
+    /// unknown schema names, versions, subsystems or event kinds, and a
+    /// `sub` that is not the event kind's subsystem, are errors, so schema
+    /// drift is caught at the boundary.
     pub fn parse_jsonl(s: &str) -> Result<ParsedTrace, String> {
         let mut lines = s.lines().enumerate();
         let (_, first) = lines
@@ -905,7 +918,7 @@ fn json_string(s: &str) -> String {
 fn write_event(out: &mut String, ev: &TraceEvent) {
     let _ = write!(out, "{{\"t\":{}", ev.at.as_nanos());
     ev.vm.write_field("vm", out);
-    ev.subsystem.write_field("sub", out);
+    ev.subsystem().write_field("sub", out);
     let _ = write!(out, ",\"ev\":\"{}\"", ev.payload.label());
     ev.payload.write_fields(out);
     out.push('}');
@@ -1050,12 +1063,19 @@ impl<T: Field> Field for Option<T> {
 }
 
 fn event_from_fields(obj: &[(String, Json)]) -> Result<TraceEvent, String> {
-    Ok(TraceEvent {
-        at: SimTime(u64::read_field(obj, "t")?),
-        vm: Field::read_field(obj, "vm")?,
-        subsystem: Field::read_field(obj, "sub")?,
-        payload: Payload::read_fields(&String::read_field(obj, "ev")?, obj)?,
-    })
+    let at = SimTime(u64::read_field(obj, "t")?);
+    let vm = Field::read_field(obj, "vm")?;
+    let sub = Subsystem::read_field(obj, "sub")?;
+    let payload = Payload::read_fields(&String::read_field(obj, "ev")?, obj)?;
+    if payload.subsystem() != sub {
+        return Err(format!(
+            "field 'sub': '{}' events belong to '{}', not '{}'",
+            payload.label(),
+            payload.subsystem().as_str(),
+            sub.as_str()
+        ));
+    }
+    Ok(TraceEvent { at, vm, payload })
 }
 
 // ---------------------------------------------------------------------------
@@ -1281,11 +1301,10 @@ pub fn parse_subsystem_filter(list: &str) -> Result<Vec<Subsystem>, String> {
 mod tests {
     use super::*;
 
-    fn sample_events() -> Vec<(Option<u32>, Subsystem, Payload)> {
+    fn sample_events() -> Vec<(Option<u32>, Payload)> {
         vec![
             (
                 Some(1),
-                Subsystem::Tmem,
                 Payload::Put {
                     pool: 0,
                     result: PutResult::Stored,
@@ -1295,7 +1314,6 @@ mod tests {
             ),
             (
                 Some(1),
-                Subsystem::Tmem,
                 Payload::Put {
                     pool: 0,
                     result: PutResult::RejectTarget,
@@ -1305,7 +1323,6 @@ mod tests {
             ),
             (
                 Some(2),
-                Subsystem::Tmem,
                 Payload::Get {
                     pool: 1,
                     hit: true,
@@ -1314,20 +1331,14 @@ mod tests {
             ),
             (
                 None,
-                Subsystem::Virq,
                 Payload::VirqSample {
                     seq: 1,
                     fate: SampleFate::Drop,
                 },
             ),
+            (None, Payload::RelayEnqueue { seq: 1, depth: 1 }),
             (
                 None,
-                Subsystem::Relay,
-                Payload::RelayEnqueue { seq: 1, depth: 1 },
-            ),
-            (
-                None,
-                Subsystem::Relay,
                 Payload::RelayPush {
                     seq: 1,
                     attempt: 2,
@@ -1336,7 +1347,6 @@ mod tests {
             ),
             (
                 None,
-                Subsystem::Mm,
                 Payload::MmDecision {
                     seq_in: 1,
                     push_seq: 1,
@@ -1348,15 +1358,13 @@ mod tests {
             ),
             (
                 None,
-                Subsystem::Fault,
                 Payload::Fault {
                     kind: FaultKind::SampleDrop,
                 },
             ),
-            (None, Subsystem::Mm, Payload::MmRestart),
+            (None, Payload::MmRestart),
             (
                 Some(1),
-                Subsystem::Tmem,
                 Payload::Put {
                     pool: 0,
                     result: PutResult::RejectIo,
@@ -1364,14 +1372,9 @@ mod tests {
                     target: 100,
                 },
             ),
-            (
-                Some(2),
-                Subsystem::Tmem,
-                Payload::DataPurge { pool: 1, pages: 3 },
-            ),
+            (Some(2), Payload::DataPurge { pool: 1, pages: 3 }),
             (
                 None,
-                Subsystem::Tmem,
                 Payload::Scrub {
                     checked: 64,
                     corrupt: 2,
@@ -1380,7 +1383,6 @@ mod tests {
             ),
             (
                 Some(1),
-                Subsystem::Fault,
                 Payload::Fault {
                     kind: FaultKind::CorruptDetected,
                 },
@@ -1390,9 +1392,9 @@ mod tests {
 
     fn record_all() -> TraceData {
         let tracer = Tracer::new(Recorder::new(1024, Some(CostModel::hdd())));
-        for (i, (vm, sub, payload)) in sample_events().into_iter().enumerate() {
+        for (i, (vm, payload)) in sample_events().into_iter().enumerate() {
             tracer.set_now(SimTime(i as u64 * 1_000));
-            tracer.emit(|| (vm, sub, payload));
+            tracer.emit(|| (vm, payload));
         }
         tracer.finish().expect("enabled tracer yields data")
     }
@@ -1433,14 +1435,17 @@ mod tests {
         let parsed = TraceData::parse_jsonl(&jsonl).unwrap();
         assert_eq!(parsed.filter.as_deref(), Some("tmem"));
         assert_eq!(parsed.events.len(), 6);
-        assert!(parsed.events.iter().all(|e| e.subsystem == Subsystem::Tmem));
+        assert!(parsed
+            .events
+            .iter()
+            .all(|e| e.subsystem() == Subsystem::Tmem));
     }
 
     #[test]
     fn ring_drops_oldest_at_capacity() {
         let tracer = Tracer::new(Recorder::new(2, None));
         for seq in 0..5 {
-            tracer.emit(|| (None, Subsystem::Virq, Payload::RelayShed { seq }));
+            tracer.emit(|| (None, Payload::RelayShed { seq }));
         }
         let data = tracer.finish().unwrap();
         assert_eq!(data.dropped_oldest, 3);
@@ -1559,6 +1564,10 @@ mod tests {
             (
                 "{\"t\":0,\"sub\":\"mm\",\"ev\":\"nap\"}",
                 "unknown event kind 'nap'",
+            ),
+            (
+                "{\"t\":0,\"vm\":1,\"sub\":\"mm\",\"ev\":\"pool_create\",\"pool\":0,\"ephemeral\":false}",
+                "line 2: field 'sub': 'pool_create' events belong to 'tmem', not 'mm'",
             ),
         ] {
             let err = TraceData::parse_jsonl(&format!("{header}{event}\n")).unwrap_err();

@@ -23,9 +23,9 @@
 
 use crate::host::{FarConfig, FarTier};
 use crate::vm::VmConfig;
-use sim_core::faults::{DataFaultInjector, DataFaultLedger, FaultProfile, PutFate};
+use sim_core::faults::{FaultInjector, FaultProfile, PutFate};
 use sim_core::time::SimTime;
-use sim_core::trace::{FaultKind, Payload, PutResult, Subsystem, Tracer};
+use sim_core::trace::{FaultKind, Payload, PutResult, Tracer};
 use std::collections::BTreeMap;
 use tmem::backend::{PoolKind, PutOutcome, ScrubReport, TmemBackend};
 use tmem::error::{ReturnCode, TmemError};
@@ -71,19 +71,20 @@ pub struct Hypervisor<P> {
     /// Monotonic sample counter; stamps every `sample()` snapshot.
     sample_seq: u64,
     /// Sample seq at which the MM last proved liveness (a target push or an
-    /// explicit keepalive). Targets older than `target_ttl` samples are
-    /// stale.
+    /// explicit keepalive). Targets older than [`DEFAULT_TARGET_TTL`]
+    /// samples are stale.
     last_mm_refresh_seq: u64,
-    /// Staleness TTL in sampling intervals.
-    target_ttl: u64,
     /// Highest target-push sequence number applied (idempotence guard).
     last_target_seq: u64,
     /// Flight-recorder handle (disabled by default; one branch per op).
     tracer: Tracer,
-    /// Data-plane fault layer. `None` (the default) keeps every datapath
-    /// operation byte-identical to a fault-free build: no RNG, no donor
-    /// retention, one `Option` check per op.
-    data_faults: Option<DataFaultInjector>,
+    /// This host's fault injector: the runner and the dom0 relay draw
+    /// control-plane fates from it, the datapath draws put fates and
+    /// reports detections into it, and its ledger is the host's. Disabled
+    /// by default, which keeps every datapath operation byte-identical to
+    /// a fault-free build: no RNG, no donor retention, one flag check per
+    /// put.
+    faults: FaultInjector,
     /// Far-memory tier. `None` (the default) keeps the datapath
     /// byte-identical to a host without far memory: one `Option` check on
     /// the capacity-reject and miss paths, nothing else.
@@ -101,10 +102,9 @@ impl<P: PagePayload> Hypervisor<P> {
             default_initial_target,
             sample_seq: 0,
             last_mm_refresh_seq: 0,
-            target_ttl: DEFAULT_TARGET_TTL,
             last_target_seq: 0,
             tracer: Tracer::disabled(),
-            data_faults: None,
+            faults: FaultInjector::disabled(),
             far: None,
         }
     }
@@ -126,104 +126,53 @@ impl<P: PagePayload> Hypervisor<P> {
         self.far.as_ref().map_or(0, |f| f.used_by(vm))
     }
 
-    /// Attach a flight-recorder handle; the tmem datapath and the target
-    /// plumbing then emit structured events into it.
+    /// Attach a flight-recorder handle; the tmem datapath, the target
+    /// plumbing and the fault injector then emit structured events into it.
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.faults.set_tracer(tracer.clone());
         self.tracer = tracer;
     }
 
-    /// Install the data-plane fault layer for this run. A profile with no
-    /// data-plane faults installs nothing, so fault-free runs keep the
-    /// unfaulted datapath. Corruption probabilities additionally arm the
+    /// Install this host's fault injector for `profile`, seeded by `seed`,
+    /// with a fresh ledger. Corruption probabilities additionally arm the
     /// backend's donor retention so injected corruptions have wrong bytes
     /// to cross-wire.
-    pub fn set_data_faults(&mut self, profile: &FaultProfile, seed: u64) {
-        if !profile.has_data_plane() {
-            return;
-        }
+    pub fn set_faults(&mut self, profile: &FaultProfile, seed: u64) {
         if profile.page_bitflip > 0.0 || profile.torn_write > 0.0 {
             self.backend.arm_corruption();
         }
-        self.data_faults = Some(DataFaultInjector::new(profile.clone(), seed));
+        self.faults = FaultInjector::new(profile.clone(), seed);
+        self.faults.set_tracer(self.tracer.clone());
     }
 
-    /// The data-plane fault ledger, when the layer is installed.
-    pub fn data_fault_ledger(&self) -> Option<&DataFaultLedger> {
-        self.data_faults.as_ref().map(|d| d.ledger())
+    /// This host's fault injector.
+    pub fn faults(&self) -> &FaultInjector {
+        &self.faults
     }
 
-    /// Close one sampling interval on the data-fault clock (brownout
-    /// windows, scrub cadence). Emits one `BrownoutTick` fault event per
-    /// interval spent browned out so the ledger replays from the trace.
-    pub fn tick_data_faults(&mut self) {
-        let Some(d) = self.data_faults.as_mut() else {
-            return;
-        };
-        if d.tick_interval() {
-            self.tracer.emit(|| {
-                (
-                    None,
-                    Subsystem::Fault,
-                    Payload::Fault {
-                        kind: FaultKind::BrownoutTick,
-                    },
-                )
-            });
-        }
+    /// Mutable access to this host's fault injector, for the control-plane
+    /// edges that draw fates from it and the components that report
+    /// degradation into its ledger.
+    pub fn faults_mut(&mut self) -> &mut FaultInjector {
+        &mut self.faults
     }
 
-    /// Whether the periodic scrubber is due at the interval that just
-    /// closed ([`Hypervisor::tick_data_faults`] advances the clock).
-    pub fn data_scrub_due(&self) -> bool {
-        self.data_faults.as_ref().is_some_and(|d| d.scrub_due())
-    }
-
-    /// Mirror the backend's monotonic detection counter into the data-fault
-    /// ledger, emitting one `CorruptDetected` event per new detection. The
-    /// backend counts each corrupt page once regardless of how many ops
-    /// observe it, so this converges on exactly one ledger entry and one
-    /// event per detected corruption.
+    /// Inject one `CorruptDetected` per detection the backend has made
+    /// since the last call. The backend counts each corrupt page once
+    /// regardless of how many ops observe it, so this converges on exactly
+    /// one ledger entry and one event per detected corruption.
     fn emit_new_detections(&mut self, vm: Option<u32>) {
         let total = self.backend.integrity().detections;
-        let newly = match self.data_faults.as_mut() {
-            Some(d) if total > d.ledger().corruptions_detected => {
-                let n = total - d.ledger().corruptions_detected;
-                d.ledger_mut().corruptions_detected = total;
-                n
-            }
-            _ => return,
-        };
-        for _ in 0..newly {
-            self.tracer.emit(|| {
-                (
-                    vm,
-                    Subsystem::Fault,
-                    Payload::Fault {
-                        kind: FaultKind::CorruptDetected,
-                    },
-                )
-            });
+        while self.faults.ledger().corruptions_detected < total {
+            self.faults.inject(vm, FaultKind::CorruptDetected);
         }
     }
 
     /// Guest-side recovery callback: the kernel finished its bounded
     /// retry/requeue of a corrupt persistent page (flushed it and requeued
-    /// a clean copy from its own memory). No-op without the fault layer so
-    /// ledger and trace stay in lockstep.
+    /// a clean copy from its own memory).
     pub fn note_corrupt_recovered(&mut self, vm: VmId) {
-        let Some(d) = self.data_faults.as_mut() else {
-            return;
-        };
-        d.ledger_mut().corruptions_recovered += 1;
-        self.tracer.emit(|| {
-            (
-                Some(vm.0),
-                Subsystem::Fault,
-                Payload::Fault {
-                    kind: FaultKind::CorruptRecovered,
-                },
-            )
-        });
+        self.faults.inject(Some(vm.0), FaultKind::CorruptRecovered);
     }
 
     /// Register a VM (domain creation). Idempotent per id.
@@ -267,7 +216,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(vm.0),
-                Subsystem::Tmem,
                 Payload::PoolCreate {
                     pool: pool.0,
                     ephemeral: kind == PoolKind::Ephemeral,
@@ -315,7 +263,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::Put {
                         pool: pool.0,
                         result: PutResult::RejectTarget,
@@ -329,65 +276,29 @@ impl<P: PagePayload> Hypervisor<P> {
         // Data-plane fault layer, after admission: a brownout window
         // rejects the put as a backend I/O failure; otherwise the injector
         // assigns this put its fate. Inactive layer ⇒ no RNG, one branch.
-        let fate = match self.data_faults.as_mut() {
-            Some(d) => {
-                if d.in_brownout() {
-                    d.ledger_mut().brownout_rejections += 1;
-                    self.tracer.emit(|| {
-                        (
-                            Some(owner.0),
-                            Subsystem::Fault,
-                            Payload::Fault {
-                                kind: FaultKind::BrownoutReject,
-                            },
-                        )
-                    });
-                    self.tracer.emit(|| {
-                        (
-                            Some(owner.0),
-                            Subsystem::Tmem,
-                            Payload::Put {
-                                pool: pool.0,
-                                result: PutResult::RejectIo,
-                                used: tmem_used,
-                                target,
-                            },
-                        )
-                    });
-                    return Err(ReturnCode::Failure);
-                }
-                match kind {
-                    PoolKind::Persistent => d.persistent_put_fate(),
-                    PoolKind::Ephemeral => d.ephemeral_put_fate(),
-                }
+        let mut fate = PutFate::Deliver;
+        if self.faults.data_plane() {
+            let io_fault = if self.faults.in_brownout() {
+                Some(FaultKind::BrownoutReject)
+            } else {
+                fate = self.faults.put_fate(kind == PoolKind::Ephemeral);
+                (fate == PutFate::IoFail).then_some(FaultKind::PutIoFail)
+            };
+            if let Some(fault) = io_fault {
+                self.faults.inject(Some(owner.0), fault);
+                self.tracer.emit(|| {
+                    (
+                        Some(owner.0),
+                        Payload::Put {
+                            pool: pool.0,
+                            result: PutResult::RejectIo,
+                            used: tmem_used,
+                            target,
+                        },
+                    )
+                });
+                return Err(ReturnCode::Failure);
             }
-            None => PutFate::Deliver,
-        };
-        if fate == PutFate::IoFail {
-            let d = self.data_faults.as_mut().expect("IoFail implies injector");
-            d.ledger_mut().put_io_failures_injected += 1;
-            self.tracer.emit(|| {
-                (
-                    Some(owner.0),
-                    Subsystem::Fault,
-                    Payload::Fault {
-                        kind: FaultKind::PutIoFail,
-                    },
-                )
-            });
-            self.tracer.emit(|| {
-                (
-                    Some(owner.0),
-                    Subsystem::Tmem,
-                    Payload::Put {
-                        pool: pool.0,
-                        result: PutResult::RejectIo,
-                        used: tmem_used,
-                        target,
-                    },
-                )
-            });
-            return Err(ReturnCode::Failure);
         }
         // Line 7: node free-page check. Replacement puts and ephemeral
         // recycling are resolved by the backend, so only translate a
@@ -409,7 +320,6 @@ impl<P: PagePayload> Hypervisor<P> {
                         self.tracer.emit(|| {
                             (
                                 Some(victim_owner.0),
-                                Subsystem::Tmem,
                                 Payload::Evict {
                                     pool: victim.pool.0,
                                 },
@@ -426,7 +336,6 @@ impl<P: PagePayload> Hypervisor<P> {
                     };
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::Put {
                             pool: pool.0,
                             result,
@@ -455,7 +364,6 @@ impl<P: PagePayload> Hypervisor<P> {
                         self.tracer.emit(|| {
                             (
                                 Some(owner.0),
-                                Subsystem::Tmem,
                                 Payload::Put {
                                     pool: pool.0,
                                     result: PutResult::StoredFar,
@@ -470,7 +378,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::Put {
                             pool: pool.0,
                             result: PutResult::RejectCapacity,
@@ -508,14 +415,7 @@ impl<P: PagePayload> Hypervisor<P> {
                     } else {
                         FaultKind::TornWrite
                     };
-                    let d = self.data_faults.as_mut().expect("fate implies injector");
-                    if fate == PutFate::Bitflip {
-                        d.ledger_mut().bitflips_injected += 1;
-                    } else {
-                        d.ledger_mut().torn_writes_injected += 1;
-                    }
-                    self.tracer
-                        .emit(|| (Some(owner.0), Subsystem::Fault, Payload::Fault { kind }));
+                    self.faults.inject(Some(owner.0), kind);
                 }
             }
             PutFate::Lose => {
@@ -524,21 +424,10 @@ impl<P: PagePayload> Hypervisor<P> {
                     .flush_page(pool, object, index)
                     .unwrap_or(false)
                 {
-                    let d = self.data_faults.as_mut().expect("fate implies injector");
-                    d.ledger_mut().ephemeral_losses_injected += 1;
+                    self.faults.inject(Some(owner.0), FaultKind::EphemeralLoss);
                     self.tracer.emit(|| {
                         (
                             Some(owner.0),
-                            Subsystem::Fault,
-                            Payload::Fault {
-                                kind: FaultKind::EphemeralLoss,
-                            },
-                        )
-                    });
-                    self.tracer.emit(|| {
-                        (
-                            Some(owner.0),
-                            Subsystem::Tmem,
                             Payload::DataPurge {
                                 pool: pool.0,
                                 pages: 1,
@@ -602,7 +491,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::Get {
                     pool: pool.0,
                     hit,
@@ -611,13 +499,8 @@ impl<P: PagePayload> Hypervisor<P> {
             )
         });
         if far_hit {
-            self.tracer.emit(|| {
-                (
-                    Some(owner.0),
-                    Subsystem::Tmem,
-                    Payload::FarGet { pool: pool.0 },
-                )
-            });
+            self.tracer
+                .emit(|| (Some(owner.0), Payload::FarGet { pool: pool.0 }));
         }
         if matches!(out, GetOutcome::Corrupt) {
             self.on_corrupt_get(pool, owner, kind);
@@ -634,28 +517,17 @@ impl<P: PagePayload> Hypervisor<P> {
     fn on_corrupt_get(&mut self, pool: PoolId, owner: VmId, kind: PoolKind) {
         self.emit_new_detections(Some(owner.0));
         if kind == PoolKind::Ephemeral {
-            if let Some(d) = self.data_faults.as_mut() {
-                d.ledger_mut().corruptions_recovered += 1;
-            }
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::DataPurge {
                         pool: pool.0,
                         pages: 1,
                     },
                 )
             });
-            self.tracer.emit(|| {
-                (
-                    Some(owner.0),
-                    Subsystem::Fault,
-                    Payload::Fault {
-                        kind: FaultKind::CorruptRecovered,
-                    },
-                )
-            });
+            self.faults
+                .inject(Some(owner.0), FaultKind::CorruptRecovered);
         }
     }
 
@@ -679,7 +551,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::Flush {
                     pool: pool.0,
                     pages: removed as u64,
@@ -694,7 +565,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::FarFlush {
                             pool: pool.0,
                             pages: 1,
@@ -723,7 +593,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::Flush {
                     pool: pool.0,
                     pages: freed,
@@ -736,7 +605,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::FarFlush {
                             pool: pool.0,
                             pages: far_freed,
@@ -758,7 +626,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 Some(owner.0),
-                Subsystem::Tmem,
                 Payload::PoolDestroy {
                     pool: pool.0,
                     pages: freed,
@@ -771,7 +638,6 @@ impl<P: PagePayload> Hypervisor<P> {
                 self.tracer.emit(|| {
                     (
                         Some(owner.0),
-                        Subsystem::Tmem,
                         Payload::FarFlush {
                             pool: pool.0,
                             pages: far_freed,
@@ -819,7 +685,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::Reclaim {
                         pool: pool.0,
                         pages,
@@ -834,7 +699,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     Some(owner.0),
-                    Subsystem::Tmem,
                     Payload::DataPurge {
                         pool: pool.0,
                         pages: dropped,
@@ -868,7 +732,6 @@ impl<P: PagePayload> Hypervisor<P> {
             self.tracer.emit(|| {
                 (
                     None,
-                    Subsystem::Hypervisor,
                     Payload::TargetsApplied {
                         seq,
                         entries: targets.len() as u32,
@@ -889,7 +752,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Hypervisor,
                 Payload::TargetsApplied {
                     seq,
                     entries: targets.len() as u32,
@@ -908,14 +770,15 @@ impl<P: PagePayload> Hypervisor<P> {
     }
 
     /// Whether the stored targets have outlived their TTL: the MM has not
-    /// proven liveness for more than `target_ttl` sampling intervals —
+    /// proven liveness for more than [`DEFAULT_TARGET_TTL`] sampling
+    /// intervals —
     /// crashed, or its relay channel is down. While stale, Algorithm 1
     /// stops trusting targets as ceilings below the per-VM fair-share floor
     /// (`capacity / vm_count`): VMs degrade to bounded greedy competition
     /// instead of being starved by a stale (possibly zero) target, and slow
     /// reclaim stops pulling VMs below that floor.
     pub fn targets_stale(&self) -> bool {
-        self.sample_seq.saturating_sub(self.last_mm_refresh_seq) > self.target_ttl
+        self.sample_seq.saturating_sub(self.last_mm_refresh_seq) > DEFAULT_TARGET_TTL
     }
 
     /// The per-VM fallback floor while targets are stale: an equal share of
@@ -996,20 +859,13 @@ impl<P: PagePayload> Hypervisor<P> {
         );
         for q in &report.quarantined {
             let (owner, pool, pages) = (q.owner.0, q.pool.0, q.pages);
-            self.tracer.emit(|| {
-                (
-                    Some(owner),
-                    Subsystem::Tmem,
-                    Payload::DataPurge { pool, pages },
-                )
-            });
+            self.tracer
+                .emit(|| (Some(owner), Payload::DataPurge { pool, pages }));
         }
-        if let Some(d) = self.data_faults.as_mut() {
-            let l = d.ledger_mut();
-            l.scrub_passes += 1;
-            l.scrub_pages_checked += report.pages_checked;
-            l.objects_quarantined += report.quarantined.len() as u64;
-        }
+        let l = self.faults.ledger_mut();
+        l.scrub_passes += 1;
+        l.scrub_pages_checked += report.pages_checked;
+        l.objects_quarantined += report.quarantined.len() as u64;
         self.emit_new_detections(None);
         let (checked, corrupt, quarantined) = (
             report.pages_checked,
@@ -1019,7 +875,6 @@ impl<P: PagePayload> Hypervisor<P> {
         self.tracer.emit(|| {
             (
                 None,
-                Subsystem::Tmem,
                 Payload::Scrub {
                     checked,
                     corrupt,
@@ -1093,7 +948,6 @@ impl<P: PagePayload> Hypervisor<P> {
                         self.tracer.emit(|| {
                             (
                                 Some(victim_owner.0),
-                                Subsystem::Tmem,
                                 Payload::Evict {
                                     pool: victim.pool.0,
                                 },
@@ -1339,12 +1193,12 @@ mod tests {
         let mut profile = FaultProfile::none();
         profile.brownout_every = 4;
         profile.brownout_for = 2;
-        h.set_data_faults(&profile, 7);
+        h.set_faults(&profile, 7);
         // The window is the tail of each period: intervals with
         // `interval % every >= every - brownout_for`, i.e. 2,3 then 6,7.
         let mut rejected = Vec::new();
         for interval in 1..=8u32 {
-            h.tick_data_faults();
+            h.faults_mut().tick_interval();
             if h.put(pool, ObjectId(0), interval, fp(interval as u64))
                 .is_err()
             {
@@ -1352,7 +1206,7 @@ mod tests {
             }
         }
         assert_eq!(rejected, vec![2, 3, 6, 7]);
-        let ledger = h.data_fault_ledger().unwrap();
+        let ledger = h.faults().ledger();
         assert_eq!(ledger.brownout_rejections, 4);
         assert_eq!(ledger.brownout_ticks, 4);
     }
@@ -1362,13 +1216,13 @@ mod tests {
         let (mut h, pool) = hv(100, 100);
         let mut profile = FaultProfile::none();
         profile.page_bitflip = 1.0; // every admitted put corrupts
-        h.set_data_faults(&profile, 7);
+        h.set_faults(&profile, 7);
         // First put has no distinct-checksum donor yet; keep putting until
         // an injection lands.
         for i in 0..4u32 {
             h.put(pool, ObjectId(0), i, fp(i as u64)).unwrap();
         }
-        let ledger = h.data_fault_ledger().unwrap();
+        let ledger = h.faults().ledger();
         assert!(ledger.bitflips_injected >= 3, "donor present from put 2 on");
         let injected = ledger.bitflips_injected;
         // Every corrupted page surfaces as Corrupt (never wrong bytes, page
@@ -1386,10 +1240,7 @@ mod tests {
             }
         }
         assert_eq!(corrupt, injected);
-        assert_eq!(
-            h.data_fault_ledger().unwrap().corruptions_detected,
-            injected
-        );
+        assert_eq!(h.faults().ledger().corruptions_detected, injected);
     }
 
     #[test]
@@ -1398,15 +1249,15 @@ mod tests {
         let mut profile = FaultProfile::none();
         profile.torn_write = 1.0;
         profile.scrub_every = 1;
-        h.set_data_faults(&profile, 7);
+        h.set_faults(&profile, 7);
         for i in 0..3u32 {
             h.put(pool, ObjectId(0), i, fp(i as u64)).unwrap();
         }
-        h.tick_data_faults();
-        assert!(h.data_scrub_due());
+        h.faults_mut().tick_interval();
+        assert!(h.faults().scrub_due());
         let report = h.scrub();
         assert_eq!(report.pages_checked, 3);
-        let ledger = h.data_fault_ledger().unwrap();
+        let ledger = h.faults().ledger();
         assert_eq!(report.corrupt_pages, ledger.torn_writes_injected);
         assert_eq!(ledger.objects_quarantined, 1);
         assert_eq!(ledger.scrub_passes, 1);
@@ -1427,22 +1278,22 @@ mod tests {
         let pool = h.new_pool(VmId(1), PoolKind::Ephemeral).unwrap();
         let mut profile = FaultProfile::none();
         profile.ephemeral_loss = 1.0;
-        h.set_data_faults(&profile, 7);
+        h.set_faults(&profile, 7);
         // The put succeeds from the guest's perspective...
         h.put(pool, ObjectId(0), 0, fp(0)).unwrap();
         // ...but the page is already gone: a clean miss, cleancache-legal.
         assert_eq!(h.get_checked(pool, ObjectId(0), 0), GetOutcome::Miss);
         assert_eq!(h.tmem_used_by(VmId(1)), 0);
-        assert_eq!(h.data_fault_ledger().unwrap().ephemeral_losses_injected, 1);
+        assert_eq!(h.faults().ledger().ephemeral_losses_injected, 1);
     }
 
     #[test]
     fn fault_free_profile_installs_no_data_layer() {
         let (mut h, pool) = hv(10, 10);
-        h.set_data_faults(&FaultProfile::none(), 7);
-        assert!(h.data_fault_ledger().is_none());
-        assert!(!h.data_scrub_due());
-        h.tick_data_faults();
+        h.set_faults(&FaultProfile::none(), 7);
+        assert!(!h.faults().data_plane());
+        assert!(!h.faults().scrub_due());
+        h.faults_mut().tick_interval();
         h.put(pool, ObjectId(0), 0, fp(0)).unwrap();
         assert_eq!(h.get(pool, ObjectId(0), 0), Some(fp(0)));
     }

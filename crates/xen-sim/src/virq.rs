@@ -17,8 +17,8 @@ use tmem::stats::StatsMsg;
 /// to the privileged domain. Under fault injection a sample can be dropped,
 /// held back one interval (delivered late, behind the next sample — i.e.
 /// reordered), or duplicated. The channel owns the one-slot delay buffer;
-/// the *decision* comes from a `FaultInjector` upstream, so this stays
-/// deterministic and decision-free.
+/// the *decision* comes from the hypervisor's `FaultInjector`, so this
+/// stays deterministic and decision-free.
 #[derive(Debug, Default)]
 pub struct SampleChannel {
     delayed: Option<StatsMsg>,
@@ -30,19 +30,11 @@ impl SampleChannel {
         Self::default()
     }
 
-    /// Push this interval's sample with its fate; returns the messages that
-    /// come out of the channel *this* interval, in arrival order. A
+    /// Push this interval's sample with its fate, appending the messages
+    /// that come out of the channel *this* interval (at most three) to
+    /// `out` in arrival order; the caller reuses `out` across intervals. A
     /// previously delayed sample is always flushed first (it reorders
     /// behind the newer one only when the newer one is itself delayed).
-    pub fn push(&mut self, msg: StatsMsg, fate: SampleFate) -> Vec<StatsMsg> {
-        let mut out = Vec::with_capacity(3);
-        self.push_into(msg, fate, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`SampleChannel::push`]: the interval's
-    /// output batch (at most three messages) is appended to `out`, which
-    /// the caller reuses across intervals.
     pub fn push_into(&mut self, msg: StatsMsg, fate: SampleFate, out: &mut Vec<StatsMsg>) {
         if let Some(old) = self.delayed.take() {
             out.push(old);
@@ -70,6 +62,13 @@ mod tests {
     use sim_core::time::SimTime;
     use tmem::stats::{MemStats, NodeInfo};
 
+    /// The sequence numbers `ch` emits for one pushed sample.
+    fn push(ch: &mut SampleChannel, seq: u64, fate: SampleFate) -> Vec<u64> {
+        let mut out = Vec::new();
+        ch.push_into(msg(seq), fate, &mut out);
+        out.iter().map(|m| m.seq).collect()
+    }
+
     fn msg(seq: u64) -> StatsMsg {
         StatsMsg {
             seq,
@@ -88,32 +87,27 @@ mod tests {
     #[test]
     fn channel_passes_through_on_deliver() {
         let mut ch = SampleChannel::new();
-        let out = ch.push(msg(1), SampleFate::Deliver);
-        assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), [1]);
+        assert_eq!(push(&mut ch, 1, SampleFate::Deliver), [1]);
     }
 
     #[test]
     fn channel_drops_and_duplicates() {
         let mut ch = SampleChannel::new();
-        assert!(ch.push(msg(1), SampleFate::Drop).is_empty());
-        let out = ch.push(msg(2), SampleFate::Duplicate);
-        assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), [2, 2]);
+        assert!(push(&mut ch, 1, SampleFate::Drop).is_empty());
+        assert_eq!(push(&mut ch, 2, SampleFate::Duplicate), [2, 2]);
     }
 
     #[test]
     fn delayed_sample_arrives_behind_the_next_one() {
         let mut ch = SampleChannel::new();
-        assert!(ch.push(msg(1), SampleFate::Delay).is_empty());
+        assert!(push(&mut ch, 1, SampleFate::Delay).is_empty());
         assert!(ch.has_delayed());
         // Sample 1 flushes ahead of 2 (late but in order)...
-        let out = ch.push(msg(2), SampleFate::Deliver);
-        assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(push(&mut ch, 2, SampleFate::Deliver), [1, 2]);
         // ...but two consecutive delays genuinely reorder: 3 is flushed when
         // 4 arrives delayed, then 4 flushes behind 5.
-        assert!(ch.push(msg(3), SampleFate::Delay).is_empty());
-        let out = ch.push(msg(4), SampleFate::Delay);
-        assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), [3]);
-        let out = ch.push(msg(5), SampleFate::Deliver);
-        assert_eq!(out.iter().map(|m| m.seq).collect::<Vec<_>>(), [4, 5]);
+        assert!(push(&mut ch, 3, SampleFate::Delay).is_empty());
+        assert_eq!(push(&mut ch, 4, SampleFate::Delay), [3]);
+        assert_eq!(push(&mut ch, 5, SampleFate::Deliver), [4, 5]);
     }
 }

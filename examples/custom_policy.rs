@@ -20,7 +20,7 @@ use smartmem::guest::tkm::{Dom0Tkm, GuestTkm};
 use smartmem::policies::policy::Policy;
 use smartmem::policies::{MemoryManager, SmartAlloc, SmartAllocConfig};
 use smartmem::sim::cost::CostModel;
-use smartmem::sim::faults::{FaultInjector, NetlinkFate};
+use smartmem::sim::faults::NetlinkFate;
 use smartmem::sim::time::{SimDuration, SimTime};
 use smartmem::tmem::backend::PoolKind;
 use smartmem::tmem::key::VmId;
@@ -109,7 +109,6 @@ fn run_with(mut mm: MemoryManager) -> SimDuration {
     let cost = CostModel::hdd();
     let mut disk = SharedDisk::default();
     let mut relay = Dom0Tkm::new();
-    let mut inj = FaultInjector::disabled();
 
     let mut kernels: Vec<GuestKernel> = Vec::new();
     for id in 1..=2u32 {
@@ -155,7 +154,7 @@ fn run_with(mut mm: MemoryManager) -> SimDuration {
         relay.deliver_stats(snap, NetlinkFate::Deliver);
         let snap = relay.take_stats().expect("just delivered");
         if let Some((seq, targets)) = mm.on_stats(&snap) {
-            relay.forward_targets(&mut hyp, &mut inj, seq, &targets);
+            relay.forward_targets(&mut hyp, seq, &targets);
         }
     }
     println!(

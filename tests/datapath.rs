@@ -115,10 +115,8 @@ fn targets_installed_through_the_tkm_rebalance_the_pool() {
         k1.touch(b1.offset(i), true, &mut machine!(n, &mut b));
     }
     // The MM decides on fair shares and the dom0 TKM installs them.
-    let mut inj = smartmem::sim::faults::FaultInjector::disabled();
     relay.forward_targets(
         &mut n.hyp,
-        &mut inj,
         1,
         &[
             MmTarget {
