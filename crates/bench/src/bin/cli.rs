@@ -5,7 +5,6 @@
 //! smartmem-cli fig <3|4|5|6|7|8|9|10> [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli all [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S]
-//! smartmem-cli chaos [--scale S] [--seed S] [--out DIR] [--jobs N] [--bound X]
 //! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR]
 //! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR]
 //! smartmem-cli bench-cluster [--scale S] [--seed S] [--out DIR]
@@ -51,17 +50,6 @@
 //! out over (default: all available cores). Output is byte-identical at
 //! any job count; `--jobs 1` forces the serial engine.
 //!
-//! `chaos` runs every (scenario × managed-policy) cell fault-free and
-//! under each shipped fault profile — control-plane (`sample-loss`,
-//! `flaky-hypercalls`, `mm-crash`) and data-plane (`bitrot`,
-//! `backend-brownout`) — prints the degradation report, and exits
-//! non-zero when any per-VM slowdown exceeds the bound (default
-//! [`scenarios::chaos::DEGRADATION_BOUND`]), a tmem accounting invariant
-//! was ever violated, or a data-plane cell left an injected corruption
-//! undetected. `--out` writes `chaos_ledger.csv` with one row per cell
-//! including the data-plane columns (injections, detections, recoveries,
-//! scrub/quarantine counts).
-//!
 //! `run-file` runs a declarative scenario file (see `scenarios/*.toml` and
 //! EXPERIMENTS.md) under one or more policies; the file's `[run]` table
 //! supplies defaults for any flag or policy list not given on the command
@@ -71,7 +59,15 @@
 //! finished cell is journaled, so a killed sweep rerun with the same
 //! `--resume DIR` picks up where it stopped and produces byte-identical
 //! outputs. `--stop-after N` caps how many cells one invocation runs
-//! (useful for exercising resume).
+//! (useful for exercising resume). A complete sweep writes `report.txt`
+//! and `cells.csv`, then exits non-zero when its verdict fails: a faulty
+//! cell slower than [`scenarios::chaos::DEGRADATION_BOUND`] times its
+//! fault-free twin on some VM, a tmem accounting invariant violation, or
+//! an injected corruption left undetected. The chaos grid is the manifest
+//! `scenarios/chaos-grid.toml`.
+//!
+//! Every `print!`/`println!` goes through [`write_stdout`]: when the
+//! reader closes stdout early (`| head -1`), the process exits 0 quietly.
 //!
 //! `trace` runs one cell with the flight recorder attached, replays the
 //! event stream through the [`scenarios::trace_check`] verifier, prints
@@ -102,6 +98,36 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use xen_sim::host::FarConfig;
 
+// These shadow the std macros for the whole file, so every write to stdout
+// takes the one closed-pipe path in `write_stdout`.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Write to stdout. A reader that went away (`EPIPE`) ends the process
+/// with status 0 and nothing on stderr; any other write error fails it.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 #[derive(Debug)]
 struct Args {
     scale: f64,
@@ -109,7 +135,6 @@ struct Args {
     seed: u64,
     out: Option<PathBuf>,
     jobs: usize,
-    bound: f64,
     /// Subsystem restriction for the JSONL written by `trace --out`.
     filter: Option<Vec<Subsystem>>,
     /// Shipped chaos profile to inject during `trace`.
@@ -126,7 +151,6 @@ fn command_flags(cmd: &str) -> &'static [&'static str] {
         "table2" => &["--scale"],
         "fig" | "all" => &["--scale", "--reps", "--seed", "--out", "--jobs"],
         "run" => &["--scale", "--seed"],
-        "chaos" => &["--scale", "--seed", "--out", "--jobs", "--bound"],
         "bench-parallel" => &["--scale", "--reps", "--seed", "--out"],
         "bench-fleet" | "bench-cluster" => &["--scale", "--seed", "--out"],
         "trace" => &["--scale", "--seed", "--chaos", "--out", "--filter"],
@@ -144,7 +168,6 @@ fn parse_flags(cmd: &str, rest: &[String]) -> Result<Args, String> {
         seed: 42,
         out: None,
         jobs: scenarios::par::default_jobs(),
-        bound: chaos::DEGRADATION_BOUND,
         filter: None,
         chaos: None,
         resume: None,
@@ -191,15 +214,6 @@ fn parse_flags(cmd: &str, rest: &[String]) -> Result<Args, String> {
                     return Err("--jobs must be at least 1 (use --jobs 1 for a serial run)".into());
                 }
                 args.jobs = n;
-            }
-            "--bound" => {
-                let b: f64 = value()?.parse().map_err(|e| format!("--bound: {e}"))?;
-                if !(b.is_finite() && b >= 1.0) {
-                    return Err(format!(
-                        "--bound must be a finite ratio >= 1.0 (a slowdown multiplier), got {b}"
-                    ));
-                }
-                args.bound = b;
             }
             "--chaos" => {
                 let v = value()?;
@@ -344,12 +358,10 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let result = match argv.split_first() {
         Some((cmd, rest)) => dispatch(cmd, rest),
-        None => Err(
-            "usage: smartmem-cli <table2|fig N|all|run SCENARIO POLICY|chaos|\
+        None => Err("usage: smartmem-cli <table2|fig N|all|run SCENARIO POLICY|\
              bench-parallel|bench-fleet|bench-cluster|trace SCENARIO POLICY|\
              inspect FILE|run-file FILE [POLICY ...]|sweep MANIFEST> [flags]"
-                .into(),
-        ),
+            .into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -1443,6 +1455,13 @@ fn sweep_cmd(path: &Path, a: &Args) -> Result<(), String> {
         let (report, csv) = batch::write_outputs(&plan, &dir, &outcome)?;
         println!("report: {}", report.display());
         println!("csv: {}", csv.display());
+        let verdict = batch::verdict(&plan, &outcome.records);
+        if !verdict.passed() {
+            return Err(format!(
+                "sweep verdict FAIL:\n  {}",
+                verdict.failures.join("\n  ")
+            ));
+        }
     } else {
         println!(
             "stopped with {}/{} cells done; rerun `smartmem-cli sweep {} --resume {}` to continue",
@@ -1494,37 +1513,6 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
         "bench-cluster" => {
             let a = parse_flags(cmd, rest)?;
             bench_cluster(&a)
-        }
-        "chaos" => {
-            let a = parse_flags(cmd, rest)?;
-            let cfg = run_config(&a)?;
-            let report = chaos::run_chaos(
-                &cfg,
-                &[ScenarioKind::Scenario1, ScenarioKind::Scenario2],
-                &chaos::chaos_policies(),
-                &chaos::shipped_profiles(),
-                a.bound,
-            );
-            print!("{}", report.render());
-            if let Some(dir) = &a.out {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-                let path = dir.join("chaos_ledger.csv");
-                std::fs::write(&path, report.to_csv())
-                    .map_err(|e| format!("writing {}: {e}", path.display()))?;
-                println!("csv: {}", path.display());
-            }
-            if !report.passed() {
-                return Err(format!(
-                    "chaos verdict FAIL: {} cell(s) exceeded the {:.1}x degradation \
-                     bound, {} invariant violation(s), {} undetected corruption(s)",
-                    report.bound_violations().len(),
-                    a.bound,
-                    report.invariant_violations(),
-                    report.undetected_corruptions(),
-                ));
-            }
-            Ok(())
         }
         "trace" => {
             let (scenario, rest) = rest.split_first().ok_or("trace needs a scenario")?;
@@ -1630,9 +1618,8 @@ mod tests {
         for (cmd, reads, ignores) in [
             ("table2", "--scale", "--seed"),
             ("fig", "--reps", "--chaos"),
-            ("all", "--jobs", "--bound"),
+            ("all", "--jobs", "--chaos"),
             ("run", "--seed", "--chaos"),
-            ("chaos", "--bound", "--reps"),
             ("bench-parallel", "--reps", "--jobs"),
             ("bench-fleet", "--scale", "--jobs"),
             ("bench-cluster", "--seed", "--jobs"),
@@ -1657,6 +1644,9 @@ mod tests {
         }
         let err = parse_flags("sweep", &args(&["--scale", "0.01"])).unwrap_err();
         assert!(err.contains("[sweep] table sets scale"), "{err}");
+        // The chaos grid is a sweep manifest, not a command of its own.
+        let err = dispatch("chaos", &[]).unwrap_err();
+        assert_eq!(err, "unknown command 'chaos'");
     }
 
     #[test]
@@ -1667,7 +1657,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_scale_reps_and_bound_are_rejected() {
+    fn degenerate_scale_and_reps_are_rejected() {
         assert!(parse_flags("fig", &args(&["--scale", "0"]))
             .unwrap_err()
             .contains("positive"));
@@ -1676,10 +1666,6 @@ mod tests {
         assert!(parse_flags("fig", &args(&["--reps", "0"]))
             .unwrap_err()
             .contains("at least 1"));
-        assert!(parse_flags("chaos", &args(&["--bound", "0.5"]))
-            .unwrap_err()
-            .contains(">= 1.0"));
-        assert!(parse_flags("chaos", &args(&["--bound", "inf"])).is_err());
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! cross-check; a trace with one detection removed fails it. `trace`
 //! itself refuses `--filter` without `--out` on one host and on a
 //! cluster alike, and `run` and `trace` refuse `--scale` on a fleet cell.
+//! A closed stdout ends any command quietly.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -141,4 +142,20 @@ fn run_and_trace_refuse_scale_on_a_fleet_cell() {
         assert!(err.contains("--scale"), "{args:?}: {err}");
         assert!(err.contains("fleet:<vms>:<mb>"), "{args:?}: {err}");
     }
+}
+
+/// A reader that closes stdout before the first write (`| head -0`) ends
+/// the run quietly: exit status 0 and nothing on stderr, not a panic.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let o = Command::new(env!("CARGO_BIN_EXE_smartmem-cli"))
+        .args(["table2", "--scale", "0.01"])
+        .stdout(writer)
+        .output()
+        .expect("smartmem-cli runs");
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(o.status.success(), "{:?}: {err}", o.status);
+    assert!(err.is_empty(), "{err}");
 }

@@ -28,7 +28,6 @@ use xen_sim::hypervisor::Hypervisor;
 pub struct GuestTkm {
     vm: VmId,
     pool: PoolId,
-    kind: PoolKind,
 }
 
 impl GuestTkm {
@@ -39,7 +38,7 @@ impl GuestTkm {
         kind: PoolKind,
     ) -> Result<Self, TmemError> {
         let pool = hyp.new_pool(vm, kind)?;
-        Ok(GuestTkm { vm, pool, kind })
+        Ok(GuestTkm { vm, pool })
     }
 
     /// The pool this module registered.
@@ -50,11 +49,6 @@ impl GuestTkm {
     /// The VM this module runs in.
     pub fn vm(&self) -> VmId {
         self.vm
-    }
-
-    /// Pool kind (frontswap = persistent, cleancache = ephemeral).
-    pub fn kind(&self) -> PoolKind {
-        self.kind
     }
 
     /// Module unload / VM teardown: destroy the pool. Returns pages freed.

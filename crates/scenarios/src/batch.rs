@@ -8,32 +8,42 @@
 //! (`journal.smj`) in the sweep directory:
 //!
 //! ```text
-//! SMJ1 <payload-len> <fnv1a-64-hex> <payload>
+//! SMJ2 <payload-len> <fnv1a-64-hex> <payload>
 //! ```
 //!
 //! The payload is tab-separated; the first record is a `header` pinning
 //! the sweep's identity — an FNV-1a digest over the manifest source and
 //! every referenced scenario/chaos file — so a journal can never silently
-//! resume a *different* sweep. Cell records carry the full result summary
-//! plus a digest of the canonical [`RunResult`] encoding
-//! ([`result_digest`]), which is what the resume-equivalence suite pins.
+//! resume a *different* sweep. Cell records carry the result summary, the
+//! cell's whole [`FaultLedger`] and a digest of the canonical
+//! [`RunResult`] encoding ([`result_digest`]), which is what the
+//! resume-equivalence suite pins. A journal of the older `SMJ1` format,
+//! whose cells were seeded from their whole label, is refused.
+//!
+//! A cell is seeded by its rep alone ([`RunConfig::for_rep`], the figure
+//! grid's rule), so cells that differ only in policy, chaos profile or
+//! override are paired, and a fault-free cell is the very run the figure
+//! grid makes. A complete sweep is judged by [`verdict`]: each faulty
+//! cell's per-VM running time over its fault-free twin's stays within
+//! [`DEGRADATION_BOUND`], and no cell violates a tmem invariant or leaves
+//! an injected corruption undetected.
 //!
 //! On restart, [`run_sweep`] replays the journal: framed records that
 //! fail the length or digest check (a mid-record kill, disk corruption)
 //! are reported as warnings and their cells simply re-run — a torn
 //! checkpoint costs one cell, never the sweep. Because every cell is
-//! deterministic (seed derived from the cell label, execution through
+//! deterministic (seeded by its rep, executed through
 //! [`crate::par::run_indexed`]), the final report and CSV are
 //! byte-identical whether the sweep ran uninterrupted or was killed and
 //! resumed any number of times, at any `--jobs` count.
 
+use crate::chaos::DEGRADATION_BOUND;
 use crate::config::RunConfig;
 use crate::dsl::{self, expand_cells, CellId, Manifest, Override};
 use crate::par::run_indexed;
 use crate::runner::{run_spec, RunResult};
 use crate::spec::{build_scenario, ScenarioSpec};
-use sim_core::faults::FaultProfile;
-use sim_core::rng::SplitMix64;
+use sim_core::faults::{FaultLedger, FaultProfile};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -48,7 +58,10 @@ pub const REPORT_FILE: &str = "report.txt";
 /// Per-cell CSV file name.
 pub const CSV_FILE: &str = "cells.csv";
 
-const MAGIC: &str = "SMJ1";
+const MAGIC: &str = "SMJ2";
+/// The format whose cells were seeded from their whole label: refused, so
+/// a sweep never resumes with mixed seeds.
+const OLD_MAGIC: &str = "SMJ1";
 
 /// FNV-1a 64-bit hash — the journal's framing digest and the base of
 /// every identity digest in this module.
@@ -115,28 +128,10 @@ pub fn result_digest(r: &RunResult) -> u64 {
             k.reclaimed_pages,
         );
     }
-    let l = &r.faults;
-    let _ = write!(
-        s,
-        "\x1fl:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}:{}",
-        l.samples_delivered,
-        l.samples_dropped,
-        l.samples_delayed,
-        l.samples_duplicated,
-        l.netlink_dropped,
-        l.netlink_reordered,
-        l.hypercalls_failed,
-        l.hypercall_retries,
-        l.hypercalls_abandoned,
-        l.hypercalls_superseded,
-        l.mm_crashes,
-        l.mm_restarts,
-        l.seq_gaps,
-        l.snapshots_discarded,
-        l.stale_intervals,
-        l.invariant_checks,
-        l.invariant_violations,
-    );
+    s.push_str("\x1fl");
+    for (_, v) in r.faults.fields() {
+        let _ = write!(s, ":{v}");
+    }
     if let Some(series) = &r.series {
         for (tag, group) in [("su", &series.used), ("st", &series.target)] {
             for ts in group {
@@ -183,10 +178,9 @@ impl SweepPlan {
         )
     }
 
-    /// The canonical label of one cell — the journal key and the per-cell
-    /// seed-derivation label: `scenario/policy/chaos/repN`, with the
-    /// override inserted before the rep (`.../cost=ssd/rep0`) when the
-    /// manifest has an overrides axis.
+    /// The canonical label of one cell, as reports and verdicts name it:
+    /// `scenario/policy/chaos/repN`, with the override inserted before the
+    /// rep (`.../cost=ssd/rep0`) when the manifest has an overrides axis.
     pub fn cell_label(&self, cell: CellId) -> String {
         format!(
             "{}/{}/{}/{}rep{}",
@@ -358,13 +352,12 @@ pub struct CellRecord {
     pub disk_reads: u64,
     /// Disk writes absorbed.
     pub disk_writes: u64,
-    /// Faults injected ([`sim_core::faults::FaultLedger::injected`]).
-    pub injected: u64,
-    /// tmem invariant violations (must stay 0).
-    pub invariant_violations: u64,
     /// Per-VM total completed-run time, nanoseconds (0 for VMs whose runs
     /// were all stopped externally).
     pub vm_ns: Vec<u64>,
+    /// The run's fault ledger: injections, degradation and the invariant
+    /// and corruption audits.
+    pub ledger: FaultLedger,
 }
 
 fn frame(payload: &str) -> String {
@@ -380,7 +373,7 @@ fn unframe(line: &str) -> Result<&str, String> {
     let rest = line
         .strip_prefix(MAGIC)
         .and_then(|r| r.strip_prefix(' '))
-        .ok_or("not an SMJ1 record")?;
+        .ok_or("not an SMJ2 record")?;
     let (len_s, rest) = rest.split_once(' ').ok_or("missing length field")?;
     let (fnv_s, payload) = rest.split_once(' ').ok_or("missing digest field")?;
     let len: usize = len_s
@@ -403,21 +396,22 @@ fn unframe(line: &str) -> Result<&str, String> {
     Ok(payload)
 }
 
-/// An override is a 17th, trailing field, so a cell without one encodes
-/// as the 16-field records existing journals hold.
+fn join(values: impl IntoIterator<Item = u64>) -> String {
+    values
+        .into_iter()
+        .map(|v| v.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
 fn encode_cell(c: &CellRecord) -> String {
-    let vm_ns: Vec<String> = c.vm_ns.iter().map(u64::to_string).collect();
-    let over = if c.over.is_empty() {
-        String::new()
-    } else {
-        format!("\t{}", c.over)
-    };
     format!(
-        "cell\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}{over}",
+        "cell\t{}\t{}\t{}\t{}\t{}\t{}\t{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
         c.index,
         c.scenario,
         c.policy,
         c.chaos,
+        c.over,
         c.rep,
         c.digest,
         c.end_ns,
@@ -426,44 +420,49 @@ fn encode_cell(c: &CellRecord) -> String {
         c.mm_transmissions,
         c.disk_reads,
         c.disk_writes,
-        c.injected,
-        c.invariant_violations,
-        vm_ns.join(","),
+        join(c.vm_ns.iter().copied()),
+        join(c.ledger.fields().map(|(_, v)| v)),
     )
 }
 
 fn decode_cell(payload: &str) -> Result<CellRecord, String> {
     let f: Vec<&str> = payload.split('\t').collect();
-    if !matches!(f.len(), 16 | 17) || f[0] != "cell" {
+    if f.len() != 16 || f[0] != "cell" {
         return Err(format!("malformed cell record ({} fields)", f.len()));
     }
     let int = |s: &str, what: &str| -> Result<u64, String> {
         s.parse().map_err(|_| format!("bad {what} '{s}'"))
     };
+    let list = |s: &str, what: &str| -> Result<Vec<u64>, String> {
+        if s.is_empty() {
+            return Ok(Vec::new());
+        }
+        s.split(',').map(|v| int(v, what)).collect()
+    };
+    let counts = list(f[15], "ledger count")?;
+    let ledger = <[u64; FaultLedger::LEN]>::try_from(counts.as_slice()).map_err(|_| {
+        format!(
+            "ledger has {} counts, expected {}",
+            counts.len(),
+            FaultLedger::LEN
+        )
+    })?;
     Ok(CellRecord {
         index: int(f[1], "index")? as usize,
         scenario: f[2].to_string(),
         policy: f[3].to_string(),
         chaos: f[4].to_string(),
-        over: f.get(16).map_or_else(String::new, |s| s.to_string()),
-        rep: int(f[5], "rep")? as u32,
-        digest: u64::from_str_radix(f[6], 16).map_err(|_| format!("bad digest '{}'", f[6]))?,
-        end_ns: int(f[7], "end_ns")?,
-        events: int(f[8], "events")?,
-        mm_cycles: int(f[9], "mm_cycles")?,
-        mm_transmissions: int(f[10], "mm_transmissions")?,
-        disk_reads: int(f[11], "disk_reads")?,
-        disk_writes: int(f[12], "disk_writes")?,
-        injected: int(f[13], "injected")?,
-        invariant_violations: int(f[14], "invariant_violations")?,
-        vm_ns: if f[15].is_empty() {
-            Vec::new()
-        } else {
-            f[15]
-                .split(',')
-                .map(|s| int(s, "vm time"))
-                .collect::<Result<_, _>>()?
-        },
+        over: f[5].to_string(),
+        rep: int(f[6], "rep")? as u32,
+        digest: u64::from_str_radix(f[7], 16).map_err(|_| format!("bad digest '{}'", f[7]))?,
+        end_ns: int(f[8], "end_ns")?,
+        events: int(f[9], "events")?,
+        mm_cycles: int(f[10], "mm_cycles")?,
+        mm_transmissions: int(f[11], "mm_transmissions")?,
+        disk_reads: int(f[12], "disk_reads")?,
+        disk_writes: int(f[13], "disk_writes")?,
+        vm_ns: list(f[14], "vm time")?,
+        ledger: FaultLedger::from_values(ledger),
     })
 }
 
@@ -498,6 +497,14 @@ fn read_journal(path: &Path, plan: &SweepPlan, total: usize) -> Result<Replay, S
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(replay),
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
+    if src.starts_with(&format!("{OLD_MAGIC} ")) {
+        return Err(format!(
+            "{}: journal is in the old {OLD_MAGIC} format, whose cells were seeded \
+             from their whole label; use a fresh --resume directory or delete the \
+             stale journal",
+            path.display()
+        ));
+    }
     let expected_header = encode_header(plan, total);
     for (i, line) in src.lines().enumerate() {
         let lineno = i + 1;
@@ -656,9 +663,7 @@ fn run_cell(plan: &SweepPlan, index: usize, cell: CellId) -> CellRecord {
     let policy = plan.manifest.policies[cell.policy];
     let (chaos_label, faults) = &plan.chaos[cell.chaos];
     let over = plan.overrides[cell.over];
-    let label = plan.cell_label(cell);
-    let mut cfg = with_override(&plan.cfg, over);
-    cfg.seed = SplitMix64::new(plan.cfg.seed).derive(&label).next();
+    let mut cfg = with_override(&plan.cfg, over).for_rep(u64::from(cell.rep));
     cfg.faults = faults.clone().unwrap_or_else(FaultProfile::none);
     let r = run_spec(specs[cell.over].clone(), policy, &cfg);
     CellRecord {
@@ -675,18 +680,98 @@ fn run_cell(plan: &SweepPlan, index: usize, cell: CellId) -> CellRecord {
         mm_transmissions: r.mm_transmissions,
         disk_reads: r.disk_reads,
         disk_writes: r.disk_writes,
-        injected: r.faults.injected(),
-        invariant_violations: r.faults.invariant_violations,
         vm_ns: r
             .vm_results
             .iter()
             .map(|vm| vm.completions().iter().map(|d| d.as_nanos()).sum())
             .collect(),
+        ledger: r.faults,
     }
 }
 
+/// The chaos checks of a sweep, over its journaled records.
+#[derive(Debug)]
+pub struct Verdict {
+    /// Per record, in record order: the worst per-VM ratio of the cell's
+    /// running time over its fault-free twin's — the cell on the chaos
+    /// axis's `none` entry with the same scenario, policy, override and
+    /// rep. `None` for a fault-free cell or one without a twin.
+    pub worst: Vec<Option<f64>>,
+    /// One line per failed check, naming the cell.
+    pub failures: Vec<String>,
+}
+
+impl Verdict {
+    /// No check failed.
+    pub fn passed(&self) -> bool {
+        self.failures.is_empty()
+    }
+}
+
+/// Injected page corruptions that no detection accounted for.
+fn undetected(l: &FaultLedger) -> u64 {
+    (l.bitflips_injected + l.torn_writes_injected).saturating_sub(l.corruptions_detected)
+}
+
+/// Each VM's running time in a cell: its completed runs, or the cell's end
+/// time when none completed (a stopped scenario), so its ratio stays
+/// meaningful.
+fn vm_times(rec: &CellRecord) -> impl Iterator<Item = u64> + '_ {
+    rec.vm_ns
+        .iter()
+        .map(|&ns| if ns > 0 { ns } else { rec.end_ns })
+}
+
+/// Judge `records` (in matrix order, as [`SweepOutcome::records`]):
+/// every faulty cell's worst per-VM ratio stays within
+/// [`DEGRADATION_BOUND`], and no cell has an invariant violation or an
+/// undetected corruption.
+pub fn verdict(plan: &SweepPlan, records: &[CellRecord]) -> Verdict {
+    let cells = plan.cells();
+    let fault_free = plan.chaos.iter().position(|(_, p)| p.is_none());
+    let mut v = Verdict {
+        worst: Vec::with_capacity(records.len()),
+        failures: Vec::new(),
+    };
+    for rec in records {
+        let cell = cells[rec.index];
+        let label = plan.cell_label(cell);
+        let twin = fault_free
+            .filter(|&n| n != cell.chaos)
+            .and_then(|n| cells.binary_search(&CellId { chaos: n, ..cell }).ok())
+            .and_then(|i| records.binary_search_by_key(&i, |r| r.index).ok())
+            .map(|j| &records[j]);
+        let worst = twin.map(|twin| {
+            vm_times(rec)
+                .zip(vm_times(twin))
+                .map(|(t, base)| t as f64 / base.max(1) as f64)
+                .fold(0.0, f64::max)
+        });
+        if let Some(w) = worst.filter(|&w| w > DEGRADATION_BOUND) {
+            v.failures.push(format!(
+                "{label}: worst per-VM ratio {w:.3}x exceeds the {DEGRADATION_BOUND:.1}x bound"
+            ));
+        }
+        if rec.ledger.invariant_violations > 0 {
+            v.failures.push(format!(
+                "{label}: {} invariant violation(s)",
+                rec.ledger.invariant_violations
+            ));
+        }
+        if undetected(&rec.ledger) > 0 {
+            v.failures.push(format!(
+                "{label}: {} undetected corruption(s)",
+                undetected(&rec.ledger)
+            ));
+        }
+        v.worst.push(worst);
+    }
+    v
+}
+
 /// Render the human-readable sweep report from journaled records only
-/// (nothing re-runs). Byte-identical for identical record sets.
+/// (nothing re-runs). Byte-identical for identical record sets. A
+/// complete sweep's report ends with its [`verdict`].
 pub fn render_report(plan: &SweepPlan, out: &SweepOutcome) -> String {
     let m = &plan.manifest;
     let overrides = if m.overrides.is_empty() {
@@ -707,17 +792,19 @@ pub fn render_report(plan: &SweepPlan, out: &SweepOutcome) -> String {
         m.seed,
     );
     let cells = plan.cells();
-    for rec in &out.records {
+    let v = verdict(plan, &out.records);
+    for (rec, worst) in out.records.iter().zip(&v.worst) {
         let vm_total: u64 = rec.vm_ns.iter().sum();
+        let worst = worst.map_or_else(String::new, |w| format!(" worst={w:.3}x"));
         let _ = writeln!(
             s,
-            "[{:>3}] {}: end={:.6}s vm_time={:.6}s events={} injected={} digest={:016x}",
+            "[{:>3}] {}: end={:.6}s vm_time={:.6}s{worst} events={} injected={} digest={:016x}",
             rec.index,
             plan.cell_label(cells[rec.index]),
             rec.end_ns as f64 / 1e9,
             vm_total as f64 / 1e9,
             rec.events,
-            rec.injected,
+            rec.ledger.injected(),
             rec.digest,
         );
     }
@@ -728,19 +815,55 @@ pub fn render_report(plan: &SweepPlan, out: &SweepOutcome) -> String {
         out.total,
         if out.complete() { "" } else { " (resumable)" }
     );
+    if out.complete() {
+        for f in &v.failures {
+            let _ = writeln!(s, "fail: {f}");
+        }
+        let faulty: Vec<f64> = v.worst.iter().flatten().copied().collect();
+        let ratios = if faulty.is_empty() {
+            "0 chaos cells".to_string()
+        } else {
+            format!(
+                "{} chaos cells, worst ratio {:.3}x, bound {DEGRADATION_BOUND:.1}x",
+                faulty.len(),
+                faulty.iter().copied().fold(0.0, f64::max)
+            )
+        };
+        let _ = writeln!(
+            s,
+            "verdict: {} ({ratios}; {} invariant violations; {} undetected corruptions)",
+            if v.passed() { "PASS" } else { "FAIL" },
+            out.records
+                .iter()
+                .map(|r| r.ledger.invariant_violations)
+                .sum::<u64>(),
+            out.records
+                .iter()
+                .map(|r| undetected(&r.ledger))
+                .sum::<u64>(),
+        );
+    }
     s
 }
 
-/// Render the per-cell CSV from journaled records. The `override` column
-/// is empty when the manifest has no overrides axis.
-pub fn render_csv(out: &SweepOutcome) -> String {
+/// Render the per-cell CSV from journaled records: the run summary, the
+/// cell's worst ratio (empty for a cell without a fault-free twin) and
+/// every [`FaultLedger`] counter under its field name. The `override`
+/// column is empty when the manifest has no overrides axis.
+pub fn render_csv(plan: &SweepPlan, out: &SweepOutcome) -> String {
     let mut s = String::from(
-        "index,scenario,policy,chaos,override,rep,digest,end_s,vm_time_s,events,mm_cycles,\
-         mm_transmissions,disk_reads,disk_writes,injected,invariant_violations\n",
+        "index,scenario,policy,chaos,override,rep,digest,end_s,vm_time_s,worst_ratio,events,\
+         mm_cycles,mm_transmissions,disk_reads,disk_writes,injected",
     );
-    for rec in &out.records {
+    for (name, _) in FaultLedger::default().fields() {
+        s.push(',');
+        s.push_str(name);
+    }
+    s.push('\n');
+    let v = verdict(plan, &out.records);
+    for (rec, worst) in out.records.iter().zip(&v.worst) {
         let vm_total: u64 = rec.vm_ns.iter().sum();
-        let _ = writeln!(
+        let _ = write!(
             s,
             "{},{},{},{},{},{},{:016x},{:.6},{:.6},{},{},{},{},{},{},{}",
             rec.index,
@@ -752,14 +875,18 @@ pub fn render_csv(out: &SweepOutcome) -> String {
             rec.digest,
             rec.end_ns as f64 / 1e9,
             vm_total as f64 / 1e9,
+            worst.map_or_else(String::new, |w| format!("{w:.6}")),
             rec.events,
             rec.mm_cycles,
             rec.mm_transmissions,
             rec.disk_reads,
             rec.disk_writes,
-            rec.injected,
-            rec.invariant_violations,
+            rec.ledger.injected(),
         );
+        for (_, value) in rec.ledger.fields() {
+            let _ = write!(s, ",{value}");
+        }
+        s.push('\n');
     }
     s
 }
@@ -779,7 +906,7 @@ pub fn write_outputs(
     let csv = dir.join(CSV_FILE);
     fs::write(&report, render_report(plan, out))
         .map_err(|e| format!("{}: {e}", report.display()))?;
-    fs::write(&csv, render_csv(out)).map_err(|e| format!("{}: {e}", csv.display()))?;
+    fs::write(&csv, render_csv(plan, out)).map_err(|e| format!("{}: {e}", csv.display()))?;
     Ok((report, csv))
 }
 
@@ -810,29 +937,35 @@ mod tests {
         let corrupt = line.trim_end().replace("\tx", "\ty");
         assert!(unframe(&corrupt).unwrap_err().contains("digest mismatch"));
 
-        assert!(unframe("garbage").unwrap_err().contains("not an SMJ1"));
+        assert!(unframe("garbage").unwrap_err().contains("not an SMJ2"));
     }
 
-    #[test]
-    fn cell_records_encode_and_decode_exactly() {
-        let rec = CellRecord {
-            index: 7,
+    /// A scenario1/greedy record at `index` on chaos label `chaos`.
+    fn record(index: usize, chaos: &str, vm_ns: Vec<u64>) -> CellRecord {
+        CellRecord {
+            index,
             scenario: "scenario1".into(),
-            policy: "smart-alloc(2%)".into(),
-            chaos: "sample-loss".into(),
+            policy: "greedy".into(),
+            chaos: chaos.into(),
             over: String::new(),
-            rep: 3,
+            rep: 0,
             digest: 0xdead_beef_0123_4567,
-            end_ns: 12_345_678_901,
+            end_ns: 10,
             events: 99,
             mm_cycles: 10,
             mm_transmissions: 8,
             disk_reads: 1000,
             disk_writes: 2000,
-            injected: 17,
-            invariant_violations: 0,
-            vm_ns: vec![1, 2, 3],
-        };
+            vm_ns,
+            ledger: FaultLedger::default(),
+        }
+    }
+
+    #[test]
+    fn cell_records_encode_and_decode_exactly() {
+        let mut rec = record(7, "sample-loss", vec![1, 2, 3]);
+        rec.ledger.samples_dropped = 17;
+        rec.ledger.migrate_spilled = 4;
         assert_eq!(decode_cell(&encode_cell(&rec)).unwrap(), rec);
 
         let empty_vms = CellRecord {
@@ -841,17 +974,15 @@ mod tests {
         };
         assert_eq!(decode_cell(&encode_cell(&empty_vms)).unwrap(), empty_vms);
 
-        // Only an override cell carries the 17th field.
-        assert_eq!(encode_cell(&rec).split('\t').count(), 16);
+        // The override field is always written, empty or not.
         let with_override = CellRecord {
             over: "time_scale=0.5".into(),
-            ..rec
+            ..rec.clone()
         };
-        assert_eq!(encode_cell(&with_override).split('\t').count(), 17);
-        assert_eq!(
-            decode_cell(&encode_cell(&with_override)).unwrap(),
-            with_override
-        );
+        for r in [&rec, &with_override] {
+            assert_eq!(encode_cell(r).split('\t').count(), 16);
+            assert_eq!(&decode_cell(&encode_cell(r)).unwrap(), r);
+        }
     }
 
     #[test]
@@ -862,25 +993,53 @@ mod tests {
         assert!(decode_cell("header\ta\tb")
             .unwrap_err()
             .contains("malformed"));
-        let good = encode_cell(&CellRecord {
-            index: 0,
-            scenario: "s".into(),
-            policy: "p".into(),
-            chaos: "c".into(),
-            over: String::new(),
-            rep: 0,
-            digest: 1,
-            end_ns: 2,
-            events: 3,
-            mm_cycles: 4,
-            mm_transmissions: 5,
-            disk_reads: 6,
-            disk_writes: 7,
-            injected: 8,
-            invariant_violations: 9,
-            vm_ns: vec![10],
-        });
-        let bad = good.replace("\t2\t", "\tnope\t");
-        assert!(decode_cell(&bad).is_err());
+        let good = encode_cell(&record(0, "c", vec![10]));
+        let bad = good.replace("\t10\t", "\tnope\t");
+        assert!(decode_cell(&bad).unwrap_err().contains("bad end_ns"));
+        let short = good.strip_suffix(",0").unwrap();
+        assert!(decode_cell(short)
+            .unwrap_err()
+            .contains(&format!("expected {}", FaultLedger::LEN)));
+    }
+
+    /// A 3.5x VM, one invariant violation and one undetected corruption
+    /// each fail the verdict, naming the cell.
+    #[test]
+    fn verdict_fails_and_names_each_broken_cell() {
+        let src = "version = 1\n[sweep]\nname = \"v\"\nscenarios = [\"scenario1\"]\n\
+                   policies = [\"greedy\"]\nchaos = [\"none\", \"sample-loss\", \"bitrot\"]\n";
+        let manifest = dsl::parse_manifest_src(src).unwrap();
+        let plan = resolve_plan(manifest, src, Path::new("."), 1).unwrap();
+        let records = vec![
+            record(0, "baseline", vec![4, 4, 0]),
+            record(1, "sample-loss", vec![5, 4, 0]),
+            record(2, "bitrot", vec![4, 2, 0]),
+        ];
+        let ok = verdict(&plan, &records);
+        assert!(ok.passed(), "{:?}", ok.failures);
+        assert_eq!(ok.worst, [None, Some(1.25), Some(1.0)]);
+
+        let cell = "scenario1/greedy/sample-loss/rep0";
+        let fails = |breaks: fn(&mut CellRecord), want: &str| {
+            let mut bad = records.clone();
+            breaks(&mut bad[1]);
+            let v = verdict(&plan, &bad);
+            assert!(!v.passed(), "{want}");
+            assert_eq!(v.failures.len(), 1, "{:?}", v.failures);
+            assert!(
+                v.failures[0].starts_with(cell) && v.failures[0].contains(want),
+                "{:?}",
+                v.failures
+            );
+        };
+        fails(|r| r.vm_ns[0] = 14, "worst per-VM ratio 3.500x");
+        fails(
+            |r| r.ledger.invariant_violations = 1,
+            "1 invariant violation",
+        );
+        fails(
+            |r| r.ledger.torn_writes_injected = 1,
+            "1 undetected corruption",
+        );
     }
 }

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use sim_core::cost::CostModel;
 use sim_core::faults::FaultProfile;
+use sim_core::rng::SplitMix64;
 use sim_core::time::SimDuration;
 use sim_core::trace::TraceConfig;
 
@@ -69,6 +70,19 @@ impl RunConfig {
     /// Scale a duration by the time scale.
     pub fn scale_time(&self, d: SimDuration) -> SimDuration {
         d.scale(self.time_scale())
+    }
+
+    /// This configuration for repetition `rep` of a grid cell: the seed
+    /// becomes `SplitMix64::new(seed).derive("rep{rep}")`. Figure and sweep
+    /// cells that differ only in policy, fault profile or override share
+    /// it, so every comparison between them is paired.
+    pub fn for_rep(&self, rep: u64) -> RunConfig {
+        RunConfig {
+            seed: SplitMix64::new(self.seed)
+                .derive(&format!("rep{rep}"))
+                .next(),
+            ..self.clone()
+        }
     }
 
     /// Validate the configuration, returning an actionable message on the

@@ -891,7 +891,8 @@ pub struct Manifest {
     pub overrides: Vec<Override>,
     /// Repetitions per (scenario, policy, chaos) cell.
     pub reps: u32,
-    /// Base seed; each cell derives its own.
+    /// Base seed; each cell runs at its rep's seed derived from it
+    /// ([`RunConfig::for_rep`]).
     pub seed: u64,
     /// Memory scale for every cell.
     pub scale: f64,

@@ -8,8 +8,9 @@
 //! chosen policies.
 //!
 //! All (policy × rep) grids run through [`crate::par::run_indexed`] with
-//! `RunConfig::jobs` workers: each cell is an independent simulation with a
-//! per-cell derived seed, results come back in grid order, and the folding
+//! `RunConfig::jobs` workers: each cell is an independent simulation seeded
+//! by its rep alone ([`RunConfig::for_rep`], the rule `sweep` cells share),
+//! so the policies of one rep are paired; results come back in grid order, and the folding
 //! below consumes them in exactly the order the old serial loops did — so
 //! output is byte-identical at any job count.
 
@@ -18,7 +19,6 @@ use crate::par::run_indexed;
 use crate::runner::{run_scenario, RunResult, SeriesBundle};
 use crate::spec::{build_scenario, usemem_alloc_label, ProgramStep, ScenarioKind, WorkloadSpec};
 use sim_core::metrics::Summary;
-use sim_core::rng::SplitMix64;
 use smartmem_core::PolicyKind;
 
 /// One bar of a running-time figure: a (VM, run) cell under one policy.
@@ -91,14 +91,6 @@ pub struct SeriesFigure {
     pub interval_s: f64,
 }
 
-fn rep_config(cfg: &RunConfig, rep: u64) -> RunConfig {
-    let mut c = cfg.clone();
-    c.seed = SplitMix64::new(cfg.seed)
-        .derive(&format!("rep{rep}"))
-        .next();
-    c
-}
-
 /// Run every (policy, rep) cell of a scenario's grid — in parallel when
 /// `cfg.jobs > 1` — returning results policy-major, rep-minor: the exact
 /// order the serial nested loops visited them.
@@ -113,7 +105,7 @@ fn run_grid(
         .flat_map(|&policy| (0..reps).map(move |rep| (policy, rep)))
         .collect();
     run_indexed(grid, cfg.jobs, |_, (policy, rep)| {
-        let r = run_scenario(kind, policy, &rep_config(cfg, rep));
+        let r = run_scenario(kind, policy, &cfg.for_rep(rep));
         assert!(!r.truncated, "{kind:?}/{policy} hit the safety cutoff");
         r
     })

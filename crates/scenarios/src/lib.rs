@@ -12,10 +12,12 @@
 //! * per-second **tmem occupancy and target time-series** (Figs. 4, 6, 8,
 //!   10).
 //!
-//! Beyond the paper's figures, the [`chaos`] module stress-tests the
-//! control plane under deterministic fault injection (lost samples, flaky
-//! hypercalls, MM crashes) and verifies graceful degradation: bounded
-//! slowdown and intact tmem accounting invariants. The parameterized
+//! Beyond the paper's figures, [`batch`] runs declarative sweeps, and the
+//! chaos grid is one: `scenarios/chaos-grid.toml` runs cells under the
+//! [`chaos`] module's fault profiles (lost samples, flaky hypercalls, MM
+//! crashes, page corruption, backend brownouts), and the sweep's verdict
+//! checks graceful degradation: bounded slowdown, intact tmem accounting
+//! invariants and no undetected corruption. The parameterized
 //! fleet family ([`spec::FleetParams`], `ScenarioKind::Scenario5`) scales
 //! the same machinery to 8–128 VMs with staggered arrivals and mixed
 //! workloads for scale-focused benchmarking (`bench-fleet`).
@@ -41,7 +43,7 @@ pub mod spec;
 pub mod toml;
 pub mod trace_check;
 
-pub use chaos::{run_chaos, ChaosProfile, ChaosReport, DEGRADATION_BOUND};
+pub use chaos::{ChaosProfile, DEGRADATION_BOUND};
 pub use config::RunConfig;
 pub use runner::{
     run_cluster, run_scenario, ClusterConfig, ClusterResult, FleetMetrics, RunResult, VmResult,

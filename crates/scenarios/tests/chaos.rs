@@ -1,78 +1,89 @@
 //! Chaos suite: graceful degradation under the shipped fault profiles.
 //!
-//! The acceptance bar (ISSUE: robustness tentpole) is *bounded slowdown,
-//! zero corruption*: with up to 50% sample loss, 25% hypercall failure or
-//! an MM crash-and-restart, every (scenario × policy) cell must stay
-//! within [`scenarios::DEGRADATION_BOUND`] of its fault-free running time,
-//! and the tmem accounting invariants — checked at every VIRQ interval —
-//! must never be violated. The tests also sanity-check the fault ledger so
-//! a profile that silently stops injecting (or a degradation path that
-//! silently stops engaging) fails loudly.
+//! The acceptance bar is *bounded slowdown, zero corruption*: with up to
+//! 50% sample loss, 25% hypercall failure, an MM crash-and-restart, page
+//! corruption or a backend brownout, every faulty cell must stay within
+//! [`scenarios::DEGRADATION_BOUND`] of its fault-free twin's running time
+//! on every VM, the tmem accounting invariants — checked at every VIRQ
+//! interval — must never be violated, and every injected corruption must
+//! be detected. The suite runs a slice of the shipped chaos grid
+//! (`scenarios/chaos-grid.toml`) in-process through the sweep engine and
+//! reads the journaled records, so it checks exactly what `sweep` judges.
+//! It also sanity-checks the fault ledgers, so a profile that silently
+//! stops injecting (or a degradation path that silently stops engaging)
+//! fails loudly.
 
-use scenarios::chaos::{chaos_policies, shipped_profiles, ChaosReport};
-use scenarios::config::RunConfig;
-use scenarios::{run_chaos, PolicyKind, ScenarioKind, DEGRADATION_BOUND};
+use scenarios::batch::{self, CellRecord, Verdict};
+use scenarios::chaos::shipped_profiles;
+use scenarios::dsl::{load_manifest, resolve_chaos, Manifest};
+use scenarios::PolicyKind;
+use std::path::PathBuf;
+use std::sync::OnceLock;
 
-fn cfg() -> RunConfig {
-    RunConfig {
-        scale: 0.01,
-        seed: 42,
-        jobs: 4,
-        ..RunConfig::default()
-    }
+fn shipped_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
 }
 
-/// One scenario, two representative policies (the paper's baseline and its
-/// headline policy) — enough to exercise every degradation path while
-/// keeping the suite fast. The full grid runs via `smartmem-cli chaos`.
-fn small_grid() -> ChaosReport {
-    run_chaos(
-        &cfg(),
-        &[ScenarioKind::Scenario1],
-        &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 2.0 }],
-        &shipped_profiles(),
-        DEGRADATION_BOUND,
-    )
+fn chaos_grid() -> Manifest {
+    load_manifest(&shipped_dir().join("chaos-grid.toml")).unwrap()
+}
+
+/// The shipped grid cut to one scenario and two representative policies
+/// (the paper's baseline and its headline policy) at scale 0.01: every
+/// profile and every degradation path, while keeping the suite fast. It
+/// runs once per test process; the tests share its records and verdict.
+fn small_grid() -> &'static (Vec<CellRecord>, Verdict) {
+    static GRID: OnceLock<(Vec<CellRecord>, Verdict)> = OnceLock::new();
+    GRID.get_or_init(|| {
+        let full = chaos_grid();
+        let small = Manifest {
+            name: "chaos-small".into(),
+            scenarios: full.scenarios[..1].to_vec(),
+            policies: vec![PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 2.0 }],
+            scale: 0.01,
+            ..full
+        };
+        let identity = format!("{small:?}");
+        let plan = batch::resolve_plan(small, &identity, &shipped_dir(), 4).unwrap();
+        let dir = std::env::temp_dir().join(format!("smartmem-chaos-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = batch::run_sweep(&plan, &dir, None).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(out.complete(), "the small grid runs to completion");
+        assert!(out.warnings.is_empty(), "{:?}", out.warnings);
+        let verdict = batch::verdict(&plan, &out.records);
+        (out.records, verdict)
+    })
 }
 
 #[test]
 fn shipped_profiles_degrade_within_bound_and_never_corrupt() {
-    let report = small_grid();
-    assert!(
-        report.bound_violations().is_empty(),
-        "degradation bound {}x exceeded:\n{}",
-        report.bound,
-        report.render()
-    );
-    assert_eq!(
-        report.invariant_violations(),
-        0,
-        "tmem accounting invariant violated under faults:\n{}",
-        report.render()
-    );
-    // Every cell actually ran the invariant checker.
-    for c in &report.cells {
+    let (records, verdict) = small_grid();
+    assert_eq!(records.len(), 12, "1 scenario x 2 policies x 6 chaos");
+    assert!(verdict.passed(), "verdict FAIL: {:?}", verdict.failures);
+    for rec in records {
         assert!(
-            c.ledger.invariant_checks > 0,
+            rec.ledger.invariant_checks > 0,
             "{}/{}/{}: invariant checker never ran",
-            c.scenario,
-            c.policy,
-            c.profile
+            rec.scenario,
+            rec.policy,
+            rec.chaos
         );
     }
 }
 
 #[test]
 fn fault_ledgers_show_each_profile_injecting_and_degrading() {
-    let report = small_grid();
-    for c in &report.cells {
-        let l = &c.ledger;
-        match c.profile.as_str() {
+    let (records, verdict) = small_grid();
+    for (rec, worst) in records.iter().zip(&verdict.worst) {
+        let l = &rec.ledger;
+        let cell = format!("{}/{}", rec.scenario, rec.policy);
+        match rec.chaos.as_str() {
             "baseline" => {
                 assert_eq!(l.injected(), 0, "baseline must be fault-free");
                 assert_eq!(l.seq_gaps, 0);
                 assert_eq!(l.stale_intervals, 0, "fault-free targets never stale");
-                assert!(c.ratios.iter().all(|&r| r == 1.0));
+                assert_eq!(*worst, None, "a fault-free cell is its own twin");
             }
             "sample-loss" => {
                 assert!(l.samples_dropped > 0, "VIRQ drops must fire");
@@ -80,9 +91,7 @@ fn fault_ledgers_show_each_profile_injecting_and_degrading() {
                 assert!(l.seq_gaps > 0, "MM must detect the gaps");
                 assert!(
                     l.stale_intervals > 0,
-                    "sustained loss must trip the TTL fallback ({}/{})",
-                    c.scenario,
-                    c.policy
+                    "sustained loss must trip the TTL fallback ({cell})"
                 );
                 assert!(
                     l.snapshots_discarded > 0,
@@ -90,13 +99,15 @@ fn fault_ledgers_show_each_profile_injecting_and_degrading() {
                 );
             }
             "flaky-hypercalls" => {
-                assert!(l.hypercalls_failed > 0, "hypercall failures must fire");
-                assert!(
-                    l.hypercall_retries > 0,
-                    "relay must retry failed pushes ({}/{})",
-                    c.scenario,
-                    c.policy
-                );
+                // Greedy sends one target vector a run (every target is
+                // the whole node), which a 25% failure rate can miss.
+                if rec.policy != "greedy" {
+                    assert!(l.hypercalls_failed > 0, "hypercall failures must fire");
+                    assert!(
+                        l.hypercall_retries > 0,
+                        "relay must retry failed pushes ({cell})"
+                    );
+                }
             }
             "mm-crash" => {
                 assert_eq!(l.mm_crashes, 1, "exactly one crash is scheduled");
@@ -113,9 +124,7 @@ fn fault_ledgers_show_each_profile_injecting_and_degrading() {
                 assert_eq!(
                     l.corruptions_detected,
                     l.bitflips_injected + l.torn_writes_injected,
-                    "every injected corruption must be detected ({}/{})",
-                    c.scenario,
-                    c.policy
+                    "every injected corruption must be detected ({cell})"
                 );
                 assert!(l.corruptions_recovered <= l.corruptions_detected);
                 assert!(l.scrub_passes > 0, "periodic scrubber must run");
@@ -137,16 +146,59 @@ fn fault_ledgers_show_each_profile_injecting_and_degrading() {
                     "the data-fault layer always runs a final scrub"
                 );
             }
-            other => panic!("unknown profile in report: {other}"),
+            other => panic!("unknown profile in the grid: {other}"),
+        }
+        if rec.chaos != "baseline" {
+            assert!(worst.is_some(), "{cell}/{}: no fault-free twin", rec.chaos);
         }
     }
 }
 
+/// Greedy's targets are the whole node, so no control-plane fault can
+/// change an admission: paired with its fault-free twin, each of its
+/// control-plane cells is the same run, to the nanosecond.
+#[test]
+fn greedy_cells_are_immune_to_control_plane_faults() {
+    let (records, verdict) = small_grid();
+    let greedy: Vec<_> = records
+        .iter()
+        .zip(&verdict.worst)
+        .filter(|(r, _)| r.policy == "greedy")
+        .collect();
+    let (twin, _) = greedy
+        .iter()
+        .find(|(r, _)| r.chaos == "baseline")
+        .expect("the grid has a fault-free greedy cell");
+    for profile in ["sample-loss", "flaky-hypercalls", "mm-crash"] {
+        let (rec, worst) = greedy
+            .iter()
+            .find(|(r, _)| r.chaos == profile)
+            .unwrap_or_else(|| panic!("the grid has a greedy {profile} cell"));
+        assert_eq!(rec.vm_ns, twin.vm_ns, "{profile}: per-VM times moved");
+        assert_eq!(rec.end_ns, twin.end_ns, "{profile}: end time moved");
+        assert_eq!(**worst, Some(1.0), "{profile}");
+    }
+}
+
+/// The shipped grid sweeps every managed policy of the paper set (no-tmem
+/// has no control plane to inject faults into) under fault-free plus
+/// every shipped profile, in order.
 #[test]
 fn chaos_policies_cover_the_managed_paper_set() {
-    let names: Vec<String> = chaos_policies().iter().map(|p| p.to_string()).collect();
+    let grid = chaos_grid();
+    let names: Vec<String> = grid.policies.iter().map(|p| p.to_string()).collect();
     assert_eq!(
         names,
         ["greedy", "static-alloc", "reconf-static", "smart-alloc(2%)"]
+    );
+    let profiles: Vec<Option<String>> = grid
+        .chaos
+        .iter()
+        .map(|c| resolve_chaos(c, &shipped_dir()).unwrap().map(|p| p.name))
+        .collect();
+    let shipped = shipped_profiles().into_iter().map(|p| Some(p.name));
+    assert_eq!(
+        profiles,
+        std::iter::once(None).chain(shipped).collect::<Vec<_>>()
     );
 }

@@ -10,10 +10,10 @@
 //! the default `cargo test -q` stays fast; CI's slow-suite job runs them
 //! with `cargo test -- --ignored`.
 
-use scenarios::chaos::{self, shipped_profiles};
+use scenarios::chaos::shipped_profiles;
 use scenarios::config::RunConfig;
 use scenarios::runner::run_scenario;
-use scenarios::{figures, report, PolicyKind, ScenarioKind, DEGRADATION_BOUND};
+use scenarios::{figures, report, PolicyKind, ScenarioKind};
 use sim_core::trace::TraceConfig;
 use std::fs;
 use std::path::Path;
@@ -129,12 +129,12 @@ fn fault_free_table2_matches_pre_fault_injection_golden() {
 /// to the relay in one call, so the pre-batch goldens pin the output. With
 /// `fault_free_fig3_matches_pre_fault_injection_golden` covering jobs 4,
 /// this completes the jobs 1/4/8 grid against the same golden; the
-/// fault-profiles-on half of the contract lives in
-/// `chaos_report_is_byte_identical_across_job_counts` (reports at jobs
-/// 1/4/8) and in the faulted trace check below. Trace JSONL is produced
-/// per run — the engine parallelizes across grid cells, never inside a
-/// run — so its goldens (`trace_replay.rs`, default suite) plus the
-/// faulted A/B here are the per-run equivalent of the jobs grid.
+/// fault-profiles-on half of the contract lives in `sweep_resume.rs`
+/// (journaled fault ledgers at jobs 1 and 8) and in the faulted trace
+/// check below. Trace JSONL is produced per run — the engine parallelizes
+/// across grid cells, never inside a run — so its goldens
+/// (`trace_replay.rs`, default suite) plus the faulted A/B here are the
+/// per-run equivalent of the jobs grid.
 #[test]
 #[ignore = "fig3 grids at jobs 1 and 8 plus traced faulted runs (~60 s); CI runs the slow suite via --ignored"]
 fn batched_delivery_matches_pre_batch_goldens_across_engine_widths() {
@@ -196,43 +196,6 @@ fn batched_delivery_matches_pre_batch_goldens_across_engine_widths() {
         jsonl(&a) == jsonl(&b),
         "faulted trace JSONL differs between identical batched runs"
     );
-}
-
-/// Chaos runs obey the same determinism contract as the figures: one seed
-/// pins the fault schedule, and the rendered report and ledger CSV are
-/// byte-identical at any `--jobs` count.
-#[test]
-#[ignore = "three full chaos grids (~45 s); CI runs the slow suite via --ignored"]
-fn chaos_report_is_byte_identical_across_job_counts() {
-    let run = |jobs: usize| {
-        let config = RunConfig {
-            scale: 0.01,
-            seed: 42,
-            jobs,
-            ..RunConfig::default()
-        };
-        chaos::run_chaos(
-            &config,
-            &[ScenarioKind::Scenario1],
-            &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 2.0 }],
-            &shipped_profiles(),
-            DEGRADATION_BOUND,
-        )
-    };
-    let r1 = run(1);
-    let r4 = run(4);
-    let r8 = run(8);
-    assert_eq!(
-        r1.render(),
-        r4.render(),
-        "chaos report differs between --jobs 1 and --jobs 4"
-    );
-    assert_eq!(
-        r4.render(),
-        r8.render(),
-        "chaos report differs between --jobs 4 and --jobs 8"
-    );
-    assert_eq!(r1.to_csv(), r8.to_csv(), "chaos ledger CSV differs");
 }
 
 /// The flight recorder must be an observer, never an actor: attaching it

@@ -5,7 +5,8 @@
 //! (`build_scenario` and `shipped_profiles` embed them), so these tests
 //! cover what only the files on disk can show: the fleet file routes
 //! through the fleet constructor, the manifest and `[run]` directives
-//! parse as written, and every shipped ablation manifest resolves. The
+//! parse as written, and every shipped ablation manifest and the chaos
+//! grid resolve. The
 //! rejection table pins the parser's strictness: malformed input fails
 //! with a line- and field-anchored error, never a panic and never a
 //! silently-defaulted value. A property test pins manifest expansion as
@@ -75,6 +76,7 @@ fn shipped_ablation_manifests_parse_and_resolve() {
         .collect();
     names.sort();
     assert_eq!(names.len(), 5, "one manifest per ablation: {names:?}");
+    names.push(shipped_dir().join("chaos-grid.toml"));
     for path in names {
         let plan = batch::load_plan(&path, 1).unwrap_or_else(|e| panic!("{e}"));
         assert!(!plan.cells().is_empty(), "{}", path.display());

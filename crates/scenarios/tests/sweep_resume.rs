@@ -9,7 +9,9 @@
 //! compare bytes. The journal-corruption tests tear records mid-write,
 //! flip payload bytes and append garbage, and check every damaged record
 //! is detected (length/digest), warned about, and simply re-run — while
-//! a journal from a *different* sweep is refused outright. An overrides
+//! a journal from a *different* sweep, or in the old `SMJ1` format, is
+//! refused outright. The records carry each cell's whole fault ledger, so
+//! the byte comparisons at jobs 1 and 8 pin the ledgers too. An overrides
 //! cell is pinned against a direct run under its configuration, and a
 //! scenario file with a `[cluster]` table is refused.
 
@@ -17,7 +19,6 @@ use scenarios::batch::{self, SweepOutcome, JOURNAL_FILE};
 use scenarios::config::RunConfig;
 use scenarios::runner::run_spec;
 use scenarios::{dsl, PolicyKind};
-use sim_core::rng::SplitMix64;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -86,7 +87,7 @@ fn fingerprint(plan: &batch::SweepPlan, out: &SweepOutcome) -> (String, String, 
     assert!(out.complete(), "fingerprints are taken of complete sweeps");
     (
         batch::render_report(plan, out),
-        batch::render_csv(out),
+        batch::render_csv(plan, out),
         out.records.iter().map(|r| r.digest).collect(),
     )
 }
@@ -168,7 +169,7 @@ fn corrupted_journal_records_are_warned_and_rerun() {
             "flipped-byte",
             Box::new(|j: &Path| {
                 let text = fs::read_to_string(j).unwrap();
-                // Damage the *last* record's payload tail (vm_ns digits);
+                // Damage the *last* record's payload tail (ledger digits);
                 // framing must catch it even though the line parses.
                 let flipped = {
                     let mut lines: Vec<String> = text.lines().map(String::from).collect();
@@ -191,7 +192,7 @@ fn corrupted_journal_records_are_warned_and_rerun() {
             "trailing-garbage",
             Box::new(|j: &Path| {
                 let mut bytes = fs::read(j).unwrap();
-                bytes.extend_from_slice(b"SMJ1 oops not-a-record\n");
+                bytes.extend_from_slice(b"SMJ2 oops not-a-record\n");
                 fs::write(j, bytes).unwrap();
             }),
             "treating its cell as not done",
@@ -277,6 +278,43 @@ fn journal_from_a_different_sweep_is_refused() {
     assert!(err.contains("different sweep"), "{err}");
 }
 
+/// A journal of the old `SMJ1` format, whose cells were seeded from their
+/// whole label, is refused with the format named rather than resumed with
+/// mixed seeds, and the file is left as it was.
+#[test]
+fn an_smj1_journal_is_refused() {
+    let scratch = Scratch::new("smj1");
+    let plan = batch::load_plan(&scratch.manifest(), 1).unwrap();
+    let frame = |payload: &str| {
+        format!(
+            "SMJ1 {} {:016x} {payload}\n",
+            payload.len(),
+            batch::fnv1a(payload.as_bytes())
+        )
+    };
+    // The header an `SMJ1` sweep of this plan wrote, and one of its cells.
+    let journal = frame(&format!(
+        "header\t{}\t{:016x}\t12\t{}\t{:016x}",
+        plan.manifest.name,
+        plan.digest,
+        plan.manifest.seed,
+        plan.manifest.scale.to_bits()
+    )) + &frame(
+        "cell\t0\tusemem\tgreedy\tbaseline\t0\t0123456789abcdef\t1\t2\t3\t4\t5\t6\t0\t0\t7,8,9",
+    );
+    let dir = scratch.dir("sweep");
+    fs::create_dir_all(&dir).unwrap();
+    fs::write(dir.join(JOURNAL_FILE), &journal).unwrap();
+
+    let err = batch::run_sweep(&plan, &dir, None).unwrap_err();
+    assert!(
+        err.contains("SMJ1") && err.contains("fresh --resume directory"),
+        "{err}"
+    );
+    assert_eq!(fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap(), journal);
+    assert!(!dir.join(batch::REPORT_FILE).exists());
+}
+
 /// A scenario whose build depends on the time scale: VM2's start delay
 /// and sleep are scaled by it.
 const STAGGERED_SCENARIO: &str = r#"
@@ -297,8 +335,8 @@ program = ["sleep 1s", "run usemem 8MiB 8MiB 32MiB 2"]
 "#;
 
 /// An overrides cell is `run_spec` under the base configuration with that
-/// one field set — scenario build included — and the seed its label
-/// derives.
+/// one field set — scenario build included — and the figure grid's seed
+/// for its rep.
 #[test]
 fn an_override_cell_equals_a_direct_run_under_its_config() {
     let scratch = Scratch::new("override");
@@ -319,11 +357,10 @@ fn an_override_cell_equals_a_direct_run_under_its_config() {
     let cfg = RunConfig {
         scale: 0.01,
         time_scale: Some(0.5),
-        seed: SplitMix64::new(7)
-            .derive("staggered/greedy/baseline/time_scale=0.5/rep0")
-            .next(),
+        seed: 7,
         ..RunConfig::default()
-    };
+    }
+    .for_rep(0);
     let run = |build: &RunConfig| {
         let spec = dsl::parse_scenario_src(STAGGERED_SCENARIO, build)
             .unwrap()

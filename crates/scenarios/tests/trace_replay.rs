@@ -12,7 +12,7 @@
 //! REGEN_TRACE_GOLDEN=1 cargo test -p smartmem-scenarios --test trace_replay
 //! ```
 
-use scenarios::chaos::{chaos_policies, shipped_profiles};
+use scenarios::chaos::shipped_profiles;
 use scenarios::config::RunConfig;
 use scenarios::runner::run_scenario;
 use scenarios::{trace_check, ScenarioKind};
@@ -110,16 +110,21 @@ fn replay_reproduces_live_accounting_representative_cells() {
     ]);
 }
 
-/// (Scenario1–2 × the four managed policies × chaos off/sample-loss):
+/// (Scenario1–2 × the chaos grid's four managed policies × chaos
+/// off/sample-loss):
 /// replaying the event stream must reproduce the final per-VM occupancy,
 /// the admission counters and the fault ledger exactly, in every cell.
 /// ~45 s on one core — part of the slow suite (`cargo test -- --ignored`).
 #[test]
 #[ignore = "exhaustive 16-cell grid; CI runs it via --ignored"]
 fn replay_reproduces_live_accounting_across_the_grid() {
+    let grid = scenarios::dsl::load_manifest(
+        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/chaos-grid.toml"),
+    )
+    .unwrap();
     let mut cells = Vec::new();
     for scenario in [ScenarioKind::Scenario1, ScenarioKind::Scenario2] {
-        for policy in chaos_policies() {
+        for &policy in &grid.policies {
             for (chaos, faults) in [
                 ("off", FaultProfile::none()),
                 ("sample-loss", sample_loss()),

@@ -14,8 +14,8 @@
 //! Determinism contract: an injector is seeded explicitly and draws from
 //! two private [`SplitMix64`] streams, a control-plane and a data-plane
 //! one, independent of every workload stream, so a `(profile, seed)` pair
-//! replays the exact same fault schedule — the chaos determinism tests pin
-//! this down to report bytes. A disabled profile ([`FaultProfile::none`])
+//! replays the exact same fault schedule — the sweep resume suite pins
+//! this down to journaled ledgers at any job count. A disabled profile ([`FaultProfile::none`])
 //! never alters any decision, keeping fault-free runs byte-identical to a
 //! build without the injector.
 
@@ -99,18 +99,6 @@ impl FaultProfile {
             brownout_for: 0,
             scrub_every: 0,
         }
-    }
-
-    /// True when no fault can ever fire under this profile.
-    pub fn is_disabled(&self) -> bool {
-        self.virq_drop == 0.0
-            && self.virq_delay == 0.0
-            && self.virq_duplicate == 0.0
-            && self.netlink_drop == 0.0
-            && self.netlink_reorder == 0.0
-            && self.hypercall_fail == 0.0
-            && self.mm_crash_at_cycle.is_none()
-            && !self.has_data_plane()
     }
 
     /// True when any data-plane machinery (corruption, loss, put I/O
@@ -281,129 +269,119 @@ labelled_enum! {
     }
 }
 
-/// Running totals of injected faults and degradation events for one run.
-///
-/// The ledger mixes *injected* counts (the injector's own decisions) with
-/// *observed* counts the control-plane components report back (retries,
-/// restarts, stale intervals, invariant checks) so chaos reports can show
-/// the whole episode in one place.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultLedger {
-    /// VIRQ samples delivered normally.
-    pub samples_delivered: u64,
-    /// VIRQ samples dropped.
-    pub samples_dropped: u64,
-    /// VIRQ samples delayed one interval.
-    pub samples_delayed: u64,
-    /// VIRQ samples duplicated.
-    pub samples_duplicated: u64,
-    /// Netlink stats messages dropped.
-    pub netlink_dropped: u64,
-    /// Netlink stats messages reordered.
-    pub netlink_reordered: u64,
-    /// `SetTargets` pushes that failed (first attempts and retries).
-    pub hypercalls_failed: u64,
-    /// Retry attempts issued by the dom0 relay.
-    pub hypercall_retries: u64,
-    /// Pushes abandoned after exhausting the retry budget.
-    pub hypercalls_abandoned: u64,
-    /// Pushes superseded by a newer target vector while pending retry.
-    pub hypercalls_superseded: u64,
-    /// MM crash episodes.
-    pub mm_crashes: u64,
-    /// MM watchdog restarts.
-    pub mm_restarts: u64,
-    /// Snapshot sequence gaps the MM detected (each gap may span several
-    /// missing samples).
-    pub seq_gaps: u64,
-    /// Duplicate/stale snapshots the MM discarded idempotently.
-    pub snapshots_discarded: u64,
-    /// Sampling intervals the hypervisor spent in stale-target fallback.
-    pub stale_intervals: u64,
-    /// tmem accounting invariant checks performed.
-    pub invariant_checks: u64,
-    /// tmem accounting invariant violations observed (must stay 0).
-    pub invariant_violations: u64,
-    /// Data plane: page bit flips injected into stored pages.
-    pub bitflips_injected: u64,
-    /// Data plane: torn writes injected into stored pages.
-    pub torn_writes_injected: u64,
-    /// Data plane: ephemeral pages silently dropped after a successful put.
-    pub ephemeral_losses_injected: u64,
-    /// Data plane: persistent puts failed with an injected I/O error.
-    pub put_io_failures_injected: u64,
-    /// Data plane: puts rejected inside a brownout window.
-    pub brownout_rejections: u64,
-    /// Data plane: sampling intervals spent inside a brownout window.
-    pub brownout_ticks: u64,
-    /// Data plane: checksum mismatches detected (each corrupted page is
-    /// counted once, at first detection — get, flush, reclaim or scrub).
-    pub corruptions_detected: u64,
-    /// Data plane: detected corruptions the guest recovered from (clean
-    /// ephemeral miss, or persistent retry/requeue rebuilding the page).
-    pub corruptions_recovered: u64,
-    /// Data plane: corrupt objects quarantined (removed wholesale) by the
-    /// scrubber.
-    pub objects_quarantined: u64,
-    /// Data plane: scrubber passes completed.
-    pub scrub_passes: u64,
-    /// Data plane: pages checksum-verified by the scrubber.
-    pub scrub_pages_checked: u64,
-    /// Fleet: VMs migrated off this host.
-    pub migrations_out: u64,
-    /// Fleet: VMs that landed on this host by migration.
-    pub migrations_in: u64,
-    /// Fleet: tmem pages (local + far) exported by outbound migrations.
-    pub migrate_pages: u64,
-    /// Fleet: corrupt pages found at migration export and dropped there
-    /// (never transferred or laundered into the destination).
-    pub migrate_purged: u64,
-    /// Fleet: imported pages that found no tmem room on the destination
-    /// and spilled to its swap disk.
-    pub migrate_spilled: u64,
+/// Declare [`FaultLedger`] from one list of counters: the struct, its
+/// name/value walk [`FaultLedger::fields`] and the inverse
+/// [`FaultLedger::from_values`] all expand from the same names, in the same
+/// order.
+macro_rules! fault_ledger {
+    ($( $(#[$meta:meta])* $field:ident, )*) => {
+        /// Running totals of injected faults and degradation events for one
+        /// run.
+        ///
+        /// The ledger mixes *injected* counts (the injector's own decisions)
+        /// with *observed* counts the control-plane components report back
+        /// (retries, restarts, stale intervals, invariant checks) so a sweep
+        /// journal holds the whole episode in one place.
+        #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct FaultLedger {
+            $( $(#[$meta])* pub $field: u64, )*
+        }
+
+        impl FaultLedger {
+            /// Number of counters.
+            pub const LEN: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter with its field name, in declaration order: the
+            /// one list the sweep journal and CSV columns, the result digest
+            /// and the replay verifier walk.
+            pub fn fields(&self) -> [(&'static str, u64); Self::LEN] {
+                [$( (stringify!($field), self.$field), )*]
+            }
+
+            /// The ledger whose [`FaultLedger::fields`] values are `values`.
+            pub fn from_values(values: [u64; Self::LEN]) -> Self {
+                let [$($field),*] = values;
+                FaultLedger { $($field),* }
+            }
+        }
+    };
 }
 
-impl FaultLedger {
-    /// Every counter with its field name, in declaration order: the one
-    /// list the chaos CSV columns and the replay verifier walk.
-    pub fn fields(&self) -> [(&'static str, u64); 33] {
-        [
-            ("samples_delivered", self.samples_delivered),
-            ("samples_dropped", self.samples_dropped),
-            ("samples_delayed", self.samples_delayed),
-            ("samples_duplicated", self.samples_duplicated),
-            ("netlink_dropped", self.netlink_dropped),
-            ("netlink_reordered", self.netlink_reordered),
-            ("hypercalls_failed", self.hypercalls_failed),
-            ("hypercall_retries", self.hypercall_retries),
-            ("hypercalls_abandoned", self.hypercalls_abandoned),
-            ("hypercalls_superseded", self.hypercalls_superseded),
-            ("mm_crashes", self.mm_crashes),
-            ("mm_restarts", self.mm_restarts),
-            ("seq_gaps", self.seq_gaps),
-            ("snapshots_discarded", self.snapshots_discarded),
-            ("stale_intervals", self.stale_intervals),
-            ("invariant_checks", self.invariant_checks),
-            ("invariant_violations", self.invariant_violations),
-            ("bitflips_injected", self.bitflips_injected),
-            ("torn_writes_injected", self.torn_writes_injected),
-            ("ephemeral_losses_injected", self.ephemeral_losses_injected),
-            ("put_io_failures_injected", self.put_io_failures_injected),
-            ("brownout_rejections", self.brownout_rejections),
-            ("brownout_ticks", self.brownout_ticks),
-            ("corruptions_detected", self.corruptions_detected),
-            ("corruptions_recovered", self.corruptions_recovered),
-            ("objects_quarantined", self.objects_quarantined),
-            ("scrub_passes", self.scrub_passes),
-            ("scrub_pages_checked", self.scrub_pages_checked),
-            ("migrations_out", self.migrations_out),
-            ("migrations_in", self.migrations_in),
-            ("migrate_pages", self.migrate_pages),
-            ("migrate_purged", self.migrate_purged),
-            ("migrate_spilled", self.migrate_spilled),
-        ]
-    }
+fault_ledger! {
+/// VIRQ samples delivered normally.
+samples_delivered,
+/// VIRQ samples dropped.
+samples_dropped,
+/// VIRQ samples delayed one interval.
+samples_delayed,
+/// VIRQ samples duplicated.
+samples_duplicated,
+/// Netlink stats messages dropped.
+netlink_dropped,
+/// Netlink stats messages reordered.
+netlink_reordered,
+/// `SetTargets` pushes that failed (first attempts and retries).
+hypercalls_failed,
+/// Retry attempts issued by the dom0 relay.
+hypercall_retries,
+/// Pushes abandoned after exhausting the retry budget.
+hypercalls_abandoned,
+/// Pushes superseded by a newer target vector while pending retry.
+hypercalls_superseded,
+/// MM crash episodes.
+mm_crashes,
+/// MM watchdog restarts.
+mm_restarts,
+/// Snapshot sequence gaps the MM detected (each gap may span several
+/// missing samples).
+seq_gaps,
+/// Duplicate/stale snapshots the MM discarded idempotently.
+snapshots_discarded,
+/// Sampling intervals the hypervisor spent in stale-target fallback.
+stale_intervals,
+/// tmem accounting invariant checks performed.
+invariant_checks,
+/// tmem accounting invariant violations observed (must stay 0).
+invariant_violations,
+/// Data plane: page bit flips injected into stored pages.
+bitflips_injected,
+/// Data plane: torn writes injected into stored pages.
+torn_writes_injected,
+/// Data plane: ephemeral pages silently dropped after a successful put.
+ephemeral_losses_injected,
+/// Data plane: persistent puts failed with an injected I/O error.
+put_io_failures_injected,
+/// Data plane: puts rejected inside a brownout window.
+brownout_rejections,
+/// Data plane: sampling intervals spent inside a brownout window.
+brownout_ticks,
+/// Data plane: checksum mismatches detected (each corrupted page is
+/// counted once, at first detection — get, flush, reclaim or scrub).
+corruptions_detected,
+/// Data plane: detected corruptions the guest recovered from (clean
+/// ephemeral miss, or persistent retry/requeue rebuilding the page).
+corruptions_recovered,
+/// Data plane: corrupt objects quarantined (removed wholesale) by the
+/// scrubber.
+objects_quarantined,
+/// Data plane: scrubber passes completed.
+scrub_passes,
+/// Data plane: pages checksum-verified by the scrubber.
+scrub_pages_checked,
+/// Fleet: VMs migrated off this host.
+migrations_out,
+/// Fleet: VMs that landed on this host by migration.
+migrations_in,
+/// Fleet: tmem pages (local + far) exported by outbound migrations.
+migrate_pages,
+/// Fleet: corrupt pages found at migration export and dropped there
+/// (never transferred or laundered into the destination).
+migrate_purged,
+/// Fleet: imported pages that found no tmem room on the destination
+/// and spilled to its swap disk.
+migrate_spilled,}
 
+impl FaultLedger {
     /// Total faults injected at any edge (not counting degradation
     /// bookkeeping like retries or stale intervals).
     pub fn injected(&self) -> u64 {
@@ -913,17 +891,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_detection() {
-        assert!(FaultProfile::none().is_disabled());
-        let p = FaultProfile {
-            hypercall_fail: 0.01,
-            ..FaultProfile::none()
+    fn from_values_inverts_fields() {
+        let ledger = FaultLedger {
+            samples_delivered: 1,
+            invariant_checks: 7,
+            migrate_spilled: 33,
+            ..FaultLedger::default()
         };
-        assert!(!p.is_disabled());
-        let crash_only = FaultProfile {
-            mm_crash_at_cycle: Some(1),
-            ..FaultProfile::none()
-        };
-        assert!(!crash_only.is_disabled());
+        assert_eq!(
+            FaultLedger::from_values(ledger.fields().map(|(_, v)| v)),
+            ledger
+        );
     }
 }

@@ -49,11 +49,6 @@ impl SampleChannel {
             }
         }
     }
-
-    /// Whether a delayed sample is still buffered.
-    pub fn has_delayed(&self) -> bool {
-        self.delayed.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -101,7 +96,6 @@ mod tests {
     fn delayed_sample_arrives_behind_the_next_one() {
         let mut ch = SampleChannel::new();
         assert!(push(&mut ch, 1, SampleFate::Delay).is_empty());
-        assert!(ch.has_delayed());
         // Sample 1 flushes ahead of 2 (late but in order)...
         assert_eq!(push(&mut ch, 2, SampleFate::Deliver), [1, 2]);
         // ...but two consecutive delays genuinely reorder: 3 is flushed when
