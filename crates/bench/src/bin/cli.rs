@@ -4,79 +4,79 @@
 //! smartmem-cli table2 [--scale S]
 //! smartmem-cli fig <3|4|5|6|7|8|9|10> [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli all [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
-//! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S]
+//! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE]
 //! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR]
 //! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR]
-//! smartmem-cli bench-cluster [--scale S] [--seed S] [--out DIR]
 //! smartmem-cli trace <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE] [--out trace.jsonl] [--filter subsys=a,b]
 //! smartmem-cli inspect <trace.jsonl>
-//! smartmem-cli run-file <scenario.toml> [POLICY ...] [--scale S] [--seed S] [--reps N] [--chaos P]
 //! smartmem-cli sweep <manifest.toml> [--resume DIR] [--jobs N] [--stop-after N]
 //! ```
 //!
 //! A flag a command does not read is an error, not a silent no-op.
 //!
-//! `SCENARIO` is one of the Table II cells — `scenario1`, `scenario2`,
-//! `usemem`, `scenario3` — or a parameterized fleet cell:
-//! `fleet:<vms>[:<footprint_mb>[:<mix>[:<gap_ms>]]]`, e.g. `fleet:64`,
-//! `fleet:32:256:paging`, `fleet:16:128:balanced:0` (gap 0 = simultaneous
-//! arrivals). Mixes: `balanced`, `analytics`, `serving`, `paging`. For
-//! `run` and `trace` the VM count may be `<hosts>x<vms>` (`fleet:2x32`):
-//! the cell then runs as a multi-host cluster — tmem sharded across the
-//! hosts, the fleet scheduler migrating VMs at its default tunables —
-//! and prints the fleet report. A fleet cell's size is its name: `run`
-//! and `trace` refuse `--scale` on it (spell the per-VM footprint as
-//! `fleet:<vms>:<mb>` instead). `trace` on a cluster cell replay-verifies
-//! every host's stream (migration events included) and `--out FILE`
-//! writes host 0 to FILE and host N to `FILE.hostN`. Scenario files can
-//! declare richer topologies (interconnect preset, far tier, scheduler
-//! thresholds) in a `[cluster]` table; `bench-cluster` sweeps hosts×VMs
-//! cells and records the fleet metrics in `BENCH_cluster.json`.
+//! `SCENARIO` means what it means on a manifest's scenario axis: both are
+//! read by [`scenarios::dsl::resolve_scenario`]. It is a Table II cell
+//! (`scenario1`, `scenario2`, `usemem`, `scenario3`), a parameterized fleet
+//! cell `fleet:[<hosts>x]<vms>[:<footprint_mb>[:<mix>[:<gap_ms>]]]`, e.g.
+//! `fleet:64`, `fleet:32:256:paging`, `fleet:16:128:balanced:0` (gap 0 =
+//! simultaneous arrivals; mixes `balanced`, `analytics`, `serving`,
+//! `paging`), or a scenario file such as `scenarios/usemem.toml`. A
+//! `<hosts>x<vms>` count (`fleet:2x32`) makes a multi-host cluster: tmem
+//! sharded across the hosts, the fleet scheduler migrating VMs at its
+//! default tunables, and a far tier of a quarter of each host's shard. A
+//! file's `[cluster]` table declares its own topology. `run` prints a
+//! multi-host cell's per-host results and its fleet report. A fleet name's
+//! size is its name: `run` and `trace` refuse `--scale` on it (spell the
+//! per-VM footprint as `fleet:<vms>:<mb>` instead); a file takes
+//! `--scale`. `--chaos` injects a shipped fault profile.
 //!
 //! Policies: `no-tmem`, `greedy`, `static-alloc`, `reconf-static`,
 //! `smart-alloc:<P>` (e.g. `smart-alloc:0.75`), `predictive`.
 //!
-//! `bench-fleet` sweeps the fleet family at 8/16/32/64 VMs and writes
-//! `BENCH_fleet.json`: wall-clock and peak RSS versus VM count, with
-//! per-VM occupancy/slowdown figures. `--scale` sizes the per-VM footprint
-//! off the 512 MiB headline cell (default 0.125 → 64 MiB — a smoke pass;
-//! use `--scale 1` for the headline numbers). `--scale` resizes nothing
-//! else: `bench-fleet` and `bench-cluster` run every cell at the default
-//! `RunConfig` scale 0.125, whose time scale samples every 125 ms and
-//! staggers the 250 ms arrival gap to 31.25 ms; both print the effective
-//! interval and gap and record them in their JSON `config`.
+//! `bench-fleet` runs the fleet family in ascending VM count — `fleet:8`,
+//! `fleet:2x8`, `fleet:16`, `fleet:2x16`, `fleet:32`, `fleet:2x32`,
+//! `fleet:64` — and writes `BENCH_fleet.json`: wall-clock and peak RSS per
+//! cell, per-VM occupancy/slowdown, and the fleet metrics (migrations,
+//! downtime, cross-host traffic, stranded memory; zero on one host).
+//! `--scale` sizes the per-VM footprint off the 512 MiB headline cell
+//! (default 0.125 → 64 MiB — a smoke pass; use `--scale 1` for the
+//! headline numbers). `--scale` resizes nothing else: every cell runs at
+//! the default `RunConfig` scale 0.125, whose time scale samples every
+//! 125 ms and staggers the 250 ms arrival gap to 31.25 ms; the command
+//! prints the effective interval and gap and records them in its JSON
+//! `config`.
 //!
 //! `--jobs N` sets the number of worker threads the experiment grids fan
 //! out over (default: all available cores). Output is byte-identical at
 //! any job count; `--jobs 1` forces the serial engine.
 //!
-//! `run-file` runs a declarative scenario file (see `scenarios/*.toml` and
-//! EXPERIMENTS.md) under one or more policies; the file's `[run]` table
-//! supplies defaults for any flag or policy list not given on the command
-//! line. `sweep` expands a manifest's `scenarios × policies × chaos ×
+//! `sweep` expands a manifest's `scenarios × policies × chaos ×
 //! overrides × reps` matrix (scale, seed and reps come from the manifest,
 //! not from flags) and runs it with per-cell checkpointing: every
 //! finished cell is journaled, so a killed sweep rerun with the same
 //! `--resume DIR` picks up where it stopped and produces byte-identical
 //! outputs. `--stop-after N` caps how many cells one invocation runs
-//! (useful for exercising resume). A complete sweep writes `report.txt`
-//! and `cells.csv`, then exits non-zero when its verdict fails: a faulty
-//! cell slower than [`scenarios::chaos::DEGRADATION_BOUND`] times its
-//! fault-free twin on some VM, a tmem accounting invariant violation, or
-//! an injected corruption left undetected. The chaos grid is the manifest
-//! `scenarios/chaos-grid.toml`.
+//! (useful for exercising resume). A sweep cell runs on one host, so a
+//! multi-host scenario entry is refused. A complete sweep writes
+//! `report.txt` and `cells.csv`, then exits non-zero when its verdict
+//! fails: a faulty cell slower than [`scenarios::chaos::DEGRADATION_BOUND`]
+//! times its fault-free twin on some VM, a tmem accounting invariant
+//! violation, or an injected corruption left undetected. The chaos grid is
+//! the manifest `scenarios/chaos-grid.toml`.
 //!
 //! Every `print!`/`println!` goes through [`write_stdout`]: when the
 //! reader closes stdout early (`| head -1`), the process exits 0 quietly.
 //!
-//! `trace` runs one cell with the flight recorder attached, replays the
-//! event stream through the [`scenarios::trace_check`] verifier, prints
-//! the metrics registry and replay verdict, and (with `--out`) writes the
-//! trace as JSONL. `--filter subsys=tmem,mm` restricts the *written* file
-//! to those subsystems; the recorder always records (and the verifier
-//! always replays) everything. `inspect` reads a JSONL trace back and
-//! summarizes it: per-VM admission/reject/evict counts, the transmitted
-//! target-vector timeline, and a fault-ledger cross-check.
+//! `trace` runs one cell with every host's flight recorder attached,
+//! replays each host's event stream (migration events included) through
+//! the [`scenarios::trace_check`] verifier, prints the metrics registry and
+//! replay verdict, and (with `--out FILE`) writes host 0's trace as JSONL
+//! to FILE and host N's to `FILE.hostN`. `--filter subsys=tmem,mm`
+//! restricts the *written* file to those subsystems; the recorder always
+//! records (and the verifier always replays) everything. `inspect` reads a
+//! JSONL trace back and summarizes it: per-VM admission/reject/evict
+//! counts, the transmitted target-vector timeline, and a fault-ledger
+//! cross-check.
 
 use scenarios::batch;
 use scenarios::chaos;
@@ -84,19 +84,16 @@ use scenarios::config::RunConfig;
 use scenarios::dsl;
 use scenarios::figures;
 use scenarios::report;
-use scenarios::runner::{
-    run_cluster, run_scenario, run_spec, ClusterConfig, ClusterResult, RunResult,
-};
-use scenarios::spec::{build_scenario, Arrival, FleetParams, ScenarioKind};
+use scenarios::runner::{run_cluster, ClusterConfig, RunResult};
+use scenarios::spec::{Arrival, FleetParams, ScenarioKind, ScenarioSpec};
 use scenarios::trace_check;
 use sim_core::time::SimDuration;
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
 };
-use smartmem_core::{FleetConfig, PolicyKind};
+use smartmem_core::PolicyKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use xen_sim::host::FarConfig;
 
 // These shadow the std macros for the whole file, so every write to stdout
 // takes the one closed-pipe path in `write_stdout`.
@@ -137,7 +134,7 @@ struct Args {
     jobs: usize,
     /// Subsystem restriction for the JSONL written by `trace --out`.
     filter: Option<Vec<Subsystem>>,
-    /// Shipped chaos profile to inject during `trace`.
+    /// Shipped chaos profile to inject during `run` or `trace`.
     chaos: Option<chaos::ChaosProfile>,
     /// Sweep checkpoint directory (`sweep --resume`).
     resume: Option<PathBuf>,
@@ -150,11 +147,10 @@ fn command_flags(cmd: &str) -> &'static [&'static str] {
     match cmd {
         "table2" => &["--scale"],
         "fig" | "all" => &["--scale", "--reps", "--seed", "--out", "--jobs"],
-        "run" => &["--scale", "--seed"],
+        "run" => &["--scale", "--seed", "--chaos"],
         "bench-parallel" => &["--scale", "--reps", "--seed", "--out"],
-        "bench-fleet" | "bench-cluster" => &["--scale", "--seed", "--out"],
+        "bench-fleet" => &["--scale", "--seed", "--out"],
         "trace" => &["--scale", "--seed", "--chaos", "--out", "--filter"],
-        "run-file" => &["--scale", "--seed", "--reps", "--chaos"],
         "sweep" => &["--resume", "--out", "--jobs", "--stop-after"],
         _ => &[],
     }
@@ -251,41 +247,17 @@ fn parse_flags(cmd: &str, rest: &[String]) -> Result<Args, String> {
 }
 
 fn run_config(a: &Args) -> Result<RunConfig, String> {
-    let cfg = RunConfig {
+    let mut cfg = RunConfig {
         scale: a.scale,
         seed: a.seed,
         jobs: a.jobs,
         ..RunConfig::default()
     };
+    if let Some(p) = &a.chaos {
+        cfg.faults = p.profile.clone();
+    }
     cfg.validate()?;
     Ok(cfg)
-}
-
-// The positional-argument vocabulary is the declarative DSL's shared
-// vocabulary (`scenarios::dsl`): policy names, mixes and `fleet:` specs
-// mean exactly the same thing on the command line and in a `.toml` file.
-
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
-    dsl::parse_policy(s)
-}
-
-/// Cluster-aware scenario vocabulary: `fleet:<hosts>x<vms>[:...]` yields a
-/// host count > 1; every other spelling is the classic single host.
-fn parse_scenario_cluster(s: &str) -> Result<(ScenarioKind, usize), String> {
-    dsl::parse_kind_cluster(s)
-}
-
-/// The topology a bare `fleet:<hosts>x<vms>` CLI cell runs: sharded pools
-/// on the datacenter interconnect with the fleet scheduler at its default
-/// tunables and no far tier. Files wanting presets/far/thresholds declare
-/// a `[cluster]` table instead. With one host the scheduler never runs,
-/// so this is the plain host [`run_spec`] uses.
-fn default_cluster(hosts: usize) -> ClusterConfig {
-    ClusterConfig {
-        hosts,
-        migration: Some(FleetConfig::default()),
-        ..ClusterConfig::default()
-    }
 }
 
 /// Whether `flag` was given on the command line, as opposed to left at its
@@ -294,11 +266,15 @@ fn flag_given(flags: &[String], flag: &str) -> bool {
     flags.iter().any(|s| s == flag)
 }
 
-/// `run` and `trace` size a `fleet:` cell by its name: `--scale` would
-/// only rescale its time base, so an explicit `--scale` is refused with the
-/// spelling that does resize the cell.
-fn refuse_fleet_scale(cmd: &str, kind: ScenarioKind, flags: &[String]) -> Result<(), String> {
-    if matches!(kind, ScenarioKind::Scenario5(_)) && flag_given(flags, "--scale") {
+/// `run` and `trace` size a `fleet` name by the name itself: `--scale`
+/// would only rescale its time base, so an explicit `--scale` is refused
+/// with the spelling that does resize the cell. A scenario file takes it.
+fn refuse_fleet_scale(cmd: &str, scenario: &str, flags: &[String]) -> Result<(), String> {
+    let fleet = matches!(
+        dsl::parse_kind_cluster(scenario),
+        Ok((ScenarioKind::Scenario5(_), _))
+    );
+    if fleet && flag_given(flags, "--scale") {
         return Err(format!(
             "{cmd} does not take --scale on a fleet: cell (its size is in its name); \
              set the per-VM footprint with fleet:<vms>:<mb>, e.g. fleet:8:16, or \
@@ -306,17 +282,6 @@ fn refuse_fleet_scale(cmd: &str, kind: ScenarioKind, flags: &[String]) -> Result
         ));
     }
     Ok(())
-}
-
-/// Build the (renamed) spec for a cluster cell.
-fn cluster_spec(
-    kind: ScenarioKind,
-    hosts: usize,
-    cfg: &RunConfig,
-) -> scenarios::spec::ScenarioSpec {
-    let mut spec = build_scenario(kind, cfg);
-    spec.name = dsl::cluster_scenario_name(&spec.name, hosts);
-    spec
 }
 
 fn emit_bars(fig: figures::FigureData, out: &Option<PathBuf>) -> Result<(), String> {
@@ -359,8 +324,8 @@ fn main() -> ExitCode {
     let result = match argv.split_first() {
         Some((cmd, rest)) => dispatch(cmd, rest),
         None => Err("usage: smartmem-cli <table2|fig N|all|run SCENARIO POLICY|\
-             bench-parallel|bench-fleet|bench-cluster|trace SCENARIO POLICY|\
-             inspect FILE|run-file FILE [POLICY ...]|sweep MANIFEST> [flags]"
+             bench-parallel|bench-fleet|trace SCENARIO POLICY|inspect FILE|\
+             sweep MANIFEST> [flags]"
             .into()),
     };
     match result {
@@ -640,31 +605,26 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The time base of the `bench-fleet` and `bench-cluster` cells under
-/// `cfg`: the default cell's arrival gap, and the sampling interval and
-/// gap after time scaling, as a header phrase and as JSON `config` fields.
-fn fleet_time_base(cfg: &RunConfig) -> (String, String) {
-    let gap_ms = match FleetParams::default().arrival {
-        Arrival::Staggered { gap_ms } => gap_ms,
-        Arrival::Simultaneous => 0,
-    };
-    let ms = |d: SimDuration| d.as_nanos() as f64 / 1e6;
-    let sampling = ms(cfg.sampling_interval());
-    let gap = ms(cfg.scale_time(SimDuration::from_millis(u64::from(gap_ms))));
-    (
-        format!("arrivals {gap} ms apart ({gap_ms} ms gap, time-scaled), sampling every {sampling} ms"),
-        format!("\"arrival_gap_ms\": {gap_ms}, \"effective_gap_ms\": {gap}, \"sampling_ms\": {sampling}"),
-    )
-}
+/// The `bench-fleet` cells, in ascending VM count: peak RSS is the
+/// process high-water mark, so each reading is the peak through its cell.
+const FLEET_CELLS: [&str; 7] = [
+    "fleet:8",
+    "fleet:2x8",
+    "fleet:16",
+    "fleet:2x16",
+    "fleet:32",
+    "fleet:2x32",
+    "fleet:64",
+];
 
-/// `bench-fleet`: wall-clock and peak RSS versus VM count over the fleet
-/// scenario family (8/16/32/64 VMs), with per-VM occupancy/slowdown
-/// figures. Writes `BENCH_fleet.json`.
+/// `bench-fleet`: wall-clock and peak RSS of each [`FLEET_CELLS`] cell,
+/// with per-VM occupancy/slowdown figures and the fleet metrics. Writes
+/// `BENCH_fleet.json`.
 fn bench_fleet(a: &Args) -> Result<(), String> {
     use smartmem_bench::measure::measure;
 
     // Fleet cells are not resized by `RunConfig::scale` (their size is
-    // explicit in `FleetParams`), so `--scale` instead sizes the per-VM
+    // explicit in their name), so `--scale` instead sizes the per-VM
     // footprint off the 512 MiB headline cell. The run config keeps the
     // default scale 0.125, and with it the time scale: 125 ms sampling.
     let footprint_mb = ((512.0 * a.scale).round() as u32).max(8);
@@ -674,12 +634,20 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
         ..RunConfig::default()
     };
     cfg.validate()?;
-    let (time_line, time_json) = fleet_time_base(&cfg);
+    // The default cell's arrival gap, and the sampling interval and gap
+    // after time scaling.
+    let gap_ms = match FleetParams::default().arrival {
+        Arrival::Staggered { gap_ms } => gap_ms,
+        Arrival::Simultaneous => 0,
+    };
+    let ms = |d: SimDuration| d.as_nanos() as f64 / 1e6;
+    let sampling = ms(cfg.sampling_interval());
+    let gap = ms(cfg.scale_time(SimDuration::from_millis(u64::from(gap_ms))));
 
     println!("== bench-fleet — wall-clock and peak RSS vs VM count ==");
     println!(
-        "footprint {footprint_mb} MiB/VM, balanced mix, {}, policy smart-alloc:2",
-        time_line
+        "footprint {footprint_mb} MiB/VM, balanced mix, arrivals {gap} ms apart \
+         ({gap_ms} ms gap, time-scaled), sampling every {sampling} ms, policy smart-alloc:2"
     );
     println!(
         "(peak RSS is the process high-water mark, so cells run in ascending order \
@@ -687,34 +655,55 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     );
 
     let mut cells_json = Vec::new();
-    for vms in [8u32, 16, 32, 64] {
-        let params = FleetParams {
-            vms,
-            footprint_mb,
-            ..FleetParams::default()
-        };
-        let kind = ScenarioKind::Scenario5(params);
-        let sessions = build_scenario(kind, &cfg).logical_sessions();
-        let m = measure(|| run_scenario(kind, policy, &cfg));
-        let r = &m.value;
+    for cell in FLEET_CELLS {
+        let cell = format!("{cell}:{footprint_mb}");
+        let (spec, cluster) = dsl::resolve_scenario(&cell, Path::new(""), &cfg)?;
+        let sessions = spec.logical_sessions();
+        let vms = spec.vms.len();
+        let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
+        let cr = &m.value;
+        let f = &cr.fleet;
+        let head = &cr.host_results[0];
         let wall_s = m.wall.as_secs_f64();
         let rss_mib = m.peak_rss_kb.map_or(f64::NAN, |kb| kb as f64 / 1024.0);
-        println!(
-            "fleet {vms:>3} VMs: wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
-             events {:>12}  sessions {:>12}  sim end {:.0} s{}",
-            r.events,
-            sessions,
-            r.end_time.as_secs_f64(),
-            if r.truncated { "  TRUNCATED" } else { "" },
-        );
-
-        // Per-VM occupancy and slowdown. Slowdown is each VM's total
-        // program runtime relative to the fastest VM running the same
-        // workload — 1.00 marks the least-contended VM of its class.
-        let runtime_ns: Vec<u64> = r
-            .vm_results
+        let end_s = cr
+            .host_results
             .iter()
-            .map(|vm| {
+            .map(|r| r.end_time.as_secs_f64())
+            .fold(0.0, f64::max);
+        let truncated = cr.host_results.iter().any(|r| r.truncated);
+        println!(
+            "{cell:<14} wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
+             events {:>12}  sessions {:>12}  sim end {end_s:.0} s{}",
+            head.events,
+            sessions,
+            if truncated { "  TRUNCATED" } else { "" },
+        );
+        if cluster.hosts > 1 {
+            println!(
+                "  migrations {} (downtime {})  cross-host {} transfers / {} pages  \
+                 stranded {}",
+                f.migrations,
+                f.migration_downtime,
+                f.cross_host_transfers,
+                f.cross_host_pages,
+                f.stranded_page_intervals,
+            );
+        }
+
+        // Per-VM occupancy and slowdown, in VM order across the hosts.
+        // Slowdown is each VM's total program runtime relative to the
+        // fastest VM running the same workload — 1.00 marks the
+        // least-contended VM of its class.
+        let mut per_vm: Vec<_> = cr
+            .host_results
+            .iter()
+            .flat_map(|r| r.vm_results.iter().zip(&r.final_tmem_used))
+            .collect();
+        per_vm.sort_by_key(|(vm, _)| vm.vm_id);
+        let runtime_ns: Vec<u64> = per_vm
+            .iter()
+            .map(|(vm, _)| {
                 vm.runs
                     .iter()
                     .filter_map(|rr| rr.duration())
@@ -722,10 +711,9 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
                     .sum()
             })
             .collect();
-        let class: Vec<&str> = r
-            .vm_results
+        let class: Vec<&str> = per_vm
             .iter()
-            .map(|vm| vm.runs.first().map_or("-", |rr| rr.workload.as_str()))
+            .map(|(vm, _)| vm.runs.first().map_or("-", |rr| rr.workload.as_str()))
             .collect();
         let mut fastest: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
         for (&c, &ns) in class.iter().zip(&runtime_ns) {
@@ -739,13 +727,12 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
             "vm", "workload", "runtime_s", "slowdown", "occ_pages"
         );
         let mut per_vm_json = Vec::new();
-        for (i, vm) in r.vm_results.iter().enumerate() {
+        for (i, (vm, occ)) in per_vm.iter().enumerate() {
             let runtime_s = runtime_ns[i] as f64 / 1e9;
             let slowdown = match fastest.get(class[i]) {
                 Some(&best) if runtime_ns[i] > 0 => runtime_ns[i] as f64 / best as f64,
                 _ => f64::NAN,
             };
-            let occ = r.final_tmem_used[i];
             println!(
                 "  {:<6} {:>22} {:>12.1} {:>9.3} {:>12}",
                 vm.name, class[i], runtime_s, slowdown, occ
@@ -765,17 +752,26 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
             ));
         }
         cells_json.push(format!(
-            "    {{\n      \"vms\": {vms},\n      \"scenario\": \"{}\",\n      \
+            "    {{\n      \"cell\": \"{cell}\",\n      \"hosts\": {},\n      \
+             \"vms\": {vms},\n      \"scenario\": \"{}\",\n      \
              \"wall_s\": {wall_s:.3},\n      \"peak_rss_kb\": {},\n      \
-             \"events\": {},\n      \"sim_end_s\": {:.3},\n      \
-             \"truncated\": {},\n      \"logical_sessions\": {sessions},\n      \
+             \"events\": {},\n      \"sim_end_s\": {end_s:.3},\n      \
+             \"truncated\": {truncated},\n      \"logical_sessions\": {sessions},\n      \
+             \"migrations\": {},\n      \"migration_downtime_ns\": {},\n      \
+             \"cross_host_transfers\": {},\n      \"cross_host_pages\": {},\n      \
+             \"net_queue_wait_ns\": {},\n      \"stranded_page_intervals\": {},\n      \
              \"per_vm\": [\n{}\n      ]\n    }}",
-            r.scenario,
+            cluster.hosts,
+            head.scenario,
             m.peak_rss_kb
                 .map_or("null".to_string(), |kb| kb.to_string()),
-            r.events,
-            r.end_time.as_secs_f64(),
-            r.truncated,
+            head.events,
+            f.migrations,
+            f.migration_downtime.as_nanos(),
+            f.cross_host_transfers,
+            f.cross_host_pages,
+            f.net_queue_wait.as_nanos(),
+            f.stranded_page_intervals,
             per_vm_json.join(",\n")
         ));
     }
@@ -783,14 +779,14 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     let json = format!(
         "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
          \"footprint_mb\": {footprint_mb}, \"seed\": {}, \
-         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", {} }},\n  \
+         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": {gap_ms}, \
+         \"effective_gap_ms\": {gap}, \"sampling_ms\": {sampling} }},\n  \
          \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
          in ascending VM order, so each reading is the peak through that cell\",\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         scenarios::par::default_jobs(),
         a.scale,
         a.seed,
-        time_json,
         cells_json.join(",\n")
     );
     let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
@@ -801,116 +797,18 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `bench-cluster`: the multi-host fleet cells — wall-clock, peak RSS and
-/// the fleet metrics (migrations, downtime, cross-host traffic, stranded
-/// memory) over hosts×VMs topologies, recorded in `BENCH_cluster.json`.
-/// Every cell runs the fleet scheduler at its default tunables with a
-/// per-host far tier sized to a quarter of the host's tmem shard.
-fn bench_cluster(a: &Args) -> Result<(), String> {
-    use smartmem_bench::measure::measure;
-
-    let footprint_mb = ((512.0 * a.scale).round() as u32).max(8);
-    let policy = PolicyKind::SmartAlloc { p: 2.0 };
-    let cfg = RunConfig {
-        seed: a.seed,
-        ..RunConfig::default()
-    };
-    cfg.validate()?;
-    let (time_line, time_json) = fleet_time_base(&cfg);
-
-    println!("== bench-cluster — fleet metrics vs hosts x VMs ==");
-    println!(
-        "footprint {footprint_mb} MiB/VM, balanced mix, {}, policy smart-alloc:2, \
-         datacenter interconnect, migration on, far tier = 1/4 of each host's shard",
-        time_line
-    );
-
-    let mut cells_json = Vec::new();
-    for (hosts, vms) in [(1usize, 8u32), (2, 8), (2, 16), (2, 32)] {
-        let params = FleetParams {
-            vms,
-            footprint_mb,
-            ..FleetParams::default()
-        };
-        let kind = ScenarioKind::Scenario5(params);
-        let spec = cluster_spec(kind, hosts, &cfg);
-        let cluster = ClusterConfig {
-            far: Some(FarConfig {
-                capacity_pages: (spec.tmem_pages() / hosts as u64 / 4).max(1),
-            }),
-            ..default_cluster(hosts)
-        };
-        let scenario = spec.name.clone();
-        let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
-        let cr = &m.value;
-        let f = &cr.fleet;
-        let wall_s = m.wall.as_secs_f64();
-        let rss_mib = m.peak_rss_kb.map_or(f64::NAN, |kb| kb as f64 / 1024.0);
-        let truncated = cr.host_results.iter().any(|r| r.truncated);
-        println!(
-            "cluster {hosts}x{vms:<3}: wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
-             migrations {:>3} (downtime {})  cross-host {} transfers / {} pages  \
-             stranded {}{}",
-            f.migrations,
-            f.migration_downtime,
-            f.cross_host_transfers,
-            f.cross_host_pages,
-            f.stranded_page_intervals,
-            if truncated { "  TRUNCATED" } else { "" },
-        );
-        cells_json.push(format!(
-            "    {{\n      \"hosts\": {hosts},\n      \"vms\": {vms},\n      \
-             \"scenario\": \"{scenario}\",\n      \"wall_s\": {wall_s:.3},\n      \
-             \"peak_rss_kb\": {},\n      \"events\": {},\n      \
-             \"sim_end_s\": {:.3},\n      \"truncated\": {truncated},\n      \
-             \"migrations\": {},\n      \"migration_downtime_ns\": {},\n      \
-             \"cross_host_transfers\": {},\n      \"cross_host_pages\": {},\n      \
-             \"net_queue_wait_ns\": {},\n      \"stranded_page_intervals\": {}\n    }}",
-            m.peak_rss_kb
-                .map_or("null".to_string(), |kb| kb.to_string()),
-            cr.host_results[0].events,
-            cr.host_results
-                .iter()
-                .map(|r| r.end_time.as_secs_f64())
-                .fold(0.0, f64::max),
-            f.migrations,
-            f.migration_downtime.as_nanos(),
-            f.cross_host_transfers,
-            f.cross_host_pages,
-            f.net_queue_wait.as_nanos(),
-            f.stranded_page_intervals,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
-         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \
-         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", {}, \
-         \"net\": \"datacenter\", \"migration\": \"default\", \
-         \"far\": \"quarter-shard\" }},\n  \
-         \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
-         in ascending order, so each reading is the peak through that cell\",\n  \
-         \"cluster_cells\": [\n{}\n  ]\n}}\n",
-        scenarios::par::default_jobs(),
-        a.scale,
-        a.seed,
-        time_json,
-        cells_json.join(",\n")
-    );
-    let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_cluster.json");
-    std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("perf record: {}", path.display());
-    Ok(())
-}
-
 /// `trace`: run one (scenario × policy) cell with every host's flight
 /// recorder attached, replay-verify the event streams against the live
 /// accounting (migration events included), print the metrics registry of
 /// a single host or the fleet report of a cluster, and (with `--out FILE`)
 /// write host 0's JSONL to FILE and host N's to `FILE.hostN`.
-fn trace_cmd(kind: ScenarioKind, hosts: usize, policy: PolicyKind, a: &Args) -> Result<(), String> {
+fn trace_cmd(
+    spec: ScenarioSpec,
+    cluster: &ClusterConfig,
+    policy: PolicyKind,
+    mut cfg: RunConfig,
+    a: &Args,
+) -> Result<(), String> {
     if a.filter.is_some() && a.out.is_none() {
         return Err(
             "--filter only shapes the JSONL written by --out; add --out FILE (the \
@@ -918,16 +816,12 @@ fn trace_cmd(kind: ScenarioKind, hosts: usize, policy: PolicyKind, a: &Args) -> 
                 .into(),
         );
     }
-    let mut cfg = run_config(a)?;
     // The replay verifier checks the occupancy series point-by-point, so
     // record it; series recording never changes simulation outcomes.
     cfg.record_series = true;
     cfg.trace = Some(TraceConfig::default());
-    if let Some(p) = &a.chaos {
-        cfg.faults = p.profile.clone();
-    }
-    let spec = cluster_spec(kind, hosts, &cfg);
-    let cr = run_cluster(spec, policy, &cfg, &default_cluster(hosts));
+    let hosts = cluster.hosts;
+    let cr = run_cluster(spec, policy, &cfg, cluster);
     let head = &cr.host_results[0];
     let topology = if hosts > 1 {
         format!("{hosts} hosts, ")
@@ -1280,7 +1174,7 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// One-cell result summary shared by `run` and `run-file`.
+/// One host's result summary, as `run` prints it.
 fn print_result(r: &RunResult) {
     println!(
         "{} / {}: end={} events={} disk_reads={} read_wait={} throttle={} mm_tx={}/{}",
@@ -1334,96 +1228,6 @@ fn print_result(r: &RunResult) {
             integrity,
         );
     }
-}
-
-/// Cluster-cell summary shared by `run` and `run-file`: the per-host
-/// results followed by the rendered fleet report.
-fn print_cluster_result(c: &ClusterResult) {
-    for (h, r) in c.host_results.iter().enumerate() {
-        println!("-- host {h} --");
-        print_result(r);
-    }
-    print!("{}", report::render_fleet(c));
-}
-
-/// `run-file`: run a declarative scenario file under one or more policies.
-/// The file's `[run]` table supplies defaults for anything the command
-/// line leaves unset; explicit flags and positional policies win.
-fn run_file_cmd(
-    path: &Path,
-    policies: &[String],
-    flags: &[String],
-    a: &Args,
-) -> Result<(), String> {
-    // Parse once at the CLI config just to read the [run] directives, then
-    // re-parse at the effective scale (the spec's sizes depend on it).
-    let probe = dsl::load_scenario(path, &run_config(a)?)?;
-    let run = probe.run;
-    let scale = if flag_given(flags, "--scale") {
-        a.scale
-    } else {
-        run.scale.unwrap_or(a.scale)
-    };
-    let seed = if flag_given(flags, "--seed") {
-        a.seed
-    } else {
-        run.seed.unwrap_or(a.seed)
-    };
-    let reps = if flag_given(flags, "--reps") {
-        a.reps
-    } else {
-        u64::from(run.reps.unwrap_or(1))
-    };
-    let cfg = RunConfig {
-        scale,
-        seed,
-        jobs: a.jobs,
-        ..RunConfig::default()
-    };
-    cfg.validate()?;
-    let doc = dsl::load_scenario(path, &cfg)?;
-
-    let policy_list: Vec<PolicyKind> = if policies.is_empty() {
-        run.policies
-            .unwrap_or_else(|| vec![PolicyKind::SmartAlloc { p: 2.0 }])
-    } else {
-        policies
-            .iter()
-            .map(|p| parse_policy(p))
-            .collect::<Result<_, _>>()?
-    };
-
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let faults = if a.chaos.is_some() {
-        a.chaos.as_ref().map(|p| p.profile.clone())
-    } else if let Some(entry) = &run.chaos {
-        dsl::resolve_chaos(entry, dir)?.map(|p| p.profile)
-    } else {
-        None
-    };
-
-    println!(
-        "== run-file {} — {} (scale {scale}, seed {seed}, reps {reps}) ==",
-        path.display(),
-        doc.spec.name
-    );
-    for policy in policy_list {
-        for rep in 0..reps {
-            let mut cfg = cfg.clone();
-            cfg.seed = seed.wrapping_add(rep);
-            if let Some(f) = &faults {
-                cfg.faults = f.clone();
-            }
-            if reps > 1 {
-                println!("-- rep {} --", rep + 1);
-            }
-            match &doc.cluster {
-                Some(c) => print_cluster_result(&run_cluster(doc.spec.clone(), policy, &cfg, c)),
-                None => print_result(&run_spec(doc.spec.clone(), policy, &cfg)),
-            }
-        }
-    }
-    Ok(())
 }
 
 /// `sweep`: expand a manifest and run (or resume) its cell matrix with
@@ -1510,30 +1314,32 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             let a = parse_flags(cmd, rest)?;
             bench_fleet(&a)
         }
-        "bench-cluster" => {
-            let a = parse_flags(cmd, rest)?;
-            bench_cluster(&a)
-        }
-        "trace" => {
-            let (scenario, rest) = rest.split_first().ok_or("trace needs a scenario")?;
-            let (policy, rest) = rest.split_first().ok_or("trace needs a policy")?;
-            let (kind, hosts) = parse_scenario_cluster(scenario)?;
-            let policy = parse_policy(policy)?;
-            let a = parse_flags(cmd, rest)?;
-            refuse_fleet_scale(cmd, kind, rest)?;
-            trace_cmd(kind, hosts, policy, &a)
-        }
-        "run-file" => {
-            let (file, rest) = rest
+        "run" | "trace" => {
+            let (scenario, rest) = rest
                 .split_first()
-                .ok_or("run-file needs a scenario .toml file")?;
-            let split = rest
-                .iter()
-                .position(|s| s.starts_with("--"))
-                .unwrap_or(rest.len());
-            let (policies, flags) = rest.split_at(split);
-            let a = parse_flags(cmd, flags)?;
-            run_file_cmd(Path::new(file), policies, flags, &a)
+                .ok_or_else(|| format!("{cmd} needs a scenario"))?;
+            let (policy, rest) = rest
+                .split_first()
+                .ok_or_else(|| format!("{cmd} needs a policy"))?;
+            let policy = dsl::parse_policy(policy)?;
+            let a = parse_flags(cmd, rest)?;
+            refuse_fleet_scale(cmd, scenario, rest)?;
+            let cfg = run_config(&a)?;
+            let (spec, cluster) = dsl::resolve_scenario(scenario, Path::new(""), &cfg)?;
+            if cmd == "trace" {
+                return trace_cmd(spec, &cluster, policy, cfg, &a);
+            }
+            let cr = run_cluster(spec, policy, &cfg, &cluster);
+            if let [r] = cr.host_results.as_slice() {
+                print_result(r);
+            } else {
+                for (h, r) in cr.host_results.iter().enumerate() {
+                    println!("-- host {h} --");
+                    print_result(r);
+                }
+                print!("{}", report::render_fleet(&cr));
+            }
+            Ok(())
         }
         "sweep" => {
             let (file, rest) = rest
@@ -1547,23 +1353,6 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             [] => Err("inspect needs a trace file (as written by `trace --out`)".into()),
             _ => Err("inspect takes exactly one trace file and no flags".into()),
         },
-        "run" => {
-            let (scenario, rest) = rest.split_first().ok_or("run needs a scenario")?;
-            let (policy, rest) = rest.split_first().ok_or("run needs a policy")?;
-            let (kind, hosts) = parse_scenario_cluster(scenario)?;
-            let policy = parse_policy(policy)?;
-            let a = parse_flags(cmd, rest)?;
-            refuse_fleet_scale(cmd, kind, rest)?;
-            let cfg = run_config(&a)?;
-            if hosts > 1 {
-                let spec = cluster_spec(kind, hosts, &cfg);
-                let cr = run_cluster(spec, policy, &cfg, &default_cluster(hosts));
-                print_cluster_result(&cr);
-            } else {
-                print_result(&run_scenario(kind, policy, &cfg));
-            }
-            Ok(())
-        }
         other => Err(format!("unknown command '{other}'")),
     }
 }
@@ -1571,14 +1360,9 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenarios::spec::WorkloadMix;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn parse_scenario(s: &str) -> Result<ScenarioKind, String> {
-        dsl::parse_kind(s)
     }
 
     #[test]
@@ -1619,12 +1403,10 @@ mod tests {
             ("table2", "--scale", "--seed"),
             ("fig", "--reps", "--chaos"),
             ("all", "--jobs", "--chaos"),
-            ("run", "--seed", "--chaos"),
+            ("run", "--chaos", "--jobs"),
             ("bench-parallel", "--reps", "--jobs"),
             ("bench-fleet", "--scale", "--jobs"),
-            ("bench-cluster", "--seed", "--jobs"),
             ("trace", "--filter", "--jobs"),
-            ("run-file", "--chaos", "--out"),
             ("sweep", "--stop-after", "--scale"),
         ] {
             let value = |flag: &str| match flag {
@@ -1644,9 +1426,13 @@ mod tests {
         }
         let err = parse_flags("sweep", &args(&["--scale", "0.01"])).unwrap_err();
         assert!(err.contains("[sweep] table sets scale"), "{err}");
-        // The chaos grid is a sweep manifest, not a command of its own.
-        let err = dispatch("chaos", &[]).unwrap_err();
-        assert_eq!(err, "unknown command 'chaos'");
+        // The chaos grid is a sweep manifest, a scenario file runs through
+        // `run`, and `bench-fleet` runs the multi-host cells: none is a
+        // command of its own.
+        for cmd in ["chaos", "run-file", "bench-cluster"] {
+            let err = dispatch(cmd, &[]).unwrap_err();
+            assert_eq!(err, format!("unknown command '{cmd}'"));
+        }
     }
 
     #[test]
@@ -1691,92 +1477,6 @@ mod tests {
     fn run_config_is_validated() {
         let a = parse_flags("fig", &args(&["--scale", "0.25"])).unwrap();
         assert!(run_config(&a).is_ok());
-    }
-
-    #[test]
-    fn policies_parse() {
-        assert_eq!(parse_policy("greedy").unwrap(), PolicyKind::Greedy);
-        assert_eq!(parse_policy("no-tmem").unwrap(), PolicyKind::NoTmem);
-        assert_eq!(
-            parse_policy("smart-alloc:0.75").unwrap(),
-            PolicyKind::SmartAlloc { p: 0.75 }
-        );
-        assert_eq!(parse_policy("predictive").unwrap(), PolicyKind::Predictive);
-        assert!(parse_policy("smart-alloc:x").is_err());
-        assert!(parse_policy("nonsense").is_err());
-    }
-
-    #[test]
-    fn scenarios_parse() {
-        assert_eq!(
-            parse_scenario("usemem").unwrap(),
-            ScenarioKind::UsememScenario
-        );
-        assert_eq!(
-            parse_scenario("scenario3").unwrap(),
-            ScenarioKind::Scenario3
-        );
-        assert!(parse_scenario("scenario9").is_err());
-    }
-
-    #[test]
-    fn fleet_scenarios_parse() {
-        assert_eq!(
-            parse_scenario("fleet").unwrap(),
-            ScenarioKind::Scenario5(FleetParams::default())
-        );
-        assert_eq!(
-            parse_scenario("scenario5").unwrap(),
-            ScenarioKind::Scenario5(FleetParams::default())
-        );
-        assert_eq!(
-            parse_scenario("fleet:16").unwrap(),
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 16,
-                ..FleetParams::default()
-            })
-        );
-        assert_eq!(
-            parse_scenario("fleet:32:256:paging:100").unwrap(),
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 32,
-                footprint_mb: 256,
-                mix: WorkloadMix::Paging,
-                arrival: Arrival::Staggered { gap_ms: 100 },
-            })
-        );
-        assert_eq!(
-            parse_scenario("fleet:8:64:serving:0").unwrap(),
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 8,
-                footprint_mb: 64,
-                mix: WorkloadMix::Serving,
-                arrival: Arrival::Simultaneous,
-            }),
-            "gap 0 means simultaneous arrivals"
-        );
-        let (kind, hosts) = parse_scenario_cluster("fleet:2x32").unwrap();
-        assert_eq!(hosts, 2, "cluster spelling carries the host count");
-        assert_eq!(
-            kind,
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 32,
-                ..FleetParams::default()
-            })
-        );
-        assert_eq!(
-            parse_scenario_cluster("fleet:16").unwrap().1,
-            1,
-            "bare counts stay single-host"
-        );
-        assert!(parse_scenario("fleet:0").is_err(), "zero VMs");
-        assert!(parse_scenario("fleet:8:0").is_err(), "zero footprint");
-        assert!(parse_scenario("fleet:8:64:warp").is_err(), "unknown mix");
-        assert!(
-            parse_scenario("fleet:8:64:paging:5:9").is_err(),
-            "trailing part"
-        );
-        assert!(parse_scenario("fleet:x").is_err());
     }
 
     #[test]

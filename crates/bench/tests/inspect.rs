@@ -1,9 +1,11 @@
 //! `smartmem-cli inspect` end to end: a trace written by `trace --out`
 //! reads back, summarizes, and passes its injected-vs-observed fault
-//! cross-check; a trace with one detection removed fails it. `trace`
-//! itself refuses `--filter` without `--out` on one host and on a
-//! cluster alike, and `run` and `trace` refuse `--scale` on a fleet cell.
-//! A closed stdout ends any command quietly.
+//! cross-check; a trace with one detection removed fails it. A greedy
+//! multi-host cell stores pages in its far tier and still replays and
+//! inspects clean. `trace` itself refuses `--filter` without `--out` on
+//! one host and on a cluster alike, and `run` and `trace` refuse
+//! `--scale` on a fleet cell. `run` on a shipped scenario file prints what
+//! `run` on its name prints. A closed stdout ends any command quietly.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -108,6 +110,62 @@ fn inspect_flags_a_removed_corruption_detection() {
     let (ok, text) = inspect(&t.0);
     assert!(!ok, "inspect must fail on a missing detection:\n{text}");
     assert!(text.contains("MISMATCH"), "{text}");
+}
+
+/// Greedy overfills a host's tmem shard, so on a multi-host cell, whose
+/// far tier is a quarter of each shard, some puts land in the far tier
+/// and come back through it; both host streams replay and inspect clean.
+#[test]
+fn a_greedy_cluster_cell_fills_its_far_tier_and_replays() {
+    let t = TempTrace(
+        std::env::temp_dir().join(format!("smartmem-inspect-{}-far.jsonl", std::process::id())),
+    );
+    let host1 = TempTrace(PathBuf::from(format!("{}.host1", t.0.display())));
+    let o = cli(&[
+        "trace",
+        "fleet:2x8:16",
+        "greedy",
+        "--seed",
+        "42",
+        "--out",
+        t.0.to_str().expect("temp path is UTF-8"),
+    ]);
+    assert!(o.status.success(), "trace failed:\n{}", stdout(&o));
+    assert!(stdout(&o).contains("replay: PASS"), "{}", stdout(&o));
+    let mut far = (0, 0);
+    for path in [&t.0, &host1.0] {
+        let text = std::fs::read_to_string(path).unwrap();
+        far.0 += text.matches("\"res\":\"stored_far\"").count();
+        far.1 += text.matches("\"ev\":\"far_get\"").count();
+        let (ok, summary) = inspect(path);
+        assert!(ok, "inspect failed on {}:\n{summary}", path.display());
+    }
+    assert!(far.0 > 0 && far.1 > 0, "far-tier puts and gets: {far:?}");
+}
+
+/// `run <file>` and `run <name>` are one experiment: the shipped Table II
+/// files and the fleet file print exactly what their names print.
+#[test]
+fn run_on_a_scenario_file_prints_what_its_name_prints() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+    for (file, name, scale) in [
+        ("scenario1.toml", "scenario1", Some("0.01")),
+        ("scenario2.toml", "scenario2", Some("0.01")),
+        ("usemem.toml", "usemem", Some("0.01")),
+        ("scenario3.toml", "scenario3", Some("0.01")),
+        ("fleet-small.toml", "fleet:8:64", None),
+    ] {
+        let run = |scenario: &str| {
+            let mut args = vec!["run", scenario, "smart-alloc:2", "--seed", "42"];
+            args.extend(scale.iter().flat_map(|s| ["--scale", *s]));
+            let o = cli(&args);
+            assert!(o.status.success(), "run {scenario} failed");
+            stdout(&o)
+        };
+        let by_file = run(&format!("{dir}/{file}"));
+        assert!(!by_file.is_empty());
+        assert_eq!(by_file, run(name), "{file} vs {name}");
+    }
 }
 
 #[test]

@@ -193,11 +193,6 @@ impl MemoryManager {
         self.transmissions
     }
 
-    /// Whether the MM is inside its post-restart rebuild window.
-    pub fn warming_up(&self) -> bool {
-        self.warmup_remaining > 0
-    }
-
     /// Duplicate/stale snapshots discarded idempotently, run-wide (survives
     /// crashes).
     pub fn snapshots_discarded(&self) -> u64 {
@@ -327,12 +322,10 @@ mod tests {
         assert!(mm.on_stats(&stats(2, 3, 0)).is_none(), "suppressed");
 
         mm.crash();
-        assert!(mm.warming_up());
         assert!(mm.history().is_empty(), "history lost");
         // REBUILD_WINDOW snapshots re-seed state without transmission...
         assert!(mm.on_stats(&stats(3, 3, 0)).is_none());
         assert!(mm.on_stats(&stats(4, 3, 0)).is_none());
-        assert!(!mm.warming_up());
         // ...then targets flow again, with a push seq above the pre-crash
         // one so the hypervisor's idempotence guard accepts it.
         let (seq, t) = mm.on_stats(&stats(5, 3, 0)).expect("resumes after warmup");

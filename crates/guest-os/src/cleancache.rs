@@ -121,11 +121,6 @@ impl FileCache {
         self.pool = pool;
     }
 
-    /// Pages currently in the guest page cache.
-    pub fn cached_pages(&self) -> usize {
-        self.cached.len()
-    }
-
     /// Deterministic content fingerprint of a (file, page).
     fn content_of(file: u64, index: u32) -> Fingerprint {
         Fingerprint::of(file.rotate_left(20) ^ u64::from(index), 0)
@@ -254,7 +249,6 @@ mod tests {
             fc.read(1, i, &mut machine(&mut r, &mut b));
         }
         fc.invalidate_file(1, &mut machine(&mut r, &mut b));
-        assert_eq!(fc.cached_pages(), 0);
         assert_eq!(r.hyp.tmem_used_by(VmId(1)), 0);
         // Re-read pays disk again.
         let disk_before = fc.stats().disk_reads;

@@ -66,12 +66,6 @@ impl PagedSpan {
         Self::footprint_pages(self.len, self.stride)
     }
 
-    /// First guest page of element `i`.
-    pub fn page_of(&self, i: usize) -> VirtPage {
-        self.base
-            .offset((i * self.stride) as u64 / PAGE_SIZE as u64)
-    }
-
     /// Simulate a read of element `i`: touch its page(s).
     #[inline]
     pub fn read(&self, i: usize, kernel: &mut GuestKernel, m: &mut Machine<'_>) {
@@ -183,8 +177,6 @@ mod tests {
         // 100 logical u32s at 256 bytes/element → 7 pages, not 1.
         let s = PagedSpan::new(&mut r.kernel, 100, 256);
         assert_eq!(s.pages(), 7);
-        assert_eq!(s.page_of(0), s.page_of(15), "16 elements share a page");
-        assert_ne!(s.page_of(0), s.page_of(16));
         let mut b = StepBudget::new(SimDuration::from_secs(3600));
         let mut m = machine!(r, &mut b);
         s.free(&mut r.kernel, &mut m);

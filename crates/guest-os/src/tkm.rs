@@ -26,7 +26,6 @@ use xen_sim::hypervisor::Hypervisor;
 /// Guest-side TKM instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuestTkm {
-    vm: VmId,
     pool: PoolId,
 }
 
@@ -38,22 +37,12 @@ impl GuestTkm {
         kind: PoolKind,
     ) -> Result<Self, TmemError> {
         let pool = hyp.new_pool(vm, kind)?;
-        Ok(GuestTkm { vm, pool })
+        Ok(GuestTkm { pool })
     }
 
     /// The pool this module registered.
     pub fn pool(&self) -> PoolId {
         self.pool
-    }
-
-    /// The VM this module runs in.
-    pub fn vm(&self) -> VmId {
-        self.vm
-    }
-
-    /// Module unload / VM teardown: destroy the pool. Returns pages freed.
-    pub fn shutdown<P: PagePayload>(self, hyp: &mut Hypervisor<P>) -> u64 {
-        hyp.destroy_pool(self.pool)
     }
 }
 
@@ -317,12 +306,12 @@ mod tests {
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let tkm = GuestTkm::init(&mut hyp, VmId(1), PoolKind::Persistent).unwrap();
-        assert_eq!(tkm.vm(), VmId(1));
         assert_eq!(
             hyp.backend().pool_info(tkm.pool()),
             Some((VmId(1), PoolKind::Persistent))
         );
-        assert_eq!(tkm.shutdown(&mut hyp), 0);
+        // VM teardown destroys the registered pool through the hypervisor.
+        assert_eq!(hyp.destroy_pool(tkm.pool()), 0);
         assert_eq!(hyp.backend().pool_count(), 0);
     }
 

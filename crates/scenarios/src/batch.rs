@@ -21,10 +21,15 @@
 //! whose cells were seeded from their whole label, is refused.
 //!
 //! A cell is seeded by its rep alone ([`RunConfig::for_rep`], the figure
-//! grid's rule), so cells that differ only in policy, chaos profile or
-//! override are paired, and a fault-free cell is the very run the figure
-//! grid makes. A complete sweep is judged by [`verdict`]: each faulty
-//! cell's per-VM running time over its fault-free twin's stays within
+//! grid's rule), so cells that differ only in chaos profile or override
+//! are paired, and a fault-free cell is the very run the figure grid
+//! makes. Cells that differ in policy share the seed but not their
+//! workload draws ([`RunConfig::for_rep`] says why). A scenario entry
+//! resolves through [`dsl::resolve_scenario`]; one with more than one
+//! host is refused, since a journal record holds one host's result.
+//!
+//! A complete sweep is judged by [`verdict`]: each faulty cell's per-VM
+//! running time over its fault-free twin's stays within
 //! [`DEGRADATION_BOUND`], and no cell violates a tmem invariant or leaves
 //! an injected corruption undetected.
 //!
@@ -41,8 +46,8 @@ use crate::chaos::DEGRADATION_BOUND;
 use crate::config::RunConfig;
 use crate::dsl::{self, expand_cells, CellId, Manifest, Override};
 use crate::par::run_indexed;
-use crate::runner::{run_spec, RunResult};
-use crate::spec::{build_scenario, ScenarioSpec};
+use crate::runner::{run_cluster, ClusterConfig, RunResult};
+use crate::spec::ScenarioSpec;
 use sim_core::faults::{FaultLedger, FaultProfile};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -152,9 +157,10 @@ pub fn result_digest(r: &RunResult) -> u64 {
 pub struct SweepPlan {
     /// The manifest as parsed.
     pub manifest: Manifest,
-    /// Resolved scenario axis: `(label, specs)`, labels unique, one spec
-    /// per [`SweepPlan::overrides`] entry (each built under its override).
-    pub scenarios: Vec<(String, Vec<ScenarioSpec>)>,
+    /// Resolved scenario axis: `(label, cells)`, labels unique, one
+    /// single-host [`dsl::resolve_scenario`] cell per
+    /// [`SweepPlan::overrides`] entry (each built under its override).
+    pub scenarios: Vec<(String, Vec<(ScenarioSpec, ClusterConfig)>)>,
     /// Resolved chaos axis: `(label, profile)`, `None` = fault-free.
     pub chaos: Vec<(String, Option<FaultProfile>)>,
     /// Resolved overrides axis: the manifest's entries, or `[None]` when
@@ -210,19 +216,6 @@ fn label_ok(label: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// A sweep cell runs on one host and its journal record holds one host's
-/// result, so a scenario file with a `[cluster]` table is refused rather
-/// than run on one host under its multi-host name.
-fn reject_cluster(src: &str) -> Result<(), String> {
-    match crate::toml::parse(src)?.table("cluster") {
-        Some(t) => Err(format!(
-            "line {}: [cluster]: sweep cells run on one host; run a cluster file with run-file",
-            t.line
-        )),
-        None => Ok(()),
-    }
-}
-
 /// Load a manifest from `path` and resolve every axis. `jobs` is the
 /// parallelism the sweep will run with (execution-only: it never affects
 /// results).
@@ -263,22 +256,24 @@ pub fn resolve_plan(
 
     let mut scenarios = Vec::with_capacity(manifest.scenarios.len());
     for entry in &manifest.scenarios {
-        let specs = if entry.ends_with(".toml") {
-            let path = dir.join(entry);
-            let src = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let cells = configs
+            .iter()
+            .map(|c| dsl::resolve_scenario(entry, dir, c))
+            .collect::<Result<Vec<_>, _>>()?;
+        let hosts = cells[0].1.hosts;
+        if hosts > 1 {
+            return Err(format!(
+                "scenario '{entry}' runs on {hosts} hosts, but a sweep cell runs on one; \
+                 run a multi-host cell with `smartmem-cli run`"
+            ));
+        }
+        if entry.ends_with(".toml") {
+            let src = fs::read_to_string(dir.join(entry)).expect("read by resolve_scenario");
             let _ = write!(identity, "\x1fscenario\x1f{src}");
-            configs
-                .iter()
-                .map(|c| dsl::parse_scenario_src(&src, c).map(|doc| doc.spec))
-                .collect::<Result<Vec<_>, _>>()
-                .and_then(|specs| reject_cluster(&src).map(|()| specs))
-                .map_err(|e| format!("{}: {e}", path.display()))?
         } else {
             let _ = write!(identity, "\x1fscenario\x1f{entry}");
-            let kind = dsl::parse_kind(entry)?;
-            configs.iter().map(|c| build_scenario(kind, c)).collect()
-        };
-        let label = specs[0].name.clone();
+        }
+        let label = cells[0].0.name.clone();
         label_ok(&label)?;
         if scenarios.iter().any(|(l, _)| l == &label) {
             return Err(format!(
@@ -286,7 +281,7 @@ pub fn resolve_plan(
                  journal cells would collide"
             ));
         }
-        scenarios.push((label, specs));
+        scenarios.push((label, cells));
     }
 
     let mut chaos = Vec::with_capacity(manifest.chaos.len());
@@ -659,13 +654,17 @@ pub fn run_sweep(
 }
 
 fn run_cell(plan: &SweepPlan, index: usize, cell: CellId) -> CellRecord {
-    let (scenario_label, specs) = &plan.scenarios[cell.scenario];
+    let (scenario_label, cells) = &plan.scenarios[cell.scenario];
     let policy = plan.manifest.policies[cell.policy];
     let (chaos_label, faults) = &plan.chaos[cell.chaos];
     let over = plan.overrides[cell.over];
     let mut cfg = with_override(&plan.cfg, over).for_rep(u64::from(cell.rep));
     cfg.faults = faults.clone().unwrap_or_else(FaultProfile::none);
-    let r = run_spec(specs[cell.over].clone(), policy, &cfg);
+    let (spec, cluster) = &cells[cell.over];
+    let r = run_cluster(spec.clone(), policy, &cfg, cluster)
+        .host_results
+        .pop()
+        .expect("sweep cells run on one host");
     CellRecord {
         index,
         scenario: scenario_label.clone(),

@@ -73,9 +73,12 @@ impl RunConfig {
     }
 
     /// This configuration for repetition `rep` of a grid cell: the seed
-    /// becomes `SplitMix64::new(seed).derive("rep{rep}")`. Figure and sweep
-    /// cells that differ only in policy, fault profile or override share
-    /// it, so every comparison between them is paired.
+    /// becomes `SplitMix64::new(seed).derive("rep{rep}")`, shared by every
+    /// figure and sweep cell of the rep. Cells that differ only in fault
+    /// profile or override are fully paired. Cells that differ in policy
+    /// are not paired on workload data: the runner seeds each workload run
+    /// from a label that names the policy, so their rating sets, graphs
+    /// and request streams differ (usemem draws nothing).
     pub fn for_rep(&self, rep: u64) -> RunConfig {
         RunConfig {
             seed: SplitMix64::new(self.seed)

@@ -10,7 +10,7 @@
 //! [`FleetParams`]. Sizes (`"512MiB"`) and durations (`"30s"`) are scaled
 //! by the active [`RunConfig`]. The shipped Table II files are the only
 //! definition of those scenarios: [`build_scenario`] embeds and parses
-//! them, so `run usemem` and `run-file scenarios/usemem.toml` are the same
+//! them, so `run usemem` and `run scenarios/usemem.toml` are the same
 //! experiment.
 //!
 //! ```toml
@@ -38,9 +38,13 @@
 //!
 //! A scenario file may additionally declare a `[cluster]` table — host
 //! count, interconnect preset (`datacenter`/`commodity`), optional
-//! per-host far-memory tier, and the fleet-scheduler migration knobs —
-//! which `run-file` executes through [`crate::runner::run_cluster`]. On
-//! the command line the same topology is spelled `fleet:<hosts>x<vms>`.
+//! per-host far-memory tier, and the fleet-scheduler migration knobs.
+//!
+//! **Cells.** [`resolve_scenario`] is the one place a scenario argument —
+//! a Table II name, a `fleet:[<hosts>x]<vms>[:…]` spelling or a `.toml`
+//! path — becomes the spec and topology [`crate::runner::run_cluster`]
+//! takes. The CLI's `run`, `trace` and `bench-fleet` and a manifest's
+//! scenario axis all read their scenarios through it.
 //!
 //! **Chaos files** name a [`FaultProfile`] field-by-field (the schema *is*
 //! [`FaultProfile::PROB_FIELDS`] plus the crash pair and the data-plane
@@ -169,7 +173,7 @@ pub fn parse_fleet(s: &str) -> Result<FleetParams, String> {
 
 /// Parse a built-in scenario name (`scenario1`, `scenario2`, `usemem`,
 /// `scenario3`, `fleet[:params]`).
-pub fn parse_kind(s: &str) -> Result<ScenarioKind, String> {
+fn parse_kind(s: &str) -> Result<ScenarioKind, String> {
     match s {
         "scenario1" => Ok(ScenarioKind::Scenario1),
         "scenario2" => Ok(ScenarioKind::Scenario2),
@@ -214,9 +218,10 @@ pub fn parse_fleet_cluster(s: &str) -> Result<(FleetParams, usize), String> {
     Ok((parse_fleet(&joined)?, hosts))
 }
 
-/// Cluster-aware scenario name: like [`parse_kind`], but the `fleet:`
-/// family also accepts a `<hosts>x<vms>` first token. Every other
-/// scenario is single-host.
+/// Parse a built-in scenario name (`scenario1`, `scenario2`, `usemem`,
+/// `scenario3`, `fleet[:params]`) with its host count: the `fleet:` family
+/// also accepts a `<hosts>x<vms>` first token. Every other scenario is
+/// single-host.
 pub fn parse_kind_cluster(s: &str) -> Result<(ScenarioKind, usize), String> {
     if let Some(params) = s.strip_prefix("fleet:") {
         let (p, hosts) = parse_fleet_cluster(params)?;
@@ -293,30 +298,11 @@ pub fn parse_duration(s: &str) -> Result<SimDuration, String> {
 // Scenario files.
 // ---------------------------------------------------------------------------
 
-/// Optional `[run]` directives a scenario file may carry: defaults the
-/// `run-file` subcommand applies when the matching CLI flag is absent.
-/// (Sweep manifests pin their own axes and ignore these.)
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunDirectives {
-    /// Policies to run, in order.
-    pub policies: Option<Vec<PolicyKind>>,
-    /// Repetitions per policy.
-    pub reps: Option<u32>,
-    /// Base seed.
-    pub seed: Option<u64>,
-    /// Memory scale.
-    pub scale: Option<f64>,
-    /// Chaos profile: a shipped name or a `.toml` path, `"none"` for off.
-    pub chaos: Option<String>,
-}
-
-/// A parsed scenario file: the spec plus its run directives.
+/// A parsed scenario file: the spec plus its declared topology.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioDoc {
     /// The scenario, built against the `RunConfig` the parse was given.
     pub spec: ScenarioSpec,
-    /// `[run]` table contents (all `None` when absent).
-    pub run: RunDirectives,
     /// `[cluster]` topology, when the file declares one. `None` runs the
     /// classic single-host path.
     pub cluster: Option<ClusterConfig>,
@@ -351,46 +337,6 @@ fn known_tables(doc: &toml::Document, tables: &[&str], arrays: &[&str]) -> Resul
         }
     }
     Ok(())
-}
-
-fn parse_run_table(doc: &toml::Document) -> Result<RunDirectives, String> {
-    let Some(t) = doc.table("run") else {
-        return Ok(RunDirectives::default());
-    };
-    let mut r = TableReader::new("[run]", t);
-    let mut run = RunDirectives::default();
-    if let Some(names) = r.opt_str_array("policies")? {
-        let mut policies = Vec::with_capacity(names.len());
-        for n in &names {
-            let p = parse_policy(n).map_err(|e| r.field_err("policies", e))?;
-            if policies.contains(&p) {
-                return Err(r.field_err("policies", format!("duplicate policy '{n}'")));
-            }
-            policies.push(p);
-        }
-        if policies.is_empty() {
-            return Err(r.field_err("policies", "policy list is empty"));
-        }
-        run.policies = Some(policies);
-    }
-    run.reps = match r.opt_u64("reps")? {
-        Some(0) => return Err(r.field_err("reps", "must be at least 1")),
-        Some(n) => Some(u32::try_from(n).map_err(|_| r.field_err("reps", "too large"))?),
-        None => None,
-    };
-    run.seed = r.opt_u64("seed")?;
-    if let Some(s) = r.opt_f64("scale")? {
-        if !(s.is_finite() && s > 0.0) {
-            return Err(r.field_err(
-                "scale",
-                format!("must be a positive finite number, got {s}"),
-            ));
-        }
-        run.scale = Some(s);
-    }
-    run.chaos = r.opt_str("chaos")?;
-    r.finish()?;
-    Ok(run)
 }
 
 fn fleet_table(t: &Table) -> Result<FleetParams, String> {
@@ -757,8 +703,7 @@ pub fn parse_scenario_src(src: &str, cfg: &RunConfig) -> Result<ScenarioDoc, Str
     let mut root = TableReader::new("top level", &doc.root);
     check_version(&mut root)?;
     root.finish()?;
-    known_tables(&doc, &["scenario", "fleet", "run", "cluster"], &["vm"])?;
-    let run = parse_run_table(&doc)?;
+    known_tables(&doc, &["scenario", "fleet", "cluster"], &["vm"])?;
     let cluster = match doc.table("cluster") {
         Some(t) => Some(cluster_table(t)?),
         None => None,
@@ -780,13 +725,51 @@ pub fn parse_scenario_src(src: &str, cfg: &RunConfig) -> Result<ScenarioDoc, Str
     if let Some(c) = &cluster {
         spec.name = cluster_scenario_name(&spec.name, c.hosts);
     }
-    Ok(ScenarioDoc { spec, run, cluster })
+    Ok(ScenarioDoc { spec, cluster })
 }
 
 /// Read and parse a scenario file; errors are prefixed with the path.
 pub fn load_scenario(path: &Path, cfg: &RunConfig) -> Result<ScenarioDoc, String> {
     let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     parse_scenario_src(&src, cfg).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Resolve a scenario argument into the spec and topology
+/// [`crate::runner::run_cluster`] takes, built against `cfg`:
+///
+/// - a `.toml` path (relative to `base_dir`) runs on its `[cluster]` table
+///   as declared, or on one plain host without one;
+/// - a multi-host `fleet:<hosts>x<vms>[:…]` cell runs on the datacenter
+///   link with the fleet scheduler at its default tunables and a far tier
+///   of a quarter of each host's tmem shard;
+/// - any other [`parse_kind_cluster`] name runs on one plain host.
+///
+/// A multi-host cell's name carries its host count
+/// ([`cluster_scenario_name`]).
+pub fn resolve_scenario(
+    arg: &str,
+    base_dir: &Path,
+    cfg: &RunConfig,
+) -> Result<(ScenarioSpec, ClusterConfig), String> {
+    if arg.ends_with(".toml") {
+        let doc = load_scenario(&base_dir.join(arg), cfg)?;
+        return Ok((doc.spec, doc.cluster.unwrap_or_default()));
+    }
+    let (kind, hosts) = parse_kind_cluster(arg)?;
+    let mut spec = build_scenario(kind, cfg);
+    if hosts == 1 {
+        return Ok((spec, ClusterConfig::default()));
+    }
+    spec.name = cluster_scenario_name(&spec.name, hosts);
+    let cluster = ClusterConfig {
+        hosts,
+        net: NetModel::datacenter(),
+        far: Some(FarConfig {
+            capacity_pages: (spec.tmem_pages() / hosts as u64 / 4).max(1),
+        }),
+        migration: Some(FleetConfig::default()),
+    };
+    Ok((spec, cluster))
 }
 
 // ---------------------------------------------------------------------------
@@ -878,7 +861,7 @@ pub struct Manifest {
     /// Sweep name: journal identity and report header.
     pub name: String,
     /// Scenario axis: `.toml` paths (relative to the manifest) or built-in
-    /// names ([`parse_kind`]).
+    /// names, in the [`resolve_scenario`] vocabulary.
     pub scenarios: Vec<String>,
     /// Policy axis.
     pub policies: Vec<PolicyKind>,
@@ -920,7 +903,7 @@ pub fn parse_manifest_src(src: &str) -> Result<Manifest, String> {
             return Err(r.field_err("scenarios", format!("duplicate scenario '{s}'")));
         }
         if !s.ends_with(".toml") {
-            parse_kind(s).map_err(|e| r.field_err("scenarios", e))?;
+            parse_kind_cluster(s).map_err(|e| r.field_err("scenarios", e))?;
         }
     }
     let policy_names = r.req_str_array("policies")?;
@@ -1307,6 +1290,96 @@ program = ["run usemem paper"]
         // The single-host vocabulary rejects the cluster spelling; hosts
         // only enter through the cluster-aware entry points.
         assert!(parse_kind("fleet:2x32").is_err());
+    }
+
+    #[test]
+    fn scenario_and_policy_names_parse() {
+        assert_eq!(parse_policy("greedy").unwrap(), PolicyKind::Greedy);
+        assert_eq!(parse_policy("no-tmem").unwrap(), PolicyKind::NoTmem);
+        assert_eq!(
+            parse_policy("smart-alloc:0.75").unwrap(),
+            PolicyKind::SmartAlloc { p: 0.75 }
+        );
+        assert_eq!(parse_policy("predictive").unwrap(), PolicyKind::Predictive);
+        assert!(parse_policy("smart-alloc:x").is_err());
+        assert!(parse_policy("nonsense").is_err());
+
+        let kind = parse_kind_cluster;
+        assert_eq!(kind("usemem").unwrap(), (ScenarioKind::UsememScenario, 1));
+        assert_eq!(kind("scenario3").unwrap(), (ScenarioKind::Scenario3, 1));
+        for name in ["fleet", "scenario5"] {
+            assert_eq!(
+                kind(name).unwrap(),
+                (ScenarioKind::Scenario5(FleetParams::default()), 1)
+            );
+        }
+        assert_eq!(
+            kind("fleet:16").unwrap().0,
+            ScenarioKind::Scenario5(FleetParams {
+                vms: 16,
+                ..FleetParams::default()
+            })
+        );
+        assert_eq!(
+            kind("fleet:8:64:serving:0").unwrap().0,
+            ScenarioKind::Scenario5(FleetParams {
+                vms: 8,
+                footprint_mb: 64,
+                mix: WorkloadMix::Serving,
+                arrival: Arrival::Simultaneous,
+            }),
+            "gap 0 means simultaneous arrivals"
+        );
+        for bad in [
+            "scenario9",
+            "fleet:0",
+            "fleet:8:0",
+            "fleet:8:64:warp",
+            "fleet:8:64:paging:5:9",
+            "fleet:x",
+        ] {
+            assert!(kind(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn resolve_scenario_owns_the_topology() {
+        let c = cfg();
+        let here = Path::new("");
+        let (spec, cluster) = resolve_scenario("fleet:8:64", here, &c).unwrap();
+        assert_eq!(cluster, ClusterConfig::default());
+        assert_eq!(spec.name, "scenario5-8x64mb-balanced");
+
+        let (spec, cluster) = resolve_scenario("fleet:2x32:128", here, &c).unwrap();
+        assert_eq!(spec.name, "scenario5-2x32x128mb-balanced");
+        assert_eq!(
+            cluster,
+            ClusterConfig {
+                hosts: 2,
+                net: NetModel::datacenter(),
+                far: Some(FarConfig {
+                    capacity_pages: spec.tmem_pages() / 2 / 4
+                }),
+                migration: Some(FleetConfig::default()),
+            }
+        );
+
+        let dir = std::env::temp_dir().join(format!("smartmem-dsl-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let src = "version = 1\n[fleet]\nvms = 6\nfootprint_mb = 8\n\
+                   [cluster]\nhosts = 3\nnet = \"commodity\"\nfar = \"4MiB\"\n";
+        std::fs::write(dir.join("trio.toml"), src).unwrap();
+        let resolved = resolve_scenario("trio.toml", &dir, &c);
+        std::fs::remove_dir_all(&dir).ok();
+        let (spec, cluster) = resolved.unwrap();
+        let declared = parse_scenario_src(src, &c).unwrap().cluster;
+        assert_eq!(Some(cluster), declared, "the table as declared");
+        assert_eq!(spec.name, "scenario5-3x6x8mb-balanced");
+
+        let e = resolve_scenario("scenario9", here, &c).unwrap_err();
+        assert!(e.contains("'scenario9'"), "{e}");
+        let e = resolve_scenario("no/such/cell.toml", here, &c).unwrap_err();
+        assert!(e.starts_with("no/such/cell.toml: "), "{e}");
     }
 
     #[test]

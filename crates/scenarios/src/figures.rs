@@ -9,8 +9,8 @@
 //!
 //! All (policy × rep) grids run through [`crate::par::run_indexed`] with
 //! `RunConfig::jobs` workers: each cell is an independent simulation seeded
-//! by its rep alone ([`RunConfig::for_rep`], the rule `sweep` cells share),
-//! so the policies of one rep are paired; results come back in grid order, and the folding
+//! by its rep alone ([`RunConfig::for_rep`], the rule `sweep` cells share;
+//! its doc says what that pairs); results come back in grid order, and the folding
 //! below consumes them in exactly the order the old serial loops did — so
 //! output is byte-identical at any job count.
 
@@ -64,15 +64,6 @@ impl FigureData {
             .iter()
             .find(|b| b.label == label)
             .map(|b| b.mean_s)
-    }
-
-    /// Mean over all bars of one policy (a scalar "who wins" view).
-    pub fn policy_mean(&self, policy: &str) -> Option<f64> {
-        let g = self.groups.iter().find(|g| g.policy == policy)?;
-        if g.bars.is_empty() {
-            return None;
-        }
-        Some(g.bars.iter().map(|b| b.mean_s).sum::<f64>() / g.bars.len() as f64)
     }
 }
 
@@ -474,6 +465,5 @@ mod tests {
         };
         assert!(fig.mean_of("greedy", "VM1/run1").is_some());
         assert!(fig.mean_of("greedy", "VM9/run1").is_none());
-        assert!(fig.policy_mean("greedy").unwrap() > 0.0);
     }
 }

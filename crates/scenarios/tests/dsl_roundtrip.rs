@@ -4,9 +4,8 @@
 //! the only definitions of the Table II scenarios and the chaos profiles
 //! (`build_scenario` and `shipped_profiles` embed them), so these tests
 //! cover what only the files on disk can show: the fleet file routes
-//! through the fleet constructor, the manifest and `[run]` directives
-//! parse as written, and every shipped ablation manifest and the chaos
-//! grid resolve. The
+//! through the fleet constructor, the manifest parses as written, and
+//! every shipped ablation manifest and the chaos grid resolve. The
 //! rejection table pins the parser's strictness: malformed input fails
 //! with a line- and field-anchored error, never a panic and never a
 //! silently-defaulted value. A property test pins manifest expansion as
@@ -81,21 +80,6 @@ fn shipped_ablation_manifests_parse_and_resolve() {
         let plan = batch::load_plan(&path, 1).unwrap_or_else(|e| panic!("{e}"));
         assert!(!plan.cells().is_empty(), "{}", path.display());
     }
-}
-
-#[test]
-fn shipped_run_directives_are_exposed_to_run_file() {
-    let doc = load_scenario(&shipped_dir().join("scenario1.toml"), &cfg(0.125)).unwrap();
-    assert_eq!(
-        doc.run.policies,
-        Some(vec![
-            PolicyKind::NoTmem,
-            PolicyKind::Greedy,
-            PolicyKind::SmartAlloc { p: 2.0 }
-        ])
-    );
-    assert_eq!(doc.run.reps, Some(1));
-    assert_eq!(doc.run.seed, None);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@
 //! refused outright. The records carry each cell's whole fault ledger, so
 //! the byte comparisons at jobs 1 and 8 pin the ledgers too. An overrides
 //! cell is pinned against a direct run under its configuration, and a
-//! scenario file with a `[cluster]` table is refused.
+//! multi-host entry — a `fleet:<hosts>x<vms>` name or a scenario file
+//! whose `[cluster]` table declares hosts — is refused.
 
 use scenarios::batch::{self, SweepOutcome, JOURNAL_FILE};
 use scenarios::config::RunConfig;
@@ -379,9 +380,10 @@ fn an_override_cell_equals_a_direct_run_under_its_config() {
     );
 }
 
-/// A scenario file with a `[cluster]` table would run on one host under
-/// its multi-host name; the plan refuses it, naming the file and the
-/// table's line.
+/// A journal record holds one host's result, so a sweep cell runs on one
+/// host. A scenario file whose `[cluster]` table declares two hosts and a
+/// `fleet:2x8:8` name are refused with one message that names the entry
+/// and points at `run`.
 #[test]
 fn a_cluster_scenario_file_is_refused() {
     let scratch = Scratch::new("cluster");
@@ -390,12 +392,25 @@ fn a_cluster_scenario_file_is_refused() {
         "version = 1\n[fleet]\nvms = 8\nfootprint_mb = 8\n\n[cluster]\nhosts = 2\nmigration = true\n",
     )
     .unwrap();
-    fs::write(
-        scratch.root.join("clustered.toml"),
-        "version = 1\n[sweep]\nname = \"clustered\"\nscenarios = [\"pair.toml\"]\n\
-         policies = [\"smart-alloc:2\"]\nscale = 0.125\n",
-    )
-    .unwrap();
-    let err = batch::load_plan(&scratch.root.join("clustered.toml"), 1).unwrap_err();
-    assert!(err.contains("pair.toml: line 6: [cluster]"), "{err}");
+    let refusal = |entry: &str| {
+        let path = scratch.root.join("clustered.toml");
+        fs::write(
+            &path,
+            format!(
+                "version = 1\n[sweep]\nname = \"clustered\"\nscenarios = [\"{entry}\"]\n\
+                 policies = [\"smart-alloc:2\"]\nscale = 0.125\n"
+            ),
+        )
+        .unwrap();
+        let err = batch::load_plan(&path, 1).unwrap_err();
+        assert!(err.contains(&format!("'{entry}'")), "{err}");
+        err.replace(entry, "<entry>")
+    };
+    let file = refusal("pair.toml");
+    assert!(file.contains("with `smartmem-cli run`"), "{file}");
+    assert_eq!(
+        refusal("fleet:2x8:8"),
+        file,
+        "one refusal for every multi-host cell"
+    );
 }

@@ -11,7 +11,7 @@
 //!    builds (it is clamped to "now" in release builds so a small rounding
 //!    slip cannot corrupt a long experiment).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -98,22 +98,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(Scheduled { due, seq, event }));
     }
 
-    /// Schedule `event` at `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
-    }
-
     /// Pop the next event, advancing the clock to its due time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(s) = self.heap.pop()?;
         debug_assert!(s.due >= self.now, "event queue time went backwards");
         self.now = s.due;
         Some((s.due, s.event))
-    }
-
-    /// Due time of the next pending event without popping it.
-    pub fn peek_due(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(s)| s.due)
     }
 
     /// Pop the next event *and every further event due at the same
@@ -166,15 +156,6 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn schedule_after_is_relative_to_now() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime(100), ());
-        q.pop();
-        q.schedule_after(SimDuration(50), ());
-        assert_eq!(q.peek_due(), Some(SimTime(150)));
     }
 
     #[test]
@@ -258,6 +239,5 @@ mod tests {
         let q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-        assert_eq!(q.peek_due(), None);
     }
 }

@@ -130,11 +130,6 @@ impl<P> PageArena<P> {
         self.slots.len() - self.free_list.len()
     }
 
-    /// High-water mark: total slots ever grown (live + free).
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Store `payload` in a slot, reusing a freed one when available.
     #[inline]
     pub fn alloc(&mut self, payload: P) -> SlotHandle {
@@ -247,7 +242,6 @@ mod tests {
         // The freed slot is reused before the slab grows.
         let h3 = a.alloc(3);
         assert_eq!(h3, h1);
-        assert_eq!(a.slot_count(), 2);
         *a.get_mut(h2) = 20;
         assert_eq!(*a.get(h2), 20);
         assert_eq!(a.free(h2), 20);

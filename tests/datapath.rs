@@ -143,7 +143,10 @@ fn targets_installed_through_the_tkm_rebalance_the_pool() {
         k2.touch(b2.offset(i), true, &mut machine!(n, &mut b));
     }
     assert!(n.hyp.tmem_used_by(VmId(2)) > 0, "VM2 gets a share now");
-    assert_eq!(t2.vm(), VmId(2));
+    assert_eq!(
+        n.hyp.backend().pool_info(t2.pool()).map(|(vm, _)| vm),
+        Some(VmId(2))
+    );
 
     // VM1's reclaimed pages read back from disk with correct contents
     // (no fingerprint panic) — the full relocation path works.
