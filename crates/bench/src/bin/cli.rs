@@ -1360,6 +1360,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scenarios::spec::{build_scenario, WorkloadMix};
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1477,6 +1478,108 @@ mod tests {
     fn run_config_is_validated() {
         let a = parse_flags("fig", &args(&["--scale", "0.25"])).unwrap();
         assert!(run_config(&a).is_ok());
+    }
+
+    /// What `run` and `trace` resolve a scenario argument to at their
+    /// default flags, next to the spec its kind builds.
+    fn resolve(s: &str) -> Result<(ScenarioSpec, ClusterConfig), String> {
+        dsl::resolve_scenario(s, Path::new(""), &default_cfg())
+    }
+
+    fn default_cfg() -> RunConfig {
+        run_config(&parse_flags("run", &[]).unwrap()).unwrap()
+    }
+
+    fn one_host(kind: ScenarioKind) -> (ScenarioSpec, ClusterConfig) {
+        (
+            build_scenario(kind, &default_cfg()),
+            ClusterConfig::default(),
+        )
+    }
+
+    #[test]
+    fn policies_parse() {
+        assert_eq!(dsl::parse_policy("greedy").unwrap(), PolicyKind::Greedy);
+        assert_eq!(dsl::parse_policy("no-tmem").unwrap(), PolicyKind::NoTmem);
+        assert_eq!(
+            dsl::parse_policy("smart-alloc:0.75").unwrap(),
+            PolicyKind::SmartAlloc { p: 0.75 }
+        );
+        assert_eq!(
+            dsl::parse_policy("predictive").unwrap(),
+            PolicyKind::Predictive
+        );
+        assert!(dsl::parse_policy("smart-alloc:x").is_err());
+        for cmd in ["run", "trace"] {
+            let err = dispatch(cmd, &args(&["scenario1", "nonsense"])).unwrap_err();
+            assert!(err.starts_with("unknown policy 'nonsense'"), "{err}");
+        }
+    }
+
+    #[test]
+    fn scenarios_parse() {
+        assert_eq!(
+            resolve("usemem").unwrap(),
+            one_host(ScenarioKind::UsememScenario)
+        );
+        assert_eq!(
+            resolve("scenario3").unwrap(),
+            one_host(ScenarioKind::Scenario3)
+        );
+        for cmd in ["run", "trace"] {
+            let err = dispatch(cmd, &args(&["scenario9", "greedy"])).unwrap_err();
+            assert!(err.contains("'scenario9'"), "{err}");
+        }
+    }
+
+    #[test]
+    fn fleet_scenarios_parse() {
+        for name in ["fleet", "scenario5"] {
+            assert_eq!(
+                resolve(name).unwrap(),
+                one_host(ScenarioKind::Scenario5(FleetParams::default()))
+            );
+        }
+        assert_eq!(
+            resolve("fleet:16").unwrap(),
+            one_host(ScenarioKind::Scenario5(FleetParams {
+                vms: 16,
+                ..FleetParams::default()
+            }))
+        );
+        assert_eq!(
+            resolve("fleet:32:256:paging:100").unwrap(),
+            one_host(ScenarioKind::Scenario5(FleetParams {
+                vms: 32,
+                footprint_mb: 256,
+                mix: WorkloadMix::Paging,
+                arrival: Arrival::Staggered { gap_ms: 100 },
+            }))
+        );
+        assert_eq!(
+            resolve("fleet:8:64:serving:0").unwrap(),
+            one_host(ScenarioKind::Scenario5(FleetParams {
+                vms: 8,
+                footprint_mb: 64,
+                mix: WorkloadMix::Serving,
+                arrival: Arrival::Simultaneous,
+            })),
+            "gap 0 means simultaneous arrivals"
+        );
+        let (spec, cluster) = resolve("fleet:2x32").unwrap();
+        assert_eq!(cluster.hosts, 2, "cluster spelling carries the host count");
+        let (single, _) = resolve("fleet:32").unwrap();
+        assert_eq!(spec.name, dsl::cluster_scenario_name(&single.name, 2));
+        assert_eq!(spec.vms, single.vms, "same VMs, spread over the hosts");
+        for bad in [
+            "fleet:0",
+            "fleet:8:0",
+            "fleet:8:64:warp",
+            "fleet:8:64:paging:5:9",
+            "fleet:x",
+        ] {
+            assert!(resolve(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

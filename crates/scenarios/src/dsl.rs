@@ -1293,56 +1293,6 @@ program = ["run usemem paper"]
     }
 
     #[test]
-    fn scenario_and_policy_names_parse() {
-        assert_eq!(parse_policy("greedy").unwrap(), PolicyKind::Greedy);
-        assert_eq!(parse_policy("no-tmem").unwrap(), PolicyKind::NoTmem);
-        assert_eq!(
-            parse_policy("smart-alloc:0.75").unwrap(),
-            PolicyKind::SmartAlloc { p: 0.75 }
-        );
-        assert_eq!(parse_policy("predictive").unwrap(), PolicyKind::Predictive);
-        assert!(parse_policy("smart-alloc:x").is_err());
-        assert!(parse_policy("nonsense").is_err());
-
-        let kind = parse_kind_cluster;
-        assert_eq!(kind("usemem").unwrap(), (ScenarioKind::UsememScenario, 1));
-        assert_eq!(kind("scenario3").unwrap(), (ScenarioKind::Scenario3, 1));
-        for name in ["fleet", "scenario5"] {
-            assert_eq!(
-                kind(name).unwrap(),
-                (ScenarioKind::Scenario5(FleetParams::default()), 1)
-            );
-        }
-        assert_eq!(
-            kind("fleet:16").unwrap().0,
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 16,
-                ..FleetParams::default()
-            })
-        );
-        assert_eq!(
-            kind("fleet:8:64:serving:0").unwrap().0,
-            ScenarioKind::Scenario5(FleetParams {
-                vms: 8,
-                footprint_mb: 64,
-                mix: WorkloadMix::Serving,
-                arrival: Arrival::Simultaneous,
-            }),
-            "gap 0 means simultaneous arrivals"
-        );
-        for bad in [
-            "scenario9",
-            "fleet:0",
-            "fleet:8:0",
-            "fleet:8:64:warp",
-            "fleet:8:64:paging:5:9",
-            "fleet:x",
-        ] {
-            assert!(kind(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
     fn resolve_scenario_owns_the_topology() {
         let c = cfg();
         let here = Path::new("");
