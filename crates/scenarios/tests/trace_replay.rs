@@ -3,10 +3,11 @@
 //! The trace schema is a load-bearing contract: `trace_check::verify`
 //! re-derives per-VM tmem occupancy, the admission counters and the fault
 //! ledger purely from the event stream and must land exactly on the live
-//! accounting for every covered cell. Two golden files pin the serialized
-//! JSONL form byte-exactly — one synthetic trace exercising every payload
-//! variant, and one real (filtered) run. Regenerate them after a deliberate
-//! schema change with:
+//! accounting for every covered cell, and a trace with one event removed
+//! must fail it with a mismatch that names what the event carried. Two
+//! golden files pin the serialized JSONL form byte-exactly — one synthetic
+//! trace exercising every payload variant, and one real (filtered) run.
+//! Regenerate them after a deliberate schema change with:
 //!
 //! ```text
 //! REGEN_TRACE_GOLDEN=1 cargo test -p smartmem-scenarios --test trace_replay
@@ -14,8 +15,10 @@
 
 use scenarios::chaos::shipped_profiles;
 use scenarios::config::RunConfig;
+use scenarios::dsl::{load_manifest, resolve_chaos};
+use scenarios::par::{default_jobs, run_indexed};
 use scenarios::runner::run_scenario;
-use scenarios::{trace_check, ScenarioKind};
+use scenarios::{trace_check, PolicyKind, ScenarioKind};
 use sim_core::cost::CostModel;
 use sim_core::faults::{FaultProfile, NetlinkFate, SampleFate};
 use sim_core::time::SimTime;
@@ -36,104 +39,175 @@ fn traced_cfg(faults: FaultProfile) -> RunConfig {
     }
 }
 
-fn sample_loss() -> FaultProfile {
+/// The shipped chaos profile called `name`.
+fn profile(name: &str) -> FaultProfile {
     shipped_profiles()
         .into_iter()
-        .find(|p| p.name == "sample-loss")
-        .expect("sample-loss ships with the chaos suite")
+        .find(|p| p.name == name)
+        .unwrap_or_else(|| panic!("{name} ships with the chaos suite"))
         .profile
 }
 
-/// Run one traced cell and assert its replay lands exactly on the live
-/// accounting. Cells run on worker threads so multi-core hosts overlap them.
-fn verify_cells(
-    cells: Vec<(
-        ScenarioKind,
-        scenarios::PolicyKind,
-        &'static str,
-        FaultProfile,
-    )>,
-) {
-    std::thread::scope(|s| {
-        let handles: Vec<_> = cells
-            .into_iter()
-            .map(|(scenario, policy, chaos, faults)| {
-                s.spawn(move || {
-                    let r = run_scenario(scenario, policy, &traced_cfg(faults));
-                    let cell = format!("{} / {} / chaos {chaos}", r.scenario, r.policy);
-                    let rep = trace_check::verify(&r)
-                        .unwrap_or_else(|e| panic!("{cell}: replay unavailable: {e}"));
-                    assert!(
-                        rep.ok(),
-                        "{cell}: replay diverged from live accounting:\n  {}",
-                        rep.mismatches.join("\n  ")
-                    );
-                    assert!(
-                        rep.events > 0 && rep.checks > 0,
-                        "{cell}: degenerate replay ({} events, {} checks)",
-                        rep.events,
-                        rep.checks
-                    );
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("replay cell panicked");
-        }
-    });
+/// Run each traced cell and assert its replay lands exactly on the live
+/// accounting. Cells run on one worker per core.
+fn verify_cells(cells: Vec<(ScenarioKind, PolicyKind, String, FaultProfile)>) {
+    run_indexed(
+        cells,
+        default_jobs(),
+        |_, (scenario, policy, chaos, faults)| {
+            let r = run_scenario(scenario, policy, &traced_cfg(faults));
+            let cell = format!("{} / {} / chaos {chaos}", r.scenario, r.policy);
+            let rep = trace_check::verify(&r)
+                .unwrap_or_else(|e| panic!("{cell}: replay unavailable: {e}"));
+            assert!(
+                rep.ok(),
+                "{cell}: replay diverged from live accounting:\n  {}",
+                rep.mismatches.join("\n  ")
+            );
+            assert!(
+                rep.events > 0 && rep.checks > 0,
+                "{cell}: degenerate replay ({} events, {} checks)",
+                rep.events,
+                rep.checks
+            );
+        },
+    );
 }
 
 /// Fast default slice of the grid: both scenarios, a smart and a static
-/// policy, chaos off and on. The exhaustive grid lives in the `#[ignore]`d
-/// test below (CI runs it with `--ignored`).
+/// policy, chaos off, sample loss and the two data-plane profiles. The
+/// exhaustive grid lives in the `#[ignore]`d test below (CI runs it with
+/// `--ignored`).
 #[test]
 fn replay_reproduces_live_accounting_representative_cells() {
+    let cell = |scenario, policy, chaos: &str| {
+        let faults = match chaos {
+            "off" => FaultProfile::none(),
+            name => profile(name),
+        };
+        (scenario, policy, chaos.to_string(), faults)
+    };
     verify_cells(vec![
-        (
+        cell(
             ScenarioKind::Scenario1,
-            scenarios::PolicyKind::SmartAlloc { p: 2.0 },
+            PolicyKind::SmartAlloc { p: 2.0 },
             "off",
-            FaultProfile::none(),
         ),
-        (
-            ScenarioKind::Scenario1,
-            scenarios::PolicyKind::Greedy,
-            "sample-loss",
-            sample_loss(),
-        ),
-        (
+        cell(ScenarioKind::Scenario1, PolicyKind::Greedy, "sample-loss"),
+        cell(
             ScenarioKind::Scenario2,
-            scenarios::PolicyKind::StaticAlloc,
+            PolicyKind::StaticAlloc,
             "sample-loss",
-            sample_loss(),
+        ),
+        cell(ScenarioKind::Scenario1, PolicyKind::Greedy, "bitrot"),
+        cell(
+            ScenarioKind::Scenario2,
+            PolicyKind::SmartAlloc { p: 2.0 },
+            "backend-brownout",
         ),
     ]);
 }
 
-/// (Scenario1–2 × the chaos grid's four managed policies × chaos
-/// off/sample-loss):
-/// replaying the event stream must reproduce the final per-VM occupancy,
-/// the admission counters and the fault ledger exactly, in every cell.
-/// ~45 s on one core — part of the slow suite (`cargo test -- --ignored`).
+/// Scenarios 1–2 × the chaos grid's four managed policies × its chaos
+/// axis (fault-free plus every shipped profile), read from
+/// `scenarios/chaos-grid.toml`: replaying the event stream must reproduce
+/// the final per-VM occupancy, the admission counters and the fault
+/// ledger exactly, in every one of the 48 cells. Part of the slow suite
+/// (`cargo test -- --ignored`).
 #[test]
-#[ignore = "exhaustive 16-cell grid; CI runs it via --ignored"]
+#[ignore = "exhaustive 48-cell grid; CI runs it via --ignored"]
 fn replay_reproduces_live_accounting_across_the_grid() {
-    let grid = scenarios::dsl::load_manifest(
-        &PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/chaos-grid.toml"),
-    )
-    .unwrap();
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/chaos-grid.toml");
+    let grid = load_manifest(&path).unwrap();
+    let dir = path.parent().expect("the manifest has a directory");
+    let chaos: Vec<(String, FaultProfile)> = grid
+        .chaos
+        .iter()
+        .map(|entry| match resolve_chaos(entry, dir).unwrap() {
+            Some(p) => (p.name, p.profile),
+            None => (entry.clone(), FaultProfile::none()),
+        })
+        .collect();
+    assert_eq!(chaos.len(), 1 + shipped_profiles().len(), "{chaos:?}");
     let mut cells = Vec::new();
     for scenario in [ScenarioKind::Scenario1, ScenarioKind::Scenario2] {
         for &policy in &grid.policies {
-            for (chaos, faults) in [
-                ("off", FaultProfile::none()),
-                ("sample-loss", sample_loss()),
-            ] {
-                cells.push((scenario, policy, chaos, faults));
+            for (name, faults) in &chaos {
+                cells.push((scenario, policy, name.clone(), faults.clone()));
             }
         }
     }
+    assert_eq!(cells.len(), 48);
     verify_cells(cells);
+}
+
+/// Run one traced cell, remove the first event `pick` matches, and return
+/// the replay's mismatches.
+fn tampered(
+    scenario: ScenarioKind,
+    policy: PolicyKind,
+    faults: FaultProfile,
+    pick: impl Fn(&Payload) -> bool,
+) -> Vec<String> {
+    let mut r = run_scenario(scenario, policy, &traced_cfg(faults));
+    let events = &mut r.trace.as_mut().expect("trace was configured").events;
+    let at = events
+        .iter()
+        .position(|e| pick(&e.payload))
+        .expect("the cell emits the event to remove");
+    events.remove(at);
+    trace_check::verify(&r)
+        .expect("the tampered trace is still replayable")
+        .mismatches
+}
+
+fn assert_names(mismatches: &[String], what: &str) {
+    assert!(
+        mismatches.iter().any(|m| m.starts_with(what)),
+        "no `{what}…` mismatch among:\n  {}",
+        mismatches.join("\n  ")
+    );
+}
+
+#[test]
+fn replay_names_a_removed_put() {
+    let m = tampered(
+        ScenarioKind::Scenario1,
+        PolicyKind::Greedy,
+        FaultProfile::none(),
+        |p| matches!(p, Payload::Put { result, .. } if result.consumed_frame()),
+    );
+    assert_names(&m, "final occupancy[");
+}
+
+#[test]
+fn replay_names_a_removed_sample_drop() {
+    let m = tampered(
+        ScenarioKind::Scenario2,
+        PolicyKind::SmartAlloc { p: 2.0 },
+        profile("sample-loss"),
+        |p| {
+            *p == Payload::Fault {
+                kind: FaultKind::SampleDrop,
+            }
+        },
+    );
+    assert_names(&m, "fault sample_drop vs observed");
+}
+
+#[test]
+fn replay_names_a_removed_detection() {
+    let m = tampered(
+        ScenarioKind::Scenario1,
+        PolicyKind::Greedy,
+        profile("bitrot"),
+        |p| {
+            *p == Payload::Fault {
+                kind: FaultKind::CorruptDetected,
+            }
+        },
+    );
+    assert_names(&m, "ledger.corruptions_detected");
 }
 
 /// JSONL round-trip: parse(to_jsonl(trace)) returns the same events and
@@ -142,11 +216,11 @@ fn replay_reproduces_live_accounting_across_the_grid() {
 fn jsonl_round_trips_exactly() {
     let cfg = RunConfig {
         time_scale: Some(0.1), // fewer intervals — this test is about bytes
-        ..traced_cfg(sample_loss())
+        ..traced_cfg(profile("sample-loss"))
     };
     let r = run_scenario(
         ScenarioKind::Scenario1,
-        scenarios::PolicyKind::SmartAlloc { p: 2.0 },
+        PolicyKind::SmartAlloc { p: 2.0 },
         &cfg,
     );
     let data = r.trace.as_ref().expect("trace was configured");
@@ -186,11 +260,7 @@ fn write_filter_restricts_subsystems_and_is_recorded() {
         time_scale: Some(0.1),
         ..traced_cfg(FaultProfile::none())
     };
-    let r = run_scenario(
-        ScenarioKind::Scenario1,
-        scenarios::PolicyKind::StaticAlloc,
-        &cfg,
-    );
+    let r = run_scenario(ScenarioKind::Scenario1, PolicyKind::StaticAlloc, &cfg);
     let data = r.trace.as_ref().unwrap();
     let header = TraceHeader {
         scenario: r.scenario.clone(),
@@ -684,11 +754,7 @@ fn small_run_jsonl_matches_golden_byte_exactly() {
         time_scale: Some(0.1),
         ..traced_cfg(FaultProfile::none())
     };
-    let r = run_scenario(
-        ScenarioKind::Scenario1,
-        scenarios::PolicyKind::StaticAlloc,
-        &cfg,
-    );
+    let r = run_scenario(ScenarioKind::Scenario1, PolicyKind::StaticAlloc, &cfg);
     let data = r.trace.as_ref().unwrap();
     let header = TraceHeader {
         scenario: r.scenario.clone(),
