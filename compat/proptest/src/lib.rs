@@ -5,7 +5,7 @@
 //!
 //! * the [`proptest!`] macro (with optional `#![proptest_config(...)]`),
 //! * [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_oneof!`],
-//! * strategies: integer/float ranges, tuples, [`Just`],
+//! * strategies: integer/float ranges, tuples, [`Just`](strategy::Just),
 //!   [`any`](crate::arbitrary::any), `collection::vec`, `prop_map`,
 //!   weighted unions, and a tiny `[a-z]{m,n}`-style string pattern,
 //! * deterministic case generation (seeded per test name, overridable with

@@ -74,9 +74,10 @@
 //! to FILE and host N's to `FILE.hostN`. `--filter subsys=tmem,mm`
 //! restricts the *written* file to those subsystems; the recorder always
 //! records (and the verifier always replays) everything. `inspect` reads a
-//! JSONL trace back and summarizes it: per-VM admission/reject/evict
-//! counts, the transmitted target-vector timeline, and a fault-ledger
-//! cross-check.
+//! JSONL trace back, folds it through the verifier's
+//! [`scenarios::trace_check::TraceFold`] and summarizes it: per-VM
+//! admission/reject/evict counts, the transmitted target-vector timeline,
+//! and the fold's injected-vs-observed fault checks.
 
 use scenarios::batch;
 use scenarios::chaos;
@@ -86,7 +87,7 @@ use scenarios::figures;
 use scenarios::report;
 use scenarios::runner::{run_cluster, ClusterConfig, RunResult};
 use scenarios::spec::{Arrival, FleetParams, ScenarioKind, ScenarioSpec};
-use scenarios::trace_check;
+use scenarios::trace_check::{self, FaultCheck, Pairing, TraceFold};
 use sim_core::time::SimDuration;
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
@@ -953,25 +954,10 @@ fn print_trace_metrics(data: &TraceData) {
     );
 }
 
-/// Per-VM admission/datapath counters accumulated by `inspect`.
-#[derive(Default)]
-struct VmInspect {
-    stored: u64,
-    replaced: u64,
-    stored_evict: u64,
-    stored_far: u64,
-    reject_target: u64,
-    reject_cap: u64,
-    reject_io: u64,
-    gets: u64,
-    hits: u64,
-    evicted: u64,
-    flushed_pages: u64,
-}
-
-/// `inspect`: parse a JSONL trace and summarize it — per-VM admission and
-/// eviction counts, the transmitted target-vector timeline, and a
-/// cross-check of injected-fault events against the observed fates.
+/// `inspect`: parse a JSONL trace, fold it through
+/// [`trace_check::TraceFold`] and summarize it — per-VM admission and
+/// eviction counts, the transmitted target-vector timeline, and the fold's
+/// injected-vs-observed fault checks.
 fn inspect_cmd(path: &Path) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -991,35 +977,12 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         t.dropped_oldest,
         t.filter.as_deref().unwrap_or("none")
     );
+    let mut fold = TraceFold::default();
+    for ev in &t.events {
+        fold.observe(ev);
+    }
 
     // --- per-VM admission / reject / evict table -------------------------
-    let mut vms: std::collections::BTreeMap<u32, VmInspect> = std::collections::BTreeMap::new();
-    for ev in &t.events {
-        let Some(vm) = ev.vm else { continue };
-        let row = vms.entry(vm).or_default();
-        match &ev.payload {
-            Payload::Put { result, .. } => match result {
-                PutResult::Stored => row.stored += 1,
-                PutResult::Replaced => row.replaced += 1,
-                PutResult::StoredEvict => row.stored_evict += 1,
-                PutResult::StoredFar => row.stored_far += 1,
-                PutResult::RejectTarget => row.reject_target += 1,
-                PutResult::RejectCapacity => row.reject_cap += 1,
-                PutResult::RejectIo => row.reject_io += 1,
-            },
-            Payload::Get { hit, .. } => {
-                row.gets += 1;
-                if *hit {
-                    row.hits += 1;
-                }
-            }
-            Payload::Evict { .. } => row.evicted += 1,
-            Payload::Flush { pages, .. } | Payload::PoolDestroy { pages, .. } => {
-                row.flushed_pages += pages;
-            }
-            _ => {}
-        }
-    }
     println!("-- per-VM tmem admission --");
     println!(
         "{:>3} {:>9} {:>9} {:>9} {:>8} {:>10} {:>8} {:>7} {:>9} {:>9} {:>8} {:>9}",
@@ -1036,19 +999,20 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         "evicted",
         "flushed"
     );
-    for (vm, r) in &vms {
+    for (vm, v) in &fold.vms {
+        let r = v.datapath();
         println!(
             "{vm:>3} {:>9} {:>9} {:>9} {:>8} {:>10} {:>8} {:>7} {:>9} {:>9} {:>8} {:>9}",
-            r.stored,
-            r.replaced,
-            r.stored_evict,
-            r.stored_far,
-            r.reject_target,
-            r.reject_cap,
-            r.reject_io,
+            r.put(PutResult::Stored),
+            r.put(PutResult::Replaced),
+            r.put(PutResult::StoredEvict),
+            r.put(PutResult::StoredFar),
+            r.put(PutResult::RejectTarget),
+            r.put(PutResult::RejectCapacity),
+            r.put(PutResult::RejectIo),
             r.gets,
             r.hits,
-            r.evicted,
+            r.evictions,
             r.flushed_pages,
         );
     }
@@ -1077,7 +1041,6 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
             );
         }
     };
-    let mut transmissions = 0u64;
     for ev in &t.events {
         if let Payload::MmDecision {
             push_seq,
@@ -1086,7 +1049,6 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
             ..
         } = &ev.payload
         {
-            transmissions += 1;
             match &mut pending {
                 Some((_, _, prev, repeats)) if prev == targets => *repeats += 1,
                 _ => {
@@ -1097,7 +1059,7 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         }
     }
     flush_run(&pending);
-    if transmissions == 0 {
+    if pending.is_none() {
         println!("  (none — policy never transmitted a target vector)");
     }
 
@@ -1110,10 +1072,9 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         println!("  events and fault events are not both guaranteed present");
         return Ok(());
     }
-    let fold = trace_check::fold_faults(&t.events);
     let mut mismatched = 0u64;
-    let mut verdict = |ok: bool| {
-        if ok {
+    let mut verdict = |c: &FaultCheck| {
+        if c.ok() {
             "OK"
         } else {
             mismatched += 1;
@@ -1124,10 +1085,19 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         "  {:<16} {:>9} {:>9}  verdict",
         "kind", "injected", "observed"
     );
-    for kind in FaultKind::ALL {
-        if let Some(o) = fold.observed(kind) {
-            let i = fold.injected(kind);
-            println!("  {:<16} {i:>9} {o:>9}  {}", kind.as_str(), verdict(i == o));
+    let (fates, data): (Vec<_>, Vec<_>) = fold
+        .checks()
+        .into_iter()
+        .partition(|c| matches!(c.pairs, Pairing::Fate(_)));
+    for c in &fates {
+        if let Pairing::Fate(kind) = c.pairs {
+            println!(
+                "  {:<16} {:>9} {:>9}  {}",
+                kind.as_str(),
+                c.injected,
+                c.observed,
+                verdict(c)
+            );
         }
     }
     // Data-plane faults pair with later events rather than with a fate of
@@ -1135,31 +1105,34 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
     // a put I/O failure or brownout rejection with a `reject_io` put.
     let l = &fold.ledger;
     let data_active = l.scrub_passes > 0
+        || data.iter().any(|c| !c.ok())
         || FaultKind::ALL
             .iter()
             .any(|&k| fold.observed(k).is_none() && fold.injected(k) > 0);
     if data_active {
         println!("-- data-plane integrity cross-check --");
-        let (bitflips, torn) = (l.bitflips_injected, l.torn_writes_injected);
-        let detected = l.corruptions_detected;
-        println!(
-            "  corruption: injected {} (bitflip {bitflips} + torn {torn}), \
-             detected {detected}  {}",
-            bitflips + torn,
-            verdict(detected == bitflips + torn)
-        );
-        let (io_fails, rejects) = (l.put_io_failures_injected, l.brownout_rejections);
-        println!(
-            "  put I/O: injected {io_fails} + brownout-rejected {rejects}, \
-             reject_io puts {}  {}",
-            fold.reject_io_puts,
-            verdict(fold.reject_io_puts == io_fails + rejects)
-        );
-        let recovered = l.corruptions_recovered;
-        println!(
-            "  recovery: {recovered} of {detected} detections recovered in-guest  {}",
-            verdict(recovered <= detected)
-        );
+        for c in &data {
+            let (i, o) = (c.injected, c.observed);
+            match c.pairs {
+                Pairing::Detected => println!(
+                    "  corruption: injected {i} (bitflip {} + torn {}), detected {o}  {}",
+                    l.bitflips_injected,
+                    l.torn_writes_injected,
+                    verdict(c)
+                ),
+                Pairing::RejectIo => println!(
+                    "  put I/O: injected {} + brownout-rejected {}, reject_io puts {o}  {}",
+                    l.put_io_failures_injected,
+                    l.brownout_rejections,
+                    verdict(c)
+                ),
+                Pairing::Recovered => println!(
+                    "  recovery: {o} of {i} detections recovered in-guest  {}",
+                    verdict(c)
+                ),
+                Pairing::Fate(_) => {}
+            }
+        }
         println!(
             "  losses={} brownout_ticks={} scrubs={} quarantined_objects={}",
             l.ephemeral_losses_injected, l.brownout_ticks, l.scrub_passes, l.objects_quarantined

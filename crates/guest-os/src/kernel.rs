@@ -431,7 +431,7 @@ impl GuestKernel {
     /// live and already dirty if this touch writes, costs one RAM touch and
     /// sets the clock PFRA's referenced bit; it reads one word of the page
     /// table and is inlined into the workload's loop. Every other touch
-    /// goes out of line to [`GuestKernel::touch_slow`].
+    /// goes out of line to `GuestKernel::touch_slow`.
     #[inline]
     pub fn touch(&mut self, page: VirtPage, write: bool, m: &mut Machine<'_>) {
         let resident = usize::try_from(page.0)

@@ -210,6 +210,27 @@ fn replay_names_a_removed_detection() {
     assert_names(&m, "ledger.corruptions_detected");
 }
 
+/// Replay pairs every `reject_io` put with an injected put failure, from
+/// the events alone, beside the guest kernel's own failed-put count.
+#[test]
+fn replay_names_a_removed_reject_io_put() {
+    let m = tampered(
+        ScenarioKind::Scenario1,
+        PolicyKind::Greedy,
+        profile("backend-brownout"),
+        |p| {
+            matches!(
+                p,
+                Payload::Put {
+                    result: PutResult::RejectIo,
+                    ..
+                }
+            )
+        },
+    );
+    assert_names(&m, "reject_io puts");
+}
+
 /// JSONL round-trip: parse(to_jsonl(trace)) returns the same events and
 /// header fields, and re-serializing the parsed events is byte-stable.
 #[test]

@@ -85,35 +85,6 @@ impl TimeSeries {
             })
         })
     }
-
-    /// Time-weighted mean of the series (trapezoidal, assuming the value
-    /// holds until the next sample). `None` for series shorter than 2.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0.as_nanos() - w[0].0.as_nanos()) as f64;
-            area += w[0].1 * dt;
-            span += dt;
-        }
-        if span == 0.0 {
-            None
-        } else {
-            Some(area / span)
-        }
-    }
-
-    /// Value in effect at instant `t`: the last sample at or before `t`.
-    pub fn value_at(&self, t: SimTime) -> Option<f64> {
-        match self.points.binary_search_by(|&(pt, _)| pt.cmp(&t)) {
-            Ok(i) => Some(self.points[i].1),
-            Err(0) => None,
-            Err(i) => Some(self.points[i - 1].1),
-        }
-    }
 }
 
 /// Online mean / standard deviation accumulator (Welford), used to summarize
@@ -124,20 +95,12 @@ pub struct Summary {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Summary {
     /// An empty summary.
     pub fn new() -> Self {
-        Summary {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        Self::default()
     }
 
     /// Fold in one observation.
@@ -146,8 +109,6 @@ impl Summary {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Number of observations.
@@ -173,37 +134,6 @@ impl Summary {
             (self.m2 / (self.n - 1) as f64).sqrt()
         }
     }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Fold another summary into this one (parallel Welford, Chan et al.):
-    /// the result is as if every observation of `other` had been
-    /// [`record`](Summary::record)ed here. Associative up to floating-point
-    /// rounding; exact for counts, min and max.
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A log2-bucketed histogram of `u64` observations (latencies in
@@ -216,8 +146,6 @@ impl Summary {
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
-    sum: u64,
-    min: u64,
     max: u64,
 }
 
@@ -237,8 +165,6 @@ impl Histogram {
         Histogram {
             buckets: vec![0; HISTOGRAM_BUCKETS],
             count: 0,
-            sum: 0,
-            min: u64::MAX,
             max: 0,
         }
     }
@@ -267,8 +193,6 @@ impl Histogram {
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
 
@@ -277,33 +201,9 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest observation (`None` when empty).
     pub fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Raw bucket counts (index = bit length of the value; index 0 = zeros).
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
     }
 
     /// Upper bound of the bucket containing the `p`-quantile
@@ -332,25 +232,21 @@ impl Histogram {
             *a += b;
         }
         self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-    }
-}
-
-impl FromIterator<f64> for Summary {
-    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
-        let mut s = Summary::new();
-        for x in iter {
-            s.record(x);
-        }
-        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn summary(xs: &[f64]) -> Summary {
+        let mut s = Summary::new();
+        for &x in xs {
+            s.record(x);
+        }
+        s
+    }
 
     #[test]
     fn counter_take_resets() {
@@ -364,14 +260,10 @@ mod tests {
 
     #[test]
     fn summary_matches_hand_computation() {
-        let s: Summary = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-            .into_iter()
-            .collect();
+        let s = summary(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample stddev of that classic dataset is ~2.138.
         assert!((s.stddev() - 2.1380899352993947).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
         assert_eq!(s.count(), 8);
     }
 
@@ -380,54 +272,10 @@ mod tests {
         let empty = Summary::new();
         assert_eq!(empty.mean(), 0.0);
         assert_eq!(empty.stddev(), 0.0);
-        assert_eq!(empty.min(), None);
-        let one: Summary = [3.5].into_iter().collect();
+        assert_eq!(empty.count(), 0);
+        let one = summary(&[3.5]);
         assert_eq!(one.mean(), 3.5);
         assert_eq!(one.stddev(), 0.0);
-    }
-
-    #[test]
-    fn time_series_value_at_steps() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1), 10.0);
-        ts.push(SimTime::from_secs(3), 30.0);
-        assert_eq!(ts.value_at(SimTime::ZERO), None);
-        assert_eq!(ts.value_at(SimTime::from_secs(1)), Some(10.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(2)), Some(10.0));
-        assert_eq!(ts.value_at(SimTime::from_secs(5)), Some(30.0));
-        assert_eq!(ts.max(), Some(30.0));
-    }
-
-    #[test]
-    fn time_weighted_mean_weights_by_interval() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(0), 0.0);
-        ts.push(SimTime::from_secs(9), 100.0); // value 0 held for 9s
-        ts.push(SimTime::from_secs(10), 100.0); // value 100 held for 1s
-        let m = ts.time_weighted_mean().unwrap();
-        assert!((m - 10.0).abs() < 1e-9, "mean={m}");
-    }
-
-    #[test]
-    fn summary_merge_matches_single_fold() {
-        let xs = [2.0, 4.0, 4.0, 4.0];
-        let ys = [5.0, 5.0, 7.0, 9.0];
-        let whole: Summary = xs.iter().chain(&ys).copied().collect();
-        let mut left: Summary = xs.into_iter().collect();
-        let right: Summary = ys.into_iter().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12);
-        assert!((left.stddev() - whole.stddev()).abs() < 1e-12);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-
-        let mut empty = Summary::new();
-        empty.merge(&whole);
-        assert_eq!(empty, whole, "merging into empty copies");
-        let mut whole2 = whole;
-        whole2.merge(&Summary::new());
-        assert_eq!(whole2, whole, "merging empty is a no-op");
     }
 
     #[test]
@@ -437,15 +285,16 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 7);
-        assert_eq!(h.sum(), 1022);
-        assert_eq!(h.min(), Some(0));
         assert_eq!(h.max(), Some(1000));
+        // Rank 1 is the zero bucket.
+        assert_eq!(h.percentile(0.1), Some(0));
         // Median rank 4 lands in bucket [2,3] → upper bound 3.
         assert_eq!(h.percentile(0.5), Some(3));
         // p100 is clamped to the observed max, not the bucket top (1023).
         assert_eq!(h.percentile(1.0), Some(1000));
         let empty = Histogram::new();
         assert_eq!(empty.percentile(0.5), None);
+        assert_eq!(empty.max(), None);
     }
 
     #[test]
@@ -470,6 +319,5 @@ mod tests {
         let ts = TimeSeries::new();
         assert!(ts.is_empty());
         assert_eq!(ts.max(), None);
-        assert_eq!(ts.time_weighted_mean(), None);
     }
 }

@@ -1329,6 +1329,10 @@ mod tests {
                     freed: true,
                 },
             ),
+            (Some(2), Payload::Evict { pool: 1 }),
+            (Some(1), Payload::Flush { pool: 0, pages: 1 }),
+            (Some(1), Payload::PoolDestroy { pool: 0, pages: 4 }),
+            (Some(3), Payload::Reclaim { pool: 2, pages: 5 }),
             (
                 None,
                 Payload::VirqSample {
@@ -1337,6 +1341,7 @@ mod tests {
                 },
             ),
             (None, Payload::RelayEnqueue { seq: 1, depth: 1 }),
+            (None, Payload::RelayShed { seq: 1 }),
             (
                 None,
                 Payload::RelayPush {
@@ -1434,7 +1439,7 @@ mod tests {
         let jsonl = data.to_jsonl(&header, Some(&[Subsystem::Tmem]));
         let parsed = TraceData::parse_jsonl(&jsonl).unwrap();
         assert_eq!(parsed.filter.as_deref(), Some("tmem"));
-        assert_eq!(parsed.events.len(), 6);
+        assert_eq!(parsed.events.len(), 10);
         assert!(parsed
             .events
             .iter()
@@ -1462,18 +1467,25 @@ mod tests {
         assert_eq!(m.puts_rejected, 2, "RejectIo counts as a reject");
         assert_eq!(m.gets, 1);
         assert_eq!(m.get_hits, 1);
+        assert_eq!(m.evictions, 1);
+        assert_eq!(m.flush_pages, 5, "flushes and pool destroys");
+        assert_eq!(m.reclaimed_pages, 5);
         assert_eq!(m.virq_samples, 1);
         assert_eq!(m.relay_enqueued, 1);
+        assert_eq!(m.relay_shed, 1);
         assert_eq!(m.relay_pushes, 1);
         assert_eq!(m.relay_retries, 1, "attempt 2 counts as a retry");
         assert_eq!(m.mm_decisions, 1);
         assert_eq!(m.faults_injected, 2, "data-plane faults count too");
         assert!((m.reject_ratio() - 2.0 / 3.0).abs() < 1e-12);
         // Latencies come from the cost model: one copying put (6 µs), two
-        // rejected puts (2 µs).
+        // rejected puts (2 µs, in the [1024, 2047] ns bucket).
         assert_eq!(m.put_latency.count(), 3);
-        assert_eq!(m.put_latency.min(), Some(2_000));
+        assert_eq!(m.put_latency.percentile(0.5), Some(2_047));
         assert_eq!(m.put_latency.max(), Some(6_000));
+        // One depth sample per enqueue.
+        assert_eq!(m.relay_depth.count(), 1);
+        assert_eq!(m.relay_depth.max(), Some(1));
     }
 
     #[test]

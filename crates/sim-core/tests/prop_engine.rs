@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sim_core::event::EventQueue;
-use sim_core::metrics::{Summary, TimeSeries};
+use sim_core::metrics::Summary;
 use sim_core::rng::SplitMix64;
 use sim_core::time::SimTime;
 
@@ -59,29 +59,14 @@ proptest! {
     fn summary_matches_two_pass(
         xs in proptest::collection::vec(-1e6f64..1e6, 2..100),
     ) {
-        let s: Summary = xs.iter().copied().collect();
+        let mut s = Summary::new();
+        for &x in &xs {
+            s.record(x);
+        }
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
         prop_assert!((s.mean() - mean).abs() < 1e-6 * mean.abs().max(1.0));
         prop_assert!((s.stddev() - var.sqrt()).abs() < 1e-5 * var.sqrt().max(1.0));
-    }
-
-    /// TimeSeries::value_at returns the last sample at or before t.
-    #[test]
-    fn time_series_step_semantics(
-        values in proptest::collection::vec(0f64..100.0, 1..50),
-        probe in 0u64..200,
-    ) {
-        let mut ts = TimeSeries::new();
-        for (i, &v) in values.iter().enumerate() {
-            ts.push(SimTime(i as u64 * 3), v);
-        }
-        let got = ts.value_at(SimTime(probe));
-        let expect = values
-            .iter()
-            .enumerate().rfind(|(i, _)| (*i as u64 * 3) <= probe)
-            .map(|(_, &v)| v);
-        prop_assert_eq!(got, expect);
     }
 }

@@ -58,7 +58,7 @@
 //! The eviction/reclaim candidate queues hold tombstones for pages that
 //! were flushed or consumed after being queued; they are validated lazily
 //! on pop, and swept once tombstones outnumber live entries (see
-//! [`TOMBSTONE_SLACK`]). Queue memory stays proportional to live pages
+//! `TOMBSTONE_SLACK`). Queue memory stays proportional to live pages
 //! plus surviving ghosts, and each entry is popped at most once.
 //!
 //! # Integrity
