@@ -33,11 +33,13 @@
 //! Policies: `no-tmem`, `greedy`, `static-alloc`, `reconf-static`,
 //! `smart-alloc:<P>` (e.g. `smart-alloc:0.75`), `predictive`.
 //!
-//! `bench-fleet` runs the fleet family in ascending VM count — `fleet:8`,
-//! `fleet:2x8`, `fleet:16`, `fleet:2x16`, `fleet:32`, `fleet:2x32`,
-//! `fleet:64` — and writes `BENCH_fleet.json`: wall-clock and peak RSS per
-//! cell, per-VM occupancy/slowdown, and the fleet metrics (migrations,
-//! downtime, cross-host traffic, stranded memory; zero on one host).
+//! `bench-fleet` runs the fleet family in ascending VM count, each 2-host
+//! cell before its 1-host twin — `fleet:2x8`, `fleet:8`, `fleet:2x16`,
+//! `fleet:16`, `fleet:2x32`, `fleet:32`, `fleet:64` — and writes
+//! `BENCH_fleet.json`: wall-clock and peak RSS per cell (`null` for a cell
+//! that did not raise the process's high-water mark), per-VM
+//! occupancy/slowdown, and the fleet metrics (migrations, downtime,
+//! cross-host traffic, stranded memory; zero on one host).
 //! `--scale` sizes the per-VM footprint off the 512 MiB headline cell
 //! (default 0.125 → 64 MiB — a smoke pass; use `--scale 1` for the
 //! headline numbers). `--scale` resizes nothing else: every cell runs at
@@ -68,16 +70,18 @@
 //! reader closes stdout early (`| head -1`), the process exits 0 quietly.
 //!
 //! `trace` runs one cell with every host's flight recorder attached,
-//! replays each host's event stream (migration events included) through
-//! the [`scenarios::trace_check`] verifier, prints the metrics registry and
-//! replay verdict, and (with `--out FILE`) writes host 0's trace as JSONL
-//! to FILE and host N's to `FILE.hostN`. `--filter subsys=tmem,mm`
-//! restricts the *written* file to those subsystems; the recorder always
-//! records (and the verifier always replays) everything. `inspect` reads a
-//! JSONL trace back, folds it through the verifier's
-//! [`scenarios::trace_check::TraceFold`] and summarizes it: per-VM
-//! admission/reject/evict counts, the transmitted target-vector timeline,
-//! and the fold's injected-vs-observed fault checks.
+//! prints each host's trace summary, replays each host's event stream
+//! (migration events included) through the [`scenarios::trace_check`]
+//! verifier and prints the verdict, and (with `--out FILE`) writes host 0's
+//! trace as JSONL to FILE and host N's to `FILE.hostN`. `--filter
+//! subsys=tmem,mm` restricts the *written* file to those subsystems; the
+//! recorder always records (and the verifier always replays) everything.
+//! `inspect` reads a JSONL trace back and prints the same summary with the
+//! transmitted target-vector timeline. The summary is one fold of the
+//! events, [`scenarios::trace_check::TraceFold`]: per-VM
+//! admission/reject/evict counts, the nonzero fault-ledger counters, the
+//! MM decisions and transmissions and relay sheds, and the fold's
+//! injected-vs-observed fault checks.
 
 use scenarios::batch;
 use scenarios::chaos;
@@ -90,7 +94,7 @@ use scenarios::spec::{Arrival, FleetParams, ScenarioKind, ScenarioSpec};
 use scenarios::trace_check::{self, FaultCheck, Pairing, TraceFold};
 use sim_core::time::SimDuration;
 use sim_core::trace::{
-    self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceHeader,
+    self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceEvent, TraceHeader,
 };
 use smartmem_core::PolicyKind;
 use std::path::{Path, PathBuf};
@@ -606,15 +610,17 @@ fn bench_parallel(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The `bench-fleet` cells, in ascending VM count: peak RSS is the
-/// process high-water mark, so each reading is the peak through its cell.
+/// The `bench-fleet` cells, in ascending VM count with each 2-host cell
+/// before its 1-host twin, which peaks higher: peak RSS is the process
+/// high-water mark, so a cell's reading is its own only when the mark
+/// rose across it.
 const FLEET_CELLS: [&str; 7] = [
-    "fleet:8",
     "fleet:2x8",
-    "fleet:16",
+    "fleet:8",
     "fleet:2x16",
-    "fleet:32",
+    "fleet:16",
     "fleet:2x32",
+    "fleet:32",
     "fleet:64",
 ];
 
@@ -622,7 +628,7 @@ const FLEET_CELLS: [&str; 7] = [
 /// with per-VM occupancy/slowdown figures and the fleet metrics. Writes
 /// `BENCH_fleet.json`.
 fn bench_fleet(a: &Args) -> Result<(), String> {
-    use smartmem_bench::measure::measure;
+    use smartmem_bench::measure::{measure, peak_rss_kb};
 
     // Fleet cells are not resized by `RunConfig::scale` (their size is
     // explicit in their name), so `--scale` instead sizes the per-VM
@@ -651,22 +657,30 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
          ({gap_ms} ms gap, time-scaled), sampling every {sampling} ms, policy smart-alloc:2"
     );
     println!(
-        "(peak RSS is the process high-water mark, so cells run in ascending order \
-         and each reading is the peak through that cell)"
+        "(peak RSS is the process high-water mark, so cells run in ascending order; \
+         a cell that did not raise it reads n/a)"
     );
 
     let mut cells_json = Vec::new();
+    let mut high_water = peak_rss_kb();
     for cell in FLEET_CELLS {
         let cell = format!("{cell}:{footprint_mb}");
         let (spec, cluster) = dsl::resolve_scenario(&cell, Path::new(""), &cfg)?;
         let sessions = spec.logical_sessions();
         let vms = spec.vms.len();
         let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
+        // A mark that did not rise across the cell is an earlier cell's.
+        let own_rss_kb = m
+            .peak_rss_kb
+            .filter(|&kb| high_water.is_none_or(|before| kb > before));
+        high_water = m.peak_rss_kb;
         let cr = &m.value;
         let f = &cr.fleet;
         let head = &cr.host_results[0];
         let wall_s = m.wall.as_secs_f64();
-        let rss_mib = m.peak_rss_kb.map_or(f64::NAN, |kb| kb as f64 / 1024.0);
+        let rss = own_rss_kb.map_or("n/a".to_string(), |kb| {
+            format!("{:.1} MiB", kb as f64 / 1024.0)
+        });
         let end_s = cr
             .host_results
             .iter()
@@ -674,7 +688,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
             .fold(0.0, f64::max);
         let truncated = cr.host_results.iter().any(|r| r.truncated);
         println!(
-            "{cell:<14} wall {wall_s:7.2} s  peak RSS {rss_mib:8.1} MiB  \
+            "{cell:<14} wall {wall_s:7.2} s  peak RSS {rss:>12}  \
              events {:>12}  sessions {:>12}  sim end {end_s:.0} s{}",
             head.events,
             sessions,
@@ -764,8 +778,7 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
              \"per_vm\": [\n{}\n      ]\n    }}",
             cluster.hosts,
             head.scenario,
-            m.peak_rss_kb
-                .map_or("null".to_string(), |kb| kb.to_string()),
+            own_rss_kb.map_or("null".to_string(), |kb| kb.to_string()),
             head.events,
             f.migrations,
             f.migration_downtime.as_nanos(),
@@ -782,8 +795,10 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
          \"footprint_mb\": {footprint_mb}, \"seed\": {}, \
          \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": {gap_ms}, \
          \"effective_gap_ms\": {gap}, \"sampling_ms\": {sampling} }},\n  \
-         \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM); cells run \
-         in ascending VM order, so each reading is the peak through that cell\",\n  \
+         \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM) after the \
+         cell; cells run in ascending VM order, each 2-host cell before its 1-host twin, and \
+         a cell across which the mark did not rise reads null, since the mark is an earlier \
+         cell's\",\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         scenarios::par::default_jobs(),
         a.scale,
@@ -799,10 +814,11 @@ fn bench_fleet(a: &Args) -> Result<(), String> {
 }
 
 /// `trace`: run one (scenario × policy) cell with every host's flight
-/// recorder attached, replay-verify the event streams against the live
-/// accounting (migration events included), print the metrics registry of
-/// a single host or the fleet report of a cluster, and (with `--out FILE`)
-/// write host 0's JSONL to FILE and host N's to `FILE.hostN`.
+/// recorder attached, print each host's trace summary ([`print_summary`],
+/// under `-- host N --` on a cluster), replay-verify the event streams
+/// against the live accounting (migration events included), print the
+/// fleet report of a cluster, and (with `--out FILE`) write host 0's JSONL
+/// to FILE and host N's to `FILE.hostN`.
 fn trace_cmd(
     spec: ScenarioSpec,
     cluster: &ClusterConfig,
@@ -846,8 +862,13 @@ fn trace_cmd(
                 .expect("trace was configured, so every host extracts one")
         })
         .collect();
-    if hosts == 1 {
-        print_trace_metrics(traces[0]);
+    if let [data] = traces.as_slice() {
+        println!(
+            "events: {} recorded, {} dropped (ring capacity {})",
+            data.events.len(),
+            data.dropped_oldest,
+            trace::DEFAULT_TRACE_CAPACITY,
+        );
     } else {
         for (h, data) in traces.iter().enumerate() {
             println!(
@@ -856,6 +877,13 @@ fn trace_cmd(
                 data.dropped_oldest
             );
         }
+    }
+    for (h, data) in traces.iter().enumerate() {
+        if hosts > 1 {
+            println!("-- host {h} --");
+        }
+        // The replay below runs the same checks and gives the verdict.
+        print_summary(&TraceFold::of(&data.events), None, false);
     }
 
     match trace_check::verify_cluster(&cr.host_results) {
@@ -907,57 +935,10 @@ fn trace_cmd(
     Ok(())
 }
 
-/// A single host's trace summary: ring occupancy and the metrics registry.
-fn print_trace_metrics(data: &TraceData) {
-    let m = &data.metrics;
-    println!(
-        "events: {} recorded, {} dropped (ring capacity {})",
-        data.events.len(),
-        data.dropped_oldest,
-        trace::DEFAULT_TRACE_CAPACITY,
-    );
-    println!(
-        "tmem: puts={} (rejected {}, reject-ratio {:.3}) gets={} (hits {}) \
-         evictions={} reclaimed={} flush_pages={}",
-        m.puts,
-        m.puts_rejected,
-        m.reject_ratio(),
-        m.gets,
-        m.get_hits,
-        m.evictions,
-        m.reclaimed_pages,
-        m.flush_pages,
-    );
-    let pct = |h: &sim_core::metrics::Histogram, p: f64| {
-        h.percentile(p)
-            .map_or_else(|| "-".into(), |v| v.to_string())
-    };
-    println!(
-        "put latency ns: p50={} p99={} max={} (n={})",
-        pct(&m.put_latency, 0.50),
-        pct(&m.put_latency, 0.99),
-        m.put_latency.max().map_or(0, |v| v),
-        m.put_latency.count(),
-    );
-    println!(
-        "relay: samples={} enqueued={} shed={} pushes={} retries={} queue-depth p99={}",
-        m.virq_samples,
-        m.relay_enqueued,
-        m.relay_shed,
-        m.relay_pushes,
-        m.relay_retries,
-        pct(&m.relay_depth, 0.99),
-    );
-    println!(
-        "mm: decisions={}  faults injected={}",
-        m.mm_decisions, m.faults_injected
-    );
-}
-
 /// `inspect`: parse a JSONL trace, fold it through
-/// [`trace_check::TraceFold`] and summarize it — per-VM admission and
-/// eviction counts, the transmitted target-vector timeline, and the fold's
-/// injected-vs-observed fault checks.
+/// [`trace_check::TraceFold`] and print its summary ([`print_summary`])
+/// with the transmitted target-vector timeline. Fails when an
+/// injected-vs-observed check does.
 fn inspect_cmd(path: &Path) -> Result<(), String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
@@ -977,11 +958,25 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         t.dropped_oldest,
         t.filter.as_deref().unwrap_or("none")
     );
-    let mut fold = TraceFold::default();
-    for ev in &t.events {
-        fold.observe(ev);
+    let fold = TraceFold::of(&t.events);
+    let mismatched = print_summary(&fold, Some(&t.events), t.filter.is_some());
+    if mismatched > 0 {
+        return Err(format!(
+            "fault ledger cross-check failed: {mismatched} kind(s) where injected \
+             faults and observed fates disagree"
+        ));
     }
+    Ok(())
+}
 
+/// One host's trace summary, as `trace` and `inspect` print it: the per-VM
+/// admission table; the nonzero fault-ledger counters under their
+/// `cells.csv` names; the MM decisions and transmissions and the relay's
+/// sheds; with `timeline` (inspect's), the transmitted target vectors;
+/// then the fold's injected-vs-observed checks, data-plane pairings
+/// included when data-plane faults are in play. A `filtered` trace skips
+/// the checks. Returns the number of failed checks.
+fn print_summary(fold: &TraceFold, timeline: Option<&[TraceEvent]>, filtered: bool) -> u64 {
     // --- per-VM admission / reject / evict table -------------------------
     println!("-- per-VM tmem admission --");
     println!(
@@ -1016,61 +1011,28 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
             r.flushed_pages,
         );
     }
-
-    // --- transmitted target-vector timeline ------------------------------
-    // Consecutive identical vectors are collapsed to keep long runs legible.
-    println!("-- target-vector timeline (transmitted MM decisions) --");
-    // (first time, first push seq, target vector, consecutive repeats)
-    type TargetRun = (sim_core::time::SimTime, u64, Vec<(u32, u64)>, u64);
-    let mut pending: Option<TargetRun> = None;
-    let flush_run = |run: &Option<TargetRun>| {
-        if let Some((at, push_seq, targets, repeats)) = run {
-            let vec: Vec<String> = targets
-                .iter()
-                .map(|(vm, pages)| format!("vm{vm}={pages}"))
-                .collect();
-            let tail = if *repeats > 1 {
-                format!("  (x{repeats} consecutive)")
-            } else {
-                String::new()
-            };
-            println!(
-                "  t={:>12}ns push={push_seq:<5} {}{tail}",
-                at.as_nanos(),
-                vec.join(" ")
-            );
-        }
-    };
-    for ev in &t.events {
-        if let Payload::MmDecision {
-            push_seq,
-            sent: true,
-            targets,
-            ..
-        } = &ev.payload
-        {
-            match &mut pending {
-                Some((_, _, prev, repeats)) if prev == targets => *repeats += 1,
-                _ => {
-                    flush_run(&pending);
-                    pending = Some((ev.at, *push_seq, targets.clone(), 1));
-                }
-            }
-        }
+    let l = &fold.ledger;
+    print!("ledger:");
+    for (name, n) in l.fields().into_iter().filter(|&(_, n)| n > 0) {
+        print!(" {name}={n}");
     }
-    flush_run(&pending);
-    if pending.is_none() {
-        println!("  (none — policy never transmitted a target vector)");
+    println!();
+    println!(
+        "mm: decisions={} transmissions={}  relay: shed={}",
+        fold.mm_decisions, fold.mm_transmissions, fold.sheds
+    );
+    if let Some(events) = timeline {
+        print_timeline(events);
     }
 
     // --- fault ledger cross-check ----------------------------------------
     // Every injected fault must have a matching observed fate elsewhere in
     // the stream; a filtered trace drops one side of the pairing.
     println!("-- fault ledger cross-check --");
-    if t.filter.is_some() {
+    if filtered {
         println!("  skipped: trace was written with a subsystem filter, so fate");
         println!("  events and fault events are not both guaranteed present");
-        return Ok(());
+        return 0;
     }
     let mut mismatched = 0u64;
     let mut verdict = |c: &FaultCheck| {
@@ -1103,7 +1065,6 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
     // Data-plane faults pair with later events rather than with a fate of
     // their own: a corruption with its detection (get/flush/reclaim/scrub),
     // a put I/O failure or brownout rejection with a `reject_io` put.
-    let l = &fold.ledger;
     let data_active = l.scrub_passes > 0
         || data.iter().any(|c| !c.ok())
         || FaultKind::ALL
@@ -1138,13 +1099,55 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
             l.ephemeral_losses_injected, l.brownout_ticks, l.scrub_passes, l.objects_quarantined
         );
     }
-    if mismatched > 0 {
-        return Err(format!(
-            "fault ledger cross-check failed: {mismatched} kind(s) where injected \
-             faults and observed fates disagree"
-        ));
+    mismatched
+}
+
+/// The transmitted MM decisions in `events`, with consecutive identical
+/// target vectors collapsed to keep long runs legible.
+fn print_timeline(events: &[TraceEvent]) {
+    println!("-- target-vector timeline (transmitted MM decisions) --");
+    // (first time, first push seq, target vector, consecutive repeats)
+    type TargetRun = (sim_core::time::SimTime, u64, Vec<(u32, u64)>, u64);
+    let mut pending: Option<TargetRun> = None;
+    let flush_run = |run: &Option<TargetRun>| {
+        if let Some((at, push_seq, targets, repeats)) = run {
+            let vec: Vec<String> = targets
+                .iter()
+                .map(|(vm, pages)| format!("vm{vm}={pages}"))
+                .collect();
+            let tail = if *repeats > 1 {
+                format!("  (x{repeats} consecutive)")
+            } else {
+                String::new()
+            };
+            println!(
+                "  t={:>12}ns push={push_seq:<5} {}{tail}",
+                at.as_nanos(),
+                vec.join(" ")
+            );
+        }
+    };
+    for ev in events {
+        if let Payload::MmDecision {
+            push_seq,
+            sent: true,
+            targets,
+            ..
+        } = &ev.payload
+        {
+            match &mut pending {
+                Some((_, _, prev, repeats)) if prev == targets => *repeats += 1,
+                _ => {
+                    flush_run(&pending);
+                    pending = Some((ev.at, *push_seq, targets.clone(), 1));
+                }
+            }
+        }
     }
-    Ok(())
+    flush_run(&pending);
+    if pending.is_none() {
+        println!("  (none — policy never transmitted a target vector)");
+    }
 }
 
 /// One host's result summary, as `run` prints it.

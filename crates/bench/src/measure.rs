@@ -7,7 +7,9 @@
 //! `/proc/self/clear_refs`, which needs write access this tool does not
 //! assume), so a sweep that measures several configurations must run them
 //! in ascending footprint order: each cell's reading is then the true peak
-//! *through* that cell, and the curve stays meaningful.
+//! *through* that cell, and the curve stays meaningful. A cell across
+//! which the mark did not rise has no reading of its own (the mark is an
+//! earlier cell's), and `bench-fleet` reports it as `null`.
 
 use std::time::{Duration, Instant};
 

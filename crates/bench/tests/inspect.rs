@@ -1,6 +1,7 @@
 //! `smartmem-cli inspect` end to end: a trace written by `trace --out`
 //! reads back, summarizes, and passes its injected-vs-observed fault
-//! cross-check; a trace with one detection removed fails it. A greedy
+//! cross-check; a trace with one detection removed fails it. `trace`
+//! prints the summary `inspect` prints for the file it wrote. A greedy
 //! multi-host cell stores pages in its far tier and still replays and
 //! inspects clean. `trace` itself refuses `--filter` without `--out` on
 //! one host and on a cluster alike, and `run` and `trace` refuse
@@ -30,8 +31,9 @@ impl Drop for TempTrace {
     }
 }
 
-/// Record `scenario` under `policy` and `chaos` at scale 0.01, seed 42.
-fn trace(name: &str, scenario: &str, policy: &str, chaos: &str) -> TempTrace {
+/// Record `scenario` under `policy` and `chaos` at scale 0.01, seed 42:
+/// the written file and `trace`'s stdout.
+fn trace(name: &str, scenario: &str, policy: &str, chaos: &str) -> (TempTrace, String) {
     let t = TempTrace(std::env::temp_dir().join(format!(
         "smartmem-inspect-{}-{name}.jsonl",
         std::process::id()
@@ -41,9 +43,10 @@ fn trace(name: &str, scenario: &str, policy: &str, chaos: &str) -> TempTrace {
         "trace", scenario, policy, "--scale", "0.01", "--seed", "42", "--chaos", chaos, "--out",
         out,
     ]);
-    assert!(o.status.success(), "trace failed:\n{}", stdout(&o));
-    assert!(stdout(&o).contains("replay: PASS"), "{}", stdout(&o));
-    t
+    let text = stdout(&o);
+    assert!(o.status.success(), "trace failed:\n{text}");
+    assert!(text.contains("replay: PASS"), "{text}");
+    (t, text)
 }
 
 /// `inspect` on `path`: exit status and stdout.
@@ -52,9 +55,63 @@ fn inspect(path: &Path) -> (bool, String) {
     (o.status.success(), stdout(&o))
 }
 
+/// The number after `key` on the first line of `text` that holds it.
+fn count_after(text: &str, key: &str) -> u64 {
+    let at = text
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in:\n{text}"))
+        + key.len();
+    text[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no count after {key} in:\n{text}"))
+}
+
+/// `trace` and `inspect` print one summary: every line `trace` prints
+/// between its events line and its replay verdict appears, in order, in
+/// what `inspect` prints for the written file. Its retries are the
+/// ledger's: push attempts after the first, less the `superseded` markers,
+/// which repeat an old push's attempt count without making a new attempt.
+#[test]
+fn trace_prints_the_summary_inspect_prints() {
+    let (t, traced) = trace("flaky", "scenario1", "smart-alloc:2", "flaky-hypercalls");
+    let summary: Vec<&str> = traced
+        .lines()
+        .skip_while(|l| !l.starts_with("events: "))
+        .skip(1)
+        .take_while(|l| !l.starts_with("replay: "))
+        .collect();
+    assert!(
+        summary
+            .iter()
+            .any(|l| l.starts_with("-- per-VM tmem admission")),
+        "{traced}"
+    );
+    let (ok, inspected) = inspect(&t.0);
+    assert!(ok, "inspect failed:\n{inspected}");
+    let mut rest = inspected.lines();
+    for line in &summary {
+        assert!(
+            rest.any(|l| l == *line),
+            "trace's line {line:?} is not in inspect's output, in order:\n{inspected}"
+        );
+    }
+
+    let file = std::fs::read_to_string(&t.0).unwrap();
+    let retries = file
+        .lines()
+        .filter(|l| l.contains("\"ev\":\"push\""))
+        .filter(|l| !l.contains("\"outcome\":\"superseded\""))
+        .filter(|l| count_after(l, "\"attempt\":") >= 2)
+        .count() as u64;
+    assert!(retries > 0, "flaky-hypercalls must retry");
+    assert_eq!(count_after(&traced, " hypercall_retries="), retries);
+}
+
 #[test]
 fn inspect_passes_a_bitrot_trace() {
-    let t = trace("bitrot", "scenario1", "greedy", "bitrot");
+    let (t, _) = trace("bitrot", "scenario1", "greedy", "bitrot");
     let (ok, text) = inspect(&t.0);
     assert!(ok, "inspect failed:\n{text}");
     assert!(!text.contains("MISMATCH"), "{text}");
@@ -63,22 +120,21 @@ fn inspect_passes_a_bitrot_trace() {
         .find(|l| l.trim_start().starts_with("corruption:"))
         .unwrap_or_else(|| panic!("no data-plane corruption line:\n{text}"));
     // "corruption: injected N (bitflip B + torn T), detected N  OK"
-    let count = |key: &str| -> u64 {
-        let at = line.find(key).unwrap_or_else(|| panic!("{key} in {line}")) + key.len();
-        line[at..]
-            .split(|c: char| !c.is_ascii_digit())
-            .next()
-            .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("count after {key} in {line}"))
-    };
-    assert!(count("injected ") > 0, "bitrot must inject: {line}");
-    assert_eq!(count("injected "), count("detected "), "{line}");
+    assert!(
+        count_after(line, "injected ") > 0,
+        "bitrot must inject: {line}"
+    );
+    assert_eq!(
+        count_after(line, "injected "),
+        count_after(line, "detected "),
+        "{line}"
+    );
     assert!(line.ends_with("OK"), "{line}");
 }
 
 #[test]
 fn inspect_passes_a_sample_loss_trace() {
-    let t = trace("sample-loss", "scenario2", "smart-alloc:2", "sample-loss");
+    let (t, _) = trace("sample-loss", "scenario2", "smart-alloc:2", "sample-loss");
     let (ok, text) = inspect(&t.0);
     assert!(ok, "inspect failed:\n{text}");
     assert!(!text.contains("MISMATCH"), "{text}");
@@ -90,11 +146,16 @@ fn inspect_passes_a_sample_loss_trace() {
     assert_eq!(cols.len(), 4, "kind, injected, observed, verdict: {drops}");
     assert_ne!(cols[1], "0", "sample-loss must drop samples: {drops}");
     assert_eq!(cols[1], cols[2], "{drops}");
+    // The relay sheds its oldest message when samples bunch up.
+    let file = std::fs::read_to_string(&t.0).unwrap();
+    let sheds = file.matches("\"ev\":\"shed\"").count() as u64;
+    assert!(sheds > 0, "sample-loss must make the relay shed");
+    assert_eq!(count_after(&text, "relay: shed="), sheds, "{text}");
 }
 
 #[test]
 fn inspect_flags_a_removed_corruption_detection() {
-    let t = trace("bitrot-tampered", "scenario1", "greedy", "bitrot");
+    let (t, _) = trace("bitrot-tampered", "scenario1", "greedy", "bitrot");
     let text = std::fs::read_to_string(&t.0).unwrap();
     let cut = text
         .lines()

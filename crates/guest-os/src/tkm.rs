@@ -499,7 +499,7 @@ mod tests {
         let mut hyp: Hypervisor<Fingerprint> = Hypervisor::new(10, 10);
         hyp.register_vm(VmConfig::new(VmId(1), "VM1", 1 << 20, 1));
         let mut relay = Dom0Tkm::new();
-        let tracer = Tracer::new(Recorder::new(64, None));
+        let tracer = Tracer::new(Recorder::new(64));
         relay.set_tracer(tracer.clone());
         for sec in 1..=4 {
             let s = hyp.sample(SimTime::from_secs(sec));

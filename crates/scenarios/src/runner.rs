@@ -414,7 +414,7 @@ pub fn run_cluster(
         // Shard the node capacity; earlier hosts absorb the remainder.
         let host_pages =
             total_pages / nhosts as u64 + u64::from((h as u64) < total_pages % nhosts as u64);
-        let tracer = Tracer::from_config(cfg.trace.as_ref(), &cfg.cost);
+        let tracer = Tracer::from_config(cfg.trace.as_ref());
         let mut mm = MemoryManager::from_kind(policy, 128);
         if let Some(m) = mm.as_mut() {
             m.set_tracer(tracer.clone());

@@ -3,15 +3,17 @@
 //! The trace event stream is a load-bearing contract, and [`TraceFold`] is
 //! its one reading: [`TraceFold::observe`] takes one event per call, with
 //! no lookahead, and keeps O(VMs) state — per-VM datapath tallies and
-//! occupancy, the whole [`FaultLedger`], `Fault` events per kind and the
-//! MM counters. [`verify`] and [`verify_cluster`] fold a run's trace and
-//! check the fold against the live accounting carried by a [`RunResult`];
-//! `smartmem-cli inspect` folds a JSONL trace and prints the same tallies
-//! and [`TraceFold::checks`]. A run whose trace replays cleanly proves that
+//! occupancy, the whole [`FaultLedger`], `Fault` events per kind, the MM
+//! counters and relay sheds. [`verify`] and [`verify_cluster`] fold a run's
+//! trace and check the fold against the live accounting carried by a
+//! [`RunResult`]; `smartmem-cli trace` and `inspect` fold a trace with
+//! [`TraceFold::of`] and print one summary of it, tallies and
+//! [`TraceFold::checks`]. A run whose trace replays cleanly proves that
 //! every subsystem emitted exactly the events its state changes imply — no
 //! missing emission sites, no double counting, no schema drift. The
-//! metrics registry is not re-derived here: `Recorder::record` is its one
-//! definition, and its unit test pins every counter.
+//! recorder's registry (`TraceMetrics`, the benchmark's nine counters) is
+//! not re-derived here; `tests/trace_replay.rs` checks that on a drop-free
+//! trace the fold's totals equal it.
 //!
 //! Fold rules:
 //!
@@ -104,7 +106,7 @@ pub struct VmTally {
     /// Datapath counts on cleancache (ephemeral) pools.
     cleancache: PoolTally,
     /// Pages handed back to the guest: reclaims plus migration spill.
-    reclaimed: u64,
+    pub reclaimed: u64,
     /// Local tmem frames held.
     occupancy: i64,
     /// Far-tier entries held.
@@ -234,9 +236,11 @@ pub struct TraceFold {
     /// Puts rejected with `reject_io`.
     reject_io_puts: u64,
     /// MM decisions (fresh snapshots processed).
-    mm_decisions: u64,
+    pub mm_decisions: u64,
     /// MM decisions that transmitted a target vector.
-    mm_transmissions: u64,
+    pub mm_transmissions: u64,
+    /// Stats messages the relay shed at queue capacity.
+    pub sheds: u64,
     /// Pools announced ephemeral by `PoolCreate`.
     ephemeral_pools: BTreeSet<u32>,
     /// MM snapshot-sequence high-water mark (`None` after a crash, like
@@ -245,6 +249,15 @@ pub struct TraceFold {
 }
 
 impl TraceFold {
+    /// Fold a whole event stream.
+    pub fn of(events: &[TraceEvent]) -> Self {
+        let mut fold = TraceFold::default();
+        for ev in events {
+            fold.observe(ev);
+        }
+        fold
+    }
+
     /// Fold in the next event.
     pub fn observe(&mut self, ev: &TraceEvent) {
         let mut nobody = VmTally::default();
@@ -364,6 +377,7 @@ impl TraceFold {
                 }
                 self.last_seq = Some(*seq_in);
             }
+            Payload::RelayShed { .. } => self.sheds += 1,
             Payload::MmDiscard { .. } => led.snapshots_discarded += 1,
             Payload::MmCrash { .. } => {
                 led.mm_crashes += 1;
@@ -402,7 +416,6 @@ impl TraceFold {
             }
             Payload::TargetsApplied { .. }
             | Payload::RelayEnqueue { .. }
-            | Payload::RelayShed { .. }
             | Payload::MigrateDone { .. } => {}
         }
     }

@@ -18,13 +18,13 @@ use scenarios::config::RunConfig;
 use scenarios::dsl::{load_manifest, resolve_chaos};
 use scenarios::par::{default_jobs, run_indexed};
 use scenarios::runner::run_scenario;
-use scenarios::{trace_check, PolicyKind, ScenarioKind};
-use sim_core::cost::CostModel;
+use scenarios::trace_check::{self, TraceFold};
+use scenarios::{PolicyKind, ScenarioKind};
 use sim_core::faults::{FaultProfile, NetlinkFate, SampleFate};
 use sim_core::time::SimTime;
 use sim_core::trace::{
     FaultKind, Payload, PushOutcome, PutResult, Recorder, Subsystem, TraceConfig, TraceData,
-    TraceHeader, Tracer, TRACE_SCHEMA_VERSION,
+    TraceHeader, TraceMetrics, Tracer, TRACE_SCHEMA_VERSION,
 };
 use std::path::{Path, PathBuf};
 
@@ -49,7 +49,9 @@ fn profile(name: &str) -> FaultProfile {
 }
 
 /// Run each traced cell and assert its replay lands exactly on the live
-/// accounting. Cells run on one worker per core.
+/// accounting, and that the fold's totals equal the recorder's registry:
+/// perfbench's per-layer tmem counts and `trace`'s summary describe the
+/// same events. Cells run on one worker per core.
 fn verify_cells(cells: Vec<(ScenarioKind, PolicyKind, String, FaultProfile)>) {
     run_indexed(
         cells,
@@ -70,6 +72,30 @@ fn verify_cells(cells: Vec<(ScenarioKind, PolicyKind, String, FaultProfile)>) {
                 rep.events,
                 rep.checks
             );
+            // `verify` refused a trace the ring dropped from, so the fold
+            // saw every event the registry counted.
+            let trace = r.trace.as_ref().expect("verify found a trace");
+            let fold = TraceFold::of(&trace.events);
+            let mut totals = TraceMetrics::default();
+            for v in fold.vms.values() {
+                let d = v.datapath();
+                for result in PutResult::ALL {
+                    totals.puts += d.put(result);
+                    if !result.is_success() {
+                        totals.puts_rejected += d.put(result);
+                    }
+                }
+                totals.gets += d.gets;
+                totals.get_hits += d.hits;
+                totals.evictions += d.evictions;
+                totals.flush_pages += d.flushed_pages;
+                totals.reclaimed_pages += v.reclaimed;
+            }
+            let l = &fold.ledger;
+            totals.virq_samples =
+                l.samples_delivered + l.samples_dropped + l.samples_delayed + l.samples_duplicated;
+            totals.relay_shed = fold.sheds;
+            assert_eq!(totals, trace.metrics, "{cell}: fold totals vs registry");
         },
     );
 }
@@ -344,7 +370,7 @@ fn trace_schema_golden_covers_every_event_kind() {
         TRACE_SCHEMA_VERSION, 1,
         "bump the golden file name with the schema"
     );
-    let tracer = Tracer::new(Recorder::new(1024, Some(CostModel::hdd())));
+    let tracer = Tracer::new(Recorder::new(1024));
     let evs: Vec<(Option<u32>, Payload)> = vec![
         (
             Some(1),

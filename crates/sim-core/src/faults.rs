@@ -861,7 +861,7 @@ mod tests {
         use crate::trace::Recorder;
         let mut seen = Vec::new();
         for kind in FaultKind::ALL {
-            let tracer = Tracer::new(Recorder::new(8, None));
+            let tracer = Tracer::new(Recorder::new(8));
             let mut inj = FaultInjector::disabled();
             inj.set_tracer(tracer.clone());
             inj.inject(Some(3), kind);

@@ -19,8 +19,8 @@
 //!   torn, lost or refused tmem puts), counting and tracing every injected
 //!   fault through one call,
 //! * [`trace`] — the flight recorder: a zero-cost-when-disabled structured
-//!   event layer every subsystem emits into, with a bounded ring buffer, a
-//!   metrics registry and a hand-rolled JSONL codec.
+//!   event layer every subsystem emits into, with a bounded ring buffer,
+//!   the benchmark's nine trace counters and a hand-rolled JSONL codec.
 //!
 //! Everything here is deterministic: two runs with the same seeds produce
 //! bit-identical event orders and metric streams. The integration tests in
@@ -38,7 +38,7 @@ pub mod trace;
 pub use cost::CostModel;
 pub use event::EventQueue;
 pub use faults::{FaultInjector, FaultLedger, FaultProfile, NetlinkFate, SampleFate};
-pub use metrics::{Counter, Histogram, Summary, TimeSeries};
+pub use metrics::{Counter, Summary, TimeSeries};
 pub use netmodel::{Link, NetModel};
 pub use rng::SplitMix64;
 pub use time::{SimDuration, SimTime};

@@ -136,106 +136,6 @@ impl Summary {
     }
 }
 
-/// A log2-bucketed histogram of `u64` observations (latencies in
-/// sim-nanoseconds, queue depths). Bucket `i ≥ 1` covers
-/// `[2^(i-1), 2^i - 1]`; bucket 0 holds exact zeros. Merging is exact and
-/// associative — bucket counts are plain sums — which is what lets
-/// per-cell trace metrics be folded across an experiment grid without any
-/// loss.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    max: u64,
-}
-
-/// Number of buckets in a [`Histogram`]: one per possible bit length of a
-/// `u64`, plus the dedicated zero bucket.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-            count: 0,
-            max: 0,
-        }
-    }
-
-    fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        }
-    }
-
-    /// Inclusive upper bound of bucket `i` (the value reported for any
-    /// percentile that lands in that bucket).
-    fn bucket_upper(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else if i >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << i) - 1
-        }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.max = self.max.max(v);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Upper bound of the bucket containing the `p`-quantile
-    /// (`0.0 < p <= 1.0`), clamped to the observed maximum. `None` when
-    /// empty. Guarantee: at least `ceil(p · count)` observations are ≤ the
-    /// returned value.
-    pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = ((p * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(Self::bucket_upper(i).min(self.max));
-            }
-        }
-        Some(self.max)
-    }
-
-    /// Fold another histogram into this one. Exact: the result is
-    /// indistinguishable from having recorded every observation here.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.max = self.max.max(other.max);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,42 +176,6 @@ mod tests {
         let one = summary(&[3.5]);
         assert_eq!(one.mean(), 3.5);
         assert_eq!(one.stddev(), 0.0);
-    }
-
-    #[test]
-    fn histogram_percentiles_bound_from_above() {
-        let mut h = Histogram::new();
-        for v in [0u64, 1, 1, 3, 8, 9, 1000] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.max(), Some(1000));
-        // Rank 1 is the zero bucket.
-        assert_eq!(h.percentile(0.1), Some(0));
-        // Median rank 4 lands in bucket [2,3] → upper bound 3.
-        assert_eq!(h.percentile(0.5), Some(3));
-        // p100 is clamped to the observed max, not the bucket top (1023).
-        assert_eq!(h.percentile(1.0), Some(1000));
-        let empty = Histogram::new();
-        assert_eq!(empty.percentile(0.5), None);
-        assert_eq!(empty.max(), None);
-    }
-
-    #[test]
-    fn histogram_merge_is_exact() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for v in [4u64, 5, 6] {
-            a.record(v);
-            whole.record(v);
-        }
-        for v in [0u64, 100, 7] {
-            b.record(v);
-            whole.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
     }
 
     #[test]

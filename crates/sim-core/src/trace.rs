@@ -13,8 +13,10 @@
 //!
 //! Events carry `(SimTime, vm, payload)`; the payload's kind fixes the
 //! emitting subsystem. They flow into a bounded ring buffer inside a
-//! [`Recorder`]; a [`TraceMetrics`] registry (counters plus [`Histogram`]s
-//! of put latency and relay queue depth) aggregates alongside. The handle
+//! [`Recorder`]; a [`TraceMetrics`] registry of nine datapath and relay
+//! counters aggregates alongside, over every event the ring dropped too.
+//! Summaries of the event stream itself are `scenarios::trace_check`'s
+//! `TraceFold`, which `smartmem-cli trace` and `inspect` print. The handle
 //! every component holds is a [`Tracer`] — a cheap clone of an
 //! `Option<Rc<RefCell<Recorder>>>`. When tracing is disabled the option is
 //! `None` and [`Tracer::emit`] is a single branch: the closure that would
@@ -30,9 +32,7 @@
 //! asserts they match the live accounting, and a golden JSONL file pins
 //! the serialized form byte-exactly.
 
-use crate::cost::CostModel;
 use crate::faults::{NetlinkFate, SampleFate};
-use crate::metrics::Histogram;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -536,13 +536,18 @@ impl TraceEvent {
     }
 }
 
-/// Aggregated metrics registry, maintained by the [`Recorder`] as events
-/// arrive. All fields are exact counts; merging across cells is exact.
+/// The benchmark's nine trace counters, maintained by the [`Recorder`] as
+/// events arrive. It stays beside `scenarios::trace_check::TraceFold`, the
+/// one summary of the event stream, for two reasons: it counts every event,
+/// including those the ring dropped, which no fold of [`TraceData::events`]
+/// can see; and perfbench reads it. All fields are exact counts; merging
+/// across cells is exact.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceMetrics {
     /// Total puts attempted.
     pub puts: u64,
-    /// Puts rejected (target or capacity).
+    /// Puts that did not end in tmem (rejected by target, capacity or an
+    /// injected I/O failure).
     pub puts_rejected: u64,
     /// Total gets.
     pub gets: u64,
@@ -556,35 +561,11 @@ pub struct TraceMetrics {
     pub reclaimed_pages: u64,
     /// VIRQ samples emitted.
     pub virq_samples: u64,
-    /// Stats messages enqueued by the relay.
-    pub relay_enqueued: u64,
     /// Stats messages shed at queue capacity.
     pub relay_shed: u64,
-    /// `SetTargets` push attempts.
-    pub relay_pushes: u64,
-    /// Push attempts that were backoff retries (attempt ≥ 2).
-    pub relay_retries: u64,
-    /// MM decisions (fresh snapshots processed).
-    pub mm_decisions: u64,
-    /// Faults injected.
-    pub faults_injected: u64,
-    /// Put latency in sim-nanoseconds, from the cost model: a copying
-    /// hypercall for admitted puts, a no-copy hypercall for rejects.
-    pub put_latency: Histogram,
-    /// Relay queue depth observed at each enqueue.
-    pub relay_depth: Histogram,
 }
 
 impl TraceMetrics {
-    /// Fraction of puts rejected by admission (0 when no puts).
-    pub fn reject_ratio(&self) -> f64 {
-        if self.puts == 0 {
-            0.0
-        } else {
-            self.puts_rejected as f64 / self.puts as f64
-        }
-    }
-
     /// Fold another registry into this one (exact).
     pub fn merge(&mut self, other: &TraceMetrics) {
         self.puts += other.puts;
@@ -595,14 +576,7 @@ impl TraceMetrics {
         self.evictions += other.evictions;
         self.reclaimed_pages += other.reclaimed_pages;
         self.virq_samples += other.virq_samples;
-        self.relay_enqueued += other.relay_enqueued;
         self.relay_shed += other.relay_shed;
-        self.relay_pushes += other.relay_pushes;
-        self.relay_retries += other.relay_retries;
-        self.mm_decisions += other.mm_decisions;
-        self.faults_injected += other.faults_injected;
-        self.put_latency.merge(&other.put_latency);
-        self.relay_depth.merge(&other.relay_depth);
     }
 }
 
@@ -617,20 +591,17 @@ pub struct Recorder {
     ring: VecDeque<TraceEvent>,
     dropped_oldest: u64,
     metrics: TraceMetrics,
-    cost: Option<CostModel>,
 }
 
 impl Recorder {
-    /// A recorder holding at most `capacity` events. `cost` enables the
-    /// put-latency histogram (latencies are read off the cost model).
-    pub fn new(capacity: usize, cost: Option<CostModel>) -> Self {
+    /// A recorder holding at most `capacity` events.
+    pub fn new(capacity: usize) -> Self {
         Recorder {
             now: SimTime::ZERO,
             capacity: capacity.max(1),
             ring: VecDeque::new(),
             dropped_oldest: 0,
             metrics: TraceMetrics::default(),
-            cost,
         }
     }
 
@@ -640,14 +611,6 @@ impl Recorder {
                 self.metrics.puts += 1;
                 if !result.is_success() {
                     self.metrics.puts_rejected += 1;
-                }
-                if let Some(cost) = &self.cost {
-                    let lat = if result.is_success() {
-                        cost.tmem_hypercall
-                    } else {
-                        cost.tmem_hypercall_nocopy
-                    };
-                    self.metrics.put_latency.record(lat.as_nanos());
                 }
             }
             Payload::Evict { .. } => self.metrics.evictions += 1,
@@ -662,26 +625,18 @@ impl Recorder {
             }
             Payload::Reclaim { pages, .. } => self.metrics.reclaimed_pages += pages,
             Payload::VirqSample { .. } => self.metrics.virq_samples += 1,
-            Payload::RelayEnqueue { depth, .. } => {
-                self.metrics.relay_enqueued += 1;
-                self.metrics.relay_depth.record(*depth);
-            }
             Payload::RelayShed { .. } => self.metrics.relay_shed += 1,
-            Payload::RelayPush { attempt, .. } => {
-                self.metrics.relay_pushes += 1;
-                if *attempt >= 2 {
-                    self.metrics.relay_retries += 1;
-                }
-            }
-            Payload::MmDecision { .. } => self.metrics.mm_decisions += 1,
-            Payload::Fault { .. } => self.metrics.faults_injected += 1,
             Payload::PoolCreate { .. }
             | Payload::TargetsApplied { .. }
             | Payload::IntervalClose { .. }
             | Payload::NetlinkStats { .. }
+            | Payload::RelayEnqueue { .. }
+            | Payload::RelayPush { .. }
+            | Payload::MmDecision { .. }
             | Payload::MmDiscard { .. }
             | Payload::MmCrash { .. }
             | Payload::MmRestart
+            | Payload::Fault { .. }
             | Payload::DataPurge { .. }
             | Payload::Scrub { .. }
             | Payload::FarGet { .. }
@@ -720,9 +675,9 @@ impl Tracer {
     }
 
     /// Build from an optional [`TraceConfig`] (the run-config plumbing).
-    pub fn from_config(cfg: Option<&TraceConfig>, cost: &CostModel) -> Self {
+    pub fn from_config(cfg: Option<&TraceConfig>) -> Self {
         match cfg {
-            Some(tc) => Tracer::new(Recorder::new(tc.capacity, Some(cost.clone()))),
+            Some(tc) => Tracer::new(Recorder::new(tc.capacity)),
             None => Tracer::disabled(),
         }
     }
@@ -790,7 +745,7 @@ pub struct TraceData {
     /// Events evicted from the ring because capacity was exceeded. A
     /// replay verifier requires this to be 0.
     pub dropped_oldest: u64,
-    /// Aggregated counters and histograms.
+    /// The registry's counts over every recorded event, dropped ones too.
     pub metrics: TraceMetrics,
 }
 
@@ -1396,7 +1351,7 @@ mod tests {
     }
 
     fn record_all() -> TraceData {
-        let tracer = Tracer::new(Recorder::new(1024, Some(CostModel::hdd())));
+        let tracer = Tracer::new(Recorder::new(1024));
         for (i, (vm, payload)) in sample_events().into_iter().enumerate() {
             tracer.set_now(SimTime(i as u64 * 1_000));
             tracer.emit(|| (vm, payload));
@@ -1448,7 +1403,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_at_capacity() {
-        let tracer = Tracer::new(Recorder::new(2, None));
+        let tracer = Tracer::new(Recorder::new(2));
         for seq in 0..5 {
             tracer.emit(|| (None, Payload::RelayShed { seq }));
         }
@@ -1457,6 +1412,10 @@ mod tests {
         assert_eq!(data.events.len(), 2);
         assert_eq!(data.events[0].payload, Payload::RelayShed { seq: 3 });
         assert_eq!(data.events[1].payload, Payload::RelayShed { seq: 4 });
+        assert_eq!(
+            data.metrics.relay_shed, 5,
+            "the registry counts dropped events"
+        );
     }
 
     #[test]
@@ -1471,21 +1430,7 @@ mod tests {
         assert_eq!(m.flush_pages, 5, "flushes and pool destroys");
         assert_eq!(m.reclaimed_pages, 5);
         assert_eq!(m.virq_samples, 1);
-        assert_eq!(m.relay_enqueued, 1);
         assert_eq!(m.relay_shed, 1);
-        assert_eq!(m.relay_pushes, 1);
-        assert_eq!(m.relay_retries, 1, "attempt 2 counts as a retry");
-        assert_eq!(m.mm_decisions, 1);
-        assert_eq!(m.faults_injected, 2, "data-plane faults count too");
-        assert!((m.reject_ratio() - 2.0 / 3.0).abs() < 1e-12);
-        // Latencies come from the cost model: one copying put (6 µs), two
-        // rejected puts (2 µs, in the [1024, 2047] ns bucket).
-        assert_eq!(m.put_latency.count(), 3);
-        assert_eq!(m.put_latency.percentile(0.5), Some(2_047));
-        assert_eq!(m.put_latency.max(), Some(6_000));
-        // One depth sample per enqueue.
-        assert_eq!(m.relay_depth.count(), 1);
-        assert_eq!(m.relay_depth.max(), Some(1));
     }
 
     #[test]

@@ -1163,7 +1163,7 @@ mod tests {
     fn set_targets_ignores_unknown_vms() {
         use sim_core::trace::Recorder;
         let (mut h, _) = hv(4, 4);
-        let tracer = Tracer::new(Recorder::new(16, None));
+        let tracer = Tracer::new(Recorder::new(16));
         h.set_tracer(tracer.clone());
         h.set_targets(&[MmTarget {
             vm_id: VmId(99),
