@@ -5,8 +5,7 @@
 //! smartmem-cli fig <3|4|5|6|7|8|9|10> [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli all [--scale S] [--reps N] [--seed S] [--out DIR] [--jobs N]
 //! smartmem-cli run <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE]
-//! smartmem-cli bench-parallel [--scale S] [--reps N] [--seed S] [--out DIR]
-//! smartmem-cli bench-fleet [--scale S] [--seed S] [--out DIR]
+//! smartmem-cli bench [--scale S] [--seed S] [--out DIR]
 //! smartmem-cli trace <SCENARIO> <policy> [--scale S] [--seed S] [--chaos PROFILE] [--out trace.jsonl] [--filter subsys=a,b]
 //! smartmem-cli inspect <trace.jsonl>
 //! smartmem-cli sweep <manifest.toml> [--resume DIR] [--jobs N] [--stop-after N]
@@ -33,20 +32,15 @@
 //! Policies: `no-tmem`, `greedy`, `static-alloc`, `reconf-static`,
 //! `smart-alloc:<P>` (e.g. `smart-alloc:0.75`), `predictive`.
 //!
-//! `bench-fleet` runs the fleet family in ascending VM count, each 2-host
-//! cell before its 1-host twin — `fleet:2x8`, `fleet:8`, `fleet:2x16`,
-//! `fleet:16`, `fleet:2x32`, `fleet:32`, `fleet:64` — and writes
-//! `BENCH_fleet.json`: wall-clock and peak RSS per cell (`null` for a cell
-//! that did not raise the process's high-water mark), per-VM
-//! occupancy/slowdown, and the fleet metrics (migrations, downtime,
-//! cross-host traffic, stranded memory; zero on one host).
-//! `--scale` sizes the per-VM footprint off the 512 MiB headline cell
-//! (default 0.125 → 64 MiB — a smoke pass; use `--scale 1` for the
-//! headline numbers). `--scale` resizes nothing else: every cell runs at
-//! the default `RunConfig` scale 0.125, whose time scale samples every
-//! 125 ms and staggers the 250 ms arrival gap to 31.25 ms; the command
-//! prints the effective interval and gap and records them in its JSON
-//! `config`.
+//! `bench` runs the [`smartmem_bench::harness`] parts — the fleet cells
+//! (`fleet:2x8` … `fleet:64`) first, then the paired tmem datapath micros,
+//! then the figure set's jobs 1/2/4/8 sweep at a fixed scale — printing
+//! each result as it lands, and writes one versioned `BENCH.json` to
+//! `--out` (default `.`). `--scale` sizes only the fleet cells' per-VM
+//! footprint off the 512 MiB headline cell (default 0.125 → 64 MiB — a
+//! smoke pass; use `--scale 1` for the headline numbers). It exits
+//! non-zero after writing the file when fewer than 2 cores make the jobs
+//! curve invalid.
 //!
 //! `--jobs N` sets the number of worker threads the experiment grids fan
 //! out over (default: all available cores). Output is byte-identical at
@@ -81,7 +75,8 @@
 //! events, [`scenarios::trace_check::TraceFold`]: per-VM
 //! admission/reject/evict counts, the nonzero fault-ledger counters, the
 //! MM decisions and transmissions and relay sheds, and the fold's
-//! injected-vs-observed fault checks.
+//! injected-vs-observed fault checks. A trace whose ring dropped its
+//! oldest events is summarized as the tail it is, without the checks.
 
 use scenarios::batch;
 use scenarios::chaos;
@@ -90,12 +85,12 @@ use scenarios::dsl;
 use scenarios::figures;
 use scenarios::report;
 use scenarios::runner::{run_cluster, ClusterConfig, RunResult};
-use scenarios::spec::{Arrival, FleetParams, ScenarioKind, ScenarioSpec};
+use scenarios::spec::{ScenarioKind, ScenarioSpec};
 use scenarios::trace_check::{self, FaultCheck, Pairing, TraceFold};
-use sim_core::time::SimDuration;
 use sim_core::trace::{
     self, FaultKind, Payload, PutResult, Subsystem, TraceConfig, TraceData, TraceEvent, TraceHeader,
 };
+use smartmem_bench::harness;
 use smartmem_core::PolicyKind;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -153,10 +148,9 @@ fn command_flags(cmd: &str) -> &'static [&'static str] {
         "table2" => &["--scale"],
         "fig" | "all" => &["--scale", "--reps", "--seed", "--out", "--jobs"],
         "run" => &["--scale", "--seed", "--chaos"],
-        "bench-parallel" => &["--scale", "--reps", "--seed", "--out"],
-        "bench-fleet" => &["--scale", "--seed", "--out"],
+        "bench" => &["--scale", "--seed", "--out"],
         "trace" => &["--scale", "--seed", "--chaos", "--out", "--filter"],
-        "sweep" => &["--resume", "--out", "--jobs", "--stop-after"],
+        "sweep" => &["--resume", "--jobs", "--stop-after"],
         _ => &[],
     }
 }
@@ -329,8 +323,7 @@ fn main() -> ExitCode {
     let result = match argv.split_first() {
         Some((cmd, rest)) => dispatch(cmd, rest),
         None => Err("usage: smartmem-cli <table2|fig N|all|run SCENARIO POLICY|\
-             bench-parallel|bench-fleet|trace SCENARIO POLICY|inspect FILE|\
-             sweep MANIFEST> [flags]"
+             bench|trace SCENARIO POLICY|inspect FILE|sweep MANIFEST> [flags]"
             .into()),
     };
     match result {
@@ -342,475 +335,18 @@ fn main() -> ExitCode {
     }
 }
 
-/// Compute (and discard) every figure of `all` — the timed body of the
-/// `bench-parallel` end-to-end comparison. No printing, no CSV: only the
-/// simulation work itself is measured.
-fn compute_all(cfg: &RunConfig, reps: u64) {
-    std::hint::black_box(figures::fig3(cfg, reps));
-    std::hint::black_box(figures::fig4(cfg));
-    std::hint::black_box(figures::fig5(cfg, reps));
-    std::hint::black_box(figures::fig6(cfg));
-    std::hint::black_box(figures::fig7(cfg, reps));
-    std::hint::black_box(figures::fig8(cfg));
-    std::hint::black_box(figures::fig9(cfg, reps));
-    std::hint::black_box(figures::fig10(cfg));
-}
-
-/// Paired steady-state micro harness. Each closure owns its long-lived
-/// backend state and returns `(ops, time spent in its timed region)` per
-/// round; warm-up rounds run first so maps and arenas reach their
-/// steady-state high-water capacity (backends in real runs live for a
-/// whole scenario, not one burst).
-///
-/// Fast and reference rounds are *interleaved in slices* so a load spike
-/// or frequency change on the host hits both measurements alike and
-/// cancels out of the speedup ratio, instead of landing on whichever
-/// backend happened to be running. Within each slice the first rounds are
-/// discarded: switching backends evicts the other's working set from
-/// cache, and "steady state" means warm caches — the measured regime is a
-/// backend serving a run, not a backend just context-switched in. The
-/// reported rates cover the timed regions only, so a round can exclude
-/// its setup (e.g. the fill before a `flush_object` burst).
-fn paired_micro_ops_per_s(
-    mut fast_round: impl FnMut() -> (u64, std::time::Duration),
-    mut ref_round: impl FnMut() -> (u64, std::time::Duration),
-    min_time: std::time::Duration,
-) -> (f64, f64) {
-    const WARM_ROUNDS: usize = 2;
-    const TIMED_ROUNDS: usize = 6;
-    let slice = |round: &mut dyn FnMut() -> (u64, std::time::Duration)| {
-        for _ in 0..WARM_ROUNDS {
-            round();
-        }
-        let (mut ops, mut spent) = (0u64, std::time::Duration::ZERO);
-        for _ in 0..TIMED_ROUNDS {
-            let (o, d) = round();
-            ops += o;
-            spent += d;
-        }
-        (ops, spent)
-    };
-    let wall = std::time::Instant::now();
-    let (mut fast_ops, mut ref_ops) = (0u64, 0u64);
-    let (mut fast_spent, mut ref_spent) = (std::time::Duration::ZERO, std::time::Duration::ZERO);
-    loop {
-        let (o, d) = slice(&mut fast_round);
-        fast_ops += o;
-        fast_spent += d;
-        let (o, d) = slice(&mut ref_round);
-        ref_ops += o;
-        ref_spent += d;
-        if wall.elapsed() >= min_time {
-            break;
-        }
-    }
-    (
-        fast_ops as f64 / fast_spent.as_secs_f64(),
-        ref_ops as f64 / ref_spent.as_secs_f64(),
-    )
-}
-
-fn bench_parallel(a: &Args) -> Result<(), String> {
-    use tmem::backend::{PoolKind, TmemBackend};
-    use tmem::key::{ObjectId, VmId};
-    use tmem::page::Fingerprint;
-    use tmem::reference::ReferenceBackend;
-
-    const OBJECTS: u64 = 8;
-    const PAGES: u32 = 512;
-    const ROUND_PAGES: u64 = OBJECTS * PAGES as u64;
-    let min_time = std::time::Duration::from_millis(400);
-
-    println!("== bench-parallel — datapath + engine perf record ==");
-
-    // --- Micros: fast datapath vs seed BTreeMap reference, four ops ---
-    // One macro instantiation per backend type (the two backends share
-    // their method surface but no trait); each expansion yields one
-    // state-owning round closure per op, which the paired harness then
-    // interleaves across the two backends.
-    macro_rules! micro_rounds {
-        ($Backend:ty) => {{
-            fn fill(b: &mut $Backend, pool: tmem::key::PoolId) {
-                for o in 0..OBJECTS {
-                    for i in 0..PAGES {
-                        b.put(pool, ObjectId(o), i, Fingerprint(o ^ u64::from(i)))
-                            .unwrap();
-                    }
-                }
-            }
-
-            // put/get: sliding-window churn, the frontswap steady state —
-            // swap slots are written once and read back once at fresh,
-            // unordered offsets, so each round puts OBJECTS new objects
-            // (page indices in a fixed permutation, not sequentially) and
-            // exclusively drains the OBJECTS oldest while WINDOW objects
-            // stay in flight. (Refilling the *same* keys after a full
-            // drain instead would measure the backends' ghost-revival
-            // corner, not the datapath.)
-            const WINDOW: u64 = 16;
-            let perm = |i: u32| (i * 167) % PAGES; // gcd(167, PAGES) == 1
-            let mut b1 = <$Backend>::new((WINDOW + 1) * PAGES as u64);
-            let pool1 = b1.new_pool(VmId(1), PoolKind::Persistent).unwrap();
-            for o in 0..WINDOW {
-                for i in 0..PAGES {
-                    let i = perm(i);
-                    b1.put(pool1, ObjectId(o), i, Fingerprint(o ^ u64::from(i)))
-                        .unwrap();
-                }
-            }
-            let mut next_obj = WINDOW;
-            let put_get = move || {
-                let t = std::time::Instant::now();
-                for o in next_obj..next_obj + OBJECTS {
-                    for i in 0..PAGES {
-                        let i = perm(i);
-                        b1.put(pool1, ObjectId(o), i, Fingerprint(o ^ u64::from(i)))
-                            .unwrap();
-                    }
-                    let old = ObjectId(o - WINDOW);
-                    for i in 0..PAGES {
-                        std::hint::black_box(b1.get(pool1, old, perm(i)).unwrap());
-                    }
-                }
-                next_obj += OBJECTS;
-                (2 * ROUND_PAGES, t.elapsed())
-            };
-
-            // flush_object: refill untimed, time the per-object flush burst.
-            let mut b2 = <$Backend>::new(8192);
-            let pool2 = b2.new_pool(VmId(1), PoolKind::Persistent).unwrap();
-            let flush_object = move || {
-                fill(&mut b2, pool2);
-                let t = std::time::Instant::now();
-                let mut n = 0;
-                for o in 0..OBJECTS {
-                    n += b2.flush_object(pool2, ObjectId(o)).unwrap();
-                }
-                assert_eq!(n, ROUND_PAGES, "flush must drain every page");
-                (n, t.elapsed())
-            };
-
-            // destroy_pool: fresh pool + fill untimed, time the teardown.
-            let mut b3 = <$Backend>::new(8192);
-            let destroy_pool = move || {
-                let pool = b3.new_pool(VmId(1), PoolKind::Persistent).unwrap();
-                fill(&mut b3, pool);
-                let t = std::time::Instant::now();
-                let n = b3.destroy_pool(pool).unwrap();
-                assert_eq!(n, ROUND_PAGES, "teardown must free every page");
-                (n, t.elapsed())
-            };
-
-            // ephemeral: an over-capacity cleancache stream — past the
-            // 1024-frame budget every put of a fresh key evicts the oldest
-            // page through the FIFO candidate queue.
-            let mut b4 = <$Backend>::new(1024);
-            let pool4 = b4.new_pool(VmId(1), PoolKind::Ephemeral).unwrap();
-            let mut next_key = 0u64;
-            let ephemeral = move || {
-                let t = std::time::Instant::now();
-                for k in next_key..next_key + ROUND_PAGES {
-                    b4.put(pool4, ObjectId(k % 4), k as u32, Fingerprint(k))
-                        .unwrap();
-                }
-                next_key += ROUND_PAGES;
-                (ROUND_PAGES, t.elapsed())
-            };
-
-            (put_get, flush_object, destroy_pool, ephemeral)
-        }};
-    }
-
-    let (f_pg, f_fl, f_dp, f_eph) = micro_rounds!(TmemBackend<Fingerprint>);
-    let (r_pg, r_fl, r_dp, r_eph) = micro_rounds!(ReferenceBackend<Fingerprint>);
-    let (fast_pg, ref_pg) = paired_micro_ops_per_s(f_pg, r_pg, min_time);
-    let (fast_fl, ref_fl) = paired_micro_ops_per_s(f_fl, r_fl, min_time);
-    let (fast_dp, ref_dp) = paired_micro_ops_per_s(f_dp, r_dp, min_time);
-    let (fast_eph, ref_eph) = paired_micro_ops_per_s(f_eph, r_eph, min_time);
-
-    let micros = [
-        ("put_get", fast_pg, ref_pg),
-        ("flush_object", fast_fl, ref_fl),
-        ("destroy_pool", fast_dp, ref_dp),
-        ("ephemeral", fast_eph, ref_eph),
-    ];
-    for (name, fast, reference) in micros {
-        println!(
-            "micro {name:>13}: fast {:8.2} Mops/s vs reference {:6.2} Mops/s — {:.2}x",
-            fast / 1e6,
-            reference / 1e6,
-            fast / reference
-        );
-    }
-
-    // --- Jobs scaling: the full `all` figure set at jobs 1/2/4/8 ---
-    let cores = scenarios::par::default_jobs();
-    let mut entries = Vec::new();
-    for jobs in [1usize, 2, 4, 8] {
-        let mut cfg = run_config(a)?;
-        cfg.jobs = jobs;
-        let m = smartmem_bench::measure::measure(|| compute_all(&cfg, a.reps));
-        let wall_s = m.wall.as_secs_f64();
-        println!("e2e all (jobs={jobs}): {wall_s:.2} s");
-        entries.push((jobs, wall_s));
-    }
-    let serial_s = entries[0].1;
-    let scaling_valid = cores >= 2;
-    let warning = if scaling_valid {
-        String::new()
-    } else {
-        format!(
-            "only {cores} core available: every job count runs serialized, so the \
-             jobs-scaling curve is not a parallelism measurement; rerun on a \
-             multi-core host (the CI bench job provides one)"
-        )
-    };
-
-    let micro_json = micros
-        .iter()
-        .map(|(name, fast, reference)| {
-            format!(
-                "    \"{name}\": {{\n      \"fast_ops_per_s\": {fast:.0},\n      \
-                 \"reference_ops_per_s\": {reference:.0},\n      \"speedup\": {:.3}\n    }}",
-                fast / reference
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let entries_json = entries
-        .iter()
-        .map(|(jobs, wall_s)| {
-            format!(
-                "      {{ \"jobs\": {jobs}, \"wall_s\": {wall_s:.3}, \"speedup\": {:.3} }}",
-                serial_s / wall_s
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_cores\": {cores} }},\n  \"config\": {{ \"scale\": {}, \
-         \"reps\": {}, \"seed\": {} }},\n  \"micro\": {{\n    \"workload\": \"long-lived backends; \
-         put_get: sliding-window churn ({OBJECTS} objects x {PAGES} pages in flight, \
-         put fresh / get oldest); flush_object, destroy_pool: {ROUND_PAGES} pages \
-         filled untimed; ephemeral: {ROUND_PAGES} fresh puts into a 1024-frame \
-         ephemeral pool; fast/reference rounds interleaved so host noise \
-         cancels out of the ratio\",\n\
-         {micro_json}\n  }},\n  \"jobs_scaling\": {{\n    \"valid\": {scaling_valid},\n    \
-         \"warning\": \"{warning}\",\n    \"entries\": [\n{entries_json}\n    ]\n  }}\n}}\n",
-        a.scale, a.reps, a.seed
-    );
-    let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_scaling.json");
-    std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
+/// `bench`: run the [`harness`] parts, printing each result as it lands,
+/// and write `BENCH.json` under `--out`. Fails after writing the file when
+/// the jobs curve is invalid.
+fn bench_cmd(a: &Args) -> Result<(), String> {
+    println!("== bench — fleet cells, tmem datapath micros, figure-set jobs sweep ==");
+    let doc = harness::run(a.scale, a.seed, |line| println!("{line}"))?;
+    let path = harness::write(&doc, a.out.as_deref().unwrap_or(Path::new(".")))?;
     println!("perf record: {}", path.display());
-    if !scaling_valid {
-        return Err(format!("jobs-scaling sweep invalid — {warning}"));
+    match harness::jobs_warning() {
+        Some(w) => Err(format!("jobs-scaling sweep invalid — {w}")),
+        None => Ok(()),
     }
-    Ok(())
-}
-
-/// The `bench-fleet` cells, in ascending VM count with each 2-host cell
-/// before its 1-host twin, which peaks higher: peak RSS is the process
-/// high-water mark, so a cell's reading is its own only when the mark
-/// rose across it.
-const FLEET_CELLS: [&str; 7] = [
-    "fleet:2x8",
-    "fleet:8",
-    "fleet:2x16",
-    "fleet:16",
-    "fleet:2x32",
-    "fleet:32",
-    "fleet:64",
-];
-
-/// `bench-fleet`: wall-clock and peak RSS of each [`FLEET_CELLS`] cell,
-/// with per-VM occupancy/slowdown figures and the fleet metrics. Writes
-/// `BENCH_fleet.json`.
-fn bench_fleet(a: &Args) -> Result<(), String> {
-    use smartmem_bench::measure::{measure, peak_rss_kb};
-
-    // Fleet cells are not resized by `RunConfig::scale` (their size is
-    // explicit in their name), so `--scale` instead sizes the per-VM
-    // footprint off the 512 MiB headline cell. The run config keeps the
-    // default scale 0.125, and with it the time scale: 125 ms sampling.
-    let footprint_mb = ((512.0 * a.scale).round() as u32).max(8);
-    let policy = PolicyKind::SmartAlloc { p: 2.0 };
-    let cfg = RunConfig {
-        seed: a.seed,
-        ..RunConfig::default()
-    };
-    cfg.validate()?;
-    // The default cell's arrival gap, and the sampling interval and gap
-    // after time scaling.
-    let gap_ms = match FleetParams::default().arrival {
-        Arrival::Staggered { gap_ms } => gap_ms,
-        Arrival::Simultaneous => 0,
-    };
-    let ms = |d: SimDuration| d.as_nanos() as f64 / 1e6;
-    let sampling = ms(cfg.sampling_interval());
-    let gap = ms(cfg.scale_time(SimDuration::from_millis(u64::from(gap_ms))));
-
-    println!("== bench-fleet — wall-clock and peak RSS vs VM count ==");
-    println!(
-        "footprint {footprint_mb} MiB/VM, balanced mix, arrivals {gap} ms apart \
-         ({gap_ms} ms gap, time-scaled), sampling every {sampling} ms, policy smart-alloc:2"
-    );
-    println!(
-        "(peak RSS is the process high-water mark, so cells run in ascending order; \
-         a cell that did not raise it reads n/a)"
-    );
-
-    let mut cells_json = Vec::new();
-    let mut high_water = peak_rss_kb();
-    for cell in FLEET_CELLS {
-        let cell = format!("{cell}:{footprint_mb}");
-        let (spec, cluster) = dsl::resolve_scenario(&cell, Path::new(""), &cfg)?;
-        let sessions = spec.logical_sessions();
-        let vms = spec.vms.len();
-        let m = measure(|| run_cluster(spec, policy, &cfg, &cluster));
-        // A mark that did not rise across the cell is an earlier cell's.
-        let own_rss_kb = m
-            .peak_rss_kb
-            .filter(|&kb| high_water.is_none_or(|before| kb > before));
-        high_water = m.peak_rss_kb;
-        let cr = &m.value;
-        let f = &cr.fleet;
-        let head = &cr.host_results[0];
-        let wall_s = m.wall.as_secs_f64();
-        let rss = own_rss_kb.map_or("n/a".to_string(), |kb| {
-            format!("{:.1} MiB", kb as f64 / 1024.0)
-        });
-        let end_s = cr
-            .host_results
-            .iter()
-            .map(|r| r.end_time.as_secs_f64())
-            .fold(0.0, f64::max);
-        let truncated = cr.host_results.iter().any(|r| r.truncated);
-        println!(
-            "{cell:<14} wall {wall_s:7.2} s  peak RSS {rss:>12}  \
-             events {:>12}  sessions {:>12}  sim end {end_s:.0} s{}",
-            head.events,
-            sessions,
-            if truncated { "  TRUNCATED" } else { "" },
-        );
-        if cluster.hosts > 1 {
-            println!(
-                "  migrations {} (downtime {})  cross-host {} transfers / {} pages  \
-                 stranded {}",
-                f.migrations,
-                f.migration_downtime,
-                f.cross_host_transfers,
-                f.cross_host_pages,
-                f.stranded_page_intervals,
-            );
-        }
-
-        // Per-VM occupancy and slowdown, in VM order across the hosts.
-        // Slowdown is each VM's total program runtime relative to the
-        // fastest VM running the same workload — 1.00 marks the
-        // least-contended VM of its class.
-        let mut per_vm: Vec<_> = cr
-            .host_results
-            .iter()
-            .flat_map(|r| r.vm_results.iter().zip(&r.final_tmem_used))
-            .collect();
-        per_vm.sort_by_key(|(vm, _)| vm.vm_id);
-        let runtime_ns: Vec<u64> = per_vm
-            .iter()
-            .map(|(vm, _)| {
-                vm.runs
-                    .iter()
-                    .filter_map(|rr| rr.duration())
-                    .map(|d| d.as_nanos())
-                    .sum()
-            })
-            .collect();
-        let class: Vec<&str> = per_vm
-            .iter()
-            .map(|(vm, _)| vm.runs.first().map_or("-", |rr| rr.workload.as_str()))
-            .collect();
-        let mut fastest: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-        for (&c, &ns) in class.iter().zip(&runtime_ns) {
-            if ns > 0 {
-                let e = fastest.entry(c).or_insert(u64::MAX);
-                *e = (*e).min(ns);
-            }
-        }
-        println!(
-            "  {:<6} {:>22} {:>12} {:>9} {:>12}",
-            "vm", "workload", "runtime_s", "slowdown", "occ_pages"
-        );
-        let mut per_vm_json = Vec::new();
-        for (i, (vm, occ)) in per_vm.iter().enumerate() {
-            let runtime_s = runtime_ns[i] as f64 / 1e9;
-            let slowdown = match fastest.get(class[i]) {
-                Some(&best) if runtime_ns[i] > 0 => runtime_ns[i] as f64 / best as f64,
-                _ => f64::NAN,
-            };
-            println!(
-                "  {:<6} {:>22} {:>12.1} {:>9.3} {:>12}",
-                vm.name, class[i], runtime_s, slowdown, occ
-            );
-            per_vm_json.push(format!(
-                "        {{ \"name\": \"{}\", \"workload\": \"{}\", \"runtime_s\": {:.3}, \
-                 \"slowdown\": {}, \"occupancy_pages\": {} }}",
-                vm.name,
-                class[i],
-                runtime_s,
-                if slowdown.is_nan() {
-                    "null".to_string()
-                } else {
-                    format!("{slowdown:.4}")
-                },
-                occ
-            ));
-        }
-        cells_json.push(format!(
-            "    {{\n      \"cell\": \"{cell}\",\n      \"hosts\": {},\n      \
-             \"vms\": {vms},\n      \"scenario\": \"{}\",\n      \
-             \"wall_s\": {wall_s:.3},\n      \"peak_rss_kb\": {},\n      \
-             \"events\": {},\n      \"sim_end_s\": {end_s:.3},\n      \
-             \"truncated\": {truncated},\n      \"logical_sessions\": {sessions},\n      \
-             \"migrations\": {},\n      \"migration_downtime_ns\": {},\n      \
-             \"cross_host_transfers\": {},\n      \"cross_host_pages\": {},\n      \
-             \"net_queue_wait_ns\": {},\n      \"stranded_page_intervals\": {},\n      \
-             \"per_vm\": [\n{}\n      ]\n    }}",
-            cluster.hosts,
-            head.scenario,
-            own_rss_kb.map_or("null".to_string(), |kb| kb.to_string()),
-            head.events,
-            f.migrations,
-            f.migration_downtime.as_nanos(),
-            f.cross_host_transfers,
-            f.cross_host_pages,
-            f.net_queue_wait.as_nanos(),
-            f.stranded_page_intervals,
-            per_vm_json.join(",\n")
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"host\": {{ \"available_cores\": {} }},\n  \"config\": {{ \"scale\": {}, \
-         \"footprint_mb\": {footprint_mb}, \"seed\": {}, \
-         \"policy\": \"smart-alloc:2\", \"mix\": \"balanced\", \"arrival_gap_ms\": {gap_ms}, \
-         \"effective_gap_ms\": {gap}, \"sampling_ms\": {sampling} }},\n  \
-         \"note\": \"peak_rss_kb is the process-lifetime high-water mark (VmHWM) after the \
-         cell; cells run in ascending VM order, each 2-host cell before its 1-host twin, and \
-         a cell across which the mark did not rise reads null, since the mark is an earlier \
-         cell's\",\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        scenarios::par::default_jobs(),
-        a.scale,
-        a.seed,
-        cells_json.join(",\n")
-    );
-    let dir = a.out.clone().unwrap_or_else(|| PathBuf::from("."));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let path = dir.join("BENCH_fleet.json");
-    std::fs::write(&path, json).map_err(|e| format!("writing {}: {e}", path.display()))?;
-    println!("perf record: {}", path.display());
-    Ok(())
 }
 
 /// `trace`: run one (scenario × policy) cell with every host's flight
@@ -862,28 +398,12 @@ fn trace_cmd(
                 .expect("trace was configured, so every host extracts one")
         })
         .collect();
-    if let [data] = traces.as_slice() {
-        println!(
-            "events: {} recorded, {} dropped (ring capacity {})",
-            data.events.len(),
-            data.dropped_oldest,
-            trace::DEFAULT_TRACE_CAPACITY,
-        );
-    } else {
-        for (h, data) in traces.iter().enumerate() {
-            println!(
-                "host {h}: {} events recorded, {} dropped",
-                data.events.len(),
-                data.dropped_oldest
-            );
-        }
-    }
     for (h, data) in traces.iter().enumerate() {
         if hosts > 1 {
             println!("-- host {h} --");
         }
         // The replay below runs the same checks and gives the verdict.
-        print_summary(&TraceFold::of(&data.events), None, false);
+        print_summary(&data.events, data.dropped_oldest, None, false);
     }
 
     match trace_check::verify_cluster(&cr.host_results) {
@@ -918,7 +438,6 @@ fn trace_cmd(
                 scenario: r.scenario.clone(),
                 policy: r.policy.clone(),
                 seed: a.seed,
-                filter: None,
             };
             let jsonl = data.to_jsonl(&header, a.filter.as_deref());
             let written = jsonl.lines().count().saturating_sub(1);
@@ -952,14 +471,7 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
         t.seed,
         t.version
     );
-    println!(
-        "events: {}  ring-dropped: {}  write-filter: {}",
-        t.events.len(),
-        t.dropped_oldest,
-        t.filter.as_deref().unwrap_or("none")
-    );
-    let fold = TraceFold::of(&t.events);
-    let mismatched = print_summary(&fold, Some(&t.events), t.filter.is_some());
+    let mismatched = print_summary(&t.events, t.dropped_oldest, t.filter.as_deref(), true);
     if mismatched > 0 {
         return Err(format!(
             "fault ledger cross-check failed: {mismatched} kind(s) where injected \
@@ -969,14 +481,30 @@ fn inspect_cmd(path: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// One host's trace summary, as `trace` and `inspect` print it: the per-VM
-/// admission table; the nonzero fault-ledger counters under their
-/// `cells.csv` names; the MM decisions and transmissions and the relay's
-/// sheds; with `timeline` (inspect's), the transmitted target vectors;
-/// then the fold's injected-vs-observed checks, data-plane pairings
-/// included when data-plane faults are in play. A `filtered` trace skips
-/// the checks. Returns the number of failed checks.
-fn print_summary(fold: &TraceFold, timeline: Option<&[TraceEvent]>, filtered: bool) -> u64 {
+/// One host's trace summary, as `trace` and `inspect` print it, of the
+/// [`TraceFold`] of `events`: the event, ring-drop and write-filter
+/// counts; the per-VM admission table; the nonzero fault-ledger counters
+/// under their `cells.csv` names; the MM decisions and transmissions and
+/// the relay's sheds; with `timeline` (inspect's), the transmitted target
+/// vectors; then the fold's injected-vs-observed checks, data-plane
+/// pairings included when data-plane faults are in play. A trace whose
+/// ring `dropped` its oldest events is a tail of the run: the summary says
+/// so, and like a trace written with a subsystem `filter` it skips the
+/// checks. Returns the number of failed checks.
+fn print_summary(events: &[TraceEvent], dropped: u64, filter: Option<&str>, timeline: bool) -> u64 {
+    let fold = TraceFold::of(events);
+    println!(
+        "events: {}  ring-dropped: {dropped}  write-filter: {}",
+        events.len(),
+        filter.unwrap_or("none")
+    );
+    if dropped > 0 {
+        println!(
+            "partial trace: the ring dropped the oldest {dropped} events, so the counts \
+             below cover only the last {} events",
+            events.len()
+        );
+    }
     // --- per-VM admission / reject / evict table -------------------------
     println!("-- per-VM tmem admission --");
     println!(
@@ -1021,16 +549,24 @@ fn print_summary(fold: &TraceFold, timeline: Option<&[TraceEvent]>, filtered: bo
         "mm: decisions={} transmissions={}  relay: shed={}",
         fold.mm_decisions, fold.mm_transmissions, fold.sheds
     );
-    if let Some(events) = timeline {
+    if timeline {
         print_timeline(events);
     }
 
     // --- fault ledger cross-check ----------------------------------------
     // Every injected fault must have a matching observed fate elsewhere in
-    // the stream; a filtered trace drops one side of the pairing.
+    // the stream; a filtered or ring-dropped trace can miss one side of a
+    // pairing.
     println!("-- fault ledger cross-check --");
-    if filtered {
-        println!("  skipped: trace was written with a subsystem filter, so fate");
+    let incomplete = if filter.is_some() {
+        Some("trace was written with a subsystem filter")
+    } else if dropped > 0 {
+        Some("the ring dropped the run's oldest events")
+    } else {
+        None
+    };
+    if let Some(why) = incomplete {
+        println!("  skipped: {why}, so fate");
         println!("  events and fault events are not both guaranteed present");
         return 0;
     }
@@ -1210,16 +746,12 @@ fn print_result(r: &RunResult) {
 /// per-cell checkpointing in the `--resume` directory.
 fn sweep_cmd(path: &Path, a: &Args) -> Result<(), String> {
     let plan = batch::load_plan(path, a.jobs)?;
-    let dir = a
-        .resume
-        .clone()
-        .or_else(|| a.out.clone())
-        .unwrap_or_else(|| {
-            let stem = path
-                .file_stem()
-                .map_or_else(|| "sweep".to_string(), |s| s.to_string_lossy().into_owned());
-            PathBuf::from(format!("{stem}-sweep"))
-        });
+    let dir = a.resume.clone().unwrap_or_else(|| {
+        let stem = path
+            .file_stem()
+            .map_or_else(|| "sweep".to_string(), |s| s.to_string_lossy().into_owned());
+        PathBuf::from(format!("{stem}-sweep"))
+    });
     let outcome = batch::run_sweep(&plan, &dir, a.stop_after)?;
     for w in &outcome.warnings {
         eprintln!("warning: {w}");
@@ -1282,13 +814,9 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        "bench-parallel" => {
+        "bench" => {
             let a = parse_flags(cmd, rest)?;
-            bench_parallel(&a)
-        }
-        "bench-fleet" => {
-            let a = parse_flags(cmd, rest)?;
-            bench_fleet(&a)
+            bench_cmd(&a)
         }
         "run" | "trace" => {
             let (scenario, rest) = rest
@@ -1336,7 +864,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scenarios::spec::{build_scenario, WorkloadMix};
+    use scenarios::spec::{build_scenario, Arrival, FleetParams, WorkloadMix};
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -1381,8 +909,7 @@ mod tests {
             ("fig", "--reps", "--chaos"),
             ("all", "--jobs", "--chaos"),
             ("run", "--chaos", "--jobs"),
-            ("bench-parallel", "--reps", "--jobs"),
-            ("bench-fleet", "--scale", "--jobs"),
+            ("bench", "--seed", "--reps"),
             ("trace", "--filter", "--jobs"),
             ("sweep", "--stop-after", "--scale"),
         ] {
@@ -1403,10 +930,19 @@ mod tests {
         }
         let err = parse_flags("sweep", &args(&["--scale", "0.01"])).unwrap_err();
         assert!(err.contains("[sweep] table sets scale"), "{err}");
+        // One spelling per input: `--resume` names the sweep directory.
+        let err = parse_flags("sweep", &args(&["--out", "x"])).unwrap_err();
+        assert!(err.starts_with("sweep does not take --out"), "{err}");
         // The chaos grid is a sweep manifest, a scenario file runs through
-        // `run`, and `bench-fleet` runs the multi-host cells: none is a
-        // command of its own.
-        for cmd in ["chaos", "run-file", "bench-cluster"] {
+        // `run`, and `bench` runs the multi-host cells, the micros and the
+        // jobs sweep: none is a command of its own.
+        for cmd in [
+            "chaos",
+            "run-file",
+            "bench-cluster",
+            "bench-parallel",
+            "bench-fleet",
+        ] {
             let err = dispatch(cmd, &[]).unwrap_err();
             assert_eq!(err, format!("unknown command '{cmd}'"));
         }
@@ -1510,10 +1046,12 @@ mod tests {
 
     #[test]
     fn fleet_scenarios_parse() {
+        // A fleet cell is spelled `fleet:<vms>`; the bare names are not
+        // scenarios.
         for name in ["fleet", "scenario5"] {
             assert_eq!(
-                resolve(name).unwrap(),
-                one_host(ScenarioKind::Scenario5(FleetParams::default()))
+                resolve(name).unwrap_err(),
+                format!("unknown scenario '{name}'")
             );
         }
         assert_eq!(

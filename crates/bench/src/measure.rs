@@ -1,5 +1,5 @@
-//! Wall-clock and peak-RSS measurement shared by the `bench-parallel` and
-//! `bench-fleet` CLI subcommands.
+//! Wall-clock and peak-RSS measurement shared by the `bench` harness
+//! ([`crate::harness`]) and the fleet peak-RSS guards.
 //!
 //! Peak RSS is read from `VmHWM` in `/proc/self/status` — the kernel's
 //! high-water mark for the process's resident set. The mark is monotonic
@@ -9,7 +9,7 @@
 //! in ascending footprint order: each cell's reading is then the true peak
 //! *through* that cell, and the curve stays meaningful. A cell across
 //! which the mark did not rise has no reading of its own (the mark is an
-//! earlier cell's), and `bench-fleet` reports it as `null`.
+//! earlier cell's), and `bench` reports it as `null`.
 
 use std::time::{Duration, Instant};
 

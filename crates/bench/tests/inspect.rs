@@ -1,6 +1,7 @@
 //! `smartmem-cli inspect` end to end: a trace written by `trace --out`
 //! reads back, summarizes, and passes its injected-vs-observed fault
-//! cross-check; a trace with one detection removed fails it. `trace`
+//! cross-check; a trace with one detection removed fails it, and one
+//! whose header declares ring drops is summarized as a tail. `trace`
 //! prints the summary `inspect` prints for the file it wrote. A greedy
 //! multi-host cell stores pages in its far tier and still replays and
 //! inspects clean. `trace` itself refuses `--filter` without `--out` on
@@ -171,6 +172,31 @@ fn inspect_flags_a_removed_corruption_detection() {
     let (ok, text) = inspect(&t.0);
     assert!(!ok, "inspect must fail on a missing detection:\n{text}");
     assert!(text.contains("MISMATCH"), "{text}");
+}
+
+/// A trace whose ring dropped its oldest events is a tail of the run:
+/// `inspect` says its counts cover only the retained events and skips the
+/// fault cross-check instead of judging half a stream.
+#[test]
+fn inspect_summarizes_a_ring_dropped_trace_as_a_tail() {
+    let (t, _) = trace("dropped", "scenario1", "greedy", "bitrot");
+    let text = std::fs::read_to_string(&t.0).unwrap();
+    let events = text.lines().count() - 1;
+    let raised = text.replacen("\"dropped\":0}", "\"dropped\":1000}", 1);
+    assert_ne!(raised, text, "the header declares no drops:\n{text}");
+    std::fs::write(&t.0, raised).unwrap();
+    let (ok, out) = inspect(&t.0);
+    assert!(ok, "a skipped cross-check fails nothing:\n{out}");
+    let partial = format!(
+        "the ring dropped the oldest 1000 events, so the counts below cover only the \
+         last {events} events"
+    );
+    assert!(out.contains(&partial), "{out}");
+    assert!(
+        out.contains("skipped: the ring dropped the run's oldest events"),
+        "{out}"
+    );
+    assert!(!out.contains("verdict"), "no check may run:\n{out}");
 }
 
 /// Greedy overfills a host's tmem shard, so on a multi-host cell, whose

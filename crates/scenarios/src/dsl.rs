@@ -43,7 +43,7 @@
 //! **Cells.** [`resolve_scenario`] is the one place a scenario argument —
 //! a Table II name, a `fleet:[<hosts>x]<vms>[:…]` spelling or a `.toml`
 //! path — becomes the spec and topology [`crate::runner::run_cluster`]
-//! takes. The CLI's `run`, `trace` and `bench-fleet` and a manifest's
+//! takes. The CLI's `run`, `trace` and `bench` and a manifest's
 //! scenario axis all read their scenarios through it.
 //!
 //! **Chaos files** name a [`FaultProfile`] field-by-field (the schema *is*
@@ -171,25 +171,6 @@ pub fn parse_fleet(s: &str) -> Result<FleetParams, String> {
     Ok(p)
 }
 
-/// Parse a built-in scenario name (`scenario1`, `scenario2`, `usemem`,
-/// `scenario3`, `fleet[:params]`).
-fn parse_kind(s: &str) -> Result<ScenarioKind, String> {
-    match s {
-        "scenario1" => Ok(ScenarioKind::Scenario1),
-        "scenario2" => Ok(ScenarioKind::Scenario2),
-        "usemem" => Ok(ScenarioKind::UsememScenario),
-        "scenario3" => Ok(ScenarioKind::Scenario3),
-        "scenario5" | "fleet" => Ok(ScenarioKind::Scenario5(FleetParams::default())),
-        _ => {
-            if let Some(params) = s.strip_prefix("fleet:") {
-                Ok(ScenarioKind::Scenario5(parse_fleet(params)?))
-            } else {
-                Err(format!("unknown scenario '{s}'"))
-            }
-        }
-    }
-}
-
 /// Cluster-aware fleet spec: the first token may be `<hosts>x<vms>`
 /// instead of a bare VM count (`fleet:2x32` = 32 VMs sharded over 2
 /// hosts). Returns the cell parameters plus the host count (1 when the
@@ -219,15 +200,24 @@ pub fn parse_fleet_cluster(s: &str) -> Result<(FleetParams, usize), String> {
 }
 
 /// Parse a built-in scenario name (`scenario1`, `scenario2`, `usemem`,
-/// `scenario3`, `fleet[:params]`) with its host count: the `fleet:` family
+/// `scenario3`, `fleet:<params>`) with its host count: the `fleet:` family
 /// also accepts a `<hosts>x<vms>` first token. Every other scenario is
 /// single-host.
 pub fn parse_kind_cluster(s: &str) -> Result<(ScenarioKind, usize), String> {
-    if let Some(params) = s.strip_prefix("fleet:") {
-        let (p, hosts) = parse_fleet_cluster(params)?;
-        return Ok((ScenarioKind::Scenario5(p), hosts));
-    }
-    Ok((parse_kind(s)?, 1))
+    let kind = match s {
+        "scenario1" => ScenarioKind::Scenario1,
+        "scenario2" => ScenarioKind::Scenario2,
+        "usemem" => ScenarioKind::UsememScenario,
+        "scenario3" => ScenarioKind::Scenario3,
+        _ => {
+            let params = s
+                .strip_prefix("fleet:")
+                .ok_or_else(|| format!("unknown scenario '{s}'"))?;
+            let (p, hosts) = parse_fleet_cluster(params)?;
+            return Ok((ScenarioKind::Scenario5(p), hosts));
+        }
+    };
+    Ok((kind, 1))
 }
 
 /// Scenario display name of a cluster cell: the host count appears only
@@ -1287,9 +1277,6 @@ program = ["run usemem paper"]
             })
         );
         assert_eq!(parse_kind_cluster("scenario1").unwrap().1, 1);
-        // The single-host vocabulary rejects the cluster spelling; hosts
-        // only enter through the cluster-aware entry points.
-        assert!(parse_kind("fleet:2x32").is_err());
     }
 
     #[test]

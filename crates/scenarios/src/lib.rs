@@ -20,13 +20,13 @@
 //! invariants and no undetected corruption. The parameterized
 //! fleet family ([`spec::FleetParams`], `ScenarioKind::Scenario5`) scales
 //! the same machinery to 8–128 VMs with staggered arrivals and mixed
-//! workloads for scale-focused benchmarking (`bench-fleet`), and
+//! workloads for scale-focused benchmarking (`bench`), and
 //! [`run_cluster`] runs a cell across several hosts.
 //!
 //! A scenario argument — a Table II name, a `fleet:[<hosts>x]<vms>[:…]`
 //! spelling or a `.toml` file — becomes a spec and a topology in one
 //! place, [`dsl::resolve_scenario`]. The CLI's `run`, `trace` and
-//! `bench-fleet` and a sweep manifest's scenario axis all read their
+//! `bench` and a sweep manifest's scenario axis all read their
 //! scenarios through it.
 //!
 //! ## Scaling

@@ -91,7 +91,6 @@ fn jsonl(r: &RunResult, seed: u64) -> String {
         scenario: r.scenario.clone(),
         policy: r.policy.clone(),
         seed,
-        filter: None,
     };
     r.trace
         .as_ref()

@@ -170,7 +170,6 @@ fn batched_delivery_matches_pre_batch_goldens_across_engine_widths() {
             scenario: r.scenario.clone(),
             policy: r.policy.clone(),
             seed: faulted.seed,
-            filter: None,
         };
         r.trace
             .as_ref()

@@ -40,7 +40,6 @@ fn fold(h: &mut u64, r: &RunResult, seed: u64) {
         scenario: r.scenario.clone(),
         policy: r.policy.clone(),
         seed,
-        filter: None,
     };
     let trace = r.trace.as_ref().expect("trace requested");
     assert_eq!(trace.dropped_oldest, 0, "the ring must hold the whole cell");

@@ -275,7 +275,6 @@ fn jsonl_round_trips_exactly() {
         scenario: r.scenario.clone(),
         policy: r.policy.clone(),
         seed: cfg.seed,
-        filter: None,
     };
     let text = data.to_jsonl(&header, None);
     let parsed = TraceData::parse_jsonl(&text).expect("own output must parse");
@@ -313,7 +312,6 @@ fn write_filter_restricts_subsystems_and_is_recorded() {
         scenario: r.scenario.clone(),
         policy: r.policy.clone(),
         seed: cfg.seed,
-        filter: None,
     };
     let text = data.to_jsonl(&header, Some(&[Subsystem::Hypervisor, Subsystem::Mm]));
     let parsed = TraceData::parse_jsonl(&text).unwrap();
@@ -710,7 +708,6 @@ fn trace_schema_golden_covers_every_event_kind() {
         scenario: "synthetic".into(),
         policy: "schema-pin".into(),
         seed: 0,
-        filter: None,
     };
     let text = data.to_jsonl(&header, None);
     assert!(text.starts_with("{\"schema\":\"smartmem-trace\",\"version\":1,"));
@@ -807,7 +804,6 @@ fn small_run_jsonl_matches_golden_byte_exactly() {
         scenario: r.scenario.clone(),
         policy: r.policy.clone(),
         seed: cfg.seed,
-        filter: None,
     };
     let text = data.to_jsonl(&header, Some(&[Subsystem::Hypervisor, Subsystem::Mm]));
     check_golden("trace_run_s1_static_ts0.1.jsonl", &text);

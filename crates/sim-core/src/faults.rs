@@ -117,25 +117,8 @@ impl FaultProfile {
     /// edge, since the fates of one message are mutually exclusive), restart
     /// delay positive. Returns an actionable message on violation.
     pub fn validate(&self) -> Result<(), String> {
-        let probs = [
-            ("virq_drop", self.virq_drop),
-            ("virq_delay", self.virq_delay),
-            ("virq_duplicate", self.virq_duplicate),
-            ("netlink_drop", self.netlink_drop),
-            ("netlink_reorder", self.netlink_reorder),
-            ("hypercall_fail", self.hypercall_fail),
-            ("page_bitflip", self.page_bitflip),
-            ("torn_write", self.torn_write),
-            ("ephemeral_loss", self.ephemeral_loss),
-            ("put_io_fail", self.put_io_fail),
-        ];
-        for (name, p) in probs {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(format!(
-                    "fault probability {name} = {p} is outside [0, 1]; \
-                     probabilities are per-message"
-                ));
-            }
+        for (name, p) in self.probs() {
+            check_prob(name, p)?;
         }
         let virq_sum = self.virq_drop + self.virq_delay + self.virq_duplicate;
         if virq_sum > 1.0 {
@@ -189,55 +172,75 @@ impl FaultProfile {
         Ok(())
     }
 
-    /// The per-message probability fields, in declaration order. These
-    /// names are the schema of on-disk chaos-profile files: the scenario
-    /// DSL reads profiles through [`FaultProfile::set_prob`], so a field
-    /// added here is automatically legal in `.toml` profiles (and anything
-    /// else is rejected by name).
-    pub const PROB_FIELDS: [&'static str; 10] = [
-        "virq_drop",
-        "virq_delay",
-        "virq_duplicate",
-        "netlink_drop",
-        "netlink_reorder",
-        "hypercall_fail",
-        "page_bitflip",
-        "torn_write",
-        "ephemeral_loss",
-        "put_io_fail",
-    ];
-
     /// Set a probability field by its schema name. Rejects unknown names
     /// (listing the legal ones) and out-of-range values; cross-field
     /// constraints are still [`FaultProfile::validate`]'s job.
     pub fn set_prob(&mut self, field: &str, value: f64) -> Result<(), String> {
-        if !(0.0..=1.0).contains(&value) || value.is_nan() {
-            return Err(format!(
-                "fault probability {field} = {value} is outside [0, 1]; \
-                 probabilities are per-message"
-            ));
-        }
-        let slot = match field {
-            "virq_drop" => &mut self.virq_drop,
-            "virq_delay" => &mut self.virq_delay,
-            "virq_duplicate" => &mut self.virq_duplicate,
-            "netlink_drop" => &mut self.netlink_drop,
-            "netlink_reorder" => &mut self.netlink_reorder,
-            "hypercall_fail" => &mut self.hypercall_fail,
-            "page_bitflip" => &mut self.page_bitflip,
-            "torn_write" => &mut self.torn_write,
-            "ephemeral_loss" => &mut self.ephemeral_loss,
-            "put_io_fail" => &mut self.put_io_fail,
-            other => {
-                return Err(format!(
-                    "unknown fault field '{other}' (known: {}, mm_crash_at_cycle, \
-                     mm_restart_after, brownout_every, brownout_for, scrub_every)",
-                    Self::PROB_FIELDS.join(", ")
-                ))
-            }
-        };
+        let value = check_prob(field, value)?;
+        let slot = self.prob_mut(field).ok_or_else(|| {
+            format!(
+                "unknown fault field '{field}' (known: {}, mm_crash_at_cycle, \
+                 mm_restart_after, brownout_every, brownout_for, scrub_every)",
+                Self::PROB_FIELDS.join(", ")
+            )
+        })?;
         *slot = value;
         Ok(())
+    }
+}
+
+/// Names the per-message probability fields once: their schema names, the
+/// values [`FaultProfile::validate`] range-checks and the slots
+/// [`FaultProfile::set_prob`] writes all come from this one list.
+macro_rules! prob_fields {
+    ($($field:ident),+ $(,)?) => {
+        impl FaultProfile {
+            /// The per-message probability fields, in declaration order.
+            /// These names are the schema of on-disk chaos-profile files:
+            /// the scenario DSL reads profiles through
+            /// [`FaultProfile::set_prob`], so a field added here is
+            /// automatically legal in `.toml` profiles (and anything else
+            /// is rejected by name).
+            pub const PROB_FIELDS: [&'static str; 10] = [$(stringify!($field)),+];
+
+            /// Each probability with its schema name, in declaration order.
+            fn probs(&self) -> [(&'static str, f64); 10] {
+                [$((stringify!($field), self.$field)),+]
+            }
+
+            /// The probability field named `field`, if there is one.
+            fn prob_mut(&mut self, field: &str) -> Option<&mut f64> {
+                match field {
+                    $(stringify!($field) => Some(&mut self.$field),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+prob_fields!(
+    virq_drop,
+    virq_delay,
+    virq_duplicate,
+    netlink_drop,
+    netlink_reorder,
+    hypercall_fail,
+    page_bitflip,
+    torn_write,
+    ephemeral_loss,
+    put_io_fail,
+);
+
+/// `p` if it lies in `[0, 1]` (NaN does not), else an error naming `name`.
+fn check_prob(name: &str, p: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!(
+            "fault probability {name} = {p} is outside [0, 1]; \
+             probabilities are per-message"
+        ))
     }
 }
 

@@ -730,9 +730,6 @@ pub struct TraceHeader {
     pub policy: String,
     /// Root seed of the run.
     pub seed: u64,
-    /// Subsystem filter applied at write time (`None` = full trace). A
-    /// filtered trace is not replayable and is flagged as such here.
-    pub filter: Option<String>,
 }
 
 /// The extracted, thread-safe result of one recording: the event list plus
@@ -850,7 +847,8 @@ impl TraceData {
 // one `Field` impl per value type, shared by the writer and the parser.
 // ---------------------------------------------------------------------------
 
-fn json_string(s: &str) -> String {
+/// `s` as a quoted, escaped JSON string.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1375,7 +1373,6 @@ mod tests {
             scenario: "scenario1".into(),
             policy: "smart-alloc".into(),
             seed: 42,
-            filter: None,
         };
         let jsonl = data.to_jsonl(&header, None);
         let parsed = TraceData::parse_jsonl(&jsonl).expect("own output parses");

@@ -9,9 +9,9 @@
 //!   sequences through both this and [`crate::backend::TmemBackend`] and
 //!   asserts identical observable outcomes (including eviction victims and
 //!   reclaim order);
-//! * **benchmark baseline** — the `smartmem-cli bench-parallel` perf
-//!   record measures the fast path's speedup against this code, not
-//!   against a guess.
+//! * **benchmark baseline** — the micros of the `smartmem-cli bench`
+//!   record (`BENCH.json`) measure the fast path's speedup against this
+//!   code, not against a guess.
 //!
 //! Do not use it in the simulator proper; it is deliberately the slow path.
 
