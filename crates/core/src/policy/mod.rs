@@ -15,8 +15,9 @@ use tmem::stats::{MemStats, MmTarget};
 /// Once per sampling interval the MM feeds the policy the latest
 /// [`MemStats`] snapshot; the policy returns the full target vector (one
 /// entry per VM in the snapshot). Transmission suppression for unchanged
-/// vectors is the MM's job, not the policy's.
-pub trait Policy {
+/// vectors is the MM's job, not the policy's. A policy is `Send` because
+/// its MM runs on the worker thread of its host.
+pub trait Policy: Send {
     /// Short name for reports ("greedy", "smart-alloc(0.75%)", ...).
     fn name(&self) -> String;
 

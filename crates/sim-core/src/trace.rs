@@ -18,10 +18,12 @@
 //! Summaries of the event stream itself are `scenarios::trace_check`'s
 //! `TraceFold`, which `smartmem-cli trace` and `inspect` print. The handle
 //! every component holds is a [`Tracer`] — a cheap clone of an
-//! `Option<Rc<RefCell<Recorder>>>`. When tracing is disabled the option is
-//! `None` and [`Tracer::emit`] is a single branch: the closure that would
-//! build the event is never called, so disabled runs stay byte-identical
-//! to a build without the recorder.
+//! `Option<Arc<Mutex<Recorder>>>`, so a host and its recorder can move to
+//! a worker thread. When tracing is disabled the option is `None` and
+//! [`Tracer::emit`] is a single branch: the closure that would build the
+//! event is never called, so disabled runs stay byte-identical to a build
+//! without the recorder. A traced emit takes the recorder's lock, which
+//! only the thread running the recorder's host ever holds.
 //!
 //! The schema is declared once: `payload_table!` lists every [`Payload`]
 //! variant with its JSONL label, subsystem, field keys and docs, and
@@ -35,10 +37,9 @@
 use crate::faults::{NetlinkFate, SampleFate};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::rc::Rc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Version stamped into every JSONL trace header. Bump when the event
 /// schema changes shape; `inspect`/replay reject traces from other versions.
@@ -581,9 +582,9 @@ impl TraceMetrics {
 }
 
 /// The per-run event sink: a clock cell, a bounded ring of events, and the
-/// metrics registry. Owned behind `Rc<RefCell<…>>` by every [`Tracer`]
-/// clone in one simulation cell; never crosses threads (only the plain
-/// [`TraceData`] extracted at the end does).
+/// metrics registry. Owned behind `Arc<Mutex<…>>` by every [`Tracer`]
+/// clone of one host; the host's worker thread is the only one that
+/// records into it.
 #[derive(Debug)]
 pub struct Recorder {
     now: SimTime,
@@ -661,7 +662,7 @@ impl Recorder {
 /// carry `None`: [`Tracer::emit`] is then a single branch and the event
 /// closure is never evaluated.
 #[derive(Debug, Clone, Default)]
-pub struct Tracer(Option<Rc<RefCell<Recorder>>>);
+pub struct Tracer(Option<Arc<Mutex<Recorder>>>);
 
 impl Tracer {
     /// A tracer that records nothing (the default).
@@ -671,7 +672,7 @@ impl Tracer {
 
     /// A tracer backed by a fresh recorder.
     pub fn new(recorder: Recorder) -> Self {
-        Tracer(Some(Rc::new(RefCell::new(recorder))))
+        Tracer(Some(Arc::new(Mutex::new(recorder))))
     }
 
     /// Build from an optional [`TraceConfig`] (the run-config plumbing).
@@ -692,7 +693,7 @@ impl Tracer {
     #[inline]
     pub fn set_now(&self, t: SimTime) {
         if let Some(rec) = &self.0 {
-            rec.borrow_mut().now = t;
+            lock(rec).now = t;
         }
     }
 
@@ -703,7 +704,7 @@ impl Tracer {
     pub fn emit(&self, f: impl FnOnce() -> (Option<u32>, Payload)) {
         if let Some(rec) = &self.0 {
             let (vm, payload) = f();
-            rec.borrow_mut().record(vm, payload);
+            lock(rec).record(vm, payload);
         }
     }
 
@@ -711,14 +712,19 @@ impl Tracer {
     /// `None` for disabled tracers. Other live handles keep pointing at the
     /// (now empty) recorder.
     pub fn finish(&self) -> Option<TraceData> {
-        let rec = self.0.as_ref()?;
-        let mut rec = rec.borrow_mut();
+        let mut rec = lock(self.0.as_ref()?);
         Some(TraceData {
             events: std::mem::take(&mut rec.ring).into_iter().collect(),
             dropped_oldest: std::mem::take(&mut rec.dropped_oldest),
             metrics: std::mem::take(&mut rec.metrics),
         })
     }
+}
+
+/// The recorder, even if a thread panicked while holding it: a panicking
+/// run is unwinding anyway, and its partial trace is still well-formed.
+fn lock(rec: &Mutex<Recorder>) -> MutexGuard<'_, Recorder> {
+    rec.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Identity stamped into a JSONL trace header.

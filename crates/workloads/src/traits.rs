@@ -26,7 +26,9 @@ pub struct Milestone(pub String);
 /// completion, and must free all its guest memory before returning
 /// [`StepOutcome::Done`]. After `Done`, further `step` calls are a logic
 /// error. `abort` force-releases memory for workloads stopped externally.
-pub trait Workload {
+/// A workload is `Send` because it moves with its VM onto the worker thread
+/// that runs the VM's host.
+pub trait Workload: Send {
     /// Report name.
     fn name(&self) -> &str;
 
