@@ -5,8 +5,10 @@
 //! Each cell below covers a workload class or a datapath that the byte
 //! goldens elsewhere do not pin event by event: graph analytics, usemem's
 //! ramp and steady passes, disk swap with slot read-ahead (no-tmem), slow
-//! reclaim to swap (the paging mix), and a balanced two-host cluster with
-//! in-memory analytics, cleancache, a far tier and migration. A digest folds
+//! reclaim to swap (the paging mix), a balanced two-host cluster with
+//! in-memory analytics, cleancache, a far tier and migration, and a
+//! two-host usemem cluster whose start and stop triggers cross hosts. A
+//! digest folds
 //! each host's full trace JSONL and the Debug form of the result (every
 //! per-VM run, kernel counter and series point), so a page touched
 //! differently anywhere moves it.
@@ -159,4 +161,51 @@ fn balanced_cluster_stream_is_unchanged() {
     fnv(&mut h, format!("{:?}", cr.fleet).as_bytes());
     // Recorded once a migration stopped forking the VM's step chain.
     check("fleet:2x6:8/smart-alloc:2", h, 0x447b_e246_5123_840c);
+}
+
+/// `scenarios/usemem.toml` on two hosts, at the scale of
+/// `run <file> smart-alloc:2 --seed 42 --scale 0.125`. Round-robin
+/// placement puts VM1 and VM3 on host 0 and VM2 on host 1, so VM3's
+/// `start_on` waits on a milestone of the other host and its `stop_on`
+/// stops both hosts' VMs.
+#[test]
+fn cross_host_trigger_stream_is_unchanged() {
+    let c = RunConfig {
+        scale: 0.125,
+        ..cfg(42)
+    };
+    let src = format!(
+        "{}\n[cluster]\nhosts = 2\n",
+        include_str!("../../../scenarios/usemem.toml")
+    );
+    let doc = dsl::parse_scenario_src(&src, &c).expect("usemem.toml plus a [cluster] table");
+    let cluster = doc.cluster.expect("the [cluster] table");
+    let cr = run_cluster(doc.spec, PolicyKind::SmartAlloc { p: 2.0 }, &c, &cluster);
+    let names = |h: usize| -> Vec<&str> {
+        cr.host_results[h]
+            .vm_results
+            .iter()
+            .map(|vm| vm.name.as_str())
+            .collect()
+    };
+    assert_eq!(names(0), ["VM1", "VM3"]);
+    assert_eq!(names(1), ["VM2"]);
+    let vm3 = &cr.host_results[0].vm_results[1];
+    assert!(vm3.milestones.iter().any(|(l, _)| l.starts_with("alloc")));
+    for r in &cr.host_results {
+        assert!(!r.truncated);
+        assert_eq!(r.events, 48_123);
+        assert_eq!(r.end_time.to_string(), "13.472s");
+        assert!(r.vm_results.iter().all(|vm| vm.stopped_early));
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in &cr.host_results {
+        fold(&mut h, r, c.seed);
+    }
+    fnv(&mut h, format!("{:?}", cr.fleet).as_bytes());
+    check(
+        "usemem.toml on 2 hosts/smart-alloc:2",
+        h,
+        0xe171_0ae9_1150_2a1b,
+    );
 }
