@@ -35,7 +35,9 @@ pub struct RunConfig {
     /// Engine-only knob: it can change wall-clock time, never a result —
     /// grids are collected in deterministic order (see [`crate::par`]).
     /// Library default is 1 (serial); the CLI defaults it to the available
-    /// cores.
+    /// cores. A multi-host run's hosts advance on workers of their own
+    /// (one per host, capped at the cores available, see
+    /// [`crate::runner::run_cluster`]), which do not read `jobs`.
     pub jobs: usize,
     /// Control-plane fault injection profile. Default: fully disabled —
     /// a disabled profile leaves every run byte-identical to a build

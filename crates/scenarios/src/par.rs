@@ -15,6 +15,11 @@
 //! index-claiming (rather than pre-chunking) keeps all workers busy even
 //! when cell runtimes are skewed, which they are — a `no-tmem` rep can
 //! take several times longer than a `greedy` rep of the same scenario.
+//!
+//! Inside one cell, a multi-host run advances its hosts in parallel too
+//! ([`crate::runner::run_cluster`]): one scoped worker per host, capped
+//! at [`default_jobs`]. Those workers do not read `jobs`, so a grid
+//! pinned to one job still runs a cluster cell's hosts side by side.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

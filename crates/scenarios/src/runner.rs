@@ -2,8 +2,9 @@
 //! scenario under one policy.
 //!
 //! Every host owns a hypervisor, a disk, a dom0 TKM relay and a Memory
-//! Manager; the runner owns one guest kernel + workload program per VM and
-//! advances everything with a single deterministic discrete-event loop:
+//! Manager, plus the guest kernel and workload program of every VM
+//! resident on it, and advances through its own deterministic
+//! discrete-event queue:
 //!
 //! * `Step(vm)` — the VM executes one compute quantum of its workload
 //!   (ended early by any blocking disk access); the next step is scheduled
@@ -11,21 +12,33 @@
 //!   contention *on the VM's host*,
 //! * `Wake(vm)` / `Start(vm)` — program sleeps and (possibly
 //!   milestone-triggered) program starts,
-//! * `Virq` — the paper's per-second sampling interrupt, processed for
-//!   every host in host order: each host's snapshot travels hypervisor →
-//!   dom0 TKM → MM and changed targets travel back down. After all hosts
-//!   close their interval, the fleet scheduler compares per-host pressure
-//!   and may start one VM migration,
 //! * `MigrateDone(vm)` — a migration's modelled network transfer finished;
 //!   the VM resumes on its destination host.
+//!
+//! The paper's per-second sampling interrupt (VIRQ) is not a queue event:
+//! it closes a *window*. Between two VIRQs no host reads another host's
+//! state, so the hosts advance through a window in parallel, one worker
+//! thread per host (capped at the cores available). At the window's
+//! barrier one thread runs the VIRQ for every host in host order — each
+//! host's snapshot travels hypervisor → dom0 TKM → MM and changed targets
+//! travel back down — and then the fleet scheduler, which compares
+//! per-host pressure and may start one VM migration.
+//!
+//! The worker count never changes an output: every run dispatches its
+//! events in the order one global queue over all hosts would (DESIGN §6).
+//! All queues draw sequence numbers from one shared space, which breaks
+//! ties at an instant first-scheduled-first; the barrier merges the
+//! window's per-host dispatch logs to number the events the window
+//! scheduled as that global queue would have. A spec whose cross-VM
+//! triggers link VMs runs every host through one queue on one worker.
 //!
 //! The single-host path ([`run_spec`]) *is* a one-host cluster — it calls
 //! the same constructor with `hosts = 1`, no far tier and no fleet
 //! scheduler, so the byte-golden single-host tests pin the equivalence by
-//! construction: the cluster machinery exists but every per-host step is
-//! the exact event sequence of the pre-cluster runner.
+//! construction.
 
 use crate::config::RunConfig;
+use crate::par;
 use crate::spec::{build_scenario, ProgramStep, ScenarioKind, StartRule, VmSpec};
 use guest_os::budget::StepBudget;
 use guest_os::disk::SharedDisk;
@@ -43,6 +56,10 @@ use smartmem_core::fleet::{
     stranded_pages, FleetConfig, FleetManager, HostLoad, MigrationPlan, VmPlacement,
 };
 use smartmem_core::{MemoryManager, PolicyKind};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 use tmem::backend::PoolKind;
 use tmem::fastmap::FxHashSet;
 use tmem::key::VmId;
@@ -74,13 +91,22 @@ enum VmState {
     Stopped,
 }
 
+/// A queued event; each names the VM it belongs to and sits in the queue
+/// of the shard the VM resides on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Start(usize),
     Step(usize),
     Wake(usize),
-    Virq,
     MigrateDone(usize),
+}
+
+impl Event {
+    fn vm(self) -> usize {
+        match self {
+            Event::Start(i) | Event::Step(i) | Event::Wake(i) | Event::MigrateDone(i) => i,
+        }
+    }
 }
 
 /// One workload execution within a VM's program.
@@ -185,9 +211,9 @@ pub struct RunResult {
     pub disk_throttle: sim_core::time::SimDuration,
     /// Instant the last VM finished/stopped.
     pub end_time: SimTime,
-    /// Events dispatched by the run loop (determinism fingerprint). In a
-    /// cluster run the loop is shared, so every host reports the same
-    /// fleet-wide count.
+    /// Events dispatched by the run (determinism fingerprint): every
+    /// host's events plus one per VIRQ. In a cluster run every host
+    /// reports the same fleet-wide count.
     pub events: u64,
     /// The run hit the safety cutoff (always a bug — asserted by tests).
     pub truncated: bool,
@@ -293,10 +319,11 @@ struct VmRuntime {
     /// migration that swallows the wake re-issue it on arrival.
     wake_at: Option<SimTime>,
     /// Due instant of the VM's queued `Step`, `None` once it has been
-    /// dispatched. A VM runs one step chain: see [`Runner::schedule_step`].
+    /// dispatched. A VM runs one step chain: see [`Shard::schedule_step`].
     step_at: Option<SimTime>,
-    /// State to restore at `MigrateDone` (`Running` or `Sleeping`).
-    resume_after_migration: Option<VmState>,
+    /// While `Migrating`: the state to restore at `MigrateDone` (`Running`
+    /// or `Sleeping`) and the instant the VM paused.
+    resume_after_migration: Option<(VmState, SimTime)>,
     prog_idx: usize,
     run_counter: u32,
     runs: Vec<RunRecord>,
@@ -306,8 +333,6 @@ struct VmRuntime {
 
 /// One host's private control plane: hypervisor (which owns the host's
 /// fault injector), disk, dom0 relay, MM, CPU model and flight recorder.
-/// The pre-cluster runner held these fields directly; a cluster run holds
-/// N of them.
 struct HostCtl {
     hyp: Hypervisor<Fingerprint>,
     disk: SharedDisk,
@@ -321,7 +346,7 @@ struct HostCtl {
     /// restarts it at the first VIRQ at or after `t`.
     mm_down_until: Option<SimTime>,
     /// vCPUs of VMs currently in [`VmState::Running`] on this host,
-    /// maintained incrementally by [`Runner::set_state`] — `step_vm` needs
+    /// maintained incrementally by [`Shard::set_state`] — `step_vm` needs
     /// it on every dispatched step, which at fleet scale (64+ VMs) makes an
     /// O(VMs) rescan the hottest line of the whole loop.
     running_vcpus: u32,
@@ -340,42 +365,93 @@ struct FleetCtl {
     /// Saturating: a migration moves a VM's cumulative counter between
     /// hosts, which can make a host's sum go backwards.
     prev_failed: Vec<u64>,
-    /// The one migration in flight: `(vm index, pause instant)`.
-    in_flight: Option<(usize, SimTime)>,
+    /// The one migration in flight: its VM's index.
+    in_flight: Option<usize>,
     migrations: u64,
     downtime: SimDuration,
     stranded: u64,
 }
 
-struct Runner {
+/// What every host worker reads and none writes.
+struct Ctx {
     cfg: RunConfig,
-    hosts: Vec<HostCtl>,
-    vms: Vec<VmRuntime>,
-    queue: EventQueue<Event>,
-    observed: FxHashSet<(usize, String)>,
-    pending_starts: Vec<(usize, Vec<(usize, String)>)>,
-    stop_all_on: Option<(usize, String)>,
-    series: Option<SeriesBundle>,
     seed_root: SplitMix64,
     scenario_name: String,
     policy_name: String,
     policy_kind: PolicyKind,
-    sampling: SimDuration,
-    truncated: bool,
-    /// Events actually dispatched (the determinism fingerprint). Counted
-    /// here rather than read off the queue: batch draining pops whole
-    /// same-instant groups, but a cutoff or early completion stops
-    /// dispatch mid-batch exactly where one-at-a-time popping would have
-    /// stopped.
-    dispatched: u64,
-    /// VMs not yet Finished/Stopped, maintained by [`Runner::set_state`];
-    /// `all_done()` is consulted after every event.
+}
+
+/// One event a shard dispatched in the current window, as the barrier
+/// needs it to number the events the window scheduled.
+struct Dispatched {
+    due: SimTime,
+    seq: u64,
+    /// The queue's next sequence number before the handler ran: the
+    /// handler's own events took the numbers from here up to the next
+    /// dispatch's `first_child`.
+    first_child: u64,
+}
+
+/// Hosts that one worker advances through a window in their own event
+/// order, with everything they own. A multi-host run has one shard per
+/// host, unless cross-VM triggers link its VMs: then one shard holds every
+/// host and its one queue is the global event order.
+struct Shard {
+    /// Global index of `hosts[0]`.
+    first_host: usize,
+    hosts: Vec<HostCtl>,
+    /// Resident VMs by global index (`None`: on another shard).
+    vms: Vec<Option<VmRuntime>>,
+    queue: EventQueue<Event>,
+    /// Where the open window ends: the next VIRQ's `(due, seq)`, or just
+    /// past the cutoff.
+    bound: (SimTime, u64),
+    /// Resident VMs not yet Finished/Stopped, in-flight arrivals included;
+    /// maintained by [`Shard::set_state`], [`Shard::depart`] and
+    /// [`Shard::arrive`].
     unfinished: usize,
+    /// Instant `unfinished` reached zero in the open window.
+    done_at: Option<SimTime>,
+    /// Events dispatched so far (the determinism fingerprint).
+    dispatched: u64,
+    /// The open window's dispatches, kept only when several shards share
+    /// the sequence space.
+    log: Option<Vec<Dispatched>>,
+    /// A migration that landed in the open window: its VM and downtime.
+    /// The fleet books it at the barrier.
+    arrived: Option<(usize, SimDuration)>,
+    observed: FxHashSet<(usize, String)>,
+    pending_starts: Vec<(usize, Vec<(usize, String)>)>,
+    stop_all_on: Option<(usize, String)>,
+    /// Reusable buffer for one same-instant batch of `(seq, event)`.
+    batch: Vec<(u64, Event)>,
+}
+
+/// The serial half of a run, executed at each window's barrier: the VIRQ,
+/// the fleet step and the migration hand-off, plus the shared sequence
+/// counter and the run's end.
+struct Coordinator {
+    nhosts: usize,
+    sampling: SimDuration,
+    cutoff: SimTime,
+    /// The next VIRQ: its instant and sequence number.
+    virq: (SimTime, u64),
+    /// The next free number of the shared sequence space.
+    next_seq: u64,
+    /// The first number the open window's shards numbered their own
+    /// events from.
+    base: u64,
+    /// VIRQs, plus the event that crossed the cutoff, counted as
+    /// dispatched.
+    dispatched: u64,
+    truncated: bool,
+    series: Option<SeriesBundle>,
+    fleet: Option<FleetCtl>,
+    vm_ids: Vec<VmId>,
     /// Reusable per-interval buffers for the slow-reclaim trickle, so an
     /// over-target VM doesn't cost two fresh `Vec`s every interval.
     reclaim_buf: Vec<(tmem::key::ObjectId, u32)>,
     reclaim_keys: Vec<(u64, u32)>,
-    fleet: Option<FleetCtl>,
 }
 
 /// Run one scenario under one policy. Deterministic in `cfg.seed`.
@@ -398,11 +474,25 @@ pub fn run_spec(spec: crate::spec::ScenarioSpec, policy: PolicyKind, cfg: &RunCo
 /// sharded host-by-host, VMs are placed round-robin, and (when configured)
 /// the fleet scheduler migrates VMs between hosts on sustained pressure
 /// divergence. Deterministic in `cfg.seed`.
+///
+/// The hosts run on one worker thread each, up to the cores available;
+/// `cfg.jobs` is not read. A one-host run starts no thread.
 pub fn run_cluster(
     spec: crate::spec::ScenarioSpec,
     policy: PolicyKind,
     cfg: &RunConfig,
     cluster: &ClusterConfig,
+) -> ClusterResult {
+    run_cluster_on(spec, policy, cfg, cluster, par::default_jobs())
+}
+
+/// [`run_cluster`] on at most `workers` threads.
+fn run_cluster_on(
+    spec: crate::spec::ScenarioSpec,
+    policy: PolicyKind,
+    cfg: &RunConfig,
+    cluster: &ClusterConfig,
+    workers: usize,
 ) -> ClusterResult {
     assert!(cluster.hosts >= 1, "a cluster needs at least one host");
     let nhosts = cluster.hosts;
@@ -494,17 +584,44 @@ pub fn run_cluster(
         });
     }
 
-    let unfinished = vms.len();
-    let fleet = (nhosts > 1).then(|| FleetCtl {
-        mgr: cluster.migration.map(FleetManager::new),
-        link: Link::new(cluster.net.clone()),
-        prev_failed: vec![0; nhosts],
-        in_flight: None,
-        migrations: 0,
-        downtime: SimDuration::ZERO,
-        stranded: 0,
-    });
-    let mut runner = Runner {
+    // Cross-VM triggers tie VMs to one another's progress, wherever they
+    // run; a run with any keeps every host in one shard.
+    let linked = spec.stop_all_on.is_some()
+        || spec
+            .vms
+            .iter()
+            .any(|vm| matches!(&vm.start, StartRule::OnMilestonesAll(reqs) if !reqs.is_empty()));
+    let hosts_per_shard = if linked { nhosts } else { 1 };
+    let nshards = nhosts / hosts_per_shard;
+    let mut host_iter = hosts.into_iter();
+    let mut shards: Vec<Shard> = (0..nshards)
+        .map(|k| Shard {
+            first_host: k * hosts_per_shard,
+            hosts: host_iter.by_ref().take(hosts_per_shard).collect(),
+            vms: (0..vms.len()).map(|_| None).collect(),
+            queue: EventQueue::new(),
+            bound: (SimTime::ZERO, 0),
+            unfinished: 0,
+            done_at: None,
+            dispatched: 0,
+            log: (nshards > 1).then(Vec::new),
+            arrived: None,
+            observed: FxHashSet::default(),
+            pending_starts: Vec::new(),
+            stop_all_on: spec.stop_all_on.clone(),
+            batch: Vec::new(),
+        })
+        .collect();
+    let vm_ids: Vec<VmId> = vms.iter().map(|rt| rt.spec.config.id).collect();
+    let mut coord = Coordinator {
+        nhosts,
+        sampling: cfg.sampling_interval(),
+        cutoff: SimTime::ZERO + cfg.max_sim_time,
+        virq: (SimTime::ZERO, 0),
+        next_seq: 0,
+        base: 0,
+        dispatched: 0,
+        truncated: false,
         // Series are a single-host instrument: in a cluster, occupancy
         // spans hosts and the golden-pinned per-interval replay check
         // would need per-host series. Fleet runs use traces instead.
@@ -512,64 +629,296 @@ pub fn run_cluster(
             used: vec![TimeSeries::new(); vms.len()],
             target: vec![TimeSeries::new(); vms.len()],
         }),
-        sampling: cfg.sampling_interval(),
+        fleet: (nhosts > 1).then(|| FleetCtl {
+            mgr: cluster.migration.map(FleetManager::new),
+            link: Link::new(cluster.net.clone()),
+            prev_failed: vec![0; nhosts],
+            in_flight: None,
+            migrations: 0,
+            downtime: SimDuration::ZERO,
+            stranded: 0,
+        }),
+        vm_ids,
+        reclaim_buf: Vec::new(),
+        reclaim_keys: Vec::new(),
+    };
+    for (i, rt) in vms.into_iter().enumerate() {
+        let shard = &mut shards[rt.host / hosts_per_shard];
+        let start = match &rt.spec.start {
+            StartRule::At(d) => Some(SimTime::ZERO + *d),
+            // No requirements means nothing to wait for; an empty rule
+            // must not depend on some other VM emitting a milestone first.
+            StartRule::OnMilestonesAll(reqs) if reqs.is_empty() => Some(SimTime::ZERO),
+            StartRule::OnMilestonesAll(reqs) => {
+                shard.pending_starts.push((i, reqs.clone()));
+                None
+            }
+        };
+        if let Some(at) = start {
+            shard.queue.insert(at, coord.next_seq, Event::Start(i));
+            coord.next_seq += 1;
+        }
+        shard.arrive(i, rt);
+    }
+    let mut views: Vec<&mut Shard> = shards.iter_mut().collect();
+    coord.open_window(&mut views);
+    let ctx = Ctx {
+        cfg: cfg.clone(),
         seed_root: SplitMix64::new(cfg.seed),
         scenario_name: spec.name.clone(),
         policy_name: policy.to_string(),
         policy_kind: policy,
-        cfg: cfg.clone(),
-        hosts,
-        vms,
-        queue: EventQueue::new(),
-        observed: FxHashSet::default(),
-        pending_starts: Vec::new(),
-        stop_all_on: spec.stop_all_on.clone(),
-        truncated: false,
-        dispatched: 0,
-        unfinished,
-        reclaim_buf: Vec::new(),
-        reclaim_keys: Vec::new(),
-        fleet,
     };
-    runner.seed_events();
-    runner.run()
+    drive(shards, coord, &ctx, workers)
 }
 
-impl Runner {
-    fn seed_events(&mut self) {
-        for (i, vm) in self.vms.iter().enumerate() {
-            match &vm.spec.start {
-                StartRule::At(d) => self.queue.schedule_at(SimTime::ZERO + *d, Event::Start(i)),
-                StartRule::OnMilestonesAll(reqs) if reqs.is_empty() => {
-                    // No requirements means nothing to wait for; an empty
-                    // rule must not depend on some other VM emitting a
-                    // milestone first.
-                    self.queue.schedule_at(SimTime::ZERO, Event::Start(i));
-                }
-                StartRule::OnMilestonesAll(reqs) => {
-                    self.pending_starts.push((i, reqs.clone()));
+/// Run the windows on up to `workers` threads — the calling thread and
+/// `workers - 1` scoped workers that live for the whole run — and each
+/// barrier on the calling thread.
+fn drive(shards: Vec<Shard>, mut coord: Coordinator, ctx: &Ctx, workers: usize) -> ClusterResult {
+    let shards: Vec<Mutex<Shard>> = shards.into_iter().map(Mutex::new).collect();
+    let workers = workers.clamp(1, shards.len());
+    let gate = Gate {
+        epoch: AtomicU64::new(0),
+        finished: AtomicUsize::new(0),
+        coordinator: std::thread::current(),
+    };
+    std::thread::scope(|scope| {
+        let _stop = StopOnDrop(&gate);
+        let threads: Vec<Thread> = (1..workers)
+            .map(|w| {
+                let (gate, shards) = (&gate, &shards);
+                scope
+                    .spawn(move || gate.serve(w, workers, shards, ctx))
+                    .thread()
+                    .clone()
+            })
+            .collect();
+        loop {
+            gate.open(&threads);
+            run_windows(0, workers, &shards, ctx);
+            gate.await_workers(workers - 1);
+            let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
+            let mut views: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
+            if let Some(end) = coord.barrier(&mut views, ctx) {
+                return coord.finish(&mut views, ctx, end);
+            }
+        }
+    })
+}
+
+/// Lock a shard. A poisoned one means its worker panicked; the scope
+/// hands that panic to the caller once every thread has stopped.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().expect("a host worker panicked")
+}
+
+/// Worker `w` of `workers` runs shards `w`, `w + workers`, …, so each
+/// shard stays on one thread for the whole run.
+fn run_windows(w: usize, workers: usize, shards: &[Mutex<Shard>], ctx: &Ctx) {
+    for shard in shards.iter().skip(w).step_by(workers) {
+        lock(shard).run_window(ctx);
+    }
+}
+
+/// How long a waiter spins before it parks: a barrier is microseconds of
+/// work, a window hundreds.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// The longest a parked waiter sleeps before it looks again, whether or
+/// not anyone unparked it.
+const PARK: Duration = Duration::from_millis(1);
+
+/// [`Gate::epoch`]'s value that ends the workers.
+const STOP: u64 = u64::MAX;
+
+/// Opens each window to the workers and collects them at its barrier.
+/// The shards themselves pass between threads through their mutexes; the
+/// atomics only say when. A worker's `Acquire` load of a new `epoch`
+/// pairs with [`Gate::open`]'s `Release` bump, so its `finished`
+/// increment lands after the reset; the coordinator's `Acquire` load of
+/// `finished` pairs with each worker's `Release` increment.
+struct Gate {
+    /// Bumped once per window; [`STOP`] ends the workers.
+    epoch: AtomicU64,
+    /// Workers done with the open window.
+    finished: AtomicUsize,
+    /// The thread that runs the barriers.
+    coordinator: Thread,
+}
+
+impl Gate {
+    fn open(&self, workers: &[Thread]) {
+        self.finished.store(0, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Release);
+        for t in workers {
+            t.unpark();
+        }
+    }
+
+    fn await_workers(&self, n: usize) {
+        wait_until(|| (self.finished.load(Ordering::Acquire) == n).then_some(()));
+    }
+
+    /// Worker `w`'s life: one window per epoch, until [`STOP`].
+    fn serve(&self, w: usize, workers: usize, shards: &[Mutex<Shard>], ctx: &Ctx) {
+        let mut seen = 0;
+        loop {
+            seen = wait_until(|| {
+                let epoch = self.epoch.load(Ordering::Acquire);
+                (epoch != seen).then_some(epoch)
+            });
+            if seen == STOP {
+                return;
+            }
+            let _finished = Finished(self);
+            run_windows(w, workers, shards, ctx);
+        }
+    }
+}
+
+/// Counts a worker's window as finished even if it panics, so the
+/// barrier never waits on a dead worker.
+struct Finished<'a>(&'a Gate);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        self.0.finished.fetch_add(1, Ordering::Release);
+        self.0.coordinator.unpark();
+    }
+}
+
+/// Ends the workers when the run returns or panics; a parked worker sees
+/// it within [`PARK`].
+struct StopOnDrop<'a>(&'a Gate);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.epoch.store(STOP, Ordering::Release);
+    }
+}
+
+/// Spin for up to [`SPIN`], then park, until `ready` yields. Whoever makes
+/// `ready` true unparks this thread afterwards.
+fn wait_until<T>(mut ready: impl FnMut() -> Option<T>) -> T {
+    let start = Instant::now();
+    while start.elapsed() < SPIN {
+        for _ in 0..64 {
+            if let Some(t) = ready() {
+                return t;
+            }
+            std::hint::spin_loop();
+        }
+    }
+    loop {
+        if let Some(t) = ready() {
+            return t;
+        }
+        std::thread::park_timeout(PARK);
+    }
+}
+
+/// Host `h`, on whichever shard holds it.
+fn host_of<'a>(shards: &'a [&mut Shard], h: usize) -> &'a HostCtl {
+    let s = &shards[shard_of(shards, h)];
+    &s.hosts[h - s.first_host]
+}
+
+/// Index of the shard that holds host `h`.
+fn shard_of(shards: &[&mut Shard], h: usize) -> usize {
+    shards
+        .iter()
+        .position(|s| h < s.first_host + s.hosts.len())
+        .expect("every host is on a shard")
+}
+
+/// Stamp every host's recorder with `t`.
+fn set_clocks(shards: &[&mut Shard], t: SimTime) {
+    for host in shards.iter().flat_map(|s| &s.hosts) {
+        host.tracer.set_now(t);
+    }
+}
+
+/// Give the events each shard scheduled in the window the numbers one
+/// global queue would have given them, and renumber the shards' queues to
+/// match. Each shard numbered its own events from `base` up. The global
+/// dispatch order of the window is the merge of the shards' logs by
+/// `(due, seq)`, and each dispatch's events take the next numbers in that
+/// order — a dispatch's own number is known by then, because the event
+/// that scheduled it came earlier in its shard's log. Returns the next
+/// free number.
+fn number_window(shards: &mut [&mut Shard], base: u64) -> u64 {
+    let mut numbers: Vec<Vec<u64>> = shards
+        .iter()
+        .map(|s| vec![u64::MAX; (s.queue.next_seq() - base) as usize])
+        .collect();
+    let global = |numbers: &[u64], seq: u64| {
+        if seq < base {
+            seq
+        } else {
+            let n = numbers[(seq - base) as usize];
+            debug_assert_ne!(n, u64::MAX, "numbered before its scheduler");
+            n
+        }
+    };
+    let mut heads = vec![0; shards.len()];
+    let mut next = base;
+    loop {
+        let mut first: Option<((SimTime, u64), usize)> = None;
+        for (k, s) in shards.iter().enumerate() {
+            let log = s.log.as_ref().expect("several shards keep logs");
+            if let Some(d) = log.get(heads[k]) {
+                let key = (d.due, global(&numbers[k], d.seq));
+                if first.is_none_or(|(best, _)| key < best) {
+                    first = Some((key, k));
                 }
             }
         }
-        self.queue
-            .schedule_at(SimTime::ZERO + self.sampling, Event::Virq);
+        let Some((_, k)) = first else { break };
+        let log = shards[k].log.as_ref().expect("several shards keep logs");
+        let end = log
+            .get(heads[k] + 1)
+            .map_or(shards[k].queue.next_seq(), |d| d.first_child);
+        for child in log[heads[k]].first_child..end {
+            numbers[k][(child - base) as usize] = next;
+            next += 1;
+        }
+        heads[k] += 1;
+    }
+    for (s, numbers) in shards.iter_mut().zip(&numbers) {
+        s.queue.renumber(|seq| global(numbers, seq));
+        s.log.as_mut().expect("several shards keep logs").clear();
+    }
+    next
+}
+
+impl Shard {
+    fn vm(&mut self, i: usize) -> &mut VmRuntime {
+        self.vms[i]
+            .as_mut()
+            .expect("the VM is resident on this shard")
+    }
+
+    fn host_mut(&mut self, h: usize) -> &mut HostCtl {
+        &mut self.hosts[h - self.first_host]
     }
 
     /// Move VM `i` to `new`, keeping the incremental per-host
-    /// `running_vcpus` and global `unfinished` counters exact. Every state
-    /// transition in the runner goes through here.
+    /// `running_vcpus` and per-shard `unfinished` counters exact. Every
+    /// state transition in the runner goes through here.
     fn set_state(&mut self, i: usize, new: VmState) {
-        let old = self.vms[i].state;
+        let rt = self.vm(i);
+        let (old, vcpus, h) = (rt.state, rt.spec.config.vcpus, rt.host);
         if old == new {
             return;
         }
-        let vcpus = self.vms[i].spec.config.vcpus;
-        let h = self.vms[i].host;
+        rt.state = new;
+        let host = self.host_mut(h);
         if old == VmState::Running {
-            self.hosts[h].running_vcpus -= vcpus;
+            host.running_vcpus -= vcpus;
         }
         if new == VmState::Running {
-            self.hosts[h].running_vcpus += vcpus;
+            host.running_vcpus += vcpus;
         }
         let done = |s: VmState| matches!(s, VmState::Finished | VmState::Stopped);
         match (done(old), done(new)) {
@@ -577,92 +926,114 @@ impl Runner {
             (true, false) => self.unfinished += 1,
             _ => {}
         }
-        self.vms[i].state = new;
     }
 
-    fn all_done(&self) -> bool {
-        self.unfinished == 0
+    /// VM `i` leaves this shard for another host at `now`, paused as
+    /// `Migrating` until its `MigrateDone`.
+    fn depart(&mut self, i: usize, now: SimTime) -> VmRuntime {
+        let prev = self.vm(i).state;
+        self.set_state(i, VmState::Migrating);
+        self.unfinished -= 1;
+        let mut rt = self.vms[i]
+            .take()
+            .expect("the VM is resident on this shard");
+        rt.resume_after_migration = Some((prev, now));
+        rt
     }
 
-    fn run(mut self) -> ClusterResult {
-        let cutoff = SimTime::ZERO + self.cfg.max_sim_time;
+    /// VM `i` becomes resident on this shard; it is not done.
+    fn arrive(&mut self, i: usize, rt: VmRuntime) {
+        self.unfinished += 1;
+        self.vms[i] = Some(rt);
+    }
+
+    /// Dispatch this shard's events up to the window's bound, in `(due,
+    /// seq)` order, stopping early once every resident VM is done.
+    fn run_window(&mut self, ctx: &Ctx) {
+        let mut batch = std::mem::take(&mut self.batch);
         // Same-instant events are drained from the heap as one batch and
-        // dispatched in a row — one heap pop amortized over the group, no
-        // re-sift between control-plane messages of the same tick. Events a
-        // handler schedules at `now` carry higher sequence numbers than the
-        // whole drained batch, so they form the next batch and dispatch
-        // order is exactly that of one-at-a-time popping.
-        let mut batch = Vec::new();
-        'dispatch: while let Some(now) = self.queue.pop_batch(&mut batch) {
+        // dispatched in a row — one heap pop amortized over the group.
+        // Events a handler schedules at `now` carry higher sequence numbers
+        // than the whole drained batch, so they form the next batch and
+        // dispatch order is exactly that of one-at-a-time popping.
+        'window: while self.unfinished > 0 {
+            let Some(now) = self.queue.pop_batch_before(self.bound, &mut batch) else {
+                break;
+            };
             for host in &self.hosts {
                 host.tracer.set_now(now);
             }
-            if now > cutoff {
-                // Count only the event that crossed the cutoff, exactly as
-                // a single pop would have.
-                self.dispatched += 1;
-                self.truncated = true;
-                self.stop_all(now);
-                break;
-            }
-            for event in batch.drain(..) {
-                self.dispatched += 1;
-                match event {
-                    Event::Start(i) => {
-                        if self.vms[i].state == VmState::NotStarted {
-                            self.start_next(i, now);
-                        }
-                    }
-                    Event::Wake(i) => {
-                        if self.vms[i].state == VmState::Sleeping {
-                            self.start_next(i, now);
-                        }
-                    }
-                    Event::Step(i) => {
-                        self.vms[i].step_at = None;
-                        if self.vms[i].state == VmState::Running {
-                            self.step_vm(i, now);
-                        }
-                    }
-                    Event::Virq => self.virq(now),
-                    Event::MigrateDone(i) => {
-                        // A stop_all may have killed the VM mid-flight; the
-                        // guard keeps the arrival from resurrecting it.
-                        if self.vms[i].state == VmState::Migrating {
-                            self.migrate_done(i, now);
-                        }
-                    }
+            for (seq, event) in batch.drain(..) {
+                if let Some(log) = &mut self.log {
+                    log.push(Dispatched {
+                        due: now,
+                        seq,
+                        first_child: self.queue.next_seq(),
+                    });
                 }
-                if self.all_done() {
-                    break 'dispatch;
+                self.dispatched += 1;
+                self.dispatch(ctx, event, now);
+                if self.unfinished == 0 {
+                    // A lone shard's run is over; the rest of the batch
+                    // would not have been dispatched. Among several
+                    // shards (no triggers, so no stop_all), a finished VM
+                    // leaves no queued event behind.
+                    self.done_at = Some(now);
+                    break 'window;
                 }
             }
         }
-        self.finish()
+        batch.clear();
+        self.batch = batch;
+    }
+
+    fn dispatch(&mut self, ctx: &Ctx, event: Event, now: SimTime) {
+        match event {
+            Event::Start(i) => {
+                if self.vm(i).state == VmState::NotStarted {
+                    self.start_next(ctx, i, now);
+                }
+            }
+            Event::Wake(i) => {
+                if self.vm(i).state == VmState::Sleeping {
+                    self.start_next(ctx, i, now);
+                }
+            }
+            Event::Step(i) => {
+                let rt = self.vm(i);
+                rt.step_at = None;
+                if rt.state == VmState::Running {
+                    self.step_vm(ctx, i, now);
+                }
+            }
+            Event::MigrateDone(i) => {
+                // A stop_all may have killed the VM mid-flight; the
+                // guard keeps the arrival from resurrecting it.
+                if self.vm(i).state == VmState::Migrating {
+                    self.migrate_done(i, now);
+                }
+            }
+        }
     }
 
     /// Begin the next program step of VM `i` at `now` (initial start, after
     /// a sleep, or after a completed run).
-    fn start_next(&mut self, i: usize, now: SimTime) {
-        if self.vms[i].prog_idx >= self.vms[i].spec.program.len() {
+    fn start_next(&mut self, ctx: &Ctx, i: usize, now: SimTime) {
+        let rt = self.vm(i);
+        if rt.prog_idx >= rt.spec.program.len() {
             self.set_state(i, VmState::Finished);
             return;
         }
-        let step = {
-            let rt = &mut self.vms[i];
-            let step = rt.spec.program[rt.prog_idx].clone();
-            rt.prog_idx += 1;
-            step
-        };
+        let step = rt.spec.program[rt.prog_idx].clone();
+        rt.prog_idx += 1;
         match step {
             ProgramStep::Run(ws) => {
                 let label = format!(
                     "{}/{}/vm{i}/run{}",
-                    self.scenario_name, self.policy_name, self.vms[i].run_counter
+                    ctx.scenario_name, ctx.policy_name, rt.run_counter
                 );
-                let seed = self.seed_root.derive(&label).next();
+                let seed = ctx.seed_root.derive(&label).next();
                 let workload = ws.build(seed);
-                let rt = &mut self.vms[i];
                 rt.run_counter += 1;
                 rt.runs.push(RunRecord {
                     workload: workload.name().to_string(),
@@ -676,7 +1047,7 @@ impl Runner {
                 self.schedule_step(i, now);
             }
             ProgramStep::Sleep(d) => {
-                self.vms[i].wake_at = Some(now + d);
+                rt.wake_at = Some(now + d);
                 self.set_state(i, VmState::Sleeping);
                 self.queue.schedule_at(now + d, Event::Wake(i));
             }
@@ -684,32 +1055,30 @@ impl Runner {
     }
 
     /// Execute one quantum of VM `i`'s workload on its current host.
-    fn step_vm(&mut self, i: usize, now: SimTime) {
-        let h = self.vms[i].host;
-        let dilation = self.hosts[h].cpu.dilation(self.hosts[h].running_vcpus);
-        let mut budget = StepBudget::new(self.cfg.quantum);
-        let outcome;
-        {
-            let host = &mut self.hosts[h];
-            let rt = &mut self.vms[i];
-            let mut machine = Machine {
-                hyp: &mut host.hyp,
-                disk: &mut host.disk,
-                cost: &self.cfg.cost,
-                now,
-                budget: &mut budget,
-            };
-            let workload = rt.workload.as_mut().expect("running VM has a workload");
-            outcome = workload.step(&mut rt.kernel, &mut machine);
-        }
-        let elapsed = budget.elapsed(dilation);
-        let t_end = now + elapsed;
+    fn step_vm(&mut self, ctx: &Ctx, i: usize, now: SimTime) {
+        let Shard {
+            hosts,
+            vms,
+            first_host,
+            ..
+        } = self;
+        let rt = vms[i].as_mut().expect("the VM is resident on this shard");
+        let host = &mut hosts[rt.host - *first_host];
+        let dilation = host.cpu.dilation(host.running_vcpus);
+        let mut budget = StepBudget::new(ctx.cfg.quantum);
+        let mut machine = Machine {
+            hyp: &mut host.hyp,
+            disk: &mut host.disk,
+            cost: &ctx.cfg.cost,
+            now,
+            budget: &mut budget,
+        };
+        let workload = rt.workload.as_mut().expect("running VM has a workload");
+        let outcome = workload.step(&mut rt.kernel, &mut machine);
+        let t_end = now + budget.elapsed(dilation);
 
         // Milestones: record, then evaluate cross-VM triggers.
-        let labels: Vec<String> = self.vms[i]
-            .workload
-            .as_mut()
-            .expect("still present")
+        let labels: Vec<String> = workload
             .drain_milestones()
             .into_iter()
             .map(|m| m.0)
@@ -717,28 +1086,28 @@ impl Runner {
         let new_labels = !labels.is_empty();
         let mut stop_everything = false;
         for label in labels {
-            self.vms[i].milestones.push((label.clone(), t_end));
-            self.observed.insert((i, label.clone()));
+            rt.milestones.push((label.clone(), t_end));
             if let Some((svm, slabel)) = &self.stop_all_on {
                 if *svm == i && *slabel == label {
                     stop_everything = true;
                 }
             }
+            self.observed.insert((i, label));
         }
         // Milestone-triggered starts can only become ready when a new label
-        // was recorded (empty-requirement rules fire from `seed_events`),
-        // so a step without milestones skips the pending scan entirely.
+        // was recorded (empty-requirement rules start from the seeded
+        // queue), so a step without milestones skips the pending scan.
         if new_labels && !self.pending_starts.is_empty() {
             self.fire_ready_starts(t_end);
         }
         if stop_everything {
-            self.stop_all(t_end);
+            self.stop_all(ctx, t_end);
             return;
         }
 
         match outcome {
             StepOutcome::Done => {
-                let rt = &mut self.vms[i];
+                let rt = self.vm(i);
                 let stats = *rt.kernel.stats();
                 let rec = rt
                     .runs
@@ -747,7 +1116,7 @@ impl Runner {
                 rec.end = Some(t_end);
                 rec.stats_at_end = Some(stats);
                 rt.workload = None;
-                self.start_next(i, t_end);
+                self.start_next(ctx, i, t_end);
             }
             StepOutcome::Runnable => self.schedule_step(i, t_end),
         }
@@ -757,7 +1126,7 @@ impl Runner {
     /// chain, so no other `Step` of it may be queued: a second chain would
     /// run the VM twice as fast as its vCPU allows.
     fn schedule_step(&mut self, i: usize, at: SimTime) {
-        let queued = self.vms[i].step_at.replace(at);
+        let queued = self.vm(i).step_at.replace(at);
         assert!(
             queued.is_none(),
             "vm{i} already has a step queued at {queued:?}; another at {at} forks its chain"
@@ -782,23 +1151,25 @@ impl Runner {
         }
     }
 
-    /// The scenario-wide stop trigger: kill every VM's program.
-    fn stop_all(&mut self, at: SimTime) {
+    /// The scenario-wide stop trigger (and the cutoff): kill the program
+    /// of every VM on this shard.
+    fn stop_all(&mut self, ctx: &Ctx, at: SimTime) {
         for i in 0..self.vms.len() {
-            let state = self.vms[i].state;
-            if matches!(state, VmState::Finished | VmState::Stopped) {
+            let Some(rt) = self.vms[i].as_mut() else {
+                continue;
+            };
+            if matches!(rt.state, VmState::Finished | VmState::Stopped) {
                 continue;
             }
             // Process kill: release guest memory (flush costs are charged
             // to a throwaway budget — the scenario is over).
             let mut budget = StepBudget::new(SimDuration::from_secs(3600));
-            let host = &mut self.hosts[self.vms[i].host];
-            let rt = &mut self.vms[i];
+            let host = &mut self.hosts[rt.host - self.first_host];
             if let Some(mut w) = rt.workload.take() {
                 let mut machine = Machine {
                     hyp: &mut host.hyp,
                     disk: &mut host.disk,
-                    cost: &self.cfg.cost,
+                    cost: &ctx.cfg.cost,
                     now: at,
                     budget: &mut budget,
                 };
@@ -816,82 +1187,63 @@ impl Runner {
         }
     }
 
-    /// One host's MM-side half of the VIRQ: relay retry clock, watchdog
-    /// restart, crash schedule, snapshot ingestion and target pushes.
-    fn drive_mm(host: &mut HostCtl, sampling: SimDuration, now: SimTime) {
-        // The dom0 relay is kernel-side: its retry clock ticks every
-        // interval even while the user-space MM is down.
-        host.dom0.tick_retries(&mut host.hyp);
-        if let Some(t) = host.mm_down_until {
-            if now < t {
-                // MM still down; snapshots queue (and shed) in the relay.
-                return;
+    /// The migration's network transfer finished: resume the VM on its
+    /// destination host. The fleet books the downtime at the barrier.
+    fn migrate_done(&mut self, i: usize, now: SimTime) {
+        let rt = self.vm(i);
+        let (resume, paused_at) = rt
+            .resume_after_migration
+            .take()
+            .expect("set when the migration began");
+        let downtime = now - paused_at;
+        let (h, vm) = (rt.host, rt.spec.config.id);
+        self.host_mut(h).tracer.emit(|| {
+            (
+                Some(vm.0),
+                Payload::MigrateDone {
+                    downtime: downtime.as_nanos(),
+                },
+            )
+        });
+        debug_assert!(self.arrived.is_none(), "one migration in flight at a time");
+        self.arrived = Some((i, downtime));
+        match resume {
+            VmState::Running => {
+                self.set_state(i, VmState::Running);
+                // A step blocked on disk I/O can outlast the transfer: it
+                // is still queued and continues the chain when due. A step
+                // that came due in flight was ignored; re-issue it.
+                if self.vm(i).step_at.is_none() {
+                    self.schedule_step(i, now);
+                }
             }
-            host.mm_down_until = None;
-            host.hyp.faults_mut().ledger_mut().mm_restarts += 1;
-            host.tracer.emit(|| (None, Payload::MmRestart));
-        }
-        let mm = host.mm.as_mut().expect("caller checked mm.is_some()");
-        // Crash schedule keys on completed MM cycles, so a fixed
-        // `mm_crash_at_cycle` hits the same policy state at any time scale.
-        if host.hyp.faults_mut().mm_should_crash(mm.cycles()) {
-            mm.crash();
-            let downtime = sampling.as_nanos() * host.hyp.faults().profile().mm_restart_after;
-            host.mm_down_until = Some(now + SimDuration::from_nanos(downtime));
-            return;
-        }
-        while let Some(snap) = host.dom0.take_stats() {
-            if let Some((seq, targets)) = mm.on_stats(&snap) {
-                host.dom0.forward_targets(&mut host.hyp, seq, &targets);
+            VmState::Sleeping => {
+                self.set_state(i, VmState::Sleeping);
+                // The sleep's original Wake may have fired (and been
+                // ignored) while the VM was in flight; re-issue it. A wake
+                // still in the future fires normally off the queue.
+                if self.vm(i).wake_at.is_some_and(|w| w <= now) {
+                    self.queue.schedule_at(now, Event::Wake(i));
+                }
             }
-            // The MM processed a snapshot: its liveness heartbeat refreshes
-            // the hypervisor's target TTL even when the target vector was
-            // suppressed as unchanged. A crashed MM (or a wholly lost
-            // sample) sends no heartbeat, so staleness accrues.
-            host.hyp.keepalive();
+            other => unreachable!("un-migratable state {other:?} was recorded"),
         }
     }
 
-    /// The per-interval sampling VIRQ: every host in host order runs
-    /// hypervisor → dom0 TKM → MM → targets back down, then the fleet
-    /// scheduler compares hosts. Series recording (single-host) sits
-    /// between host 0's interval close and the reschedule, exactly where
-    /// the pre-cluster runner put it.
+    /// Host `h`'s half of the VIRQ, through its `IntervalClose` emission.
     ///
     /// Every edge crossing consults the host's fault injector. With the
     /// default (disabled) profile no RNG is drawn and exactly one snapshot
     /// flows through per interval, so the fault-free path is byte-identical
     /// to a build without the fault layer.
-    fn virq(&mut self, now: SimTime) {
-        for h in 0..self.hosts.len() {
-            self.virq_host(h, now);
-        }
-        if let Some(series) = &mut self.series {
-            let host = &self.hosts[0];
-            for (i, vm) in self.vms.iter().enumerate() {
-                let id = vm.spec.config.id;
-                series.used[i].push(now, host.hyp.tmem_used_by(id) as f64);
-                series.target[i].push(now, host.hyp.target_of(id).unwrap_or(0) as f64);
-            }
-        }
-        self.fleet_step(now);
-        if !self.all_done() {
-            self.queue.schedule_at(now + self.sampling, Event::Virq);
-        }
-    }
-
-    /// One host's half of the VIRQ, through its `IntervalClose` emission.
-    fn virq_host(&mut self, h: usize, now: SimTime) {
-        let Runner {
+    fn virq_host(&mut self, h: usize, now: SimTime, ctx: &Ctx, coord: &mut Coordinator) {
+        let Shard {
             hosts,
             vms,
-            cfg,
-            sampling,
-            reclaim_buf,
-            reclaim_keys,
+            first_host,
             ..
         } = self;
-        let host = &mut hosts[h];
+        let host = &mut hosts[h - *first_host];
         // Advance the data-fault interval clock (brownout windows and scrub
         // cadence are phrased in sampling intervals). Draws no RNG.
         host.hyp.faults_mut().tick_interval();
@@ -908,25 +1260,25 @@ impl Runner {
             .deliver_stats_batch(&mut host.virq_buf, host.hyp.faults_mut());
         let mut stale = false;
         if host.mm.is_some() {
-            Self::drive_mm(host, *sampling, now);
+            drive_mm(host, coord.sampling, now);
             // Slow reclaim: trickle over-target VMs' oldest pages to their
             // swap devices (hypervisor-driven async write-back). This is
             // hypervisor work — it continues while the MM is crashed, with
             // targets held at the TTL fallback.
-            let max = ((host.hyp.node_info().total_tmem as f64 * cfg.reclaim_frac_per_interval)
+            let max = ((host.hyp.node_info().total_tmem as f64 * ctx.cfg.reclaim_frac_per_interval)
                 as u64)
                 .max(1);
-            for rt in vms.iter_mut().filter(|rt| rt.host == h) {
+            let (buf, keys) = (&mut coord.reclaim_buf, &mut coord.reclaim_keys);
+            for rt in vms.iter_mut().flatten().filter(|rt| rt.host == h) {
                 let Some(tkm) = &rt._tkm else { continue };
-                reclaim_buf.clear();
-                host.hyp
-                    .reclaim_over_target_into(tkm.pool(), max, reclaim_buf);
-                if !reclaim_buf.is_empty() {
-                    reclaim_keys.clear();
-                    reclaim_keys.extend(reclaim_buf.iter().map(|&(o, i)| (o.0, i)));
-                    rt.kernel.tmem_reclaimed(reclaim_keys);
-                    for _ in 0..reclaim_keys.len() {
-                        host.disk.write_page(now, &cfg.cost);
+                buf.clear();
+                host.hyp.reclaim_over_target_into(tkm.pool(), max, buf);
+                if !buf.is_empty() {
+                    keys.clear();
+                    keys.extend(buf.iter().map(|&(o, i)| (o.0, i)));
+                    rt.kernel.tmem_reclaimed(keys);
+                    for _ in 0..keys.len() {
+                        host.disk.write_page(now, &ctx.cfg.cost);
                     }
                 }
             }
@@ -952,89 +1304,229 @@ impl Runner {
         host.tracer
             .emit(|| (None, Payload::IntervalClose { seq, stale, ok }));
     }
+}
+
+/// One host's MM-side half of the VIRQ: relay retry clock, watchdog
+/// restart, crash schedule, snapshot ingestion and target pushes.
+fn drive_mm(host: &mut HostCtl, sampling: SimDuration, now: SimTime) {
+    // The dom0 relay is kernel-side: its retry clock ticks every
+    // interval even while the user-space MM is down.
+    host.dom0.tick_retries(&mut host.hyp);
+    if let Some(t) = host.mm_down_until {
+        if now < t {
+            // MM still down; snapshots queue (and shed) in the relay.
+            return;
+        }
+        host.mm_down_until = None;
+        host.hyp.faults_mut().ledger_mut().mm_restarts += 1;
+        host.tracer.emit(|| (None, Payload::MmRestart));
+    }
+    let mm = host.mm.as_mut().expect("caller checked mm.is_some()");
+    // Crash schedule keys on completed MM cycles, so a fixed
+    // `mm_crash_at_cycle` hits the same policy state at any time scale.
+    if host.hyp.faults_mut().mm_should_crash(mm.cycles()) {
+        mm.crash();
+        let downtime = sampling.as_nanos() * host.hyp.faults().profile().mm_restart_after;
+        host.mm_down_until = Some(now + SimDuration::from_nanos(downtime));
+        return;
+    }
+    while let Some(snap) = host.dom0.take_stats() {
+        if let Some((seq, targets)) = mm.on_stats(&snap) {
+            host.dom0.forward_targets(&mut host.hyp, seq, &targets);
+        }
+        // The MM processed a snapshot: its liveness heartbeat refreshes
+        // the hypervisor's target TTL even when the target vector was
+        // suppressed as unchanged. A crashed MM (or a wholly lost
+        // sample) sends no heartbeat, so staleness accrues.
+        host.hyp.keepalive();
+    }
+}
+
+impl Coordinator {
+    /// Schedule the next VIRQ one sampling interval on, and open the
+    /// window that ends at it (or at the cutoff, if that comes first).
+    fn open_window(&mut self, shards: &mut [&mut Shard]) {
+        self.virq = (self.virq.0 + self.sampling, self.next_seq);
+        self.next_seq += 1;
+        self.base = self.next_seq;
+        let bound = if self.virq.0 <= self.cutoff {
+            self.virq
+        } else {
+            (self.cutoff, u64::MAX)
+        };
+        for s in shards.iter_mut() {
+            s.bound = bound;
+            s.queue.set_next_seq(self.next_seq);
+        }
+    }
+
+    /// Close the window every shard just ran. Returns the run's end once
+    /// every VM is done or the cutoff is crossed; otherwise runs the VIRQ
+    /// and opens the next window.
+    fn barrier(&mut self, shards: &mut [&mut Shard], ctx: &Ctx) -> Option<SimTime> {
+        self.next_seq = match shards {
+            [one] => one.queue.next_seq(),
+            _ => number_window(shards, self.base),
+        };
+        for s in shards.iter_mut() {
+            if let Some((i, downtime)) = s.arrived.take() {
+                let fleet = self.fleet.as_mut().expect("MigrateDone only in fleet runs");
+                let vm_i = fleet.in_flight.take().expect("a migration was in flight");
+                debug_assert_eq!(vm_i, i, "one migration in flight at a time");
+                fleet.downtime += downtime;
+            }
+        }
+        let done = shards.iter().all(|s| s.unfinished == 0);
+        let last_done = shards.iter_mut().filter_map(|s| s.done_at.take()).max();
+        debug_assert!(
+            shards.len() == 1
+                || shards
+                    .iter()
+                    .all(|s| s.unfinished > 0 || s.queue.is_empty()),
+            "a finished shard holds queued events"
+        );
+        if let (true, Some(end)) = (done, last_done) {
+            return Some(end);
+        }
+        let (t, _) = self.virq;
+        if t > self.cutoff {
+            // The first event past the cutoff — the VIRQ or some host's
+            // next — counts as dispatched and stops every VM.
+            let now = shards
+                .iter()
+                .filter_map(|s| s.queue.peek_due())
+                .fold(t, SimTime::min);
+            self.dispatched += 1;
+            self.truncated = true;
+            set_clocks(shards, now);
+            for s in shards.iter_mut() {
+                s.stop_all(ctx, now);
+            }
+            return Some(now);
+        }
+        self.dispatched += 1;
+        set_clocks(shards, t);
+        self.virq_all(shards, ctx, t);
+        if done {
+            // Only a spec without VMs gets here: the first VIRQ ends it.
+            return Some(t);
+        }
+        self.open_window(shards);
+        None
+    }
+
+    /// The per-interval sampling VIRQ: every host in host order runs
+    /// hypervisor → dom0 TKM → MM → targets back down, then the fleet
+    /// scheduler compares hosts. Series recording (single-host) sits
+    /// between the host's interval close and the fleet step.
+    fn virq_all(&mut self, shards: &mut [&mut Shard], ctx: &Ctx, now: SimTime) {
+        for s in shards.iter_mut() {
+            for h in s.first_host..s.first_host + s.hosts.len() {
+                s.virq_host(h, now, ctx, self);
+            }
+        }
+        if let Some(series) = &mut self.series {
+            let shard = &shards[0];
+            let host = &shard.hosts[0];
+            for (i, rt) in shard.vms.iter().enumerate() {
+                let id = rt.as_ref().expect("one host holds every VM").spec.config.id;
+                series.used[i].push(now, host.hyp.tmem_used_by(id) as f64);
+                series.target[i].push(now, host.hyp.target_of(id).unwrap_or(0) as f64);
+            }
+        }
+        self.fleet_step(shards, ctx, now);
+    }
 
     /// The fleet half of the VIRQ: pressure vectors, stranded-capacity
     /// accounting and (at most) one migration decision. No-op on
     /// single-host runs.
-    fn fleet_step(&mut self, now: SimTime) {
-        if self.fleet.is_none() {
+    fn fleet_step(&mut self, shards: &mut [&mut Shard], ctx: &Ctx, now: SimTime) {
+        let Some(fleet) = self.fleet.as_mut() else {
             return;
-        }
-        let mut failed = vec![0u64; self.hosts.len()];
-        for rt in &self.vms {
+        };
+        let resident = || shards.iter().flat_map(|s| s.vms.iter().flatten());
+        let mut failed = vec![0u64; self.nhosts];
+        for rt in resident() {
             failed[rt.host] += rt.kernel.stats().failed_puts;
         }
-        let plan = {
-            let fleet = self.fleet.as_mut().expect("checked above");
-            let mut loads = Vec::with_capacity(self.hosts.len());
-            for (h, host) in self.hosts.iter().enumerate() {
-                let info = host.hyp.node_info();
-                let delta = failed[h].saturating_sub(fleet.prev_failed[h]);
-                fleet.prev_failed[h] = failed[h];
-                loads.push(HostLoad {
-                    used: (info.total_tmem - info.free_tmem) + host.hyp.far_used(),
-                    capacity: info.total_tmem,
-                    failed_puts_delta: delta,
-                });
-            }
-            fleet.stranded += stranded_pages(&loads);
-            if fleet.in_flight.is_some() {
-                // One migration in flight fleet-wide; the scheduler's
-                // interval clock pauses with it.
-                return;
-            }
-            let Some(mgr) = fleet.mgr.as_mut() else {
-                return;
-            };
-            let placements: Vec<VmPlacement> = self
-                .vms
-                .iter()
-                .filter(|rt| {
-                    matches!(rt.state, VmState::Running | VmState::Sleeping) && rt._tkm.is_some()
-                })
-                .map(|rt| {
-                    let id = rt.spec.config.id;
-                    let hyp = &self.hosts[rt.host].hyp;
-                    VmPlacement {
-                        vm: id,
-                        host: rt.host,
-                        used: hyp.tmem_used_by(id) + hyp.far_used_by(id),
-                    }
-                })
-                .collect();
-            mgr.decide(&loads, &placements)
+        let host = |h: usize| host_of(shards, h);
+        let mut loads = Vec::with_capacity(self.nhosts);
+        for (h, failed) in failed.iter().enumerate() {
+            let hyp = &host(h).hyp;
+            let info = hyp.node_info();
+            let delta = failed.saturating_sub(fleet.prev_failed[h]);
+            fleet.prev_failed[h] = *failed;
+            loads.push(HostLoad {
+                used: (info.total_tmem - info.free_tmem) + hyp.far_used(),
+                capacity: info.total_tmem,
+                failed_puts_delta: delta,
+            });
+        }
+        fleet.stranded += stranded_pages(&loads);
+        if fleet.in_flight.is_some() {
+            // One migration in flight fleet-wide; the scheduler's
+            // interval clock pauses with it.
+            return;
+        }
+        let Some(mgr) = fleet.mgr.as_mut() else {
+            return;
         };
-        if let Some(plan) = plan {
-            self.execute_migration(plan, now);
+        let placements: Vec<VmPlacement> = (0..self.vm_ids.len())
+            .filter_map(|i| shards.iter().find_map(|s| s.vms[i].as_ref()))
+            .filter(|rt| {
+                matches!(rt.state, VmState::Running | VmState::Sleeping) && rt._tkm.is_some()
+            })
+            .map(|rt| {
+                let id = rt.spec.config.id;
+                let hyp = &host(rt.host).hyp;
+                VmPlacement {
+                    vm: id,
+                    host: rt.host,
+                    used: hyp.tmem_used_by(id) + hyp.far_used_by(id),
+                }
+            })
+            .collect();
+        if let Some(plan) = mgr.decide(&loads, &placements) {
+            self.execute_migration(shards, ctx, plan, now);
         }
     }
 
     /// Execute one migration plan: pause the VM, rip its pool out of the
-    /// source host, re-admit it on the destination, and schedule the
-    /// resume for when the modelled network transfer completes. The page
-    /// hand-off is synchronous (state is never split across hosts); only
-    /// *time* passes while the VM is `Migrating`.
-    fn execute_migration(&mut self, plan: MigrationPlan, now: SimTime) {
+    /// source host, re-admit it on the destination, move its queued event
+    /// to the destination's queue, and schedule the resume for when the
+    /// modelled network transfer completes. The page hand-off is
+    /// synchronous (state is never split across hosts); only *time* passes
+    /// while the VM is `Migrating`.
+    fn execute_migration(
+        &mut self,
+        shards: &mut [&mut Shard],
+        ctx: &Ctx,
+        plan: MigrationPlan,
+        now: SimTime,
+    ) {
+        let vm = plan.vm;
         let i = self
-            .vms
+            .vm_ids
             .iter()
-            .position(|rt| rt.spec.config.id == plan.vm)
+            .position(|&id| id == vm)
             .expect("plan names a live VM");
         let (src, dst) = (plan.from, plan.to);
-        debug_assert_eq!(self.vms[i].host, src, "plan is stale");
-        let vm = plan.vm;
-        let pool = self.vms[i]
+        let (from, to) = (shard_of(shards, src), shard_of(shards, dst));
+        let mut rt = shards[from].depart(i, now);
+        debug_assert_eq!(rt.host, src, "plan is stale");
+        let pool = rt
             ._tkm
             .as_ref()
             .expect("migratable VMs run frontswap")
             .pool();
+        let source = shards[from].host_mut(src);
         // Ephemeral (cleancache) pools do not survive migration: tmem may
         // drop ephemeral pages at any time, and shipping a cache across the
         // interconnect would cost transfer time to move bytes the guest can
         // re-read from its own disk. Destroy them at the source (the
         // `PoolDestroy` event keeps replay exact) and register fresh, empty
         // pools on the destination for the owning workload to rebind to.
-        let ephemeral: Vec<tmem::key::PoolId> = self.hosts[src]
+        let ephemeral: Vec<tmem::key::PoolId> = source
             .hyp
             .pools_owned_by(vm)
             .into_iter()
@@ -1042,58 +1534,55 @@ impl Runner {
             .map(|(p, _)| p)
             .collect();
         for &p in &ephemeral {
-            self.hosts[src].hyp.destroy_pool(p);
+            source.hyp.destroy_pool(p);
         }
-        let export = self.hosts[src]
+        let export = source
             .hyp
             .migrate_export(pool)
             .expect("pool exists on the source");
         let local_n = export.local.len() as u64;
         let far_n = export.far.len() as u64;
         let purged = export.purged;
-        let ram = self.vms[i].spec.config.ram_pages();
-        {
-            let host = &mut self.hosts[src];
-            host.tracer.emit(|| {
-                (
-                    Some(vm.0),
-                    Payload::MigrateOut {
-                        pages: local_n,
-                        far: far_n,
-                        purged,
-                        ram,
-                    },
-                )
-            });
-            let led = host.hyp.faults_mut().ledger_mut();
-            led.migrations_out += 1;
-            led.migrate_pages += local_n + far_n;
-            led.migrate_purged += purged;
-        }
+        let ram = rt.spec.config.ram_pages();
+        source.tracer.emit(|| {
+            (
+                Some(vm.0),
+                Payload::MigrateOut {
+                    pages: local_n,
+                    far: far_n,
+                    purged,
+                    ram,
+                },
+            )
+        });
+        let led = source.hyp.faults_mut().ledger_mut();
+        led.migrations_out += 1;
+        led.migrate_pages += local_n + far_n;
+        led.migrate_purged += purged;
         assert!(
-            self.hosts[src].hyp.unregister_vm(vm),
+            source.hyp.unregister_vm(vm),
             "VM was registered on the source"
         );
-        self.hosts[dst]
-            .hyp
-            .register_vm(self.vms[i].spec.config.clone());
-        let tkm = GuestTkm::init(&mut self.hosts[dst].hyp, vm, PoolKind::Persistent)
+
+        let dest = shards[to].host_mut(dst);
+        dest.hyp.register_vm(rt.spec.config.clone());
+        let tkm = GuestTkm::init(&mut dest.hyp, vm, PoolKind::Persistent)
             .expect("fresh pool on the destination");
         let new_pool = tkm.pool();
-        self.vms[i].kernel.attach_frontswap(new_pool);
-        self.vms[i]._tkm = Some(tkm);
+        rt.kernel.attach_frontswap(new_pool);
+        rt._tkm = Some(tkm);
         for old in ephemeral {
-            let fresh = self.hosts[dst]
+            let fresh = dest
                 .hyp
                 .new_pool(vm, PoolKind::Ephemeral)
                 .expect("fresh cleancache pool on the destination");
-            if let Some(w) = self.vms[i].workload.as_mut() {
+            if let Some(w) = rt.workload.as_mut() {
                 w.rebind_pool(old, fresh);
             }
         }
         let mut pages = export.local;
         pages.extend(export.far);
-        let outcome = self.hosts[dst].hyp.import_pages(new_pool, pages);
+        let outcome = dest.hyp.import_pages(new_pool, pages);
         let spilled_n = outcome.spilled.len() as u64;
         if spilled_n > 0 {
             // Overflow that fits neither the destination's tmem nor its far
@@ -1103,111 +1592,51 @@ impl Runner {
             self.reclaim_keys.clear();
             self.reclaim_keys
                 .extend(outcome.spilled.iter().map(|&(o, idx)| (o.0, idx)));
-            self.vms[i].kernel.tmem_reclaimed(&self.reclaim_keys);
+            rt.kernel.tmem_reclaimed(&self.reclaim_keys);
             for _ in 0..spilled_n {
-                self.hosts[dst].disk.write_page(now, &self.cfg.cost);
+                dest.disk.write_page(now, &ctx.cfg.cost);
             }
         }
-        {
-            let host = &mut self.hosts[dst];
-            host.tracer.emit(|| {
-                (
-                    Some(vm.0),
-                    Payload::MigrateIn {
-                        pages: outcome.stored,
-                        far: outcome.stored_far,
-                        spilled: spilled_n,
-                    },
-                )
-            });
-            let led = host.hyp.faults_mut().ledger_mut();
-            led.migrations_in += 1;
-            led.migrate_spilled += spilled_n;
-        }
-        let prev = self.vms[i].state;
-        self.set_state(i, VmState::Migrating);
-        self.vms[i].host = dst;
-        self.vms[i].resume_after_migration = Some(prev);
-        let fleet = self.fleet.as_mut().expect("migration only in fleet runs");
-        let (_start, done_at) = fleet.link.enqueue(now, ram + local_n + far_n);
-        fleet.in_flight = Some((i, now));
-        fleet.migrations += 1;
-        self.queue.schedule_at(done_at, Event::MigrateDone(i));
-    }
-
-    /// The migration's network transfer finished: account the downtime and
-    /// resume the VM on its destination host.
-    fn migrate_done(&mut self, i: usize, now: SimTime) {
-        let fleet = self.fleet.as_mut().expect("MigrateDone only in fleet runs");
-        let (vm_i, t0) = fleet.in_flight.take().expect("a migration was in flight");
-        debug_assert_eq!(vm_i, i, "one migration in flight at a time");
-        let downtime = now - t0;
-        fleet.downtime += downtime;
-        let h = self.vms[i].host;
-        let vm = self.vms[i].spec.config.id;
-        self.hosts[h].tracer.emit(|| {
+        dest.tracer.emit(|| {
             (
                 Some(vm.0),
-                Payload::MigrateDone {
-                    downtime: downtime.as_nanos(),
+                Payload::MigrateIn {
+                    pages: outcome.stored,
+                    far: outcome.stored_far,
+                    spilled: spilled_n,
                 },
             )
         });
-        match self.vms[i]
-            .resume_after_migration
-            .take()
-            .expect("set when the migration began")
-        {
-            VmState::Running => {
-                self.set_state(i, VmState::Running);
-                // A step blocked on disk I/O can outlast the transfer: it
-                // is still queued and continues the chain when due. A step
-                // that came due in flight was ignored; re-issue it.
-                if self.vms[i].step_at.is_none() {
-                    self.schedule_step(i, now);
-                }
+        let led = dest.hyp.faults_mut().ledger_mut();
+        led.migrations_in += 1;
+        led.migrate_spilled += spilled_n;
+
+        rt.host = dst;
+        if from != to {
+            // The VM's queued Step or Wake keeps its number, so it ties
+            // with the destination's events as it would in one queue.
+            for (due, seq, event) in shards[from].queue.remove_where(|e| e.vm() == i) {
+                shards[to].queue.insert(due, seq, event);
             }
-            VmState::Sleeping => {
-                self.set_state(i, VmState::Sleeping);
-                // The sleep's original Wake may have fired (and been
-                // ignored) while the VM was in flight; re-issue it. A wake
-                // still in the future fires normally off the queue.
-                if self.vms[i].wake_at.is_some_and(|w| w <= now) {
-                    self.queue.schedule_at(now, Event::Wake(i));
-                }
-            }
-            other => unreachable!("un-migratable state {other:?} was recorded"),
         }
+        shards[to].arrive(i, rt);
+        let fleet = self.fleet.as_mut().expect("migration only in fleet runs");
+        let (_start, done_at) = fleet.link.enqueue(now, ram + local_n + far_n);
+        fleet.in_flight = Some(i);
+        fleet.migrations += 1;
+        shards[to]
+            .queue
+            .insert(done_at, self.next_seq, Event::MigrateDone(i));
+        self.next_seq += 1;
     }
 
-    fn finish(mut self) -> ClusterResult {
-        let end_time = self.queue.now();
-        for host in self.hosts.iter_mut() {
-            // One final integrity sweep when the data-fault layer is armed:
-            // corruption injected after the last periodic scrub is still
-            // detected (and quarantined) before the ledger is sealed, so
-            // every injected corruption ends the run as detected —
-            // recovered or quarantined, never latent.
-            if host.hyp.faults().data_plane() {
-                host.hyp.scrub();
-            }
-            // Fold MM-side degradation bookkeeping into the ledger.
-            if let Some(mm) = &host.mm {
-                let ledger = host.hyp.faults_mut().ledger_mut();
-                ledger.seq_gaps = mm.seq_gaps();
-                ledger.snapshots_discarded = mm.snapshots_discarded();
-            }
-        }
-        // Bucket VMs by the host they ended on, preserving global VM order
-        // within each host.
-        let mut per_host: Vec<Vec<VmRuntime>> = (0..self.hosts.len()).map(|_| Vec::new()).collect();
-        for rt in self.vms {
-            per_host[rt.host].push(rt);
-        }
-        let mut series = self.series.take();
-        let fleet_metrics = match &self.fleet {
+    /// Seal the ledgers and split the VMs into per-host results.
+    fn finish(mut self, shards: &mut [&mut Shard], ctx: &Ctx, end_time: SimTime) -> ClusterResult {
+        set_clocks(shards, end_time);
+        let events = self.dispatched + shards.iter().map(|s| s.dispatched).sum::<u64>();
+        let fleet = match &self.fleet {
             Some(f) => FleetMetrics {
-                hosts: self.hosts.len(),
+                hosts: self.nhosts,
                 migrations: f.migrations,
                 migration_downtime: f.downtime,
                 cross_host_transfers: f.link.transfers,
@@ -1217,51 +1646,73 @@ impl Runner {
             },
             None => FleetMetrics::single_host(),
         };
-        let mut host_results = Vec::with_capacity(self.hosts.len());
-        for (h, (host, vms)) in self.hosts.into_iter().zip(per_host).enumerate() {
-            let final_tmem_used: Vec<u64> = vms
-                .iter()
-                .map(|rt| host.hyp.tmem_used_by(rt.spec.config.id))
-                .collect();
-            let final_far_used: Vec<u64> = vms
-                .iter()
-                .map(|rt| host.hyp.far_used_by(rt.spec.config.id))
-                .collect();
-            let vm_results = vms
-                .into_iter()
-                .map(|rt| VmResult {
-                    name: rt.spec.config.name.clone(),
-                    vm_id: rt.spec.config.id,
-                    runs: rt.runs,
-                    milestones: rt.milestones,
-                    kernel_stats: *rt.kernel.stats(),
-                    stopped_early: rt.stopped_early,
-                })
-                .collect();
-            host_results.push(RunResult {
-                scenario: self.scenario_name.clone(),
-                policy: self.policy_name.clone(),
-                policy_kind: self.policy_kind,
-                vm_results,
-                series: if h == 0 { series.take() } else { None },
-                mm_cycles: host.mm.as_ref().map(|m| m.cycles()).unwrap_or(0),
-                mm_transmissions: host.mm.as_ref().map(|m| m.transmissions()).unwrap_or(0),
-                disk_reads: host.disk.reads(),
-                disk_writes: host.disk.writes(),
-                disk_read_wait: host.disk.read_wait_total(),
-                disk_throttle: host.disk.throttle_total(),
-                end_time,
-                events: self.dispatched,
-                truncated: self.truncated,
-                faults: host.hyp.faults().ledger().clone(),
-                final_tmem_used,
-                final_far_used,
-                trace: host.tracer.finish(),
-            });
+        let mut host_results = Vec::with_capacity(self.nhosts);
+        for s in shards.iter_mut() {
+            // Global VM order within each host.
+            let mut vms: Vec<VmRuntime> = s.vms.iter_mut().filter_map(Option::take).collect();
+            for (k, mut host) in std::mem::take(&mut s.hosts).into_iter().enumerate() {
+                let h = s.first_host + k;
+                // One final integrity sweep when the data-fault layer is
+                // armed: corruption injected after the last periodic scrub
+                // is still detected (and quarantined) before the ledger is
+                // sealed, so every injected corruption ends the run as
+                // detected — recovered or quarantined, never latent.
+                if host.hyp.faults().data_plane() {
+                    host.hyp.scrub();
+                }
+                // Fold MM-side degradation bookkeeping into the ledger.
+                if let Some(mm) = &host.mm {
+                    let ledger = host.hyp.faults_mut().ledger_mut();
+                    ledger.seq_gaps = mm.seq_gaps();
+                    ledger.snapshots_discarded = mm.snapshots_discarded();
+                }
+                let (mine, rest): (Vec<VmRuntime>, Vec<VmRuntime>) =
+                    vms.into_iter().partition(|rt| rt.host == h);
+                vms = rest;
+                let final_tmem_used = mine
+                    .iter()
+                    .map(|rt| host.hyp.tmem_used_by(rt.spec.config.id))
+                    .collect();
+                let final_far_used = mine
+                    .iter()
+                    .map(|rt| host.hyp.far_used_by(rt.spec.config.id))
+                    .collect();
+                let vm_results = mine
+                    .into_iter()
+                    .map(|rt| VmResult {
+                        name: rt.spec.config.name.clone(),
+                        vm_id: rt.spec.config.id,
+                        runs: rt.runs,
+                        milestones: rt.milestones,
+                        kernel_stats: *rt.kernel.stats(),
+                        stopped_early: rt.stopped_early,
+                    })
+                    .collect();
+                host_results.push(RunResult {
+                    scenario: ctx.scenario_name.clone(),
+                    policy: ctx.policy_name.clone(),
+                    policy_kind: ctx.policy_kind,
+                    vm_results,
+                    series: if h == 0 { self.series.take() } else { None },
+                    mm_cycles: host.mm.as_ref().map(|m| m.cycles()).unwrap_or(0),
+                    mm_transmissions: host.mm.as_ref().map(|m| m.transmissions()).unwrap_or(0),
+                    disk_reads: host.disk.reads(),
+                    disk_writes: host.disk.writes(),
+                    disk_read_wait: host.disk.read_wait_total(),
+                    disk_throttle: host.disk.throttle_total(),
+                    end_time,
+                    events,
+                    truncated: self.truncated,
+                    faults: host.hyp.faults().ledger().clone(),
+                    final_tmem_used,
+                    final_far_used,
+                    trace: host.tracer.finish(),
+                });
+            }
         }
         ClusterResult {
             host_results,
-            fleet: fleet_metrics,
+            fleet,
         }
     }
 }
@@ -1382,6 +1833,133 @@ mod tests {
             r.mm_transmissions,
             r.mm_cycles
         );
+    }
+
+    /// The worker count is invisible: each cell gives the same `Debug`
+    /// form of every host's result and of the fleet metrics, and the same
+    /// trace JSONL per host, at 1, 2 and 3 workers. The cells are the
+    /// 2x8 fleet-report golden's, the 2x8 mm-crash and bitrot chaos
+    /// cells, the far-tier spill cell, a 3-host cell and the usemem cell
+    /// whose triggers cross hosts.
+    #[test]
+    fn worker_count_changes_no_output() {
+        use crate::chaos::shipped_profiles;
+        use crate::spec::{Arrival, FleetParams, ScenarioSpec, WorkloadMix};
+        use sim_core::faults::FaultProfile;
+        use sim_core::trace::{TraceConfig, TraceHeader};
+        use smartmem_core::FleetConfig;
+
+        let traced = |faults: &str| RunConfig {
+            seed: 20260807,
+            faults: shipped_profiles()
+                .into_iter()
+                .find(|p| p.name == faults)
+                .map_or_else(FaultProfile::none, |p| p.profile),
+            record_series: true,
+            trace: Some(TraceConfig::default()),
+            ..RunConfig::default()
+        };
+        let fleet = |vms: u32, hosts: usize, cfg: &RunConfig| -> ScenarioSpec {
+            let kind = ScenarioKind::Scenario5(FleetParams {
+                vms,
+                footprint_mb: 8,
+                mix: WorkloadMix::Balanced,
+                arrival: Arrival::Staggered { gap_ms: 250 },
+            });
+            let mut spec = build_scenario(kind, cfg);
+            spec.name = crate::dsl::cluster_scenario_name(&spec.name, hosts);
+            spec
+        };
+        let cluster = |hosts: usize, far_pages: Option<u64>| ClusterConfig {
+            hosts,
+            net: NetModel::datacenter(),
+            far: far_pages.map(|capacity_pages| FarConfig { capacity_pages }),
+            migration: Some(FleetConfig {
+                divergence_threshold: 0.05,
+                cooldown_intervals: 1,
+                min_history: 2,
+            }),
+        };
+        let smart = PolicyKind::SmartAlloc { p: 2.0 };
+        let mut cells = Vec::new();
+        let cfg = traced("off");
+        let spec = fleet(8, 2, &cfg);
+        let far = (spec.tmem_pages() / 2 / 8).max(1);
+        cells.push(("fleet_report_2x8", spec, smart, cfg, cluster(2, Some(far))));
+        for chaos in ["mm-crash", "bitrot"] {
+            let cfg = traced(chaos);
+            cells.push((chaos, fleet(8, 2, &cfg), smart, cfg, cluster(2, None)));
+        }
+        let cfg = traced("off");
+        let mut spec = fleet(8, 2, &cfg);
+        spec.tmem_bytes = 2 * 16 * 4096;
+        cells.push((
+            "far spill",
+            spec,
+            PolicyKind::Greedy,
+            cfg,
+            cluster(2, Some(4096)),
+        ));
+        let cfg = RunConfig {
+            seed: 7,
+            ..traced("off")
+        };
+        let spec = fleet(9, 3, &cfg);
+        let far = (spec.tmem_pages() / 3 / 4).max(1);
+        cells.push(("3 hosts", spec, smart, cfg, cluster(3, Some(far))));
+        let cfg = RunConfig {
+            scale: 0.125,
+            seed: 42,
+            ..traced("off")
+        };
+        let src = format!(
+            "{}\n[cluster]\nhosts = 2\n",
+            include_str!("../../../scenarios/usemem.toml")
+        );
+        let doc = crate::dsl::parse_scenario_src(&src, &cfg).expect("usemem.toml on 2 hosts");
+        let triggers = doc.cluster.expect("[cluster]");
+        cells.push(("cross-host triggers", doc.spec, smart, cfg, triggers));
+
+        for (cell, spec, policy, cfg, cluster) in cells {
+            let runs: Vec<(ClusterResult, Vec<String>)> = [1, 2, 3]
+                .into_iter()
+                .map(|workers| {
+                    let mut cr = run_cluster_on(spec.clone(), policy, &cfg, &cluster, workers);
+                    let header = TraceHeader {
+                        scenario: spec.name.clone(),
+                        policy: policy.to_string(),
+                        seed: cfg.seed,
+                    };
+                    let jsonl = cr
+                        .host_results
+                        .iter_mut()
+                        .map(|r| r.trace.take().expect("traced").to_jsonl(&header, None))
+                        .collect();
+                    (cr, jsonl)
+                })
+                .collect();
+            let (one, one_jsonl) = &runs[0];
+            assert!(!one.host_results[0].truncated, "{cell}");
+            if cell != "cross-host triggers" {
+                assert!(one.fleet.migrations > 0, "{cell}: no migration to hand off");
+            }
+            for (workers, (cr, jsonl)) in runs.iter().enumerate().skip(1) {
+                let workers = workers + 1;
+                assert_eq!(
+                    format!("{:?}", cr.host_results),
+                    format!("{:?}", one.host_results),
+                    "{cell}: results differ at {workers} workers"
+                );
+                assert_eq!(
+                    cr.fleet, one.fleet,
+                    "{cell}: fleet metrics at {workers} workers"
+                );
+                assert!(
+                    jsonl == one_jsonl,
+                    "{cell}: a host's trace JSONL differs at {workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //!    "now"; scheduling into the past is a logic error and panics in debug
 //!    builds (it is clamped to "now" in release builds so a small rounding
 //!    slip cannot corrupt a long experiment).
+//!
+//! Several queues can also share one sequence space, so that their events
+//! order as if they had been scheduled on one queue: [`EventQueue::insert`]
+//! takes a sequence number from the shared counter,
+//! [`EventQueue::pop_batch_before`] stops at an event of another queue,
+//! and [`EventQueue::renumber`] replaces numbers a queue handed out on its
+//! own with their places in the shared order.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -87,15 +94,61 @@ impl<E> EventQueue<E> {
     /// Scheduling into the past panics in debug builds; in release builds
     /// the event is clamped to `now` so it fires immediately.
     pub fn schedule_at(&mut self, due: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.insert(due, seq, event);
+    }
+
+    /// Schedule `event` at `due` under a sequence number taken from a
+    /// counter shared with other queues. It ties with this queue's events
+    /// due at the same instant by that number.
+    pub fn insert(&mut self, due: SimTime, seq: u64, event: E) {
         debug_assert!(
             due >= self.now,
             "event scheduled in the past: due={due} now={}",
             self.now
         );
         let due = due.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.heap.push(Reverse(Scheduled { due, seq, event }));
+    }
+
+    /// The sequence number the next [`EventQueue::schedule_at`] assigns.
+    pub fn next_seq(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Continue numbering at `seq`.
+    pub fn set_next_seq(&mut self, seq: u64) {
+        self.next_seq = seq;
+    }
+
+    /// Due time of the next event, if any.
+    pub fn peek_due(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(s)| s.due)
+    }
+
+    /// Remove every pending event that `pred` selects and return them as
+    /// `(due, seq, event)`, in no particular order.
+    pub fn remove_where(&mut self, mut pred: impl FnMut(&E) -> bool) -> Vec<(SimTime, u64, E)> {
+        let (taken, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.heap)
+            .into_vec()
+            .into_iter()
+            .partition(|Reverse(s)| pred(&s.event));
+        self.heap = kept.into();
+        taken
+            .into_iter()
+            .map(|Reverse(s)| (s.due, s.seq, s.event))
+            .collect()
+    }
+
+    /// Rewrite every pending event's sequence number through `f`, which
+    /// must keep the numbers of events due at the same instant in order.
+    pub fn renumber(&mut self, mut f: impl FnMut(u64) -> u64) {
+        let mut pending = std::mem::take(&mut self.heap).into_vec();
+        for Reverse(s) in &mut pending {
+            s.seq = f(s.seq);
+        }
+        self.heap = pending.into();
     }
 
     /// Pop the next event, advancing the clock to its due time.
@@ -129,6 +182,32 @@ impl<E> EventQueue<E> {
             let Reverse(s) = self.heap.pop().expect("peeked just above");
             out.push(s.event);
         }
+        Some(due)
+    }
+
+    /// [`EventQueue::pop_batch`] over only the events that order before
+    /// `bound`, a `(due, seq)` pair, appending `(seq, event)` pairs. Returns
+    /// `None`, and leaves the clock alone, when the next event does not
+    /// order before `bound`.
+    pub fn pop_batch_before(
+        &mut self,
+        bound: (SimTime, u64),
+        out: &mut Vec<(u64, E)>,
+    ) -> Option<SimTime> {
+        let due = self.peek_due()?;
+        debug_assert!(due >= self.now, "event queue time went backwards");
+        let start = out.len();
+        while let Some(Reverse(s)) = self.heap.peek() {
+            if s.due != due || (s.due, s.seq) >= bound {
+                break;
+            }
+            let Reverse(s) = self.heap.pop().expect("peeked just above");
+            out.push((s.seq, s.event));
+        }
+        if out.len() == start {
+            return None;
+        }
+        self.now = due;
         Some(due)
     }
 }
@@ -232,6 +311,56 @@ mod tests {
                 (SimTime(9), 4),
             ]
         );
+    }
+
+    #[test]
+    fn pop_batch_before_stops_at_the_bound() {
+        let mut q = EventQueue::new();
+        q.schedule_at(SimTime(10), "a"); // seq 0
+        q.schedule_at(SimTime(20), "b"); // seq 1
+        q.schedule_at(SimTime(20), "c"); // seq 2
+        let mut batch = Vec::new();
+        assert_eq!(
+            q.pop_batch_before((SimTime(20), 2), &mut batch),
+            Some(SimTime(10))
+        );
+        assert_eq!(batch, vec![(0, "a")]);
+        batch.clear();
+        // Due at the bound's instant: only the numbers below it pass.
+        assert_eq!(
+            q.pop_batch_before((SimTime(20), 2), &mut batch),
+            Some(SimTime(20))
+        );
+        assert_eq!(batch, vec![(1, "b")]);
+        batch.clear();
+        assert_eq!(q.pop_batch_before((SimTime(20), 2), &mut batch), None);
+        assert!(batch.is_empty());
+        assert_eq!(q.now(), SimTime(20));
+        assert_eq!(q.peek_due(), Some(SimTime(20)));
+    }
+
+    #[test]
+    fn queues_sharing_a_sequence_space_order_as_one() {
+        // Two queues numbering on their own ("provisional" 100..), then
+        // renumbered into the shared order; an event moved between them
+        // keeps its shared number and its place.
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        a.insert(SimTime(5), 0, "a0");
+        b.insert(SimTime(5), 1, "b1");
+        a.set_next_seq(100);
+        b.set_next_seq(100);
+        a.schedule_at(SimTime(5), "a-late"); // provisional 100, shared 3
+        b.schedule_at(SimTime(5), "b-late"); // provisional 100, shared 2
+        assert_eq!(a.next_seq(), 101);
+        a.renumber(|s| if s < 100 { s } else { 3 });
+        b.renumber(|s| if s < 100 { s } else { 2 });
+        for (due, seq, e) in a.remove_where(|e| e.starts_with('a')) {
+            b.insert(due, seq, e);
+        }
+        assert!(a.is_empty());
+        let order: Vec<_> = std::iter::from_fn(|| b.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, vec!["a0", "b1", "b-late", "a-late"]);
     }
 
     #[test]

@@ -721,10 +721,8 @@ impl Tracer {
     }
 }
 
-/// The recorder, even if a thread panicked while holding it: a panicking
-/// run is unwinding anyway, and its partial trace is still well-formed.
 fn lock(rec: &Mutex<Recorder>) -> MutexGuard<'_, Recorder> {
-    rec.lock().unwrap_or_else(|e| e.into_inner())
+    rec.lock().expect("a thread panicked while recording")
 }
 
 /// Identity stamped into a JSONL trace header.
