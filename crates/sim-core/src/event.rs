@@ -141,8 +141,7 @@ impl<E> EventQueue<E> {
             .collect()
     }
 
-    /// Rewrite every pending event's sequence number through `f`, which
-    /// must keep the numbers of events due at the same instant in order.
+    /// Rewrite every pending event's sequence number through `f`.
     pub fn renumber(&mut self, mut f: impl FnMut(u64) -> u64) {
         let mut pending = std::mem::take(&mut self.heap).into_vec();
         for Reverse(s) in &mut pending {
