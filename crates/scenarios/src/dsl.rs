@@ -31,6 +31,9 @@
 //! Program steps are strings: `run inmem <size>`, `run graph <size>`,
 //! `run fileserver <size> <requests>`, `run usemem paper`,
 //! `run usemem <start> <step> <max> [passes]`, `sleep <duration>`.
+//! `run usemem paper`, and a usemem step without a pass count, traverse
+//! until a stop trigger ends them, so a file may use them only when its
+//! `[scenario]` has a `stop_on`.
 //! Cross-VM rules are `start_on = ["vm1 block 5", ...]` (the label of the
 //! named VM's k-th usemem allocation, computed scale-aware) or
 //! `"vmN label <milestone>"` for a literal label; `[scenario]` may carry a
@@ -493,7 +496,8 @@ fn program_step(
             "cannot parse program step '{step}' (steps: \"run inmem <size>\", \
              \"run graph <size>\", \"run fileserver <size> <requests>\", \
              \"run usemem paper\", \"run usemem <start> <step> <max> [passes]\", \
-             \"sleep <duration>\")"
+             \"sleep <duration>\"; usemem may leave out the pass count, or run \
+             \"paper\", only in a scenario with a stop_on)"
         )),
     }
 }
@@ -711,7 +715,11 @@ pub fn parse_scenario_src(src: &str, cfg: &RunConfig) -> Result<ScenarioDoc, Str
         }
         None => vm_scenario(&doc, cfg)?,
     };
-    spec.validate()?;
+    // `validate` knows no lines; anchor its messages at the table that
+    // declared the VMs.
+    let table = doc.table("fleet").or(doc.table("scenario"));
+    let line = table.map_or(1, |t| t.line);
+    spec.validate().map_err(|e| format!("line {line}: {e}"))?;
     if let Some(c) = &cluster {
         spec.name = cluster_scenario_name(&spec.name, c.hosts);
     }
@@ -1241,6 +1249,14 @@ program = ["run usemem paper"]
             (
                 "version = 1\n[mystery]\nx = 1",
                 "unknown table [mystery]",
+            ),
+            (
+                "version = 1\n[scenario]\nname = \"x\"\ntmem = \"64MiB\"\n[[vm]]\nram = \"64MiB\"\nprogram = [\"run usemem 16MiB 16MiB 96MiB\"]",
+                "VM 0 (VM1) runs usemem with no pass count",
+            ),
+            (
+                "version = 1\n[scenario]\nname = \"x\"\ntmem = \"64MiB\"\n[[vm]]\nram = \"512MiB\"\nprogram = [\"run usemem paper\"]",
+                "VM 0 (VM1) runs usemem with no pass count",
             ),
         ] {
             let e = parse_scenario_src(src, &c).unwrap_err();

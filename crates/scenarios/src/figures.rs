@@ -102,12 +102,15 @@ fn run_grid(
     })
 }
 
-/// Run `scenario × policy` `reps` times and fold per-(VM, run) durations.
-pub fn running_time_groups(
+/// Run `kind × policies` `reps` times and fold each run's `(label,
+/// seconds)` samples into one group per policy, its bars in the order
+/// their labels first appear.
+fn bar_groups(
     kind: ScenarioKind,
     policies: &[PolicyKind],
     cfg: &RunConfig,
     reps: u64,
+    samples: impl Fn(&RunResult) -> Vec<(String, f64)>,
 ) -> Vec<BarGroup> {
     assert!(reps > 0);
     let results = run_grid(kind, policies, cfg, reps);
@@ -115,24 +118,18 @@ pub fn running_time_groups(
         .iter()
         .zip(results.chunks(reps as usize))
         .map(|(&policy, runs)| {
-            // label -> summary, insertion-ordered via Vec.
             let mut labels: Vec<String> = Vec::new();
             let mut sums: Vec<Summary> = Vec::new();
-            for r in runs {
-                for vm in &r.vm_results {
-                    for (run_idx, d) in vm.completions().iter().enumerate() {
-                        let label = format!("{}/run{}", vm.name, run_idx + 1);
-                        let i = match labels.iter().position(|l| *l == label) {
-                            Some(i) => i,
-                            None => {
-                                labels.push(label);
-                                sums.push(Summary::new());
-                                labels.len() - 1
-                            }
-                        };
-                        sums[i].record(d.as_secs_f64());
+            for (label, secs) in runs.iter().flat_map(&samples) {
+                let i = match labels.iter().position(|l| *l == label) {
+                    Some(i) => i,
+                    None => {
+                        labels.push(label);
+                        sums.push(Summary::new());
+                        labels.len() - 1
                     }
-                }
+                };
+                sums[i].record(secs);
             }
             BarGroup {
                 policy: policy.to_string(),
@@ -151,56 +148,79 @@ pub fn running_time_groups(
         .collect()
 }
 
+/// Run `scenario × policy` `reps` times and fold per-(VM, run) durations.
+pub fn running_time_groups(
+    kind: ScenarioKind,
+    policies: &[PolicyKind],
+    cfg: &RunConfig,
+    reps: u64,
+) -> Vec<BarGroup> {
+    bar_groups(kind, policies, cfg, reps, |r| {
+        r.vm_results
+            .iter()
+            .flat_map(|vm| {
+                vm.completions()
+                    .into_iter()
+                    .enumerate()
+                    .map(|(k, d)| (format!("{}/run{}", vm.name, k + 1), d.as_secs_f64()))
+            })
+            .collect()
+    })
+}
+
+/// A running-time figure: the paper's policy set on `kind`.
+fn running_time_figure(
+    kind: ScenarioKind,
+    id: &str,
+    title: &str,
+    cfg: &RunConfig,
+    reps: u64,
+) -> FigureData {
+    let policies = PolicyKind::paper_set(kind.paper_smart_ps());
+    FigureData {
+        id: id.into(),
+        title: title.into(),
+        groups: running_time_groups(kind, &policies, cfg, reps),
+    }
+}
+
 /// Fig. 3: running times for Scenario 1.
 pub fn fig3(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::Scenario1;
-    FigureData {
-        id: "fig3".into(),
-        title: "Running times for Scenario 1 (3×1GB VMs, in-memory-analytics ×2)".into(),
-        groups: running_time_groups(
-            kind,
-            &PolicyKind::paper_set(kind.paper_smart_ps()),
-            cfg,
-            reps,
-        ),
-    }
+    running_time_figure(
+        ScenarioKind::Scenario1,
+        "fig3",
+        "Running times for Scenario 1 (3×1GB VMs, in-memory-analytics ×2)",
+        cfg,
+        reps,
+    )
 }
 
 /// Fig. 5: running times for Scenario 2.
 pub fn fig5(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::Scenario2;
-    FigureData {
-        id: "fig5".into(),
-        title: "Running times for Scenario 2 (3×512MB VMs, graph-analytics, VM3 +30s)".into(),
-        groups: running_time_groups(
-            kind,
-            &PolicyKind::paper_set(kind.paper_smart_ps()),
-            cfg,
-            reps,
-        ),
-    }
+    running_time_figure(
+        ScenarioKind::Scenario2,
+        "fig5",
+        "Running times for Scenario 2 (3×512MB VMs, graph-analytics, VM3 +30s)",
+        cfg,
+        reps,
+    )
 }
 
 /// Fig. 9: running times for Scenario 3.
 pub fn fig9(cfg: &RunConfig, reps: u64) -> FigureData {
-    let kind = ScenarioKind::Scenario3;
-    FigureData {
-        id: "fig9".into(),
-        title: "Running times for Scenario 3 (graph-analytics ×2 + in-memory-analytics)".into(),
-        groups: running_time_groups(
-            kind,
-            &PolicyKind::paper_set(kind.paper_smart_ps()),
-            cfg,
-            reps,
-        ),
-    }
+    running_time_figure(
+        ScenarioKind::Scenario3,
+        "fig9",
+        "Running times for Scenario 3 (graph-analytics ×2 + in-memory-analytics)",
+        cfg,
+        reps,
+    )
 }
 
 /// Fig. 7: usemem per-allocation running times. Bars are the spans from
 /// each `alloc:<MiB>` milestone to the matching `block:<MiB>` completion.
 pub fn fig7(cfg: &RunConfig, reps: u64) -> FigureData {
     let kind = ScenarioKind::UsememScenario;
-    let policies = PolicyKind::paper_set(kind.paper_smart_ps());
     // Block sizes present in the scaled config: up to the stop trigger (the
     // 6th allocation), block 5 (640 MB full-scale) is the last completable.
     let ucfg = workloads::usemem::UsememConfig::paper(cfg.scale);
@@ -211,47 +231,19 @@ pub fn fig7(cfg: &RunConfig, reps: u64) -> FigureData {
             (alloc, block)
         })
         .collect();
-
-    let results = run_grid(kind, &policies, cfg, reps);
-    let groups = policies
-        .iter()
-        .zip(results.chunks(reps as usize))
-        .map(|(&policy, runs)| {
-            let mut labels: Vec<String> = Vec::new();
-            let mut sums: Vec<Summary> = Vec::new();
-            for r in runs {
-                for vm in &r.vm_results {
-                    for (alloc, block) in &blocks {
-                        if let Some(span) = vm.span_between(alloc, block) {
-                            let label = format!("{}@{}", vm.name, alloc.replacen("alloc:", "", 1));
-                            let i = match labels.iter().position(|l| *l == label) {
-                                Some(i) => i,
-                                None => {
-                                    labels.push(label);
-                                    sums.push(Summary::new());
-                                    labels.len() - 1
-                                }
-                            };
-                            sums[i].record(span.as_secs_f64());
-                        }
-                    }
-                }
-            }
-            BarGroup {
-                policy: policy.to_string(),
-                bars: labels
-                    .into_iter()
-                    .zip(sums)
-                    .map(|(label, s)| BarStat {
-                        label,
-                        mean_s: s.mean(),
-                        std_s: s.stddev(),
-                        n: s.count(),
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
+    let policies = PolicyKind::paper_set(kind.paper_smart_ps());
+    let groups = bar_groups(kind, &policies, cfg, reps, |r| {
+        r.vm_results
+            .iter()
+            .flat_map(|vm| {
+                blocks.iter().filter_map(|(alloc, block)| {
+                    let span = vm.span_between(alloc, block)?;
+                    let label = format!("{}@{}", vm.name, alloc.replacen("alloc:", "", 1));
+                    Some((label, span.as_secs_f64()))
+                })
+            })
+            .collect()
+    });
     FigureData {
         id: "fig7".into(),
         title: "Running times for the Usemem scenario (per allocation, MiB scaled)".into(),
@@ -259,106 +251,92 @@ pub fn fig7(cfg: &RunConfig, reps: u64) -> FigureData {
     }
 }
 
-fn series_for(
+/// An occupancy figure: one recorded run of `kind` per policy.
+fn occupancy_figure(
     kind: ScenarioKind,
+    id: &str,
+    title: &str,
     policies: &[PolicyKind],
     cfg: &RunConfig,
-) -> Vec<(String, SeriesBundle)> {
-    let mut c = cfg.clone();
-    c.record_series = true;
-    run_indexed(policies.to_vec(), cfg.jobs, |_, policy| {
-        let r: RunResult = run_scenario(kind, policy, &c);
+) -> SeriesFigure {
+    let c = RunConfig {
+        record_series: true,
+        ..cfg.clone()
+    };
+    let panels = run_indexed(policies.to_vec(), cfg.jobs, |_, policy| {
+        let r = run_scenario(kind, policy, &c);
         assert!(!r.truncated);
         (
             policy.to_string(),
             r.series.expect("series recording requested"),
         )
-    })
-}
-
-fn vm_names(kind: ScenarioKind, cfg: &RunConfig) -> Vec<String> {
-    build_scenario(kind, cfg)
-        .vms
-        .iter()
-        .map(|v| v.config.name.clone())
-        .collect()
+    });
+    SeriesFigure {
+        id: id.into(),
+        title: title.into(),
+        panels,
+        vm_names: build_scenario(kind, cfg)
+            .vms
+            .iter()
+            .map(|v| v.config.name.clone())
+            .collect(),
+        interval_s: cfg.sampling_interval().as_secs_f64(),
+    }
 }
 
 /// Fig. 4: Scenario 1 tmem occupancy, greedy vs smart-alloc(0.75%).
 pub fn fig4(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::Scenario1;
-    SeriesFigure {
-        id: "fig4".into(),
-        title: "Tmem capacity per VM, Scenario 1: (a) greedy (b) smart-alloc P=0.75%".into(),
-        panels: series_for(
-            kind,
-            &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 0.75 }],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
+    occupancy_figure(
+        ScenarioKind::Scenario1,
+        "fig4",
+        "Tmem capacity per VM, Scenario 1: (a) greedy (b) smart-alloc P=0.75%",
+        &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 0.75 }],
+        cfg,
+    )
 }
 
 /// Fig. 6: Scenario 2 tmem occupancy, greedy vs smart-alloc(6%).
 pub fn fig6(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::Scenario2;
-    SeriesFigure {
-        id: "fig6".into(),
-        title: "Tmem use per VM, Scenario 2: (a) greedy (b) smart-alloc P=6%".into(),
-        panels: series_for(
-            kind,
-            &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 6.0 }],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
+    occupancy_figure(
+        ScenarioKind::Scenario2,
+        "fig6",
+        "Tmem use per VM, Scenario 2: (a) greedy (b) smart-alloc P=6%",
+        &[PolicyKind::Greedy, PolicyKind::SmartAlloc { p: 6.0 }],
+        cfg,
+    )
 }
 
 /// Fig. 8: Usemem scenario occupancy, greedy / reconf-static /
 /// smart-alloc(2%).
 pub fn fig8(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::UsememScenario;
-    SeriesFigure {
-        id: "fig8".into(),
-        title: "Tmem use per VM, usemem: (a) greedy (b) reconf-static (c) smart-alloc P=2%".into(),
-        panels: series_for(
-            kind,
-            &[
-                PolicyKind::Greedy,
-                PolicyKind::ReconfStatic,
-                PolicyKind::SmartAlloc { p: 2.0 },
-            ],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
+    occupancy_figure(
+        ScenarioKind::UsememScenario,
+        "fig8",
+        "Tmem use per VM, usemem: (a) greedy (b) reconf-static (c) smart-alloc P=2%",
+        &[
+            PolicyKind::Greedy,
+            PolicyKind::ReconfStatic,
+            PolicyKind::SmartAlloc { p: 2.0 },
+        ],
+        cfg,
+    )
 }
 
 /// Fig. 10: Scenario 3 occupancy, greedy / static / reconf-static /
 /// smart-alloc(4%).
 pub fn fig10(cfg: &RunConfig) -> SeriesFigure {
-    let kind = ScenarioKind::Scenario3;
-    SeriesFigure {
-        id: "fig10".into(),
-        title:
-            "Tmem use per VM, Scenario 3: (a) greedy (b) static (c) reconf-static (d) smart-alloc P=4%"
-                .into(),
-        panels: series_for(
-            kind,
-            &[
-                PolicyKind::Greedy,
-                PolicyKind::StaticAlloc,
-                PolicyKind::ReconfStatic,
-                PolicyKind::SmartAlloc { p: 4.0 },
-            ],
-            cfg,
-        ),
-        vm_names: vm_names(kind, cfg),
-        interval_s: cfg.sampling_interval().as_secs_f64(),
-    }
+    occupancy_figure(
+        ScenarioKind::Scenario3,
+        "fig10",
+        "Tmem use per VM, Scenario 3: (a) greedy (b) static (c) reconf-static (d) smart-alloc P=4%",
+        &[
+            PolicyKind::Greedy,
+            PolicyKind::StaticAlloc,
+            PolicyKind::ReconfStatic,
+            PolicyKind::SmartAlloc { p: 4.0 },
+        ],
+        cfg,
+    )
 }
 
 /// Table II as structured rows (scenario, VM parameters, program).

@@ -17,19 +17,22 @@
 //!
 //! The paper's per-second sampling interrupt (VIRQ) is not a queue event:
 //! it closes a *window*. Between two VIRQs no host reads another host's
-//! state, so the hosts advance through a window in parallel, one worker
-//! thread per host (capped at the cores available). At the window's
-//! barrier one thread runs the VIRQ for every host in host order — each
-//! host's snapshot travels hypervisor → dom0 TKM → MM and changed targets
-//! travel back down — and then the fleet scheduler, which compares
-//! per-host pressure and may start one VM migration.
+//! state, so the hosts advance through a window in parallel, one thread
+//! per host (capped at the cores available). The calling thread keeps the
+//! first hosts; each other thread owns a fixed run of hosts, receives them
+//! over a channel when a window opens and sends them back when it is done.
+//! At the window's barrier the calling thread runs the VIRQ for every host
+//! in host order — each host's snapshot travels hypervisor → dom0 TKM →
+//! MM and changed targets travel back down — and then the fleet scheduler,
+//! which compares per-host pressure and may start one VM migration.
 //!
 //! The worker count never changes an output: every run dispatches its
 //! events in the order one global queue over all hosts would (DESIGN §6).
 //! All queues draw sequence numbers from one shared space, which breaks
 //! ties at an instant first-scheduled-first; the barrier merges the
 //! window's per-host dispatch logs to number the events the window
-//! scheduled as that global queue would have. A spec whose cross-VM
+//! scheduled as that global queue would have, and a migrating VM's queued
+//! event keeps its number on the destination. A spec whose cross-VM
 //! triggers link VMs runs every host through one queue on one worker.
 //!
 //! The single-host path ([`run_spec`]) *is* a one-host cluster — it calls
@@ -56,10 +59,7 @@ use smartmem_core::fleet::{
     stranded_pages, FleetConfig, FleetManager, HostLoad, MigrationPlan, VmPlacement,
 };
 use smartmem_core::{MemoryManager, PolicyKind};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
-use std::thread::Thread;
-use std::time::Duration;
+use std::sync::mpsc;
 use tmem::backend::PoolKind;
 use tmem::fastmap::FxHashSet;
 use tmem::key::VmId;
@@ -660,8 +660,7 @@ fn run_cluster_on(
         }
         shard.arrive(i, rt);
     }
-    let mut views: Vec<&mut Shard> = shards.iter_mut().collect();
-    coord.open_window(&mut views);
+    coord.open_window(&mut shards);
     let ctx = Ctx {
         cfg: cfg.clone(),
         seed_root: SplitMix64::new(cfg.seed),
@@ -672,149 +671,73 @@ fn run_cluster_on(
     drive(shards, coord, &ctx, workers)
 }
 
-/// Run the windows on up to `workers` threads — the calling thread and
-/// `workers - 1` scoped workers that live for the whole run — and each
-/// barrier on the calling thread.
-fn drive(shards: Vec<Shard>, mut coord: Coordinator, ctx: &Ctx, workers: usize) -> ClusterResult {
-    let shards: Vec<Mutex<Shard>> = shards.into_iter().map(Mutex::new).collect();
-    let workers = workers.clamp(1, shards.len());
-    let gate = Gate {
-        epoch: AtomicU64::new(0),
-        finished: AtomicUsize::new(0),
-        coordinator: std::thread::current(),
-    };
+/// Run the windows on up to `workers` threads and each barrier on the
+/// calling thread. The shards are dealt in fixed contiguous chunks: the
+/// calling thread keeps the first, and one scoped worker per other chunk
+/// lives for the whole run, so each shard stays on one thread. In every
+/// window a worker receives its chunk by value over its request channel,
+/// runs it and sends it back over its reply channel. One chunk at most is
+/// in flight each way, so each channel has one slot, allocated once, and
+/// no send blocks.
+///
+/// A worker that panics drops its reply sender, so the barrier's `recv`
+/// fails at once. Leaving the scope, by return or by panic, drops the
+/// request senders, and that ends the other workers.
+fn drive(
+    mut shards: Vec<Shard>,
+    mut coord: Coordinator,
+    ctx: &Ctx,
+    workers: usize,
+) -> ClusterResult {
+    let chunk = shards.len().div_ceil(workers.clamp(1, shards.len()));
     std::thread::scope(|scope| {
-        let _stop = StopOnDrop(&gate);
-        let threads: Vec<Thread> = (1..workers)
-            .map(|w| {
-                let (gate, shards) = (&gate, &shards);
-                scope
-                    .spawn(move || gate.serve(w, workers, shards, ctx))
-                    .thread()
-                    .clone()
+        let lanes: Vec<_> = (chunk..shards.len())
+            .step_by(chunk)
+            .map(|_| {
+                let (request, requests) = mpsc::sync_channel::<Vec<Shard>>(1);
+                let (reply, replies) = mpsc::sync_channel(1);
+                scope.spawn(move || {
+                    for mut mine in requests {
+                        for s in &mut mine {
+                            s.run_window(ctx);
+                        }
+                        if reply.send(mine).is_err() {
+                            // The calling thread panicked; it reports that.
+                            return;
+                        }
+                    }
+                });
+                (request, replies)
             })
             .collect();
         loop {
-            gate.open(&threads);
-            run_windows(0, workers, &shards, ctx);
-            gate.await_workers(workers - 1);
-            let mut guards: Vec<MutexGuard<'_, Shard>> = shards.iter().map(lock).collect();
-            let mut views: Vec<&mut Shard> = guards.iter_mut().map(|g| &mut **g).collect();
-            if let Some(end) = coord.barrier(&mut views, ctx) {
-                return coord.finish(&mut views, ctx, end);
+            for (k, (request, _)) in lanes.iter().enumerate().rev() {
+                let theirs = shards.split_off((k + 1) * chunk);
+                request
+                    .send(theirs)
+                    .expect("a host worker lives until the run ends");
+            }
+            for s in &mut shards {
+                s.run_window(ctx);
+            }
+            for (_, replies) in &lanes {
+                shards.extend(replies.recv().expect("a host worker panicked"));
+            }
+            if let Some(end) = coord.barrier(&mut shards, ctx) {
+                return coord.finish(&mut shards, ctx, end);
             }
         }
     })
 }
 
-/// Lock a shard. A poisoned one means its worker panicked; the scope
-/// hands that panic to the caller once every thread has stopped.
-fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard.lock().expect("a host worker panicked")
-}
-
-/// Worker `w` of `workers` runs shards `w`, `w + workers`, …, so each
-/// shard stays on one thread for the whole run.
-fn run_windows(w: usize, workers: usize, shards: &[Mutex<Shard>], ctx: &Ctx) {
-    for shard in shards.iter().skip(w).step_by(workers) {
-        lock(shard).run_window(ctx);
-    }
-}
-
-/// The longest a parked waiter sleeps before it looks again, whether or
-/// not anyone unparked it.
-const PARK: Duration = Duration::from_millis(1);
-
-/// [`Gate::epoch`]'s value that ends the workers.
-const STOP: u64 = u64::MAX;
-
-/// Opens each window to the workers and collects them at its barrier.
-/// The shards themselves pass between threads through their mutexes; the
-/// atomics only say when. A worker's `Acquire` load of a new `epoch`
-/// pairs with [`Gate::open`]'s `Release` bump, so its `finished`
-/// increment lands after the reset; the coordinator's `Acquire` load of
-/// `finished` pairs with each worker's `Release` increment.
-struct Gate {
-    /// Bumped once per window; [`STOP`] ends the workers.
-    epoch: AtomicU64,
-    /// Workers done with the open window.
-    finished: AtomicUsize,
-    /// The thread that runs the barriers.
-    coordinator: Thread,
-}
-
-impl Gate {
-    fn open(&self, workers: &[Thread]) {
-        self.finished.store(0, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Release);
-        for t in workers {
-            t.unpark();
-        }
-    }
-
-    fn await_workers(&self, n: usize) {
-        wait_until(|| (self.finished.load(Ordering::Acquire) == n).then_some(()));
-    }
-
-    /// Worker `w`'s life: one window per epoch, until [`STOP`].
-    fn serve(&self, w: usize, workers: usize, shards: &[Mutex<Shard>], ctx: &Ctx) {
-        let mut seen = 0;
-        loop {
-            seen = wait_until(|| {
-                let epoch = self.epoch.load(Ordering::Acquire);
-                (epoch != seen).then_some(epoch)
-            });
-            if seen == STOP {
-                return;
-            }
-            let _finished = Finished(self);
-            run_windows(w, workers, shards, ctx);
-        }
-    }
-}
-
-/// Counts a worker's window as finished even if it panics, so the
-/// barrier never waits on a dead worker.
-struct Finished<'a>(&'a Gate);
-
-impl Drop for Finished<'_> {
-    fn drop(&mut self) {
-        self.0.finished.fetch_add(1, Ordering::Release);
-        self.0.coordinator.unpark();
-    }
-}
-
-/// Ends the workers when the run returns or panics; a parked worker sees
-/// it within [`PARK`].
-struct StopOnDrop<'a>(&'a Gate);
-
-impl Drop for StopOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.epoch.store(STOP, Ordering::Release);
-    }
-}
-
-/// Park until `ready` yields; whoever makes `ready` true unparks this
-/// thread afterwards. Waiters park rather than spin: on a 2-host run,
-/// spinning up to 50 µs per wait burned CPU and saved no measurable
-/// wall-clock.
-fn wait_until<T>(mut ready: impl FnMut() -> Option<T>) -> T {
-    loop {
-        if let Some(t) = ready() {
-            return t;
-        }
-        std::thread::park_timeout(PARK);
-    }
-}
-
 /// Host `h`, on whichever shard holds it.
-fn host_of<'a>(shards: &'a [&mut Shard], h: usize) -> &'a HostCtl {
+fn host_of(shards: &[Shard], h: usize) -> &HostCtl {
     let s = &shards[shard_of(shards, h)];
     &s.hosts[h - s.first_host]
 }
 
 /// Index of the shard that holds host `h`.
-fn shard_of(shards: &[&mut Shard], h: usize) -> usize {
+fn shard_of(shards: &[Shard], h: usize) -> usize {
     shards
         .iter()
         .position(|s| h < s.first_host + s.hosts.len())
@@ -822,7 +745,7 @@ fn shard_of(shards: &[&mut Shard], h: usize) -> usize {
 }
 
 /// Stamp every host's recorder with `t`.
-fn set_clocks(shards: &[&mut Shard], t: SimTime) {
+fn set_clocks(shards: &[Shard], t: SimTime) {
     for host in shards.iter().flat_map(|s| &s.hosts) {
         host.tracer.set_now(t);
     }
@@ -836,7 +759,7 @@ fn set_clocks(shards: &[&mut Shard], t: SimTime) {
 /// order — a dispatch's own number is known by then, because the event
 /// that scheduled it came earlier in its shard's log. Returns the next
 /// free number.
-fn number_window(shards: &mut [&mut Shard], base: u64) -> u64 {
+fn number_window(shards: &mut [Shard], base: u64) -> u64 {
     let mut numbers: Vec<Vec<u64>> = shards
         .iter()
         .map(|s| vec![u64::MAX; (s.queue.next_seq() - base) as usize])
@@ -1334,7 +1257,7 @@ fn drive_mm(host: &mut HostCtl, sampling: SimDuration, now: SimTime) {
 impl Coordinator {
     /// Schedule the next VIRQ one sampling interval on, and open the
     /// window that ends at it (or at the cutoff, if that comes first).
-    fn open_window(&mut self, shards: &mut [&mut Shard]) {
+    fn open_window(&mut self, shards: &mut [Shard]) {
         self.virq = (self.virq.0 + self.sampling, self.next_seq);
         self.next_seq += 1;
         self.base = self.next_seq;
@@ -1352,7 +1275,7 @@ impl Coordinator {
     /// Close the window every shard just ran. Returns the run's end once
     /// every VM is done or the cutoff is crossed; otherwise runs the VIRQ
     /// and opens the next window.
-    fn barrier(&mut self, shards: &mut [&mut Shard], ctx: &Ctx) -> Option<SimTime> {
+    fn barrier(&mut self, shards: &mut [Shard], ctx: &Ctx) -> Option<SimTime> {
         self.next_seq = match shards {
             [one] => one.queue.next_seq(),
             _ => number_window(shards, self.base),
@@ -1408,7 +1331,7 @@ impl Coordinator {
     /// hypervisor → dom0 TKM → MM → targets back down, then the fleet
     /// scheduler compares hosts. Series recording (single-host) sits
     /// between the host's interval close and the fleet step.
-    fn virq_all(&mut self, shards: &mut [&mut Shard], ctx: &Ctx, now: SimTime) {
+    fn virq_all(&mut self, shards: &mut [Shard], ctx: &Ctx, now: SimTime) {
         for s in shards.iter_mut() {
             for h in s.first_host..s.first_host + s.hosts.len() {
                 s.virq_host(h, now, ctx, self);
@@ -1429,7 +1352,7 @@ impl Coordinator {
     /// The fleet half of the VIRQ: pressure vectors, stranded-capacity
     /// accounting and (at most) one migration decision. No-op on
     /// single-host runs.
-    fn fleet_step(&mut self, shards: &mut [&mut Shard], ctx: &Ctx, now: SimTime) {
+    fn fleet_step(&mut self, shards: &mut [Shard], ctx: &Ctx, now: SimTime) {
         let Some(fleet) = self.fleet.as_mut() else {
             return;
         };
@@ -1488,7 +1411,7 @@ impl Coordinator {
     /// while the VM is `Migrating`.
     fn execute_migration(
         &mut self,
-        shards: &mut [&mut Shard],
+        shards: &mut [Shard],
         ctx: &Ctx,
         plan: MigrationPlan,
         now: SimTime,
@@ -1619,7 +1542,7 @@ impl Coordinator {
     }
 
     /// Seal the ledgers and split the VMs into per-host results.
-    fn finish(mut self, shards: &mut [&mut Shard], ctx: &Ctx, end_time: SimTime) -> ClusterResult {
+    fn finish(mut self, shards: &mut [Shard], ctx: &Ctx, end_time: SimTime) -> ClusterResult {
         set_clocks(shards, end_time);
         let events = self.dispatched + shards.iter().map(|s| s.dispatched).sum::<u64>();
         let fleet = match &self.fleet {
@@ -1945,6 +1868,53 @@ mod tests {
                 assert!(
                     jsonl == one_jsonl,
                     "{cell}: a host's trace JSONL differs at {workers} workers"
+                );
+            }
+        }
+    }
+
+    /// A host that panics ends the run on whichever thread it runs: the
+    /// barrier does not wait for a dead worker, and no worker outlives the
+    /// run. The bad VM runs a usemem with a zero step, which `Usemem::new`
+    /// refuses when the VM starts; VM 0 is on host 0 (the calling thread)
+    /// and VM 1 on host 1 (a worker at 2 workers).
+    #[test]
+    fn a_panicking_host_ends_the_run() {
+        use crate::spec::{Arrival, FleetParams, WorkloadMix, WorkloadSpec};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::Duration;
+
+        let cfg = tiny_cfg(9);
+        let kind = ScenarioKind::Scenario5(FleetParams {
+            vms: 2,
+            footprint_mb: 8,
+            mix: WorkloadMix::Paging,
+            arrival: Arrival::Simultaneous,
+        });
+        let cluster = ClusterConfig {
+            hosts: 2,
+            ..ClusterConfig::default()
+        };
+        for bad in [0, 1] {
+            let mut spec = build_scenario(kind, &cfg);
+            let ProgramStep::Run(WorkloadSpec::Usemem(u)) = &mut spec.vms[bad].program[0] else {
+                panic!("a paging fleet runs usemem");
+            };
+            u.step_bytes = 0;
+            for workers in [1, 2] {
+                let (spec, cfg, cluster) = (spec.clone(), cfg.clone(), cluster.clone());
+                let (tx, rx) = mpsc::channel();
+                std::thread::spawn(move || {
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        run_cluster_on(spec, PolicyKind::Greedy, &cfg, &cluster, workers)
+                    }));
+                    tx.send(run.is_err())
+                        .expect("the test waits for the verdict");
+                });
+                assert_eq!(
+                    rx.recv_timeout(Duration::from_secs(60)),
+                    Ok(true),
+                    "VM {bad} at {workers} workers must end the run with a panic"
                 );
             }
         }

@@ -286,6 +286,19 @@ impl ScenarioSpec {
                     i, vm.config.name
                 ));
             }
+            let endless = vm.program.iter().any(|step| {
+                matches!(step, ProgramStep::Run(WorkloadSpec::Usemem(c))
+                    if c.max_steady_passes == u64::MAX)
+            });
+            if endless && self.stop_all_on.is_none() {
+                return Err(format!(
+                    "VM {} ({}) runs usemem with no pass count, which only a stop \
+                     trigger ends, and the scenario has none; give the step a pass \
+                     count (\"run usemem <start> <step> <max> <passes>\") or give the \
+                     scenario a stop_on",
+                    i, vm.config.name
+                ));
+            }
             if let StartRule::OnMilestonesAll(reqs) = &vm.start {
                 for (src, label) in reqs {
                     if *src >= self.vms.len() {
@@ -538,6 +551,13 @@ mod tests {
         let mut spec = build_scenario(ScenarioKind::UsememScenario, &cfg());
         spec.stop_all_on = Some((7, "alloc:768".into()));
         assert!(spec.validate().unwrap_err().contains("stop_all_on"));
+
+        let mut spec = build_scenario(ScenarioKind::UsememScenario, &cfg());
+        spec.stop_all_on = None;
+        assert!(spec
+            .validate()
+            .unwrap_err()
+            .contains("VM 0 (VM1) runs usemem"));
     }
 
     fn fleet(vms: u32, footprint_mb: u32, mix: WorkloadMix, arrival: Arrival) -> FleetParams {

@@ -6,10 +6,10 @@
 //! goldens elsewhere do not pin event by event: graph analytics, usemem's
 //! ramp and steady passes, disk swap with slot read-ahead (no-tmem), slow
 //! reclaim to swap (the paging mix), a balanced two-host cluster with
-//! in-memory analytics, cleancache, a far tier and migration, and a
-//! two-host usemem cluster whose start and stop triggers cross hosts. A
-//! digest folds
-//! each host's full trace JSONL and the Debug form of the result (every
+//! in-memory analytics, cleancache, a far tier and migration, a two-host
+//! serving cluster whose migrated events tie with the destination's, and
+//! a two-host usemem cluster whose start and stop triggers cross hosts. A
+//! digest folds each host's full trace JSONL and the Debug form of the result (every
 //! per-VM run, kernel counter and series point), so a page touched
 //! differently anywhere moves it.
 //!
@@ -24,6 +24,7 @@ use scenarios::config::RunConfig;
 use scenarios::runner::{run_cluster, run_scenario, ClusterConfig, RunResult};
 use scenarios::spec::{build_scenario, Arrival, FleetParams, ScenarioKind, WorkloadMix};
 use scenarios::{dsl, PolicyKind};
+use sim_core::netmodel::NetModel;
 use sim_core::trace::{TraceConfig, TraceHeader};
 use smartmem_core::FleetConfig;
 use xen_sim::host::FarConfig;
@@ -161,6 +162,49 @@ fn balanced_cluster_stream_is_unchanged() {
     fnv(&mut h, format!("{:?}", cr.fleet).as_bytes());
     // Recorded once a migration stopped forking the VM's step chain.
     check("fleet:2x6:8/smart-alloc:2", h, 0x447b_e246_5123_840c);
+}
+
+/// Eight file servers on two hosts, all arriving at once, with a fleet
+/// scheduler that migrates as soon as the hosts diverge. A migrated VM's
+/// queued event keeps its sequence number on the destination, and here it
+/// ties exactly with the destination's own events, so renumbering it
+/// moves the digest.
+#[test]
+fn migration_tie_stream_is_unchanged() {
+    let c = RunConfig {
+        scale: 0.03,
+        ..cfg(1)
+    };
+    let kind = ScenarioKind::Scenario5(FleetParams {
+        vms: 8,
+        footprint_mb: 8,
+        mix: WorkloadMix::Serving,
+        arrival: Arrival::Simultaneous,
+    });
+    let mut spec = build_scenario(kind, &c);
+    spec.name = dsl::cluster_scenario_name(&spec.name, 2);
+    let cluster = ClusterConfig {
+        hosts: 2,
+        net: NetModel::datacenter(),
+        far: None,
+        migration: Some(FleetConfig {
+            divergence_threshold: 0.01,
+            cooldown_intervals: 1,
+            min_history: 1,
+        }),
+    };
+    let cr = run_cluster(spec, PolicyKind::SmartAlloc { p: 2.0 }, &c, &cluster);
+    assert!(cr.fleet.migrations > 0);
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in &cr.host_results {
+        fold(&mut h, r, c.seed);
+    }
+    fnv(&mut h, format!("{:?}", cr.fleet).as_bytes());
+    check(
+        "fleet:2x8:8:serving:0/smart-alloc:2",
+        h,
+        0x3795_6451_abf8_b170,
+    );
 }
 
 /// `scenarios/usemem.toml` on two hosts, at the scale of
