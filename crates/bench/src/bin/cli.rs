@@ -27,7 +27,9 @@
 //! multi-host cell's per-host results and its fleet report. A fleet name's
 //! size is its name: `run` and `trace` refuse `--scale` on it (spell the
 //! per-VM footprint as `fleet:<vms>:<mb>` instead); a file takes
-//! `--scale`. `--chaos` injects a shipped fault profile.
+//! `--scale`. `--chaos` takes what a manifest's chaos axis takes: a shipped
+//! fault profile, a `.toml` profile file, or `none`/`off`/`baseline` for a
+//! fault-free run.
 //!
 //! Policies: `no-tmem`, `greedy`, `static-alloc`, `reconf-static`,
 //! `smart-alloc:<P>` (e.g. `smart-alloc:0.75`), `predictive`.
@@ -134,7 +136,9 @@ struct Args {
     jobs: usize,
     /// Subsystem restriction for the JSONL written by `trace --out`.
     filter: Option<Vec<Subsystem>>,
-    /// Shipped chaos profile to inject during `run` or `trace`.
+    /// Chaos profile to inject during `run` or `trace`; `None` when the
+    /// flag is absent or names a fault-free cell (`none`, `off`,
+    /// `baseline`).
     chaos: Option<chaos::ChaosProfile>,
     /// Sweep checkpoint directory (`sweep --resume`).
     resume: Option<PathBuf>,
@@ -210,23 +214,7 @@ fn parse_flags(cmd: &str, rest: &[String]) -> Result<Args, String> {
                 }
                 args.jobs = n;
             }
-            "--chaos" => {
-                let v = value()?;
-                let profile = chaos::shipped_profiles()
-                    .into_iter()
-                    .find(|p| p.name == v)
-                    .ok_or_else(|| {
-                        format!(
-                            "unknown chaos profile '{v}' (shipped: {})",
-                            chaos::shipped_profiles()
-                                .iter()
-                                .map(|p| p.name.as_str())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )
-                    })?;
-                args.chaos = Some(profile);
-            }
+            "--chaos" => args.chaos = dsl::resolve_chaos(&value()?, Path::new(""))?,
             "--resume" => args.resume = Some(PathBuf::from(value()?)),
             "--stop-after" => {
                 let n: usize = value()?.parse().map_err(|e| format!("--stop-after: {e}"))?;
@@ -968,11 +956,17 @@ mod tests {
     }
 
     #[test]
-    fn chaos_flag_accepts_only_shipped_profiles() {
+    fn chaos_flag_resolves_like_a_manifest_chaos_axis() {
         let a = parse_flags("trace", &args(&["--chaos", "sample-loss"])).unwrap();
         assert_eq!(a.chaos.map(|p| p.name).as_deref(), Some("sample-loss"));
+        for fault_free in ["none", "off", "baseline"] {
+            let a = parse_flags("run", &args(&["--chaos", fault_free])).unwrap();
+            assert!(a.chaos.is_none(), "{fault_free}");
+        }
         let err = parse_flags("trace", &args(&["--chaos", "meteor-strike"])).unwrap_err();
-        assert!(err.contains("shipped:"), "unhelpful message: {err}");
+        for p in chaos::shipped_profiles() {
+            assert!(err.contains(&p.name), "{} not listed: {err}", p.name);
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Peak-RSS guards for the fleet family: host memory must stay sub-linear
-//! in the *simulated* footprint. Five designs keep it there: 8-byte
+//! in the *simulated* footprint. Six designs keep it there: 8-byte
 //! fingerprints instead of 4 KiB page bodies in tmem, data-less paged
 //! spans (no simulated page has a host copy of its contents), value-free
 //! workloads (no factor row, rank or usemem word is computed or stored),
 //! a packed guest page table (12 bytes per page, 4 per RAM frame, free
-//! list included), and leaf indexes for tmem object pages and live swap
-//! slots (~4 bytes per dense key). These tests pin them with hard budgets
-//! so a payload, page-table, index, workload or accounting regression
-//! cannot silently grow host memory per simulated page.
+//! list included), leaf indexes for tmem object pages and live swap
+//! slots (~4 bytes per dense key), and the analytics rating stream
+//! (⌈log2 items⌉ bits per rating, users re-drawn from partition
+//! checkpoints). These tests pin them with hard budgets so a payload,
+//! page-table, index, workload input or accounting regression cannot
+//! silently grow host memory per simulated page.
 
 use scenarios::config::RunConfig;
 use scenarios::runner::run_scenario;
@@ -124,12 +126,14 @@ fn fleet_64vm_32gib_footprint_stays_under_host_budget() {
 }
 
 /// 16 in-memory-analytics VMs × 256 MiB = 4 GiB of simulated footprint
-/// must fit in 460 MiB of host memory. Measured on Linux x86-64: 308 MiB
-/// in a release build, nearly all of it the rating structure the
-/// workloads replay (8 bytes per rating, ~18 MiB per VM). The budget
-/// leaves ~50% slack, yet fails workloads that also keep each rating's
-/// value and compute 32-byte factor rows in host memory (738 MiB).
-const ANALYTICS_BUDGET_KIB: u64 = 460 * 1024;
+/// must fit in 174 MiB of host memory. Measured on Linux x86-64: 116 MiB
+/// in a release build, with each VM's ratings in a `RatingStream` (18-bit
+/// items, ~4.8 MiB per VM, plus one 256 KiB partition buffer). The budget
+/// leaves ~50% slack, yet fails a plain `Vec` of `(user, item)` pairs,
+/// 8 bytes per rating (308 MiB), let alone workloads that also keep each
+/// rating's value and compute 32-byte factor rows in host memory
+/// (738 MiB).
+const ANALYTICS_BUDGET_KIB: u64 = 174 * 1024;
 
 #[test]
 #[ignore = "16-VM analytics cell (~1 min); CI runs the slow suite via --ignored"]

@@ -7,7 +7,8 @@
 //! inspects clean. `trace` itself refuses `--filter` without `--out` on
 //! one host and on a cluster alike, and `run` and `trace` refuse
 //! `--scale` on a fleet cell. `run` on a shipped scenario file prints what
-//! `run` on its name prints. A closed stdout ends any command quietly.
+//! `run` on its name prints. `--chaos off` is the run without the flag.
+//! A closed stdout ends any command quietly.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -303,4 +304,33 @@ fn a_closed_stdout_ends_the_run_quietly() {
     let err = String::from_utf8_lossy(&o.stderr);
     assert!(o.status.success(), "{:?}: {err}", o.status);
     assert!(err.is_empty(), "{err}");
+}
+
+/// `--chaos` takes a manifest's chaos-axis spellings: `off` is the
+/// fault-free run, and an unknown name exits 1 listing the shipped
+/// profiles.
+#[test]
+fn chaos_off_is_the_run_without_the_flag() {
+    let base = ["run", "fleet:2x8:8", "smart-alloc:2", "--seed", "42"];
+    let plain = cli(&base);
+    assert!(plain.status.success());
+    let off = cli(&[&base[..], &["--chaos", "off"]].concat());
+    assert!(
+        off.status.success(),
+        "{}",
+        String::from_utf8_lossy(&off.stderr)
+    );
+    assert_eq!(stdout(&off), stdout(&plain));
+    let unknown = cli(&[&base[..], &["--chaos", "meteor-strike"]].concat());
+    assert_eq!(unknown.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&unknown.stderr);
+    for shipped in [
+        "sample-loss",
+        "flaky-hypercalls",
+        "mm-crash",
+        "bitrot",
+        "backend-brownout",
+    ] {
+        assert!(err.contains(shipped), "{shipped} not listed: {err}");
+    }
 }

@@ -13,6 +13,9 @@
 
 use rand::{Error, RngCore, SeedableRng};
 
+/// What each output adds to the state (the golden-ratio increment).
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// A 64-bit SplitMix generator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -46,11 +49,18 @@ impl SplitMix64 {
     #[allow(clippy::should_implement_trait)]
     #[inline]
     pub fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// Advance the stream past `n` outputs without computing them: the
+    /// state is a counter, so this equals `n` calls to [`next`](Self::next).
+    #[inline]
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(GAMMA));
     }
 
     /// Uniform integer in `[0, bound)`. Uses Lemire's multiply-shift
@@ -126,6 +136,20 @@ mod tests {
         assert_eq!(y1.next(), y2.next());
         // Distinct labels yield distinct streams.
         assert_ne!(root.derive("vm1").next(), root.derive("vm2").next());
+    }
+
+    #[test]
+    fn skip_equals_that_many_next_calls() {
+        for (seed, n) in [(0, 0), (42, 1), (7, 2), (u64::MAX, 33), (99, 1000)] {
+            let mut stepped = SplitMix64::new(seed);
+            for _ in 0..n {
+                stepped.next();
+            }
+            let mut skipped = SplitMix64::new(seed);
+            skipped.skip(n);
+            assert_eq!(skipped, stepped, "seed {seed}, n {n}");
+            assert_eq!(skipped.next(), stepped.next());
+        }
     }
 
     #[test]

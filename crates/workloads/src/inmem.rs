@@ -26,7 +26,7 @@
 //! becomes a guest footprint exceeding a 1 GB VM.
 
 use crate::appmodel::{InputReader, Pause};
-use crate::datasets::{movielens_ratings, Rating};
+use crate::datasets::{Rating, RatingStream};
 use crate::traits::{Milestone, StepOutcome, Workload};
 use guest_os::kernel::GuestKernel;
 use guest_os::machine::Machine;
@@ -170,7 +170,10 @@ pub struct InMemoryAnalytics {
     pause: Pause,
     /// The rating structure (who rated what), read back through
     /// `ratings`: it decides which factor rows each update touches.
-    host_ratings: Vec<Rating>,
+    host_ratings: RatingStream,
+    /// The ratings of the partition being read, decoded from
+    /// `host_ratings` when training or evaluation enters it.
+    partition: Vec<Rating>,
     ratings: Option<PagedSpan>,
     cold: Option<PagedSpan>,
     user_f: Option<PagedSpan>,
@@ -185,11 +188,12 @@ impl InMemoryAnalytics {
     /// guest-visible load is the `Load` phase).
     pub fn new(config: InMemoryAnalyticsConfig) -> Self {
         assert!(config.epochs > 0, "at least one epoch");
-        let host_ratings = movielens_ratings(
+        let host_ratings = RatingStream::new(
             config.seed,
             config.n_users,
             config.n_items,
             config.n_ratings,
+            PARTITION_RATINGS,
         );
         InMemoryAnalytics {
             rng: SplitMix64::new(config.seed).derive("factors"),
@@ -198,6 +202,7 @@ impl InMemoryAnalytics {
             pause: Pause::default(),
             config,
             host_ratings,
+            partition: Vec::new(),
             ratings: None,
             cold: None,
             user_f: None,
@@ -260,7 +265,7 @@ impl Workload for InMemoryAnalytics {
                         ));
                     }
                     let ratings = self.ratings.as_ref().expect("allocated above");
-                    while *pos < self.host_ratings.len() {
+                    while *pos < self.config.n_ratings {
                         if m.budget.exhausted() {
                             return StepOutcome::Runnable;
                         }
@@ -333,18 +338,21 @@ impl Workload for InMemoryAnalytics {
                         if m.budget.exhausted() {
                             return StepOutcome::Runnable;
                         }
-                        let base = order[*part_pos] as usize * PARTITION_RATINGS;
-                        let pos = base + *in_part;
+                        let part = order[*part_pos] as usize;
+                        let pos = part * PARTITION_RATINGS + *in_part;
                         if pos >= self.config.n_ratings {
                             // Short tail partition.
                             *part_pos += 1;
                             *in_part = 0;
                             continue;
                         }
+                        if *in_part == 0 {
+                            self.host_ratings.read_partition(part, &mut self.partition);
+                        }
                         // One SGD update: read both factor rows, write
                         // both back.
                         ratings.read(pos, kernel, m);
-                        let r = self.host_ratings[pos];
+                        let r = self.partition[*in_part];
                         user_f.read(r.user as usize, kernel, m);
                         item_f.read(r.item as usize, kernel, m);
                         user_f.write(r.user as usize, kernel, m);
@@ -376,9 +384,14 @@ impl Workload for InMemoryAnalytics {
                         if m.budget.exhausted() {
                             return StepOutcome::Runnable;
                         }
+                        let in_part = *pos % PARTITION_RATINGS;
+                        if in_part == 0 {
+                            let part = *pos / PARTITION_RATINGS;
+                            self.host_ratings.read_partition(part, &mut self.partition);
+                        }
                         // One prediction for the training error.
                         ratings.read(*pos, kernel, m);
-                        let r = self.host_ratings[*pos];
+                        let r = self.partition[in_part];
                         user_f.read(r.user as usize, kernel, m);
                         item_f.read(r.item as usize, kernel, m);
                         m.budget.charge_compute(self.config.compute_per_rating);
