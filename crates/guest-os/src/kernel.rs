@@ -783,7 +783,9 @@ impl GuestKernel {
         // the second must find a victim.
         for _ in 0..=2 * n {
             let idx = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % n;
+            // The frame table never changes size, so the hand stays below
+            // `n` and wraps with a compare, not a division.
+            self.clock_hand = if idx + 1 == n { 0 } else { idx + 1 };
             let frame = &mut self.frames[idx];
             if frame.is_free() {
                 continue;

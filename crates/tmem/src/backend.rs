@@ -137,6 +137,33 @@ pub enum PutOutcome {
     StoredFar,
 }
 
+/// A VM's dense accounting slot in one [`TmemBackend`]: the index of its
+/// frame counter. A backend hands each `VmId` one slot, the first time it
+/// sees the id, and never gives that slot to another id, so a caller may
+/// keep per-VM state in a `Vec` indexed by [`VmSlot::index`] and reach it
+/// from a pool through [`TmemBackend::pool_owner`] without a map probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VmSlot(u32);
+
+impl VmSlot {
+    /// The slot as a `Vec` index.
+    #[inline]
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// A pool's owner as [`TmemBackend::pool_owner`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolOwner {
+    /// The owning VM.
+    pub vm: VmId,
+    /// The owner's accounting slot.
+    pub slot: VmSlot,
+    /// The pool's kind.
+    pub kind: PoolKind,
+}
+
 /// One object's pages: index → payload slot number ([`SlotHandle`]).
 type ObjectPages = LeafMap;
 
@@ -366,6 +393,9 @@ pub struct TmemBackend<P> {
     /// While set, puts retain recent payloads as corruption donors. Off by
     /// default so fault-free runs pay one branch per put and clone nothing.
     arm_corruption: bool,
+    /// Scratch for [`TmemBackend::reclaim_oldest_persistent_into`]: the
+    /// victims unlinked but not yet freed, as `(object, index, slot)`.
+    reclaim_batch: Vec<(ObjectId, PageIndex, u32)>,
     /// Up to two recent payloads with distinct checksums: the byte source
     /// [`TmemBackend::corrupt_page`] cross-wires into a victim page.
     donors: Vec<(u64, P)>,
@@ -389,6 +419,7 @@ impl<P: PagePayload> TmemBackend<P> {
             integrity: IntegrityCounters::default(),
             arm_corruption: false,
             donors: Vec::new(),
+            reclaim_batch: Vec::new(),
         }
     }
 
@@ -415,6 +446,22 @@ impl<P: PagePayload> TmemBackend<P> {
             .unwrap_or(0)
     }
 
+    /// Frames currently consumed by the VM holding `slot`.
+    #[inline]
+    pub fn used_by_slot(&self, slot: VmSlot) -> u64 {
+        self.vm_used[slot.index()]
+    }
+
+    /// `vm`'s accounting slot, handed out on first sight of the id.
+    pub fn vm_slot(&mut self, vm: VmId) -> VmSlot {
+        let next = self.vm_used.len() as u32;
+        let s = *self.vm_slots.entry(vm).or_insert(next);
+        if s == next {
+            self.vm_used.push(0);
+        }
+        VmSlot(s)
+    }
+
     /// Number of ephemeral pages evicted so far (cleancache recycling).
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -428,6 +475,17 @@ impl<P: PagePayload> TmemBackend<P> {
     /// Owner and kind of a pool, if it exists.
     pub fn pool_info(&self, pool: PoolId) -> Option<(VmId, PoolKind)> {
         self.pool(pool).map(|p| (p.owner, p.kind))
+    }
+
+    /// Owner, owner's accounting slot and kind of a pool, if it exists: an
+    /// array access, for callers that keep per-VM state by [`VmSlot`].
+    #[inline]
+    pub fn pool_owner(&self, pool: PoolId) -> Option<PoolOwner> {
+        self.pool(pool).map(|p| PoolOwner {
+            vm: p.owner,
+            slot: VmSlot(p.owner_slot),
+            kind: p.kind,
+        })
     }
 
     /// Live pools owned by `owner`, in pool-id order (migration needs the
@@ -459,15 +517,7 @@ impl<P: PagePayload> TmemBackend<P> {
             return Err(TmemError::PoolLimit);
         }
         let id = PoolId(self.pools.len() as u32);
-        let owner_slot = match self.vm_slots.get(&owner) {
-            Some(&s) => s,
-            None => {
-                let s = self.vm_used.len() as u32;
-                self.vm_slots.insert(owner, s);
-                self.vm_used.push(0);
-                s
-            }
-        };
+        let owner_slot = self.vm_slot(owner).0;
         self.pools.push(Some(Pool::new(owner, owner_slot, kind)));
         self.live_pools += 1;
         Ok(id)
@@ -899,6 +949,14 @@ impl<P: PagePayload> TmemBackend<P> {
     /// (writing it to the owner's swap device would persist wrong bytes),
     /// counted in [`IntegrityCounters::corrupt_dropped`] and, unless
     /// already flagged, as a detection.
+    ///
+    /// Victims are taken in batches of the quota still open: the first
+    /// phase pops and unlinks a batch from the queue and the page index,
+    /// the second verifies and frees it in the same order. The payloads'
+    /// arena slots are cold, and reading them in a loop of their own lets
+    /// those misses overlap. A corrupt victim leaves its place in the quota
+    /// open for the next batch, so the victims are those of a
+    /// page-at-a-time loop.
     pub fn reclaim_oldest_persistent_into(
         &mut self,
         pool_id: PoolId,
@@ -906,7 +964,9 @@ impl<P: PagePayload> TmemBackend<P> {
         out: &mut Vec<(ObjectId, PageIndex)>,
     ) {
         let start = out.len();
-        while ((out.len() - start) as u64) < max {
+        let mut batch = std::mem::take(&mut self.reclaim_batch);
+        loop {
+            let want = max - (out.len() - start) as u64;
             let Some(pool) = self
                 .pools
                 .get_mut(pool_id.0 as usize)
@@ -915,35 +975,49 @@ impl<P: PagePayload> TmemBackend<P> {
                 break;
             };
             debug_assert_eq!(pool.kind, PoolKind::Persistent);
-            let Some((obj, idx)) = pool.put_order.pop_front() else {
-                break;
-            };
-            // Lazy validation: the entry may have been consumed by an
-            // exclusive get or flush already (a tombstone).
-            let Some(s) = pool.obj_slot(obj) else {
-                continue;
-            };
-            let inner = &mut pool.obj_slots[s as usize];
-            let Some(slot) = inner.remove(idx) else {
-                continue;
-            };
-            if inner.is_empty() {
-                pool.retire_object(obj, s);
-            }
-            pool.page_count -= 1;
-            let owner_slot = pool.owner_slot;
-            let sp = self.arena.free(SlotHandle(slot));
-            self.used -= 1;
-            self.debit_one(owner_slot);
-            if sp.payload.checksum() == sp.sum {
-                out.push((obj, idx));
-            } else {
-                if !sp.flagged {
-                    self.integrity.detections += 1;
+            batch.clear();
+            while (batch.len() as u64) < want {
+                let Some((obj, idx)) = pool.put_order.pop_front() else {
+                    break;
+                };
+                // Lazy validation: the entry may have been consumed by an
+                // exclusive get or flush already (a tombstone).
+                let Some(s) = pool.obj_slot(obj) else {
+                    continue;
+                };
+                let inner = &mut pool.obj_slots[s as usize];
+                let Some(slot) = inner.remove(idx) else {
+                    continue;
+                };
+                if inner.is_empty() {
+                    pool.retire_object(obj, s);
                 }
-                self.integrity.corrupt_dropped += 1;
+                batch.push((obj, idx, slot));
+            }
+            if batch.is_empty() {
+                break;
+            }
+            let n = batch.len() as u64;
+            pool.page_count -= n;
+            let owner_slot = pool.owner_slot;
+            self.used -= n;
+            self.debit(owner_slot, n);
+            for &(obj, idx, slot) in &batch {
+                let sp = self.arena.free(SlotHandle(slot));
+                if sp.payload.checksum() == sp.sum {
+                    out.push((obj, idx));
+                } else {
+                    if !sp.flagged {
+                        self.integrity.detections += 1;
+                    }
+                    self.integrity.corrupt_dropped += 1;
+                }
+            }
+            if n < want {
+                break;
             }
         }
+        self.reclaim_batch = batch;
     }
 
     /// Drop the oldest still-present ephemeral page; returns its key.

@@ -118,12 +118,10 @@ struct Leaf {
 }
 
 impl Leaf {
-    fn boxed() -> Box<Leaf> {
-        Box::new(Leaf {
-            vals: [VACANT; LEAF_LEN],
-            live: 0,
-        })
-    }
+    const EMPTY: Leaf = Leaf {
+        vals: [VACANT; LEAF_LEN],
+        live: 0,
+    };
 
     /// `(key, value)` for the occupied entries at positions `lo..hi`,
     /// ascending; `base` is the leaf's first key.
@@ -140,16 +138,32 @@ impl Leaf {
 ///
 /// A full leaf stores a value in 4 bytes, against 8 bytes plus control and
 /// load-factor slack per entry of a hash map, and an ascending run of keys
-/// walks one leaf's array. A leaf is released as soon as it empties, so
-/// every leaf holds at least one key: an isolated key costs a whole leaf
-/// (~260 B), which is why the map suits dense keys only. Values must not
-/// be `u32::MAX`, which marks a vacant entry.
+/// walks one leaf's array. Leaves live in one `Vec`; a leaf that empties
+/// leaves the table at once and its storage goes on a free list for the
+/// next new leaf, so every tabled leaf holds at least one key: an isolated
+/// key costs a whole leaf (~260 B), which is why the map suits dense keys
+/// only. The storage itself is released when the map empties. Values must
+/// not be `u32::MAX`, which marks a vacant entry.
+///
+/// The map remembers the last leaf a mutation touched, and every
+/// operation on a key of that leaf skips the table probe: the datapath's
+/// keys (a tmem object's page indexes, a guest's swap slots) arrive in
+/// runs of neighbours.
 ///
 /// Iteration visits leaves in hash order and each leaf in ascending key
-/// order; [`LeafMap::range`] is fully ascending. Both are deterministic.
+/// order; [`LeafMap::range`] is fully ascending. Both are deterministic,
+/// and both depend only on the sequence of keys inserted and removed.
 #[derive(Debug, Default)]
 pub struct LeafMap {
-    leaves: FxHashMap<u32, Box<Leaf>>,
+    /// `key >> 6` → index of its leaf in `leaves`.
+    table: FxHashMap<u32, u32>,
+    leaves: Vec<Leaf>,
+    /// Indexes of released (all-vacant) leaves, reused before `leaves`
+    /// grows.
+    free: Vec<u32>,
+    /// The last leaf a mutation touched, as `(key >> 6, index)`; always a
+    /// tabled leaf.
+    last: Option<(u32, u32)>,
     len: usize,
 }
 
@@ -174,13 +188,24 @@ impl LeafMap {
     /// Leaves currently held: one per distinct `key >> 6` among the keys
     /// stored, since an emptied leaf is released at once.
     pub fn leaf_count(&self) -> usize {
-        self.leaves.len()
+        self.table.len()
+    }
+
+    /// Index of the tabled leaf with leaf key `lk`: the remembered leaf
+    /// without a probe, else a table lookup.
+    #[inline]
+    fn find(&self, lk: u32) -> Option<u32> {
+        match self.last {
+            Some((l, i)) if l == lk => Some(i),
+            _ => self.table.get(&lk).copied(),
+        }
     }
 
     /// The value stored at `key`.
     #[inline]
     pub fn get(&self, key: u32) -> Option<u32> {
-        let v = self.leaves.get(&(key >> LEAF_BITS))?.vals[(key & LEAF_MASK) as usize];
+        let i = self.find(key >> LEAF_BITS)?;
+        let v = self.leaves[i as usize].vals[(key & LEAF_MASK) as usize];
         (v != VACANT).then_some(v)
     }
 
@@ -197,10 +222,13 @@ impl LeafMap {
     #[inline]
     pub fn insert(&mut self, key: u32, value: u32) -> Option<u32> {
         assert_ne!(value, VACANT, "LeafMap cannot store u32::MAX");
-        let leaf = self
-            .leaves
-            .entry(key >> LEAF_BITS)
-            .or_insert_with(Leaf::boxed);
+        let lk = key >> LEAF_BITS;
+        let i = match self.find(lk) {
+            Some(i) => i,
+            None => self.new_leaf(lk),
+        };
+        self.last = Some((lk, i));
+        let leaf = &mut self.leaves[i as usize];
         let old = std::mem::replace(&mut leaf.vals[(key & LEAF_MASK) as usize], value);
         if old != VACANT {
             return Some(old);
@@ -210,29 +238,60 @@ impl LeafMap {
         None
     }
 
+    /// Table a fresh leaf under `lk`, reusing released storage first.
+    #[inline]
+    fn new_leaf(&mut self, lk: u32) -> u32 {
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.leaves.push(Leaf::EMPTY);
+            (self.leaves.len() - 1) as u32
+        });
+        self.table.entry(lk).or_insert(i);
+        i
+    }
+
     /// Remove `key`, returning its value; releases the leaf if it empties.
     #[inline]
     pub fn remove(&mut self, key: u32) -> Option<u32> {
         let lk = key >> LEAF_BITS;
-        let leaf = self.leaves.get_mut(&lk)?;
+        let i = self.find(lk)?;
+        self.last = Some((lk, i));
+        let leaf = &mut self.leaves[i as usize];
         let old = std::mem::replace(&mut leaf.vals[(key & LEAF_MASK) as usize], VACANT);
         if old == VACANT {
             return None;
         }
         leaf.live -= 1;
-        if leaf.live == 0 {
-            self.leaves.remove(&lk);
-        }
         self.len -= 1;
+        if leaf.live == 0 {
+            self.release_leaf(lk, i);
+        }
         Some(old)
+    }
+
+    /// Untable the emptied leaf `i`; its storage is kept for reuse unless
+    /// the map is now empty.
+    fn release_leaf(&mut self, lk: u32, i: u32) {
+        self.table.remove(&lk);
+        self.last = None;
+        if self.len == 0 {
+            self.release_storage();
+        } else {
+            self.free.push(i);
+        }
+    }
+
+    /// Free every leaf's storage; the table keeps its capacity.
+    fn release_storage(&mut self) {
+        self.leaves = Vec::new();
+        self.free = Vec::new();
     }
 
     /// Every `(key, value)`: leaves in hash order, keys ascending within a
     /// leaf.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.leaves
-            .iter()
-            .flat_map(|(&lk, leaf)| leaf.entries(lk << LEAF_BITS, 0, LEAF_LEN))
+        self.table.iter().flat_map(|(&lk, &i)| {
+            self.leaves[i as usize].entries(lk << LEAF_BITS, 0, LEAF_LEN)
+        })
     }
 
     /// The `(key, value)` pairs with keys in `keys`, in ascending key
@@ -245,23 +304,23 @@ impl LeafMap {
             let base = lk << LEAF_BITS;
             let lo = (start.max(base) - base) as usize;
             let hi = (end - base).min(LEAF_LEN as u32) as usize;
-            self.leaves
-                .get(&lk)
+            self.find(lk)
                 .into_iter()
-                .flat_map(move |leaf| leaf.entries(base, lo, hi))
+                .flat_map(move |i| self.leaves[i as usize].entries(base, lo, hi))
         })
     }
 
     /// Remove every entry, yielding each `(key, value)`. The leaf table
-    /// keeps its capacity.
+    /// keeps its capacity; the leaves' storage is released.
     pub fn drain(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.len = 0;
-        self.leaves.drain().flat_map(|(lk, leaf)| {
+        self.last = None;
+        let leaves = std::mem::take(&mut self.leaves);
+        self.free = Vec::new();
+        self.table.drain().flat_map(move |(lk, i)| {
+            let vals = leaves[i as usize].vals;
             let base = lk << LEAF_BITS;
-            (0..LEAF_LEN).filter_map(move |i| {
-                let v = leaf.vals[i];
-                (v != VACANT).then_some((base | i as u32, v))
-            })
+            (0..LEAF_LEN).filter_map(move |j| (vals[j] != VACANT).then_some((base | j as u32, vals[j])))
         })
     }
 }

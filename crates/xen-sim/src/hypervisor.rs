@@ -27,7 +27,7 @@ use sim_core::faults::{FaultInjector, FaultProfile, PutFate};
 use sim_core::time::SimTime;
 use sim_core::trace::{FaultKind, Payload, PutResult, Tracer};
 use std::collections::BTreeMap;
-use tmem::backend::{PoolKind, PutOutcome, ScrubReport, TmemBackend};
+use tmem::backend::{PoolKind, PoolOwner, PutOutcome, ScrubReport, TmemBackend, VmSlot};
 use tmem::error::{ReturnCode, TmemError};
 use tmem::key::{ObjectId, PageIndex, PoolId, VmId};
 use tmem::page::PagePayload;
@@ -62,7 +62,13 @@ pub enum GetOutcome<P> {
 #[derive(Debug)]
 pub struct Hypervisor<P> {
     backend: TmemBackend<P>,
-    vm_data: BTreeMap<VmId, VmDataHyp>,
+    /// Table I state of each registered VM, indexed by the VM's
+    /// [`VmSlot`] in `backend`. A hypercall reaches it through its pool's
+    /// owner slot: two array accesses, no map probe. A backend never hands
+    /// one slot to two ids, so no VM's counters land in another's.
+    vm_data: Vec<Option<VmDataHyp>>,
+    /// Registered VMs in id order (sample order) with their slots.
+    vm_slots: BTreeMap<VmId, VmSlot>,
     /// Initial target handed to newly registered VMs. Greedy runs use the
     /// full node capacity ("VMs compete for tmem in a greedy way by
     /// default"); managed runs start VMs at the policy's choice (usually 0)
@@ -98,7 +104,8 @@ impl<P: PagePayload> Hypervisor<P> {
     pub fn new(tmem_pages: u64, default_initial_target: u64) -> Self {
         Hypervisor {
             backend: TmemBackend::new(tmem_pages),
-            vm_data: BTreeMap::new(),
+            vm_data: Vec::new(),
+            vm_slots: BTreeMap::new(),
             default_initial_target,
             sample_seq: 0,
             last_mm_refresh_seq: 0,
@@ -178,9 +185,15 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Register a VM (domain creation). Idempotent per id.
     pub fn register_vm(&mut self, config: VmConfig) {
         let id = config.id;
-        self.vm_data
-            .entry(id)
-            .or_insert_with(|| VmDataHyp::new(id, self.default_initial_target));
+        if self.vm_slots.contains_key(&id) {
+            return;
+        }
+        let slot = self.backend.vm_slot(id);
+        self.vm_slots.insert(id, slot);
+        if self.vm_data.len() <= slot.index() {
+            self.vm_data.resize_with(slot.index() + 1, || None);
+        }
+        self.vm_data[slot.index()] = Some(VmDataHyp::new(id, self.default_initial_target));
     }
 
     /// Remove a VM from this host (outbound migration / domain teardown).
@@ -194,7 +207,11 @@ impl<P: PagePayload> Hypervisor<P> {
             0,
             "unregistering {vm} while it still holds tmem pages"
         );
-        self.vm_data.remove(&vm).is_some()
+        let Some(slot) = self.vm_slots.remove(&vm) else {
+            return false;
+        };
+        self.vm_data[slot.index()] = None;
+        true
     }
 
     /// Live pools owned by `vm`, in pool-id order (see
@@ -209,7 +226,7 @@ impl<P: PagePayload> Hypervisor<P> {
     /// cleancache traffic without out-of-band context.
     pub fn new_pool(&mut self, vm: VmId, kind: PoolKind) -> Result<PoolId, TmemError> {
         assert!(
-            self.vm_data.contains_key(&vm),
+            self.vm_slots.contains_key(&vm),
             "pool created for unregistered {vm}"
         );
         let pool = self.backend.new_pool(vm, kind)?;
@@ -236,29 +253,23 @@ impl<P: PagePayload> Hypervisor<P> {
         index: PageIndex,
         payload: P,
     ) -> Result<PutOutcome, ReturnCode> {
-        let (owner, kind) = match self.backend.pool_info(pool) {
-            Some(info) => info,
-            None => return Err(ReturnCode::Failure),
+        let Some(PoolOwner {
+            vm: owner,
+            slot,
+            kind,
+        }) = self.backend.pool_owner(pool)
+        else {
+            return Err(ReturnCode::Failure);
         };
-        let stale = self.targets_stale();
-        let floor = self.fallback_floor();
-        let data = self
-            .vm_data
-            .get_mut(&owner)
-            .expect("pool owner must be registered");
-        // Line 15: puts_total incremented whether or not the put succeeds.
-        data.puts_total.incr();
-
         // Line 5: target check against the VM's current use. When the MM
         // has gone silent past the TTL the stored target is stale and is no
         // longer trusted as a ceiling below the fair-share floor (graceful
         // degradation; see `targets_stale`).
-        let target = if stale {
-            data.mm_target.max(floor)
-        } else {
-            data.mm_target
-        };
-        let tmem_used = self.backend.used_by(owner);
+        let target = self.target_at(slot);
+        let data = vm_entry(&mut self.vm_data, slot);
+        // Line 15: puts_total incremented whether or not the put succeeds.
+        data.puts_total.incr();
+        let tmem_used = self.backend.used_by_slot(slot);
         if tmem_used >= target {
             self.tracer.emit(|| {
                 (
@@ -459,13 +470,15 @@ impl<P: PagePayload> Hypervisor<P> {
         object: ObjectId,
         index: PageIndex,
     ) -> GetOutcome<P> {
-        let Some((owner, kind)) = self.backend.pool_info(pool) else {
+        let Some(PoolOwner {
+            vm: owner,
+            slot,
+            kind,
+        }) = self.backend.pool_owner(pool)
+        else {
             return GetOutcome::Miss;
         };
-        let data = self
-            .vm_data
-            .get_mut(&owner)
-            .expect("pool owner must be registered");
+        let data = vm_entry(&mut self.vm_data, slot);
         data.gets_total.incr();
         let out = match self.backend.get(pool, object, index) {
             Ok(p) => {
@@ -533,14 +546,13 @@ impl<P: PagePayload> Hypervisor<P> {
 
     /// Algorithm 1, `op == FLUSH` (single page).
     pub fn flush_page(&mut self, pool: PoolId, object: ObjectId, index: PageIndex) -> ReturnCode {
-        let Some((owner, _)) = self.backend.pool_info(pool) else {
+        let Some(PoolOwner {
+            vm: owner, slot, ..
+        }) = self.backend.pool_owner(pool)
+        else {
             return ReturnCode::Failure;
         };
-        let data = self
-            .vm_data
-            .get_mut(&owner)
-            .expect("pool owner must be registered");
-        data.flushes.incr();
+        vm_entry(&mut self.vm_data, slot).flushes.incr();
         // A flush of an absent key (e.g. one the scrubber already
         // quarantined) succeeds but removes nothing — the event must carry
         // the real page count or occupancy replay would double-count.
@@ -581,14 +593,13 @@ impl<P: PagePayload> Hypervisor<P> {
 
     /// `tmem_flush_object`: invalidate a whole object; returns pages freed.
     pub fn flush_object(&mut self, pool: PoolId, object: ObjectId) -> u64 {
-        let Some((owner, _)) = self.backend.pool_info(pool) else {
+        let Some(PoolOwner {
+            vm: owner, slot, ..
+        }) = self.backend.pool_owner(pool)
+        else {
             return 0;
         };
-        let data = self
-            .vm_data
-            .get_mut(&owner)
-            .expect("pool owner must be registered");
-        data.flushes.incr();
+        vm_entry(&mut self.vm_data, slot).flushes.incr();
         let freed = self.backend.flush_object(pool, object).unwrap_or(0);
         self.tracer.emit(|| {
             (
@@ -664,14 +675,19 @@ impl<P: PagePayload> Hypervisor<P> {
         max_pages: u64,
         out: &mut Vec<(ObjectId, PageIndex)>,
     ) {
-        let Some((owner, kind)) = self.backend.pool_info(pool) else {
+        let Some(PoolOwner {
+            vm: owner,
+            slot,
+            kind,
+        }) = self.backend.pool_owner(pool)
+        else {
             return;
         };
         if kind != PoolKind::Persistent {
             return;
         }
-        let target = self.effective_target(owner);
-        let used = self.backend.used_by(owner);
+        let target = self.target_at(slot);
+        let used = self.backend.used_by_slot(slot);
         if used <= target {
             return;
         }
@@ -744,8 +760,8 @@ impl<P: PagePayload> Hypervisor<P> {
         self.last_target_seq = seq;
         let capacity = self.backend.capacity();
         for t in targets {
-            if let Some(data) = self.vm_data.get_mut(&t.vm_id) {
-                data.mm_target = t.mm_target.min(capacity);
+            if let Some(&slot) = self.vm_slots.get(&t.vm_id) {
+                vm_entry(&mut self.vm_data, slot).mm_target = t.mm_target.min(capacity);
             }
         }
         self.last_mm_refresh_seq = self.sample_seq;
@@ -784,20 +800,29 @@ impl<P: PagePayload> Hypervisor<P> {
     /// The per-VM fallback floor while targets are stale: an equal share of
     /// node capacity.
     fn fallback_floor(&self) -> u64 {
-        self.backend.capacity() / (self.vm_data.len() as u64).max(1)
+        self.backend.capacity() / (self.vm_slots.len() as u64).max(1)
     }
 
     /// The target Algorithm 1 actually enforces for `vm` right now: the
     /// MM-installed target while fresh, or `max(target, fair-share floor)`
     /// once stale.
     pub fn effective_target(&self, vm: VmId) -> u64 {
-        let Some(data) = self.vm_data.get(&vm) else {
+        self.vm_slots.get(&vm).map_or(0, |&slot| self.target_at(slot))
+    }
+
+    /// [`Hypervisor::effective_target`] of the VM at `slot` (0 if it is
+    /// not registered). The floor's division is paid only while targets
+    /// are stale.
+    #[inline]
+    fn target_at(&self, slot: VmSlot) -> u64 {
+        let Some(data) = self.vm_data.get(slot.index()).and_then(Option::as_ref) else {
             return 0;
         };
+        let target = data.mm_target;
         if self.targets_stale() {
-            data.mm_target.max(self.fallback_floor())
+            target.max(self.fallback_floor())
         } else {
-            data.mm_target
+            target
         }
     }
 
@@ -806,11 +831,11 @@ impl<P: PagePayload> Hypervisor<P> {
     /// Each VM's `tmem_used` is read from the backend, which owns it.
     pub fn sample(&mut self, at: SimTime) -> StatsMsg {
         self.sample_seq += 1;
-        let backend = &self.backend;
+        let (backend, vm_data) = (&self.backend, &mut self.vm_data);
         let vms: Vec<_> = self
-            .vm_data
-            .values_mut()
-            .map(|d| d.close_interval(backend.used_by(d.vm_id)))
+            .vm_slots
+            .values()
+            .map(|&slot| vm_entry(vm_data, slot).close_interval(backend.used_by_slot(slot)))
             .collect();
         StatsMsg {
             seq: self.sample_seq,
@@ -827,13 +852,14 @@ impl<P: PagePayload> Hypervisor<P> {
         NodeInfo {
             total_tmem: self.backend.capacity(),
             free_tmem: self.backend.free_pages(),
-            vm_count: self.vm_data.len() as u32,
+            vm_count: self.vm_slots.len() as u32,
         }
     }
 
     /// Current target for a VM (tests and figure recorders).
     pub fn target_of(&self, vm: VmId) -> Option<u64> {
-        self.vm_data.get(&vm).map(|d| d.mm_target)
+        let slot = *self.vm_slots.get(&vm)?;
+        self.vm_data[slot.index()].as_ref().map(|d| d.mm_target)
     }
 
     /// Pages of tmem currently used by a VM (figure recorders).
@@ -980,6 +1006,14 @@ impl<P: PagePayload> Hypervisor<P> {
             spilled,
         }
     }
+}
+
+/// The Table I state of the registered VM at `slot`.
+#[inline]
+fn vm_entry(vm_data: &mut [Option<VmDataHyp>], slot: VmSlot) -> &mut VmDataHyp {
+    vm_data[slot.index()]
+        .as_mut()
+        .expect("pool owner must be registered")
 }
 
 /// Everything [`Hypervisor::migrate_export`] rips out of the source host
