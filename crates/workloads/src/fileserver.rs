@@ -12,6 +12,7 @@
 //! gating (Algorithm 1 applies to ephemeral puts too) controls exactly as
 //! it does frontswap traffic.
 
+use crate::datasets::Zipf;
 use crate::traits::{Milestone, StepOutcome, Workload};
 use guest_os::cleancache::FileCache;
 use guest_os::kernel::GuestKernel;
@@ -84,6 +85,8 @@ pub struct FileServer {
     config: FileServerConfig,
     cache: Option<FileCache>,
     rng: SplitMix64,
+    /// File popularity, drawn from `rng` once per request.
+    files: Zipf,
     served: u64,
     milestones: Vec<Milestone>,
 }
@@ -95,6 +98,7 @@ impl FileServer {
         assert!(config.n_files > 0 && config.pages_per_file > 0);
         FileServer {
             rng: SplitMix64::new(config.seed).derive("fileserver"),
+            files: Zipf::new(config.n_files, config.skew),
             config,
             cache: None,
             served: 0,
@@ -111,13 +115,6 @@ impl FileServer {
     pub fn cache_stats(&self) -> Option<&guest_os::cleancache::CleancacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
-}
-
-/// Zipf-popular file pick.
-fn zipf_file(rng: &mut SplitMix64, n: u64, s: f64) -> u64 {
-    let u = rng.next_f64().max(1e-12);
-    let x = ((n as f64).powf(1.0 - s) * u + (1.0 - u)).powf(1.0 / (1.0 - s));
-    (x as u64).min(n - 1)
 }
 
 impl Workload for FileServer {
@@ -141,7 +138,7 @@ impl Workload for FileServer {
             if m.budget.exhausted() {
                 return StepOutcome::Runnable;
             }
-            let file = zipf_file(&mut self.rng, self.config.n_files, self.config.skew);
+            let file = self.files.sample(&mut self.rng);
             let page = self.rng.next_below(u64::from(self.config.pages_per_file)) as u32;
             cache.read(file, page, m);
             m.budget.charge_compute(self.config.compute_per_request);
