@@ -10,7 +10,10 @@
 //!   kernel's swap clustering: they occupy disk time at an amortized
 //!   positioning cost (one seek per cluster) and only *throttle* the guest
 //!   when the backlog exceeds a threshold, mirroring kswapd's asynchronous
-//!   write-back with congestion control.
+//!   write-back with congestion control;
+//! * **hypervisor write-back** (slow-reclaim victims, migration spill)
+//!   occupies disk time at the same per-page cost, but no guest waits on
+//!   it, so it records no throttle.
 
 use serde::{Deserialize, Serialize};
 use sim_core::cost::CostModel;
@@ -88,19 +91,22 @@ impl SharedDisk {
         wait
     }
 
+    /// Disk time of one clustered page write: one positioning cost shared
+    /// by the whole cluster, plus the page's transfer.
+    fn write_service(&self, cost: &CostModel) -> SimDuration {
+        SimDuration::from_nanos(
+            cost.disk_access.as_nanos() / self.writeback.cluster_pages
+                + cost.disk_page_transfer.as_nanos(),
+        )
+    }
+
     /// Asynchronous clustered write of one page issued at `now`. The disk
     /// absorbs amortized service time; the guest is charged a wait only when
     /// the backlog exceeds the write-back threshold (congestion throttling).
     pub fn write_page(&mut self, now: SimTime, cost: &CostModel) -> SimDuration {
         self.writes += 1;
-        // One positioning cost shared by the whole cluster, plus this
-        // page's transfer.
-        let service = SimDuration::from_nanos(
-            cost.disk_access.as_nanos() / self.writeback.cluster_pages
-                + cost.disk_page_transfer.as_nanos(),
-        );
         let start = self.next_free.max(now);
-        self.next_free = start + service;
+        self.next_free = start + self.write_service(cost);
         let backlog = self.next_free.saturating_since(now);
         if backlog > self.writeback.max_backlog {
             let throttle = backlog.saturating_sub(self.writeback.max_backlog);
@@ -111,12 +117,26 @@ impl SharedDisk {
         }
     }
 
+    /// Hypervisor write-back of `pages` pages issued at `now`: the disk is
+    /// busy exactly as long as after `pages` calls to
+    /// [`SharedDisk::write_page`], but no guest is stalled, so nothing is
+    /// added to [`SharedDisk::throttle_total`]. A later guest write or read
+    /// still queues behind it.
+    pub fn write_back(&mut self, now: SimTime, pages: u64, cost: &CostModel) {
+        if pages == 0 {
+            return;
+        }
+        self.writes += pages;
+        let busy = SimDuration::from_nanos(self.write_service(cost).as_nanos() * pages);
+        self.next_free = self.next_free.max(now) + busy;
+    }
+
     /// Number of read requests served.
     pub fn reads(&self) -> u64 {
         self.reads
     }
 
-    /// Number of page writes absorbed.
+    /// Number of page writes absorbed, guest and hypervisor alike.
     pub fn writes(&self) -> u64 {
         self.writes
     }
@@ -126,7 +146,7 @@ impl SharedDisk {
         self.read_wait_total
     }
 
-    /// Sum of all write-throttle stalls, for reports.
+    /// Sum of the write-throttle stalls charged to guests, for reports.
     pub fn throttle_total(&self) -> SimDuration {
         self.throttle_total
     }
@@ -209,6 +229,46 @@ mod tests {
             w > cost.disk_request(1),
             "read must queue behind write-back traffic"
         );
+    }
+
+    #[test]
+    fn write_back_occupies_the_disk_like_page_writes_without_a_stall() {
+        let cost = CostModel::hdd();
+        // From an idle disk, from a busy one, and into a backlog far past
+        // the throttle threshold.
+        for (backlog, pages) in [(0, 5), (40, 1), (40, 300), (2_000, 64)] {
+            let mut by_page = SharedDisk::default();
+            let mut batched = SharedDisk::default();
+            for _ in 0..backlog {
+                by_page.write_page(SimTime::ZERO, &cost);
+                batched.write_page(SimTime::ZERO, &cost);
+            }
+            let stalls_before = batched.throttle_total();
+            let now = SimTime::from_millis(3);
+            for _ in 0..pages {
+                by_page.write_page(now, &cost);
+            }
+            batched.write_back(now, pages, &cost);
+            assert_eq!(
+                batched.next_free(),
+                by_page.next_free(),
+                "{backlog}+{pages}"
+            );
+            assert_eq!(batched.writes(), by_page.writes());
+            assert_eq!(batched.throttle_total(), stalls_before, "no guest waited");
+            // A guest write after it throttles exactly as after the page
+            // writes.
+            let later = now + SimDuration::from_millis(1);
+            assert_eq!(
+                batched.write_page(later, &cost),
+                by_page.write_page(later, &cost)
+            );
+            assert_eq!(batched.next_free(), by_page.next_free());
+        }
+        let mut d = SharedDisk::default();
+        d.write_back(SimTime::from_secs(1), 0, &cost);
+        assert_eq!(d.next_free(), SimTime::ZERO, "an empty batch is a no-op");
+        assert_eq!(d.writes(), 0);
     }
 
     #[test]

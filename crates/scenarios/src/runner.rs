@@ -1189,9 +1189,7 @@ impl Shard {
                     keys.clear();
                     keys.extend(buf.iter().map(|&(o, i)| (o.0, i)));
                     rt.kernel.tmem_reclaimed(keys);
-                    for _ in 0..keys.len() {
-                        host.disk.write_page(now, &ctx.cfg.cost);
-                    }
+                    host.disk.write_back(now, keys.len() as u64, &ctx.cfg.cost);
                 }
             }
             stale = host.hyp.targets_stale();
@@ -1504,9 +1502,7 @@ impl Coordinator {
             self.reclaim_keys
                 .extend(outcome.spilled.iter().map(|&(o, idx)| (o.0, idx)));
             rt.kernel.tmem_reclaimed(&self.reclaim_keys);
-            for _ in 0..spilled_n {
-                dest.disk.write_page(now, &ctx.cfg.cost);
-            }
+            dest.disk.write_back(now, spilled_n, &ctx.cfg.cost);
         }
         dest.tracer.emit(|| {
             (

@@ -93,3 +93,35 @@ fn fleet_run_is_byte_identical_across_job_counts_faults_on() {
     );
     assert_eq!(report(&a), report(&c), "faulted fleet run failed to replay");
 }
+
+/// A paging fleet's slow reclaim writes millions of pages back to swap
+/// for the hypervisor, and no guest waits on that write-back. The disk's
+/// throttle total counts only stalls that guests paid, so it can be no
+/// larger than the time the VMs spent running. (Counting every reclaimed
+/// page as a write that might stall, this cell once reported 1,946 s of
+/// throttle for VMs that ran about 352 s between them.)
+#[test]
+fn disk_throttle_is_bounded_by_the_vms_run_time() {
+    let (kind, hosts) =
+        scenarios::dsl::parse_kind_cluster("fleet:8:64:paging").expect("fleet cell");
+    assert_eq!(hosts, 1);
+    let cfg = RunConfig {
+        seed: 42,
+        ..RunConfig::default()
+    };
+    let r = run_scenario(kind, PolicyKind::SmartAlloc { p: 2.0 }, &cfg);
+    assert!(!r.truncated);
+    let ran_ns: u64 = r
+        .vm_results
+        .iter()
+        .flat_map(|vm| vm.completions())
+        .map(|d| d.as_nanos())
+        .sum();
+    assert!(ran_ns > 0, "the VMs ran");
+    assert!(
+        r.disk_throttle.as_nanos() <= ran_ns,
+        "throttle {:?} exceeds the VMs' summed run time {} ns",
+        r.disk_throttle,
+        ran_ns
+    );
+}
