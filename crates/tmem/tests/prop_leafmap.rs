@@ -158,3 +158,139 @@ proptest! {
 fn storing_the_vacant_marker_panics() {
     LeafMap::new().insert(7, u32::MAX);
 }
+
+// Op mixes aimed at the remembered leaf: the map skips the table probe
+// for a key in the last leaf a mutation touched, so these switch between
+// leaves, release the remembered one and reuse freed leaf storage, each
+// step still checked against the model by `run`.
+
+/// The first key of a leaf near either end of the key space.
+fn leaf_base() -> impl Strategy<Value = u32> {
+    prop_oneof![
+        (0..6u32).prop_map(|l| l << 6),
+        (0..3u32).prop_map(|d| ((u32::MAX >> 6) - d) << 6),
+    ]
+}
+
+/// Runs of neighbouring keys, as a tmem object's page index sees them:
+/// ascending inserts, a get of the previous key and a removal two back,
+/// then a scan of the run and removals in insertion order.
+fn neighbour_runs() -> impl Strategy<Value = Vec<Op>> {
+    (key(), 1..160u32).prop_map(|(start, len)| {
+        let keys: Vec<u32> = (0..len).map_while(|i| start.checked_add(i)).collect();
+        let mut ops = Vec::new();
+        for (n, &k) in keys.iter().enumerate() {
+            ops.push(Op::Insert(k, k >> 1));
+            if n >= 1 {
+                ops.push(Op::Get(keys[n - 1]));
+            }
+            if n >= 2 && n % 3 == 0 {
+                ops.push(Op::Remove(keys[n - 2]));
+            }
+        }
+        ops.push(Op::Scan(start, 140));
+        ops.extend(keys.iter().map(|&k| Op::Remove(k)));
+        ops
+    })
+}
+
+/// Alternation between two leaves: every operation lands in the other
+/// leaf than the one before.
+fn two_leaf_alternation() -> impl Strategy<Value = Vec<Op>> {
+    (leaf_base(), leaf_base(), 1..100u32).prop_map(|(a, b, n)| {
+        let mut ops = Vec::new();
+        for i in 0..n {
+            let (ka, kb) = (a | (i % 64), b | ((i * 7) % 64));
+            ops.push(Op::Insert(ka, i));
+            ops.push(Op::Get(kb));
+            ops.push(Op::Insert(kb, i + 1));
+            ops.push(Op::Remove(a | ((i + 63) % 64)));
+            ops.push(Op::Get(ka));
+        }
+        ops
+    })
+}
+
+/// Removals that empty a leaf, then refills: first into the released
+/// leaf itself (the remembered one), then into fresh leaves that reuse
+/// its storage, and finally a full emptying that releases every leaf.
+fn empty_and_refill() -> impl Strategy<Value = Vec<Op>> {
+    (leaf_base(), leaf_base(), leaf_base(), 1..65u32).prop_map(|(a, b, c, fill)| {
+        let mut ops = Vec::new();
+        ops.extend((0..fill).map(|i| Op::Insert(a | i, i)));
+        ops.push(Op::Insert(b | 5, 5));
+        ops.extend((0..fill).map(|i| Op::Remove(a | i)));
+        ops.push(Op::Insert(a | (fill - 1), 99));
+        ops.push(Op::Get(a));
+        ops.push(Op::Remove(a | (fill - 1)));
+        ops.extend((0..fill).map(|i| Op::Insert(c | i, i + 7)));
+        ops.push(Op::Get(a | (fill - 1)));
+        ops.push(Op::Scan(a, 64));
+        ops.push(Op::Remove(b | 5));
+        ops.extend((0..fill).map(|i| Op::Remove(c | i)));
+        ops.push(Op::Insert(c, 1));
+        ops.push(Op::Insert(b | 6, 2));
+        ops
+    })
+}
+
+/// A drain in the middle of a run, then the same leaf again.
+fn drain_mid_run() -> impl Strategy<Value = Vec<Op>> {
+    (leaf_base(), 1..64u32).prop_map(|(a, n)| {
+        let mut ops: Vec<Op> = (0..n).map(|i| Op::Insert(a | i, i)).collect();
+        ops.push(Op::Drain);
+        ops.push(Op::Get(a));
+        ops.push(Op::Insert(a | (n - 1), 3));
+        ops.push(Op::Remove(a));
+        ops.push(Op::Insert(a, 4));
+        ops.push(Op::Drain);
+        ops
+    })
+}
+
+/// Scans that straddle two or three leaves, some of them absent, after
+/// scattered fills and removals around the boundaries.
+fn boundary_scans() -> impl Strategy<Value = Vec<Op>> {
+    (
+        1..5u32,
+        proptest::collection::vec((0..256u32, any::<bool>()), 1..80),
+        proptest::collection::vec((0..256u32, 0..140u8), 1..10),
+    )
+        .prop_map(|(leaf, edits, scans)| {
+            let base = (leaf << 6) - 64;
+            let mut ops: Vec<Op> = edits
+                .into_iter()
+                .map(|(d, ins)| {
+                    if ins {
+                        Op::Insert(base + d, d)
+                    } else {
+                        Op::Remove(base + d)
+                    }
+                })
+                .collect();
+            ops.extend(scans.into_iter().map(|(d, w)| Op::Scan(base + d, w)));
+            ops
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Sequences of the mixes above, so one mix starts from the state
+    /// (and the remembered leaf) another left behind.
+    #[test]
+    fn remembered_leaf_mixes_match_btreemap(
+        mixes in proptest::collection::vec(
+            prop_oneof![
+                neighbour_runs(),
+                two_leaf_alternation(),
+                empty_and_refill(),
+                drain_mid_run(),
+                boundary_scans(),
+            ],
+            1..6,
+        ),
+    ) {
+        run(&mixes.concat())?;
+    }
+}

@@ -807,7 +807,9 @@ impl<P: PagePayload> Hypervisor<P> {
     /// MM-installed target while fresh, or `max(target, fair-share floor)`
     /// once stale.
     pub fn effective_target(&self, vm: VmId) -> u64 {
-        self.vm_slots.get(&vm).map_or(0, |&slot| self.target_at(slot))
+        self.vm_slots
+            .get(&vm)
+            .map_or(0, |&slot| self.target_at(slot))
     }
 
     /// [`Hypervisor::effective_target`] of the VM at `slot` (0 if it is
@@ -1330,6 +1332,66 @@ mod tests {
         h.faults_mut().tick_interval();
         h.put(pool, ObjectId(0), 0, fp(0)).unwrap();
         assert_eq!(h.get(pool, ObjectId(0), 0), Some(fp(0)));
+    }
+
+    #[test]
+    fn samples_list_vms_in_id_order_across_re_registration() {
+        let mut h: Hypervisor<Fingerprint> = Hypervisor::new(100, 100);
+        let mut pools = BTreeMap::new();
+        for id in [3, 1, 2] {
+            h.register_vm(VmConfig::new(VmId(id), "VM", 1 << 20, 1));
+            pools.insert(id, h.new_pool(VmId(id), PoolKind::Persistent).unwrap());
+        }
+        // VM 1 migrates away, VM 4 arrives, VM 1 comes back with a fresh
+        // pool.
+        let stale = pools[&1];
+        h.put(stale, ObjectId(0), 0, fp(0)).unwrap();
+        assert_eq!(h.migrate_export(stale).unwrap().local.len(), 1);
+        assert!(h.unregister_vm(VmId(1)));
+        for id in [4, 1] {
+            h.register_vm(VmConfig::new(VmId(id), "VM", 1 << 20, 1));
+            pools.insert(id, h.new_pool(VmId(id), PoolKind::Persistent).unwrap());
+        }
+        let ids = |s: &StatsMsg| s.stats.vms.iter().map(|d| d.vm_id.0).collect::<Vec<_>>();
+        assert_eq!(ids(&h.sample(SimTime::from_secs(1))), [1, 2, 3, 4]);
+        // VM n puts n pages, gets n - 1 of them back and flushes one
+        // object; nothing lands in another VM's counters.
+        for (&id, &pool) in &pools {
+            for i in 0..id {
+                h.put(pool, ObjectId(0), i, fp(u64::from(id * 100 + i)))
+                    .unwrap();
+            }
+            for i in 1..id {
+                assert_eq!(
+                    h.get(pool, ObjectId(0), i),
+                    Some(fp(u64::from(id * 100 + i)))
+                );
+            }
+            assert_eq!(h.flush_object(pool, ObjectId(0)), 1);
+        }
+        // The exported pool is gone: its hypercalls count for nobody.
+        assert!(h.put(stale, ObjectId(0), 1, fp(1)).is_err());
+        assert_eq!(h.get(stale, ObjectId(0), 0), None);
+        assert_eq!(h.flush_page(stale, ObjectId(0), 0), ReturnCode::Failure);
+        let msg = h.sample(SimTime::from_secs(2));
+        assert_eq!(ids(&msg), [1, 2, 3, 4]);
+        for d in &msg.stats.vms {
+            let n = u64::from(d.vm_id.0);
+            assert_eq!(
+                (
+                    d.puts_total,
+                    d.puts_succ,
+                    d.gets_total,
+                    d.gets_succ,
+                    d.flushes
+                ),
+                (n, n, n - 1, n - 1, 1),
+                "{}",
+                d.vm_id
+            );
+            assert_eq!(d.tmem_used, 0);
+        }
+        assert_eq!(h.node_info().vm_count, 4);
     }
 
     #[test]
