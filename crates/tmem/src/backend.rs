@@ -29,8 +29,10 @@
 //! a leaf is shared by up to 64 stored pages: a page costs 4 bytes of
 //! index plus a share of its leaf, and a run of operations on neighbouring
 //! indexes re-probes one small leaf table instead of missing the cache
-//! once per page in a hash map with one entry per page. Leaves are
-//! released as soon as they empty.
+//! once per page in a hash map with one entry per page; the map remembers
+//! the last leaf a mutation touched, so most of such a run skips even that
+//! probe. An emptied leaf leaves the table at once, and its storage serves
+//! the next new leaf.
 //!
 //! Objects are reached through a small `ObjectId → object slot` map with
 //! an MRU-object cache on the pool: runs of operations against one object
@@ -52,8 +54,9 @@
 //! entries small and lets put/flush churn reuse freed payload slots
 //! instead of calling the allocator. Pool lookup is an array index (pool
 //! ids are allocated sequentially and never reused) and per-VM accounting
-//! is a dense counter slot cached on the pool, so neither costs a hash
-//! probe on the hot path.
+//! is a dense counter slot ([`VmSlot`]) cached on the pool, so neither
+//! costs a hash probe on the hot path; the hypervisor keeps its per-VM
+//! state by the same slot.
 //!
 //! The eviction/reclaim candidate queues hold tombstones for pages that
 //! were flushed or consumed after being queued; they are validated lazily

@@ -109,11 +109,18 @@ const LEAF_MASK: u32 = LEAF_LEN as u32 - 1;
 /// Marks a vacant leaf entry; [`LeafMap`] never stores it as a value.
 const VACANT: u32 = u32::MAX;
 
+/// No leaf: an empty free list, or no remembered leaf. Leaf keys are at
+/// most `u32::MAX >> 6` and leaf indexes stay below them, so it is never
+/// either.
+const NONE: u32 = u32::MAX;
+
 /// 64 consecutive keys' values, [`VACANT`] where absent.
 #[derive(Debug)]
 struct Leaf {
     vals: [u32; LEAF_LEN],
-    /// Entries that are not vacant; the leaf is released at zero.
+    /// Entries that are not vacant; the leaf is released at zero. A
+    /// released leaf, all vacant, holds the index of the next released
+    /// one here instead.
     live: u32,
 }
 
@@ -153,18 +160,30 @@ impl Leaf {
 /// Iteration visits leaves in hash order and each leaf in ascending key
 /// order; [`LeafMap::range`] is fully ascending. Both are deterministic,
 /// and both depend only on the sequence of keys inserted and removed.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LeafMap {
     /// `key >> 6` → index of its leaf in `leaves`.
     table: FxHashMap<u32, u32>,
     leaves: Vec<Leaf>,
-    /// Indexes of released (all-vacant) leaves, reused before `leaves`
-    /// grows.
-    free: Vec<u32>,
-    /// The last leaf a mutation touched, as `(key >> 6, index)`; always a
-    /// tabled leaf.
-    last: Option<(u32, u32)>,
+    /// The first released leaf, reused before `leaves` grows ([`NONE`]
+    /// when there is none); each links to the next through its `live`.
+    free: u32,
+    /// The last leaf a mutation touched, as `(key >> 6, index)`: always a
+    /// tabled leaf, or [`NONE`] as the leaf key.
+    last: (u32, u32),
     len: usize,
+}
+
+impl Default for LeafMap {
+    fn default() -> Self {
+        LeafMap {
+            table: FxHashMap::default(),
+            leaves: Vec::new(),
+            free: NONE,
+            last: (NONE, NONE),
+            len: 0,
+        }
+    }
 }
 
 impl LeafMap {
@@ -195,10 +214,10 @@ impl LeafMap {
     /// without a probe, else a table lookup.
     #[inline]
     fn find(&self, lk: u32) -> Option<u32> {
-        match self.last {
-            Some((l, i)) if l == lk => Some(i),
-            _ => self.table.get(&lk).copied(),
+        if self.last.0 == lk {
+            return Some(self.last.1);
         }
+        self.table.get(&lk).copied()
     }
 
     /// The value stored at `key`.
@@ -227,7 +246,7 @@ impl LeafMap {
             Some(i) => i,
             None => self.new_leaf(lk),
         };
-        self.last = Some((lk, i));
+        self.last = (lk, i);
         let leaf = &mut self.leaves[i as usize];
         let old = std::mem::replace(&mut leaf.vals[(key & LEAF_MASK) as usize], value);
         if old != VACANT {
@@ -241,10 +260,17 @@ impl LeafMap {
     /// Table a fresh leaf under `lk`, reusing released storage first.
     #[inline]
     fn new_leaf(&mut self, lk: u32) -> u32 {
-        let i = self.free.pop().unwrap_or_else(|| {
+        let i = if self.free != NONE {
+            let i = self.free;
+            let leaf = &mut self.leaves[i as usize];
+            self.free = std::mem::replace(&mut leaf.live, 0);
+            i
+        } else {
             self.leaves.push(Leaf::EMPTY);
             (self.leaves.len() - 1) as u32
-        });
+        };
+        // `entry`, the call that boxed leaves made: the table then sees
+        // the same operations, so its iteration order is unchanged.
         self.table.entry(lk).or_insert(i);
         i
     }
@@ -254,7 +280,7 @@ impl LeafMap {
     pub fn remove(&mut self, key: u32) -> Option<u32> {
         let lk = key >> LEAF_BITS;
         let i = self.find(lk)?;
-        self.last = Some((lk, i));
+        self.last = (lk, i);
         let leaf = &mut self.leaves[i as usize];
         let old = std::mem::replace(&mut leaf.vals[(key & LEAF_MASK) as usize], VACANT);
         if old == VACANT {
@@ -268,30 +294,27 @@ impl LeafMap {
         Some(old)
     }
 
-    /// Untable the emptied leaf `i`; its storage is kept for reuse unless
-    /// the map is now empty.
+    /// Untable the emptied leaf `i` and forget it; its storage is kept
+    /// for reuse unless the map is now empty, when all of it is freed
+    /// (the table keeps its capacity).
     fn release_leaf(&mut self, lk: u32, i: u32) {
         self.table.remove(&lk);
-        self.last = None;
+        self.last = (NONE, NONE);
         if self.len == 0 {
-            self.release_storage();
+            self.leaves = Vec::new();
+            self.free = NONE;
         } else {
-            self.free.push(i);
+            self.leaves[i as usize].live = self.free;
+            self.free = i;
         }
-    }
-
-    /// Free every leaf's storage; the table keeps its capacity.
-    fn release_storage(&mut self) {
-        self.leaves = Vec::new();
-        self.free = Vec::new();
     }
 
     /// Every `(key, value)`: leaves in hash order, keys ascending within a
     /// leaf.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.table.iter().flat_map(|(&lk, &i)| {
-            self.leaves[i as usize].entries(lk << LEAF_BITS, 0, LEAF_LEN)
-        })
+        self.table
+            .iter()
+            .flat_map(|(&lk, &i)| self.leaves[i as usize].entries(lk << LEAF_BITS, 0, LEAF_LEN))
     }
 
     /// The `(key, value)` pairs with keys in `keys`, in ascending key
@@ -314,13 +337,14 @@ impl LeafMap {
     /// keeps its capacity; the leaves' storage is released.
     pub fn drain(&mut self) -> impl Iterator<Item = (u32, u32)> + '_ {
         self.len = 0;
-        self.last = None;
+        self.last = (NONE, NONE);
+        self.free = NONE;
         let leaves = std::mem::take(&mut self.leaves);
-        self.free = Vec::new();
         self.table.drain().flat_map(move |(lk, i)| {
             let vals = leaves[i as usize].vals;
             let base = lk << LEAF_BITS;
-            (0..LEAF_LEN).filter_map(move |j| (vals[j] != VACANT).then_some((base | j as u32, vals[j])))
+            (0..LEAF_LEN)
+                .filter_map(move |j| (vals[j] != VACANT).then_some((base | j as u32, vals[j])))
         })
     }
 }

@@ -31,7 +31,7 @@ pub struct Rating {
 /// deterministic and heavy enough in the head to create hot items. The
 /// file server draws its files from one too.
 pub(crate) struct Zipf {
-    n: u64,
+    n: u32,
     /// `n^(1 - skew)`.
     head: f64,
     /// `1 / (1 - skew)`.
@@ -39,7 +39,7 @@ pub(crate) struct Zipf {
 }
 
 impl Zipf {
-    pub(crate) fn new(n: u64, skew: f64) -> Self {
+    pub(crate) fn new(n: u32, skew: f64) -> Self {
         assert!(n > 0);
         Zipf {
             n,
@@ -48,16 +48,11 @@ impl Zipf {
         }
     }
 
-    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut SplitMix64) -> u32 {
         let u = rng.next_f64().max(1e-12);
         // Inverse CDF of a continuous power-law on [1, n].
         let x = (self.head * u + (1.0 - u)).powf(self.exp);
-        (x as u64).min(self.n - 1)
-    }
-
-    /// A draw over `[0, n)` for an `n` that fits `u32`.
-    fn sample_u32(&self, rng: &mut SplitMix64) -> u32 {
-        self.sample(rng) as u32
+        (x as u32).min(self.n - 1)
     }
 }
 
@@ -127,7 +122,7 @@ impl RatingStream {
     ) -> Self {
         assert!(n_users > 0 && n_items > 0 && partition > 0);
         let mut rng = SplitMix64::new(seed).derive("movielens");
-        let items = Zipf::new(u64::from(n_items), 1.1);
+        let items = Zipf::new(n_items, 1.1);
         let width = u32::BITS - (n_items - 1).leading_zeros();
         let mut stream = RatingStream {
             n_users,
@@ -160,7 +155,7 @@ impl RatingStream {
                 next_checkpoint += partition;
             }
             for _ in 0..len {
-                drawn.push(items.sample_u32(&mut rng));
+                drawn.push(items.sample(&mut rng));
                 rng.skip(DRAWS_PER_RATING - 1);
             }
             pos += len;
@@ -293,12 +288,12 @@ pub fn powerlaw_edges(seed: u64, n_nodes: u32, n_edges: usize) -> Vec<(u32, u32)
     let mut rng = SplitMix64::new(seed).derive("powerlaw-graph");
     // Sources are mildly skewed (active followers), destinations heavily
     // skewed (celebrity accounts) — the soc-twitter-follows shape.
-    let srcs = Zipf::new(u64::from(n_nodes), 1.05);
-    let dsts = Zipf::new(u64::from(n_nodes), 1.8);
+    let srcs = Zipf::new(n_nodes, 1.05);
+    let dsts = Zipf::new(n_nodes, 1.8);
     let mut out = Vec::with_capacity(n_edges);
     for _ in 0..n_edges {
-        let src = srcs.sample_u32(&mut rng);
-        let mut dst = dsts.sample_u32(&mut rng);
+        let src = srcs.sample(&mut rng);
+        let mut dst = dsts.sample(&mut rng);
         if dst == src {
             dst = (dst + 1) % n_nodes;
         }
@@ -338,13 +333,13 @@ mod tests {
     /// [`RatingStream`].
     fn movielens_ratings(seed: u64, n_users: u32, n_items: u32, n_ratings: usize) -> Vec<Rating> {
         let mut rng = SplitMix64::new(seed).derive("movielens");
-        let items = Zipf::new(u64::from(n_items), 1.1);
+        let items = Zipf::new(n_items, 1.1);
         let mut out = Vec::with_capacity(n_ratings);
         while out.len() < n_ratings {
             let user = rng.next_below(u64::from(n_users)) as u32;
             let burst = 1 + rng.next_below(16) as usize;
             for _ in 0..burst.min(n_ratings - out.len()) {
-                let item = items.sample_u32(&mut rng);
+                let item = items.sample(&mut rng);
                 rng.next();
                 out.push(Rating { user, item });
             }
@@ -515,11 +510,11 @@ mod tests {
             (10_000, 1.05),
             (10_000, 1.8),
         ] {
-            let z = Zipf::new(u64::from(n), skew);
+            let z = Zipf::new(n, skew);
             let (mut a, mut b) = (SplitMix64::new(42), SplitMix64::new(42));
             for _ in 0..10_000 {
                 assert_eq!(
-                    z.sample_u32(&mut a),
+                    z.sample(&mut a),
                     per_draw(&mut b, n, skew),
                     "n={n} skew={skew}"
                 );
@@ -528,23 +523,28 @@ mod tests {
         // The file server's pick, as it drew on every request before it
         // held a sampler: `u64` file counts, skew 1.1. The shapes are the
         // small corpus (256 files), `with_footprint` at 4 MiB to 512 MiB
-        // per VM (32 to 4,096 files), and counts past `u32`.
+        // per VM (32 to 4,096 files), and the largest count the server
+        // takes.
         fn per_request(rng: &mut SplitMix64, n: u64, s: f64) -> u64 {
             let u = rng.next_f64().max(1e-12);
             let x = ((n as f64).powf(1.0 - s) * u + (1.0 - u)).powf(1.0 / (1.0 - s));
             (x as u64).min(n - 1)
         }
-        for n in [1, 32, 256, 1024, 4096, 1 << 33, u64::MAX >> 12] {
+        for n in [1, 32, 256, 1024, 4096, u32::MAX] {
             let z = Zipf::new(n, 1.1);
             let (mut a, mut b) = (SplitMix64::new(7), SplitMix64::new(7));
             for _ in 0..10_000 {
-                assert_eq!(z.sample(&mut a), per_request(&mut b, n, 1.1), "n={n}");
+                assert_eq!(
+                    u64::from(z.sample(&mut a)),
+                    per_request(&mut b, u64::from(n), 1.1),
+                    "n={n}"
+                );
             }
         }
         // A few draws pinned outright.
         let mut rng = SplitMix64::new(42);
         let z = Zipf::new(10_000, 1.05);
-        let got: Vec<u64> = (0..8).map(|_| z.sample(&mut rng)).collect();
+        let got: Vec<u32> = (0..8).map(|_| z.sample(&mut rng)).collect();
         assert_eq!(got, [598, 3, 8, 15, 1, 2265, 5, 1101]);
     }
 }

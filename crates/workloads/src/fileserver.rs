@@ -98,7 +98,10 @@ impl FileServer {
         assert!(config.n_files > 0 && config.pages_per_file > 0);
         FileServer {
             rng: SplitMix64::new(config.seed).derive("fileserver"),
-            files: Zipf::new(config.n_files, config.skew),
+            files: Zipf::new(
+                u32::try_from(config.n_files).expect("a file server holds at most 2^32 - 1 files"),
+                config.skew,
+            ),
             config,
             cache: None,
             served: 0,
@@ -138,7 +141,7 @@ impl Workload for FileServer {
             if m.budget.exhausted() {
                 return StepOutcome::Runnable;
             }
-            let file = self.files.sample(&mut self.rng);
+            let file = u64::from(self.files.sample(&mut self.rng));
             let page = self.rng.next_below(u64::from(self.config.pages_per_file)) as u32;
             cache.read(file, page, m);
             m.budget.charge_compute(self.config.compute_per_request);
