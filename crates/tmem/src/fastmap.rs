@@ -269,8 +269,9 @@ impl LeafMap {
             self.leaves.push(Leaf::EMPTY);
             (self.leaves.len() - 1) as u32
         };
-        // `entry`, the call that boxed leaves made: the table then sees
-        // the same operations, so its iteration order is unchanged.
+        // Iteration order follows the table's layout, which depends on
+        // the exact calls made on it; the pinned outputs were recorded
+        // with leaves tabled through `entry`.
         self.table.entry(lk).or_insert(i);
         i
     }

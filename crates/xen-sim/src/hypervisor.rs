@@ -820,11 +820,10 @@ impl<P: PagePayload> Hypervisor<P> {
         let Some(data) = self.vm_data.get(slot.index()).and_then(Option::as_ref) else {
             return 0;
         };
-        let target = data.mm_target;
         if self.targets_stale() {
-            target.max(self.fallback_floor())
+            data.mm_target.max(self.fallback_floor())
         } else {
-            target
+            data.mm_target
         }
     }
 
