@@ -7,8 +7,10 @@
 //! ramp and steady passes, disk swap with slot read-ahead (no-tmem), slow
 //! reclaim to swap (the paging mix), a balanced two-host cluster with
 //! in-memory analytics, cleancache, a far tier and migration, a two-host
-//! serving cluster whose migrated events tie with the destination's, and
-//! a two-host usemem cluster whose start and stop triggers cross hosts. A
+//! analytics cluster under greedy whose puts, gets, flushes and
+//! migrations all reach its far tier, a two-host serving cluster whose
+//! migrated events tie with the destination's, and a two-host usemem
+//! cluster whose start and stop triggers cross hosts. A
 //! digest folds each host's full trace JSONL and the Debug form of the result (every
 //! per-VM run, kernel counter and series point), so a page touched
 //! differently anywhere moves it.
@@ -19,7 +21,9 @@
 //! migration spill back to swap, and were re-recorded when that
 //! write-back stopped adding to `RunResult::disk_throttle` (no guest
 //! waits on it): with `disk_throttle` left out of the fold, all seven
-//! digests are the same before and after that change. Print the
+//! digests of that time are the same before and after that change. The
+//! far-tier cell was recorded with the far tier's own `BTreeMap` page
+//! store, before that store became a second tmem backend. Print the
 //! current values with `PRINT_STREAM_DIGESTS=1 cargo test -p
 //! smartmem-scenarios --test page_streams -- --nocapture`.
 
@@ -29,7 +33,7 @@ use scenarios::runner::{run_cluster, run_scenario, ClusterConfig, RunResult};
 use scenarios::spec::{build_scenario, Arrival, FleetParams, ScenarioKind, WorkloadMix};
 use scenarios::{dsl, PolicyKind};
 use sim_core::netmodel::NetModel;
-use sim_core::trace::{TraceConfig, TraceHeader};
+use sim_core::trace::{Payload, PutResult, TraceConfig, TraceHeader};
 use smartmem_core::FleetConfig;
 use xen_sim::host::FarConfig;
 
@@ -166,6 +170,72 @@ fn balanced_cluster_stream_is_unchanged() {
     fnv(&mut h, format!("{:?}", cr.fleet).as_bytes());
     // Recorded once a migration stopped forking the VM's step chain.
     check("fleet:2x6:8/smart-alloc:2", h, 0xd9bc_e441_46d6_4380);
+}
+
+/// Six in-memory analytics VMs on two hosts under greedy, with a 16-page
+/// far tier and eager migration: puts spill to the far tier and come back
+/// as far gets, flushes purge far copies, and migrations carry far pages
+/// out, land them in the destination's far tier and spill the rest to
+/// swap.
+#[test]
+fn far_tier_stream_is_unchanged() {
+    let c = cfg(7);
+    let kind = ScenarioKind::Scenario5(FleetParams {
+        vms: 6,
+        footprint_mb: 8,
+        mix: WorkloadMix::Analytics,
+        ..FleetParams::default()
+    });
+    let mut spec = build_scenario(kind, &c);
+    spec.name = dsl::cluster_scenario_name(&spec.name, 2);
+    let cluster = ClusterConfig {
+        hosts: 2,
+        far: Some(FarConfig { capacity_pages: 16 }),
+        migration: Some(FleetConfig {
+            divergence_threshold: 0.05,
+            cooldown_intervals: 1,
+            min_history: 2,
+        }),
+        ..ClusterConfig::default()
+    };
+    let cr = run_cluster(spec, PolicyKind::Greedy, &c, &cluster);
+    // [stored_far puts, far gets, far flushes, migrate_out with far pages,
+    //  migrate_in with far pages, migrate_in with spilled pages]
+    let mut seen = [0u64; 6];
+    let events = cr
+        .host_results
+        .iter()
+        .flat_map(|r| &r.trace.as_ref().expect("trace requested").events);
+    for e in events {
+        match e.payload {
+            Payload::Put {
+                result: PutResult::StoredFar,
+                ..
+            } => seen[0] += 1,
+            Payload::FarGet { .. } => seen[1] += 1,
+            Payload::FarFlush { .. } => seen[2] += 1,
+            Payload::MigrateOut { far, .. } if far > 0 => seen[3] += 1,
+            Payload::MigrateIn { far, spilled, .. } => {
+                seen[4] += u64::from(far > 0);
+                seen[5] += u64::from(spilled > 0);
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "far paths not all driven: {seen:?}"
+    );
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for r in &cr.host_results {
+        fold(&mut h, r, c.seed);
+    }
+    fnv(&mut h, format!("{:?}", cr.fleet).as_bytes());
+    check(
+        "fleet:2x6:8:analytics far 16/greedy",
+        h,
+        0xe2cb_3c30_01b1_1d13,
+    );
 }
 
 /// Eight file servers on two hosts, all arriving at once, with a fleet
