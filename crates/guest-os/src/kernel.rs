@@ -649,9 +649,9 @@ impl GuestKernel {
     /// this VM's swap device: relocate them `InTmem` → `OnDisk` with fresh
     /// slots. The disk traffic is the hypervisor's (async write-back), so
     /// nothing is charged to the guest; the caller charges the shared disk.
-    pub fn tmem_reclaimed(&mut self, keys: &[(u64, u32)]) {
+    pub fn tmem_reclaimed(&mut self, keys: &[(ObjectId, PageIndex)]) {
         for &(obj, idx) in keys {
-            let vp = ((obj << 20) | u64::from(idx)) as usize;
+            let vp = self.page_of(obj, idx);
             assert!(vp < self.pages.len(), "reclaimed key out of range");
             assert_eq!(
                 self.pages.loc(vp),
@@ -748,6 +748,12 @@ impl GuestKernel {
     /// pages per object keeps objects bounded.
     fn key_of(&self, vp: u64) -> (ObjectId, PageIndex) {
         (ObjectId(vp >> 20), (vp & 0xF_FFFF) as PageIndex)
+    }
+
+    /// The virtual page behind a tmem key: the inverse of
+    /// [`GuestKernel::key_of`].
+    fn page_of(&self, obj: ObjectId, idx: PageIndex) -> usize {
+        ((obj.0 << 20) | u64::from(idx)) as usize
     }
 
     fn install(&mut self, vp: usize, f: u32, dirty: bool, disk_copy: bool) {

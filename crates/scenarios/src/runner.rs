@@ -450,10 +450,9 @@ struct Coordinator {
     truncated: bool,
     series: Option<SeriesBundle>,
     fleet: Option<FleetCtl>,
-    /// Reusable per-interval buffers for the slow-reclaim trickle, so an
-    /// over-target VM doesn't cost two fresh `Vec`s every interval.
+    /// Reusable per-interval buffer for the slow-reclaim trickle, so an
+    /// over-target VM doesn't cost a fresh `Vec` every interval.
     reclaim_buf: Vec<(tmem::key::ObjectId, u32)>,
-    reclaim_keys: Vec<(u64, u32)>,
 }
 
 /// Run one scenario under one policy. Deterministic in `cfg.seed`.
@@ -640,7 +639,6 @@ fn run_cluster_on(
             stranded: 0,
         }),
         reclaim_buf: Vec::new(),
-        reclaim_keys: Vec::new(),
     };
     for (i, rt) in vms.into_iter().enumerate() {
         let shard = &mut shards[rt.host / hosts_per_shard];
@@ -1180,16 +1178,14 @@ impl Shard {
             let max = ((host.hyp.node_info().total_tmem as f64 * ctx.cfg.reclaim_frac_per_interval)
                 as u64)
                 .max(1);
-            let (buf, keys) = (&mut coord.reclaim_buf, &mut coord.reclaim_keys);
+            let buf = &mut coord.reclaim_buf;
             for rt in vms.iter_mut().flatten().filter(|rt| rt.host == h) {
                 let Some(tkm) = &rt._tkm else { continue };
                 buf.clear();
                 host.hyp.reclaim_over_target_into(tkm.pool(), max, buf);
                 if !buf.is_empty() {
-                    keys.clear();
-                    keys.extend(buf.iter().map(|&(o, i)| (o.0, i)));
-                    rt.kernel.tmem_reclaimed(keys);
-                    host.disk.write_back(now, keys.len() as u64, &ctx.cfg.cost);
+                    rt.kernel.tmem_reclaimed(buf);
+                    host.disk.write_back(now, buf.len() as u64, &ctx.cfg.cost);
                 }
             }
             stale = host.hyp.targets_stale();
@@ -1498,10 +1494,7 @@ impl Coordinator {
             // tier goes back to the VM's swap device — the same
             // swap-consistent path slow reclaim uses, so the guest page
             // table stays coherent.
-            self.reclaim_keys.clear();
-            self.reclaim_keys
-                .extend(outcome.spilled.iter().map(|&(o, idx)| (o.0, idx)));
-            rt.kernel.tmem_reclaimed(&self.reclaim_keys);
+            rt.kernel.tmem_reclaimed(&outcome.spilled);
             dest.disk.write_back(now, spilled_n, &ctx.cfg.cost);
         }
         dest.tracer.emit(|| {

@@ -21,7 +21,7 @@
 //! [`Hypervisor::reclaim_over_target_into`], a per-interval trickle of a VM's
 //! oldest persistent pages to its swap device while it exceeds its target.
 
-use crate::host::{FarConfig, FarTier};
+use crate::host::FarConfig;
 use crate::vm::VmConfig;
 use sim_core::faults::{FaultInjector, FaultProfile, PutFate};
 use sim_core::time::SimTime;
@@ -91,10 +91,13 @@ pub struct Hypervisor<P> {
     /// a fault-free build: no RNG, no donor retention, one flag check per
     /// put.
     faults: FaultInjector,
-    /// Far-memory tier. `None` (the default) keeps the datapath
-    /// byte-identical to a host without far memory: one `Option` check on
-    /// the capacity-reject and miss paths, nothing else.
-    far: Option<FarTier<P>>,
+    /// Far-memory tier: a second backend whose pools mirror `backend`'s
+    /// ids. Only the datapath below puts, gets and flushes there; MM
+    /// targets, slow reclaim, the scrubber and fault injection never reach
+    /// it. `None` (the default) keeps the datapath byte-identical to a host
+    /// without far memory: one `Option` check on the capacity-reject, miss
+    /// and flush paths, nothing else.
+    far: Option<TmemBackend<P>>,
 }
 
 impl<P: PagePayload> Hypervisor<P> {
@@ -118,14 +121,21 @@ impl<P: PagePayload> Hypervisor<P> {
 
     /// Attach a far-memory tier of `cfg.capacity_pages` pages. Persistent
     /// puts rejected for local capacity spill here, and gets that miss
-    /// locally are served (exclusively) from it.
+    /// locally are served (exclusively) from it. Every pool created after
+    /// this gets a far twin of the same id, so the tier must be attached
+    /// before the first pool.
     pub fn set_far_tier(&mut self, cfg: FarConfig) {
-        self.far = Some(FarTier::new(cfg.capacity_pages));
+        assert_eq!(
+            self.backend.pool_count(),
+            0,
+            "a far tier is attached before the first pool"
+        );
+        self.far = Some(TmemBackend::new(cfg.capacity_pages));
     }
 
     /// Pages currently held in the far tier (0 without one).
     pub fn far_used(&self) -> u64 {
-        self.far.as_ref().map_or(0, |f| f.used())
+        self.far.as_ref().map_or(0, TmemBackend::used)
     }
 
     /// Far-tier pages held for `vm` (0 without a tier).
@@ -230,6 +240,10 @@ impl<P: PagePayload> Hypervisor<P> {
             "pool created for unregistered {vm}"
         );
         let pool = self.backend.new_pool(vm, kind)?;
+        if let Some(far) = self.far.as_mut() {
+            let twin = far.new_pool(vm, kind)?;
+            assert_eq!(twin, pool, "far pool ids mirror the local ones");
+        }
         self.tracer.emit(|| {
             (
                 Some(vm.0),
@@ -266,140 +280,123 @@ impl<P: PagePayload> Hypervisor<P> {
         // longer trusted as a ceiling below the fair-share floor (graceful
         // degradation; see `targets_stale`).
         let target = self.target_at(slot);
-        let data = vm_entry(&mut self.vm_data, slot);
         // Line 15: puts_total incremented whether or not the put succeeds.
-        data.puts_total.incr();
+        vm_entry(&mut self.vm_data, slot).puts_total.incr();
         let tmem_used = self.backend.used_by_slot(slot);
-        if tmem_used >= target {
-            self.tracer.emit(|| {
-                (
-                    Some(owner.0),
-                    Payload::Put {
-                        pool: pool.0,
-                        result: PutResult::RejectTarget,
-                        used: tmem_used,
-                        target,
-                    },
-                )
-            });
-            return Err(ReturnCode::Failure);
-        }
-        // Data-plane fault layer, after admission: a brownout window
-        // rejects the put as a backend I/O failure; otherwise the injector
-        // assigns this put its fate. Inactive layer ⇒ no RNG, one branch.
         let mut fate = PutFate::Deliver;
-        if self.faults.data_plane() {
-            let io_fault = if self.faults.in_brownout() {
-                Some(FaultKind::BrownoutReject)
-            } else {
-                fate = self.faults.put_fate(kind == PoolKind::Ephemeral);
-                (fate == PutFate::IoFail).then_some(FaultKind::PutIoFail)
-            };
-            if let Some(fault) = io_fault {
-                self.faults.inject(Some(owner.0), fault);
-                self.tracer.emit(|| {
-                    (
-                        Some(owner.0),
-                        Payload::Put {
-                            pool: pool.0,
-                            result: PutResult::RejectIo,
-                            used: tmem_used,
-                            target,
-                        },
-                    )
-                });
-                return Err(ReturnCode::Failure);
+        let stored = if tmem_used >= target {
+            Err(PutResult::RejectTarget)
+        } else {
+            // Data-plane fault layer, after admission: a brownout window
+            // rejects the put as a backend I/O failure; otherwise the
+            // injector assigns this put its fate. Inactive layer ⇒ no RNG,
+            // one branch.
+            let mut io_fault = None;
+            if self.faults.data_plane() {
+                io_fault = if self.faults.in_brownout() {
+                    Some(FaultKind::BrownoutReject)
+                } else {
+                    fate = self.faults.put_fate(kind == PoolKind::Ephemeral);
+                    (fate == PutFate::IoFail).then_some(FaultKind::PutIoFail)
+                };
             }
+            match io_fault {
+                Some(fault) => {
+                    self.faults.inject(Some(owner.0), fault);
+                    Err(PutResult::RejectIo)
+                }
+                None => self.store(pool, kind, object, index, payload),
+            }
+        };
+        if stored.is_ok() {
+            // Lines 10-13.
+            vm_entry(&mut self.vm_data, slot).puts_succ.incr();
         }
-        // Line 7: node free-page check. Replacement puts and ephemeral
-        // recycling are resolved by the backend, so only translate a
-        // backend NoCapacity into E_TMEM here. With a far tier installed a
-        // persistent payload is cloned up front so the capacity-reject path
-        // can spill it; hosts without one skip the clone entirely.
+        self.tracer.emit(|| {
+            let result = match stored {
+                Ok(PutOutcome::Stored) => PutResult::Stored,
+                Ok(PutOutcome::Replaced) => PutResult::Replaced,
+                Ok(PutOutcome::StoredAfterEviction(_)) => PutResult::StoredEvict,
+                Ok(PutOutcome::StoredFar) => PutResult::StoredFar,
+                Err(rejected) => rejected,
+            };
+            (
+                Some(owner.0),
+                Payload::Put {
+                    pool: pool.0,
+                    result,
+                    used: tmem_used,
+                    target,
+                },
+            )
+        });
+        let outcome = stored.map_err(|_| ReturnCode::Failure)?;
+        // The far tier takes no data-plane faults.
+        if outcome != PutOutcome::StoredFar {
+            if fate != PutFate::Deliver {
+                self.apply_post_store_fault(fate, pool, owner, object, index);
+            }
+            // An eviction inside the put may have surfaced a corrupt
+            // ephemeral page; mirror any new detections.
+            self.emit_new_detections(Some(owner.0));
+        }
+        Ok(outcome)
+    }
+
+    /// Algorithm 1 line 7, the node free-page check, for an admitted put.
+    /// Replacement puts and ephemeral recycling are resolved by the
+    /// backend, so only a backend `NoCapacity` becomes `E_TMEM`. A host
+    /// with a far tier spills persistent pages there instead of bouncing
+    /// the guest to its swap disk; ephemeral pages are not worth fabric
+    /// round-trips (re-reading the file is comparable).
+    fn store(
+        &mut self,
+        pool: PoolId,
+        kind: PoolKind,
+        object: ObjectId,
+        index: PageIndex,
+        payload: P,
+    ) -> Result<PutOutcome, PutResult> {
+        // A persistent payload is cloned up front so the capacity-reject
+        // path can spill it; hosts without a far tier skip the clone.
         let far_copy = match (&self.far, kind) {
-            (Some(far), PoolKind::Persistent) if far.has_room() => Some(payload.clone()),
+            (Some(far), PoolKind::Persistent) if far.free_pages() > 0 => Some(payload.clone()),
             _ => None,
         };
         match self.backend.put(pool, object, index, payload) {
             Ok(outcome) => {
-                // Lines 10-13.
-                data.puts_succ.incr();
-                if let PutOutcome::StoredAfterEviction(victim) = outcome {
-                    // The evicted ephemeral page belonged to some VM; the
-                    // `Evict` event attributes the loss to it.
-                    if let Some((victim_owner, _)) = self.backend.pool_info(victim.pool) {
-                        self.tracer.emit(|| {
-                            (
-                                Some(victim_owner.0),
-                                Payload::Evict {
-                                    pool: victim.pool.0,
-                                },
-                            )
-                        });
-                    }
-                }
-                self.tracer.emit(|| {
-                    let result = match outcome {
-                        PutOutcome::Stored => PutResult::Stored,
-                        PutOutcome::Replaced => PutResult::Replaced,
-                        PutOutcome::StoredAfterEviction(_) => PutResult::StoredEvict,
-                        PutOutcome::StoredFar => unreachable!("backend never stores far"),
-                    };
-                    (
-                        Some(owner.0),
-                        Payload::Put {
-                            pool: pool.0,
-                            result,
-                            used: tmem_used,
-                            target,
-                        },
-                    )
-                });
-                if fate != PutFate::Deliver {
-                    self.apply_post_store_fault(fate, pool, owner, object, index);
-                }
-                // An eviction inside the put may have surfaced a corrupt
-                // ephemeral page; mirror any new detections.
-                self.emit_new_detections(Some(owner.0));
+                self.trace_evict(outcome);
                 Ok(outcome)
             }
             Err(TmemError::NoCapacity) => {
-                // Local tmem is full. A host with a far-memory tier spills
-                // persistent pages there instead of bouncing the guest to
-                // its swap disk; ephemeral pages are not worth fabric
-                // round-trips (re-reading the file is comparable).
-                if let Some(p) = far_copy {
+                let spilled = far_copy.is_some_and(|p| {
                     let far = self.far.as_mut().expect("far_copy implies a far tier");
-                    if far.store(pool, owner, object, index, p) {
-                        data.puts_succ.incr();
-                        self.tracer.emit(|| {
-                            (
-                                Some(owner.0),
-                                Payload::Put {
-                                    pool: pool.0,
-                                    result: PutResult::StoredFar,
-                                    used: tmem_used,
-                                    target,
-                                },
-                            )
-                        });
-                        return Ok(PutOutcome::StoredFar);
-                    }
+                    far.put(pool, object, index, p).is_ok()
+                });
+                if spilled {
+                    Ok(PutOutcome::StoredFar)
+                } else {
+                    Err(PutResult::RejectCapacity)
                 }
+            }
+            Err(e) => panic!("unexpected tmem backend error on put: {e}"),
+        }
+    }
+
+    /// A put that recycled an ephemeral page to make room: the `Evict`
+    /// event attributes the loss to the page's owner.
+    fn trace_evict(&self, outcome: PutOutcome) {
+        if let PutOutcome::StoredAfterEviction(victim) = outcome {
+            if let Some((victim_owner, _)) = self.backend.pool_info(victim.pool) {
                 self.tracer.emit(|| {
                     (
-                        Some(owner.0),
-                        Payload::Put {
-                            pool: pool.0,
-                            result: PutResult::RejectCapacity,
-                            used: tmem_used,
-                            target,
+                        Some(victim_owner.0),
+                        Payload::Evict {
+                            pool: victim.pool.0,
                         },
                     )
                 });
-                Err(ReturnCode::Failure)
             }
-            Err(e) => panic!("unexpected tmem backend error on put: {e}"),
         }
     }
 
@@ -491,7 +488,11 @@ impl<P: PagePayload> Hypervisor<P> {
             // spilled at put time. Far hits are exclusive (the far copy is
             // removed) but free no *local* frame, so the Get event carries
             // `freed: false` and a FarGet event attributes the fabric hit.
-            Err(_) => match self.far.as_mut().and_then(|f| f.take(pool, object, index)) {
+            Err(_) => match self
+                .far
+                .as_mut()
+                .and_then(|f| f.get(pool, object, index).ok())
+            {
                 Some(p) => {
                     data.gets_succ.incr();
                     GetOutcome::FarHit(p)
@@ -569,22 +570,9 @@ impl<P: PagePayload> Hypervisor<P> {
                 },
             )
         });
-        // The key may live in the far tier instead (spilled put); flush
-        // semantics cover it too. Far removal is traced separately so
-        // occupancy replay can keep local and far ledgers distinct.
-        if let Some(far) = self.far.as_mut() {
-            if far.purge_page(pool, object, index) {
-                self.tracer.emit(|| {
-                    (
-                        Some(owner.0),
-                        Payload::FarFlush {
-                            pool: pool.0,
-                            pages: 1,
-                        },
-                    )
-                });
-            }
-        }
+        self.flush_far(owner, pool, |far| {
+            u64::from(far.flush_page(pool, object, index) == Ok(true))
+        });
         // Flushing a corrupt page that nothing had observed yet still
         // counts as a detection.
         self.emit_new_detections(Some(owner.0));
@@ -610,20 +598,9 @@ impl<P: PagePayload> Hypervisor<P> {
                 },
             )
         });
-        if let Some(far) = self.far.as_mut() {
-            let far_freed = far.purge_object(pool, object);
-            if far_freed > 0 {
-                self.tracer.emit(|| {
-                    (
-                        Some(owner.0),
-                        Payload::FarFlush {
-                            pool: pool.0,
-                            pages: far_freed,
-                        },
-                    )
-                });
-            }
-        }
+        self.flush_far(owner, pool, |far| {
+            far.flush_object(pool, object).unwrap_or(0)
+        });
         self.emit_new_detections(Some(owner.0));
         freed
     }
@@ -643,22 +620,36 @@ impl<P: PagePayload> Hypervisor<P> {
                 },
             )
         });
-        if let Some(far) = self.far.as_mut() {
-            let far_freed = far.purge_pool(pool);
-            if far_freed > 0 {
-                self.tracer.emit(|| {
-                    (
-                        Some(owner.0),
-                        Payload::FarFlush {
-                            pool: pool.0,
-                            pages: far_freed,
-                        },
-                    )
-                });
-            }
-        }
+        self.flush_far(owner, pool, |far| far.destroy_pool(pool).unwrap_or(0));
         self.emit_new_detections(Some(owner.0));
         freed
+    }
+
+    /// Run `flush` on the far tier, if there is one, and trace the far
+    /// pages it removed. A spilled key lives there instead of in local
+    /// tmem, and flush semantics cover it too; far removal is traced apart
+    /// so that occupancy replay keeps the local and far ledgers distinct.
+    fn flush_far(
+        &mut self,
+        owner: VmId,
+        pool: PoolId,
+        flush: impl FnOnce(&mut TmemBackend<P>) -> u64,
+    ) {
+        let Some(far) = self.far.as_mut() else {
+            return;
+        };
+        let pages = flush(far);
+        if pages > 0 {
+            self.tracer.emit(|| {
+                (
+                    Some(owner.0),
+                    Payload::FarFlush {
+                        pool: pool.0,
+                        pages,
+                    },
+                )
+            });
+        }
     }
 
     /// Slow reclaim (paper §III-B: "the hypervisor can reclaim tmem pages
@@ -928,11 +919,9 @@ impl<P: PagePayload> Hypervisor<P> {
             "only persistent (frontswap) pools migrate"
         );
         let (local, purged) = self.backend.export_pool(pool).ok()?;
-        let far = self
-            .far
-            .as_mut()
-            .map(|f| f.export_pool(pool))
-            .unwrap_or_default();
+        let far = self.far.as_mut().map_or_else(Vec::new, |f| {
+            f.export_pool(pool).expect("every pool has a far twin").0
+        });
         self.emit_new_detections(Some(owner.0));
         Some(PoolExport {
             owner,
@@ -955,7 +944,7 @@ impl<P: PagePayload> Hypervisor<P> {
         pool: PoolId,
         pages: Vec<(ObjectId, PageIndex, P)>,
     ) -> ImportOutcome {
-        let (owner, kind) = self
+        let (_, kind) = self
             .backend
             .pool_info(pool)
             .expect("import into a missing pool");
@@ -965,22 +954,11 @@ impl<P: PagePayload> Hypervisor<P> {
         let mut spilled = Vec::new();
         for (object, index, payload) in pages {
             match self.backend.put(pool, object, index, payload.clone()) {
-                Ok(PutOutcome::Stored) => stored += 1,
-                Ok(PutOutcome::StoredAfterEviction(victim)) => {
+                Ok(outcome @ (PutOutcome::Stored | PutOutcome::StoredAfterEviction(_))) => {
                     // A crowded destination recycles an ephemeral victim to
-                    // make room, exactly like a guest put would — mirror the
-                    // `Evict` event so replay stays exact.
+                    // make room, exactly like a guest put would.
+                    self.trace_evict(outcome);
                     stored += 1;
-                    if let Some((victim_owner, _)) = self.backend.pool_info(victim.pool) {
-                        self.tracer.emit(|| {
-                            (
-                                Some(victim_owner.0),
-                                Payload::Evict {
-                                    pool: victim.pool.0,
-                                },
-                            )
-                        });
-                    }
                 }
                 Ok(other) => {
                     // The destination pool is fresh, so a Replaced outcome
@@ -991,7 +969,7 @@ impl<P: PagePayload> Hypervisor<P> {
                     let to_far = self
                         .far
                         .as_mut()
-                        .is_some_and(|f| f.store(pool, owner, object, index, payload));
+                        .is_some_and(|f| f.put(pool, object, index, payload).is_ok());
                     if to_far {
                         stored_far += 1;
                     } else {
@@ -1391,6 +1369,201 @@ mod tests {
             assert_eq!(d.tmem_used, 0);
         }
         assert_eq!(h.node_info().vm_count, 4);
+    }
+
+    /// A host with `cap` local frames and a `far`-page far tier, with VM 1
+    /// and VM 2 registered and holding one persistent pool each.
+    fn far_hv(cap: u64, far: u64) -> (Hypervisor<Fingerprint>, PoolId, PoolId) {
+        let mut h = Hypervisor::new(cap, 100);
+        h.set_far_tier(FarConfig {
+            capacity_pages: far,
+        });
+        let mut pools = [PoolId(0); 2];
+        for (vm, pool) in [1, 2].into_iter().zip(&mut pools) {
+            h.register_vm(VmConfig::new(VmId(vm), "VM", 1 << 20, 1));
+            *pool = h.new_pool(VmId(vm), PoolKind::Persistent).unwrap();
+        }
+        (h, pools[0], pools[1])
+    }
+
+    fn record(h: &mut Hypervisor<Fingerprint>) -> Tracer {
+        let tracer = Tracer::new(sim_core::trace::Recorder::new(64));
+        h.set_tracer(tracer.clone());
+        tracer
+    }
+
+    fn payloads(tracer: &Tracer) -> Vec<Payload> {
+        let trace = tracer.finish().expect("tracer enabled");
+        trace.events.into_iter().map(|e| e.payload).collect()
+    }
+
+    #[test]
+    fn persistent_puts_spill_to_the_far_tier_once_local_tmem_is_full() {
+        let (mut h, pool, _) = far_hv(2, 2);
+        let cache = h.new_pool(VmId(1), PoolKind::Ephemeral).unwrap();
+        let tracer = record(&mut h);
+        for i in 0..5 {
+            let want = match i {
+                0 | 1 => Ok(PutOutcome::Stored),
+                2 | 3 => Ok(PutOutcome::StoredFar),
+                _ => Err(ReturnCode::Failure),
+            };
+            assert_eq!(h.put(pool, ObjectId(0), i, fp(u64::from(i))), want);
+        }
+        assert!(
+            h.put(cache, ObjectId(0), 0, fp(9)).is_err(),
+            "no ephemeral spill"
+        );
+        assert_eq!((h.tmem_used_by(VmId(1)), h.far_used()), (2, 2));
+        let results: Vec<_> = payloads(&tracer)
+            .into_iter()
+            .filter_map(|p| match p {
+                Payload::Put { result, .. } => Some(result.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            results,
+            [
+                "stored",
+                "stored",
+                "stored_far",
+                "stored_far",
+                "reject_cap",
+                "reject_cap"
+            ]
+        );
+        let s = h.sample(SimTime::from_secs(1)).stats;
+        assert_eq!((s.vms[0].puts_total, s.vms[0].puts_succ), (6, 4));
+    }
+
+    #[test]
+    fn a_zero_page_far_tier_admits_nothing() {
+        let (mut h, pool, _) = far_hv(1, 0);
+        h.put(pool, ObjectId(0), 0, fp(0)).unwrap();
+        assert!(h.put(pool, ObjectId(0), 1, fp(1)).is_err());
+        let out = h.import_pages(pool, vec![(ObjectId(1), 0, fp(2))]);
+        assert_eq!((out.stored, out.stored_far), (0, 0));
+        assert_eq!(out.spilled, [(ObjectId(1), 0)]);
+        assert_eq!(h.far_used(), 0);
+    }
+
+    #[test]
+    fn a_far_hit_is_exclusive_and_traced() {
+        let (mut h, pool, _) = far_hv(1, 1);
+        h.put(pool, ObjectId(0), 0, fp(0)).unwrap();
+        assert_eq!(
+            h.put(pool, ObjectId(0), 1, fp(1)),
+            Ok(PutOutcome::StoredFar)
+        );
+        let tracer = record(&mut h);
+        assert_eq!(
+            h.get_checked(pool, ObjectId(0), 1),
+            GetOutcome::FarHit(fp(1))
+        );
+        assert_eq!(h.get_checked(pool, ObjectId(0), 1), GetOutcome::Miss);
+        assert_eq!(h.far_used(), 0);
+        assert_eq!(h.tmem_used_by(VmId(1)), 1, "the local page stays");
+        let p = pool.0;
+        assert_eq!(
+            payloads(&tracer),
+            [
+                Payload::Get {
+                    pool: p,
+                    hit: true,
+                    freed: false
+                },
+                Payload::FarGet { pool: p },
+                Payload::Get {
+                    pool: p,
+                    hit: false,
+                    freed: false
+                },
+            ]
+        );
+        let s = h.sample(SimTime::from_secs(1)).stats;
+        assert_eq!((s.vms[0].gets_total, s.vms[0].gets_succ), (2, 1));
+    }
+
+    #[test]
+    fn flushes_remove_far_copies_and_trace_their_count() {
+        let (mut h, pool, _) = far_hv(1, 8);
+        // (0, 0) stays local; the other four keys spill.
+        for (o, i) in [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)] {
+            h.put(pool, ObjectId(o), i, fp(o * 10 + u64::from(i)))
+                .unwrap();
+        }
+        assert_eq!(h.far_used(), 4);
+        let tracer = record(&mut h);
+        assert_eq!(h.flush_page(pool, ObjectId(0), 1), ReturnCode::Success);
+        assert_eq!(h.flush_page(pool, ObjectId(0), 1), ReturnCode::Success);
+        assert_eq!(h.flush_object(pool, ObjectId(1)), 0, "no local page freed");
+        assert_eq!(h.far_used(), 1);
+        assert_eq!(h.destroy_pool(pool), 1);
+        assert_eq!(h.far_used(), 0);
+        let far_flushes: Vec<_> = payloads(&tracer)
+            .into_iter()
+            .filter_map(|p| match p {
+                Payload::FarFlush { pool, pages } => Some((pool, pages)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(far_flushes, [(pool.0, 1), (pool.0, 2), (pool.0, 1)]);
+    }
+
+    #[test]
+    fn far_use_is_tracked_per_vm() {
+        let (mut h, p1, p2) = far_hv(1, 8);
+        h.put(p1, ObjectId(0), 0, fp(0)).unwrap();
+        h.put(p1, ObjectId(0), 1, fp(1)).unwrap();
+        h.put(p2, ObjectId(0), 0, fp(2)).unwrap();
+        h.put(p2, ObjectId(0), 1, fp(3)).unwrap();
+        let use_of = |h: &Hypervisor<Fingerprint>| {
+            (h.far_used_by(VmId(1)), h.far_used_by(VmId(2)), h.far_used())
+        };
+        assert_eq!(use_of(&h), (1, 2, 3));
+        assert_eq!(h.get(p2, ObjectId(0), 0), Some(fp(2)));
+        assert_eq!(use_of(&h), (1, 1, 2));
+        assert_eq!(h.flush_object(p1, ObjectId(0)), 1);
+        assert_eq!(use_of(&h), (0, 1, 1));
+        assert_eq!(h.far_used_by(VmId(3)), 0, "unknown VM");
+    }
+
+    #[test]
+    fn migrate_export_returns_far_pages_in_key_order() {
+        let (mut h, p1, p2) = far_hv(1, 8);
+        h.put(p1, ObjectId(5), 0, fp(50)).unwrap();
+        for (o, i) in [(2, 1), (0, 9), (2, 0)] {
+            h.put(p1, ObjectId(o), i, fp(o * 10 + u64::from(i)))
+                .unwrap();
+        }
+        h.put(p2, ObjectId(0), 0, fp(77)).unwrap();
+        let export = h.migrate_export(p1).unwrap();
+        assert_eq!(export.local, [(ObjectId(5), 0, fp(50))]);
+        let far: Vec<_> = export.far.iter().map(|&(o, i, p)| (o.0, i, p)).collect();
+        assert_eq!(far, [(0, 9, fp(9)), (2, 0, fp(20)), (2, 1, fp(21))]);
+        assert_eq!((h.far_used_by(VmId(1)), h.far_used()), (0, 1));
+        assert_eq!(h.get(p1, ObjectId(2), 0), None, "both twins are gone");
+    }
+
+    #[test]
+    fn import_fills_local_tmem_then_the_far_tier_then_spills() {
+        let (mut h, pool, _) = far_hv(2, 2);
+        let tracer = record(&mut h);
+        let pages = (0..5).map(|i| (ObjectId(0), i, fp(u64::from(i))));
+        let out = h.import_pages(pool, pages.collect());
+        assert_eq!((out.stored, out.stored_far), (2, 2));
+        assert_eq!(out.spilled, [(ObjectId(0), 4)]);
+        assert!(payloads(&tracer).is_empty(), "imports are not hypercalls");
+        assert_eq!(h.get(pool, ObjectId(0), 3), Some(fp(3)), "a far hit");
+        assert_eq!(h.get(pool, ObjectId(0), 1), Some(fp(1)), "a local hit");
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first pool")]
+    fn a_far_tier_is_refused_once_pools_exist() {
+        let (mut h, _) = hv(4, 4);
+        h.set_far_tier(FarConfig { capacity_pages: 4 });
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub mod sched;
 pub mod virq;
 pub mod vm;
 
-pub use host::{FarConfig, FarTier};
+pub use host::FarConfig;
 pub use hypervisor::{GetOutcome, Hypervisor};
 pub use sched::CpuModel;
 pub use vm::VmConfig;

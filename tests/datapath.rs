@@ -134,7 +134,7 @@ fn targets_installed_through_the_tkm_rebalance_the_pool() {
     let mut reclaimed = Vec::new();
     n.hyp.reclaim_over_target_into(t1_pool, 2, &mut reclaimed);
     assert_eq!(reclaimed.len(), 2);
-    k1.tmem_reclaimed(&reclaimed.iter().map(|&(o, i)| (o.0, i)).collect::<Vec<_>>());
+    k1.tmem_reclaimed(&reclaimed);
     assert_eq!(n.hyp.tmem_used_by(VmId(1)), 6);
 
     // VM2 can now acquire the freed frames (its target allows 4).
