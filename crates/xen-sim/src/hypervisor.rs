@@ -291,15 +291,14 @@ impl<P: PagePayload> Hypervisor<P> {
             // rejects the put as a backend I/O failure; otherwise the
             // injector assigns this put its fate. Inactive layer ⇒ no RNG,
             // one branch.
-            let mut io_fault = None;
-            if self.faults.data_plane() {
-                io_fault = if self.faults.in_brownout() {
-                    Some(FaultKind::BrownoutReject)
-                } else {
-                    fate = self.faults.put_fate(kind == PoolKind::Ephemeral);
-                    (fate == PutFate::IoFail).then_some(FaultKind::PutIoFail)
-                };
-            }
+            let io_fault = if !self.faults.data_plane() {
+                None
+            } else if self.faults.in_brownout() {
+                Some(FaultKind::BrownoutReject)
+            } else {
+                fate = self.faults.put_fate(kind == PoolKind::Ephemeral);
+                (fate == PutFate::IoFail).then_some(FaultKind::PutIoFail)
+            };
             match io_fault {
                 Some(fault) => {
                     self.faults.inject(Some(owner.0), fault);
@@ -369,15 +368,12 @@ impl<P: PagePayload> Hypervisor<P> {
                 Ok(outcome)
             }
             Err(TmemError::NoCapacity) => {
-                let spilled = far_copy.is_some_and(|p| {
-                    let far = self.far.as_mut().expect("far_copy implies a far tier");
-                    far.put(pool, object, index, p).is_ok()
-                });
-                if spilled {
-                    Ok(PutOutcome::StoredFar)
-                } else {
-                    Err(PutResult::RejectCapacity)
+                if let (Some(far), Some(p)) = (self.far.as_mut(), far_copy) {
+                    if far.put(pool, object, index, p).is_ok() {
+                        return Ok(PutOutcome::StoredFar);
+                    }
                 }
+                Err(PutResult::RejectCapacity)
             }
             Err(e) => panic!("unexpected tmem backend error on put: {e}"),
         }
