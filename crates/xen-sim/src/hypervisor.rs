@@ -1374,12 +1374,11 @@ mod tests {
         h.set_far_tier(FarConfig {
             capacity_pages: far,
         });
-        let mut pools = [PoolId(0); 2];
-        for (vm, pool) in [1, 2].into_iter().zip(&mut pools) {
+        let [p1, p2] = [1, 2].map(|vm| {
             h.register_vm(VmConfig::new(VmId(vm), "VM", 1 << 20, 1));
-            *pool = h.new_pool(VmId(vm), PoolKind::Persistent).unwrap();
-        }
-        (h, pools[0], pools[1])
+            h.new_pool(VmId(vm), PoolKind::Persistent).unwrap()
+        });
+        (h, p1, p2)
     }
 
     fn record(h: &mut Hypervisor<Fingerprint>) -> Tracer {
