@@ -1397,18 +1397,23 @@ mod tests {
         let (mut h, pool, _) = far_hv(2, 2);
         let cache = h.new_pool(VmId(1), PoolKind::Ephemeral).unwrap();
         let tracer = record(&mut h);
-        for i in 0..5 {
-            let want = match i {
-                0 | 1 => Ok(PutOutcome::Stored),
-                2 | 3 => Ok(PutOutcome::StoredFar),
-                _ => Err(ReturnCode::Failure),
-            };
-            assert_eq!(h.put(pool, ObjectId(0), i, fp(u64::from(i))), want);
-        }
-        assert!(
-            h.put(cache, ObjectId(0), 0, fp(9)).is_err(),
-            "no ephemeral spill"
+        let (stored, far, rejected) = (
+            Ok(PutOutcome::Stored),
+            Ok(PutOutcome::StoredFar),
+            Err(ReturnCode::Failure),
         );
+        // The cleancache put finds local tmem full and the far tier empty.
+        let puts = [
+            (pool, stored),
+            (pool, stored),
+            (cache, rejected),
+            (pool, far),
+            (pool, far),
+            (pool, rejected),
+        ];
+        for (i, (p, want)) in (0u32..).zip(puts) {
+            assert_eq!(h.put(p, ObjectId(0), i, fp(u64::from(i))), want, "put {i}");
+        }
         assert_eq!((h.tmem_used_by(VmId(1)), h.far_used()), (2, 2));
         let results: Vec<_> = payloads(&tracer)
             .into_iter()
@@ -1422,9 +1427,9 @@ mod tests {
             [
                 "stored",
                 "stored",
-                "stored_far",
-                "stored_far",
                 "reject_cap",
+                "stored_far",
+                "stored_far",
                 "reject_cap"
             ]
         );
@@ -1538,7 +1543,7 @@ mod tests {
         let far: Vec<_> = export.far.iter().map(|&(o, i, p)| (o.0, i, p)).collect();
         assert_eq!(far, [(0, 9, fp(9)), (2, 0, fp(20)), (2, 1, fp(21))]);
         assert_eq!((h.far_used_by(VmId(1)), h.far_used()), (0, 1));
-        assert_eq!(h.get(p1, ObjectId(2), 0), None, "both twins are gone");
+        assert_eq!(h.get(p1, ObjectId(2), 0), None, "the pool is gone");
     }
 
     #[test]
