@@ -33,8 +33,8 @@ pub use fleet::{FleetConfig, FleetManager, HostLoad, MigrationPlan, VmPlacement}
 pub use history::{SeqObservation, StatsHistory};
 pub use mm::{MemoryManager, REBUILD_WINDOW};
 pub use policy::greedy::Greedy;
-pub use policy::predictive::{Predictive, PredictiveConfig};
+pub use policy::predictive::Predictive;
 pub use policy::reconf_static::ReconfStatic;
-pub use policy::smart_alloc::{SmartAlloc, SmartAllocConfig};
+pub use policy::smart_alloc::SmartAlloc;
 pub use policy::static_alloc::StaticAlloc;
 pub use policy::{Policy, PolicyKind};

@@ -218,7 +218,7 @@ impl std::fmt::Debug for MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::smart_alloc::{SmartAlloc, SmartAllocConfig};
+    use crate::policy::smart_alloc::SmartAlloc;
     use crate::policy::static_alloc::StaticAlloc;
     use sim_core::time::SimTime;
     use tmem::key::VmId;
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn smart_alloc_keeps_transmitting_while_demand_changes() {
-        let mm_policy = SmartAlloc::new(SmartAllocConfig::with_percent(2.0));
+        let mm_policy = SmartAlloc::new(2.0);
         let mut mm = MemoryManager::new(Box::new(mm_policy), 16);
         // Swapping VMs: targets grow each cycle → transmission each cycle.
         // (The snapshot's mm_target field would normally reflect previous

@@ -70,9 +70,7 @@ impl PolicyKind {
             PolicyKind::Greedy => Some(Box::new(greedy::Greedy)),
             PolicyKind::StaticAlloc => Some(Box::new(static_alloc::StaticAlloc)),
             PolicyKind::ReconfStatic => Some(Box::new(reconf_static::ReconfStatic)),
-            PolicyKind::SmartAlloc { p } => Some(Box::new(smart_alloc::SmartAlloc::new(
-                smart_alloc::SmartAllocConfig::with_percent(p),
-            ))),
+            PolicyKind::SmartAlloc { p } => Some(Box::new(smart_alloc::SmartAlloc::new(p))),
             PolicyKind::Predictive => Some(Box::new(predictive::Predictive::default())),
         }
     }

@@ -11,63 +11,31 @@
 //! ```
 //!
 //! `tmem_used` is what the VM demonstrably holds; the smoothed failed-put
-//! rate is the unmet demand it keeps presenting; `α` converts an interval's
-//! failures into pages of headroom. The exponential window forgets bursts
-//! at rate `decay` per interval, which is what distinguishes a phase change
-//! from noise.
+//! rate is the unmet demand it keeps presenting; `α` (4 pages) converts an
+//! interval's failures into pages of headroom. The exponential window
+//! forgets bursts at rate 0.6 per interval, which is what distinguishes a
+//! phase change from noise. Every target stays at or above a floor of 2 %
+//! of the node.
 
 use super::Policy;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tmem::key::VmId;
 use tmem::stats::{MemStats, MmTarget};
 
-/// Tuning for [`Predictive`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PredictiveConfig {
-    /// Pages of headroom granted per smoothed failed put.
-    pub headroom_per_failure: f64,
-    /// EWMA decay per interval (0 = no memory, 1 = never forgets).
-    pub decay: f64,
-    /// Minimum target as a fraction of the node (lets idle VMs re-enter
-    /// without the reconf-static activation stall).
-    pub floor_frac: f64,
-}
+/// `α`: pages of headroom granted per smoothed failed put.
+const HEADROOM_PER_FAILURE: f64 = 4.0;
 
-impl Default for PredictiveConfig {
-    fn default() -> Self {
-        PredictiveConfig {
-            headroom_per_failure: 4.0,
-            decay: 0.6,
-            floor_frac: 0.02,
-        }
-    }
-}
+/// EWMA decay per interval (0 = no memory, 1 = never forgets).
+const DECAY: f64 = 0.6;
+
+/// Minimum target as a fraction of the node (lets idle VMs re-enter
+/// without the reconf-static activation stall).
+const FLOOR_FRAC: f64 = 0.02;
 
 /// The predictive policy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Predictive {
-    config: PredictiveConfig,
     ewma: HashMap<VmId, f64>,
-}
-
-impl Predictive {
-    /// A predictive policy with the given tuning.
-    pub fn new(config: PredictiveConfig) -> Self {
-        assert!((0.0..1.0).contains(&config.decay), "decay in [0,1)");
-        assert!(config.headroom_per_failure >= 0.0);
-        assert!((0.0..0.5).contains(&config.floor_frac));
-        Predictive {
-            config,
-            ewma: HashMap::new(),
-        }
-    }
-}
-
-impl Default for Predictive {
-    fn default() -> Self {
-        Predictive::new(PredictiveConfig::default())
-    }
 }
 
 impl Policy for Predictive {
@@ -76,17 +44,17 @@ impl Policy for Predictive {
     }
 
     fn initial_target(&self, total_tmem: u64) -> u64 {
-        ((total_tmem as f64) * self.config.floor_frac) as u64
+        ((total_tmem as f64) * FLOOR_FRAC) as u64
     }
 
     fn compute(&mut self, stats: &MemStats) -> Vec<MmTarget> {
         let total = stats.node.total_tmem;
-        let floor = (total as f64 * self.config.floor_frac).max(1.0);
+        let floor = (total as f64 * FLOOR_FRAC).max(1.0);
         let mut needs = Vec::with_capacity(stats.vms.len());
         for vm in &stats.vms {
             let e = self.ewma.entry(vm.vm_id).or_insert(0.0);
-            *e = *e * self.config.decay + vm.failed_puts() as f64;
-            let need = vm.tmem_used as f64 + self.config.headroom_per_failure * *e;
+            *e = *e * DECAY + vm.failed_puts() as f64;
+            let need = vm.tmem_used as f64 + HEADROOM_PER_FAILURE * *e;
             needs.push(need.max(floor));
         }
         // Proportional rescale of the above-floor portions into the node
@@ -192,14 +160,5 @@ mod tests {
     fn initial_target_is_the_floor() {
         let p = Predictive::default();
         assert_eq!(p.initial_target(1000), 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "decay in [0,1)")]
-    fn rejects_non_forgetting_decay() {
-        Predictive::new(PredictiveConfig {
-            decay: 1.0,
-            ..PredictiveConfig::default()
-        });
     }
 }

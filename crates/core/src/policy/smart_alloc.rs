@@ -15,73 +15,44 @@
 //!   assigned targets never exceed the node's tmem.
 //!
 //! The paper fixes the sampling interval at one second and leaves the
-//! threshold unspecified; [`SmartAllocConfig::threshold_pages`] defaults to
-//! one increment's worth of pages (`P`% of node tmem), the smallest value
-//! that prevents grow/shrink oscillation.
+//! threshold unspecified; here it is one increment's worth of pages (`P`%
+//! of node tmem), the smallest value that prevents grow/shrink
+//! oscillation. `P` is the policy's only parameter.
 
 use super::Policy;
-use serde::{Deserialize, Serialize};
 use tmem::stats::{MemStats, MmTarget};
-
-/// Tuning for [`SmartAlloc`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SmartAllocConfig {
-    /// The increment/decrement percentage `P` (0 < P ≤ 100). The paper
-    /// sweeps 0.25–6 %.
-    pub percent: f64,
-    /// Hysteresis threshold in pages; `None` derives one increment's worth
-    /// from the node size at compute time.
-    pub threshold_pages: Option<u64>,
-}
-
-impl SmartAllocConfig {
-    /// Config with percentage `p` and the default threshold.
-    pub fn with_percent(p: f64) -> Self {
-        assert!(p > 0.0 && p <= 100.0, "P must be in (0, 100], got {p}");
-        SmartAllocConfig {
-            percent: p,
-            threshold_pages: None,
-        }
-    }
-
-    fn threshold(&self, total_tmem: u64) -> u64 {
-        self.threshold_pages
-            .unwrap_or_else(|| self.increment(total_tmem))
-    }
-
-    /// `incr ← (P × local_tmem) / 100` (Algorithm 4 line 11).
-    fn increment(&self, total_tmem: u64) -> u64 {
-        ((self.percent * total_tmem as f64) / 100.0).round() as u64
-    }
-}
 
 /// The demand-driven smart allocation policy.
 #[derive(Debug, Clone)]
 pub struct SmartAlloc {
-    config: SmartAllocConfig,
+    /// The increment/decrement percentage `P` (0 < P ≤ 100). The paper
+    /// sweeps 0.25–6 %.
+    percent: f64,
     /// `(sum_targets, local_tmem)` of the last compute's Eq. 2 rescale,
     /// `None` when the last compute fit without rescaling.
     last_rescale: Option<(u64, u64)>,
 }
 
 impl SmartAlloc {
-    /// A smart-alloc instance with the given tuning.
-    pub fn new(config: SmartAllocConfig) -> Self {
+    /// A smart-alloc instance with percentage `p`.
+    pub fn new(p: f64) -> Self {
+        assert!(p > 0.0 && p <= 100.0, "P must be in (0, 100], got {p}");
         SmartAlloc {
-            config,
+            percent: p,
             last_rescale: None,
         }
     }
 
-    /// The configured tuning.
-    pub fn config(&self) -> &SmartAllocConfig {
-        &self.config
+    /// `incr ← (P × local_tmem) / 100` (Algorithm 4 line 11), which is
+    /// also the hysteresis threshold of lines 16–21.
+    fn increment(&self, total_tmem: u64) -> u64 {
+        ((self.percent * total_tmem as f64) / 100.0).round() as u64
     }
 }
 
 impl Policy for SmartAlloc {
     fn name(&self) -> String {
-        format!("smart-alloc({}%)", self.config.percent)
+        format!("smart-alloc({}%)", self.percent)
     }
 
     fn initial_target(&self, _total_tmem: u64) -> u64 {
@@ -92,8 +63,7 @@ impl Policy for SmartAlloc {
 
     fn compute(&mut self, stats: &MemStats) -> Vec<MmTarget> {
         let local_tmem = stats.node.total_tmem;
-        let incr = self.config.increment(local_tmem);
-        let threshold = self.config.threshold(local_tmem);
+        let incr = self.increment(local_tmem);
 
         let mut out = Vec::with_capacity(stats.vms.len());
         let mut sum_targets: u64 = 0;
@@ -105,11 +75,12 @@ impl Policy for SmartAlloc {
                 // Lines 10-12: grow by P% of the node's tmem.
                 curr_tgt.saturating_add(incr)
             } else {
-                // Lines 14-21: shrink only past the hysteresis threshold.
+                // Lines 14-21: shrink only past the hysteresis threshold,
+                // one increment.
                 let curr_use = vm.tmem_used;
                 let difference = curr_tgt.saturating_sub(curr_use);
-                if difference > threshold {
-                    (((100.0 - self.config.percent) * curr_tgt as f64) / 100.0).round() as u64
+                if difference > incr {
+                    (((100.0 - self.percent) * curr_tgt as f64) / 100.0).round() as u64
                 } else {
                     curr_tgt
                 }
@@ -174,7 +145,7 @@ mod tests {
     }
 
     fn smart(p: f64) -> SmartAlloc {
-        SmartAlloc::new(SmartAllocConfig::with_percent(p))
+        SmartAlloc::new(p)
     }
 
     #[test]
@@ -188,23 +159,21 @@ mod tests {
 
     #[test]
     fn underuse_beyond_threshold_decays_the_target() {
-        let mut p = SmartAlloc::new(SmartAllocConfig {
-            percent: 10.0,
-            threshold_pages: Some(20),
-        });
-        // Target 1000, using 100: slack 900 > 20 → decay to 90%.
-        let out = p.compute(&stats(&[(0, 100, 1000)], 10_000));
-        assert_eq!(out[0].mm_target, 900);
+        // P = 10% of 10000: increment and threshold are 1000 pages.
+        let mut p = smart(10.0);
+        // Target 3000, using 100: slack 2900 > 1000 → decay to 90%.
+        let out = p.compute(&stats(&[(0, 100, 3000)], 10_000));
+        assert_eq!(out[0].mm_target, 2700);
+        // One page past the threshold decays too.
+        let out = p.compute(&stats(&[(0, 999, 2000)], 10_000));
+        assert_eq!(out[0].mm_target, 1800, "slack 1001 > threshold 1000");
     }
 
     #[test]
     fn underuse_within_threshold_is_left_alone() {
-        let mut p = SmartAlloc::new(SmartAllocConfig {
-            percent: 10.0,
-            threshold_pages: Some(500),
-        });
+        let mut p = smart(10.0);
         let out = p.compute(&stats(&[(0, 600, 1000)], 10_000));
-        assert_eq!(out[0].mm_target, 1000, "slack 400 <= threshold 500");
+        assert_eq!(out[0].mm_target, 1000, "slack 400 <= threshold 1000");
     }
 
     #[test]
@@ -262,7 +231,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "P must be in (0, 100]")]
     fn zero_percent_is_rejected() {
-        SmartAllocConfig::with_percent(0.0);
+        SmartAlloc::new(0.0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sim_core::time::SimTime;
 use smartmem_core::policy::Policy;
-use smartmem_core::{Greedy, ReconfStatic, SmartAlloc, SmartAllocConfig, StaticAlloc};
+use smartmem_core::{Greedy, ReconfStatic, SmartAlloc, StaticAlloc};
 use tmem::key::VmId;
 use tmem::stats::{MemStats, NodeInfo, VmStat};
 
@@ -49,7 +49,7 @@ proptest! {
         p in 0.01f64..50.0,
         vms in proptest::collection::vec((0..100u64, 0..1_000_000u64, 0..2_000_000u64), 1..8),
     ) {
-        let mut policy = SmartAlloc::new(SmartAllocConfig::with_percent(p));
+        let mut policy = SmartAlloc::new(p);
         let out = policy.compute(&snapshot(&vms, total));
         let sum: u64 = out.iter().map(|t| t.mm_target).sum();
         prop_assert!(sum <= total, "sum {sum} > total {total} at P={p}");
@@ -73,7 +73,7 @@ proptest! {
         p in 0.5f64..10.0,
         starts in proptest::collection::vec(0u64..100_000, 3),
     ) {
-        let mut policy = SmartAlloc::new(SmartAllocConfig::with_percent(p));
+        let mut policy = SmartAlloc::new(p);
         let spread_of = |t: &[u64]| t.iter().max().unwrap() - t.iter().min().unwrap();
         let mut targets: Vec<u64> = starts;
         let mut prev_spread = u64::MAX;
@@ -148,7 +148,7 @@ proptest! {
         prior in 0u64..50_000,
         used in 0u64..50_000,
     ) {
-        let mut policy = SmartAlloc::new(SmartAllocConfig::with_percent(p));
+        let mut policy = SmartAlloc::new(p);
         let out = policy.compute(&snapshot(
             &[(10, used.min(prior), prior), (0, used.min(prior), prior)],
             total,

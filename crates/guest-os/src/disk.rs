@@ -15,37 +15,23 @@
 //!   occupies disk time at the same per-page cost, but no guest waits on
 //!   it, so it records no throttle.
 
-use serde::{Deserialize, Serialize};
 use sim_core::cost::CostModel;
 use sim_core::time::{SimDuration, SimTime};
 
-/// Write-back tuning: how many swap-out pages share one positioning cost
-/// (Linux's swap cluster) and how much backlog accrues before the guest is
-/// throttled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WritebackConfig {
-    /// Pages per clustered swap write (Linux default SWAPFILE_CLUSTER-ish).
-    pub cluster_pages: u64,
-    /// Maximum backlog before a writer blocks until the queue drains back
-    /// under the threshold.
-    pub max_backlog: SimDuration,
-}
+/// Pages per clustered swap write, sharing one positioning cost (Linux's
+/// swap cluster).
+const CLUSTER_PAGES: u64 = 32;
 
-impl Default for WritebackConfig {
-    fn default() -> Self {
-        WritebackConfig {
-            cluster_pages: 32,
-            max_backlog: SimDuration::from_millis(50),
-        }
-    }
-}
+/// Write-back backlog past which a guest writer is throttled until the
+/// queue drains back under it.
+const MAX_BACKLOG: SimDuration = SimDuration::from_millis(50);
 
-/// A single shared disk with a FIFO queue.
-#[derive(Debug, Clone)]
+/// A single shared disk with a FIFO queue; `SharedDisk::default()` is a
+/// fresh, idle disk.
+#[derive(Debug, Clone, Default)]
 pub struct SharedDisk {
     /// Instant at which the disk finishes all currently queued work.
     next_free: SimTime,
-    writeback: WritebackConfig,
     reads: u64,
     writes: u64,
     read_wait_total: SimDuration,
@@ -53,18 +39,6 @@ pub struct SharedDisk {
 }
 
 impl SharedDisk {
-    /// A fresh, idle disk.
-    pub fn new(writeback: WritebackConfig) -> Self {
-        SharedDisk {
-            next_free: SimTime::ZERO,
-            writeback,
-            reads: 0,
-            writes: 0,
-            read_wait_total: SimDuration::ZERO,
-            throttle_total: SimDuration::ZERO,
-        }
-    }
-
     /// Synchronous read of `pages` pages issued at `now`. Returns the
     /// requester's total wait (queueing + service). `sequential` requests
     /// (stream continuations detected by the guest's fault path) pay the
@@ -95,8 +69,7 @@ impl SharedDisk {
     /// by the whole cluster, plus the page's transfer.
     fn write_service(&self, cost: &CostModel) -> SimDuration {
         SimDuration::from_nanos(
-            cost.disk_access.as_nanos() / self.writeback.cluster_pages
-                + cost.disk_page_transfer.as_nanos(),
+            cost.disk_access.as_nanos() / CLUSTER_PAGES + cost.disk_page_transfer.as_nanos(),
         )
     }
 
@@ -108,8 +81,8 @@ impl SharedDisk {
         let start = self.next_free.max(now);
         self.next_free = start + self.write_service(cost);
         let backlog = self.next_free.saturating_since(now);
-        if backlog > self.writeback.max_backlog {
-            let throttle = backlog.saturating_sub(self.writeback.max_backlog);
+        if backlog > MAX_BACKLOG {
+            let throttle = backlog.saturating_sub(MAX_BACKLOG);
             self.throttle_total += throttle;
             throttle
         } else {
@@ -154,12 +127,6 @@ impl SharedDisk {
     /// Instant the disk goes idle.
     pub fn next_free(&self) -> SimTime {
         self.next_free
-    }
-}
-
-impl Default for SharedDisk {
-    fn default() -> Self {
-        SharedDisk::new(WritebackConfig::default())
     }
 }
 

@@ -396,6 +396,12 @@ impl GuestKernel {
         self.pool = Some(pool);
     }
 
+    /// The frontswap pool attached by [`GuestKernel::attach_frontswap`];
+    /// `None` for a no-tmem guest.
+    pub fn frontswap_pool(&self) -> Option<PoolId> {
+        self.pool
+    }
+
     /// This kernel's configuration.
     pub fn config(&self) -> &GuestConfig {
         &self.config

@@ -85,7 +85,7 @@ use tmem::page::PAGE_SIZE;
 use workloads::fileserver::FileServerConfig;
 use workloads::graph::GraphAnalyticsConfig;
 use workloads::inmem::InMemoryAnalyticsConfig;
-use workloads::usemem::UsememConfig;
+use workloads::usemem::{self, UsememConfig};
 use xen_sim::host::FarConfig;
 use xen_sim::vm::VmConfig;
 
@@ -488,7 +488,7 @@ fn program_step(
                 start_bytes: scale_b(parse_size(start)?),
                 step_bytes: scale_b(parse_size(step_sz)?),
                 max_bytes: scale_b(parse_size(max)?),
-                compute_per_page: SimDuration::from_micros(2),
+                compute_per_page: usemem::COMPUTE_PER_PAGE,
                 max_steady_passes: passes,
             })))
         }

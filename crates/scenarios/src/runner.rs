@@ -67,7 +67,7 @@ use tmem::page::Fingerprint;
 use workloads::traits::{StepOutcome, Workload};
 use xen_sim::host::FarConfig;
 use xen_sim::hypervisor::Hypervisor;
-use xen_sim::sched::CpuModel;
+use xen_sim::sched;
 use xen_sim::virq::SampleChannel;
 
 /// Fraction of guest RAM reserved by the OS (kernel, daemons, page cache
@@ -308,7 +308,6 @@ pub struct ClusterResult {
 struct VmRuntime {
     spec: VmSpec,
     kernel: GuestKernel,
-    _tkm: Option<GuestTkm>,
     workload: Option<Box<dyn Workload>>,
     state: VmState,
     /// Host the VM currently resides on (updated when a migration starts —
@@ -332,13 +331,12 @@ struct VmRuntime {
 }
 
 /// One host's private control plane: hypervisor (which owns the host's
-/// fault injector), disk, dom0 relay, MM, CPU model and flight recorder.
+/// fault injector), disk, dom0 relay, MM and flight recorder.
 struct HostCtl {
     hyp: Hypervisor<Fingerprint>,
     disk: SharedDisk,
     dom0: Dom0Tkm,
     mm: Option<MemoryManager>,
-    cpu: CpuModel,
     sample_chan: SampleChannel,
     /// Reusable buffer for one interval's VIRQ → dom0 snapshot batch.
     virq_buf: Vec<tmem::stats::StatsMsg>,
@@ -537,7 +535,6 @@ fn run_cluster_on(
             disk: SharedDisk::default(),
             dom0,
             mm,
-            cpu: CpuModel::default(),
             sample_chan: SampleChannel::new(),
             virq_buf: Vec::new(),
             mm_down_until: None,
@@ -559,18 +556,14 @@ fn run_cluster_on(
             readahead_pages: READAHEAD_PAGES,
             frontswap_enabled: frontswap,
         });
-        let tkm = if frontswap {
+        if frontswap {
             let tkm = GuestTkm::init(&mut hosts[h].hyp, vm_spec.config.id, PoolKind::Persistent)
                 .expect("pool creation cannot fail on a fresh hypervisor");
             kernel.attach_frontswap(tkm.pool());
-            Some(tkm)
-        } else {
-            None
-        };
+        }
         vms.push(VmRuntime {
             spec: vm_spec.clone(),
             kernel,
-            _tkm: tkm,
             workload: None,
             state: VmState::NotStarted,
             host: h,
@@ -974,7 +967,7 @@ impl Shard {
         } = self;
         let rt = vms[i].as_mut().expect("the VM is resident on this shard");
         let host = &mut hosts[rt.host - *first_host];
-        let dilation = host.cpu.dilation(host.running_vcpus);
+        let dilation = sched::dilation(host.running_vcpus);
         let mut budget = StepBudget::new(ctx.cfg.quantum);
         let mut machine = Machine {
             hyp: &mut host.hyp,
@@ -1180,9 +1173,11 @@ impl Shard {
                 .max(1);
             let buf = &mut coord.reclaim_buf;
             for rt in vms.iter_mut().flatten().filter(|rt| rt.host == h) {
-                let Some(tkm) = &rt._tkm else { continue };
+                let Some(pool) = rt.kernel.frontswap_pool() else {
+                    continue;
+                };
                 buf.clear();
-                host.hyp.reclaim_over_target_into(tkm.pool(), max, buf);
+                host.hyp.reclaim_over_target_into(pool, max, buf);
                 if !buf.is_empty() {
                     rt.kernel.tmem_reclaimed(buf);
                     host.disk.write_back(now, buf.len() as u64, &ctx.cfg.cost);
@@ -1380,7 +1375,8 @@ impl Coordinator {
         let placements: Vec<VmPlacement> = (0..shards[0].vms.len())
             .filter_map(|i| shards.iter().find_map(|s| s.vms[i].as_ref()))
             .filter(|rt| {
-                matches!(rt.state, VmState::Running | VmState::Sleeping) && rt._tkm.is_some()
+                matches!(rt.state, VmState::Running | VmState::Sleeping)
+                    && rt.kernel.frontswap_pool().is_some()
             })
             .map(|rt| {
                 let id = rt.spec.config.id;
@@ -1420,10 +1416,9 @@ impl Coordinator {
         let mut rt = shards[from].depart(i, now);
         debug_assert_eq!(rt.host, src, "plan is stale");
         let pool = rt
-            ._tkm
-            .as_ref()
-            .expect("migratable VMs run frontswap")
-            .pool();
+            .kernel
+            .frontswap_pool()
+            .expect("migratable VMs run frontswap");
         let source = shards[from].host_mut(src);
         // Ephemeral (cleancache) pools do not survive migration: tmem may
         // drop ephemeral pages at any time, and shipping a cache across the
@@ -1475,7 +1470,6 @@ impl Coordinator {
             .expect("fresh pool on the destination");
         let new_pool = tkm.pool();
         rt.kernel.attach_frontswap(new_pool);
-        rt._tkm = Some(tkm);
         for old in ephemeral {
             let fresh = dest
                 .hyp

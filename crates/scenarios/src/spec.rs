@@ -364,7 +364,7 @@ fn build_fleet(p: FleetParams, cfg: &RunConfig) -> ScenarioSpec {
             start_bytes: step,
             step_bytes: step,
             max_bytes: fp,
-            compute_per_page: SimDuration::from_micros(2),
+            compute_per_page: workloads::usemem::COMPUTE_PER_PAGE,
             max_steady_passes: 2,
         })
     };

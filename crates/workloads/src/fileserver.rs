@@ -7,6 +7,10 @@
 //! with Zipf-popular files; clean evictions flow into the VM's ephemeral
 //! tmem pool and misses try tmem before paying a disk read.
 //!
+//! Files are 32 pages (128 KiB) each, so a footprint scales the corpus's
+//! breadth, not the file size; popularity is Zipf with skew 1.1, and each
+//! served request costs 5 µs of compute.
+//!
 //! The metric of interest is the cleancache hit fraction — how much of the
 //! miss traffic the pooled memory absorbed — which the hypervisor's target
 //! gating (Algorithm 1 applies to ephemeral puts too) controls exactly as
@@ -23,60 +27,45 @@ use sim_core::time::SimDuration;
 use tmem::backend::PoolKind;
 use tmem::key::PoolId;
 
+/// Pages per file.
+const PAGES_PER_FILE: u32 = 32;
+
+/// Zipf skew of file popularity.
+const SKEW: f64 = 1.1;
+
+/// Compute per served request (request parsing, copy to socket).
+const COMPUTE_PER_REQUEST: SimDuration = SimDuration::from_micros(5);
+
 /// Configuration for [`FileServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FileServerConfig {
     /// Number of files in the corpus.
     pub n_files: u64,
-    /// Pages per file.
-    pub pages_per_file: u32,
     /// In-guest page-cache budget, pages.
     pub cache_pages: usize,
     /// Total page reads to serve.
     pub requests: u64,
-    /// Zipf skew of file popularity.
-    pub skew: f64,
-    /// Compute per served request (request parsing, copy to socket).
-    pub compute_per_request: SimDuration,
     /// RNG seed.
     pub seed: u64,
 }
 
 impl FileServerConfig {
-    /// A small default corpus: 256 files × 32 pages = 32 MiB, cache 8 MiB.
-    pub fn small(seed: u64) -> Self {
-        FileServerConfig {
-            n_files: 256,
-            pages_per_file: 32,
-            cache_pages: 2048,
-            requests: 200_000,
-            skew: 1.1,
-            compute_per_request: SimDuration::from_micros(5),
-            seed,
-        }
-    }
-
     /// A corpus sized to a total footprint of `bytes`, served by a guest
     /// page cache holding a quarter of it, answering `requests` page reads
-    /// (one logical user session each). Files stay at 32 pages (128 KiB)
-    /// so footprint scales the corpus breadth, not the file size.
+    /// (one logical user session each).
     pub fn with_footprint(bytes: u64, requests: u64, seed: u64) -> Self {
-        const PAGES_PER_FILE: u32 = 32;
         let pages = (bytes / tmem::page::PAGE_SIZE as u64).max(u64::from(PAGES_PER_FILE));
         FileServerConfig {
             n_files: (pages / u64::from(PAGES_PER_FILE)).max(1),
-            pages_per_file: PAGES_PER_FILE,
             cache_pages: (pages / 4).max(64) as usize,
             requests,
-            skew: 1.1,
-            compute_per_request: SimDuration::from_micros(5),
             seed,
         }
     }
 
     /// Total corpus size in bytes.
     pub fn footprint_bytes(&self) -> u64 {
-        self.n_files * u64::from(self.pages_per_file) * tmem::page::PAGE_SIZE as u64
+        self.n_files * u64::from(PAGES_PER_FILE) * tmem::page::PAGE_SIZE as u64
     }
 }
 
@@ -95,12 +84,12 @@ impl FileServer {
     /// A fresh server (the cleancache pool is registered lazily on the
     /// first step, when the hypervisor is in reach).
     pub fn new(config: FileServerConfig) -> Self {
-        assert!(config.n_files > 0 && config.pages_per_file > 0);
+        assert!(config.n_files > 0);
         FileServer {
             rng: SplitMix64::new(config.seed).derive("fileserver"),
             files: Zipf::new(
                 u32::try_from(config.n_files).expect("a file server holds at most 2^32 - 1 files"),
-                config.skew,
+                SKEW,
             ),
             config,
             cache: None,
@@ -142,9 +131,9 @@ impl Workload for FileServer {
                 return StepOutcome::Runnable;
             }
             let file = u64::from(self.files.sample(&mut self.rng));
-            let page = self.rng.next_below(u64::from(self.config.pages_per_file)) as u32;
+            let page = self.rng.next_below(u64::from(PAGES_PER_FILE)) as u32;
             cache.read(file, page, m);
-            m.budget.charge_compute(self.config.compute_per_request);
+            m.budget.charge_compute(COMPUTE_PER_REQUEST);
             self.served += 1;
         }
         self.milestones.push(Milestone("served-all".into()));
@@ -200,12 +189,9 @@ mod tests {
         let mut disk = SharedDisk::default();
         let cost = CostModel::hdd();
         let mut w = FileServer::new(FileServerConfig {
-            n_files: 64,
-            pages_per_file: 8,
+            n_files: 16,
             cache_pages: 64,
             requests,
-            skew: 1.2,
-            compute_per_request: SimDuration::from_micros(5),
             seed: 3,
         });
         for _ in 0..1_000_000 {
@@ -226,7 +212,8 @@ mod tests {
 
     #[test]
     fn cleancache_absorbs_capacity_misses() {
-        // Corpus 512 pages, guest cache 64: plenty of capacity misses.
+        // Corpus 16 files x 32 pages, guest cache 64: plenty of capacity
+        // misses.
         // With a large ephemeral pool most of them hit cleancache.
         let w = run(1024, 1024, 20_000);
         let s = w.cache_stats().unwrap();

@@ -17,8 +17,11 @@
 //! rank values. The workload therefore computes no ranks; it issues exactly
 //! the page references and compute charges the real iterations would.
 //!
-//! Strides model GraphX's object overhead (edge triplets, vertex RDDs);
-//! see [`GraphAnalyticsConfig::with_footprint`].
+//! Strides model GraphX's object overhead (edge triplets, vertex RDDs): an
+//! edge target occupies 48 bytes of heap, an offset entry 16 and a rank
+//! entry 64; see [`GraphAnalyticsConfig::with_footprint`]. PageRank runs
+//! ten iterations, charges 3 µs of compute per edge scattered and pauses
+//! 0.15 µs per edge at each superstep barrier.
 
 use crate::appmodel::{InputReader, Pause};
 use crate::datasets::{powerlaw_edges, to_csr};
@@ -30,8 +33,27 @@ use serde::{Deserialize, Serialize};
 use sim_core::rng::SplitMix64;
 use sim_core::time::SimDuration;
 
-/// Edge budget per partition (~2 MiB of edge heap at the default stride).
+/// Edge budget per partition (~2 MiB of edge heap at the edge stride).
 pub const PARTITION_EDGE_BYTES: u64 = 2 << 20;
+
+/// Guest bytes per CSR edge target (GraphX edge overhead).
+const EDGE_STRIDE: usize = 48;
+
+/// Guest bytes per CSR offset entry.
+const OFFSET_STRIDE: usize = 16;
+
+/// Guest bytes per rank entry (two generations are kept).
+const RANK_STRIDE: usize = 64;
+
+/// PageRank iterations.
+const ITERATIONS: u32 = 10;
+
+/// Compute charged per edge scattered (GraphX per-triplet cost).
+const COMPUTE_PER_EDGE: SimDuration = SimDuration::from_nanos(3_000);
+
+/// Superstep barrier pause (GC + scheduling) armed per iteration, in
+/// nanoseconds per edge: barrier time scales with the partition.
+const PAUSE_NS_PER_EDGE: u64 = 150;
 
 /// Configuration for [`GraphAnalytics`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,23 +62,11 @@ pub struct GraphAnalyticsConfig {
     pub n_nodes: u32,
     /// Edge count.
     pub n_edges: usize,
-    /// Guest bytes per CSR edge target (GraphX edge overhead).
-    pub edge_stride: usize,
-    /// Guest bytes per CSR offset entry.
-    pub offset_stride: usize,
-    /// Guest bytes per rank entry (two generations are kept).
-    pub rank_stride: usize,
-    /// PageRank iterations.
-    pub iterations: u32,
     /// Graph synthesis seed.
     pub seed: u64,
     /// Write-once staging heap (triplet materialization, lineage): written
     /// at load, never read, freed at exit.
     pub cold_bytes: u64,
-    /// Compute charged per edge scattered (GraphX per-triplet cost).
-    pub compute_per_edge: SimDuration,
-    /// Superstep barrier pause (GC + scheduling) armed per iteration.
-    pub pause_per_iteration: SimDuration,
 }
 
 impl GraphAnalyticsConfig {
@@ -64,35 +74,25 @@ impl GraphAnalyticsConfig {
     /// ~70%; vertex state (offsets + two rank generations) the rest. The
     /// edge-to-node ratio loosely follows soc-twitter-follows (~1.8).
     pub fn with_footprint(bytes: u64, seed: u64) -> Self {
-        let edge_stride = 48usize;
-        let offset_stride = 16usize;
-        let rank_stride = 64usize;
         // 18% write-once staging; live heap splits 70/30 edges/vertices.
         let cold_bytes = ((bytes as f64 * 0.18) as u64 / 4096).max(1) * 4096;
         let hot = bytes - cold_bytes;
-        let n_edges = ((hot as f64 * 0.70) / edge_stride as f64).max(16.0) as usize;
-        let per_node = 2 * rank_stride + offset_stride;
+        let n_edges = ((hot as f64 * 0.70) / EDGE_STRIDE as f64).max(16.0) as usize;
+        let per_node = 2 * RANK_STRIDE + OFFSET_STRIDE;
         let n_nodes = (((hot as f64 * 0.30) / per_node as f64).max(2.0)) as u32;
         GraphAnalyticsConfig {
             n_nodes,
             n_edges,
-            edge_stride,
-            offset_stride,
-            rank_stride,
             cold_bytes,
-            iterations: 10,
             seed,
-            compute_per_edge: SimDuration::from_nanos(3_000),
-            // Barrier time scales with the partition (~0.15 us per edge).
-            pause_per_iteration: SimDuration::from_nanos(150 * n_edges as u64),
         }
     }
 
     /// Total guest footprint in bytes (live heap + cold staging).
     pub fn footprint_bytes(&self) -> u64 {
-        self.n_edges as u64 * self.edge_stride as u64
-            + u64::from(self.n_nodes + 1) * self.offset_stride as u64
-            + 2 * u64::from(self.n_nodes) * self.rank_stride as u64
+        self.n_edges as u64 * EDGE_STRIDE as u64
+            + u64::from(self.n_nodes + 1) * OFFSET_STRIDE as u64
+            + 2 * u64::from(self.n_nodes) * RANK_STRIDE as u64
             + self.cold_bytes
     }
 }
@@ -165,11 +165,10 @@ impl GraphAnalytics {
     /// Build the workload (graph synthesis and CSR assembly happen
     /// host-side here; the guest-visible load is the `Load*` phases).
     pub fn new(config: GraphAnalyticsConfig) -> Self {
-        assert!(config.iterations > 0);
         let edges = powerlaw_edges(config.seed, config.n_nodes, config.n_edges);
         let (host_offsets, host_targets) = to_csr(config.n_nodes, &edges);
         // Carve vertex ranges whose edge spans are ~one partition each.
-        let edges_per_part = (PARTITION_EDGE_BYTES / config.edge_stride as u64).max(1) as u32;
+        let edges_per_part = (PARTITION_EDGE_BYTES / EDGE_STRIDE as u64).max(1) as u32;
         let mut partitions = Vec::new();
         let mut start = 0u32;
         while (start as usize) < host_offsets.len() - 1 {
@@ -241,15 +240,11 @@ impl Workload for GraphAnalytics {
             match self.phase {
                 Phase::LoadOffsets { ref mut pos } => {
                     if self.offsets.is_none() {
-                        self.offsets =
-                            Some(PagedSpan::new(kernel, n + 1, self.config.offset_stride));
-                        self.targets = Some(PagedSpan::new(
-                            kernel,
-                            self.host_targets.len(),
-                            self.config.edge_stride,
-                        ));
-                        self.ranks = Some(PagedSpan::new(kernel, n, self.config.rank_stride));
-                        self.new_ranks = Some(PagedSpan::new(kernel, n, self.config.rank_stride));
+                        self.offsets = Some(PagedSpan::new(kernel, n + 1, OFFSET_STRIDE));
+                        self.targets =
+                            Some(PagedSpan::new(kernel, self.host_targets.len(), EDGE_STRIDE));
+                        self.ranks = Some(PagedSpan::new(kernel, n, RANK_STRIDE));
+                        self.new_ranks = Some(PagedSpan::new(kernel, n, RANK_STRIDE));
                     }
                     let offsets = self.offsets.as_ref().expect("allocated above");
                     while *pos < n + 1 {
@@ -343,7 +338,7 @@ impl Workload for GraphAnalytics {
                                 let dst = self.host_targets[*e] as usize;
                                 new_ranks.read(dst, kernel, m);
                                 new_ranks.write(dst, kernel, m);
-                                m.budget.charge_compute(self.config.compute_per_edge);
+                                m.budget.charge_compute(COMPUTE_PER_EDGE);
                                 *e += 1;
                             }
                             *v += 1;
@@ -379,8 +374,10 @@ impl Workload for GraphAnalytics {
                     }
                     let next = iter + 1;
                     self.milestones.push(Milestone(format!("iter:{next}")));
-                    self.pause.arm(self.config.pause_per_iteration);
-                    if next == self.config.iterations {
+                    self.pause.arm(SimDuration::from_nanos(
+                        PAUSE_NS_PER_EDGE * self.config.n_edges as u64,
+                    ));
+                    if next == ITERATIONS {
                         self.free_all(kernel, m);
                         self.phase = Phase::Finished;
                         return StepOutcome::Done;
@@ -428,14 +425,8 @@ mod tests {
         GraphAnalyticsConfig {
             n_nodes: 300,
             n_edges: 3000,
-            edge_stride: 48,
-            offset_stride: 16,
-            rank_stride: 64,
             cold_bytes: 8 * 4096,
-            iterations: 5,
             seed: 9,
-            compute_per_edge: SimDuration::from_nanos(1_000),
-            pause_per_iteration: SimDuration::from_micros(450),
         }
     }
 
@@ -490,7 +481,7 @@ mod tests {
         let (mut w, kernel) = run_to_completion(small_config(), 512, 512);
         let labels: Vec<_> = w.drain_milestones().into_iter().map(|m| m.0).collect();
         assert!(labels.contains(&"loaded".to_string()));
-        assert!(labels.contains(&"iter:5".to_string()));
+        assert!(labels.contains(&"iter:10".to_string()));
         assert_eq!(kernel.resident_pages(), 0, "memory released");
     }
 

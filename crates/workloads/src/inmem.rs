@@ -21,9 +21,10 @@
 //! references and compute charges that arithmetic would.
 //!
 //! Element *strides* model Spark's JVM object overhead: a logical 12-byte
-//! rating occupies `rating_stride` bytes of heap (default 64), a factor row
-//! `factor_stride` (default 128), which is how a ~24 MB MovieLens export
-//! becomes a guest footprint exceeding a 1 GB VM.
+//! rating occupies 64 bytes of heap, a factor row 128, which is how a
+//! ~24 MB MovieLens export becomes a guest footprint exceeding a 1 GB VM.
+//! The recommender runs three epochs, charges 4 µs of compute per rating
+//! and pauses 0.3 µs per rating after each epoch.
 
 use crate::appmodel::{InputReader, Pause};
 use crate::datasets::{Rating, RatingStream};
@@ -38,11 +39,29 @@ use sim_core::time::SimDuration;
 /// Latent factor rank (fixed: CloudSuite's ALS default neighbourhood).
 pub const RANK: usize = 8;
 
-/// Ratings per Spark-style partition (~2 MiB of heap at the default
+/// Ratings per Spark-style partition (~2 MiB of heap at the rating
 /// stride): training visits partitions in a per-epoch shuffled order, as a
 /// task scheduler would, so cache misses under a capacity shortage are
 /// proportional to the shortage instead of all-or-nothing.
 pub const PARTITION_RATINGS: usize = 32 * 1024;
+
+/// Guest bytes per rating (JVM overhead model).
+const RATING_STRIDE: usize = 64;
+
+/// Guest bytes per factor row.
+const FACTOR_STRIDE: usize = 128;
+
+/// Training epochs.
+const EPOCHS: u32 = 3;
+
+/// Compute charged per rating processed during training and evaluation
+/// (JVM execution cost; dominates when memory is comfortable).
+const COMPUTE_PER_RATING: SimDuration = SimDuration::from_nanos(4_000);
+
+/// GC / scheduler pause armed after each epoch, in nanoseconds per live
+/// rating object: a window with no memory pressure, during which
+/// demand-driven policies may reclaim.
+const GC_PAUSE_NS_PER_RATING: u64 = 300;
 
 fn shuffled_partitions(rng: &mut SplitMix64, n_parts: usize) -> Vec<u32> {
     let mut order: Vec<u32> = (0..n_parts as u32).collect();
@@ -72,12 +91,6 @@ pub struct InMemoryAnalyticsConfig {
     pub n_items: u32,
     /// Number of ratings.
     pub n_ratings: usize,
-    /// Guest bytes per rating (JVM overhead model).
-    pub rating_stride: usize,
-    /// Guest bytes per factor row.
-    pub factor_stride: usize,
-    /// Training epochs.
-    pub epochs: u32,
     /// Dataset + initialization seed.
     pub seed: u64,
     /// Write-once staging heap (RDD lineage, shuffle spill, dead objects):
@@ -85,12 +98,6 @@ pub struct InMemoryAnalyticsConfig {
     /// tmem these pages squat in the pool for the whole run — the waste
     /// mechanism the managed policies exploit.
     pub cold_bytes: u64,
-    /// Compute charged per rating processed during training/evaluation
-    /// (JVM execution cost; dominates when memory is comfortable).
-    pub compute_per_rating: SimDuration,
-    /// GC / scheduler pause armed after each epoch: a window with no
-    /// memory pressure, during which demand-driven policies may reclaim.
-    pub gc_pause_per_epoch: SimDuration,
 }
 
 impl InMemoryAnalyticsConfig {
@@ -98,14 +105,12 @@ impl InMemoryAnalyticsConfig {
     /// ~65% of the footprint, factor rows the rest; user/item counts follow
     /// the MovieLens-1M proportions (~60% users).
     pub fn with_footprint(bytes: u64, seed: u64) -> Self {
-        let rating_stride = 64usize;
-        let factor_stride = 128usize;
         // 18% of the heap is write-once staging; the live (hot) heap splits
         // ~65/35 between ratings and factor rows.
         let cold_bytes = ((bytes as f64 * 0.18) as u64 / 4096).max(1) * 4096;
         let hot = bytes - cold_bytes;
-        let n_ratings = ((hot as f64 * 0.65) / rating_stride as f64).max(64.0) as usize;
-        let factor_rows = ((hot as f64 * 0.35) / factor_stride as f64).max(8.0) as u64;
+        let n_ratings = ((hot as f64 * 0.65) / RATING_STRIDE as f64).max(64.0) as usize;
+        let factor_rows = ((hot as f64 * 0.35) / FACTOR_STRIDE as f64).max(8.0) as u64;
         let n_users = ((factor_rows * 6) / 10).max(2) as u32;
         let n_items = (factor_rows - u64::from(n_users / 10) * 6).max(2) as u32;
         InMemoryAnalyticsConfig {
@@ -114,21 +119,15 @@ impl InMemoryAnalyticsConfig {
                 .min(factor_rows as u32 - n_users.min(factor_rows as u32 - 1))
                 .max(2),
             n_ratings,
-            rating_stride,
-            factor_stride,
             cold_bytes,
-            epochs: 3,
             seed,
-            compute_per_rating: SimDuration::from_nanos(4_000),
-            // GC time scales with heap: ~0.3 us per live rating object.
-            gc_pause_per_epoch: SimDuration::from_nanos(300 * n_ratings as u64),
         }
     }
 
     /// Total guest footprint in bytes (live heap + cold staging).
     pub fn footprint_bytes(&self) -> u64 {
-        self.n_ratings as u64 * self.rating_stride as u64
-            + (u64::from(self.n_users) + u64::from(self.n_items)) * self.factor_stride as u64
+        self.n_ratings as u64 * RATING_STRIDE as u64
+            + (u64::from(self.n_users) + u64::from(self.n_items)) * FACTOR_STRIDE as u64
             + self.cold_bytes
     }
 }
@@ -187,7 +186,6 @@ impl InMemoryAnalytics {
     /// Build the workload (dataset synthesis happens host-side here; the
     /// guest-visible load is the `Load` phase).
     pub fn new(config: InMemoryAnalyticsConfig) -> Self {
-        assert!(config.epochs > 0, "at least one epoch");
         let host_ratings = RatingStream::new(
             config.seed,
             config.n_users,
@@ -248,20 +246,17 @@ impl Workload for InMemoryAnalytics {
             match self.phase {
                 Phase::Load { ref mut pos } => {
                     if self.ratings.is_none() {
-                        self.ratings = Some(PagedSpan::new(
-                            kernel,
-                            self.config.n_ratings,
-                            self.config.rating_stride,
-                        ));
+                        self.ratings =
+                            Some(PagedSpan::new(kernel, self.config.n_ratings, RATING_STRIDE));
                         self.user_f = Some(PagedSpan::new(
                             kernel,
                             self.config.n_users as usize,
-                            self.config.factor_stride,
+                            FACTOR_STRIDE,
                         ));
                         self.item_f = Some(PagedSpan::new(
                             kernel,
                             self.config.n_items as usize,
-                            self.config.factor_stride,
+                            FACTOR_STRIDE,
                         ));
                     }
                     let ratings = self.ratings.as_ref().expect("allocated above");
@@ -357,7 +352,7 @@ impl Workload for InMemoryAnalytics {
                         item_f.read(r.item as usize, kernel, m);
                         user_f.write(r.user as usize, kernel, m);
                         item_f.write(r.item as usize, kernel, m);
-                        m.budget.charge_compute(self.config.compute_per_rating);
+                        m.budget.charge_compute(COMPUTE_PER_RATING);
                         *in_part += 1;
                         if *in_part == PARTITION_RATINGS {
                             *part_pos += 1;
@@ -366,8 +361,10 @@ impl Workload for InMemoryAnalytics {
                     }
                     *epoch += 1;
                     self.milestones.push(Milestone(format!("epoch:{epoch}")));
-                    self.pause.arm(self.config.gc_pause_per_epoch);
-                    if *epoch == self.config.epochs {
+                    self.pause.arm(SimDuration::from_nanos(
+                        GC_PAUSE_NS_PER_RATING * self.config.n_ratings as u64,
+                    ));
+                    if *epoch == EPOCHS {
                         self.phase = Phase::Evaluate { pos: 0 };
                     } else {
                         let n_parts = self.config.n_ratings.div_ceil(PARTITION_RATINGS);
@@ -394,7 +391,7 @@ impl Workload for InMemoryAnalytics {
                         let r = self.partition[in_part];
                         user_f.read(r.user as usize, kernel, m);
                         item_f.read(r.item as usize, kernel, m);
-                        m.budget.charge_compute(self.config.compute_per_rating);
+                        m.budget.charge_compute(COMPUTE_PER_RATING);
                         *pos += 1;
                     }
                     self.free_all(kernel, m);
@@ -435,13 +432,8 @@ mod tests {
             n_users: 50,
             n_items: 30,
             n_ratings: 4000,
-            rating_stride: 64,
-            factor_stride: 128,
             cold_bytes: 16 * 4096,
-            epochs: 3,
             seed: 42,
-            compute_per_rating: SimDuration::from_nanos(1_500),
-            gc_pause_per_epoch: SimDuration::from_micros(500),
         }
     }
 

@@ -24,6 +24,11 @@ use serde::{Deserialize, Serialize};
 use sim_core::time::SimDuration;
 use tmem::page::PAGE_SIZE;
 
+/// Compute per page traversed (the per-word read/write loop: ~512 words
+/// of work per 4 KiB page): [`UsememConfig::compute_per_page`] of every
+/// usemem the scenarios build.
+pub const COMPUTE_PER_PAGE: SimDuration = SimDuration::from_micros(2);
+
 /// Sizing of the usemem progression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct UsememConfig {
@@ -50,7 +55,7 @@ impl UsememConfig {
             start_bytes: mb(128),
             step_bytes: mb(128),
             max_bytes: mb(1024),
-            compute_per_page: SimDuration::from_micros(2),
+            compute_per_page: COMPUTE_PER_PAGE,
             max_steady_passes: u64::MAX,
         }
     }

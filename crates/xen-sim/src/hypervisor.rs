@@ -790,18 +790,10 @@ impl<P: PagePayload> Hypervisor<P> {
         self.backend.capacity() / (self.vm_slots.len() as u64).max(1)
     }
 
-    /// The target Algorithm 1 actually enforces for `vm` right now: the
-    /// MM-installed target while fresh, or `max(target, fair-share floor)`
-    /// once stale.
-    pub fn effective_target(&self, vm: VmId) -> u64 {
-        self.vm_slots
-            .get(&vm)
-            .map_or(0, |&slot| self.target_at(slot))
-    }
-
-    /// [`Hypervisor::effective_target`] of the VM at `slot` (0 if it is
-    /// not registered). The floor's division is paid only while targets
-    /// are stale.
+    /// The target Algorithm 1 enforces right now for the VM at `slot` (0 if
+    /// it is not registered): the MM-installed target while fresh, or
+    /// `max(target, fair-share floor)` once stale. The floor's division is
+    /// paid only while targets are stale.
     #[inline]
     fn target_at(&self, slot: VmSlot) -> u64 {
         let Some(data) = self.vm_data.get(slot.index()).and_then(Option::as_ref) else {

@@ -23,7 +23,6 @@ pub mod vm;
 
 pub use host::FarConfig;
 pub use hypervisor::{GetOutcome, Hypervisor};
-pub use sched::CpuModel;
 pub use vm::VmConfig;
 
 pub use tmem::key::VmId;

@@ -61,7 +61,7 @@ fn serve(target_pages: u64) -> (FileServer, SimDuration) {
     });
     let mut disk = SharedDisk::default();
     let cost = CostModel::hdd();
-    let mut server = FileServer::new(FileServerConfig::small(7));
+    let mut server = FileServer::new(FileServerConfig::with_footprint(32 << 20, 200_000, 7));
     let mut elapsed = SimDuration::ZERO;
     loop {
         let mut budget = StepBudget::new(SimDuration::from_millis(1));

@@ -18,7 +18,7 @@ use smartmem::guest::kernel::{GuestConfig, GuestKernel};
 use smartmem::guest::machine::Machine;
 use smartmem::guest::tkm::{Dom0Tkm, GuestTkm};
 use smartmem::policies::policy::Policy;
-use smartmem::policies::{MemoryManager, SmartAlloc, SmartAllocConfig};
+use smartmem::policies::{MemoryManager, SmartAlloc};
 use smartmem::sim::cost::CostModel;
 use smartmem::sim::faults::NetlinkFate;
 use smartmem::sim::time::{SimDuration, SimTime};
@@ -89,10 +89,7 @@ fn main() {
         ),
         (
             "smart-alloc(2%)",
-            MemoryManager::new(
-                Box::new(SmartAlloc::new(SmartAllocConfig::with_percent(2.0))),
-                32,
-            ),
+            MemoryManager::new(Box::new(SmartAlloc::new(2.0)), 32),
         ),
     ] {
         let total = run_with(mm);
@@ -156,6 +153,9 @@ fn run_with(mut mm: MemoryManager) -> SimDuration {
         if let Some((seq, targets)) = mm.on_stats(&snap) {
             relay.forward_targets(&mut hyp, seq, &targets);
         }
+        // The MM processed a snapshot: its heartbeat keeps the targets
+        // fresh even when it suppressed an unchanged vector.
+        hyp.keepalive();
     }
     println!(
         "  targets at end: VM1={:?} VM2={:?}; tmem used: VM1={} VM2={}",
