@@ -11,11 +11,11 @@
 //! ```
 //!
 //! `tmem_used` is what the VM demonstrably holds; the smoothed failed-put
-//! rate is the unmet demand it keeps presenting; `α` (4 pages) converts an
+//! rate is the unmet demand it keeps presenting; `α` converts an
 //! interval's failures into pages of headroom. The exponential window
-//! forgets bursts at rate 0.6 per interval, which is what distinguishes a
-//! phase change from noise. Every target stays at or above a floor of 2 %
-//! of the node.
+//! forgets bursts geometrically, which is what distinguishes a phase
+//! change from noise. Every target stays at or above a floor share of the
+//! node.
 
 use super::Policy;
 use std::collections::HashMap;

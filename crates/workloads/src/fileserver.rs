@@ -7,9 +7,8 @@
 //! with Zipf-popular files; clean evictions flow into the VM's ephemeral
 //! tmem pool and misses try tmem before paying a disk read.
 //!
-//! Files are 32 pages (128 KiB) each, so a footprint scales the corpus's
-//! breadth, not the file size; popularity is Zipf with skew 1.1, and each
-//! served request costs 5 µs of compute.
+//! Files have a fixed size, so a footprint scales the corpus's breadth,
+//! not the file size.
 //!
 //! The metric of interest is the cleancache hit fraction — how much of the
 //! miss traffic the pooled memory absorbed — which the hypervisor's target

@@ -17,11 +17,8 @@
 //! rank values. The workload therefore computes no ranks; it issues exactly
 //! the page references and compute charges the real iterations would.
 //!
-//! Strides model GraphX's object overhead (edge triplets, vertex RDDs): an
-//! edge target occupies 48 bytes of heap, an offset entry 16 and a rank
-//! entry 64; see [`GraphAnalyticsConfig::with_footprint`]. PageRank runs
-//! ten iterations, charges 3 µs of compute per edge scattered and pauses
-//! 0.15 µs per edge at each superstep barrier.
+//! Strides model GraphX's object overhead (edge triplets, vertex RDDs);
+//! see [`GraphAnalyticsConfig::with_footprint`].
 
 use crate::appmodel::{InputReader, Pause};
 use crate::datasets::{powerlaw_edges, to_csr};

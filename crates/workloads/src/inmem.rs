@@ -23,8 +23,6 @@
 //! Element *strides* model Spark's JVM object overhead: a logical 12-byte
 //! rating occupies 64 bytes of heap, a factor row 128, which is how a
 //! ~24 MB MovieLens export becomes a guest footprint exceeding a 1 GB VM.
-//! The recommender runs three epochs, charges 4 µs of compute per rating
-//! and pauses 0.3 µs per rating after each epoch.
 
 use crate::appmodel::{InputReader, Pause};
 use crate::datasets::{Rating, RatingStream};

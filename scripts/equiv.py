@@ -35,8 +35,6 @@ from perf_pairs import ROOT, SIDES, export, fail, git
 
 CORPUS = ROOT / "scenarios" / "equiv" / "corpus.txt"
 SMOKE_TAG = "[smoke]"
-# Captured per cell next to what the cell writes.
-CAPTURED = ("status", "stdout", "stderr")
 SKIPPED = {"scenarios", "journal.smj"}
 
 
